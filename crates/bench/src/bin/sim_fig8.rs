@@ -19,8 +19,8 @@ use tmc_baselines::{
     UpdateOnlySystem,
 };
 use tmc_bench::shardsim::{self, ShardRunOptions};
-use tmc_bench::{drive_steady_state_batched_checked, drive_steady_state_checked, sweep, Table};
-use tmc_core::{Mode, ModePolicy, System, SystemConfig};
+use tmc_bench::{drive_steady_state_checked, sweep, Table};
+use tmc_core::{Mode, ModePolicy, SystemConfig};
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
 
@@ -85,13 +85,6 @@ fn run_cell(w: f64, seed: u64, sys_idx: usize) -> f64 {
                 .report
                 .bits_per_ref;
         }
-    }
-    // Two-mode cells run on the batched reference pipeline (bit-identical
-    // to the scalar driver, still oracle-checked); the baselines keep the
-    // scalar `CoherentSystem` driver.
-    if let Some(cfg) = two_mode_cfg(sys_idx) {
-        let mut sys = System::new(cfg).expect("valid config");
-        return drive_steady_state_batched_checked(&mut sys, &trace, WARMUP).bits_per_ref;
     }
     let mut sys = build_system(sys_idx);
     drive_steady_state_checked(sys.as_mut(), &trace, WARMUP).bits_per_ref

@@ -1,22 +1,19 @@
-//! Experiment harness: table formatting, trace-driven protocol runs, the
-//! parallel sweep engine ([`sweep`]) and a micro-benchmark timer
-//! ([`timer`]).
+//! Experiment harness: table formatting, trace-driven protocol runs and
+//! the parallel sweep engine ([`sweep`]).
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper;
 //! this library holds the shared plumbing. See `DESIGN.md` (experiment
 //! index) and `EXPERIMENTS.md` (recorded outputs) at the repository root,
-//! plus `docs/PERFORMANCE.md` for the sweep engine and the perf baseline.
+//! plus `docs/PERFORMANCE.md` for the sweep engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod shardsim;
 pub mod sweep;
-pub mod timer;
 pub mod tracecheck;
 
 use tmc_baselines::CoherentSystem;
-use tmc_core::System;
 use tmc_memsys::ReferenceMemory;
 use tmc_workload::{Op, Trace};
 
@@ -104,57 +101,43 @@ pub struct RunReport {
     pub bits_per_ref: f64,
 }
 
-/// Drives `sys` through `trace` (writes use a running stamp as the value)
-/// and reports traffic per reference. The flush at the end is *not*
-/// billed to the per-reference figure, matching the paper's steady-state
-/// cost models.
-pub fn drive(sys: &mut dyn CoherentSystem, trace: &Trace) -> RunReport {
-    let mut stamp = 1u64;
-    for r in trace.iter() {
-        match r.op {
-            Op::Read => {
-                let _ = sys.read(r.proc, r.addr);
-            }
-            Op::Write => {
-                sys.write(r.proc, r.addr, stamp);
-                stamp += 1;
-            }
-        }
-    }
-    let total_bits = sys.total_traffic_bits();
-    RunReport {
-        references: trace.len(),
-        total_bits,
-        bits_per_ref: if trace.is_empty() {
-            0.0
-        } else {
-            total_bits as f64 / trace.len() as f64
-        },
-    }
-}
-
-/// Drives only the tail of a run: executes `warmup` references unbilled
-/// (by subtracting their traffic), then reports per-reference traffic over
-/// the remainder — the steady-state figure the paper's models describe.
-pub fn drive_steady_state(sys: &mut dyn CoherentSystem, trace: &Trace, warmup: usize) -> RunReport {
-    let mut stamp = 1u64;
+/// The one reference loop behind [`drive`], [`drive_steady_state`] and
+/// [`drive_steady_state_checked`]: executes `trace` on `sys`, stamping
+/// writes `1, 2, 3, …`, and reports the traffic added from reference
+/// `warmup` on. With an `oracle`, every read is checked against it.
+fn drive_from(
+    sys: &mut dyn CoherentSystem,
+    trace: &Trace,
+    warmup: usize,
+    mut oracle: Option<ReferenceMemory>,
+) -> RunReport {
+    let mut stamp = 0u64;
     let mut warm_bits = 0u64;
-    let mut measured = 0usize;
     for (i, r) in trace.iter().enumerate() {
         if i == warmup {
             warm_bits = sys.total_traffic_bits();
         }
         match r.op {
             Op::Read => {
-                let _ = sys.read(r.proc, r.addr);
+                let got = sys.read(r.proc, r.addr);
+                if let Some(oracle) = &oracle {
+                    assert_eq!(
+                        got,
+                        oracle.read(r.addr),
+                        "{}: stale read at reference {i} (proc {}, {:?})",
+                        sys.name(),
+                        r.proc,
+                        r.addr
+                    );
+                }
             }
             Op::Write => {
-                sys.write(r.proc, r.addr, stamp);
                 stamp += 1;
+                sys.write(r.proc, r.addr, stamp);
+                if let Some(oracle) = &mut oracle {
+                    oracle.write(r.addr, stamp);
+                }
             }
-        }
-        if i >= warmup {
-            measured += 1;
         }
     }
     if trace.len() <= warmup {
@@ -164,6 +147,7 @@ pub fn drive_steady_state(sys: &mut dyn CoherentSystem, trace: &Trace, warmup: u
             bits_per_ref: 0.0,
         };
     }
+    let measured = trace.len() - warmup;
     let total_bits = sys.total_traffic_bits() - warm_bits;
     RunReport {
         references: measured,
@@ -172,11 +156,26 @@ pub fn drive_steady_state(sys: &mut dyn CoherentSystem, trace: &Trace, warmup: u
     }
 }
 
+/// Drives `sys` through `trace` (writes use a running stamp as the value)
+/// and reports traffic per reference. The flush at the end is *not*
+/// billed to the per-reference figure, matching the paper's steady-state
+/// cost models.
+pub fn drive(sys: &mut dyn CoherentSystem, trace: &Trace) -> RunReport {
+    drive_from(sys, trace, 0, None)
+}
+
+/// Drives only the tail of a run: executes `warmup` references unbilled
+/// (by subtracting their traffic), then reports per-reference traffic over
+/// the remainder — the steady-state figure the paper's models describe.
+pub fn drive_steady_state(sys: &mut dyn CoherentSystem, trace: &Trace, warmup: usize) -> RunReport {
+    drive_from(sys, trace, warmup, None)
+}
+
 /// [`drive_steady_state`], but every read is value-checked against the
 /// [`ReferenceMemory`] oracle — the experiment binaries use this so the
 /// published traffic figures come from runs that were *correct*, not just
-/// cheap. Writes use `oracle.stamp()` as the value, the same sequence
-/// `drive_steady_state` generates, so traffic is bit-identical.
+/// cheap. The write stamps are the same either way, so traffic is
+/// bit-identical.
 ///
 /// # Panics
 ///
@@ -187,149 +186,7 @@ pub fn drive_steady_state_checked(
     trace: &Trace,
     warmup: usize,
 ) -> RunReport {
-    let mut oracle = ReferenceMemory::new();
-    let mut warm_bits = 0u64;
-    let mut measured = 0usize;
-    for (i, r) in trace.iter().enumerate() {
-        if i == warmup {
-            warm_bits = sys.total_traffic_bits();
-        }
-        match r.op {
-            Op::Read => {
-                let got = sys.read(r.proc, r.addr);
-                let want = oracle.read(r.addr);
-                assert_eq!(
-                    got,
-                    want,
-                    "{}: stale read at reference {i} (proc {}, {:?})",
-                    sys.name(),
-                    r.proc,
-                    r.addr
-                );
-            }
-            Op::Write => {
-                let stamp = oracle.stamp();
-                sys.write(r.proc, r.addr, stamp);
-                oracle.write(r.addr, stamp);
-            }
-        }
-        if i >= warmup {
-            measured += 1;
-        }
-    }
-    if trace.len() <= warmup {
-        return RunReport {
-            references: 0,
-            total_bits: 0,
-            bits_per_ref: 0.0,
-        };
-    }
-    let total_bits = sys.total_traffic_bits() - warm_bits;
-    RunReport {
-        references: measured,
-        total_bits,
-        bits_per_ref: total_bits as f64 / measured as f64,
-    }
-}
-
-/// Batched counterpart of [`drive`] for the reference engine: scripts the
-/// trace once, then feeds [`tmc_core::System::execute_batch`] in
-/// [`shardsim::BATCH_CHUNK`]-op chunks. Bit-identical to [`drive`] on a
-/// two-mode machine — same fingerprint, counters, per-link charges.
-pub fn drive_batched(sys: &mut System, trace: &Trace) -> RunReport {
-    let script = shardsim::script_from_trace(trace);
-    shardsim::apply_script(sys, &script);
-    let total_bits = sys.traffic().total_bits();
-    RunReport {
-        references: trace.len(),
-        total_bits,
-        bits_per_ref: if trace.is_empty() {
-            0.0
-        } else {
-            total_bits as f64 / trace.len() as f64
-        },
-    }
-}
-
-/// Batched counterpart of [`drive_steady_state`]: the warmup boundary is
-/// a batch boundary, so the warm-bits snapshot lands at exactly the same
-/// reference as the scalar driver's.
-pub fn drive_steady_state_batched(sys: &mut System, trace: &Trace, warmup: usize) -> RunReport {
-    let script = shardsim::script_from_trace(trace);
-    batched_steady_state(sys, &script, warmup, None)
-}
-
-/// Batched counterpart of [`drive_steady_state_checked`]: read values are
-/// still oracle-checked, but the oracle runs as a *precomputation* over
-/// the script (writes carry precomputed stamps, so expected read values
-/// are known before execution) and the engine's batched read results are
-/// compared afterwards — keeping the hot loop on the batched pipeline.
-///
-/// # Panics
-///
-/// Panics on the first read that returns a value other than the last one
-/// written to that word (a sequential-consistency violation).
-pub fn drive_steady_state_batched_checked(
-    sys: &mut System,
-    trace: &Trace,
-    warmup: usize,
-) -> RunReport {
-    let script = shardsim::script_from_trace(trace);
-    let mut oracle = ReferenceMemory::new();
-    let mut expected = Vec::new();
-    for op in &script {
-        match *op {
-            shardsim::ShardOp::Read { addr, .. } => expected.push(oracle.read(addr)),
-            shardsim::ShardOp::Write { addr, value, .. } => oracle.write(addr, value),
-            shardsim::ShardOp::SetMode { .. } => {}
-        }
-    }
-    batched_steady_state(sys, &script, warmup, Some(&expected))
-}
-
-fn batched_steady_state(
-    sys: &mut System,
-    script: &[shardsim::ShardOp],
-    warmup: usize,
-    expected_reads: Option<&[u64]>,
-) -> RunReport {
-    let cut = warmup.min(script.len());
-    let mut got = expected_reads.map(|e| Vec::with_capacity(e.len()));
-    for chunk in script[..cut].chunks(shardsim::BATCH_CHUNK) {
-        match got.as_mut() {
-            Some(values) => sys.execute_batch_reads(chunk, values),
-            None => sys.execute_batch(chunk),
-        }
-        .expect("valid processors");
-    }
-    let warm_bits = sys.traffic().total_bits();
-    for chunk in script[cut..].chunks(shardsim::BATCH_CHUNK) {
-        match got.as_mut() {
-            Some(values) => sys.execute_batch_reads(chunk, values),
-            None => sys.execute_batch(chunk),
-        }
-        .expect("valid processors");
-    }
-    if let (Some(expected), Some(got)) = (expected_reads, got.as_ref()) {
-        assert_eq!(expected.len(), got.len(), "read count mismatch");
-        for (i, (want, have)) in expected.iter().zip(got).enumerate() {
-            assert_eq!(want, have, "stale read at read #{i} of the script");
-        }
-    }
-    if script.len() <= warmup {
-        return RunReport {
-            references: 0,
-            total_bits: 0,
-            bits_per_ref: 0.0,
-        };
-    }
-    let measured = script.len() - warmup;
-    let total_bits = sys.traffic().total_bits() - warm_bits;
-    RunReport {
-        references: measured,
-        total_bits,
-        bits_per_ref: total_bits as f64 / measured as f64,
-    }
+    drive_from(sys, trace, warmup, Some(ReferenceMemory::new()))
 }
 
 #[cfg(test)]

@@ -69,8 +69,8 @@
 //! assert_eq!(sharded.system.traffic(), serial.traffic());
 //! ```
 
-use tmc_core::{System, SystemConfig};
-use tmc_memsys::ReferenceMemory;
+use tmc_core::{CoreError, Mode, System, SystemConfig};
+use tmc_memsys::{ReferenceMemory, WordAddr};
 use tmc_obs::{interleave, ProtocolEvent, ShardEvents};
 use tmc_workload::{Op, Trace};
 
@@ -91,16 +91,51 @@ pub fn env_shards() -> usize {
         .unwrap_or(0)
 }
 
-/// One scripted reference with globally precomputed operands — the
-/// engine's own batched-pipeline op type, re-exported under its historical
-/// shard-script name. Shard scripts, scenario programs and conformance
-/// cases all feed [`tmc_core::System::execute_batch`] without conversion.
-pub use tmc_core::BatchOp as ShardOp;
+/// One scripted reference with every operand precomputed — the issuing
+/// processor, the word address, and (for writes) the global stamp value
+/// the serial drivers would have produced — so a shard worker can replay
+/// its subsequence without seeing the rest of the script. Scenario
+/// programs and conformance cases use the same type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardOp {
+    /// Processor `proc` reads `addr`.
+    Read {
+        /// Issuing processor.
+        proc: usize,
+        /// Word address.
+        addr: WordAddr,
+    },
+    /// Processor `proc` writes `value` (its precomputed global stamp).
+    Write {
+        /// Issuing processor.
+        proc: usize,
+        /// Word address.
+        addr: WordAddr,
+        /// The value to write — the global stamp sequence position the
+        /// serial drivers would have used.
+        value: u64,
+    },
+    /// Software mode directive for `addr`'s block.
+    SetMode {
+        /// Issuing processor.
+        proc: usize,
+        /// Word address naming the block.
+        addr: WordAddr,
+        /// Target mode.
+        mode: Mode,
+    },
+}
 
-/// Ops per [`tmc_core::System::execute_batch`] call when replaying a
-/// script: large enough to amortize the per-batch billing flush, small
-/// enough that the per-op decode scratch stays cache-resident.
-pub const BATCH_CHUNK: usize = 4096;
+impl ShardOp {
+    /// The word address this op touches.
+    pub fn addr(&self) -> WordAddr {
+        match *self {
+            ShardOp::Read { addr, .. }
+            | ShardOp::Write { addr, .. }
+            | ShardOp::SetMode { addr, .. } => addr,
+        }
+    }
+}
 
 /// Converts a workload trace into a shard script, assigning each write its
 /// global stamp value — the same `1, 2, 3, …` sequence [`crate::drive`] and
@@ -128,36 +163,23 @@ pub fn script_from_trace(trace: &Trace) -> Vec<ShardOp> {
         .collect()
 }
 
-/// Executes `script` on `sys` through the batched pipeline
-/// ([`tmc_core::System::execute_batch`] in [`BATCH_CHUNK`]-op chunks) —
-/// bit-identical to [`apply_script_scalar`] but with per-batch deferred
-/// billing and scratch reuse.
+/// Executes `script` on `sys` one reference at a time — the serial
+/// behavior the sharded pipeline must reproduce bit-for-bit.
+///
+/// # Panics
+///
+/// Panics if an op names a processor `sys` does not have.
 pub fn apply_script(sys: &mut System, script: &[ShardOp]) {
-    for chunk in script.chunks(BATCH_CHUNK) {
-        sys.execute_batch(chunk).expect("valid processors");
-    }
-}
-
-/// Executes `script` one reference at a time through the scalar entry
-/// points — the reference behavior both the sharded and the batched
-/// pipelines must reproduce bit-for-bit.
-pub fn apply_script_scalar(sys: &mut System, script: &[ShardOp]) {
     for op in script {
-        apply_op(sys, op);
+        apply_op(sys, op).expect("valid processor");
     }
 }
 
-fn apply_op(sys: &mut System, op: &ShardOp) {
+fn apply_op(sys: &mut System, op: &ShardOp) -> Result<(), CoreError> {
     match *op {
-        ShardOp::Read { proc, addr } => {
-            let _ = sys.read(proc, addr).expect("valid processor");
-        }
-        ShardOp::Write { proc, addr, value } => {
-            sys.write(proc, addr, value).expect("valid processor");
-        }
-        ShardOp::SetMode { proc, addr, mode } => {
-            sys.set_mode(proc, addr, mode).expect("valid processor");
-        }
+        ShardOp::Read { proc, addr } => sys.read(proc, addr).map(drop),
+        ShardOp::Write { proc, addr, value } => sys.write(proc, addr, value),
+        ShardOp::SetMode { proc, addr, mode } => sys.set_mode(proc, addr, mode),
     }
 }
 
@@ -320,26 +342,6 @@ pub fn run(
             let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
             sys.set_tracing(tracing);
             let mut events = ShardEvents::new();
-            if !tracing && !check {
-                // Neither per-op trace grouping nor the oracle needs
-                // per-reference control: feed the shard's subsequence to
-                // the batched pipeline. Indices ascend within a shard, so
-                // the warmup boundary is a batch boundary.
-                let cut = ops.partition_point(|&(idx, _)| idx < warmup);
-                let flat: Vec<ShardOp> = ops.iter().map(|&(_, op)| op).collect();
-                for chunk in flat[..cut].chunks(BATCH_CHUNK) {
-                    sys.execute_batch(chunk).map_err(|e| e.to_string())?;
-                }
-                let warm_bits = sys.traffic().total_bits();
-                for chunk in flat[cut..].chunks(BATCH_CHUNK) {
-                    sys.execute_batch(chunk).map_err(|e| e.to_string())?;
-                }
-                return Ok(ShardOutcome {
-                    system: sys,
-                    events,
-                    warm_bits,
-                });
-            }
             let mut traced_len = 0usize;
             let mut oracle = check.then(ReferenceMemory::new);
             let mut warm_bits = 0u64;
@@ -362,7 +364,7 @@ pub fn run(
                         ));
                     }
                 } else {
-                    apply_op(&mut sys, op);
+                    apply_op(&mut sys, op).map_err(|e| e.to_string())?;
                 }
                 if tracing {
                     let len = sys.trace_events().len();
@@ -505,7 +507,6 @@ pub fn capture_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmc_core::Mode;
     use tmc_simcore::SimRng;
     use tmc_workload::{Placement, SharedBlockWorkload};
 

@@ -7,7 +7,8 @@
 //! * `DestSet` algebra in both its small-list and bitmap layouts,
 //! * re-writes and reads against already-materialized `MainMemory` /
 //!   `BlockStore` pages,
-//! * the `CastCache` memo-hit path through a 1024-port omega network.
+//! * the `CastCache` memo-hit path through a 1024-port omega network,
+//! * a full `System` reference pass (reads, writes, unicast billing).
 //!
 //! Everything lives in one `#[test]` and the counter is thread-local, so
 //! concurrently running tests in this binary cannot pollute the counts.
@@ -16,7 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use tmc_core::{BatchOp, System, SystemConfig};
+use tmc_bench::shardsim::{apply_script, ShardOp};
+use tmc_core::{System, SystemConfig};
 use tmc_memsys::{BlockAddr, BlockData, BlockSpec, BlockStore, CacheId, MainMemory, WordAddr};
 use tmc_omeganet::{CastCache, DestSet, Omega, SchemeKind, TrafficMatrix};
 use tmc_simcore::SimRng;
@@ -69,7 +71,7 @@ fn hot_paths_allocate_nothing_after_warmup() {
     destset_small_and_bitmap_ops_are_allocation_free();
     materialized_pages_are_allocation_free();
     castcache_hits_are_allocation_free();
-    batched_pipeline_is_allocation_free();
+    reference_pass_is_allocation_free();
 }
 
 /// The big-M cell's trace generation: after the first pass sizes the
@@ -226,15 +228,13 @@ fn castcache_hits_are_allocation_free() {
     assert_eq!(cache.hits(), 64);
 }
 
-/// The batched reference pipeline end to end at full machine scale:
-/// N = 1024 ports with each processor's stripe strided so the footprint
-/// spans the 2^21-block address space. After warmup materializes cache
-/// entries, directory pages, counter slots, and the deferred-billing
-/// scratch, a full `execute_batch` call — unicast routing through the
-/// 10-stage omega, link-delta accumulation, and the end-of-batch
-/// counter/traffic flush included — acquires heap memory exactly zero
-/// times.
-fn batched_pipeline_is_allocation_free() {
+/// The protocol engine end to end at full machine scale: N = 1024 ports
+/// with each processor's stripe strided so the footprint spans the
+/// 2^21-block address space. After warmup materializes cache entries,
+/// directory pages and counter slots, a full `apply_script` pass —
+/// unicast routing through the 10-stage omega and per-message link and
+/// counter billing included — acquires heap memory exactly zero times.
+fn reference_pass_is_allocation_free() {
     const BLOCKS_PER_PROC: u64 = 4;
     // 1024 stripes of this stride cover block indices up to 2^21.
     const STRIDE: u64 = (1u64 << 21) / N_PORTS as u64;
@@ -245,17 +245,17 @@ fn batched_pipeline_is_allocation_free() {
         |proc: u64, j: u64| WordAddr::new((proc * STRIDE + j) * spec.words_per_block() as u64);
 
     // Every processor first takes ownership of its own stripe.
-    let mut script: Vec<BatchOp> = Vec::new();
+    let mut script: Vec<ShardOp> = Vec::new();
     for p in 0..N_PORTS as u64 {
         for j in 0..BLOCKS_PER_PROC {
-            script.push(BatchOp::Write {
+            script.push(ShardOp::Write {
                 proc: p as usize,
                 addr: addr(p, j),
                 value: p ^ j,
             });
         }
     }
-    sys.execute_batch(&script).expect("ownership warmup pass");
+    apply_script(&mut sys, &script);
 
     // Steady state: read a neighbour's stripe (remote-datum service, two
     // unicasts per reference) and re-write its own. Stripes map to
@@ -264,11 +264,11 @@ fn batched_pipeline_is_allocation_free() {
     for p in 0..N_PORTS as u64 {
         let neighbour = (p + 1) % N_PORTS as u64;
         for j in 0..BLOCKS_PER_PROC {
-            script.push(BatchOp::Read {
+            script.push(ShardOp::Read {
                 proc: p as usize,
                 addr: addr(neighbour, j),
             });
-            script.push(BatchOp::Write {
+            script.push(ShardOp::Write {
                 proc: p as usize,
                 addr: addr(p, j),
                 value: p + j,
@@ -276,15 +276,15 @@ fn batched_pipeline_is_allocation_free() {
         }
     }
     // Two passes converge every structure: sharer sets, invalid-hint
-    // entries, counter slots, link-delta touch lists, batch scratch.
-    sys.execute_batch(&script).expect("first steady pass");
-    sys.execute_batch(&script).expect("second steady pass");
+    // entries, counter slots.
+    apply_script(&mut sys, &script);
+    apply_script(&mut sys, &script);
 
     let bits_before = sys.traffic().total_bits();
     let n = allocations(|| {
-        sys.execute_batch(&script).expect("measured steady pass");
+        apply_script(&mut sys, &script);
     });
-    assert_eq!(n, 0, "batched pipeline allocated {n} times after warmup");
+    assert_eq!(n, 0, "reference pass allocated {n} times after warmup");
     assert!(
         sys.traffic().total_bits() > bits_before,
         "measured pass moved no network traffic"

@@ -8,7 +8,6 @@
 //! | `faults-zero-vs-off` | zero-count fault plan vs no plan | full outcome including events (bit-identity) |
 //! | `adaptive-vs-fixed` | adaptive policy vs both fixed modes | identical read values; traffic bounded by the best fixed mode |
 //! | `oracle-self` | serial `System` vs `ReferenceMemory` | every read's value, memory image, invariants, re-run determinism |
-//! | `batched-vs-scalar` | scalar `read`/`write` loop vs chunked `execute_batch` | fingerprint, counters, per-link charges, memory image, read values, event stream, byte-identical JSONL |
 //! | `resumed-vs-uninterrupted` | one straight run vs the same script frozen/thawed mid-flight through the checkpoint codec | fingerprint, counters, per-link charges, memory image, read values, event stream |
 //! | `ir-vs-handcoded` | hand-coded protocol paths vs the guarded-action IR interpreter | fingerprint, counters, per-link charges, memory image, read values, event stream, byte-identical JSONL |
 //!
@@ -48,8 +47,6 @@ pub enum Pair {
     AdaptiveVsFixed,
     /// Serial engine vs the sequential-consistency oracle.
     OracleSelf,
-    /// Scalar reference loop vs the batched pipeline.
-    BatchedVsScalar,
     /// One straight run vs a run checkpointed and resumed mid-script.
     ResumedVsUninterrupted,
     /// Hand-coded protocol paths vs the guarded-action IR interpreter.
@@ -58,12 +55,11 @@ pub enum Pair {
 
 impl Pair {
     /// Every pair, in check order.
-    pub fn all() -> [Pair; 9] {
+    pub fn all() -> [Pair; 8] {
         [
             Pair::OracleSelf,
             Pair::IrVsHandcoded,
             Pair::SerialVsShard,
-            Pair::BatchedVsScalar,
             Pair::ResumedVsUninterrupted,
             Pair::SerialVsReplay,
             Pair::FaultsZeroVsOff,
@@ -81,7 +77,6 @@ impl Pair {
             Pair::FaultsZeroVsOff => "faults-zero-vs-off",
             Pair::AdaptiveVsFixed => "adaptive-vs-fixed",
             Pair::OracleSelf => "oracle-self",
-            Pair::BatchedVsScalar => "batched-vs-scalar",
             Pair::ResumedVsUninterrupted => "resumed-vs-uninterrupted",
             Pair::IrVsHandcoded => "ir-vs-handcoded",
         }
@@ -99,7 +94,6 @@ impl Pair {
             Pair::SerialVsReplay
             | Pair::FaultsZeroVsOff
             | Pair::OracleSelf
-            | Pair::BatchedVsScalar
             | Pair::ResumedVsUninterrupted
             | Pair::IrVsHandcoded => true,
             Pair::AdaptiveVsFixed => matches!(case.policy, ModePolicy::Adaptive { .. }),
@@ -140,7 +134,6 @@ pub fn check_pair(case: &CaseSpec, pair: Pair) -> Result<(), Divergence> {
         Pair::FaultsZeroVsOff => check_faults_zero_vs_off(case).or_else(fail),
         Pair::AdaptiveVsFixed => check_adaptive_vs_fixed(case).or_else(fail),
         Pair::OracleSelf => check_oracle_self(case).or_else(fail),
-        Pair::BatchedVsScalar => check_batched_vs_scalar(case).or_else(fail),
         Pair::ResumedVsUninterrupted => check_resumed_vs_uninterrupted(case).or_else(fail),
         Pair::IrVsHandcoded => check_ir_vs_handcoded(case).or_else(fail),
     }
@@ -219,47 +212,6 @@ fn check_resumed_vs_uninterrupted(case: &CaseSpec) -> Result<(), String> {
     let mut resumed = snapshot(&mut sys, &case.ops, read_values);
     resumed.events = Some(events);
     diff_outcomes(&clean, &resumed, "uninterrupted", "resumed")
-}
-
-/// Batch chunking for the batched engine: small enough that multi-chunk
-/// flushes are exercised even by shrunk cases, large enough that most
-/// generated scripts also get a partial tail chunk.
-const BATCH_PAIR_CHUNK: usize = 64;
-
-fn check_batched_vs_scalar(case: &CaseSpec) -> Result<(), String> {
-    let cfg = case.config();
-    let scalar = run_serial(cfg.clone(), &case.ops, true)?;
-
-    let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
-    sys.set_tracing(true);
-    let mut read_values = Vec::new();
-    for chunk in case.ops.chunks(BATCH_PAIR_CHUNK) {
-        sys.execute_batch_reads(chunk, &mut read_values)
-            .map_err(|e| e.to_string())?;
-    }
-    let batched = snapshot(&mut sys, &case.ops, read_values);
-    diff_outcomes(&scalar, &batched, "scalar", "batched")?;
-
-    // Byte-level JSONL: the batched drive must serialize to the exact
-    // trace the scalar drive produces.
-    let scalar_jsonl = tracecheck::capture(cfg.clone(), |sys| {
-        crate::outcome::run_script(sys, &case.ops);
-    })?;
-    let batched_jsonl = tracecheck::capture(cfg, |sys| {
-        for chunk in case.ops.chunks(BATCH_PAIR_CHUNK) {
-            sys.execute_batch(chunk).expect("validated processors");
-        }
-    })?;
-    if scalar_jsonl != batched_jsonl {
-        let line = scalar_jsonl
-            .lines()
-            .zip(batched_jsonl.lines())
-            .position(|(a, b)| a != b);
-        return Err(format!(
-            "JSONL captures differ (first differing line: {line:?})"
-        ));
-    }
-    Ok(())
 }
 
 fn check_serial_vs_shard(case: &CaseSpec) -> Result<(), String> {

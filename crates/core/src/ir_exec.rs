@@ -4,15 +4,15 @@
 //!
 //! This file is compiled as a child module of [`crate::system`] (via
 //! `#[path]`), so the interpreter works directly on `System`'s private
-//! state — the same caches, block store, traffic matrix, logs and
-//! profiler hooks the hand-coded engine uses. Every micro-operation here
-//! mirrors one fragment of the hand-coded logic *verbatim*: same probe
-//! order, same counter order, same `log_state`/`note_state_change`
-//! bracketing, same profiler phases, and all traffic goes through the
-//! same [`System::send`]/[`System::mcast`] plumbing so batching, timing,
-//! fault injection and transaction logging compose unchanged. The
-//! `ir-vs-handcoded` conformance pair and `tests/ir_equivalence.rs` hold
-//! that equivalence under differential test.
+//! state — the same caches, block store, traffic matrix and logs the
+//! hand-coded engine uses. Every micro-operation here mirrors one
+//! fragment of the hand-coded logic *verbatim*: same probe order, same
+//! counter order, same `log_state`/`note_state_change` bracketing, and
+//! all traffic goes through the same [`System::send`]/[`System::mcast`]
+//! plumbing so timing, fault injection and transaction logging compose
+//! unchanged. The `ir-vs-handcoded` conformance pair and
+//! `tests/ir_equivalence.rs` hold that equivalence under differential
+//! test.
 //!
 //! Interpreter scratch lives on the stack (one [`Scratch`] per
 //! transaction, one [`ReplaceScratch`] per eviction), so rules re-enter
@@ -258,9 +258,7 @@ impl System {
                     .word(scr.offset);
             }
             Step::FetchMem => {
-                let t = self.profiler.start();
                 scr.data = Some(self.memory.block_data(block));
-                self.profiler.end(Phase::MemCopy, t);
             }
             Step::InstallOwnedExclusive => {
                 let data = scr.data.take().expect("FetchMem ran");
@@ -280,7 +278,6 @@ impl System {
                 let serve = Self::ir_ep(scr, ep);
                 scr.serve = serve;
                 scr.before_owner = self.log_state(serve, block);
-                let t = self.profiler.start();
                 {
                     let line = self.caches[serve]
                         .peek_mut(block)
@@ -290,13 +287,11 @@ impl System {
                     scr.value_out = line.data.word(scr.offset);
                     scr.data = Some(line.data.clone());
                 }
-                self.profiler.end(Phase::MemCopy, t);
             }
             Step::OwnerProbeGr(ep) => {
                 let serve = Self::ir_ep(scr, ep);
                 scr.serve = serve;
                 scr.before_owner = self.log_state(serve, block);
-                let t = self.profiler.start();
                 {
                     let line = self.caches[serve]
                         .peek_mut(block)
@@ -306,7 +301,6 @@ impl System {
                     scr.value_out = line.data.word(scr.offset);
                     line.window_remote_reads += 1;
                 }
-                self.profiler.end(Phase::MemCopy, t);
             }
             Step::InstallUnownedCopy => {
                 let before = self.log_state(proc, block);
@@ -355,7 +349,6 @@ impl System {
                     handoff: false,
                 });
                 scr.before_owner = self.log_state(old, block);
-                let t = self.profiler.start();
                 {
                     let line = self.caches[old].peek_mut(block).expect("old owner line");
                     debug_assert!(line.is_owned());
@@ -367,7 +360,6 @@ impl System {
                         line.present.clone(),
                     ));
                 }
-                self.profiler.end(Phase::MemCopy, t);
             }
             Step::DemoteOldDw => {
                 let old = scr.owner.expect("rule guarded on an owned block");
@@ -443,18 +435,14 @@ impl System {
                 self.note_state_change(proc, block, before);
             }
             Step::WriteAtOwner => {
-                let t = self.profiler.start();
-                {
-                    let me = CacheId(proc as u16);
-                    let line = self.caches[proc].peek_mut(block).expect("owner has a line");
-                    debug_assert!(line.is_owned());
-                    line.data.set_word(scr.offset, scr.value_in);
-                    line.modified = true;
-                    let mut others = line.present.clone();
-                    others.remove(proc);
-                    scr.write_probe = Some((line.mode, line.is_exclusive(me), others));
-                }
-                self.profiler.end(Phase::MemCopy, t);
+                let me = CacheId(proc as u16);
+                let line = self.caches[proc].peek_mut(block).expect("owner has a line");
+                debug_assert!(line.is_owned());
+                line.data.set_word(scr.offset, scr.value_in);
+                line.modified = true;
+                let mut others = line.present.clone();
+                others.remove(proc);
+                scr.write_probe = Some((line.mode, line.is_exclusive(me), others));
             }
             Step::UpdateCast => {
                 let (mode, exclusive, mut others) =
@@ -508,12 +496,10 @@ impl System {
         self.counters.incr("replacements");
         let before = self.log_state(proc, victim);
         let home = self.home_port(victim);
-        let t = self.profiler.start();
         let line = self.caches[proc]
             .peek(victim)
             .expect("victim exists")
             .clone();
-        self.profiler.end(Phase::MemCopy, t);
         let me = CacheId(proc as u16);
         self.tracer.push(ProtocolEvent::Replacement {
             proc,

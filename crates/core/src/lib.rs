@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod config;
 pub mod driver;
 pub mod error;
@@ -55,7 +54,6 @@ pub mod snapshot;
 pub mod state;
 pub mod system;
 
-pub use batch::BatchOp;
 pub use config::{ModePolicy, SystemConfig};
 pub use driver::{run_concurrent, DriveOutcome, DriverOp};
 pub use error::{CoreError, InvariantViolation};
@@ -67,4 +65,4 @@ pub use snapshot::{
 pub use state::{CacheLine, Mode, StateName, Validity};
 pub use system::{AccessStats, System};
 pub use tmc_faults::{FaultError, FaultSpec, RetryPolicy};
-pub use tmc_obs::{Phase, PhaseReport, ProtocolEvent, TraceMode, Tracer};
+pub use tmc_obs::{ProtocolEvent, TraceMode, Tracer};

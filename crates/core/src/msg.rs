@@ -55,43 +55,6 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
-    /// Number of message families (array dimension for per-kind
-    /// accumulators; see [`MsgKind::index`]).
-    pub const COUNT: usize = 20;
-
-    /// Every message family, in declaration order. Batched execution
-    /// accumulates per-kind bit totals in a flat `[u64; MsgKind::COUNT]`
-    /// and walks this array once per batch to flush them into the named
-    /// counters.
-    pub const ALL: [MsgKind; MsgKind::COUNT] = [
-        MsgKind::LoadReq,
-        MsgKind::LoadOwnReq,
-        MsgKind::DirectLoadReq,
-        MsgKind::FwdLoad,
-        MsgKind::FwdLoadOwn,
-        MsgKind::BlockReply,
-        MsgKind::DatumReply,
-        MsgKind::OwnershipReq,
-        MsgKind::FwdOwnership,
-        MsgKind::OwnershipXfer,
-        MsgKind::UpdateWrite,
-        MsgKind::NewOwnerAnnounce,
-        MsgKind::Invalidate,
-        MsgKind::WriteBack,
-        MsgKind::ReplaceNotice,
-        MsgKind::FwdPresenceClear,
-        MsgKind::OwnershipOffer,
-        MsgKind::OfferAck,
-        MsgKind::OfferNak,
-        MsgKind::Redirect,
-    ];
-
-    /// This kind's slot in a `[_; MsgKind::COUNT]` accumulator.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
     /// A stable counter name for per-kind traffic breakdowns:
     /// `bits[<kind>]` in the system's [`CounterSet`](tmc_simcore::CounterSet).
     pub fn bits_counter(self) -> &'static str {
@@ -220,24 +183,6 @@ impl TransactionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_covers_every_kind_exactly_once() {
-        // `index` must be a bijection onto 0..COUNT so flat per-kind
-        // accumulators can be flushed by walking ALL.
-        let mut seen = [false; MsgKind::COUNT];
-        for kind in MsgKind::ALL {
-            assert!(!seen[kind.index()], "{kind:?} listed twice");
-            seen[kind.index()] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "some kind missing from ALL");
-        // Counter names must be pairwise distinct or deferred flushes
-        // would merge unrelated kinds.
-        let mut names: Vec<&str> = MsgKind::ALL.iter().map(|k| k.bits_counter()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), MsgKind::COUNT);
-    }
 
     #[test]
     fn log_accumulates_and_drains() {

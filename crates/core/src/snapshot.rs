@@ -30,11 +30,10 @@
 //! and bit corruption; the caller resumes from the last good frame.
 //!
 //! Checkpoints are taken *between* transactions, which is why the codec
-//! can skip all per-transaction scratch (batch accumulators, multicast
-//! memo buffers, the phase profiler): a freshly decoded [`System`]
-//! re-derives them, and because they are pure caches the continuation is
-//! bit-identical to a run that never stopped — `tmc-bench/src/bin/crashsim`
-//! proves exactly that.
+//! can skip all per-transaction scratch (the multicast memo buffers): a
+//! freshly decoded [`System`] re-derives them, and because they are pure
+//! caches the continuation is bit-identical to a run that never stopped —
+//! `tmc-bench/src/bin/crashsim` proves exactly that.
 //!
 //! # Example
 //!

@@ -13,11 +13,10 @@ use std::collections::BTreeMap;
 
 use tmc_faults::{FaultInjector, FaultKind, FaultPlan, MsgFault, ScheduledFault};
 use tmc_memsys::{BlockAddr, BlockStore, CacheArray, CacheId, MainMemory, ModuleMap, WordAddr};
-use tmc_obs::{FaultLabel, LinkCharge, Phase, PhaseProfiler, PhaseReport, ProtocolEvent, Tracer};
-use tmc_omeganet::{CastCache, DestSet, LinkDeltas, LinkId, LinkSchedule, Omega, TrafficMatrix};
+use tmc_obs::{FaultLabel, LinkCharge, ProtocolEvent, Tracer};
+use tmc_omeganet::{CastCache, DestSet, LinkId, LinkSchedule, Omega, TrafficMatrix};
 use tmc_simcore::{CounterSet, Histogram, SimTime};
 
-use crate::batch::BatchOp;
 use crate::config::{ModePolicy, SystemConfig};
 use crate::error::CoreError;
 use crate::msg::{Destination, MsgKind, TraceEvent, TransactionLog};
@@ -62,43 +61,6 @@ pub(crate) struct FaultState {
     /// Caches emptied and bypassed after a stall:
     /// cache → (heal op, op at which it was quarantined).
     pub(crate) quarantined: BTreeMap<usize, (u64, u64)>,
-}
-
-/// Deferred billing for one in-flight batch ([`System::execute_batch`]).
-///
-/// While a batch runs, every unicast charges its per-link bits into
-/// `deltas` instead of the live [`TrafficMatrix`], and the three
-/// per-message counter updates (`msgs_total`, `bits_total`,
-/// `bits[<kind>]`) accumulate in plain integers instead of walking the
-/// counter map. One flush at batch end lands everything — link adds and
-/// counter adds both commute, and nothing can observe the ledgers
-/// mid-batch (the batch holds `&mut System`), so the result is
-/// bit-identical to per-message billing.
-#[derive(Debug, Clone)]
-struct BatchAccum {
-    /// Per-link unicast charges, keyed exactly like the traffic matrix.
-    deltas: LinkDeltas,
-    /// Deferred `msgs_total` count.
-    msgs: u64,
-    /// Deferred `bits_total` sum.
-    bits: u64,
-    /// Deferred per-kind bit sums, indexed by [`MsgKind::index`].
-    kind_bits: [u64; MsgKind::COUNT],
-    /// Per-op `(block, offset)` decoded in one grouped pass before
-    /// dispatch.
-    decoded: Vec<(BlockAddr, usize)>,
-}
-
-impl BatchAccum {
-    fn new(net: &Omega) -> Self {
-        BatchAccum {
-            deltas: LinkDeltas::new(net),
-            msgs: 0,
-            bits: 0,
-            kind_bits: [0; MsgKind::COUNT],
-            decoded: Vec::new(),
-        }
-    }
 }
 
 /// How a cache found a block.
@@ -167,17 +129,6 @@ pub struct System {
     /// these same buffers).
     cast_delivered: Vec<usize>,
     cast_charges: Vec<(LinkId, u64)>,
-    /// Deferred billing for the batch in flight — `Some` exactly while
-    /// [`System::execute_batch`] runs its eligible fast path. While set,
-    /// [`System::send`] and [`System::mcast`] bill into it instead of the
-    /// live counters.
-    batch: Option<Box<BatchAccum>>,
-    /// The accumulator recycled between batches, so steady-state batched
-    /// execution allocates nothing.
-    batch_scratch: Option<Box<BatchAccum>>,
-    /// Per-phase hot-path attribution sampler (disabled by default; one
-    /// branch per hook while off).
-    profiler: PhaseProfiler,
     /// When `Some`, the five protocol dispatch points (read, write,
     /// set-mode, replacement, mode switch) interpret this guarded-action
     /// table ([`crate::ir`]) instead of running the hand-coded paths.
@@ -246,9 +197,6 @@ impl System {
             tracer: Tracer::new(),
             cast_delivered: Vec::new(),
             cast_charges: Vec::new(),
-            batch: None,
-            batch_scratch: None,
-            profiler: PhaseProfiler::new(),
             ir: ir_env_default(),
             net,
             traffic,
@@ -332,21 +280,6 @@ impl System {
     /// enabled state is unchanged).
     pub fn drain_trace(&mut self) -> Vec<ProtocolEvent> {
         self.tracer.drain()
-    }
-
-    /// Enables per-phase hot-path profiling, sampling 1 in `every`
-    /// transactions (`0` disables). Resets previously accumulated
-    /// attribution. Profiling only reads the clock — it never feeds back
-    /// into any protocol decision, so results stay bit-identical with it
-    /// on or off.
-    pub fn set_profiling(&mut self, every: u32) {
-        self.profiler.set_sampling(every);
-    }
-
-    /// Per-phase attribution accumulated since [`System::set_profiling`]
-    /// (all zeros while profiling is disabled).
-    pub fn phase_report(&self) -> &PhaseReport {
-        self.profiler.report()
     }
 
     /// The block's mode as a trace label, if the block is owned.
@@ -548,31 +481,15 @@ impl System {
 
     fn send(&mut self, kind: MsgKind, from: usize, to: usize, payload_bits: u64) {
         // Allocation-free unicast: per-stage link charges stream straight
-        // off the routing digits ([`Omega::charge_unicast`]) — into the
-        // batch's deferred deltas when a batch is in flight, else into the
-        // live traffic matrix. The old path materialized a `CastReceipt`
-        // (two heap allocations) whose delivered list nothing read.
-        let t = self.profiler.start();
-        let cost_bits = if let Some(batch) = self.batch.as_deref_mut() {
-            let cost = self
-                .net
-                .charge_unicast(from, to, payload_bits, &mut batch.deltas)
-                .expect("ports are valid by construction");
-            batch.msgs += 1;
-            batch.bits += cost;
-            batch.kind_bits[kind.index()] += cost;
-            cost
-        } else {
-            let cost = self
-                .net
-                .charge_unicast(from, to, payload_bits, &mut self.traffic)
-                .expect("ports are valid by construction");
-            self.counters.incr("msgs_total");
-            self.counters.add("bits_total", cost);
-            self.counters.add(kind.bits_counter(), cost);
-            cost
-        };
-        self.profiler.end(Phase::NetBilling, t);
+        // off the routing digits ([`Omega::charge_unicast`]) into the
+        // traffic matrix.
+        let cost_bits = self
+            .net
+            .charge_unicast(from, to, payload_bits, &mut self.traffic)
+            .expect("ports are valid by construction");
+        self.counters.incr("msgs_total");
+        self.counters.add("bits_total", cost_bits);
+        self.counters.add(kind.bits_counter(), cost_bits);
         self.txn_bits += cost_bits;
         self.txn_msgs += 1;
         if self.faults.is_some() {
@@ -607,11 +524,6 @@ impl System {
         let mut delivered = std::mem::take(&mut self.cast_delivered);
         self.cast_charges.clear();
         let record = self.tracer.is_enabled().then_some(&mut self.cast_charges);
-        // Multicasts bill the live traffic matrix even mid-batch (the
-        // traversal needs the full matrix shape and is already memoized);
-        // link adds commute with the batch's deferred unicast deltas, so
-        // the flushed totals are identical either way.
-        let t = self.profiler.start();
         let (scheme, cost_bits) = self
             .cast_cache
             .multicast_into(
@@ -625,7 +537,6 @@ impl System {
                 record,
             )
             .expect("dest sets are valid by construction");
-        self.profiler.end(Phase::NetBilling, t);
         let charges = &self.cast_charges;
         self.tracer.emit(|| ProtocolEvent::Cast {
             from,
@@ -643,15 +554,9 @@ impl System {
         });
         self.txn_bits += cost_bits;
         self.txn_msgs += 1;
-        if let Some(batch) = self.batch.as_deref_mut() {
-            batch.msgs += 1;
-            batch.bits += cost_bits;
-            batch.kind_bits[kind.index()] += cost_bits;
-        } else {
-            self.counters.incr("msgs_total");
-            self.counters.add("bits_total", cost_bits);
-            self.counters.add(kind.bits_counter(), cost_bits);
-        }
+        self.counters.incr("msgs_total");
+        self.counters.add("bits_total", cost_bits);
+        self.counters.add(kind.bits_counter(), cost_bits);
         // Fault model: destinations behind a dead link NACK the cast; the
         // sender retransmits to each point-to-point (state was already
         // applied — only the retransmission traffic is modeled).
@@ -803,19 +708,6 @@ impl System {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        Ok(self.read_checked(proc, addr, block, offset))
-    }
-
-    /// [`System::read_stats`] after validation and address decode — the
-    /// entry the batched pipeline dispatches to with precomputed operands.
-    fn read_checked(
-        &mut self,
-        proc: usize,
-        addr: WordAddr,
-        block: BlockAddr,
-        offset: usize,
-    ) -> AccessStats {
-        let ptxn = self.profiler.txn_start();
         let start = self.txn_begin();
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             self.counters.incr("fault_uncached_reads");
@@ -832,12 +724,9 @@ impl System {
                     mode: None,
                 });
             }
-            self.profiler.txn_end(ptxn);
-            return stats;
+            return Ok(stats);
         }
-        let t = self.profiler.start();
         let lookup = self.lookup(proc, block);
-        self.profiler.end(Phase::TagLookup, t);
         let hit = matches!(lookup, Lookup::OwnedHit | Lookup::UnOwnedHit);
         let value = if let Some(table) = self.ir {
             self.ir_read(table, proc, block, offset, lookup)
@@ -887,8 +776,7 @@ impl System {
                 mode,
             });
         }
-        self.profiler.txn_end(ptxn);
-        stats
+        Ok(stats)
     }
 
     /// Processor `proc` writes `value` to `addr`.
@@ -914,20 +802,6 @@ impl System {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        Ok(self.write_checked(proc, addr, block, offset, value))
-    }
-
-    /// [`System::write_stats`] after validation and address decode — the
-    /// entry the batched pipeline dispatches to with precomputed operands.
-    fn write_checked(
-        &mut self,
-        proc: usize,
-        addr: WordAddr,
-        block: BlockAddr,
-        offset: usize,
-        value: u64,
-    ) -> AccessStats {
-        let ptxn = self.profiler.txn_start();
         let start = self.txn_begin();
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             self.counters.incr("fault_uncached_writes");
@@ -944,12 +818,9 @@ impl System {
                     mode: None,
                 });
             }
-            self.profiler.txn_end(ptxn);
-            return stats;
+            return Ok(stats);
         }
-        let t = self.profiler.start();
         let lookup = self.lookup(proc, block);
-        self.profiler.end(Phase::TagLookup, t);
         let hit = matches!(lookup, Lookup::OwnedHit | Lookup::UnOwnedHit);
         if let Some(table) = self.ir {
             self.ir_write(table, proc, block, offset, value, lookup);
@@ -989,8 +860,7 @@ impl System {
                 mode,
             });
         }
-        self.profiler.txn_end(ptxn);
-        stats
+        Ok(stats)
     }
 
     /// Software mode directive (operations 6 and 7 of §2.2): make `proc`
@@ -1005,31 +875,20 @@ impl System {
     pub fn set_mode(&mut self, proc: usize, addr: WordAddr, mode: Mode) -> Result<(), CoreError> {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
-        self.set_mode_checked(proc, addr, block, mode);
-        Ok(())
-    }
-
-    /// [`System::set_mode`] after validation and address decode — the
-    /// entry the batched pipeline dispatches to with precomputed operands.
-    fn set_mode_checked(&mut self, proc: usize, addr: WordAddr, block: BlockAddr, mode: Mode) {
-        let ptxn = self.profiler.txn_start();
         let start = self.txn_begin();
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             // A degraded block is uncacheable — its mode is meaningless
             // until it heals, so the directive is dropped (not queued).
             self.counters.incr("fault_uncached_setmodes");
             let _ = self.txn_end(start, 0);
-            self.profiler.txn_end(ptxn);
-            return;
+            return Ok(());
         }
         self.tracer.push(ProtocolEvent::SetMode {
             proc,
             addr,
             mode: mode.into(),
         });
-        let t = self.profiler.start();
         let lookup = self.lookup(proc, block);
-        self.profiler.end(Phase::TagLookup, t);
         if let Some(table) = self.ir {
             self.ir_set_mode(table, proc, block, mode, lookup);
         } else {
@@ -1041,142 +900,6 @@ impl System {
             self.switch_mode_at_owner(proc, block, mode, /* adaptive */ false);
         }
         let _ = self.txn_end(start, 0);
-        self.profiler.txn_end(ptxn);
-    }
-
-    // ------------------------------------------------------------------
-    // Batched execution.
-    // ------------------------------------------------------------------
-
-    /// Executes a slice of scripted references as one batch.
-    ///
-    /// Bit-identical to issuing each op through [`System::read`] /
-    /// [`System::write`] / [`System::set_mode`] in order — same protocol
-    /// fingerprint, counters, per-link traffic, and trace events — but
-    /// with batch-scoped amortization:
-    ///
-    /// * address decode runs as one grouped pass over the whole batch;
-    /// * every unicast defers its per-link charges into a compact delta
-    ///   buffer flushed once per batch (adds commute, and nothing can
-    ///   observe the ledgers mid-batch);
-    /// * the three per-message counter-map walks become plain integer
-    ///   adds, flushed as one walk per touched counter per batch;
-    /// * all scratch is recycled across batches, so steady-state batched
-    ///   execution performs no heap allocation.
-    ///
-    /// Timing, transaction logging, and fault injection observe
-    /// per-message order, so machines configured with any of them fall
-    /// back to the scalar path internally (still one call per op, same
-    /// results, no error). Structured tracing is fully supported.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadProcessor`] if *any* op names an
-    /// out-of-range processor; validation is all-or-nothing and no op
-    /// executes on failure.
-    pub fn execute_batch(&mut self, ops: &[BatchOp]) -> Result<(), CoreError> {
-        self.execute_batch_inner(ops, None)
-    }
-
-    /// Like [`System::execute_batch`], but appends the value returned by
-    /// each [`BatchOp::Read`] to `out` (in op order) so callers can check
-    /// results against an oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadProcessor`] if *any* op names an
-    /// out-of-range processor; no op executes on failure.
-    pub fn execute_batch_reads(
-        &mut self,
-        ops: &[BatchOp],
-        out: &mut Vec<u64>,
-    ) -> Result<(), CoreError> {
-        self.execute_batch_inner(ops, Some(out))
-    }
-
-    fn execute_batch_inner(
-        &mut self,
-        ops: &[BatchOp],
-        mut out: Option<&mut Vec<u64>>,
-    ) -> Result<(), CoreError> {
-        for op in ops {
-            self.check_proc(op.proc())?;
-        }
-        let deferrable =
-            self.faults.is_none() && self.schedule.is_none() && !self.cfg.log_transactions;
-        if !deferrable {
-            for op in ops {
-                let addr = op.addr();
-                let block = self.cfg.spec.block_of(addr);
-                match *op {
-                    BatchOp::Read { proc, .. } => {
-                        let offset = self.cfg.spec.offset_of(addr);
-                        let stats = self.read_checked(proc, addr, block, offset);
-                        if let Some(out) = out.as_deref_mut() {
-                            out.push(stats.value);
-                        }
-                    }
-                    BatchOp::Write { proc, value, .. } => {
-                        let offset = self.cfg.spec.offset_of(addr);
-                        let _ = self.write_checked(proc, addr, block, offset, value);
-                    }
-                    BatchOp::SetMode { proc, mode, .. } => {
-                        self.set_mode_checked(proc, addr, block, mode);
-                    }
-                }
-            }
-            return Ok(());
-        }
-        debug_assert!(self.batch.is_none(), "batches never nest");
-        let mut accum = self
-            .batch_scratch
-            .take()
-            .unwrap_or_else(|| Box::new(BatchAccum::new(&self.net)));
-        // Grouped decode pass: one tight loop of shifts/masks filling the
-        // reused scratch, so the dispatch loop reads precomputed operands.
-        accum.decoded.clear();
-        accum.decoded.extend(ops.iter().map(|op| {
-            let addr = op.addr();
-            (self.cfg.spec.block_of(addr), self.cfg.spec.offset_of(addr))
-        }));
-        self.batch = Some(accum);
-        for (i, op) in ops.iter().enumerate() {
-            let (block, offset) = self.batch.as_deref().expect("batch active").decoded[i];
-            match *op {
-                BatchOp::Read { proc, addr } => {
-                    let stats = self.read_checked(proc, addr, block, offset);
-                    if let Some(out) = out.as_deref_mut() {
-                        out.push(stats.value);
-                    }
-                }
-                BatchOp::Write { proc, addr, value } => {
-                    let _ = self.write_checked(proc, addr, block, offset, value);
-                }
-                BatchOp::SetMode { proc, addr, mode } => {
-                    self.set_mode_checked(proc, addr, block, mode);
-                }
-            }
-        }
-        let mut accum = self.batch.take().expect("batch active");
-        // Flush. A message always charges > 0 bits (every hop carries at
-        // least its routing-tag bits), so skipping zero entries leaves the
-        // counter key set — and therefore counter equality against a
-        // scalar run — intact.
-        accum.deltas.flush_into(&mut self.traffic);
-        if accum.msgs > 0 {
-            self.counters.add("msgs_total", accum.msgs);
-            self.counters.add("bits_total", accum.bits);
-            for kind in MsgKind::ALL {
-                let bits = accum.kind_bits[kind.index()];
-                if bits > 0 {
-                    self.counters.add(kind.bits_counter(), bits);
-                    accum.kind_bits[kind.index()] = 0;
-                }
-            }
-            accum.msgs = 0;
-            accum.bits = 0;
-        }
-        self.batch_scratch = Some(accum);
         Ok(())
     }
 
@@ -1286,9 +1009,7 @@ impl System {
     /// Memory serves the block; requester becomes the exclusive owner in
     /// the policy's initial mode.
     fn load_from_memory(&mut self, proc: usize, block: BlockAddr, offset: usize, h: usize) -> u64 {
-        let t = self.profiler.start();
         let data = self.memory.block_data(block);
-        self.profiler.end(Phase::MemCopy, t);
         self.send(
             MsgKind::BlockReply,
             h,
@@ -1319,7 +1040,6 @@ impl System {
         offset: usize,
     ) -> u64 {
         let before_owner = self.log_state(owner, block);
-        let t = self.profiler.start();
         // One owner-tag probe serves the whole transaction: the block data
         // is only cloned when a full copy will actually cross the network
         // (distributed write); a global-read datum service moves one word.
@@ -1338,7 +1058,6 @@ impl System {
             };
             (line.mode, data, value)
         };
-        self.profiler.end(Phase::MemCopy, t);
         match mode {
             Mode::DistributedWrite => {
                 // 2(b)i: the owner sends a copy; requester holds it UnOwned.
@@ -1390,7 +1109,6 @@ impl System {
 
     /// The write itself, once `proc` owns the block (§2.2 cases 3(a)–(c)).
     fn perform_owned_write(&mut self, proc: usize, block: BlockAddr, offset: usize, value: u64) {
-        let t = self.profiler.start();
         let (mode, exclusive, mut others) = {
             let me = CacheId(proc as u16);
             let line = self.caches[proc].peek_mut(block).expect("owner has a line");
@@ -1401,7 +1119,6 @@ impl System {
             others.remove(proc);
             (line.mode, line.is_exclusive(me), others)
         };
-        self.profiler.end(Phase::MemCopy, t);
         if mode == Mode::DistributedWrite && !exclusive && !others.is_empty() {
             // 3(b): distribute the write to all caches with a copy.
             self.counters.incr("updates_multicast");
@@ -1496,7 +1213,6 @@ impl System {
             handoff: false,
         });
         let before_old = self.log_state(old, block);
-        let t = self.profiler.start();
         let (mode, modified, data, mut present) = {
             let line = self.caches[old].peek_mut(block).expect("old owner line");
             debug_assert!(line.is_owned());
@@ -1508,7 +1224,6 @@ impl System {
                 line.present.clone(),
             )
         };
-        self.profiler.end(Phase::MemCopy, t);
         let send_data = !requester_has_data || mode == Mode::GlobalRead;
         let bits = if send_data {
             self.cfg.sizing.block_and_state_bits(self.cfg.n_caches)
@@ -1611,12 +1326,10 @@ impl System {
         self.counters.incr("replacements");
         let before = self.log_state(proc, victim);
         let h = self.home_port(victim);
-        let t = self.profiler.start();
         let line = self.caches[proc]
             .peek(victim)
             .expect("victim exists")
             .clone();
-        self.profiler.end(Phase::MemCopy, t);
         self.tracer.push(ProtocolEvent::Replacement {
             proc,
             block: victim,

@@ -150,64 +150,6 @@ fn ir_matches_handcoded_across_scheme_policy_grid() {
     }
 }
 
-/// Batched execution composes with IR dispatch: the deferred-billing fast
-/// path and the interpreter produce the same machine as scalar hand-coded
-/// execution.
-#[test]
-fn ir_batched_matches_handcoded_scalar() {
-    use tmc_core::BatchOp;
-    let n = 8;
-    let ops = script(0xBA7C4, n, 400);
-    let cfg = || {
-        SystemConfig::new(n)
-            .multicast(SchemeKind::Combined)
-            .mode_policy(ModePolicy::Adaptive { window: 4 })
-            .cache_blocks(8)
-    };
-    let mut hand = System::new(cfg()).expect("valid config");
-    let hand_stats = drive(&mut hand, &ops);
-    let mut ir = System::new(cfg()).expect("valid config");
-    ir.set_ir_dispatch(true);
-    let batch: Vec<BatchOp> = ops
-        .iter()
-        .map(|op| match *op {
-            Op::Read(p, a) => BatchOp::Read {
-                proc: p,
-                addr: WordAddr::new(a),
-            },
-            Op::Write(p, a, v) => BatchOp::Write {
-                proc: p,
-                addr: WordAddr::new(a),
-                value: v,
-            },
-            Op::SetMode(p, a, m) => BatchOp::SetMode {
-                proc: p,
-                addr: WordAddr::new(a),
-                mode: m,
-            },
-        })
-        .collect();
-    let mut values = Vec::new();
-    ir.execute_batch_reads(&batch, &mut values).expect("batch");
-    let hand_values: Vec<u64> = ops
-        .iter()
-        .zip(&hand_stats)
-        .filter_map(|(op, s)| matches!(op, Op::Read(..)).then_some(s.value))
-        .collect();
-    assert_eq!(values, hand_values, "batched IR read values");
-    assert_eq!(
-        hand.protocol_fingerprint(),
-        ir.protocol_fingerprint(),
-        "fingerprint after batched IR"
-    );
-    assert_eq!(
-        hand.counters().iter().collect::<Vec<_>>(),
-        ir.counters().iter().collect::<Vec<_>>(),
-        "counters after batched IR"
-    );
-    assert_eq!(hand.traffic(), ir.traffic(), "traffic after batched IR");
-}
-
 /// Dispatch can flip mid-run without a seam: half the script hand-coded,
 /// half interpreted, against a full hand-coded run.
 #[test]

@@ -57,13 +57,11 @@ pub mod event;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;
-pub mod profile;
 pub mod stream;
 pub mod tracer;
 
 pub use event::{FaultLabel, LinkCharge, ProtocolEvent, TraceMode};
 pub use jsonl::{fnv1a64, TraceHeader, TraceReader, TraceRecord, TraceTrailer, TraceWriter};
 pub use metrics::MetricsRegistry;
-pub use profile::{Phase, PhaseProfiler, PhaseReport};
 pub use stream::{interleave, ShardEvents};
 pub use tracer::Tracer;

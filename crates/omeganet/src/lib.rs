@@ -54,4 +54,4 @@ pub use error::NetError;
 pub use multicast::{CastReceipt, SchemeChoice, SchemeKind};
 pub use timing::{LinkSchedule, TimingModel};
 pub use topology::{LinkId, Omega, PortId, RouteIter};
-pub use traffic::{ChargeSink, LinkDeltas, TrafficMatrix};
+pub use traffic::TrafficMatrix;

@@ -28,7 +28,7 @@
 use crate::destset::DestSet;
 use crate::error::NetError;
 use crate::topology::{LinkId, Omega, PortId};
-use crate::traffic::{ChargeSink, TrafficMatrix};
+use crate::traffic::TrafficMatrix;
 
 /// Which multicast scheme to use for a cast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,24 +97,22 @@ impl Omega {
         })
     }
 
-    /// Bills a `src`→`dst` unicast of `payload_bits` into `sink` and
+    /// Bills a `src`→`dst` unicast of `payload_bits` into `traffic` and
     /// returns its total cost — the allocation-free fast path behind
     /// [`Omega::unicast`]. Per-stage link charges are computed straight
     /// from the routing digits (`payload + (m − layer)` tag bits at layer
-    /// `layer`); no link list or receipt is ever materialized, so the hot
-    /// protocol paths call this with either the live [`TrafficMatrix`] or
-    /// a deferred [`crate::LinkDeltas`] batch buffer.
+    /// `layer`); no link list or receipt is ever materialized.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::PortOutOfRange`] for invalid ports.
     #[inline]
-    pub fn charge_unicast<S: ChargeSink>(
+    pub fn charge_unicast(
         &self,
         src: PortId,
         dst: PortId,
         payload_bits: u64,
-        sink: &mut S,
+        traffic: &mut TrafficMatrix,
     ) -> Result<u64, NetError> {
         self.check_port(src)?;
         self.check_port(dst)?;
@@ -122,7 +120,7 @@ impl Omega {
         let mut cost = 0;
         for link in self.route_iter(src, dst) {
             let bits = payload_bits + (m - link.layer as u64);
-            sink.charge(link, bits);
+            traffic.add(link, bits);
             cost += bits;
         }
         Ok(cost)

@@ -69,6 +69,7 @@ impl TrafficMatrix {
     /// # Panics
     ///
     /// Panics if `link` is out of shape for this matrix.
+    #[inline]
     pub fn add(&mut self, link: LinkId, bits: u64) {
         self.bits[link.layer as usize][link.line] += bits;
     }
@@ -141,125 +142,6 @@ impl TrafficMatrix {
     }
 }
 
-/// Anything that can absorb per-link bit charges.
-///
-/// The billed routing fast paths ([`Omega::charge_unicast`] and friends)
-/// are generic over this trait so the same digit-loop can charge either
-/// the live [`TrafficMatrix`] or a deferred [`LinkDeltas`] batch buffer.
-///
-/// [`Omega::charge_unicast`]: crate::Omega::charge_unicast
-pub trait ChargeSink {
-    /// Records `bits` crossing `link`.
-    fn charge(&mut self, link: LinkId, bits: u64);
-}
-
-impl ChargeSink for TrafficMatrix {
-    #[inline]
-    fn charge(&mut self, link: LinkId, bits: u64) {
-        self.bits[link.layer as usize][link.line] += bits;
-    }
-}
-
-/// A compact buffer of per-link charge deltas, accumulated during a batch
-/// and flushed into a [`TrafficMatrix`] in one pass.
-///
-/// Deferral is *charge-exact*: link charges are nonnegative integers
-/// combined only by addition, so `flush_into` commutes with interleaved
-/// direct billing — the matrix after a flush is bit-identical to one
-/// charged link-by-link in message order. The `touched` index list keeps
-/// the flush proportional to the links actually used by the batch, not
-/// the network size.
-///
-/// # Example
-///
-/// ```
-/// use tmc_omeganet::{ChargeSink, LinkDeltas, LinkId, Omega, TrafficMatrix};
-///
-/// let net = Omega::new(2)?;
-/// let mut direct = TrafficMatrix::new(&net);
-/// let mut deferred = TrafficMatrix::new(&net);
-/// let mut deltas = LinkDeltas::new(&net);
-/// for link in net.route(0, 3) {
-///     direct.charge(link, 10);
-///     deltas.charge(link, 10);
-/// }
-/// deltas.flush_into(&mut deferred);
-/// assert_eq!(direct, deferred);
-/// assert!(deltas.is_empty());
-/// # Ok::<(), tmc_omeganet::NetError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LinkDeltas {
-    /// `bits[layer * lines + line]`, flat for one-load indexing.
-    bits: Vec<u64>,
-    /// Flat indices holding a nonzero delta, in first-touch order.
-    touched: Vec<u32>,
-    lines: usize,
-}
-
-impl LinkDeltas {
-    /// Creates an empty delta buffer shaped for `net`.
-    pub fn new(net: &Omega) -> Self {
-        LinkDeltas::with_shape(net.link_layers() as usize, net.ports())
-    }
-
-    /// Creates an empty delta buffer with an explicit shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn with_shape(layers: usize, lines: usize) -> Self {
-        assert!(layers > 0 && lines > 0, "deltas must have a nonzero shape");
-        LinkDeltas {
-            bits: vec![0; layers * lines],
-            touched: Vec::new(),
-            lines,
-        }
-    }
-
-    /// Whether no deltas are pending.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// Links holding a pending delta.
-    pub fn touched_links(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Sum of every pending delta.
-    pub fn total_bits(&self) -> u64 {
-        self.touched.iter().map(|&i| self.bits[i as usize]).sum()
-    }
-
-    /// Adds every pending delta into `traffic` and resets the buffer,
-    /// keeping its capacity for the next batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traffic` has a different shape.
-    pub fn flush_into(&mut self, traffic: &mut TrafficMatrix) {
-        assert_eq!(traffic.n_ports, self.lines, "traffic matrix shape mismatch");
-        for &i in &self.touched {
-            let i = i as usize;
-            traffic.bits[i / self.lines][i % self.lines] += self.bits[i];
-            self.bits[i] = 0;
-        }
-        self.touched.clear();
-    }
-}
-
-impl ChargeSink for LinkDeltas {
-    #[inline]
-    fn charge(&mut self, link: LinkId, bits: u64) {
-        let i = link.layer as usize * self.lines + link.line;
-        if self.bits[i] == 0 {
-            self.touched.push(i as u32);
-        }
-        self.bits[i] += bits;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,49 +197,5 @@ mod tests {
         let mut a = TrafficMatrix::new(&Omega::new(2).unwrap());
         let b = TrafficMatrix::new(&Omega::new(3).unwrap());
         a.merge(&b);
-    }
-
-    #[test]
-    fn deltas_flush_is_charge_exact() {
-        let n = net();
-        let mut direct = TrafficMatrix::new(&n);
-        let mut deferred = TrafficMatrix::new(&n);
-        let mut deltas = LinkDeltas::new(&n);
-        // Interleave deferred unicast charges with direct multicast-style
-        // charges on overlapping links, the way a batch does.
-        for (src, dst) in [(0, 5), (3, 5), (0, 5), (7, 1)] {
-            for link in n.route(src, dst) {
-                direct.charge(link, 10);
-                deltas.charge(link, 10);
-            }
-            let shared = LinkId { layer: 1, line: 2 };
-            direct.charge(shared, 3);
-            deferred.charge(shared, 3);
-        }
-        assert!(!deltas.is_empty());
-        assert_eq!(
-            deltas.total_bits() + deferred.total_bits(),
-            direct.total_bits()
-        );
-        deltas.flush_into(&mut deferred);
-        assert_eq!(deferred, direct);
-        assert!(deltas.is_empty());
-        assert_eq!(deltas.total_bits(), 0);
-        // The buffer is reusable after a flush.
-        deltas.charge(LinkId { layer: 0, line: 0 }, 4);
-        assert_eq!(deltas.touched_links(), 1);
-        deltas.flush_into(&mut deferred);
-        assert_eq!(
-            deferred.link_bits(LinkId { layer: 0, line: 0 }),
-            direct.link_bits(LinkId { layer: 0, line: 0 }) + 4
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn deltas_flush_rejects_different_shapes() {
-        let mut d = LinkDeltas::new(&Omega::new(2).unwrap());
-        let mut t = TrafficMatrix::new(&Omega::new(3).unwrap());
-        d.flush_into(&mut t);
     }
 }

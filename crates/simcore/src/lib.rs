@@ -1,5 +1,5 @@
-//! Deterministic discrete-event simulation kernel for the two-mode coherence
-//! simulator.
+//! Deterministic simulation substrate (clock, random numbers, statistics)
+//! for the two-mode coherence simulator.
 //!
 //! This crate is substrate shared by every simulated subsystem in the
 //! workspace: the omega-network model ([`tmc-omeganet`]), the memory system
@@ -7,8 +7,6 @@
 //! provides:
 //!
 //! * [`SimTime`] — a cycle-granular simulated clock value,
-//! * [`EventQueue`] — a deterministic time-ordered event queue with FIFO
-//!   tie-breaking,
 //! * [`SimRng`] — a seedable random-number source so every experiment is
 //!   reproducible from a single `u64` seed,
 //! * [`stats`] — streaming statistics (mean/variance/extrema), power-of-two
@@ -18,15 +16,17 @@
 //! # Example
 //!
 //! ```
-//! use tmc_simcore::{EventQueue, SimTime};
+//! use tmc_simcore::{CounterSet, SimRng, SimTime};
 //!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.schedule(SimTime::new(10), "b");
-//! q.schedule(SimTime::new(5), "a");
-//! q.schedule(SimTime::new(10), "c"); // same time as "b": FIFO order preserved
-//!
-//! let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-//! assert_eq!(order, ["a", "b", "c"]);
+//! let mut rng = SimRng::seed_from(7);
+//! let mut counters = CounterSet::new();
+//! let mut now = SimTime::ZERO;
+//! for _ in 0..10 {
+//!     now += rng.gen_range(1..4);
+//!     counters.incr("events");
+//! }
+//! assert_eq!(counters.get("events"), 10);
+//! assert!(now.cycles() >= 10);
 //! ```
 //!
 //! [`tmc-omeganet`]: https://example.org/two-mode-coherence
@@ -35,12 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Accumulator, Counter, CounterSet, Histogram};
 pub use time::SimTime;

@@ -1,59 +1,16 @@
-//! Randomized invariant tests for the event queue and the statistics types.
+//! Randomized invariant tests for the statistics types.
 //!
 //! Formerly proptest-based; now driven by the in-tree [`SimRng`] so the test
 //! suite needs no external crates. Each test draws many random cases from a
 //! fixed seed, keeping runs deterministic and failures reproducible.
 
-use tmc_simcore::{Accumulator, EventQueue, Histogram, SimRng, SimTime};
+use tmc_simcore::{Accumulator, Histogram, SimRng};
 
 const CASES: usize = 64;
-
-fn vec_u64(rng: &mut SimRng, bound: u64, min_len: usize, max_len: usize) -> Vec<u64> {
-    let len = rng.gen_range(min_len..max_len);
-    (0..len).map(|_| rng.gen_range(0..bound)).collect()
-}
 
 fn vec_f64(rng: &mut SimRng, lo: f64, hi: f64, min_len: usize, max_len: usize) -> Vec<f64> {
     let len = rng.gen_range(min_len..max_len);
     (0..len).map(|_| lo + rng.gen_unit() * (hi - lo)).collect()
-}
-
-/// The queue is a stable priority queue: popping yields events sorted
-/// by time, with insertion order preserved among equal times.
-#[test]
-fn event_queue_is_a_stable_sort() {
-    let mut rng = SimRng::seed_from(0xE0E0);
-    for _ in 0..CASES {
-        let times = vec_u64(&mut rng, 50, 0, 200);
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::new(t), i);
-        }
-        let mut want: Vec<(u64, usize)> = times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        want.sort(); // stable by (time, insertion index)
-        let got: Vec<(u64, usize)> =
-            std::iter::from_fn(|| q.pop().map(|(t, i)| (t.cycles(), i))).collect();
-        assert_eq!(got, want);
-    }
-}
-
-/// now() is monotone and equals the last popped timestamp.
-#[test]
-fn clock_is_monotone() {
-    let mut rng = SimRng::seed_from(0xC10C);
-    for _ in 0..CASES {
-        let times = vec_u64(&mut rng, 100, 1, 100);
-        let mut q = EventQueue::new();
-        for &t in &times {
-            q.schedule(SimTime::new(t), ());
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((t, ())) = q.pop() {
-            assert!(t >= last);
-            assert_eq!(q.now(), t);
-            last = t;
-        }
-    }
 }
 
 /// Streaming mean/variance agree with the two-pass computation.
