@@ -1973,15 +1973,20 @@ impl System {
             cache: Some(cache),
             heal_op,
         });
+        // Slot order, not `iter()`'s: the messages below must be a function
+        // of the cache's contents, not of its insertion history.
         let owned: Vec<BlockAddr> = self.caches[cache]
-            .iter()
-            .filter(|(_, l)| l.is_owned())
-            .map(|(b, _)| b)
+            .slots()
+            .filter(|(_, _, _, l)| l.is_owned())
+            .map(|(_, tag, _, _)| BlockAddr::new(tag))
             .collect();
         for block in owned {
             self.scrub_block(block);
         }
-        let rest: Vec<BlockAddr> = self.caches[cache].iter().map(|(b, _)| b).collect();
+        let rest: Vec<BlockAddr> = self.caches[cache]
+            .slots()
+            .map(|(_, tag, _, _)| BlockAddr::new(tag))
+            .collect();
         for block in rest {
             let h = self.home_port(block);
             self.send(

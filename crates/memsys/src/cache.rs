@@ -4,11 +4,23 @@
 //! present vector, data, …); this container supplies the geometry: set
 //! indexing by block address, way lookup by tag, and true-LRU replacement.
 //!
-//! The storage is a flat structure-of-arrays layout: one slot per
-//! `(set, way)` pair, with tags, LRU stamps and lines in parallel vectors.
-//! A lookup scans the `ways` contiguous tag words of one set — no pointer
-//! chasing, no per-way struct padding — which is what the protocol hot path
-//! (`tmc_core::System`) hits on every reference.
+//! The storage has two parts. A flat **slot table** holds one 16-byte
+//! `[tag, place]` pair per `(set, way)` plus a parallel LRU stamp word; a
+//! lookup scans the `ways` contiguous pairs of one set — no pointer
+//! chasing, no per-way struct padding — and the place word beside the
+//! matching tag says both whether the way is occupied and where its line
+//! is, so a probe touches the set's pairs and the line, nothing else. The
+//! lines themselves are stored in **rows** of `ways` lines, one row per set
+//! that has ever held a line, appended in the order sets are first used;
+//! a way keeps its place in its set's row for good.
+//!
+//! A cache costs what the run touches. Nothing is allocated until the first
+//! line goes in; then every table is sized for the whole geometry at once,
+//! so nothing reallocates while a machine runs — but the slot and stamp
+//! tables come zero-filled from the allocator (place 0 = the set has no row
+//! yet) and the line store is only reserved, so no line slot is written
+//! before its set is used. Sweeping a cache ([`CacheArray::iter`]) walks
+//! the rows that exist, not the geometry.
 
 use crate::addr::BlockAddr;
 
@@ -55,15 +67,25 @@ impl CacheGeometry {
     }
 }
 
-/// A free slot's stamp. Occupied slots always carry a stamp from
-/// [`CacheArray::next_stamp`], which starts at 1, so 0 is unambiguous.
-const FREE: u64 = 0;
+/// Set in a slot's place word while the way holds a line.
+const OCCUPIED: u64 = 1 << 63;
 
-/// A set-associative, true-LRU cache array on a flat SoA slot layout.
+/// Where a place word says the way's line is; the set must have a row.
+#[inline]
+fn position(place: u64) -> usize {
+    (place & !OCCUPIED) as usize - 1
+}
+
+/// A set-associative, true-LRU cache array: a flat slot table over a store
+/// of line rows, one row per set that has held a line.
 ///
 /// `L` is whatever per-line state a protocol needs. Lookups by
 /// [`CacheArray::get`]/[`CacheArray::get_mut`] refresh recency;
 /// [`CacheArray::peek`] does not.
+///
+/// Two arrays are equal when they hold the same lines in the same slots
+/// with the same stamps and clock — the order of the rows, which is the
+/// order in which sets were first used, does not count.
 ///
 /// # Example
 ///
@@ -76,32 +98,73 @@ const FREE: u64 = 0;
 /// let evicted = c.insert(BlockAddr::new(2), 20);
 /// assert_eq!(evicted, Some((BlockAddr::new(1), 10)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheArray<L> {
     geometry: CacheGeometry,
-    /// Slot `set * ways + way` holds that way's tag (block index).
-    tags: Vec<u64>,
-    /// Monotone use stamps, [`FREE`] marking an empty slot; among occupied
-    /// ways the smallest stamp is the least recently used.
+    /// Slot `set * ways + way` holds `[tag, place]`: that way's block index
+    /// and its place word — 0 until the way's set is first used, from then
+    /// on one plus the fixed position of the way's line in `lines`, with
+    /// [`OCCUPIED`] set while the way holds a line.
+    slots: Vec<[u64; 2]>,
+    /// Monotone use stamps, meaningful for occupied slots only; among the
+    /// ways of a full set the smallest stamp is the least recently used.
     stamps: Vec<u64>,
+    /// Rows of `ways` lines, one row per set that has held a line, in the
+    /// order the sets were first used. A way's line is `Some` exactly while
+    /// its place word has [`OCCUPIED`] set.
     lines: Vec<Option<L>>,
+    /// The set each row of `lines` belongs to.
+    row_sets: Vec<u32>,
     len: usize,
     tick: u64,
 }
 
+impl<L: PartialEq> PartialEq for CacheArray<L> {
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry
+            && self.len == other.len
+            && self.tick == other.tick
+            && self.slots().eq(other.slots())
+    }
+}
+
+impl<L: Eq> Eq for CacheArray<L> {}
+
 impl<L> CacheArray<L> {
-    /// Creates an empty array with `geometry`.
+    /// Creates an empty array with `geometry`. Nothing is allocated until
+    /// the first line goes in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than `u32::MAX` sets.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let slots = geometry.capacity_blocks();
+        assert!(
+            u32::try_from(geometry.sets).is_ok(),
+            "cache of {} sets exceeds the u32 row index",
+            geometry.sets
+        );
         CacheArray {
             geometry,
-            tags: vec![0; slots],
-            stamps: vec![FREE; slots],
-            lines: (0..slots).map(|_| None).collect(),
+            slots: Vec::new(),
+            stamps: Vec::new(),
+            lines: Vec::new(),
+            row_sets: Vec::new(),
             len: 0,
             tick: 0,
         }
+    }
+
+    /// Allocates every table at full capacity, once, when the first line
+    /// goes in: zero-filled slot words (no set has a row) and stamps, and a
+    /// reserved but unwritten line store.
+    #[cold]
+    fn allocate(&mut self) {
+        let CacheGeometry { sets, ways } = self.geometry;
+        self.slots = vec![[0; 2]; sets * ways];
+        self.stamps = vec![0; sets * ways];
+        self.lines = Vec::with_capacity(sets * ways);
+        self.row_sets = Vec::with_capacity(sets);
     }
 
     /// The array's geometry.
@@ -131,12 +194,19 @@ impl<L> CacheArray<L> {
         base..base + self.geometry.ways
     }
 
-    /// The slot holding `block`, if resident.
+    /// The slot holding `block` and the position of its line in `lines`, if
+    /// resident.
     #[inline]
-    fn slot_of(&self, block: BlockAddr) -> Option<usize> {
+    fn locate(&self, block: BlockAddr) -> Option<(usize, usize)> {
         let idx = block.index();
-        self.set_range(block)
-            .find(|&s| self.tags[s] == idx && self.stamps[s] != FREE)
+        let range = self.set_range(block);
+        let base = range.start;
+        // `get`: a cache that never held a line has no tables yet.
+        let set = self.slots.get(range)?;
+        let way = set
+            .iter()
+            .position(|&[tag, place]| tag == idx && place & OCCUPIED != 0)?;
+        Some((base + way, position(set[way][1])))
     }
 
     /// Looks up `block`, refreshing its recency.
@@ -146,136 +216,162 @@ impl<L> CacheArray<L> {
 
     /// Mutable lookup, refreshing recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let slot = self.slot_of(block)?;
+        let (slot, at) = self.locate(block)?;
         let stamp = self.next_stamp();
         self.stamps[slot] = stamp;
-        self.lines[slot].as_mut()
+        self.lines[at].as_mut()
     }
 
     /// Looks up `block` without touching recency.
     pub fn peek(&self, block: BlockAddr) -> Option<&L> {
-        self.slot_of(block).and_then(|s| self.lines[s].as_ref())
+        let (_, at) = self.locate(block)?;
+        self.lines[at].as_ref()
     }
 
     /// Mutable lookup without touching recency.
     pub fn peek_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let slot = self.slot_of(block)?;
-        self.lines[slot].as_mut()
+        let (_, at) = self.locate(block)?;
+        self.lines[at].as_mut()
     }
 
-    /// The LRU slot of a full set, for an `incoming` block not resident.
-    fn lru_slot(&self, incoming: BlockAddr) -> Option<usize> {
+    /// The block that would be evicted to make room for `incoming`, if its
+    /// set is full and `incoming` is not already resident.
+    pub fn would_evict(&self, incoming: BlockAddr) -> Option<(BlockAddr, &L)> {
         let mut lru: Option<usize> = None;
         for s in self.set_range(incoming) {
-            if self.stamps[s] == FREE {
+            let [tag, place] = *self.slots.get(s)?; // no tables yet: all room
+            if place & OCCUPIED == 0 {
                 return None; // room left: nothing would be evicted
             }
-            if self.tags[s] == incoming.index() {
+            if tag == incoming.index() {
                 return None; // already resident: replaces in place
             }
             if lru.is_none_or(|l| self.stamps[s] < self.stamps[l]) {
                 lru = Some(s);
             }
         }
-        lru
+        let [tag, place] = self.slots[lru?];
+        let line = self.lines[position(place)].as_ref();
+        Some((BlockAddr::new(tag), line.expect("occupied slot has a line")))
     }
 
-    /// The block that would be evicted to make room for `incoming`, if its
-    /// set is full and `incoming` is not already resident.
-    pub fn would_evict(&self, incoming: BlockAddr) -> Option<(BlockAddr, &L)> {
-        let slot = self.lru_slot(incoming)?;
-        Some((
-            BlockAddr::new(self.tags[slot]),
-            self.lines[slot].as_ref().expect("occupied slot has a line"),
-        ))
+    /// Fills the free `slot`; on the first use of the slot's set, appends a
+    /// row of empty lines to the store and gives every way its place in it.
+    fn occupy(&mut self, slot: usize, tag: u64, stamp: u64, line: L) {
+        if self.slots[slot][1] == 0 {
+            let ways = self.geometry.ways;
+            let set = slot / ways;
+            for way in 0..ways {
+                self.lines.push(None);
+                self.slots[set * ways + way][1] = self.lines.len() as u64;
+            }
+            self.row_sets.push(set as u32);
+        }
+        let place = &mut self.slots[slot][1];
+        *place |= OCCUPIED;
+        self.lines[position(*place)] = Some(line);
+        self.slots[slot][0] = tag;
+        self.stamps[slot] = stamp;
+        self.len += 1;
     }
 
     /// Installs `line` for `block` (replacing any existing line for the same
     /// block), evicting and returning the LRU way if the set is full.
     pub fn insert(&mut self, block: BlockAddr, line: L) -> Option<(BlockAddr, L)> {
+        if self.slots.is_empty() {
+            self.allocate();
+        }
         let stamp = self.next_stamp();
-        if let Some(slot) = self.slot_of(block) {
-            self.lines[slot] = Some(line);
-            self.stamps[slot] = stamp;
+        let idx = block.index();
+        // One scan of the set: the resident way wins, then the first free
+        // way, then the least recently used one.
+        let mut free: Option<usize> = None;
+        let mut lru: Option<usize> = None;
+        for s in self.set_range(block) {
+            let [tag, place] = self.slots[s];
+            if place & OCCUPIED == 0 {
+                free = free.or(Some(s));
+            } else if tag == idx {
+                self.lines[position(place)] = Some(line);
+                self.stamps[s] = stamp;
+                return None;
+            } else if lru.is_none_or(|l| self.stamps[s] < self.stamps[l]) {
+                lru = Some(s);
+            }
+        }
+        if let Some(slot) = free {
+            self.occupy(slot, idx, stamp, line);
             return None;
         }
-        // Prefer a free way; otherwise evict the LRU one.
-        let range = self.set_range(block);
-        let slot = match range.clone().find(|&s| self.stamps[s] == FREE) {
-            Some(free) => free,
-            None => range
-                .min_by_key(|&s| self.stamps[s])
-                .expect("ways >= 1 by construction"),
-        };
-        let evicted = if self.stamps[slot] == FREE {
-            self.len += 1;
-            None
-        } else {
-            Some((
-                BlockAddr::new(self.tags[slot]),
-                self.lines[slot].take().expect("occupied slot has a line"),
-            ))
-        };
-        self.tags[slot] = block.index();
+        let slot = lru.expect("ways >= 1 by construction");
+        let [victim, place] = self.slots[slot];
+        let old = self.lines[position(place)].replace(line);
+        self.slots[slot][0] = idx;
         self.stamps[slot] = stamp;
-        self.lines[slot] = Some(line);
-        evicted
+        Some((
+            BlockAddr::new(victim),
+            old.expect("occupied slot has a line"),
+        ))
     }
 
     /// Removes `block`, returning its line if it was resident.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
-        let slot = self.slot_of(block)?;
-        self.stamps[slot] = FREE;
+        let (slot, at) = self.locate(block)?;
+        self.slots[slot][1] &= !OCCUPIED;
         self.len -= 1;
-        self.lines[slot].take()
+        self.lines[at].take()
     }
 
-    /// Iterates over `(block, line)` pairs in unspecified order.
+    /// Iterates over `(block, line)` pairs row by row — the order in which
+    /// sets were first used, which depends on the array's history: callers
+    /// whose output must be a function of the contents alone sort, or use
+    /// [`CacheArray::slots`].
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.stamps
-            .iter()
-            .zip(self.tags.iter())
-            .zip(self.lines.iter())
-            .filter(|((&stamp, _), _)| stamp != FREE)
-            .map(|((_, &tag), line)| {
-                (
-                    BlockAddr::new(tag),
-                    line.as_ref().expect("occupied slot has a line"),
-                )
+        let ways = self.geometry.ways;
+        self.lines
+            .chunks(ways)
+            .zip(&self.row_sets)
+            .flat_map(move |(row, &set)| {
+                let slots = &self.slots[set as usize * ways..][..ways];
+                row.iter()
+                    .zip(slots)
+                    .filter_map(|(line, &[tag, _])| Some((BlockAddr::new(tag), line.as_ref()?)))
             })
     }
 
-    /// Iterates mutably over `(block, line)` pairs in unspecified order.
+    /// Iterates mutably over `(block, line)` pairs, in the order of
+    /// [`CacheArray::iter`].
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockAddr, &mut L)> {
-        self.stamps
-            .iter()
-            .zip(self.tags.iter())
-            .zip(self.lines.iter_mut())
-            .filter(|((&stamp, _), _)| stamp != FREE)
-            .map(|((_, &tag), line)| {
-                (
-                    BlockAddr::new(tag),
-                    line.as_mut().expect("occupied slot has a line"),
-                )
+        let ways = self.geometry.ways;
+        let slots = &self.slots;
+        self.lines
+            .chunks_mut(ways)
+            .zip(&self.row_sets)
+            .flat_map(move |(row, &set)| {
+                let slots = &slots[set as usize * ways..][..ways];
+                row.iter_mut()
+                    .zip(slots)
+                    .filter_map(|(line, &[tag, _])| Some((BlockAddr::new(tag), line.as_mut()?)))
             })
     }
 
     /// Iterates over every occupied slot as `(slot, tag, stamp, line)`, in
-    /// ascending slot order. This is the exact SoA state — together with
-    /// [`CacheArray::tick`] it lets a checkpoint codec rebuild the array
-    /// bit-identically via [`CacheArray::restore_slot`] /
+    /// ascending slot order. This is the array's logical state — together
+    /// with [`CacheArray::tick`] it lets a checkpoint codec rebuild an equal
+    /// array via [`CacheArray::restore_slot`] /
     /// [`CacheArray::restore_tick`], LRU order included.
     pub fn slots(&self) -> impl Iterator<Item = (usize, u64, u64, &L)> {
-        self.stamps
+        self.slots
             .iter()
             .enumerate()
-            .filter(|(_, &stamp)| stamp != FREE)
-            .map(|(s, &stamp)| {
+            .filter(|(_, &[_, place])| place & OCCUPIED != 0)
+            .map(|(s, &[tag, place])| {
+                let line = self.lines[position(place)].as_ref();
                 (
                     s,
-                    self.tags[s],
-                    stamp,
-                    self.lines[s].as_ref().expect("occupied slot has a line"),
+                    tag,
+                    self.stamps[s],
+                    line.expect("occupied slot has a line"),
                 )
             })
     }
@@ -292,16 +388,23 @@ impl<L> CacheArray<L> {
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range, already occupied, or `stamp` is the
-    /// free marker — a checkpoint codec must validate before calling.
+    /// Panics if `slot` is out of range, already occupied, or `stamp` is 0
+    /// (the clock issues stamps from 1) — a checkpoint codec must validate
+    /// before calling.
     pub fn restore_slot(&mut self, slot: usize, tag: u64, stamp: u64, line: L) {
-        assert!(slot < self.stamps.len(), "slot {slot} out of range");
-        assert!(self.stamps[slot] == FREE, "slot {slot} already occupied");
-        assert!(stamp != FREE, "stamp 0 marks a free slot");
-        self.tags[slot] = tag;
-        self.stamps[slot] = stamp;
-        self.lines[slot] = Some(line);
-        self.len += 1;
+        assert!(
+            slot < self.geometry.capacity_blocks(),
+            "slot {slot} out of range"
+        );
+        if self.slots.is_empty() {
+            self.allocate();
+        }
+        assert!(
+            self.slots[slot][1] & OCCUPIED == 0,
+            "slot {slot} already occupied"
+        );
+        assert!(stamp != 0, "stamp 0 is never issued");
+        self.occupy(slot, tag, stamp, line);
     }
 
     /// Restores the LRU clock saved via [`CacheArray::tick`].
@@ -311,7 +414,14 @@ impl<L> CacheArray<L> {
     /// Panics if `tick` is smaller than some resident stamp (the clock must
     /// never run behind issued stamps).
     pub fn restore_tick(&mut self, tick: u64) {
-        let max_stamp = self.stamps.iter().copied().max().unwrap_or(FREE);
+        let max_stamp = self
+            .slots
+            .iter()
+            .zip(&self.stamps)
+            .filter(|(&[_, place], _)| place & OCCUPIED != 0)
+            .map(|(_, &stamp)| stamp)
+            .max()
+            .unwrap_or(0);
         assert!(
             tick >= max_stamp,
             "tick {tick} runs behind resident stamp {max_stamp}"
@@ -335,22 +445,19 @@ impl<L> CacheArray<L> {
             self.geometry, other.geometry,
             "absorb requires identical geometries"
         );
-        let mut ways: Vec<(u64, BlockAddr, L)> = other
-            .stamps
+        let ways = other.geometry.ways;
+        let mut resident: Vec<(u64, BlockAddr, L)> = other
+            .lines
             .into_iter()
-            .zip(other.tags)
-            .zip(other.lines)
-            .filter(|((stamp, _), _)| *stamp != FREE)
-            .map(|((stamp, tag), line)| {
-                (
-                    stamp,
-                    BlockAddr::new(tag),
-                    line.expect("occupied slot has a line"),
-                )
+            .enumerate()
+            .filter_map(|(at, line)| {
+                let slot = other.row_sets[at / ways] as usize * ways + at % ways;
+                let tag = other.slots[slot][0];
+                Some((other.stamps[slot], BlockAddr::new(tag), line?))
             })
             .collect();
-        ways.sort_by_key(|&(stamp, _, _)| stamp);
-        for (_, block, line) in ways {
+        resident.sort_by_key(|&(stamp, _, _)| stamp);
+        for (_, block, line) in resident {
             let evicted = self.insert(block, line);
             assert!(
                 evicted.is_none(),
@@ -497,6 +604,83 @@ mod tests {
         rebuilt.get(b(2));
         c.get(b(2));
         assert_eq!(rebuilt, c);
+    }
+
+    /// Two histories that end in the same logical contents — same lines in
+    /// the same slots, same stamps, same clock — with the line rows in a
+    /// different order: `a` uses set 0 first and only inserts; `c` uses set
+    /// 1 first and evicts, removes and re-inserts on the way.
+    fn same_contents_two_histories() -> (CacheArray<u8>, CacheArray<u8>) {
+        let g = CacheGeometry::new(2, 2);
+        let mut a: CacheArray<u8> = CacheArray::new(g);
+        for i in 0..4 {
+            a.insert(b(i), i as u8); // stamps 1..=4
+        }
+        for _ in 0..3 {
+            a.get(b(0)); // stamps 5..=7
+        }
+        let mut c: CacheArray<u8> = CacheArray::new(g);
+        c.insert(b(1), 1); // set 1, way 0
+        c.insert(b(0), 0); // set 0, way 0
+        c.insert(b(4), 4); // set 0, way 1
+        c.get(b(0));
+        assert_eq!(c.insert(b(2), 2), Some((b(4), 4))); // evicts into way 1
+        assert_eq!(c.remove(b(0)), Some(0));
+        c.insert(b(0), 0); // back into the freed way 0
+        c.insert(b(3), 3); // set 1, way 1; stamp 7
+        for i in 0..4 {
+            a.get(b(i));
+            c.get(b(i)); // stamps 8..=11 on both
+        }
+        (a, c)
+    }
+
+    #[test]
+    fn equality_ignores_row_order() {
+        let (a, c) = same_contents_two_histories();
+        let order = |x: &CacheArray<u8>| x.iter().map(|(bl, _)| bl.index()).collect::<Vec<_>>();
+        assert_eq!(order(&a), [0, 2, 1, 3]);
+        assert_eq!(order(&c), [1, 3, 0, 2], "the histories must differ");
+        assert_eq!(a, c);
+        assert!(a.slots().eq(c.slots()));
+        // ...and a difference in any logical part still shows.
+        let mut d = c.clone();
+        d.get(b(3));
+        assert_ne!(a, d);
+        let mut e = c.clone();
+        *e.peek_mut(b(1)).unwrap() = 99;
+        assert_ne!(a, e);
+    }
+
+    #[test]
+    fn equal_arrays_behave_equally_afterwards() {
+        let (mut a, mut c) = same_contents_two_histories();
+        for i in 4..12 {
+            assert_eq!(a.would_evict(b(i)), c.would_evict(b(i)));
+            assert_eq!(a.insert(b(i), i as u8), c.insert(b(i), i as u8));
+            assert_eq!(a.remove(b(i - 2)), c.remove(b(i - 2)));
+            assert_eq!(a, c);
+        }
+    }
+
+    #[test]
+    fn untouched_array_answers_without_tables() {
+        let g = CacheGeometry::new(4, 2);
+        let mut fresh: CacheArray<u8> = CacheArray::new(g);
+        assert!(fresh.is_empty());
+        assert!(fresh.peek(b(3)).is_none());
+        assert!(fresh.get(b(3)).is_none());
+        assert!(fresh.would_evict(b(3)).is_none());
+        assert!(fresh.remove(b(3)).is_none());
+        assert_eq!(fresh.iter().count(), 0);
+        assert_eq!(fresh.iter_mut().count(), 0);
+        assert_eq!(fresh.slots().count(), 0);
+        // An array emptied again equals one that never held a line.
+        let mut emptied: CacheArray<u8> = CacheArray::new(g);
+        emptied.insert(b(3), 3);
+        emptied.remove(b(3));
+        fresh.restore_tick(1);
+        assert_eq!(fresh, emptied);
     }
 
     #[test]

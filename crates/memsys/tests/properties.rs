@@ -1,5 +1,6 @@
 //! Randomized tests: the set-associative LRU cache against a naive reference
-//! model, and address-mapping roundtrips. Driven by the in-tree [`SimRng`]
+//! model (every public operation, `absorb` and `iter_mut` included), and
+//! address-mapping roundtrips. Driven by the in-tree [`SimRng`]
 //! (no external crates needed).
 
 use tmc_memsys::{BlockAddr, BlockSpec, CacheArray, CacheGeometry, WordAddr};
@@ -52,6 +53,29 @@ impl ModelCache {
     fn len(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
+
+    /// What inserting `b` would evict: the LRU way of a full set that does
+    /// not already hold `b`.
+    fn would_evict(&self, b: BlockAddr) -> Option<(BlockAddr, u32)> {
+        let set = &self.sets[self.geometry.set_of(b)];
+        let full = set.len() == self.geometry.ways();
+        let resident = set.iter().any(|&(bb, _)| bb == b);
+        (full && !resident).then(|| *set.last().unwrap())
+    }
+
+    /// Every `(block, value)` pair, sorted by block.
+    fn contents(&self) -> Vec<(BlockAddr, u32)> {
+        let mut all: Vec<_> = self.sets.iter().flatten().copied().collect();
+        all.sort_unstable();
+        all
+    }
+}
+
+/// The real array's `(block, value)` pairs, sorted by block.
+fn contents(real: &CacheArray<u32>) -> Vec<(BlockAddr, u32)> {
+    let mut all: Vec<_> = real.iter().map(|(b, &v)| (b, v)).collect();
+    all.sort_unstable();
+    all
 }
 
 #[derive(Debug, Clone)]
@@ -60,6 +84,12 @@ enum CacheOp {
     Insert(u64, u32),
     Remove(u64),
     Peek(u64),
+    WouldEvict(u64),
+    /// Add to every resident value through `iter_mut`.
+    Bump(u32),
+    /// Absorb a second array built from these inserts/gets, restricted to
+    /// the sets the first array has empty (the shard-merge precondition).
+    Absorb(Vec<(u64, u32)>),
 }
 
 fn arb_ops(rng: &mut SimRng) -> Vec<CacheOp> {
@@ -67,11 +97,18 @@ fn arb_ops(rng: &mut SimRng) -> Vec<CacheOp> {
     (0..len)
         .map(|_| {
             let b = rng.gen_range(0..32u64);
-            match rng.gen_range(0..4u32) {
-                0 => CacheOp::Get(b),
-                1 => CacheOp::Insert(b, rng.next_u64() as u32),
-                2 => CacheOp::Remove(b),
-                _ => CacheOp::Peek(b),
+            match rng.gen_range(0..16u32) {
+                0..=2 => CacheOp::Get(b),
+                3..=7 => CacheOp::Insert(b, rng.next_u64() as u32),
+                8..=10 => CacheOp::Remove(b),
+                11..=12 => CacheOp::Peek(b),
+                13 => CacheOp::WouldEvict(b),
+                14 => CacheOp::Bump(rng.gen_range(1..5u32)),
+                _ => CacheOp::Absorb(
+                    (0..rng.gen_range(1..12usize))
+                        .map(|_| (rng.gen_range(0..32u64), rng.next_u64() as u32))
+                        .collect(),
+                ),
             }
         })
         .collect()
@@ -111,8 +148,55 @@ fn cache_array_matches_naive_lru_model() {
                     let want = set.iter().find(|&&(bb, _)| bb == b).map(|&(_, v)| v);
                     assert_eq!(real.peek(b).copied(), want);
                 }
+                CacheOp::WouldEvict(b) => {
+                    let b = BlockAddr::new(b);
+                    let got = real.would_evict(b).map(|(bb, &v)| (bb, v));
+                    assert_eq!(got, model.would_evict(b));
+                }
+                CacheOp::Bump(by) => {
+                    for (_, v) in real.iter_mut() {
+                        *v = v.wrapping_add(by);
+                    }
+                    for (_, v) in model.sets.iter_mut().flatten() {
+                        *v = v.wrapping_add(by);
+                    }
+                }
+                CacheOp::Absorb(script) => {
+                    let mut other: CacheArray<u32> = CacheArray::new(geometry);
+                    let mut other_model = ModelCache::new(geometry);
+                    for (b, v) in script {
+                        let b = BlockAddr::new(b);
+                        if !model.sets[geometry.set_of(b)].is_empty() {
+                            continue;
+                        }
+                        // Even values insert, odd ones touch: recency in
+                        // `other` is not insertion order.
+                        if v % 2 == 0 {
+                            assert_eq!(other.insert(b, v), other_model.insert(b, v));
+                        } else {
+                            assert_eq!(other.get(b).copied(), other_model.get(b));
+                        }
+                    }
+                    real.absorb(other);
+                    for (mine, theirs) in model.sets.iter_mut().zip(other_model.sets) {
+                        if !theirs.is_empty() {
+                            *mine = theirs; // `mine` was empty: sets are disjoint
+                        }
+                    }
+                }
             }
             assert_eq!(real.len(), model.len());
+            assert_eq!(contents(&real), model.contents());
+            // `slots()` is the same contents in ascending slot order, each
+            // line in its own set.
+            let slots: Vec<_> = real.slots().collect();
+            assert_eq!(slots.len(), model.len());
+            assert!(slots.windows(2).all(|w| w[0].0 < w[1].0));
+            for &(slot, tag, _, &v) in &slots {
+                let b = BlockAddr::new(tag);
+                assert_eq!(slot / geometry.ways(), geometry.set_of(b));
+                assert_eq!(real.peek(b), Some(&v));
+            }
         }
     }
 }

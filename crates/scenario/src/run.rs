@@ -4,14 +4,14 @@
 //! sequential-consistency oracle alongside and condenses the run into a
 //! [`ScenarioOutcome`] — the compact observables `[expect]` sections pin
 //! (FNV-1a fingerprint, counter totals, per-link charge checksum).
-//! [`check_scenario`] runs the scenario twice (determinism), compares the
-//! outcome with the goldens, and fans out to every applicable cross
-//! engine: the block-sharded engine (bit-identity on fingerprint,
-//! counters, total and per-link charges) and JSONL trace replay (the full
-//! replay-obligation suite).
+//! [`check_scenario`] materialises the op script once, runs it twice
+//! (determinism), compares the outcome with the goldens, and hands the same
+//! script to every applicable cross engine: the block-sharded engine
+//! (bit-identity on fingerprint, counters, total and per-link charges) and
+//! JSONL trace replay (the full replay-obligation suite).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use tmc_bench::shardsim::{run as shard_run, shard_count, ShardOp, ShardRunOptions};
 use tmc_bench::tracecheck::{self, nonzero_links};
@@ -76,7 +76,7 @@ impl ScenarioOutcome {
 pub fn link_checksum(links: &[LinkCharge]) -> u64 {
     let mut text = String::new();
     for l in links {
-        text.push_str(&format!("{}:{}:{};", l.layer, l.line, l.bits));
+        write!(text, "{}:{}:{};", l.layer, l.line, l.bits).expect("writing to a String");
     }
     fnv1a64(text.as_bytes())
 }
@@ -96,7 +96,11 @@ pub(crate) fn counters_of(sys: &System) -> BTreeMap<String, u64> {
 /// (stale read), or an invariant violation at a fault-quiescent end
 /// state.
 pub fn run_scenario(sc: &Scenario) -> Result<ScenarioOutcome, String> {
-    let ops = materialize(sc);
+    run_script(sc, &materialize(sc))
+}
+
+/// [`run_scenario`] over an already materialised script.
+fn run_script(sc: &Scenario, ops: &[ShardOp]) -> Result<ScenarioOutcome, String> {
     let mut sys = System::new(sc.config()).map_err(|e| e.to_string())?;
     sys.set_tracing(true);
     let mut oracle = ReferenceMemory::new();
@@ -196,8 +200,9 @@ pub struct CheckReport {
 ///
 /// Returns the first failure, naming the observable that diverged.
 pub fn check_scenario(sc: &Scenario, reshard: Option<usize>) -> Result<CheckReport, String> {
-    let outcome = run_scenario(sc)?;
-    let rerun = run_scenario(sc)?;
+    let ops = materialize(sc);
+    let outcome = run_script(sc, &ops)?;
+    let rerun = run_script(sc, &ops)?;
     if rerun != outcome {
         return Err("nondeterministic: two serial runs disagree".into());
     }
@@ -212,11 +217,11 @@ pub fn check_scenario(sc: &Scenario, reshard: Option<usize>) -> Result<CheckRepo
                 if shard_count(&sc.config_fault_free(), shards) < 2 {
                     continue;
                 }
-                check_sharded(sc, shards, &outcome)?;
+                check_sharded(sc, &ops, shards, &outcome)?;
                 engines.push("shard");
             }
             Engine::Replay => {
-                check_replay(sc)?;
+                check_replay(sc, &ops)?;
                 engines.push("replay");
             }
             Engine::Serial | Engine::Oracle => {}
@@ -229,7 +234,7 @@ pub fn check_scenario(sc: &Scenario, reshard: Option<usize>) -> Result<CheckRepo
             && !sc.fault_configured()
             && shard_count(&sc.config_fault_free(), shards) >= 2
         {
-            check_sharded(sc, shards, &outcome)?;
+            check_sharded(sc, &ops, shards, &outcome)?;
             engines.push("shard");
         }
     }
@@ -314,12 +319,16 @@ fn check_expect(expect: &Expect, outcome: &ScenarioOutcome) -> Result<usize, Str
 
 /// Sharded rerun: merged machine must match the serial outcome bit for
 /// bit on every condensed observable.
-fn check_sharded(sc: &Scenario, shards: usize, serial: &ScenarioOutcome) -> Result<(), String> {
+fn check_sharded(
+    sc: &Scenario,
+    ops: &[ShardOp],
+    shards: usize,
+    serial: &ScenarioOutcome,
+) -> Result<(), String> {
     let cfg = sc.config_fault_free();
-    let ops = materialize(sc);
     let sharded = shard_run(
         &cfg,
-        &ops,
+        ops,
         &ShardRunOptions::new(shards, SHARD_THREADS).check(true),
     )?;
     let sys = sharded.system;
@@ -359,10 +368,9 @@ fn check_sharded(sc: &Scenario, shards: usize, serial: &ScenarioOutcome) -> Resu
 }
 
 /// Capture + replay with the full obligation suite.
-fn check_replay(sc: &Scenario) -> Result<(), String> {
-    let ops = materialize(sc);
+fn check_replay(sc: &Scenario, ops: &[ShardOp]) -> Result<(), String> {
     tracecheck::roundtrip(sc.config_fault_free(), |sys| {
-        tmc_bench::shardsim::apply_script(sys, &ops);
+        tmc_bench::shardsim::apply_script(sys, ops);
     })
     .map(|_| ())
 }
@@ -394,6 +402,14 @@ mod tests {
         assert_eq!(report.outcome, outcome);
         assert!(report.engines.contains(&"shard"));
         assert!(report.engines.contains(&"replay"));
+    }
+
+    #[test]
+    fn link_checksum_hashes_the_canonical_text() {
+        let link = |layer, line, bits| LinkCharge { layer, line, bits };
+        let links = [link(0, 3, 128), link(10, 1023, 7)];
+        assert_eq!(link_checksum(&links), fnv1a64(b"0:3:128;10:1023:7;"));
+        assert_eq!(link_checksum(&[]), fnv1a64(b""));
     }
 
     #[test]
