@@ -71,6 +71,8 @@ pub struct DirectoryInvalidateSystem {
     tracer: Tracer,
     multicast: SchemeKind,
     n_procs: usize,
+    /// Reused delivered-port buffer for the invalidation multicast.
+    delivered: Vec<usize>,
 }
 
 impl DirectoryInvalidateSystem {
@@ -104,6 +106,7 @@ impl DirectoryInvalidateSystem {
             tracer: Tracer::new(),
             multicast: SchemeKind::Combined,
             n_procs,
+            delivered: Vec::new(),
             spec,
             net,
             traffic,
@@ -125,14 +128,23 @@ impl DirectoryInvalidateSystem {
         self.counters.incr("msgs_total");
     }
 
-    fn mcast(&mut self, from: usize, dests: &DestSet, bits: u64) -> Vec<usize> {
-        let r = self
+    /// Multicasts to `dests`; the receiving ports are left in
+    /// `self.delivered`.
+    fn mcast(&mut self, from: usize, dests: &DestSet, bits: u64) {
+        let (_, cost_bits) = self
             .net
-            .multicast(self.multicast, from, dests, bits, &mut self.traffic)
+            .multicast_into(
+                self.multicast,
+                from,
+                dests,
+                bits,
+                &mut self.traffic,
+                &mut self.delivered,
+                None,
+            )
             .expect("valid dests");
-        self.counters.add("bits_total", r.cost_bits);
+        self.counters.add("bits_total", cost_bits);
         self.counters.incr("msgs_total");
-        r.delivered
     }
 
     fn home(&self, block: BlockAddr) -> usize {
@@ -156,8 +168,8 @@ impl DirectoryInvalidateSystem {
         }
         self.counters.incr("invalidations_multicast");
         let dests = DestSet::from_ports(self.n_procs, others).expect("valid ports");
-        let delivered = self.mcast(home, &dests, self.sizing.invalidate_bits());
-        for d in delivered {
+        self.mcast(home, &dests, self.sizing.invalidate_bits());
+        for &d in &self.delivered {
             if d != keep {
                 self.caches[d].remove(block);
             }

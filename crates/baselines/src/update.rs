@@ -57,6 +57,8 @@ pub struct UpdateOnlySystem {
     tracer: Tracer,
     multicast: SchemeKind,
     n_procs: usize,
+    /// Reused delivered-port buffer for the update multicast.
+    delivered: Vec<usize>,
 }
 
 impl UpdateOnlySystem {
@@ -89,6 +91,7 @@ impl UpdateOnlySystem {
             tracer: Tracer::new(),
             multicast: SchemeKind::Combined,
             n_procs,
+            delivered: Vec::new(),
             spec,
             net,
             traffic,
@@ -268,19 +271,21 @@ impl CoherentSystem for UpdateOnlySystem {
         if !others.is_empty() {
             self.counters.incr("updates_multicast");
             let dests = DestSet::from_ports(self.n_procs, others).expect("valid");
-            let r = self
+            let (_, cost_bits) = self
                 .net
-                .multicast(
+                .multicast_into(
                     self.multicast,
                     proc,
                     &dests,
                     self.sizing.update_bits(),
                     &mut self.traffic,
+                    &mut self.delivered,
+                    None,
                 )
                 .expect("valid");
-            self.counters.add("bits_total", r.cost_bits);
+            self.counters.add("bits_total", cost_bits);
             self.counters.incr("msgs_total");
-            for d in r.delivered {
+            for &d in &self.delivered {
                 if d == proc {
                     continue;
                 }

@@ -7,7 +7,8 @@
 //! * `DestSet` algebra in both its small-list and bitmap layouts,
 //! * re-writes and reads against already-materialized `MainMemory` /
 //!   `BlockStore` pages,
-//! * the `CastCache` memo-hit path through a 1024-port omega network,
+//! * the `CastCache` replay path through a 1024-port omega network, and
+//!   its walk path for casts that never repeat,
 //! * a full `System` reference pass (reads, writes, unicast billing).
 //!
 //! Everything lives in one `#[test]` and the counter is thread-local, so
@@ -71,6 +72,7 @@ fn hot_paths_allocate_nothing_after_warmup() {
     destset_small_and_bitmap_ops_are_allocation_free();
     materialized_pages_are_allocation_free();
     castcache_hits_are_allocation_free();
+    never_repeating_casts_are_allocation_free();
     reference_pass_is_allocation_free();
 }
 
@@ -183,49 +185,122 @@ fn materialized_pages_are_allocation_free() {
     assert_eq!(n, 0, "materialized-page access allocated {n} times");
 }
 
-/// The multicast memo table at full network width: after one recorded
-/// miss, repeat casts of the same sharer set replay link charges and
-/// refill the caller's delivery buffer without touching the heap.
+/// The multicast memo table at full network width: once a sharer set has
+/// been walked and, on its second sighting, admitted, repeat casts replay
+/// link charges and refill the caller's delivery buffer without touching
+/// the heap.
 fn castcache_hits_are_allocation_free() {
     let net = Omega::new(10).expect("1024-port omega");
     let mut cache = CastCache::new();
     let mut traffic = TrafficMatrix::new(&net);
     let mut delivered = Vec::new();
     let dests = DestSet::from_ports(N_PORTS, (0..48).map(|i| i * 21)).expect("ports");
+    let mut cast = |cache: &mut CastCache| {
+        cache
+            .multicast_into(
+                &net,
+                SchemeKind::Combined,
+                5,
+                &dests,
+                128,
+                &mut traffic,
+                &mut delivered,
+                None,
+            )
+            .expect("valid cast");
+        assert_eq!(delivered.len(), 48);
+    };
 
-    cache
-        .multicast_into(
-            &net,
-            SchemeKind::Combined,
-            5,
-            &dests,
-            128,
-            &mut traffic,
-            &mut delivered,
-            None,
-        )
-        .expect("warmup cast");
-    assert_eq!(cache.misses(), 1);
+    cast(&mut cache);
+    cast(&mut cache);
+    let warm = cache.stats();
+    assert_eq!((warm.walked, warm.admitted, warm.replayed), (1, 1, 0));
 
     let n = allocations(|| {
         for _ in 0..64 {
-            cache
-                .multicast_into(
-                    &net,
-                    SchemeKind::Combined,
-                    5,
-                    &dests,
-                    128,
-                    &mut traffic,
-                    &mut delivered,
-                    None,
-                )
-                .expect("hit cast");
+            cast(&mut cache);
         }
-        assert_eq!(delivered.len(), 48);
     });
     assert_eq!(n, 0, "CastCache hit path allocated {n} times");
-    assert_eq!(cache.hits(), 64);
+    let stats = cache.stats();
+    assert_eq!((stats.walked, stats.admitted, stats.replayed), (1, 1, 64));
+    assert_eq!((cache.hits(), cache.misses()), (64, 2));
+}
+
+/// The other half of protocol traffic: 4096 casts that never repeat (an
+/// owner announcing itself to a sharer set nobody casts to again), in the
+/// small-list and the bitmap layout, with and without a charge record.
+/// Each is a first sighting: walked straight into the caller's buffers,
+/// leaving nothing behind but a tag in the sighting table.
+fn never_repeating_casts_are_allocation_free() {
+    const CASTS: usize = 4096;
+    let net = Omega::new(10).expect("1024-port omega");
+    let mut cache = CastCache::new();
+    let mut traffic = TrafficMatrix::new(&net);
+    let (mut delivered, mut record) = (Vec::new(), Vec::new());
+    // Cast `i` of a round goes from port `i % 1024` to `len` ports strided
+    // after it; the payload tells apart the four laps of the ports within
+    // a round, and the four rounds.
+    let sets = |len: usize| {
+        (0..CASTS)
+            .map(|i| DestSet::from_ports(N_PORTS, (1..=len).map(|d| (i + d * 37) % N_PORTS)))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("ports")
+    };
+    let (small, bitmap) = (sets(7), sets(40));
+
+    // Warm-up sizes the buffers and allocates the sighting table.
+    for dests in [&small[0], &bitmap[0]] {
+        cache
+            .multicast_into(
+                &net,
+                SchemeKind::Replicated,
+                0,
+                dests,
+                1,
+                &mut traffic,
+                &mut delivered,
+                Some(&mut record),
+            )
+            .expect("warmup cast");
+    }
+
+    let mut round = 0;
+    for dests in [&small, &bitmap] {
+        for recording in [false, true] {
+            round += 1;
+            let n = allocations(|| {
+                for (i, d) in dests.iter().enumerate() {
+                    record.clear();
+                    cache
+                        .multicast_into(
+                            &net,
+                            SchemeKind::Combined,
+                            i % N_PORTS,
+                            d,
+                            64 + 4 * round + (i / N_PORTS) as u64,
+                            &mut traffic,
+                            &mut delivered,
+                            recording.then_some(&mut record),
+                        )
+                        .expect("valid cast");
+                    assert_eq!(delivered.len(), d.len());
+                    assert_eq!(record.is_empty(), !recording);
+                }
+            });
+            assert_eq!(
+                n,
+                0,
+                "{CASTS} first-sighting casts of {} ports (record: {recording}) allocated {n} times",
+                dests[0].len()
+            );
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.walked, stats.admitted, stats.replayed, stats.entries),
+        (2 + 4 * CASTS as u64, 0, 0, 0)
+    );
 }
 
 /// The protocol engine end to end at full machine scale: N = 1024 ports

@@ -43,8 +43,11 @@ fn big_machine_costs_what_the_run_touches() {
     let before = resident_bytes();
     let mut sys = System::new(SystemConfig::new(N_PORTS)).expect("valid config");
     let built = resident_bytes().saturating_sub(before);
+    // ≈ 0.3 MiB: the ledger and the empty directories. Nothing sized by
+    // what a run might do (cache lines, the cast memo's sighting table)
+    // exists before the run does it.
     assert!(
-        built < 8 * MIB,
+        built < 2 * MIB,
         "building an N={N_PORTS} machine grew the resident set by {} KiB",
         built / 1024
     );

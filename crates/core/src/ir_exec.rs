@@ -51,9 +51,10 @@ struct Scratch {
     /// Ownership-transfer capture: (mode, M bit, data, present vector)
     /// of the old owner, taken by `XferProbe`.
     xfer: Option<(Mode, bool, tmc_memsys::BlockData, DestSet)>,
-    /// Owned-write capture: (mode, exclusive, other copy holders), taken
-    /// by `WriteAtOwner` for `UpdateCast`.
-    write_probe: Option<(Mode, bool, DestSet)>,
+    /// Owned-write capture: the other copy holders a distributed write
+    /// must reach, taken by `WriteAtOwner` for `UpdateCast`; `None` when
+    /// the write stays local (global read, or an exclusive owner).
+    write_probe: Option<DestSet>,
 }
 
 impl Scratch {
@@ -440,14 +441,15 @@ impl System {
                 debug_assert!(line.is_owned());
                 line.data.set_word(scr.offset, scr.value_in);
                 line.modified = true;
-                let mut others = line.present.clone();
-                others.remove(proc);
-                scr.write_probe = Some((line.mode, line.is_exclusive(me), others));
+                let distribute = line.mode == Mode::DistributedWrite && !line.is_exclusive(me);
+                scr.write_probe = distribute.then(|| {
+                    let mut others = line.present.clone();
+                    others.remove(proc);
+                    others
+                });
             }
             Step::UpdateCast => {
-                let (mode, exclusive, mut others) =
-                    scr.write_probe.take().expect("WriteAtOwner ran");
-                if mode == Mode::DistributedWrite && !exclusive && !others.is_empty() {
+                if let Some(mut others) = scr.write_probe.take().filter(|o| !o.is_empty()) {
                     self.counters.incr("updates_multicast");
                     let delivered = self.mcast(
                         MsgKind::UpdateWrite,

@@ -66,3 +66,4 @@ pub use state::{CacheLine, Mode, StateName, Validity};
 pub use system::{AccessStats, System};
 pub use tmc_faults::{FaultError, FaultSpec, RetryPolicy};
 pub use tmc_obs::{ProtocolEvent, TraceMode, Tracer};
+pub use tmc_omeganet::CastStats;

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use tmc_faults::{FaultInjector, FaultKind, FaultPlan, MsgFault, ScheduledFault};
 use tmc_memsys::{BlockAddr, BlockStore, CacheArray, CacheId, MainMemory, ModuleMap, WordAddr};
 use tmc_obs::{FaultLabel, LinkCharge, ProtocolEvent, Tracer};
-use tmc_omeganet::{CastCache, DestSet, LinkId, LinkSchedule, Omega, TrafficMatrix};
+use tmc_omeganet::{CastCache, CastStats, DestSet, LinkId, LinkSchedule, Omega, TrafficMatrix};
 use tmc_simcore::{CounterSet, Histogram, SimTime};
 
 use crate::config::{ModePolicy, SystemConfig};
@@ -117,16 +117,17 @@ pub struct System {
     /// Deterministic fault-injection state ([`tmc_faults`]); `None` unless
     /// the config carries a [`tmc_faults::FaultSpec`].
     pub(crate) faults: Option<Box<FaultState>>,
-    /// Memoized multicast traversals; repeat casts replay recorded link
-    /// charges instead of re-walking the routing tree.
+    /// Memoized multicast traversals: a cast seen for the second time is
+    /// recorded, and from then on replays its link charges instead of
+    /// re-walking the routing tree. Host-side only — not protocol state.
     cast_cache: CastCache,
     /// Structured protocol-event buffer (disabled by default; zero cost on
     /// the access path while off).
     pub(crate) tracer: Tracer,
     /// Reusable scratch for [`System::mcast`]: the delivered-port list and
-    /// the per-link charge record. Lets a steady-state multicast run without
-    /// allocating at all (the cast cache replays memoized charges into
-    /// these same buffers).
+    /// the per-link charge record. Lets a multicast run without allocating
+    /// at all, whether the cast cache walks it or replays it into these
+    /// same buffers.
     cast_delivered: Vec<usize>,
     cast_charges: Vec<(LinkId, u64)>,
     /// When `Some`, the five protocol dispatch points (read, write,
@@ -248,6 +249,13 @@ impl System {
     /// Event counters (hits, misses, transfers, multicasts, …).
     pub fn counters(&self) -> &CounterSet {
         &self.counters
+    }
+
+    /// How this machine's multicasts were billed on the host — walked,
+    /// admitted to the memo or replayed from it — and what the memo holds.
+    /// A host-side observation: it never enters fingerprints or snapshots.
+    pub fn cast_stats(&self) -> CastStats {
+        self.cast_cache.stats()
     }
 
     /// Transaction-latency histogram (empty unless timing is enabled).
@@ -1109,18 +1117,18 @@ impl System {
 
     /// The write itself, once `proc` owns the block (§2.2 cases 3(a)–(c)).
     fn perform_owned_write(&mut self, proc: usize, block: BlockAddr, offset: usize, value: u64) {
-        let (mode, exclusive, mut others) = {
-            let me = CacheId(proc as u16);
-            let line = self.caches[proc].peek_mut(block).expect("owner has a line");
-            debug_assert!(line.is_owned());
-            line.data.set_word(offset, value);
-            line.modified = true;
+        let me = CacheId(proc as u16);
+        let line = self.caches[proc].peek_mut(block).expect("owner has a line");
+        debug_assert!(line.is_owned());
+        line.data.set_word(offset, value);
+        line.modified = true;
+        if line.mode == Mode::DistributedWrite && !line.is_exclusive(me) {
+            // 3(b): distribute the write to all caches with a copy.
             let mut others = line.present.clone();
             others.remove(proc);
-            (line.mode, line.is_exclusive(me), others)
-        };
-        if mode == Mode::DistributedWrite && !exclusive && !others.is_empty() {
-            // 3(b): distribute the write to all caches with a copy.
+            if others.is_empty() {
+                return;
+            }
             self.counters.incr("updates_multicast");
             let delivered = self.mcast(
                 MsgKind::UpdateWrite,

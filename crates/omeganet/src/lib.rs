@@ -48,7 +48,7 @@ pub mod traffic;
 
 pub use aary::AryOmega;
 
-pub use castcache::CastCache;
+pub use castcache::{CastCache, CastStats};
 pub use destset::DestSet;
 pub use error::NetError;
 pub use multicast::{CastReceipt, SchemeChoice, SchemeKind};

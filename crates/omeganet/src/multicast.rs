@@ -2,9 +2,14 @@
 //!
 //! All three schemes are implemented twice over:
 //!
-//! * a *traversal* that walks the switch tree exactly as hardware would,
-//!   charging every crossed link in a [`TrafficMatrix`] and recording who
-//!   received the message, and
+//! * a *traversal* ([`Omega::multicast_into`]) that walks the switch tree
+//!   exactly as hardware would, charging every crossed link in a
+//!   [`TrafficMatrix`] as it goes and writing who received the message into
+//!   a caller-owned buffer. There is one traversal per scheme; it keeps its
+//!   pending switches on a fixed-size stack (one per stage, `m ≤ 16`) and
+//!   allocates nothing, so a cast's host cost is `O(links it crosses)` —
+//!   the paper's own cost argument (eqs. 2–8) — never `O(N·log N)`.
+//!   [`Omega::multicast`] is the same walk wrapped into a [`CastReceipt`].
 //! * an exact *cost function* ([`Omega::multicast_cost`]) that computes the
 //!   same total in `O(n·m)` without touching a matrix — used by the combined
 //!   scheme to pick the cheapest option per cast, which is precisely the
@@ -213,7 +218,9 @@ impl Omega {
     }
 
     /// Multicasts `payload_bits` from `src` to `dests` using `kind`,
-    /// charging every crossed link in `traffic`.
+    /// charging every crossed link in `traffic`. This is
+    /// [`Omega::multicast_into`] with a freshly allocated receipt; callers
+    /// that cast repeatedly keep a delivered buffer and call that instead.
     ///
     /// # Errors
     ///
@@ -228,26 +235,82 @@ impl Omega {
         payload_bits: u64,
         traffic: &mut TrafficMatrix,
     ) -> Result<CastReceipt, NetError> {
+        let mut delivered = Vec::new();
+        let mut bill = Bill::new(traffic, None);
+        let scheme = self.walk(kind, src, dests, payload_bits, &mut bill, &mut delivered)?;
+        Ok(CastReceipt {
+            scheme,
+            delivered,
+            cost_bits: bill.cost,
+            links_crossed: bill.links,
+        })
+    }
+
+    /// The traversal behind [`Omega::multicast`], into caller-owned
+    /// buffers: every crossed link is charged to `traffic` as the walk
+    /// reaches it, the receiving ports are written to `delivered` (cleared
+    /// first; ascending) and the resolved scheme and total cost come back by
+    /// value. Nothing is allocated beyond what `delivered` and `record` need
+    /// to grow.
+    ///
+    /// When `record` is supplied the cast's nonzero per-link charges are
+    /// appended to it in `(layer, line)` order, one entry per link: scheme 1
+    /// crosses the source link once per destination, and those charges come
+    /// back merged.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Omega::multicast`]. On error nothing is charged,
+    /// `delivered` is left empty and `record` untouched.
+    #[allow(clippy::too_many_arguments)]
+    pub fn multicast_into(
+        &self,
+        kind: SchemeKind,
+        src: PortId,
+        dests: &DestSet,
+        payload_bits: u64,
+        traffic: &mut TrafficMatrix,
+        delivered: &mut Vec<PortId>,
+        record: Option<&mut Vec<(LinkId, u64)>>,
+    ) -> Result<(SchemeChoice, u64), NetError> {
+        let mut bill = Bill::new(traffic, record);
+        let scheme = self.walk(kind, src, dests, payload_bits, &mut bill, delivered)?;
+        bill.settle();
+        Ok((scheme, bill.cost))
+    }
+
+    /// Validates the cast, resolves [`SchemeKind::Combined`] and runs the
+    /// one traversal of the chosen scheme.
+    fn walk(
+        &self,
+        kind: SchemeKind,
+        src: PortId,
+        dests: &DestSet,
+        payload: u64,
+        bill: &mut Bill<'_>,
+        delivered: &mut Vec<PortId>,
+    ) -> Result<SchemeChoice, NetError> {
+        delivered.clear();
         self.check_port(src)?;
         dests.check_net(self)?;
         if dests.is_empty() {
             return Err(NetError::EmptyDestSet);
         }
-        let receipt = match kind {
-            SchemeKind::Replicated => self.cast_replicated(src, dests, payload_bits, traffic),
-            SchemeKind::BitVector => self.cast_bitvector(src, dests, payload_bits, traffic),
-            SchemeKind::BroadcastTag => self.cast_broadcast_tag(src, dests, payload_bits, traffic),
-            SchemeKind::Combined => {
-                let choice = self.cheapest_scheme(dests, payload_bits);
-                let concrete = match choice {
-                    SchemeChoice::Replicated => SchemeKind::Replicated,
-                    SchemeChoice::BitVector => SchemeKind::BitVector,
-                    SchemeChoice::BroadcastTag => SchemeKind::BroadcastTag,
-                };
-                return self.multicast(concrete, src, dests, payload_bits, traffic);
-            }
+        let scheme = match kind {
+            SchemeKind::Replicated => SchemeChoice::Replicated,
+            SchemeKind::BitVector => SchemeChoice::BitVector,
+            SchemeKind::BroadcastTag => SchemeChoice::BroadcastTag,
+            SchemeKind::Combined => self.cheapest_scheme(dests, payload),
         };
-        Ok(receipt)
+        match scheme {
+            SchemeChoice::Replicated => self.cast_replicated(src, dests, payload, bill, delivered),
+            SchemeChoice::BitVector => self.cast_bitvector(src, dests, payload, bill, delivered),
+            SchemeChoice::BroadcastTag => {
+                self.cast_broadcast_tag(src, dests, payload, bill, delivered)
+            }
+        }
+        debug_assert!(delivered.is_sorted(), "delivery order is ascending");
+        Ok(scheme)
     }
 
     /// Exact communication cost of casting `payload_bits` to `dests` with
@@ -372,25 +435,17 @@ impl Omega {
         src: PortId,
         dests: &DestSet,
         payload: u64,
-        traffic: &mut TrafficMatrix,
-    ) -> CastReceipt {
-        let mut cost = 0;
-        let mut links = 0;
-        let mut delivered = Vec::with_capacity(dests.len());
+        bill: &mut Bill<'_>,
+        delivered: &mut Vec<PortId>,
+    ) {
+        let m = self.stages() as u64;
         for dst in dests.iter() {
-            cost += self
-                .charge_unicast(src, dst, payload, traffic)
-                .expect("ports pre-validated");
-            links += self.link_layers() as usize;
+            for link in self.route_iter(src, dst) {
+                bill.charge(link, payload + (m - link.layer as u64));
+            }
             delivered.push(dst);
         }
-        debug_assert_eq!(cost, self.cost_replicated(dests.len() as u64, payload));
-        CastReceipt {
-            scheme: SchemeChoice::Replicated,
-            delivered,
-            cost_bits: cost,
-            links_crossed: links,
-        }
+        debug_assert_eq!(bill.cost, self.cost_replicated(dests.len() as u64, payload));
     }
 
     fn cast_bitvector(
@@ -398,71 +453,54 @@ impl Omega {
         src: PortId,
         dests: &DestSet,
         payload: u64,
-        traffic: &mut TrafficMatrix,
-    ) -> CastReceipt {
+        bill: &mut Bill<'_>,
+        delivered: &mut Vec<PortId>,
+    ) {
         let m = self.stages();
         let n_ports = self.ports() as u64;
-        let mut cost = 0u64;
-        let mut links = 0usize;
-        let mut delivered = Vec::with_capacity(dests.len());
 
         // Layer 0: source port into its stage-0 switch, full vector.
         let layer0 = LinkId {
             layer: 0,
             line: src,
         };
-        let bits0 = payload + n_ports;
-        traffic.add(layer0, bits0);
-        cost += bits0;
-        links += 1;
+        bill.charge(layer0, payload + n_ports);
 
         // Depth-first walk of the routing tree. A switch reached at stage
         // `s` with accumulated destination bits `prefix` covers exactly the
         // ports in `[prefix << (m−s), (prefix+1) << (m−s))`, so "does any
         // destination continue through this output?" is a word-level range
-        // probe on the destination bitmap instead of a per-port partition
-        // (which allocated two fresh vectors at every switch). The stack
-        // holds at most one pending sibling per stage.
-        let mut work: Vec<(u32, usize, usize)> = Vec::with_capacity(m as usize + 1);
-        work.push((0, src, 0));
+        // probe on the destination bitmap instead of a per-port partition.
+        // The upper output is stacked first, so the lower subtree is walked
+        // first and ports are delivered in ascending order.
+        let mut work = WorkStack::new((0, src, 0));
         while let Some((stage, line, prefix)) = work.pop() {
-            let shuffled = self.shuffle(line);
-            let sw = shuffled >> 1;
+            if stage == m {
+                debug_assert_eq!(line, prefix);
+                delivered.push(line);
+                continue;
+            }
+            let sw = self.shuffle(line) >> 1;
             let span = m - stage - 1;
-            for bit in [0usize, 1] {
+            let layer = stage + 1;
+            for bit in [1usize, 0] {
                 let child = (prefix << 1) | bit;
                 let lo = child << span;
                 if !dests.any_in_range(lo, lo + (1usize << span)) {
                     continue;
                 }
                 let out_line = (sw << 1) | bit;
-                let layer = stage + 1;
-                let bits = payload + (n_ports >> layer);
-                traffic.add(
+                bill.charge(
                     LinkId {
                         layer,
                         line: out_line,
                     },
-                    bits,
+                    payload + (n_ports >> layer),
                 );
-                cost += bits;
-                links += 1;
-                if layer == m {
-                    debug_assert_eq!(out_line, child);
-                    delivered.push(out_line);
-                } else {
-                    work.push((stage + 1, out_line, child));
-                }
+                work.push((layer, out_line, child));
             }
         }
-        delivered.sort_unstable();
-        debug_assert_eq!(cost, self.cost_bitvector(dests, payload));
-        CastReceipt {
-            scheme: SchemeChoice::BitVector,
-            delivered,
-            cost_bits: cost,
-            links_crossed: links,
-        }
+        debug_assert_eq!(bill.cost, self.cost_bitvector(dests, payload));
     }
 
     fn cast_broadcast_tag(
@@ -470,8 +508,9 @@ impl Omega {
         src: PortId,
         dests: &DestSet,
         payload: u64,
-        traffic: &mut TrafficMatrix,
-    ) -> CastReceipt {
+        bill: &mut Bill<'_>,
+        delivered: &mut Vec<PortId>,
+    ) {
         let m = self.stages();
         // Widen to a subcube when needed: the enclosing low-bit subcube is
         // the set an allocator placing tasks adjacently would address.
@@ -484,60 +523,131 @@ impl Omega {
                 (anchor, (1usize << l) - 1)
             }
         };
-        let mut cost = 0u64;
-        let mut links = 0usize;
-        let mut delivered = Vec::new();
 
         let layer0 = LinkId {
             layer: 0,
             line: src,
         };
-        let bits0 = payload + 2 * m as u64;
-        traffic.add(layer0, bits0);
-        cost += bits0;
-        links += 1;
+        bill.charge(layer0, payload + 2 * m as u64);
 
-        let mut work: Vec<(u32, usize)> = vec![(0, src)];
-        while let Some((stage, line)) = work.pop() {
-            let shuffled = self.shuffle(line);
-            let sw = shuffled >> 1;
+        // Same walk order as scheme 2: upper output stacked first, so the
+        // subcube's ports come out ascending. The third field is unused.
+        let mut work = WorkStack::new((0, src, 0));
+        while let Some((stage, line, _)) = work.pop() {
+            if stage == m {
+                delivered.push(line);
+                continue;
+            }
+            let sw = self.shuffle(line) >> 1;
             let bit_pos = m - 1 - stage;
-            let broadcast = free_mask >> bit_pos & 1 == 1;
-            let wanted_bits: &[usize] = if broadcast {
-                &[0, 1]
+            let wanted_bits: &[usize] = if free_mask >> bit_pos & 1 == 1 {
+                &[1, 0]
             } else if anchor >> bit_pos & 1 == 1 {
                 &[1]
             } else {
                 &[0]
             };
+            let layer = stage + 1;
             for &bit in wanted_bits {
                 let out_line = (sw << 1) | bit;
-                let layer = stage + 1;
-                let bits = payload + 2 * (m - layer) as u64;
-                traffic.add(
+                bill.charge(
                     LinkId {
                         layer,
                         line: out_line,
                     },
-                    bits,
+                    payload + 2 * (m - layer) as u64,
                 );
-                cost += bits;
-                links += 1;
-                if layer == m {
-                    delivered.push(out_line);
-                } else {
-                    work.push((stage + 1, out_line));
-                }
+                work.push((layer, out_line, 0));
             }
         }
-        delivered.sort_unstable();
-        debug_assert_eq!(cost, self.cost_broadcast_tag(dests, payload));
-        CastReceipt {
-            scheme: SchemeChoice::BroadcastTag,
-            delivered,
-            cost_bits: cost,
-            links_crossed: links,
+        debug_assert_eq!(bill.cost, self.cost_broadcast_tag(dests, payload));
+    }
+}
+
+/// Where one walk's charges go: straight into the caller's ledger and, when
+/// the caller wants them listed, onto the tail of `record`.
+struct Bill<'a> {
+    traffic: &'a mut TrafficMatrix,
+    record: Option<&'a mut Vec<(LinkId, u64)>>,
+    /// Length of `record` when the walk began; entries past it are this
+    /// cast's.
+    mark: usize,
+    cost: u64,
+    links: usize,
+}
+
+impl<'a> Bill<'a> {
+    fn new(traffic: &'a mut TrafficMatrix, record: Option<&'a mut Vec<(LinkId, u64)>>) -> Self {
+        Bill {
+            mark: record.as_ref().map_or(0, |r| r.len()),
+            traffic,
+            record,
+            cost: 0,
+            links: 0,
         }
+    }
+
+    #[inline]
+    fn charge(&mut self, link: LinkId, bits: u64) {
+        self.traffic.add(link, bits);
+        self.cost += bits;
+        self.links += 1;
+        // A link that carried no bits (scheme 1's last hop with an empty
+        // payload) was crossed but is not listed.
+        if let (Some(record), true) = (&mut self.record, bits > 0) {
+            record.push((link, bits));
+        }
+    }
+
+    /// Puts this cast's recorded charges into `(layer, line)` order and
+    /// merges repeated links (scheme 1 crosses shared links once per
+    /// destination), in place.
+    fn settle(&mut self) {
+        let Some(record) = &mut self.record else {
+            return;
+        };
+        record[self.mark..].sort_unstable_by_key(|&(link, _)| link);
+        let mut kept = self.mark;
+        for i in self.mark + 1..record.len() {
+            if record[i].0 == record[kept].0 {
+                record[kept].1 += record[i].1;
+            } else {
+                kept += 1;
+                record[kept] = record[i];
+            }
+        }
+        record.truncate(kept + 1);
+    }
+}
+
+/// Most stages a network may have ([`Omega::new`] enforces it).
+const MAX_STAGES: usize = 16;
+
+/// The pending `(stage, line, prefix)` nodes of a depth-first tree walk.
+/// A walk holds at most one waiting sibling per stage plus the two outputs
+/// just stacked, so `MAX_STAGES + 1` slots always suffice.
+struct WorkStack {
+    nodes: [(u32, usize, usize); MAX_STAGES + 1],
+    len: usize,
+}
+
+impl WorkStack {
+    fn new(root: (u32, usize, usize)) -> Self {
+        let mut nodes = [(0, 0, 0); MAX_STAGES + 1];
+        nodes[0] = root;
+        WorkStack { nodes, len: 1 }
+    }
+
+    #[inline]
+    fn push(&mut self, node: (u32, usize, usize)) {
+        self.nodes[self.len] = node;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(u32, usize, usize)> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.nodes[self.len])
     }
 }
 
@@ -733,6 +843,57 @@ mod tests {
             .multicast(SchemeKind::Combined, 0, &d, 20, &mut t)
             .unwrap();
         assert_eq!(r.cost_bits, *costs.iter().min().unwrap());
+    }
+
+    #[test]
+    fn multicast_into_appends_merged_charges_in_link_order() {
+        let (net, mut t) = setup(3);
+        let d = DestSet::from_ports(8, [2usize, 3, 6]).unwrap();
+        let earlier = (LinkId { layer: 3, line: 7 }, 9);
+        let mut record = vec![earlier];
+        let mut delivered = vec![99];
+        let (scheme, cost) = net
+            .multicast_into(
+                SchemeKind::Replicated,
+                5,
+                &d,
+                20,
+                &mut t,
+                &mut delivered,
+                Some(&mut record),
+            )
+            .unwrap();
+        assert_eq!(
+            (scheme, &delivered[..]),
+            (SchemeChoice::Replicated, &[2, 3, 6][..])
+        );
+        assert_eq!(record[0], earlier, "what was there stays in front");
+        let charges = &record[1..];
+        // Three routes of four links share the source link, and two of them
+        // (to ports 2 and 3) part only at the last stage.
+        assert_eq!(charges[0], (LinkId { layer: 0, line: 5 }, 3 * 23));
+        assert_eq!(charges.len(), 3 * 4 - 2 - 2);
+        assert!(charges.is_sorted_by_key(|&(link, _)| link));
+        assert_eq!(charges.iter().map(|&(_, b)| b).sum::<u64>(), cost);
+        for &(link, bits) in charges {
+            assert_eq!(t.link_bits(link), bits);
+        }
+
+        // A rejected cast charges nothing, empties `delivered` and leaves
+        // `record` alone.
+        let before = record.clone();
+        let err = net.multicast_into(
+            SchemeKind::Combined,
+            5,
+            &DestSet::empty(8),
+            20,
+            &mut t,
+            &mut delivered,
+            Some(&mut record),
+        );
+        assert_eq!(err, Err(NetError::EmptyDestSet));
+        assert!(delivered.is_empty());
+        assert_eq!((record, t.total_bits()), (before, cost));
     }
 
     #[test]
