@@ -9,7 +9,6 @@
 //! | `adaptive-vs-fixed` | adaptive policy vs both fixed modes | identical read values; traffic bounded by the best fixed mode |
 //! | `oracle-self` | serial `System` vs `ReferenceMemory` | every read's value, memory image, invariants, re-run determinism |
 //! | `resumed-vs-uninterrupted` | one straight run vs the same script frozen/thawed mid-flight through the checkpoint codec | fingerprint, counters, per-link charges, memory image, read values, event stream |
-//! | `ir-vs-handcoded` | hand-coded protocol paths vs the guarded-action IR interpreter | fingerprint, counters, per-link charges, memory image, read values, event stream, byte-identical JSONL |
 //!
 //! Adaptive-vs-fixed deliberately does **not** compare fingerprints or
 //! traffic for equality: the adaptive policy changes block modes as its
@@ -49,16 +48,13 @@ pub enum Pair {
     OracleSelf,
     /// One straight run vs a run checkpointed and resumed mid-script.
     ResumedVsUninterrupted,
-    /// Hand-coded protocol paths vs the guarded-action IR interpreter.
-    IrVsHandcoded,
 }
 
 impl Pair {
     /// Every pair, in check order.
-    pub fn all() -> [Pair; 8] {
+    pub fn all() -> [Pair; 7] {
         [
             Pair::OracleSelf,
-            Pair::IrVsHandcoded,
             Pair::SerialVsShard,
             Pair::ResumedVsUninterrupted,
             Pair::SerialVsReplay,
@@ -78,7 +74,6 @@ impl Pair {
             Pair::AdaptiveVsFixed => "adaptive-vs-fixed",
             Pair::OracleSelf => "oracle-self",
             Pair::ResumedVsUninterrupted => "resumed-vs-uninterrupted",
-            Pair::IrVsHandcoded => "ir-vs-handcoded",
         }
     }
 
@@ -94,8 +89,7 @@ impl Pair {
             Pair::SerialVsReplay
             | Pair::FaultsZeroVsOff
             | Pair::OracleSelf
-            | Pair::ResumedVsUninterrupted
-            | Pair::IrVsHandcoded => true,
+            | Pair::ResumedVsUninterrupted => true,
             Pair::AdaptiveVsFixed => matches!(case.policy, ModePolicy::Adaptive { .. }),
             Pair::SimVsAnalytic => {
                 case.analytic.is_some() && matches!(case.policy, ModePolicy::Fixed(_))
@@ -135,45 +129,7 @@ pub fn check_pair(case: &CaseSpec, pair: Pair) -> Result<(), Divergence> {
         Pair::AdaptiveVsFixed => check_adaptive_vs_fixed(case).or_else(fail),
         Pair::OracleSelf => check_oracle_self(case).or_else(fail),
         Pair::ResumedVsUninterrupted => check_resumed_vs_uninterrupted(case).or_else(fail),
-        Pair::IrVsHandcoded => check_ir_vs_handcoded(case).or_else(fail),
     }
-}
-
-/// Drive the same script once through the hand-coded protocol paths and
-/// once through the guarded-action IR interpreter
-/// ([`tmc_core::PROTOCOL_IR`]): every observable must match bit for bit,
-/// and the JSONL captures must be byte-identical. This is the conformance
-/// gate that lets the rule table stand in for the hand-coded engine.
-fn check_ir_vs_handcoded(case: &CaseSpec) -> Result<(), String> {
-    let cfg = case.config();
-    let hand = run_serial(cfg.clone(), &case.ops, true)?;
-
-    let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
-    sys.set_ir_dispatch(true);
-    sys.set_tracing(true);
-    let read_values = crate::outcome::collect_reads(&mut sys, &case.ops);
-    let ir = snapshot(&mut sys, &case.ops, read_values);
-    diff_outcomes(&hand, &ir, "hand-coded", "ir")?;
-
-    // Byte-level JSONL: the interpreted drive must serialize to the exact
-    // trace the hand-coded drive produces.
-    let hand_jsonl = tracecheck::capture(cfg.clone(), |sys| {
-        crate::outcome::run_script(sys, &case.ops);
-    })?;
-    let ir_jsonl = tracecheck::capture(cfg, |sys| {
-        sys.set_ir_dispatch(true);
-        crate::outcome::run_script(sys, &case.ops);
-    })?;
-    if hand_jsonl != ir_jsonl {
-        let line = hand_jsonl
-            .lines()
-            .zip(ir_jsonl.lines())
-            .position(|(a, b)| a != b);
-        return Err(format!(
-            "JSONL captures differ (first differing line: {line:?})"
-        ));
-    }
-    Ok(())
 }
 
 /// Freeze/thaw the machine through the crash-recovery checkpoint codec at
@@ -508,15 +464,6 @@ mod tests {
         assert!(Pair::SerialVsReplay.applies(&case));
         assert!(Pair::FaultsZeroVsOff.applies(&case));
         assert!(Pair::ResumedVsUninterrupted.applies(&case));
-        assert!(Pair::IrVsHandcoded.applies(&case));
-    }
-
-    #[test]
-    fn ir_pair_passes_on_generated_cases() {
-        for seed in [3, 7, 23] {
-            let case = generate_case(seed);
-            check_pair(&case, Pair::IrVsHandcoded).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
-        }
     }
 
     #[test]

@@ -1,55 +1,52 @@
-//! The two-mode protocol as **data**: a guarded-action intermediate
-//! representation (IR) of every §2.2 transition.
+//! The two-mode protocol as **data**: every §2.2 transition as a guarded
+//! action, and the only definition of the protocol in this crate.
 //!
 //! The paper defines the protocol once — six line states, DW/GR modes,
-//! ownership migration, replacement, mode switches — but an executable
-//! reproduction tends to re-state it per consumer: once in the simulator's
-//! hot paths, once in the model checker's successor function, once in the
-//! analytic model. This module is the single source for the first two: a
-//! table of [`Rule`]s, each a conjunction of [`Guard`] predicates over a
-//! [`RuleCtx`] snapshot plus an ordered list of [`Step`] effects. The
-//! simulator can interpret the table in place of its hand-coded paths
-//! ([`crate::System::set_ir_dispatch`]), and the bounded model checker
-//! derives its successor function from the very same rules — so the pinned
-//! visited-state counts are properties of this spec, not of the simulator
-//! (the approach of guarded-action protocol languages; see PAPERS.md on
-//! Meunier et al.'s GAL).
+//! ownership migration, replacement, mode switches — and so does the
+//! code: five tables of [`Rule`]s, each a conjunction of [`Guard`]
+//! predicates plus an ordered list of [`Step`] effects. [`crate::System`]
+//! executes every reference by selecting one rule and running its steps
+//! (`ir_exec.rs`); the bounded model checker explores through the same
+//! entry points, so its pinned visited-state counts are properties of
+//! these tables (the approach of guarded-action protocol languages; see
+//! PAPERS.md on Meunier et al.'s GAL).
 //!
-//! # Shape of the IR
+//! # From request to rule
 //!
-//! * **Guards** are pure predicates over the decision-relevant protocol
-//!   state at transaction start: the requester's tag-lookup class, whether
-//!   the block store names an owner, the owner's current mode, the
-//!   OWNER-hint status. Rule selection is first-match over each table, and
-//!   the tables are written so exactly one rule matches any reachable
-//!   context ([`select`] + the exhaustiveness tests below).
+//! * A request is decoded into a [`Facts`] word, one bit per [`Guard`],
+//!   gathered a [`FactGroup`] at a time: the requester's tag-lookup class
+//!   (or the victim's / the switching owner's state) is known at entry;
+//!   the OWNER-hint probe and the block-store/owner probe happen only when
+//!   a rule still in the running tests them.
+//! * Each rule's `when` list — the readable source — is folded into a bit
+//!   mask when the table is built (a `const fn` over the list), so
+//!   [`select`] is one compare per rule. The tables are written so exactly
+//!   one rule matches any well-formed context; the tests below check that,
+//!   and that [`select`] agrees with the declarative reading of `when`.
 //! * **Message emissions** are explicit [`Step::Send`] entries carrying
 //!   the message kind, the logical endpoints, and a [`SizeClass`] — the
 //!   §2.3 payload-size annotation. Link-by-link costs follow from the
 //!   omega-network route between the resolved endpoints, exactly as the
 //!   paper charges them; multicast steps ([`Step::UpdateCast`],
-//!   [`Step::AnnounceCast`], [`Step::InvalidateCast`], …) carry their kind
-//!   and size class the same way and bill through the §3 multicast
-//!   schemes.
+//!   [`Step::AnnounceCast`], [`Step::InvalidateCast`], …) bill through
+//!   the §3 multicast schemes.
 //! * **State effects** are named micro-operations (probe the owner,
-//!   install a line, demote the old owner, …) whose operational semantics
-//!   live in the interpreter (`system/ir_exec.rs`). They mutate cache
-//!   lines, the block store and memory in the exact order the hand-coded
-//!   engine does, so a table-driven run is bit-identical — same counters,
-//!   same per-link charges, same trace events, same fingerprint. The
-//!   `ir-vs-handcoded` conformance pair holds that equivalence under
-//!   differential fuzz.
+//!   install a line, demote the old owner, …), one `System` method each.
+//!   What a step may assume — which endpoint a guard has resolved, which
+//!   earlier step has run — is linted over every table in the tests
+//!   below, so a misplaced step fails `cargo test`, not a run.
 //!
 //! Five tables cover the protocol: [`READ_RULES`], [`WRITE_RULES`],
 //! [`SET_MODE_RULES`], [`REPLACE_RULES`] (§2.2 case 5, reached from the
 //! install steps when a way must be freed) and [`MODE_RULES`] (§2.2 cases
 //! 6/7, reached from [`Step::SwitchMode`] and from the §5 adaptive
-//! policy). Fault injection is deliberately *not* in the IR: faults are
-//! pre-flight admission control around the protocol (docs/ROBUSTNESS.md),
-//! not part of the paper's state machine.
+//! policy). Fault injection is deliberately *not* in the tables: faults
+//! are pre-flight admission control around the protocol
+//! (docs/ROBUSTNESS.md), not part of the paper's state machine.
 
 use crate::msg::MsgKind;
 use crate::state::Mode;
+use crate::system::{System, Txn};
 
 /// The requester's tag-lookup outcome — the primary dispatch axis of
 /// §2.2 (Table 1's V/O/DW bits collapse to these four classes plus the
@@ -90,31 +87,9 @@ pub struct ModeCtx {
     pub other_copies: bool,
 }
 
-/// Everything a [`Guard`] may test: a read-only snapshot of the protocol
-/// state that determines which §2.2 case applies. Fields irrelevant to
-/// the transaction kind stay `None`/`false`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RuleCtx {
-    /// Requester lookup class (read/write/set-mode tables).
-    pub lookup: Option<LookupClass>,
-    /// The block store names an owner.
-    pub block_owned: bool,
-    /// Mode at the block-store owner's line, when one exists.
-    pub owner_mode: Option<Mode>,
-    /// The invalid entry carries an OWNER hint and owner-bypass is on.
-    pub usable_hint: bool,
-    /// The hint target currently owns the block (fresh hint).
-    pub hint_owns: bool,
-    /// Mode at the hint target, when it owns.
-    pub hint_mode: Option<Mode>,
-    /// Victim state (replacement table only).
-    pub victim: Option<VictimCtx>,
-    /// Mode-switch state (mode table only).
-    pub mode_switch: Option<ModeCtx>,
-}
-
-/// A single predicate over [`RuleCtx`]. A rule fires when *all* its
-/// guards hold.
+/// A single predicate over the protocol state at transaction start. A
+/// rule fires when *all* its guards hold. Each guard is one bit of
+/// [`Facts`]; the variants are declared group by group ([`FactGroup`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Guard {
     /// Lookup is a valid hit (owned or unowned).
@@ -180,52 +155,185 @@ pub enum Guard {
     SharedCopies,
 }
 
-impl Guard {
-    /// Whether this predicate holds for `ctx`.
+/// The facts that are established together, by one probe of the machine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FactGroup {
+    /// The requester's tag lookup ([`Facts::lookup`]).
+    Lookup,
+    /// The line a replacement evicts ([`Facts::victim`]).
+    Victim,
+    /// A mode directive against the owner's line ([`Facts::switch`]).
+    Switch,
+    /// The requester's OWNER hint and the hinted cache ([`Facts::hint`]).
+    Hint,
+    /// The block store and the owner's line ([`Facts::owner`]).
+    Owner,
+}
+
+impl FactGroup {
+    /// The groups [`select`] may ask a probe for, each with its fact bits,
+    /// in probe order: what the requester's own cache knows is asked before
+    /// the block store. The other groups are known at entry or not at all.
+    const ON_DEMAND: [(FactGroup, u32); 2] = [
+        (FactGroup::Hint, FactGroup::Hint.mask()),
+        (FactGroup::Owner, FactGroup::Owner.mask()),
+    ];
+
+    /// The fact bits this group establishes: a contiguous run of
+    /// [`Guard`] variants.
+    const fn mask(self) -> u32 {
+        let (first, last) = match self {
+            FactGroup::Lookup => (G::Hit, G::UnOwnedHit),
+            FactGroup::Owner => (G::BlockOwned, G::OwnerIsGr),
+            FactGroup::Hint => (G::UsableHint, G::HintIsGr),
+            FactGroup::Victim => (G::VictimOwned, G::VictimGr),
+            FactGroup::Switch => (G::SameMode, G::SharedCopies),
+        };
+        (2 << last as u32) - (1 << first as u32)
+    }
+}
+
+/// The decision-relevant protocol state of one request: bit `g` of `bits`
+/// is set when [`Guard`] `g` holds, and `known` covers the groups probed
+/// so far (an unset bit of a known group is a guard that does *not*
+/// hold). Built a [`FactGroup`] at a time by the constructors below —
+/// they are the whole encoding of machine state into guards — and
+/// combined with `|`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Facts {
+    bits: u32,
+    known: u32,
+}
+
+/// `guards` as fact bits.
+const fn fold(guards: &[Guard]) -> u32 {
+    let mut bits = 0;
+    let mut i = 0;
+    while i < guards.len() {
+        bits |= 1 << guards[i] as u32;
+        i += 1;
+    }
+    bits
+}
+
+impl Facts {
+    /// Nothing probed.
+    pub const NONE: Facts = Facts { bits: 0, known: 0 };
+
+    const fn new(group: FactGroup, guards: &[Guard]) -> Facts {
+        Facts {
+            bits: fold(guards),
+            known: group.mask(),
+        }
+    }
+
+    /// What the requester's tag lookup found.
     #[must_use]
-    pub fn holds(self, ctx: &RuleCtx) -> bool {
-        use LookupClass as L;
-        match self {
-            Guard::Hit => matches!(ctx.lookup, Some(L::UnOwnedHit | L::OwnedHit)),
-            Guard::Missing => ctx.lookup == Some(L::Missing),
-            Guard::InvalidEntry => ctx.lookup == Some(L::InvalidEntry),
-            Guard::Miss => matches!(ctx.lookup, Some(L::Missing | L::InvalidEntry)),
-            Guard::OwnedHit => ctx.lookup == Some(L::OwnedHit),
-            Guard::UnOwnedHit => ctx.lookup == Some(L::UnOwnedHit),
-            Guard::BlockOwned => ctx.block_owned,
-            Guard::BlockUnowned => !ctx.block_owned,
-            Guard::OwnerIsDw => ctx.owner_mode == Some(Mode::DistributedWrite),
-            Guard::OwnerIsGr => ctx.owner_mode == Some(Mode::GlobalRead),
-            Guard::UsableHint => ctx.usable_hint,
-            Guard::NoUsableHint => !ctx.usable_hint,
-            Guard::HintOwns => ctx.hint_owns,
-            Guard::HintStale => ctx.usable_hint && !ctx.hint_owns,
-            Guard::HintIsDw => ctx.hint_mode == Some(Mode::DistributedWrite),
-            Guard::HintIsGr => ctx.hint_mode == Some(Mode::GlobalRead),
-            Guard::VictimOwned => ctx.victim.is_some_and(|v| v.owned),
-            Guard::VictimCopy => ctx.victim.is_some_and(|v| !v.owned),
-            Guard::Exclusive => ctx.victim.is_some_and(|v| v.exclusive),
-            Guard::NotExclusive => ctx.victim.is_some_and(|v| !v.exclusive),
-            Guard::Dirty => ctx.victim.is_some_and(|v| v.modified),
-            Guard::Clean => ctx.victim.is_some_and(|v| !v.modified),
-            Guard::VictimDw => ctx.victim.is_some_and(|v| v.mode == Mode::DistributedWrite),
-            Guard::VictimGr => ctx.victim.is_some_and(|v| v.mode == Mode::GlobalRead),
-            Guard::SameMode => ctx.mode_switch.is_some_and(|m| m.current == m.target),
-            Guard::ModeChanges => ctx.mode_switch.is_some_and(|m| m.current != m.target),
-            Guard::ToDw => ctx
-                .mode_switch
-                .is_some_and(|m| m.target == Mode::DistributedWrite),
-            Guard::ToGr => ctx
-                .mode_switch
-                .is_some_and(|m| m.target == Mode::GlobalRead),
-            Guard::LoneCopy => ctx.mode_switch.is_some_and(|m| !m.other_copies),
-            Guard::SharedCopies => ctx.mode_switch.is_some_and(|m| m.other_copies),
+    pub fn lookup(class: LookupClass) -> Facts {
+        const fn of(guards: &[Guard]) -> Facts {
+            Facts::new(FactGroup::Lookup, guards)
+        }
+        match class {
+            LookupClass::Missing => const { of(&[G::Missing, G::Miss]) },
+            LookupClass::InvalidEntry => const { of(&[G::InvalidEntry, G::Miss]) },
+            LookupClass::UnOwnedHit => const { of(&[G::UnOwnedHit, G::Hit]) },
+            LookupClass::OwnedHit => const { of(&[G::OwnedHit, G::Hit]) },
+        }
+    }
+
+    /// Whether the block store names an owner, and the mode at that
+    /// owner's line.
+    #[must_use]
+    pub fn owner(block_owned: bool, owner_mode: Option<Mode>) -> Facts {
+        const fn of(guards: &[Guard]) -> Facts {
+            Facts::new(FactGroup::Owner, guards)
+        }
+        match (block_owned, owner_mode) {
+            (false, _) => const { of(&[G::BlockUnowned]) },
+            (true, None) => const { of(&[G::BlockOwned]) },
+            (true, Some(Mode::DistributedWrite)) => const { of(&[G::BlockOwned, G::OwnerIsDw]) },
+            (true, Some(Mode::GlobalRead)) => const { of(&[G::BlockOwned, G::OwnerIsGr]) },
+        }
+    }
+
+    /// Whether the requester's invalid entry carries an OWNER hint it may
+    /// use, and the mode at the hinted cache when that cache owns the
+    /// block (`None`: the hint is stale).
+    #[must_use]
+    pub fn hint(usable: bool, mode_at_owning_target: Option<Mode>) -> Facts {
+        const fn of(guards: &[Guard]) -> Facts {
+            Facts::new(FactGroup::Hint, guards)
+        }
+        match (usable, mode_at_owning_target) {
+            (false, _) => const { of(&[G::NoUsableHint]) },
+            (true, None) => const { of(&[G::UsableHint, G::HintStale]) },
+            (true, Some(Mode::DistributedWrite)) => {
+                const { of(&[G::UsableHint, G::HintOwns, G::HintIsDw]) }
+            }
+            (true, Some(Mode::GlobalRead)) => {
+                const { of(&[G::UsableHint, G::HintOwns, G::HintIsGr]) }
+            }
+        }
+    }
+
+    /// The line a replacement is about to evict.
+    #[must_use]
+    pub fn victim(v: VictimCtx) -> Facts {
+        let dw = v.mode == Mode::DistributedWrite;
+        Facts::new(
+            FactGroup::Victim,
+            &[
+                if v.owned {
+                    G::VictimOwned
+                } else {
+                    G::VictimCopy
+                },
+                if v.exclusive {
+                    G::Exclusive
+                } else {
+                    G::NotExclusive
+                },
+                if v.modified { G::Dirty } else { G::Clean },
+                if dw { G::VictimDw } else { G::VictimGr },
+            ],
+        )
+    }
+
+    /// A mode directive arriving at the block's owner.
+    #[must_use]
+    pub fn switch(m: ModeCtx) -> Facts {
+        let to_dw = m.target == Mode::DistributedWrite;
+        Facts::new(
+            FactGroup::Switch,
+            &[
+                if m.current == m.target {
+                    G::SameMode
+                } else {
+                    G::ModeChanges
+                },
+                if to_dw { G::ToDw } else { G::ToGr },
+                if m.other_copies {
+                    G::SharedCopies
+                } else {
+                    G::LoneCopy
+                },
+            ],
+        )
+    }
+}
+
+impl std::ops::BitOr for Facts {
+    type Output = Facts;
+    fn bitor(self, rhs: Facts) -> Facts {
+        Facts {
+            bits: self.bits | rhs.bits,
+            known: self.known | rhs.known,
         }
     }
 }
 
-/// A logical message endpoint, resolved to a network port by the
-/// interpreter when the rule runs.
+/// A logical message endpoint, resolved to a network port when the rule
+/// runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Ep {
     /// The cache issuing the transaction (or replacing the victim).
@@ -270,10 +378,9 @@ pub enum SizeClass {
 }
 
 /// One effect of a fired rule. `Send`/cast steps emit (and bill) traffic;
-/// the rest are the named state micro-operations the interpreter applies
-/// in listed order. See `system/ir_exec.rs` for the operational
-/// semantics of each, and docs/PROTOCOL.md for the prose mapping back to
-/// §2.2.
+/// the rest are the named state micro-operations, applied in listed
+/// order. Each is one `System` method of the same name in `ir_exec.rs`;
+/// docs/PROTOCOL.md has the prose mapping back to §2.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Increment a named protocol counter.
@@ -296,21 +403,21 @@ pub enum Step {
         /// Payload-size annotation (§2.3).
         size: SizeClass,
     },
-    /// Serve a read hit from the requester's own line.
+    /// Serve a read hit with the word the requester's tag probe found
+    /// (a probe that finds a valid line is what refreshes its recency).
     ReadHitWord,
-    /// Copy the block out of the memory module (no traffic; the reply is
-    /// a separate `Send`).
-    FetchMem,
-    /// Install the fetched block at the requester as the exclusive owner
-    /// in the policy's initial mode, and point the block store at it.
+    /// Install the block the memory module holds at the requester as the
+    /// exclusive owner in the policy's initial mode, and point the block
+    /// store at it.
     InstallOwnedExclusive,
     /// DW service probe at the serving owner: register the requester in
-    /// the present vector and clone the block for the copy reply.
+    /// the present vector; a copy of the block will follow.
     OwnerProbeDw(Ep),
     /// GR service probe at the serving owner: register the requester and
     /// count the remote read in the §5 window (one datum will move).
     OwnerProbeGr(Ep),
-    /// Install the cloned block at the requester as an unowned copy.
+    /// Install the serving owner's block at the requester as an unowned
+    /// copy.
     InstallUnownedCopy,
     /// Refresh the OWNER hint on the requester's existing invalid entry.
     SetHintAtReq,
@@ -323,11 +430,9 @@ pub enum Step {
     StaleHintNote,
     /// Point the block store at the requester (ownership moves).
     SetOwnerReq,
-    /// Register the requester in the old owner's present vector (write
-    /// miss on an owned block, before the transfer probe).
-    RegisterReqAtOld,
-    /// Begin an ownership transfer: count it, trace it, and capture the
-    /// old owner's mode/M-bit/data/present vector.
+    /// Begin an ownership transfer: count it, trace it, register the
+    /// requester at the old owner and read the mode and M bit that travel
+    /// with ownership.
     XferProbe,
     /// Demote the old owner's copy to UnOwned (DW transfer).
     DemoteOldDw,
@@ -336,14 +441,14 @@ pub enum Step {
     AnnounceCast,
     /// Invalidate the old owner's own copy (GR transfer).
     InvalidateOldGr,
-    /// Install the owned line at the new owner.
+    /// Install the owned line at the new owner; the present vector leaves
+    /// the old owner's line with it.
     InstallXfer {
         /// The block contents crossed the network with the state (false:
         /// the requester's own valid copy is promoted in place).
         send_data: bool,
     },
-    /// Apply the write at the owning requester (set word, M bit, snapshot
-    /// the sharer set for the update cast).
+    /// Apply the write at the owning requester (set word, M bit).
     WriteAtOwner,
     /// §2.2 case 3(b): multicast [`MsgKind::UpdateWrite`] at
     /// [`SizeClass::Update`] to the other copy holders, when the block is
@@ -355,7 +460,7 @@ pub enum Step {
     MemWriteBackVictim,
     /// Clear the victim's block-store entry (memory becomes owner).
     ClearStoreVictim,
-    /// Ask the victim's owner to clear the replacer's present flag.
+    /// Clear the replacer's present flag at the victim's owner.
     ClearPresenceAtOwner,
     /// §2.2 case 5(b) offer loop: offer ownership
     /// ([`MsgKind::OwnershipOffer`], [`SizeClass::Request`]) to present
@@ -393,30 +498,65 @@ pub struct Rule {
     pub when: &'static [Guard],
     /// Effects, applied in order.
     pub steps: &'static [Step],
+    /// `when` as fact bits, folded once when the table is built.
+    mask: u32,
+    /// Applies `steps` to the machine.
+    pub(crate) run: fn(&mut System, &mut Txn),
 }
 
-/// The whole protocol: one table per transaction kind. The default
-/// instance is [`PROTOCOL_IR`]; tests may swap in a deliberately broken
-/// table via [`crate::System::set_ir_table`] to prove the conformance
-/// harness catches divergence.
-#[derive(Clone, Copy, Debug)]
-pub struct ProtocolIr {
-    /// Rules for processor reads (§2.2 cases 1–2).
-    pub read: &'static [Rule],
-    /// Rules for processor writes (§2.2 cases 3–4).
-    pub write: &'static [Rule],
-    /// Rules for software mode directives (§2.2 cases 6–7 entry).
-    pub set_mode: &'static [Rule],
-    /// Rules for replacement (§2.2 case 5).
-    pub replace: &'static [Rule],
-    /// Rules for the in-place mode switch at the owner.
-    pub mode: &'static [Rule],
+/// Builds one [`Rule`] of a table. The step list is emitted twice from the
+/// same tokens: as data, and as the function that applies it — a straight
+/// line of [`System::step`] calls, each on a constant, so the step
+/// dispatch is resolved when the table is compiled rather than once per
+/// step per reference.
+macro_rules! rule {
+    ($name:literal, [$($when:expr),+ $(,)?], [$($step:expr),* $(,)?] $(,)?) => {
+        Rule {
+            name: $name,
+            when: &[$($when),+],
+            steps: &[$($step),*],
+            mask: fold(&[$($when),+]),
+            run: |_sys, _t| {
+                $(_sys.step(&$step, _t);)*
+            },
+        }
+    };
 }
 
-/// First rule of `rules` whose guards all hold for `ctx`.
-#[must_use]
-pub fn select<'a>(rules: &'a [Rule], ctx: &RuleCtx) -> Option<&'a Rule> {
-    rules.iter().find(|r| r.when.iter().all(|g| g.holds(ctx)))
+/// The rule of `rules` that fires: the first whose guards are all among
+/// the facts. `entry` holds what is known when the request arrives;
+/// `probe` is asked for a further [`FactGroup`] only when a rule that the
+/// facts so far have not ruled out tests one of its bits, so a request
+/// the lookup class alone decides probes nothing. `None` means the table
+/// has no rule for this context.
+#[inline]
+pub fn select(
+    rules: &'static [Rule],
+    entry: Facts,
+    mut probe: impl FnMut(FactGroup) -> Facts,
+) -> Option<&'static Rule> {
+    let Facts {
+        mut bits,
+        mut known,
+    } = entry;
+    let mut rules = rules.iter();
+    let mut rule = rules.next()?;
+    loop {
+        let missing = rule.mask & !bits;
+        if missing == 0 {
+            return Some(rule);
+        }
+        if missing & known != 0 {
+            // A fact of a probed group is absent: this rule is out.
+            rule = rules.next()?;
+            continue;
+        }
+        let (group, mask) = FactGroup::ON_DEMAND
+            .into_iter()
+            .find(|(_, mask)| missing & mask != 0)?;
+        bits |= probe(group).bits;
+        known |= mask;
+    }
 }
 
 use Ep::{Candidate, Hint, Home, Owner, Requester};
@@ -437,34 +577,197 @@ macro_rules! send {
     };
 }
 
-/// Processor read (§2.2 cases 1 and 2): hit, cold miss, invalid-entry
-/// miss with fresh/stale/no OWNER hint, each split by the serving
-/// owner's mode.
+/// Processor read (§2.2 cases 1 and 2): hit, invalid-entry miss with
+/// fresh/stale/no OWNER hint, cold miss, each split by the serving
+/// owner's mode. Exactly one rule matches any context, so the order is
+/// free; the commonest come first because [`select`] scans in order.
 pub static READ_RULES: &[Rule] = &[
-    Rule {
-        name: "read-hit",
-        when: &[G::Hit],
-        steps: &[S::Count("read_hit"), S::ReadHitWord],
-    },
-    Rule {
-        name: "read-cold-unowned",
-        when: &[G::Missing, G::BlockUnowned],
-        steps: &[
+    rule!("read-hit", [G::Hit], [S::Count("read_hit"), S::ReadHitWord],),
+    rule!(
+        "read-inv-hint-dw",
+        [G::InvalidEntry, G::UsableHint, G::HintOwns, G::HintIsDw],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(DirectLoadReq, Requester -> Hint, Request),
+            S::OwnerProbeDw(Hint),
+            send!(BlockReply, Hint -> Requester, BlockTransfer),
+            S::InstallUnownedCopy,
+            S::NoteServeOwner,
+        ],
+    ),
+    rule!(
+        "read-inv-hint-gr",
+        [G::InvalidEntry, G::UsableHint, G::HintOwns, G::HintIsGr],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(DirectLoadReq, Requester -> Hint, Request),
+            S::OwnerProbeGr(Hint),
+            S::Count("read_remote_gr"),
+            send!(DatumReply, Hint -> Requester, Datum),
+            S::SetHintAtReq,
+            S::NoteServeOwner,
+        ],
+    ),
+    rule!(
+        "read-inv-stale-unowned",
+        [
+            G::InvalidEntry,
+            G::UsableHint,
+            G::HintStale,
+            G::BlockUnowned,
+        ],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(DirectLoadReq, Requester -> Hint, Request),
+            S::Count("redirects"),
+            S::StaleHintNote,
+            send!(Redirect, Hint -> Home, Request),
+            send!(BlockReply, Home -> Requester, BlockTransfer),
+            S::InstallOwnedExclusive,
+        ],
+    ),
+    rule!(
+        "read-inv-stale-owned-dw",
+        [
+            G::InvalidEntry,
+            G::UsableHint,
+            G::HintStale,
+            G::BlockOwned,
+            G::OwnerIsDw,
+        ],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(DirectLoadReq, Requester -> Hint, Request),
+            S::Count("redirects"),
+            S::StaleHintNote,
+            send!(Redirect, Hint -> Home, Request),
+            send!(FwdLoad, Home -> Owner, Request),
+            S::OwnerProbeDw(Owner),
+            send!(BlockReply, Owner -> Requester, BlockTransfer),
+            S::InstallUnownedCopy,
+            S::NoteServeOwner,
+        ],
+    ),
+    rule!(
+        "read-inv-stale-owned-gr",
+        [
+            G::InvalidEntry,
+            G::UsableHint,
+            G::HintStale,
+            G::BlockOwned,
+            G::OwnerIsGr,
+        ],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(DirectLoadReq, Requester -> Hint, Request),
+            S::Count("redirects"),
+            S::StaleHintNote,
+            send!(Redirect, Hint -> Home, Request),
+            send!(FwdLoad, Home -> Owner, Request),
+            S::OwnerProbeGr(Owner),
+            S::Count("read_remote_gr"),
+            send!(DatumReply, Owner -> Requester, Datum),
+            S::SetHintAtReq,
+            S::NoteServeOwner,
+        ],
+    ),
+    rule!(
+        "read-inv-nohint-unowned",
+        [G::InvalidEntry, G::NoUsableHint, G::BlockUnowned],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(LoadReq, Requester -> Home, Request),
+            send!(BlockReply, Home -> Requester, BlockTransfer),
+            S::InstallOwnedExclusive,
+        ],
+    ),
+    rule!(
+        "read-inv-nohint-owned-dw",
+        [
+            G::InvalidEntry,
+            G::NoUsableHint,
+            G::BlockOwned,
+            G::OwnerIsDw,
+        ],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(LoadReq, Requester -> Home, Request),
+            send!(FwdLoad, Home -> Owner, Request),
+            S::OwnerProbeDw(Owner),
+            send!(BlockReply, Owner -> Requester, BlockTransfer),
+            S::InstallUnownedCopy,
+            S::NoteServeOwner,
+        ],
+    ),
+    rule!(
+        "read-inv-nohint-owned-gr",
+        [
+            G::InvalidEntry,
+            G::NoUsableHint,
+            G::BlockOwned,
+            G::OwnerIsGr,
+        ],
+        [
+            S::Count("read_miss_invalid"),
+            S::Miss {
+                write: false,
+                cold: false,
+            },
+            send!(LoadReq, Requester -> Home, Request),
+            send!(FwdLoad, Home -> Owner, Request),
+            S::OwnerProbeGr(Owner),
+            S::Count("read_remote_gr"),
+            send!(DatumReply, Owner -> Requester, Datum),
+            S::SetHintAtReq,
+            S::NoteServeOwner,
+        ],
+    ),
+    rule!(
+        "read-cold-unowned",
+        [G::Missing, G::BlockUnowned],
+        [
             S::Count("read_miss_cold"),
             S::Miss {
                 write: false,
                 cold: true,
             },
             send!(LoadReq, Requester -> Home, Request),
-            S::FetchMem,
             send!(BlockReply, Home -> Requester, BlockTransfer),
             S::InstallOwnedExclusive,
         ],
-    },
-    Rule {
-        name: "read-cold-owned-dw",
-        when: &[G::Missing, G::BlockOwned, G::OwnerIsDw],
-        steps: &[
+    ),
+    rule!(
+        "read-cold-owned-dw",
+        [G::Missing, G::BlockOwned, G::OwnerIsDw],
+        [
             S::Count("read_miss_cold"),
             S::Miss {
                 write: false,
@@ -477,11 +780,11 @@ pub static READ_RULES: &[Rule] = &[
             S::InstallUnownedCopy,
             S::NoteServeOwner,
         ],
-    },
-    Rule {
-        name: "read-cold-owned-gr",
-        when: &[G::Missing, G::BlockOwned, G::OwnerIsGr],
-        steps: &[
+    ),
+    rule!(
+        "read-cold-owned-gr",
+        [G::Missing, G::BlockOwned, G::OwnerIsGr],
+        [
             S::Count("read_miss_cold"),
             S::Miss {
                 write: false,
@@ -495,190 +798,21 @@ pub static READ_RULES: &[Rule] = &[
             S::InstallInvalidHint,
             S::NoteServeOwner,
         ],
-    },
-    Rule {
-        name: "read-inv-nohint-unowned",
-        when: &[G::InvalidEntry, G::NoUsableHint, G::BlockUnowned],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(LoadReq, Requester -> Home, Request),
-            S::FetchMem,
-            send!(BlockReply, Home -> Requester, BlockTransfer),
-            S::InstallOwnedExclusive,
-        ],
-    },
-    Rule {
-        name: "read-inv-nohint-owned-dw",
-        when: &[
-            G::InvalidEntry,
-            G::NoUsableHint,
-            G::BlockOwned,
-            G::OwnerIsDw,
-        ],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(LoadReq, Requester -> Home, Request),
-            send!(FwdLoad, Home -> Owner, Request),
-            S::OwnerProbeDw(Owner),
-            send!(BlockReply, Owner -> Requester, BlockTransfer),
-            S::InstallUnownedCopy,
-            S::NoteServeOwner,
-        ],
-    },
-    Rule {
-        name: "read-inv-nohint-owned-gr",
-        when: &[
-            G::InvalidEntry,
-            G::NoUsableHint,
-            G::BlockOwned,
-            G::OwnerIsGr,
-        ],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(LoadReq, Requester -> Home, Request),
-            send!(FwdLoad, Home -> Owner, Request),
-            S::OwnerProbeGr(Owner),
-            S::Count("read_remote_gr"),
-            send!(DatumReply, Owner -> Requester, Datum),
-            S::SetHintAtReq,
-            S::NoteServeOwner,
-        ],
-    },
-    Rule {
-        name: "read-inv-hint-dw",
-        when: &[G::InvalidEntry, G::UsableHint, G::HintOwns, G::HintIsDw],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(DirectLoadReq, Requester -> Hint, Request),
-            S::OwnerProbeDw(Hint),
-            send!(BlockReply, Hint -> Requester, BlockTransfer),
-            S::InstallUnownedCopy,
-            S::NoteServeOwner,
-        ],
-    },
-    Rule {
-        name: "read-inv-hint-gr",
-        when: &[G::InvalidEntry, G::UsableHint, G::HintOwns, G::HintIsGr],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(DirectLoadReq, Requester -> Hint, Request),
-            S::OwnerProbeGr(Hint),
-            S::Count("read_remote_gr"),
-            send!(DatumReply, Hint -> Requester, Datum),
-            S::SetHintAtReq,
-            S::NoteServeOwner,
-        ],
-    },
-    Rule {
-        name: "read-inv-stale-unowned",
-        when: &[
-            G::InvalidEntry,
-            G::UsableHint,
-            G::HintStale,
-            G::BlockUnowned,
-        ],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(DirectLoadReq, Requester -> Hint, Request),
-            S::Count("redirects"),
-            S::StaleHintNote,
-            send!(Redirect, Hint -> Home, Request),
-            S::FetchMem,
-            send!(BlockReply, Home -> Requester, BlockTransfer),
-            S::InstallOwnedExclusive,
-        ],
-    },
-    Rule {
-        name: "read-inv-stale-owned-dw",
-        when: &[
-            G::InvalidEntry,
-            G::UsableHint,
-            G::HintStale,
-            G::BlockOwned,
-            G::OwnerIsDw,
-        ],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(DirectLoadReq, Requester -> Hint, Request),
-            S::Count("redirects"),
-            S::StaleHintNote,
-            send!(Redirect, Hint -> Home, Request),
-            send!(FwdLoad, Home -> Owner, Request),
-            S::OwnerProbeDw(Owner),
-            send!(BlockReply, Owner -> Requester, BlockTransfer),
-            S::InstallUnownedCopy,
-            S::NoteServeOwner,
-        ],
-    },
-    Rule {
-        name: "read-inv-stale-owned-gr",
-        when: &[
-            G::InvalidEntry,
-            G::UsableHint,
-            G::HintStale,
-            G::BlockOwned,
-            G::OwnerIsGr,
-        ],
-        steps: &[
-            S::Count("read_miss_invalid"),
-            S::Miss {
-                write: false,
-                cold: false,
-            },
-            send!(DirectLoadReq, Requester -> Hint, Request),
-            S::Count("redirects"),
-            S::StaleHintNote,
-            send!(Redirect, Hint -> Home, Request),
-            send!(FwdLoad, Home -> Owner, Request),
-            S::OwnerProbeGr(Owner),
-            S::Count("read_remote_gr"),
-            send!(DatumReply, Owner -> Requester, Datum),
-            S::SetHintAtReq,
-            S::NoteServeOwner,
-        ],
-    },
+    ),
 ];
 
 /// Processor write (§2.2 cases 3 and 4): every rule ends with the owned
 /// write and its conditional update cast.
 pub static WRITE_RULES: &[Rule] = &[
-    Rule {
-        name: "write-hit-owner",
-        when: &[G::OwnedHit],
-        steps: &[S::Count("write_hit_owner"), S::WriteAtOwner, S::UpdateCast],
-    },
-    Rule {
-        name: "write-hit-unowned-dw",
-        when: &[G::UnOwnedHit, G::OwnerIsDw],
-        steps: &[
+    rule!(
+        "write-hit-owner",
+        [G::OwnedHit],
+        [S::Count("write_hit_owner"), S::WriteAtOwner, S::UpdateCast],
+    ),
+    rule!(
+        "write-hit-unowned-dw",
+        [G::UnOwnedHit, G::OwnerIsDw],
+        [
             S::Count("write_hit_unowned"),
             send!(OwnershipReq, Requester -> Home, Request),
             S::SetOwnerReq,
@@ -690,11 +824,11 @@ pub static WRITE_RULES: &[Rule] = &[
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-hit-unowned-gr",
-        when: &[G::UnOwnedHit, G::OwnerIsGr],
-        steps: &[
+    ),
+    rule!(
+        "write-hit-unowned-gr",
+        [G::UnOwnedHit, G::OwnerIsGr],
+        [
             S::Count("write_hit_unowned"),
             send!(OwnershipReq, Requester -> Home, Request),
             S::SetOwnerReq,
@@ -707,45 +841,43 @@ pub static WRITE_RULES: &[Rule] = &[
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-miss-cold-unowned",
-        when: &[G::Missing, G::BlockUnowned],
-        steps: &[
+    ),
+    rule!(
+        "write-miss-cold-unowned",
+        [G::Missing, G::BlockUnowned],
+        [
             S::Count("write_miss"),
             S::Miss {
                 write: true,
                 cold: true,
             },
             send!(LoadOwnReq, Requester -> Home, Request),
-            S::FetchMem,
             send!(BlockReply, Home -> Requester, BlockTransfer),
             S::InstallOwnedExclusive,
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-miss-inv-unowned",
-        when: &[G::InvalidEntry, G::BlockUnowned],
-        steps: &[
+    ),
+    rule!(
+        "write-miss-inv-unowned",
+        [G::InvalidEntry, G::BlockUnowned],
+        [
             S::Count("write_miss"),
             S::Miss {
                 write: true,
                 cold: false,
             },
             send!(LoadOwnReq, Requester -> Home, Request),
-            S::FetchMem,
             send!(BlockReply, Home -> Requester, BlockTransfer),
             S::InstallOwnedExclusive,
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-miss-cold-owned-dw",
-        when: &[G::Missing, G::BlockOwned, G::OwnerIsDw],
-        steps: &[
+    ),
+    rule!(
+        "write-miss-cold-owned-dw",
+        [G::Missing, G::BlockOwned, G::OwnerIsDw],
+        [
             S::Count("write_miss"),
             S::Miss {
                 write: true,
@@ -754,7 +886,6 @@ pub static WRITE_RULES: &[Rule] = &[
             send!(LoadOwnReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdLoadOwn, Home -> Owner, Request),
-            S::RegisterReqAtOld,
             S::XferProbe,
             send!(OwnershipXfer, Owner -> Requester, BlockAndState),
             S::DemoteOldDw,
@@ -762,11 +893,11 @@ pub static WRITE_RULES: &[Rule] = &[
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-miss-inv-owned-dw",
-        when: &[G::InvalidEntry, G::BlockOwned, G::OwnerIsDw],
-        steps: &[
+    ),
+    rule!(
+        "write-miss-inv-owned-dw",
+        [G::InvalidEntry, G::BlockOwned, G::OwnerIsDw],
+        [
             S::Count("write_miss"),
             S::Miss {
                 write: true,
@@ -775,7 +906,6 @@ pub static WRITE_RULES: &[Rule] = &[
             send!(LoadOwnReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdLoadOwn, Home -> Owner, Request),
-            S::RegisterReqAtOld,
             S::XferProbe,
             send!(OwnershipXfer, Owner -> Requester, BlockAndState),
             S::DemoteOldDw,
@@ -783,11 +913,11 @@ pub static WRITE_RULES: &[Rule] = &[
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-miss-cold-owned-gr",
-        when: &[G::Missing, G::BlockOwned, G::OwnerIsGr],
-        steps: &[
+    ),
+    rule!(
+        "write-miss-cold-owned-gr",
+        [G::Missing, G::BlockOwned, G::OwnerIsGr],
+        [
             S::Count("write_miss"),
             S::Miss {
                 write: true,
@@ -796,7 +926,6 @@ pub static WRITE_RULES: &[Rule] = &[
             send!(LoadOwnReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdLoadOwn, Home -> Owner, Request),
-            S::RegisterReqAtOld,
             S::XferProbe,
             send!(OwnershipXfer, Owner -> Requester, BlockAndState),
             S::AnnounceCast,
@@ -805,11 +934,11 @@ pub static WRITE_RULES: &[Rule] = &[
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
-    Rule {
-        name: "write-miss-inv-owned-gr",
-        when: &[G::InvalidEntry, G::BlockOwned, G::OwnerIsGr],
-        steps: &[
+    ),
+    rule!(
+        "write-miss-inv-owned-gr",
+        [G::InvalidEntry, G::BlockOwned, G::OwnerIsGr],
+        [
             S::Count("write_miss"),
             S::Miss {
                 write: true,
@@ -818,7 +947,6 @@ pub static WRITE_RULES: &[Rule] = &[
             send!(LoadOwnReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdLoadOwn, Home -> Owner, Request),
-            S::RegisterReqAtOld,
             S::XferProbe,
             send!(OwnershipXfer, Owner -> Requester, BlockAndState),
             S::AnnounceCast,
@@ -827,22 +955,18 @@ pub static WRITE_RULES: &[Rule] = &[
             S::WriteAtOwner,
             S::UpdateCast,
         ],
-    },
+    ),
 ];
 
 /// Software mode directive (§2.2 cases 6/7 entry): acquire ownership like
 /// a write (but with no miss accounting — directives are not misses),
 /// then switch in place via [`MODE_RULES`].
 pub static SET_MODE_RULES: &[Rule] = &[
-    Rule {
-        name: "setmode-hit-owner",
-        when: &[G::OwnedHit],
-        steps: &[S::SwitchMode],
-    },
-    Rule {
-        name: "setmode-hit-unowned-dw",
-        when: &[G::UnOwnedHit, G::OwnerIsDw],
-        steps: &[
+    rule!("setmode-hit-owner", [G::OwnedHit], [S::SwitchMode],),
+    rule!(
+        "setmode-hit-unowned-dw",
+        [G::UnOwnedHit, G::OwnerIsDw],
+        [
             send!(OwnershipReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdOwnership, Home -> Owner, Request),
@@ -852,11 +976,11 @@ pub static SET_MODE_RULES: &[Rule] = &[
             S::InstallXfer { send_data: false },
             S::SwitchMode,
         ],
-    },
-    Rule {
-        name: "setmode-hit-unowned-gr",
-        when: &[G::UnOwnedHit, G::OwnerIsGr],
-        steps: &[
+    ),
+    rule!(
+        "setmode-hit-unowned-gr",
+        [G::UnOwnedHit, G::OwnerIsGr],
+        [
             send!(OwnershipReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdOwnership, Home -> Owner, Request),
@@ -867,41 +991,38 @@ pub static SET_MODE_RULES: &[Rule] = &[
             S::InstallXfer { send_data: true },
             S::SwitchMode,
         ],
-    },
-    Rule {
-        name: "setmode-miss-unowned",
-        when: &[G::Miss, G::BlockUnowned],
-        steps: &[
+    ),
+    rule!(
+        "setmode-miss-unowned",
+        [G::Miss, G::BlockUnowned],
+        [
             send!(LoadOwnReq, Requester -> Home, Request),
-            S::FetchMem,
             send!(BlockReply, Home -> Requester, BlockTransfer),
             S::InstallOwnedExclusive,
             S::SwitchMode,
         ],
-    },
-    Rule {
-        name: "setmode-miss-owned-dw",
-        when: &[G::Miss, G::BlockOwned, G::OwnerIsDw],
-        steps: &[
+    ),
+    rule!(
+        "setmode-miss-owned-dw",
+        [G::Miss, G::BlockOwned, G::OwnerIsDw],
+        [
             send!(LoadOwnReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdLoadOwn, Home -> Owner, Request),
-            S::RegisterReqAtOld,
             S::XferProbe,
             send!(OwnershipXfer, Owner -> Requester, BlockAndState),
             S::DemoteOldDw,
             S::InstallXfer { send_data: true },
             S::SwitchMode,
         ],
-    },
-    Rule {
-        name: "setmode-miss-owned-gr",
-        when: &[G::Miss, G::BlockOwned, G::OwnerIsGr],
-        steps: &[
+    ),
+    rule!(
+        "setmode-miss-owned-gr",
+        [G::Miss, G::BlockOwned, G::OwnerIsGr],
+        [
             send!(LoadOwnReq, Requester -> Home, Request),
             S::SetOwnerReq,
             send!(FwdLoadOwn, Home -> Owner, Request),
-            S::RegisterReqAtOld,
             S::XferProbe,
             send!(OwnershipXfer, Owner -> Requester, BlockAndState),
             S::AnnounceCast,
@@ -909,36 +1030,36 @@ pub static SET_MODE_RULES: &[Rule] = &[
             S::InstallXfer { send_data: true },
             S::SwitchMode,
         ],
-    },
+    ),
 ];
 
-/// Replacement (§2.2 case 5). The interpreter brackets every rule with
-/// the shared prelude (replacement counter, trace event, victim capture)
-/// and postlude (drop the entry, log the change); the rules carry what
-/// differs per victim class.
+/// Replacement (§2.2 case 5). `System::replace` brackets every rule with
+/// the shared prelude (replacement counter, trace event) and postlude
+/// (drop the entry, log the change); the rules carry what differs per
+/// victim class.
 pub static REPLACE_RULES: &[Rule] = &[
-    Rule {
-        name: "replace-owned-exclusive-dirty",
-        when: &[G::VictimOwned, G::Exclusive, G::Dirty],
-        steps: &[
+    rule!(
+        "replace-owned-exclusive-dirty",
+        [G::VictimOwned, G::Exclusive, G::Dirty],
+        [
             send!(WriteBack, Requester -> Home, BlockTransfer),
             S::Count("writebacks"),
             S::MemWriteBackVictim,
             S::ClearStoreVictim,
         ],
-    },
-    Rule {
-        name: "replace-owned-exclusive-clean",
-        when: &[G::VictimOwned, G::Exclusive, G::Clean],
-        steps: &[
+    ),
+    rule!(
+        "replace-owned-exclusive-clean",
+        [G::VictimOwned, G::Exclusive, G::Clean],
+        [
             send!(ReplaceNotice, Requester -> Home, Request),
             S::ClearStoreVictim,
         ],
-    },
-    Rule {
-        name: "replace-handoff-dw",
-        when: &[G::VictimOwned, G::NotExclusive, G::VictimDw],
-        steps: &[
+    ),
+    rule!(
+        "replace-handoff-dw",
+        [G::VictimOwned, G::NotExclusive, G::VictimDw],
+        [
             S::HandoffOffers,
             send!(OwnershipReq, Candidate -> Home, Request),
             S::SetOwnerCand,
@@ -947,11 +1068,11 @@ pub static REPLACE_RULES: &[Rule] = &[
             S::PromoteCandDw,
             S::Count("ownership_transfers"),
         ],
-    },
-    Rule {
-        name: "replace-handoff-gr",
-        when: &[G::VictimOwned, G::NotExclusive, G::VictimGr],
-        steps: &[
+    ),
+    rule!(
+        "replace-handoff-gr",
+        [G::VictimOwned, G::NotExclusive, G::VictimGr],
+        [
             S::HandoffOffers,
             send!(OwnershipReq, Candidate -> Home, Request),
             S::SetOwnerCand,
@@ -961,66 +1082,159 @@ pub static REPLACE_RULES: &[Rule] = &[
             S::AnnounceCastHandoff,
             S::Count("ownership_transfers"),
         ],
-    },
-    Rule {
-        name: "replace-copy-owned",
-        when: &[G::VictimCopy, G::BlockOwned],
-        steps: &[
+    ),
+    rule!(
+        "replace-copy-owned",
+        [G::VictimCopy, G::BlockOwned],
+        [
             send!(ReplaceNotice, Requester -> Home, Request),
             send!(FwdPresenceClear, Home -> Owner, Request),
             S::ClearPresenceAtOwner,
         ],
-    },
-    Rule {
-        name: "replace-copy-orphan",
-        when: &[G::VictimCopy, G::BlockUnowned],
-        steps: &[send!(ReplaceNotice, Requester -> Home, Request)],
-    },
+    ),
+    rule!(
+        "replace-copy-orphan",
+        [G::VictimCopy, G::BlockUnowned],
+        [send!(ReplaceNotice, Requester -> Home, Request)],
+    ),
 ];
 
 /// In-place mode switch at the owner (§2.2 cases 6 and 7; also the §5
-/// adaptive policy's actuator). The interpreter emits the mode-switch
-/// trace event and state-change log entry around the fired rule's steps;
-/// a `switch-noop` fire is fully silent.
+/// adaptive policy's actuator). `System::switch_mode_at_owner` emits the
+/// mode-switch trace event and state-change log entry around the fired
+/// rule's steps; a `switch-noop` fire is fully silent.
 pub static MODE_RULES: &[Rule] = &[
-    Rule {
-        name: "switch-noop",
-        when: &[G::SameMode],
-        steps: &[],
-    },
-    Rule {
-        name: "switch-to-dw",
-        when: &[G::ModeChanges, G::ToDw],
-        steps: &[S::Count("mode_switch_to_dw"), S::ModeToDw],
-    },
-    Rule {
-        name: "switch-to-gr-lone",
-        when: &[G::ModeChanges, G::ToGr, G::LoneCopy],
-        steps: &[S::Count("mode_switch_to_gr"), S::ModeToGr],
-    },
-    Rule {
-        name: "switch-to-gr-shared",
-        when: &[G::ModeChanges, G::ToGr, G::SharedCopies],
-        steps: &[
+    rule!("switch-noop", [G::SameMode], [],),
+    rule!(
+        "switch-to-dw",
+        [G::ModeChanges, G::ToDw],
+        [S::Count("mode_switch_to_dw"), S::ModeToDw],
+    ),
+    rule!(
+        "switch-to-gr-lone",
+        [G::ModeChanges, G::ToGr, G::LoneCopy],
+        [S::Count("mode_switch_to_gr"), S::ModeToGr],
+    ),
+    rule!(
+        "switch-to-gr-shared",
+        [G::ModeChanges, G::ToGr, G::SharedCopies],
+        [
             S::Count("mode_switch_to_gr"),
             S::ModeToGr,
             S::InvalidateCast,
         ],
-    },
+    ),
 ];
-
-/// The complete protocol action table.
-pub static PROTOCOL_IR: ProtocolIr = ProtocolIr {
-    read: READ_RULES,
-    write: WRITE_RULES,
-    set_mode: SET_MODE_RULES,
-    replace: REPLACE_RULES,
-    mode: MODE_RULES,
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::discriminant;
+
+    /// Everything a guard may test, as plain values: the declarative
+    /// reading of the `when` lists that [`select`] is checked against.
+    /// Fields irrelevant to the transaction kind stay `None`/`false`.
+    #[derive(Clone, Copy, Debug, Default)]
+    struct RuleCtx {
+        lookup: Option<LookupClass>,
+        block_owned: bool,
+        owner_mode: Option<Mode>,
+        usable_hint: bool,
+        hint_owns: bool,
+        hint_mode: Option<Mode>,
+        victim: Option<VictimCtx>,
+        mode_switch: Option<ModeCtx>,
+    }
+
+    impl Guard {
+        /// Whether this predicate holds for `ctx`.
+        fn holds(self, ctx: &RuleCtx) -> bool {
+            use LookupClass as L;
+            match self {
+                Guard::Hit => matches!(ctx.lookup, Some(L::UnOwnedHit | L::OwnedHit)),
+                Guard::Missing => ctx.lookup == Some(L::Missing),
+                Guard::InvalidEntry => ctx.lookup == Some(L::InvalidEntry),
+                Guard::Miss => matches!(ctx.lookup, Some(L::Missing | L::InvalidEntry)),
+                Guard::OwnedHit => ctx.lookup == Some(L::OwnedHit),
+                Guard::UnOwnedHit => ctx.lookup == Some(L::UnOwnedHit),
+                Guard::BlockOwned => ctx.block_owned,
+                Guard::BlockUnowned => !ctx.block_owned,
+                Guard::OwnerIsDw => ctx.owner_mode == Some(Mode::DistributedWrite),
+                Guard::OwnerIsGr => ctx.owner_mode == Some(Mode::GlobalRead),
+                Guard::UsableHint => ctx.usable_hint,
+                Guard::NoUsableHint => !ctx.usable_hint,
+                Guard::HintOwns => ctx.hint_owns,
+                Guard::HintStale => ctx.usable_hint && !ctx.hint_owns,
+                Guard::HintIsDw => ctx.hint_mode == Some(Mode::DistributedWrite),
+                Guard::HintIsGr => ctx.hint_mode == Some(Mode::GlobalRead),
+                Guard::VictimOwned => ctx.victim.is_some_and(|v| v.owned),
+                Guard::VictimCopy => ctx.victim.is_some_and(|v| !v.owned),
+                Guard::Exclusive => ctx.victim.is_some_and(|v| v.exclusive),
+                Guard::NotExclusive => ctx.victim.is_some_and(|v| !v.exclusive),
+                Guard::Dirty => ctx.victim.is_some_and(|v| v.modified),
+                Guard::Clean => ctx.victim.is_some_and(|v| !v.modified),
+                Guard::VictimDw => ctx.victim.is_some_and(|v| v.mode == Mode::DistributedWrite),
+                Guard::VictimGr => ctx.victim.is_some_and(|v| v.mode == Mode::GlobalRead),
+                Guard::SameMode => ctx.mode_switch.is_some_and(|m| m.current == m.target),
+                Guard::ModeChanges => ctx.mode_switch.is_some_and(|m| m.current != m.target),
+                Guard::ToDw => ctx
+                    .mode_switch
+                    .is_some_and(|m| m.target == Mode::DistributedWrite),
+                Guard::ToGr => ctx
+                    .mode_switch
+                    .is_some_and(|m| m.target == Mode::GlobalRead),
+                Guard::LoneCopy => ctx.mode_switch.is_some_and(|m| !m.other_copies),
+                Guard::SharedCopies => ctx.mode_switch.is_some_and(|m| m.other_copies),
+            }
+        }
+    }
+
+    impl RuleCtx {
+        /// One group of this context through the engine's own encoders.
+        fn probe(&self, group: FactGroup) -> Facts {
+            match group {
+                FactGroup::Lookup => self.lookup.map_or(Facts::NONE, Facts::lookup),
+                FactGroup::Owner => Facts::owner(self.block_owned, self.owner_mode),
+                FactGroup::Hint => {
+                    Facts::hint(self.usable_hint, self.hint_mode.filter(|_| self.hint_owns))
+                }
+                FactGroup::Victim => self.victim.map_or(Facts::NONE, Facts::victim),
+                FactGroup::Switch => self.mode_switch.map_or(Facts::NONE, Facts::switch),
+            }
+        }
+    }
+
+    /// Asserts that exactly one rule's `when` list holds for `ctx` and
+    /// that [`select`], entering with the `entry` group and probing the
+    /// rest on demand, picks that rule. Returns it with the groups probed.
+    fn fired(
+        table: &str,
+        rules: &'static [Rule],
+        entry: FactGroup,
+        ctx: &RuleCtx,
+    ) -> (&'static Rule, Vec<FactGroup>) {
+        let declared: Vec<_> = rules
+            .iter()
+            .filter(|r| r.when.iter().all(|g| g.holds(ctx)))
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(
+            declared.len(),
+            1,
+            "{table} table fired {declared:?} for {ctx:?}"
+        );
+        let mut probed = Vec::new();
+        let selected = select(rules, ctx.probe(entry), |group| {
+            probed.push(group);
+            ctx.probe(group)
+        })
+        .unwrap_or_else(|| panic!("{table}: select found no rule for {ctx:?}"));
+        assert_eq!(
+            selected.name, declared[0],
+            "{table}: select vs `when` for {ctx:?}"
+        );
+        (selected, probed)
+    }
 
     fn lookup_classes() -> [LookupClass; 4] {
         [
@@ -1032,8 +1246,9 @@ mod tests {
     }
 
     /// Every well-formed access context selects exactly one rule in each
-    /// of the read/write/set-mode tables: the guard structure is total
-    /// and deterministic, not just first-match-wins.
+    /// of the read/write/set-mode tables — the guard structure is total
+    /// and deterministic, not just first-match-wins — [`select`] finds it,
+    /// and it probes no more of the machine than the decision needs.
     #[test]
     fn access_tables_are_total_and_unambiguous() {
         let modes = [Mode::DistributedWrite, Mode::GlobalRead];
@@ -1078,16 +1293,27 @@ mod tests {
                                 ("write", WRITE_RULES),
                                 ("set_mode", SET_MODE_RULES),
                             ] {
-                                let fired: Vec<_> = rules
-                                    .iter()
-                                    .filter(|r| r.when.iter().all(|g| g.holds(&ctx)))
-                                    .map(|r| r.name)
-                                    .collect();
+                                let (_, probed) = fired(table, rules, FactGroup::Lookup, &ctx);
+                                let read_hit = table == "read"
+                                    && lookup != LookupClass::Missing
+                                    && lookup != LookupClass::InvalidEntry;
+                                if read_hit || lookup == LookupClass::OwnedHit {
+                                    assert_eq!(probed, [], "{table}: a hit probes nothing");
+                                }
+                                let may_hint =
+                                    table == "read" && lookup == LookupClass::InvalidEntry;
                                 assert_eq!(
-                                    fired.len(),
-                                    1,
-                                    "{table} table fired {fired:?} for {ctx:?}"
+                                    probed.contains(&FactGroup::Hint),
+                                    may_hint,
+                                    "{table}: hint probe for {ctx:?}"
                                 );
+                                if may_hint && hint_owns {
+                                    assert_eq!(
+                                        probed,
+                                        [FactGroup::Hint],
+                                        "a fresh hint answers without the block store"
+                                    );
+                                }
                             }
                         }
                     }
@@ -1096,7 +1322,8 @@ mod tests {
         }
     }
 
-    /// Every victim class selects exactly one replacement rule.
+    /// Every victim class selects exactly one replacement rule, and only
+    /// an evicted copy consults the block store.
     #[test]
     fn replace_table_is_total_and_unambiguous() {
         for owned in [false, true] {
@@ -1117,12 +1344,11 @@ mod tests {
                                 block_owned,
                                 ..RuleCtx::default()
                             };
-                            let fired: Vec<_> = REPLACE_RULES
-                                .iter()
-                                .filter(|r| r.when.iter().all(|g| g.holds(&ctx)))
-                                .map(|r| r.name)
-                                .collect();
-                            assert_eq!(fired.len(), 1, "replace fired {fired:?} for {ctx:?}");
+                            let (_, probed) =
+                                fired("replace", REPLACE_RULES, FactGroup::Victim, &ctx);
+                            let expect: &[FactGroup] =
+                                if owned { &[] } else { &[FactGroup::Owner] };
+                            assert_eq!(probed, expect, "replace probes for {ctx:?}");
                         }
                     }
                 }
@@ -1145,33 +1371,169 @@ mod tests {
                         }),
                         ..RuleCtx::default()
                     };
-                    let fired: Vec<_> = MODE_RULES
-                        .iter()
-                        .filter(|r| r.when.iter().all(|g| g.holds(&ctx)))
-                        .map(|r| r.name)
-                        .collect();
-                    assert_eq!(fired.len(), 1, "mode table fired {fired:?} for {ctx:?}");
+                    let (_, probed) = fired("mode", MODE_RULES, FactGroup::Switch, &ctx);
+                    assert_eq!(probed, []);
                 }
             }
         }
     }
 
-    /// Rule names are unique across the whole IR — they key diagnostics,
-    /// docs and the negative conformance test.
+    fn tables() -> [(&'static str, &'static [Rule], FactGroup); 5] {
+        [
+            ("read", READ_RULES, FactGroup::Lookup),
+            ("write", WRITE_RULES, FactGroup::Lookup),
+            ("set_mode", SET_MODE_RULES, FactGroup::Lookup),
+            ("replace", REPLACE_RULES, FactGroup::Victim),
+            ("mode", MODE_RULES, FactGroup::Switch),
+        ]
+    }
+
+    /// Rule names are unique across the whole protocol — they key
+    /// diagnostics and the docs.
     #[test]
     fn rule_names_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for rules in [
-            READ_RULES,
-            WRITE_RULES,
-            SET_MODE_RULES,
-            REPLACE_RULES,
-            MODE_RULES,
-        ] {
+        for (_, rules, _) in tables() {
             for r in rules {
                 assert!(seen.insert(r.name), "duplicate rule name {}", r.name);
             }
         }
         assert_eq!(seen.len(), 37, "rule census drifted — update the docs");
+    }
+
+    /// What a step takes for granted when it runs.
+    enum Need {
+        /// The rule guards on one of these facts.
+        Guarded(&'static [Guard]),
+        /// A step of one of these kinds comes earlier in the rule.
+        After(&'static [Step]),
+        /// One of the two above.
+        AfterOrGuarded(&'static [Step], &'static [Guard]),
+        /// Nothing provides it: the step is wrong wherever it stands.
+        Never,
+    }
+    use Need::{After, AfterOrGuarded, Guarded, Never};
+
+    /// Facts under which the block-store owner is resolved.
+    const OWNED: &[Guard] = &[G::BlockOwned, G::OwnerIsDw, G::OwnerIsGr];
+    /// Facts under which the OWNER-hint target is resolved.
+    const HINTED: &[Guard] = &[G::UsableHint, G::HintOwns, G::HintStale];
+
+    fn endpoint(ep: Ep) -> Vec<Need> {
+        match ep {
+            Requester | Home => vec![],
+            Owner => vec![Guarded(OWNED)],
+            Hint => vec![Guarded(HINTED)],
+            Candidate => vec![After(&[S::HandoffOffers])],
+        }
+    }
+
+    /// A load is served by the owner or the hint target, in the mode the
+    /// probe step assumes.
+    fn serving(ep: Ep, owner: &'static [Guard], hint: &'static [Guard]) -> Vec<Need> {
+        match ep {
+            Owner => vec![Guarded(owner)],
+            Hint => vec![Guarded(hint)],
+            Requester | Home | Candidate => vec![Never],
+        }
+    }
+
+    fn needs(step: &Step) -> Vec<Need> {
+        const PROBES: &[Step] = &[S::OwnerProbeDw(Owner), S::OwnerProbeGr(Owner)];
+        const XFER: &[Step] = &[S::XferProbe];
+        const OFFERS: &[Step] = &[S::HandoffOffers];
+        // The steps that leave the requester owning the block.
+        const ACQUIRES: &[Step] = &[S::InstallOwnedExclusive, S::InstallXfer { send_data: true }];
+        match *step {
+            S::Count(_) | S::SetOwnerReq | S::InstallOwnedExclusive => vec![],
+            S::Miss { cold: true, .. } => vec![Guarded(&[G::Missing])],
+            S::Miss { cold: false, .. } => vec![Guarded(&[G::InvalidEntry])],
+            S::Send { from, to, .. } => endpoint(from).into_iter().chain(endpoint(to)).collect(),
+            S::ReadHitWord => vec![Guarded(&[G::Hit])],
+            S::OwnerProbeDw(ep) => serving(ep, &[G::OwnerIsDw], &[G::HintIsDw]),
+            S::OwnerProbeGr(ep) => serving(ep, &[G::OwnerIsGr], &[G::HintIsGr]),
+            S::InstallUnownedCopy => vec![After(&[S::OwnerProbeDw(Owner)])],
+            S::SetHintAtReq => vec![
+                After(&[S::OwnerProbeGr(Owner)]),
+                Guarded(&[G::InvalidEntry]),
+            ],
+            S::InstallInvalidHint => vec![After(&[S::OwnerProbeGr(Owner)]), Guarded(&[G::Missing])],
+            S::NoteServeOwner => vec![After(PROBES)],
+            S::StaleHintNote => vec![Guarded(&[G::HintStale])],
+            S::XferProbe => vec![Guarded(OWNED)],
+            S::DemoteOldDw => vec![After(XFER), Guarded(&[G::OwnerIsDw])],
+            S::AnnounceCast | S::InvalidateOldGr => vec![After(XFER), Guarded(&[G::OwnerIsGr])],
+            S::InstallXfer { send_data: true } => vec![After(XFER)],
+            // Only a distributed-write sharer holds data worth keeping.
+            S::InstallXfer { send_data: false } => vec![
+                After(XFER),
+                Guarded(&[G::UnOwnedHit]),
+                Guarded(&[G::OwnerIsDw]),
+            ],
+            S::WriteAtOwner | S::SwitchMode => vec![AfterOrGuarded(ACQUIRES, &[G::OwnedHit])],
+            S::UpdateCast => vec![After(&[S::WriteAtOwner])],
+            S::MemWriteBackVictim => vec![Guarded(&[G::VictimOwned]), Guarded(&[G::Dirty])],
+            S::ClearStoreVictim => vec![Guarded(&[G::VictimOwned]), Guarded(&[G::Exclusive])],
+            S::ClearPresenceAtOwner => vec![Guarded(&[G::VictimCopy]), Guarded(OWNED)],
+            S::HandoffOffers => vec![Guarded(&[G::VictimOwned]), Guarded(&[G::NotExclusive])],
+            S::SetOwnerCand => vec![After(OFFERS)],
+            S::PromoteCandDw => vec![After(OFFERS), Guarded(&[G::VictimDw])],
+            S::PromoteCandGr => vec![After(OFFERS), Guarded(&[G::VictimGr])],
+            S::AnnounceCastHandoff => vec![After(&[S::PromoteCandGr])],
+            S::ModeToDw => vec![Guarded(&[G::ModeChanges]), Guarded(&[G::ToDw])],
+            S::ModeToGr => vec![Guarded(&[G::ModeChanges]), Guarded(&[G::ToGr])],
+            S::InvalidateCast => vec![After(&[S::ModeToGr]), Guarded(&[G::SharedCopies])],
+        }
+    }
+
+    /// The table lint: a rule guards only on facts its table's entry point
+    /// can establish, and every step finds what it assumes — each
+    /// endpoint resolved by a guard or named by an earlier step, each
+    /// value it consumes produced earlier in the same rule. What would be
+    /// a panic in the middle of a run is a failure here instead.
+    #[test]
+    fn every_step_finds_what_it_assumes() {
+        for (table, rules, entry) in tables() {
+            let mut probes = entry.mask();
+            if entry != FactGroup::Switch {
+                probes |= FactGroup::Owner.mask();
+            }
+            if entry == FactGroup::Lookup {
+                probes |= FactGroup::Hint.mask();
+            }
+            for rule in rules {
+                let name = rule.name;
+                assert_ne!(
+                    rule.mask & entry.mask(),
+                    0,
+                    "{name} ignores its entry group"
+                );
+                assert_eq!(
+                    rule.mask & !probes,
+                    0,
+                    "{name} guards on a fact {table} never probes"
+                );
+                for (i, step) in rule.steps.iter().enumerate() {
+                    let after = |kinds: &[Step]| {
+                        rule.steps[..i]
+                            .iter()
+                            .any(|s| kinds.iter().any(|k| discriminant(s) == discriminant(k)))
+                    };
+                    let guarded = |facts: &[Guard]| facts.iter().any(|g| rule.when.contains(g));
+                    for need in needs(step) {
+                        let met = match need {
+                            Guarded(facts) => guarded(facts),
+                            After(kinds) => after(kinds),
+                            AfterOrGuarded(kinds, facts) => after(kinds) || guarded(facts),
+                            Never => false,
+                        };
+                        assert!(
+                            met,
+                            "{table}/{name}: step {i} ({step:?}) runs without what it assumes"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

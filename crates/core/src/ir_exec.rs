@@ -1,704 +1,211 @@
-//! The guarded-action interpreter: executes [`crate::ir::ProtocolIr`]
-//! tables on the live machine, bit-identical to the hand-coded paths in
-//! `system.rs`.
+//! The protocol engine proper: runs the rule tables of [`crate::ir`] on
+//! the live machine. This is the only code that moves a block, an owner
+//! or a mode — `system.rs` holds the entry points and the plumbing
+//! (`send`, `mcast`, `install_line`, logging, timing, faults) that the
+//! steps below share.
+//!
+//! One transaction is: encode the request into [`Facts`] (probing the
+//! machine only as far as the decision needs), [`select`] the one rule
+//! that fires, and apply its [`Step`]s in order — one `System` method per
+//! step, named by the single `match` in [`System::step`], which each
+//! rule's `run` function resolves at compile time. The few values that
+//! pass from step to step (resolved endpoints, the word read, the mode and
+//! M bit of a migrating owner) live in a [`Txn`] on the stack — plain
+//! words, nothing to drop; blocks and present vectors move from line to
+//! line directly. Rules therefore re-enter cleanly: an install step may
+//! trigger a replacement, whose rule may hand ownership off, each with its
+//! own `Txn`.
 //!
 //! This file is compiled as a child module of [`crate::system`] (via
-//! `#[path]`), so the interpreter works directly on `System`'s private
-//! state — the same caches, block store, traffic matrix and logs the
-//! hand-coded engine uses. Every micro-operation here mirrors one
-//! fragment of the hand-coded logic *verbatim*: same probe order, same
-//! counter order, same `log_state`/`note_state_change` bracketing, and
-//! all traffic goes through the same [`System::send`]/[`System::mcast`]
-//! plumbing so timing, fault injection and transaction logging compose
-//! unchanged. The `ir-vs-handcoded` conformance pair and
-//! `tests/ir_equivalence.rs` hold that equivalence under differential
-//! test.
-//!
-//! Interpreter scratch lives on the stack (one [`Scratch`] per
-//! transaction, one [`ReplaceScratch`] per eviction), so rules re-enter
-//! cleanly: an install step may trigger a replacement, whose rule may
-//! trigger a handoff, without any shared mutable interpreter state.
+//! `#[path]`) so the steps work directly on `System`'s private state.
 
 use super::*;
-use crate::ir::{Ep, LookupClass, ModeCtx, ProtocolIr, Rule, RuleCtx, SizeClass, Step, VictimCtx};
+use crate::ir::{
+    select, Ep, FactGroup, Facts, LookupClass, ModeCtx, Rule, SizeClass, Step, VictimCtx,
+    MODE_RULES, READ_RULES, REPLACE_RULES, SET_MODE_RULES, WRITE_RULES,
+};
 
-/// Per-transaction interpreter scratch: resolved endpoints plus the
-/// values micro-ops pass between each other (probe captures, the read
-/// value, the pending transfer state).
-struct Scratch {
+/// The working state of one rule firing.
+pub(crate) struct Txn {
+    /// The cache the rule runs at: the requester of an access, the
+    /// replacer of a victim, the owner switching a block's mode.
     proc: usize,
+    /// The block accessed, evicted or switched.
     block: BlockAddr,
     offset: usize,
-    /// The value being written (writes) — unused for reads/set-mode.
+    /// The word the requester's tag probe found (reads).
+    hit_word: u64,
+    /// The value being written (writes).
     value_in: u64,
     /// The value produced for the processor (reads).
     value_out: u64,
-    /// Requested mode (set-mode only).
+    /// Requested mode (directives).
     target_mode: Mode,
-    home: usize,
-    /// Block-store owner at transaction start (before any ownership
-    /// mutation), when one exists.
+    /// Block-store owner at transaction start, once a guard has probed
+    /// for it.
     owner: Option<usize>,
-    /// OWNER-hint target, when usable.
+    /// OWNER-hint target, once a guard has probed for it.
     hint: Option<usize>,
     /// The endpoint that served the load (set by the probe steps).
     serve: usize,
+    /// The handoff candidate that accepted ownership.
+    cand: usize,
     /// `log_state` snapshot of the serving/old owner, consumed by
-    /// `NoteServeOwner` / the demote-invalidate steps.
+    /// `note_serve_owner` / the demote and invalidate steps.
     before_owner: Option<StateName>,
-    /// Block data in flight to the requester (memory fetch or DW probe).
-    data: Option<tmc_memsys::BlockData>,
-    /// Ownership-transfer capture: (mode, M bit, data, present vector)
-    /// of the old owner, taken by `XferProbe`.
-    xfer: Option<(Mode, bool, tmc_memsys::BlockData, DestSet)>,
-    /// Owned-write capture: the other copy holders a distributed write
-    /// must reach, taken by `WriteAtOwner` for `UpdateCast`; `None` when
-    /// the write stays local (global read, or an exclusive owner).
-    write_probe: Option<DestSet>,
+    /// Mode and M bit of the old owner's line: with the present vector,
+    /// the state field that travels in an ownership transfer.
+    xfer: (Mode, bool),
 }
 
-impl Scratch {
-    fn new(proc: usize, block: BlockAddr, home: usize) -> Self {
-        Scratch {
+impl Txn {
+    fn new(proc: usize, block: BlockAddr) -> Self {
+        Txn {
             proc,
             block,
             offset: 0,
+            hit_word: 0,
             value_in: 0,
             value_out: 0,
             target_mode: Mode::DistributedWrite,
-            home,
             owner: None,
             hint: None,
             serve: usize::MAX,
+            cand: usize::MAX,
             before_owner: None,
-            data: None,
-            xfer: None,
-            write_probe: None,
+            xfer: (Mode::DistributedWrite, false),
         }
     }
 }
 
-/// Per-replacement interpreter scratch.
-struct ReplaceScratch {
-    proc: usize,
-    victim: BlockAddr,
-    home: usize,
-    /// Block-store owner of the victim, when one exists.
-    owner: Option<usize>,
-    /// The victim line, cloned up front exactly like the hand-coded path.
-    line: CacheLine,
-    /// The handoff candidate that accepted ownership.
-    cand: usize,
+/// A table without a rule for a context is incomplete — which the
+/// exhaustiveness tests in [`crate::ir`] rule out for well-formed protocol
+/// states.
+#[cold]
+#[inline(never)]
+fn no_rule(rules: &[Rule], entry: Facts, t: &Txn) -> ! {
+    panic!(
+        "no rule matches {entry:?} at C{} for {} (table of `{}`)",
+        t.proc, t.block, rules[0].name
+    )
 }
 
 impl System {
-    /// Payload bits for a [`SizeClass`] under this machine's §2.3 sizing.
-    fn ir_bits(&self, size: SizeClass) -> u64 {
-        let s = &self.cfg.sizing;
-        match size {
-            SizeClass::Request => s.request_bits(),
-            SizeClass::BlockTransfer => s.block_transfer_bits(),
-            SizeClass::Datum => s.datum_bits(),
-            SizeClass::DatumPlusOwnerId => {
-                s.datum_bits() + self.cfg.n_caches.trailing_zeros() as u64
-            }
-            SizeClass::Update => s.update_bits(),
-            SizeClass::Invalidate => s.invalidate_bits(),
-            SizeClass::NewOwnerId => s.new_owner_bits(self.cfg.n_caches),
-            SizeClass::StateTransfer => s.state_transfer_bits(self.cfg.n_caches),
-            SizeClass::BlockAndState => s.block_and_state_bits(self.cfg.n_caches),
-            SizeClass::Ack => s.ack_bits(),
-        }
-    }
+    // ------------------------------------------------------------------
+    // Entry points: one per table.
+    // ------------------------------------------------------------------
 
-    /// Builds the guard context shared by the read/write/set-mode tables.
-    fn ir_access_ctx(&self, proc: usize, block: BlockAddr, lookup: Lookup) -> (RuleCtx, Scratch) {
-        let mut scr = Scratch::new(proc, block, self.home_port(block));
-        let class = match lookup {
-            Lookup::Missing => LookupClass::Missing,
-            Lookup::InvalidEntry => LookupClass::InvalidEntry,
-            Lookup::UnOwnedHit => LookupClass::UnOwnedHit,
-            Lookup::OwnedHit => LookupClass::OwnedHit,
-        };
-        let owner = self.store.owner(block).map(|o| o.port());
-        scr.owner = owner;
-        let owner_mode = owner
-            .and_then(|o| self.caches[o].peek(block))
-            .map(|l| l.mode);
-        let hint = if lookup == Lookup::InvalidEntry && self.cfg.owner_bypass {
-            self.caches[proc]
-                .peek(block)
-                .and_then(|l| l.owner_hint)
-                .map(|h| h.port())
-        } else {
-            None
-        };
-        scr.hint = hint;
-        let hint_line = hint.and_then(|h| self.caches[h].peek(block));
-        let hint_owns = hint_line.is_some_and(CacheLine::is_owned);
-        let ctx = RuleCtx {
-            lookup: Some(class),
-            block_owned: owner.is_some(),
-            owner_mode,
-            usable_hint: hint.is_some(),
-            hint_owns,
-            hint_mode: hint_line.filter(|_| hint_owns).map(|l| l.mode),
-            ..RuleCtx::default()
-        };
-        (ctx, scr)
-    }
-
-    /// Selects the matching rule or panics with a diagnostic — an
-    /// unmatched context means the action table is incomplete, which the
-    /// exhaustiveness tests in [`crate::ir`] rule out for well-formed
-    /// protocol states.
-    fn ir_select<'a>(table: &'a [Rule], ctx: &RuleCtx, op: &str) -> &'a Rule {
-        crate::ir::select(table, ctx)
-            .unwrap_or_else(|| panic!("protocol IR: no {op} rule matches {ctx:?}"))
-    }
-
-    /// Table-driven read: replaces the hand-coded lookup dispatch in
-    /// `read_checked` (hit word service, cold/invalid miss paths, hint
-    /// bypass and stale-hint redirect). Returns the value read.
-    pub(super) fn ir_read(
+    /// Processor read through [`READ_RULES`]. `hit_word` is the word the
+    /// tag probe found, meaningful for a hit. Returns the value read.
+    pub(super) fn rule_read(
         &mut self,
-        table: &'static ProtocolIr,
         proc: usize,
         block: BlockAddr,
         offset: usize,
-        lookup: Lookup,
+        lookup: LookupClass,
+        hit_word: u64,
     ) -> u64 {
-        let (ctx, mut scr) = self.ir_access_ctx(proc, block, lookup);
-        scr.offset = offset;
-        let rule = Self::ir_select(table.read, &ctx, "read");
-        for step in rule.steps {
-            self.ir_step(table, step, &mut scr);
-        }
-        scr.value_out
+        let mut t = Txn::new(proc, block);
+        t.offset = offset;
+        t.hit_word = hit_word;
+        self.fire(READ_RULES, Facts::lookup(lookup), &mut t);
+        t.value_out
     }
 
-    /// Table-driven write: replaces the hand-coded ownership acquisition
-    /// plus `perform_owned_write` in `write_checked`.
-    pub(super) fn ir_write(
+    /// Processor write through [`WRITE_RULES`].
+    pub(super) fn rule_write(
         &mut self,
-        table: &'static ProtocolIr,
         proc: usize,
         block: BlockAddr,
         offset: usize,
         value: u64,
-        lookup: Lookup,
+        lookup: LookupClass,
     ) {
-        let (ctx, mut scr) = self.ir_access_ctx(proc, block, lookup);
-        scr.offset = offset;
-        scr.value_in = value;
-        let rule = Self::ir_select(table.write, &ctx, "write");
-        for step in rule.steps {
-            self.ir_step(table, step, &mut scr);
-        }
+        let mut t = Txn::new(proc, block);
+        t.offset = offset;
+        t.value_in = value;
+        self.fire(WRITE_RULES, Facts::lookup(lookup), &mut t);
     }
 
-    /// Table-driven mode directive: replaces the hand-coded ownership
-    /// acquisition plus `switch_mode_at_owner` call in
-    /// `set_mode_checked`.
-    pub(super) fn ir_set_mode(
+    /// Software mode directive through [`SET_MODE_RULES`].
+    pub(super) fn rule_set_mode(
         &mut self,
-        table: &'static ProtocolIr,
         proc: usize,
         block: BlockAddr,
         mode: Mode,
-        lookup: Lookup,
+        lookup: LookupClass,
     ) {
-        let (ctx, mut scr) = self.ir_access_ctx(proc, block, lookup);
-        scr.target_mode = mode;
-        let rule = Self::ir_select(table.set_mode, &ctx, "set_mode");
-        for step in rule.steps {
-            self.ir_step(table, step, &mut scr);
-        }
+        let mut t = Txn::new(proc, block);
+        t.target_mode = mode;
+        self.fire(SET_MODE_RULES, Facts::lookup(lookup), &mut t);
     }
 
-    fn ir_ep(scr: &Scratch, ep: Ep) -> usize {
-        match ep {
-            Ep::Requester => scr.proc,
-            Ep::Home => scr.home,
-            Ep::Owner => scr.owner.expect("rule guarded on an owned block"),
-            Ep::Hint => scr.hint.expect("rule guarded on a usable hint"),
-            Ep::Candidate => unreachable!("Candidate only appears in replacement rules"),
-        }
-    }
-
-    /// Executes one access-table micro-operation. Each arm mirrors the
-    /// corresponding hand-coded fragment byte for byte — see the module
-    /// doc for the equivalence contract.
-    fn ir_step(&mut self, table: &'static ProtocolIr, step: &Step, scr: &mut Scratch) {
-        let block = scr.block;
-        let proc = scr.proc;
-        match *step {
-            Step::Count(counter) => self.counters.incr(counter),
-            Step::Miss { write, cold } => self.tracer.push(ProtocolEvent::Miss {
-                proc,
-                block,
-                write,
-                cold,
-            }),
-            Step::Send {
-                kind,
-                from,
-                to,
-                size,
-            } => {
-                let bits = self.ir_bits(size);
-                self.send(kind, Self::ir_ep(scr, from), Self::ir_ep(scr, to), bits);
-            }
-            Step::ReadHitWord => {
-                // `get`, not `peek`: the hit refreshes LRU recency exactly
-                // like the hand-coded hit path.
-                scr.value_out = self.caches[proc]
-                    .get(block)
-                    .expect("hit verified")
-                    .data
-                    .word(scr.offset);
-            }
-            Step::FetchMem => {
-                scr.data = Some(self.memory.block_data(block));
-            }
-            Step::InstallOwnedExclusive => {
-                let data = scr.data.take().expect("FetchMem ran");
-                scr.value_out = data.word(scr.offset);
-                let before = self.log_state(proc, block);
-                let line = CacheLine::owned_exclusive(
-                    data,
-                    CacheId(proc as u16),
-                    self.cfg.mode_policy.initial_mode(),
-                    self.cfg.n_caches,
-                );
-                self.install_line(proc, block, line);
-                self.store.set_owner(block, CacheId(proc as u16));
-                self.note_state_change(proc, block, before);
-            }
-            Step::OwnerProbeDw(ep) => {
-                let serve = Self::ir_ep(scr, ep);
-                scr.serve = serve;
-                scr.before_owner = self.log_state(serve, block);
-                {
-                    let line = self.caches[serve]
-                        .peek_mut(block)
-                        .expect("block store names an owner without a line");
-                    debug_assert!(line.is_owned());
-                    line.present.insert(proc);
-                    scr.value_out = line.data.word(scr.offset);
-                    scr.data = Some(line.data.clone());
-                }
-            }
-            Step::OwnerProbeGr(ep) => {
-                let serve = Self::ir_ep(scr, ep);
-                scr.serve = serve;
-                scr.before_owner = self.log_state(serve, block);
-                {
-                    let line = self.caches[serve]
-                        .peek_mut(block)
-                        .expect("block store names an owner without a line");
-                    debug_assert!(line.is_owned());
-                    line.present.insert(proc);
-                    scr.value_out = line.data.word(scr.offset);
-                    line.window_remote_reads += 1;
-                }
-            }
-            Step::InstallUnownedCopy => {
-                let before = self.log_state(proc, block);
-                let data = scr.data.take().expect("DW probe cloned the block");
-                let line = CacheLine::unowned(data, CacheId(scr.serve as u16), self.cfg.n_caches);
-                self.install_line(proc, block, line);
-                self.note_state_change(proc, block, before);
-            }
-            Step::SetHintAtReq => {
-                let before = self.log_state(proc, block);
-                let entry = self.caches[proc].peek_mut(block).expect("entry present");
-                entry.owner_hint = Some(CacheId(scr.serve as u16));
-                self.note_state_change(proc, block, before);
-            }
-            Step::InstallInvalidHint => {
-                let before = self.log_state(proc, block);
-                let line = CacheLine::invalid_hint(
-                    CacheId(scr.serve as u16),
-                    self.cfg.n_caches,
-                    self.cfg.spec.words_per_block(),
-                );
-                self.install_line(proc, block, line);
-                self.note_state_change(proc, block, before);
-            }
-            Step::NoteServeOwner => {
-                let before = scr.before_owner.take();
-                self.note_state_change(scr.serve, block, before);
-            }
-            Step::StaleHintNote => self.note_with(|| {
-                format!("stale OWNER hint at C{proc} for {block}: redirect via memory")
-            }),
-            Step::SetOwnerReq => self.store.set_owner(block, CacheId(proc as u16)),
-            Step::RegisterReqAtOld => {
-                let old = scr.owner.expect("rule guarded on an owned block");
-                let line = self.caches[old].peek_mut(block).expect("owner line");
-                line.present.insert(proc);
-            }
-            Step::XferProbe => {
-                let old = scr.owner.expect("rule guarded on an owned block");
-                debug_assert_ne!(old, proc, "owner never re-acquires ownership");
-                self.counters.incr("ownership_transfers");
-                self.tracer.push(ProtocolEvent::OwnershipTransfer {
-                    block,
-                    from: old,
-                    to: proc,
-                    handoff: false,
-                });
-                scr.before_owner = self.log_state(old, block);
-                {
-                    let line = self.caches[old].peek_mut(block).expect("old owner line");
-                    debug_assert!(line.is_owned());
-                    line.present.insert(proc);
-                    scr.xfer = Some((
-                        line.mode,
-                        line.modified,
-                        line.data.clone(),
-                        line.present.clone(),
-                    ));
-                }
-            }
-            Step::DemoteOldDw => {
-                let old = scr.owner.expect("rule guarded on an owned block");
-                let line = self.caches[old].peek_mut(block).expect("old owner line");
-                line.validity = Validity::UnOwned;
-                line.modified = false;
-                line.owner_hint = Some(CacheId(proc as u16));
-                line.present = DestSet::empty(self.cfg.n_caches);
-                line.reset_window();
-                let before = scr.before_owner.take();
-                self.note_state_change(old, block, before);
-            }
-            Step::AnnounceCast => {
-                let old = scr.owner.expect("rule guarded on an owned block");
-                let present = &scr.xfer.as_ref().expect("XferProbe ran").3;
-                let mut announce = present.clone();
-                announce.remove(old);
-                announce.remove(proc);
-                if !announce.is_empty() {
-                    self.counters.incr("owner_announce_multicast");
-                    let delivered = self.mcast(
-                        MsgKind::NewOwnerAnnounce,
-                        old,
-                        &announce,
-                        self.cfg.sizing.new_owner_bits(self.cfg.n_caches),
-                    );
-                    for &dest in &delivered {
-                        if let Some(line) = self.caches[dest].peek_mut(block) {
-                            if !line.is_valid() {
-                                line.owner_hint = Some(CacheId(proc as u16));
-                            }
-                        }
-                    }
-                    self.recycle_delivered(delivered);
-                }
-            }
-            Step::InvalidateOldGr => {
-                let old = scr.owner.expect("rule guarded on an owned block");
-                let line = self.caches[old].peek_mut(block).expect("old owner line");
-                line.validity = Validity::Invalid;
-                line.modified = false;
-                line.owner_hint = Some(CacheId(proc as u16));
-                line.present = DestSet::empty(self.cfg.n_caches);
-                line.reset_window();
-                let before = scr.before_owner.take();
-                self.note_state_change(old, block, before);
-            }
-            Step::InstallXfer { send_data } => {
-                let (mode, modified, data, mut present) = scr.xfer.take().expect("XferProbe ran");
-                let before = self.log_state(proc, block);
-                present.insert(proc);
-                let new_data = if send_data {
-                    data
-                } else {
-                    self.caches[proc]
-                        .peek(block)
-                        .expect("requester said it has data")
-                        .data
-                        .clone()
-                };
-                let line = CacheLine {
-                    validity: Validity::Owned,
-                    mode,
-                    modified,
-                    present,
-                    owner_hint: Some(CacheId(proc as u16)),
-                    data: new_data,
-                    window_refs: 0,
-                    window_remote_reads: 0,
-                    window_writes: 0,
-                };
-                self.install_line(proc, block, line);
-                self.note_state_change(proc, block, before);
-            }
-            Step::WriteAtOwner => {
-                let me = CacheId(proc as u16);
-                let line = self.caches[proc].peek_mut(block).expect("owner has a line");
-                debug_assert!(line.is_owned());
-                line.data.set_word(scr.offset, scr.value_in);
-                line.modified = true;
-                let distribute = line.mode == Mode::DistributedWrite && !line.is_exclusive(me);
-                scr.write_probe = distribute.then(|| {
-                    let mut others = line.present.clone();
-                    others.remove(proc);
-                    others
-                });
-            }
-            Step::UpdateCast => {
-                if let Some(mut others) = scr.write_probe.take().filter(|o| !o.is_empty()) {
-                    self.counters.incr("updates_multicast");
-                    let delivered = self.mcast(
-                        MsgKind::UpdateWrite,
-                        proc,
-                        &others,
-                        self.cfg.sizing.update_bits(),
-                    );
-                    for &dest in &delivered {
-                        if dest == proc {
-                            continue;
-                        }
-                        if let Some(line) = self.caches[dest].peek_mut(block) {
-                            if line.is_valid() {
-                                line.data.set_word(scr.offset, scr.value_in);
-                            }
-                        }
-                        others.remove(dest);
-                    }
-                    self.recycle_delivered(delivered);
-                    debug_assert!(others.is_empty(), "scheme must cover all copy holders");
-                }
-            }
-            Step::SwitchMode => {
-                // Runs the MODE_RULES table: `switch_mode_at_owner`
-                // re-dispatches here while IR execution is on.
-                self.switch_mode_at_owner(proc, block, scr.target_mode, /* adaptive */ false);
-            }
-            _ => unreachable!(
-                "step {step:?} belongs to the replacement/mode tables \
-                 (table has {} read rules)",
-                table.read.len()
-            ),
-        }
-    }
-
-    /// Table-driven replacement: replaces the body of `replace` (§2.2
-    /// case 5). The shared prelude (counter, trace event, victim
-    /// capture) and postlude (entry drop, state-change log) bracket the
-    /// fired rule's steps, exactly like the hand-coded match.
-    pub(super) fn ir_replace(
+    /// The write itself at a cache that already owns the block, outside
+    /// any table: the fault layer's write-through to a degraded block's
+    /// owner.
+    pub(super) fn write_through_owner(
         &mut self,
-        table: &'static ProtocolIr,
-        proc: usize,
-        victim: BlockAddr,
+        owner: usize,
+        block: BlockAddr,
+        offset: usize,
+        value: u64,
     ) {
+        let mut t = Txn::new(owner, block);
+        t.offset = offset;
+        t.value_in = value;
+        self.write_at_owner(&mut t);
+        self.update_cast(&mut t);
+    }
+
+    /// Runs the §2.2 case-5 actions for `victim` at `proc` through
+    /// [`REPLACE_RULES`] and drops the entry. The replacement counter,
+    /// trace event and state-change log entry bracket every rule; the
+    /// rules carry what differs per victim class.
+    pub(super) fn replace(&mut self, proc: usize, victim: BlockAddr) {
         self.counters.incr("replacements");
         let before = self.log_state(proc, victim);
-        let home = self.home_port(victim);
-        let line = self.caches[proc]
-            .peek(victim)
-            .expect("victim exists")
-            .clone();
         let me = CacheId(proc as u16);
+        let line = self.caches[proc].peek(victim).expect("victim exists");
+        let ctx = VictimCtx {
+            owned: line.validity == Validity::Owned,
+            exclusive: line.is_exclusive(me),
+            modified: line.modified,
+            mode: line.mode,
+        };
         self.tracer.push(ProtocolEvent::Replacement {
             proc,
             block: victim,
-            wrote_back: line.validity == Validity::Owned && line.is_exclusive(me) && line.modified,
+            wrote_back: ctx.owned && ctx.exclusive && ctx.modified,
         });
-        let owner = self.store.owner(victim).map(|o| o.port());
-        let ctx = RuleCtx {
-            block_owned: owner.is_some(),
-            victim: Some(VictimCtx {
-                owned: line.validity == Validity::Owned,
-                exclusive: line.is_exclusive(me),
-                modified: line.modified,
-                mode: line.mode,
-            }),
-            ..RuleCtx::default()
-        };
-        let rule = Self::ir_select(table.replace, &ctx, "replace");
-        let mut scr = ReplaceScratch {
-            proc,
-            victim,
-            home,
-            owner,
-            line,
-            cand: usize::MAX,
-        };
-        for step in rule.steps {
-            self.ir_replace_step(step, &mut scr);
-        }
+        self.fire(
+            REPLACE_RULES,
+            Facts::victim(ctx),
+            &mut Txn::new(proc, victim),
+        );
         self.caches[proc].remove(victim);
         self.note_state_change(proc, victim, before);
     }
 
-    /// Executes one replacement-table micro-operation.
-    fn ir_replace_step(&mut self, step: &Step, scr: &mut ReplaceScratch) {
-        let proc = scr.proc;
-        let victim = scr.victim;
-        match *step {
-            Step::Count(counter) => self.counters.incr(counter),
-            Step::Send {
-                kind,
-                from,
-                to,
-                size,
-            } => {
-                let bits = self.ir_bits(size);
-                let resolve = |ep: Ep| match ep {
-                    Ep::Requester => proc,
-                    Ep::Home => scr.home,
-                    Ep::Owner => scr.owner.expect("rule guarded on an owned block"),
-                    Ep::Candidate => scr.cand,
-                    Ep::Hint => unreachable!("no hints in replacement rules"),
-                };
-                self.send(kind, resolve(from), resolve(to), bits);
-            }
-            Step::MemWriteBackVictim => self.memory.write_block(victim, &scr.line.data),
-            Step::ClearStoreVictim => self.store.clear(victim),
-            Step::ClearPresenceAtOwner => {
-                let owner = scr.owner.expect("rule guarded on an owned block");
-                if let Some(oline) = self.caches[owner].peek_mut(victim) {
-                    oline.present.remove(proc);
-                }
-            }
-            Step::HandoffOffers => {
-                let line = &scr.line;
-                let n_candidates = line.present.len() - usize::from(line.present.contains(proc));
-                debug_assert!(n_candidates > 0, "nonexclusive implies other copies");
-                let mut accepted = None;
-                let mut offered = 0;
-                for cand in line.present.iter() {
-                    if cand == proc {
-                        continue;
-                    }
-                    offered += 1;
-                    self.send(
-                        MsgKind::OwnershipOffer,
-                        proc,
-                        cand,
-                        self.cfg.sizing.request_bits(),
-                    );
-                    let last = offered == n_candidates;
-                    if self.nak_budget > 0 && !last {
-                        self.nak_budget -= 1;
-                        self.counters.incr("offer_nak");
-                        self.send(MsgKind::OfferNak, cand, proc, self.cfg.sizing.ack_bits());
-                        continue;
-                    }
-                    self.send(MsgKind::OfferAck, cand, proc, self.cfg.sizing.ack_bits());
-                    accepted = Some(cand);
-                    break;
-                }
-                let cand = accepted.expect("final candidate always accepts");
-                scr.cand = cand;
-                self.tracer.push(ProtocolEvent::OwnershipTransfer {
-                    block: victim,
-                    from: proc,
-                    to: cand,
-                    handoff: true,
-                });
-                self.note_with(|| format!("C{proc} hands ownership of {victim} to C{cand}"));
-            }
-            Step::SetOwnerCand => self.store.set_owner(victim, CacheId(scr.cand as u16)),
-            Step::PromoteCandDw => {
-                let cand = scr.cand;
-                let mut present = scr.line.present.clone();
-                present.remove(proc);
-                present.insert(cand);
-                let before = self.log_state(cand, victim);
-                let cline = self.caches[cand]
-                    .peek_mut(victim)
-                    .expect("present flag implies a resident copy");
-                debug_assert!(cline.is_valid(), "DW present flags mark valid copies");
-                cline.validity = Validity::Owned;
-                cline.mode = Mode::DistributedWrite;
-                cline.modified = scr.line.modified;
-                cline.present = present;
-                cline.owner_hint = Some(CacheId(cand as u16));
-                cline.reset_window();
-                self.note_state_change(cand, victim, before);
-            }
-            Step::PromoteCandGr => {
-                let cand = scr.cand;
-                let mut present = scr.line.present.clone();
-                present.remove(proc);
-                present.insert(cand);
-                let before = self.log_state(cand, victim);
-                {
-                    let cline = self.caches[cand]
-                        .peek_mut(victim)
-                        .expect("present flag implies a resident entry");
-                    debug_assert!(!cline.is_valid(), "GR present flags mark invalid entries");
-                    cline.validity = Validity::Owned;
-                    cline.mode = Mode::GlobalRead;
-                    cline.modified = scr.line.modified;
-                    cline.data = scr.line.data.clone();
-                    cline.present = present;
-                    cline.owner_hint = Some(CacheId(cand as u16));
-                    cline.reset_window();
-                }
-                self.note_state_change(cand, victim, before);
-            }
-            Step::AnnounceCastHandoff => {
-                let cand = scr.cand;
-                let mut announce = scr.line.present.clone();
-                announce.remove(proc);
-                announce.insert(cand);
-                announce.remove(cand);
-                if !announce.is_empty() {
-                    self.counters.incr("owner_announce_multicast");
-                    let delivered = self.mcast(
-                        MsgKind::NewOwnerAnnounce,
-                        proc,
-                        &announce,
-                        self.cfg.sizing.new_owner_bits(self.cfg.n_caches),
-                    );
-                    for &dest in &delivered {
-                        if let Some(dline) = self.caches[dest].peek_mut(victim) {
-                            if !dline.is_valid() {
-                                dline.owner_hint = Some(CacheId(cand as u16));
-                            }
-                        }
-                    }
-                    self.recycle_delivered(delivered);
-                }
-            }
-            _ => unreachable!("step {step:?} does not belong to the replacement table"),
-        }
-    }
-
-    /// Table-driven in-place mode switch: replaces the body of
-    /// `switch_mode_at_owner`. A fired no-op rule (empty step list) is
-    /// fully silent — no trace event, no log entry — matching the
-    /// hand-coded early return.
-    pub(super) fn ir_switch_mode(
+    /// Switches the mode of an already-owned block in place through
+    /// [`MODE_RULES`] (§2.2 cases 6 and 7). `adaptive` only labels the
+    /// trace event: `true` for §5 window decisions, `false` for software
+    /// directives. A rule without steps (the block is already in the
+    /// requested mode) is fully silent — no trace event, no log entry.
+    pub(super) fn switch_mode_at_owner(
         &mut self,
-        table: &'static ProtocolIr,
         owner: usize,
         block: BlockAddr,
         target: Mode,
         adaptive: bool,
     ) {
-        let current = self.caches[owner].peek(block).expect("owner line").mode;
-        let others = {
-            let line = self.caches[owner].peek(block).expect("owner line");
-            let mut o = line.present.clone();
-            o.remove(owner);
-            !o.is_empty()
+        let line = self.caches[owner].peek(block).expect("owner line");
+        let ctx = ModeCtx {
+            current: line.mode,
+            target,
+            other_copies: line.present.len() > usize::from(line.present.contains(owner)),
         };
-        let ctx = RuleCtx {
-            mode_switch: Some(ModeCtx {
-                current,
-                target,
-                other_copies: others,
-            }),
-            ..RuleCtx::default()
-        };
-        let rule = Self::ir_select(table.mode, &ctx, "mode");
+        let mut t = Txn::new(owner, block);
+        let rule = self.decide(MODE_RULES, Facts::switch(ctx), &mut t);
         if rule.steps.is_empty() {
             return;
         }
@@ -709,61 +216,522 @@ impl System {
             adaptive,
         });
         let before = self.log_state(owner, block);
-        for step in rule.steps {
-            self.ir_mode_step(step, owner, block);
-        }
+        (rule.run)(self, &mut t);
         self.note_state_change(owner, block, before);
     }
 
-    /// Executes one mode-table micro-operation.
-    fn ir_mode_step(&mut self, step: &Step, owner: usize, block: BlockAddr) {
+    // ------------------------------------------------------------------
+    // Decode, select, apply.
+    // ------------------------------------------------------------------
+
+    /// Selects the rule of `rules` that fires for `t`, probing the machine
+    /// for further facts only as [`select`] asks.
+    #[inline]
+    fn decide(&self, rules: &'static [Rule], entry: Facts, t: &mut Txn) -> &'static Rule {
+        match select(rules, entry, |group| self.probe(t, group)) {
+            Some(rule) => rule,
+            None => no_rule(rules, entry, t),
+        }
+    }
+
+    /// Establishes one further group of facts about `t`'s block and
+    /// records in `t` the endpoint the probe resolves. Out of line: a hit
+    /// never gets here.
+    #[inline(never)]
+    fn probe(&self, t: &mut Txn, group: FactGroup) -> Facts {
+        match group {
+            FactGroup::Owner => {
+                t.owner = self.store.owner(t.block).map(|o| o.port());
+                let line = t.owner.and_then(|o| self.caches[o].peek(t.block));
+                Facts::owner(t.owner.is_some(), line.map(|l| l.mode))
+            }
+            FactGroup::Hint => {
+                let entry = self.caches[t.proc].peek(t.block);
+                t.hint = entry
+                    .and_then(|l| l.owner_hint)
+                    .filter(|_| self.cfg.owner_bypass)
+                    .map(|h| h.port());
+                let line = t.hint.and_then(|h| self.caches[h].peek(t.block));
+                Facts::hint(
+                    t.hint.is_some(),
+                    line.filter(|l| l.is_owned()).map(|l| l.mode),
+                )
+            }
+            // Known at entry or not at all.
+            FactGroup::Lookup | FactGroup::Victim | FactGroup::Switch => Facts::NONE,
+        }
+    }
+
+    #[inline]
+    fn fire(&mut self, rules: &'static [Rule], entry: Facts, t: &mut Txn) {
+        let rule = self.decide(rules, entry, t);
+        (rule.run)(self, t);
+    }
+
+    /// The one dispatch site of the protocol: every state change of every
+    /// transaction passes through here. Always inlined: each rule calls it
+    /// on constants, which leaves the one arm.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, step: &Step, t: &mut Txn) {
         match *step {
             Step::Count(counter) => self.counters.incr(counter),
-            Step::ModeToDw => {
-                let n = self.cfg.n_caches;
-                let line = self.caches[owner].peek_mut(block).expect("owner line");
-                line.mode = Mode::DistributedWrite;
-                let mut fresh = DestSet::empty(n);
-                fresh.insert(owner);
-                line.present = fresh;
-                line.reset_window();
+            Step::Miss { write, cold } => self.tracer.push(ProtocolEvent::Miss {
+                proc: t.proc,
+                block: t.block,
+                write,
+                cold,
+            }),
+            Step::Send {
+                kind,
+                from,
+                to,
+                size,
+            } => {
+                let bits = self.size_bits(size);
+                self.send(kind, self.ep(t, from), self.ep(t, to), bits);
             }
+            Step::ReadHitWord => t.value_out = t.hit_word,
+            Step::InstallOwnedExclusive => self.install_owned_exclusive(t),
+            Step::OwnerProbeDw(ep) => self.owner_probe(t, ep, Mode::DistributedWrite),
+            Step::OwnerProbeGr(ep) => self.owner_probe(t, ep, Mode::GlobalRead),
+            Step::InstallUnownedCopy => self.install_unowned_copy(t),
+            Step::SetHintAtReq => self.set_hint_at_req(t),
+            Step::InstallInvalidHint => self.install_invalid_hint(t),
+            Step::NoteServeOwner => {
+                let before = t.before_owner.take();
+                self.note_state_change(t.serve, t.block, before);
+            }
+            Step::StaleHintNote => {
+                let (proc, block) = (t.proc, t.block);
+                self.note_with(|| {
+                    format!("stale OWNER hint at C{proc} for {block}: redirect via memory")
+                });
+            }
+            Step::SetOwnerReq => self.store.set_owner(t.block, CacheId(t.proc as u16)),
+            Step::XferProbe => self.xfer_probe(t),
+            Step::DemoteOldDw => self.retire_old_owner(t, Validity::UnOwned),
+            Step::AnnounceCast => self.announce_cast(t),
+            Step::InvalidateOldGr => self.retire_old_owner(t, Validity::Invalid),
+            Step::InstallXfer { send_data } => self.install_xfer(t, send_data),
+            Step::WriteAtOwner => self.write_at_owner(t),
+            Step::UpdateCast => self.update_cast(t),
+            Step::SwitchMode => {
+                self.switch_mode_at_owner(
+                    t.proc,
+                    t.block,
+                    t.target_mode,
+                    /* adaptive */ false,
+                );
+            }
+            Step::MemWriteBackVictim => {
+                let line = self.caches[t.proc].peek(t.block).expect("victim exists");
+                self.memory.write_block(t.block, &line.data);
+            }
+            Step::ClearStoreVictim => self.store.clear(t.block),
+            Step::ClearPresenceAtOwner => {
+                let owner = self.ep(t, Ep::Owner);
+                if let Some(oline) = self.caches[owner].peek_mut(t.block) {
+                    oline.present.remove(t.proc);
+                }
+            }
+            Step::HandoffOffers => self.handoff_offers(t),
+            Step::SetOwnerCand => self.store.set_owner(t.block, CacheId(t.cand as u16)),
+            Step::PromoteCandDw => self.promote_cand(t, Mode::DistributedWrite),
+            Step::PromoteCandGr => self.promote_cand(t, Mode::GlobalRead),
+            Step::AnnounceCastHandoff => self.announce_cast_handoff(t),
+            Step::ModeToDw => self.mode_to_dw(t),
             Step::ModeToGr => {
-                let line = self.caches[owner].peek_mut(block).expect("owner line");
+                let line = self.caches[t.proc].peek_mut(t.block).expect("owner line");
                 line.mode = Mode::GlobalRead;
                 line.reset_window();
             }
-            Step::InvalidateCast => {
-                let mut others = {
-                    let line = self.caches[owner].peek_mut(block).expect("owner line");
-                    let mut o = line.present.clone();
-                    o.remove(owner);
-                    o
-                };
-                debug_assert!(!others.is_empty(), "rule guarded on shared copies");
-                self.counters.incr("invalidate_multicast");
-                let delivered = self.mcast(
-                    MsgKind::Invalidate,
-                    owner,
-                    &others,
-                    self.cfg.sizing.invalidate_bits(),
-                );
-                for &dest in &delivered {
-                    if let Some(line) = self.caches[dest].peek_mut(block) {
-                        if line.is_valid() && !line.is_owned() {
-                            let b = self.log_state(dest, block);
-                            let line = self.caches[dest].peek_mut(block).expect("checked");
-                            line.validity = Validity::Invalid;
-                            line.owner_hint = Some(CacheId(owner as u16));
-                            self.note_state_change(dest, block, b);
-                        }
-                    }
-                    others.remove(dest);
-                }
-                self.recycle_delivered(delivered);
-                debug_assert!(others.is_empty(), "invalidation must reach all copies");
-            }
-            _ => unreachable!("step {step:?} does not belong to the mode table"),
+            Step::InvalidateCast => self.invalidate_cast(t),
         }
+    }
+
+    /// The network port of a logical endpoint. A guard resolved the
+    /// owner and hint endpoints and `handoff_offers` the candidate before
+    /// any step may name them (linted over every table in [`crate::ir`]).
+    fn ep(&self, t: &Txn, ep: Ep) -> usize {
+        match ep {
+            Ep::Requester => t.proc,
+            Ep::Home => self.home_port(t.block),
+            Ep::Owner => t.owner.expect("rule guards on an owned block"),
+            Ep::Hint => t.hint.expect("rule guards on a usable hint"),
+            Ep::Candidate => t.cand,
+        }
+    }
+
+    /// Payload bits for a [`SizeClass`] under this machine's §2.3 sizing.
+    fn size_bits(&self, size: SizeClass) -> u64 {
+        let s = &self.cfg.sizing;
+        let n = self.cfg.n_caches;
+        match size {
+            SizeClass::Request => s.request_bits(),
+            SizeClass::BlockTransfer => s.block_transfer_bits(),
+            SizeClass::Datum => s.datum_bits(),
+            SizeClass::DatumPlusOwnerId => s.datum_bits() + u64::from(n.trailing_zeros()),
+            SizeClass::Update => s.update_bits(),
+            SizeClass::Invalidate => s.invalidate_bits(),
+            SizeClass::NewOwnerId => s.new_owner_bits(n),
+            SizeClass::StateTransfer => s.state_transfer_bits(n),
+            SizeClass::BlockAndState => s.block_and_state_bits(n),
+            SizeClass::Ack => s.ack_bits(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Loads (§2.2 cases 1 and 2).
+    // ------------------------------------------------------------------
+
+    /// Memory serves the block; the requester becomes the exclusive owner
+    /// in the policy's initial mode.
+    fn install_owned_exclusive(&mut self, t: &mut Txn) {
+        let (proc, block) = (t.proc, t.block);
+        let data = self.memory.block_data(block);
+        t.value_out = data.word(t.offset);
+        let before = self.log_state(proc, block);
+        let line = CacheLine::owned_exclusive(
+            data,
+            CacheId(proc as u16),
+            self.cfg.mode_policy.initial_mode(),
+            self.cfg.n_caches,
+        );
+        self.install_line(proc, block, line);
+        self.store.set_owner(block, CacheId(proc as u16));
+        self.note_state_change(proc, block, before);
+    }
+
+    /// The serving owner registers the requester and reads the word. In
+    /// distributed write the whole block will follow (`install_unowned_copy`);
+    /// in global read one datum moves and the §5 window counts a remote
+    /// read.
+    fn owner_probe(&mut self, t: &mut Txn, ep: Ep, mode: Mode) {
+        t.serve = self.ep(t, ep);
+        t.before_owner = self.log_state(t.serve, t.block);
+        let line = self.caches[t.serve]
+            .peek_mut(t.block)
+            .expect("block store names an owner without a line");
+        debug_assert!(line.is_owned() && line.mode == mode);
+        line.present.insert(t.proc);
+        t.value_out = line.data.word(t.offset);
+        if mode == Mode::GlobalRead {
+            line.window_remote_reads += 1;
+        }
+    }
+
+    /// 2(b)i: the requester holds the owner's copy UnOwned.
+    fn install_unowned_copy(&mut self, t: &mut Txn) {
+        let before = self.log_state(t.proc, t.block);
+        let owner = self.caches[t.serve].peek(t.block).expect("probed above");
+        let line = CacheLine::unowned(
+            owner.data.clone(),
+            CacheId(t.serve as u16),
+            self.cfg.n_caches,
+        );
+        self.install_line(t.proc, t.block, line);
+        self.note_state_change(t.proc, t.block, before);
+    }
+
+    /// 2(b)ii with an entry: only the OWNER hint is refreshed.
+    fn set_hint_at_req(&mut self, t: &mut Txn) {
+        let before = self.log_state(t.proc, t.block);
+        let entry = self.caches[t.proc]
+            .peek_mut(t.block)
+            .expect("entry present");
+        entry.owner_hint = Some(CacheId(t.serve as u16));
+        self.note_state_change(t.proc, t.block, before);
+    }
+
+    /// 2(b)ii without one: reserve an invalid entry holding the hint.
+    fn install_invalid_hint(&mut self, t: &mut Txn) {
+        let before = self.log_state(t.proc, t.block);
+        let line = CacheLine::invalid_hint(
+            CacheId(t.serve as u16),
+            self.cfg.n_caches,
+            self.cfg.spec.words_per_block(),
+        );
+        self.install_line(t.proc, t.block, line);
+        self.note_state_change(t.proc, t.block, before);
+    }
+
+    // ------------------------------------------------------------------
+    // Ownership transfer and the write (§2.2 cases 3 and 4).
+    // ------------------------------------------------------------------
+
+    /// An ownership transfer begins: the old owner registers the requester
+    /// and reads out the mode and M bit that will travel.
+    fn xfer_probe(&mut self, t: &mut Txn) {
+        let (proc, block) = (t.proc, t.block);
+        let old = self.ep(t, Ep::Owner);
+        debug_assert_ne!(old, proc, "owner never re-acquires ownership");
+        self.counters.incr("ownership_transfers");
+        self.tracer.push(ProtocolEvent::OwnershipTransfer {
+            block,
+            from: old,
+            to: proc,
+            handoff: false,
+        });
+        let line = self.caches[old].peek_mut(block).expect("old owner line");
+        debug_assert!(line.is_owned());
+        line.present.insert(proc);
+        t.xfer = (line.mode, line.modified);
+        t.before_owner = self.log_state(old, block);
+    }
+
+    /// The old owner steps down: its copy stays valid as UnOwned
+    /// (distributed write) or is invalidated (global read). The M bit —
+    /// the write-back responsibility — travels with ownership; the present
+    /// vector stays behind until `install_xfer` collects it.
+    fn retire_old_owner(&mut self, t: &mut Txn, validity: Validity) {
+        let old = self.ep(t, Ep::Owner);
+        let line = self.caches[old].peek_mut(t.block).expect("old owner line");
+        line.validity = validity;
+        line.modified = false;
+        line.owner_hint = Some(CacheId(t.proc as u16));
+        line.reset_window();
+        let before = t.before_owner.take();
+        self.note_state_change(old, t.block, before);
+    }
+
+    /// 3(d)ii / 4(b)ii: the old owner distributes the new owner's id to
+    /// the invalid-entry holders.
+    fn announce_cast(&mut self, t: &mut Txn) {
+        let old = self.ep(t, Ep::Owner);
+        let line = self.caches[old].peek(t.block).expect("old owner line");
+        let mut announce = line.present.clone();
+        announce.remove(old);
+        announce.remove(t.proc);
+        self.announce_owner(old, &announce, t.block, t.proc);
+    }
+
+    /// Multicasts `new_owner`'s id from `from` to `holders` (when any) and
+    /// points the OWNER hint of every invalid entry reached at it.
+    fn announce_owner(
+        &mut self,
+        from: usize,
+        holders: &DestSet,
+        block: BlockAddr,
+        new_owner: usize,
+    ) {
+        if holders.is_empty() {
+            return;
+        }
+        self.counters.incr("owner_announce_multicast");
+        let bits = self.size_bits(SizeClass::NewOwnerId);
+        let delivered = self.mcast(MsgKind::NewOwnerAnnounce, from, holders, bits);
+        for &dest in &delivered {
+            if let Some(line) = self.caches[dest].peek_mut(block) {
+                if !line.is_valid() {
+                    line.owner_hint = Some(CacheId(new_owner as u16));
+                }
+            }
+        }
+        self.recycle_delivered(delivered);
+    }
+
+    /// Installs the owned line at the new owner, collecting the present
+    /// vector the old owner still holds. With `send_data` the block crossed
+    /// the network with the state (the old owner's entry still has the
+    /// bytes); without, the requester's own valid copy is promoted.
+    fn install_xfer(&mut self, t: &mut Txn, send_data: bool) {
+        let (proc, block) = (t.proc, t.block);
+        let old = self.ep(t, Ep::Owner);
+        let before = self.log_state(proc, block);
+        let empty = DestSet::empty(self.cfg.n_caches);
+        let old_line = self.caches[old].peek_mut(block).expect("old owner line");
+        let present = std::mem::replace(&mut old_line.present, empty);
+        let data = if send_data {
+            old_line.data.clone()
+        } else {
+            let own = self.caches[proc].peek(block);
+            own.expect("a sharer has a line").data.clone()
+        };
+        let (mode, modified) = t.xfer;
+        let line = CacheLine {
+            validity: Validity::Owned,
+            mode,
+            modified,
+            present,
+            owner_hint: Some(CacheId(proc as u16)),
+            data,
+            window_refs: 0,
+            window_remote_reads: 0,
+            window_writes: 0,
+        };
+        self.install_line(proc, block, line);
+        self.note_state_change(proc, block, before);
+    }
+
+    /// The write itself, once the requester owns the block (§2.2 cases
+    /// 3(a)–(c)): set the word and the M bit.
+    fn write_at_owner(&mut self, t: &mut Txn) {
+        let line = self.caches[t.proc]
+            .peek_mut(t.block)
+            .expect("owner has a line");
+        debug_assert!(line.is_owned());
+        line.data.set_word(t.offset, t.value_in);
+        line.modified = true;
+    }
+
+    /// 3(b): distribute the write to all caches with a copy. A write in
+    /// global read, or by an exclusive owner, stays local.
+    fn update_cast(&mut self, t: &mut Txn) {
+        let line = self.caches[t.proc].peek(t.block).expect("owner has a line");
+        if line.mode != Mode::DistributedWrite || line.is_exclusive(CacheId(t.proc as u16)) {
+            return;
+        }
+        let mut others = line.present.clone();
+        others.remove(t.proc);
+        if others.is_empty() {
+            return;
+        }
+        self.counters.incr("updates_multicast");
+        let bits = self.size_bits(SizeClass::Update);
+        let delivered = self.mcast(MsgKind::UpdateWrite, t.proc, &others, bits);
+        for &dest in &delivered {
+            if dest == t.proc {
+                continue;
+            }
+            if let Some(line) = self.caches[dest].peek_mut(t.block) {
+                if line.is_valid() {
+                    line.data.set_word(t.offset, t.value_in);
+                }
+            }
+            others.remove(dest);
+        }
+        self.recycle_delivered(delivered);
+        debug_assert!(others.is_empty(), "scheme must cover all copy holders");
+    }
+
+    // ------------------------------------------------------------------
+    // Replacement with handoff (§2.2 case 5(b)).
+    // ------------------------------------------------------------------
+
+    /// The replacing owner offers ownership to the caches in its present
+    /// vector, in ascending port order, until one accepts.
+    fn handoff_offers(&mut self, t: &mut Txn) {
+        let (proc, victim) = (t.proc, t.block);
+        // The vector leaves the line for the walk, which sends as it goes.
+        let empty = DestSet::empty(self.cfg.n_caches);
+        let line = self.caches[proc].peek_mut(victim).expect("victim exists");
+        let present = std::mem::replace(&mut line.present, empty);
+        let n_candidates = present.len() - usize::from(present.contains(proc));
+        debug_assert!(n_candidates > 0, "nonexclusive implies other copies");
+        let request = self.size_bits(SizeClass::Request);
+        let ack = self.size_bits(SizeClass::Ack);
+        let mut offered = 0;
+        for cand in present.iter().filter(|&c| c != proc) {
+            offered += 1;
+            self.send(MsgKind::OwnershipOffer, proc, cand, request);
+            // The last remaining candidate always accepts, so handoff
+            // terminates whatever the NAK budget.
+            if self.nak_budget > 0 && offered < n_candidates {
+                self.nak_budget -= 1;
+                self.counters.incr("offer_nak");
+                self.send(MsgKind::OfferNak, cand, proc, ack);
+                continue;
+            }
+            self.send(MsgKind::OfferAck, cand, proc, ack);
+            t.cand = cand;
+            break;
+        }
+        self.caches[proc]
+            .peek_mut(victim)
+            .expect("victim exists")
+            .present = present;
+        let cand = t.cand;
+        self.tracer.push(ProtocolEvent::OwnershipTransfer {
+            block: victim,
+            from: proc,
+            to: cand,
+            handoff: true,
+        });
+        self.note_with(|| format!("C{proc} hands ownership of {victim} to C{cand}"));
+    }
+
+    /// The candidate's entry becomes the owner's line and receives the
+    /// victim's state field: a valid copy is promoted in place
+    /// (distributed write), an invalid entry also receives the block
+    /// (global read). The departing cache's own present flag is cleared as
+    /// part of the transferred state.
+    fn promote_cand(&mut self, t: &mut Txn, mode: Mode) {
+        let (proc, victim, cand) = (t.proc, t.block, t.cand);
+        let empty = DestSet::empty(self.cfg.n_caches);
+        let vline = self.caches[proc].peek_mut(victim).expect("victim exists");
+        let mut present = std::mem::replace(&mut vline.present, empty);
+        present.remove(proc);
+        present.insert(cand);
+        let modified = vline.modified;
+        let data = (mode == Mode::GlobalRead).then(|| vline.data.clone());
+        let before = self.log_state(cand, victim);
+        let cline = self.caches[cand]
+            .peek_mut(victim)
+            .expect("present flag implies a resident entry");
+        debug_assert_eq!(
+            cline.is_valid(),
+            mode == Mode::DistributedWrite,
+            "present flags mark valid copies in DW, invalid entries in GR"
+        );
+        cline.validity = Validity::Owned;
+        cline.mode = mode;
+        cline.modified = modified;
+        if let Some(data) = data {
+            cline.data = data;
+        }
+        cline.present = present;
+        cline.owner_hint = Some(CacheId(cand as u16));
+        cline.reset_window();
+        self.note_state_change(cand, victim, before);
+    }
+
+    /// Announce the promoted candidate to the remaining invalid entries.
+    fn announce_cast_handoff(&mut self, t: &mut Txn) {
+        let line = self.caches[t.cand].peek(t.block).expect("promoted above");
+        let mut announce = line.present.clone();
+        announce.remove(t.cand);
+        self.announce_owner(t.proc, &announce, t.block, t.cand);
+    }
+
+    // ------------------------------------------------------------------
+    // Mode switching (§2.2 cases 6 and 7).
+    // ------------------------------------------------------------------
+
+    /// Case 6: set DW. The GR present vector marked invalid entries; it
+    /// collapses to the owner alone (see DESIGN.md).
+    fn mode_to_dw(&mut self, t: &mut Txn) {
+        let mut fresh = DestSet::empty(self.cfg.n_caches);
+        fresh.insert(t.proc);
+        let line = self.caches[t.proc].peek_mut(t.block).expect("owner line");
+        line.mode = Mode::DistributedWrite;
+        line.present = fresh;
+        line.reset_window();
+    }
+
+    /// Case 7 with copies: invalidate them. The present vector is
+    /// retained — the invalidated caches are exactly the invalid-entry
+    /// holders GR mode tracks.
+    fn invalidate_cast(&mut self, t: &mut Txn) {
+        let (owner, block) = (t.proc, t.block);
+        let line = self.caches[owner].peek(block).expect("owner line");
+        let mut others = line.present.clone();
+        others.remove(owner);
+        debug_assert!(!others.is_empty(), "rule guarded on shared copies");
+        self.counters.incr("invalidate_multicast");
+        let bits = self.size_bits(SizeClass::Invalidate);
+        let delivered = self.mcast(MsgKind::Invalidate, owner, &others, bits);
+        for &dest in &delivered {
+            let copy = self.caches[dest].peek(block);
+            if copy.is_some_and(|l| l.is_valid() && !l.is_owned()) {
+                let before = self.log_state(dest, block);
+                let line = self.caches[dest].peek_mut(block).expect("checked");
+                line.validity = Validity::Invalid;
+                line.owner_hint = Some(CacheId(owner as u16));
+                self.note_state_change(dest, block, before);
+            }
+            others.remove(dest);
+        }
+        self.recycle_delivered(delivered);
+        debug_assert!(others.is_empty(), "invalidation must reach all copies");
     }
 }

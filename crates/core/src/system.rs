@@ -1,5 +1,7 @@
-//! The protocol engine: a whole simulated machine executing the two-mode
-//! consistency protocol, one reference at a time.
+//! The simulated machine: caches, memory, block store and network, the
+//! public transactions, and the plumbing every protocol action shares
+//! (unicast and multicast billing, line installation, the transaction log,
+//! timing, fault admission).
 //!
 //! Every public access ([`System::read`] / [`System::write`]) runs as an
 //! atomic transaction: the full message sequence of §2.2 is generated,
@@ -8,6 +10,9 @@
 //! without transient states, so atomic transactions are the faithful
 //! execution model; timing (with link contention) is layered on optionally
 //! and never affects correctness.
+//!
+//! What a transaction *does* is not written here: the transitions are the
+//! rule tables of [`crate::ir`], run by the step methods in `ir_exec.rs`.
 
 use std::collections::BTreeMap;
 
@@ -19,11 +24,13 @@ use tmc_simcore::{CounterSet, Histogram, SimTime};
 
 use crate::config::{ModePolicy, SystemConfig};
 use crate::error::CoreError;
+use crate::ir::LookupClass;
 use crate::msg::{Destination, MsgKind, TraceEvent, TransactionLog};
 use crate::state::{CacheLine, Mode, StateName, Validity};
 
 #[path = "ir_exec.rs"]
 mod ir_exec;
+pub(crate) use ir_exec::Txn;
 
 /// What one access cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,19 +68,6 @@ pub(crate) struct FaultState {
     /// Caches emptied and bypassed after a stall:
     /// cache → (heal op, op at which it was quarantined).
     pub(crate) quarantined: BTreeMap<usize, (u64, u64)>,
-}
-
-/// How a cache found a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lookup {
-    /// No entry at all.
-    Missing,
-    /// Entry present, V = 0.
-    InvalidEntry,
-    /// Valid, not owned.
-    UnOwnedHit,
-    /// Valid and owned.
-    OwnedHit,
 }
 
 /// A full simulated machine running the two-mode protocol.
@@ -130,22 +124,6 @@ pub struct System {
     /// same buffers.
     cast_delivered: Vec<usize>,
     cast_charges: Vec<(LinkId, u64)>,
-    /// When `Some`, the five protocol dispatch points (read, write,
-    /// set-mode, replacement, mode switch) interpret this guarded-action
-    /// table ([`crate::ir`]) instead of running the hand-coded paths.
-    /// Not protocol state: excluded from snapshots and fingerprints, and
-    /// bit-identical either way (the `ir-vs-handcoded` conformance pair
-    /// proves it). Defaults from the `TMC_IR` environment variable so
-    /// whole-binary sweeps can flip every `System` in a process.
-    ir: Option<&'static crate::ir::ProtocolIr>,
-}
-
-/// Whether `TMC_IR` asks for table-driven dispatch by default (any value
-/// but `0`). Read once per process.
-fn ir_env_default() -> Option<&'static crate::ir::ProtocolIr> {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let on = *ON.get_or_init(|| std::env::var("TMC_IR").is_ok_and(|v| v != "0"));
-    on.then_some(&crate::ir::PROTOCOL_IR)
 }
 
 impl System {
@@ -198,33 +176,10 @@ impl System {
             tracer: Tracer::new(),
             cast_delivered: Vec::new(),
             cast_charges: Vec::new(),
-            ir: ir_env_default(),
             net,
             traffic,
             cfg,
         })
-    }
-
-    /// Switches the protocol engine between hand-coded dispatch (`false`,
-    /// the default) and interpreting the guarded-action table
-    /// [`crate::ir::PROTOCOL_IR`] (`true`). Both paths are bit-identical —
-    /// same fingerprint, counters, per-link charges, traces — so this can
-    /// be flipped at any point, even mid-run. `TMC_IR=1` in the
-    /// environment sets the default for every machine in the process.
-    pub fn set_ir_dispatch(&mut self, on: bool) {
-        self.ir = on.then_some(&crate::ir::PROTOCOL_IR);
-    }
-
-    /// Installs a specific action table for interpretation. Intended for
-    /// verification harnesses that need a *modified* table — e.g. the
-    /// negative conformance test that proves a broken guard is caught.
-    pub fn set_ir_table(&mut self, table: &'static crate::ir::ProtocolIr) {
-        self.ir = Some(table);
-    }
-
-    /// Whether the machine currently interprets the guarded-action table.
-    pub fn ir_dispatch(&self) -> bool {
-        self.ir.is_some()
     }
 
     // ------------------------------------------------------------------
@@ -615,24 +570,40 @@ impl System {
     /// The before-state snapshot for [`System::note_state_change`]. Only
     /// the transaction log observes it, so when logging is off the tag
     /// probe and state classification are skipped entirely.
+    #[inline]
     fn log_state(&mut self, cache: usize, block: BlockAddr) -> Option<StateName> {
         if !self.cfg.log_transactions {
             return None;
         }
+        self.logged_state(cache, block)
+    }
+
+    /// [`System::state_name`], kept out of line so that the protocol steps
+    /// carry one flag test each, not the classification code.
+    #[cold]
+    #[inline(never)]
+    fn logged_state(&self, cache: usize, block: BlockAddr) -> Option<StateName> {
         self.state_name(cache, block)
     }
 
+    #[inline]
     fn note_state_change(&mut self, cache: usize, block: BlockAddr, from: Option<StateName>) {
         if self.cfg.log_transactions {
-            let to = self.state_name(cache, block);
-            if from != to {
-                self.log.push(TraceEvent::StateChange {
-                    cache,
-                    block,
-                    from,
-                    to,
-                });
-            }
+            self.log_state_change(cache, block, from);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn log_state_change(&mut self, cache: usize, block: BlockAddr, from: Option<StateName>) {
+        let to = self.state_name(cache, block);
+        if from != to {
+            self.log.push(TraceEvent::StateChange {
+                cache,
+                block,
+                from,
+                to,
+            });
         }
     }
 
@@ -683,14 +654,14 @@ impl System {
         }
     }
 
-    fn lookup(&self, proc: usize, block: BlockAddr) -> Lookup {
-        match self.caches[proc].peek(block) {
-            None => Lookup::Missing,
-            Some(line) => match line.validity {
-                Validity::Invalid => Lookup::InvalidEntry,
-                Validity::UnOwned => Lookup::UnOwnedHit,
-                Validity::Owned => Lookup::OwnedHit,
-            },
+    /// Classifies a tag-probe result — the entry group of the access
+    /// tables.
+    fn classify(line: Option<&CacheLine>) -> LookupClass {
+        match line.map(|l| l.validity) {
+            None => LookupClass::Missing,
+            Some(Validity::Invalid) => LookupClass::InvalidEntry,
+            Some(Validity::UnOwned) => LookupClass::UnOwnedHit,
+            Some(Validity::Owned) => LookupClass::OwnedHit,
         }
     }
 
@@ -734,42 +705,13 @@ impl System {
             }
             return Ok(stats);
         }
-        let lookup = self.lookup(proc, block);
-        let hit = matches!(lookup, Lookup::OwnedHit | Lookup::UnOwnedHit);
-        let value = if let Some(table) = self.ir {
-            self.ir_read(table, proc, block, offset, lookup)
-        } else {
-            match lookup {
-                Lookup::OwnedHit | Lookup::UnOwnedHit => {
-                    self.counters.incr("read_hit");
-                    self.caches[proc]
-                        .get(block)
-                        .expect("hit verified")
-                        .data
-                        .word(offset)
-                }
-                Lookup::InvalidEntry => {
-                    self.counters.incr("read_miss_invalid");
-                    self.tracer.push(ProtocolEvent::Miss {
-                        proc,
-                        block,
-                        write: false,
-                        cold: false,
-                    });
-                    self.read_invalid(proc, block, offset)
-                }
-                Lookup::Missing => {
-                    self.counters.incr("read_miss_cold");
-                    self.tracer.push(ProtocolEvent::Miss {
-                        proc,
-                        block,
-                        write: false,
-                        cold: true,
-                    });
-                    self.read_cold(proc, block, offset)
-                }
-            }
-        };
+        // One tag probe: a valid line is used (its recency refreshed) and
+        // yields the word; anything else is classified without a trace.
+        let line = self.caches[proc].get_if(block, CacheLine::is_valid);
+        let lookup = Self::classify(line);
+        let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
+        let hit_word = line.filter(|_| hit).map_or(0, |l| l.data.word(offset));
+        let value = self.rule_read(proc, block, offset, lookup, hit_word);
         self.note_block_ref(block, false);
         let stats = self.txn_end(start, value);
         if self.tracer.is_enabled() {
@@ -828,32 +770,9 @@ impl System {
             }
             return Ok(stats);
         }
-        let lookup = self.lookup(proc, block);
-        let hit = matches!(lookup, Lookup::OwnedHit | Lookup::UnOwnedHit);
-        if let Some(table) = self.ir {
-            self.ir_write(table, proc, block, offset, value, lookup);
-        } else {
-            match lookup {
-                Lookup::OwnedHit => {
-                    self.counters.incr("write_hit_owner");
-                }
-                Lookup::UnOwnedHit => {
-                    self.counters.incr("write_hit_unowned");
-                    self.acquire_ownership_from_unowned(proc, block);
-                }
-                Lookup::InvalidEntry | Lookup::Missing => {
-                    self.counters.incr("write_miss");
-                    self.tracer.push(ProtocolEvent::Miss {
-                        proc,
-                        block,
-                        write: true,
-                        cold: matches!(lookup, Lookup::Missing),
-                    });
-                    self.load_with_ownership(proc, block);
-                }
-            }
-            self.perform_owned_write(proc, block, offset, value);
-        }
+        let lookup = Self::classify(self.caches[proc].peek(block));
+        let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
+        self.rule_write(proc, block, offset, value, lookup);
         self.note_block_ref(block, true);
         let stats = self.txn_end(start, value);
         if self.tracer.is_enabled() {
@@ -896,17 +815,8 @@ impl System {
             addr,
             mode: mode.into(),
         });
-        let lookup = self.lookup(proc, block);
-        if let Some(table) = self.ir {
-            self.ir_set_mode(table, proc, block, mode, lookup);
-        } else {
-            match lookup {
-                Lookup::OwnedHit => {}
-                Lookup::UnOwnedHit => self.acquire_ownership_from_unowned(proc, block),
-                Lookup::InvalidEntry | Lookup::Missing => self.load_with_ownership(proc, block),
-            }
-            self.switch_mode_at_owner(proc, block, mode, /* adaptive */ false);
-        }
+        let lookup = Self::classify(self.caches[proc].peek(block));
+        self.rule_set_mode(proc, block, mode, lookup);
         let _ = self.txn_end(start, 0);
         Ok(())
     }
@@ -941,378 +851,7 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Read paths.
-    // ------------------------------------------------------------------
-
-    /// Read miss, no entry (§2.2 case 2, "copy is nonexistent").
-    fn read_cold(&mut self, proc: usize, block: BlockAddr, offset: usize) -> u64 {
-        let h = self.home_port(block);
-        self.send(MsgKind::LoadReq, proc, h, self.cfg.sizing.request_bits());
-        match self.store.owner(block) {
-            None => self.load_from_memory(proc, block, offset, h),
-            Some(o) => {
-                self.send(
-                    MsgKind::FwdLoad,
-                    h,
-                    o.port(),
-                    self.cfg.sizing.request_bits(),
-                );
-                self.serve_load_from_owner(o.port(), proc, block, offset)
-            }
-        }
-    }
-
-    /// Read miss on an invalid entry (§2.2 case 2, "state = Invalid"): use
-    /// the OWNER field to bypass the memory module.
-    fn read_invalid(&mut self, proc: usize, block: BlockAddr, offset: usize) -> u64 {
-        let hint = self.caches[proc]
-            .peek(block)
-            .and_then(|l| l.owner_hint)
-            .filter(|_| self.cfg.owner_bypass);
-        match hint {
-            Some(target) => {
-                self.send(
-                    MsgKind::DirectLoadReq,
-                    proc,
-                    target.port(),
-                    self.cfg.sizing.request_bits(),
-                );
-                let target_owns = self.caches[target.port()]
-                    .peek(block)
-                    .is_some_and(|l| l.is_owned());
-                if target_owns {
-                    self.serve_load_from_owner(target.port(), proc, block, offset)
-                } else {
-                    // Stale hint (possible after a GR→DW switch followed by
-                    // ownership movement): bounce through the memory module.
-                    self.counters.incr("redirects");
-                    self.note_with(|| {
-                        format!("stale OWNER hint at C{proc} for {block}: redirect via memory")
-                    });
-                    let h = self.home_port(block);
-                    self.send(
-                        MsgKind::Redirect,
-                        target.port(),
-                        h,
-                        self.cfg.sizing.request_bits(),
-                    );
-                    match self.store.owner(block) {
-                        Some(o) => {
-                            self.send(
-                                MsgKind::FwdLoad,
-                                h,
-                                o.port(),
-                                self.cfg.sizing.request_bits(),
-                            );
-                            self.serve_load_from_owner(o.port(), proc, block, offset)
-                        }
-                        None => self.load_from_memory(proc, block, offset, h),
-                    }
-                }
-            }
-            None => self.read_cold(proc, block, offset),
-        }
-    }
-
-    /// Memory serves the block; requester becomes the exclusive owner in
-    /// the policy's initial mode.
-    fn load_from_memory(&mut self, proc: usize, block: BlockAddr, offset: usize, h: usize) -> u64 {
-        let data = self.memory.block_data(block);
-        self.send(
-            MsgKind::BlockReply,
-            h,
-            proc,
-            self.cfg.sizing.block_transfer_bits(),
-        );
-        let value = data.word(offset);
-        let before = self.log_state(proc, block);
-        let line = CacheLine::owned_exclusive(
-            data,
-            CacheId(proc as u16),
-            self.cfg.mode_policy.initial_mode(),
-            self.cfg.n_caches,
-        );
-        self.install_line(proc, block, line);
-        self.store.set_owner(block, CacheId(proc as u16));
-        self.note_state_change(proc, block, before);
-        value
-    }
-
-    /// The owner answers a plain load (no ownership): §2.2 cases 2(b) and
-    /// the invalid-entry variants.
-    fn serve_load_from_owner(
-        &mut self,
-        owner: usize,
-        proc: usize,
-        block: BlockAddr,
-        offset: usize,
-    ) -> u64 {
-        let before_owner = self.log_state(owner, block);
-        // One owner-tag probe serves the whole transaction: the block data
-        // is only cloned when a full copy will actually cross the network
-        // (distributed write); a global-read datum service moves one word.
-        let (mode, data, value) = {
-            let line = self.caches[owner]
-                .peek_mut(block)
-                .expect("block store names an owner without a line");
-            debug_assert!(line.is_owned());
-            line.present.insert(proc);
-            let value = line.data.word(offset);
-            let data = if line.mode == Mode::DistributedWrite {
-                Some(line.data.clone())
-            } else {
-                line.window_remote_reads += 1;
-                None
-            };
-            (line.mode, data, value)
-        };
-        match mode {
-            Mode::DistributedWrite => {
-                // 2(b)i: the owner sends a copy; requester holds it UnOwned.
-                self.send(
-                    MsgKind::BlockReply,
-                    owner,
-                    proc,
-                    self.cfg.sizing.block_transfer_bits(),
-                );
-                let before = self.log_state(proc, block);
-                let data = data.expect("cloned under distributed write");
-                let line = CacheLine::unowned(data, CacheId(owner as u16), self.cfg.n_caches);
-                self.install_line(proc, block, line);
-                self.note_state_change(proc, block, before);
-            }
-            Mode::GlobalRead => {
-                // 2(b)ii: only the requested datum (plus the owner id when
-                // the requester has no entry yet) crosses the network.
-                self.counters.incr("read_remote_gr");
-                let has_entry = self.caches[proc].peek(block).is_some();
-                let bits = if has_entry {
-                    self.cfg.sizing.datum_bits()
-                } else {
-                    self.cfg.sizing.datum_bits() + self.cfg.n_caches.trailing_zeros() as u64
-                };
-                self.send(MsgKind::DatumReply, owner, proc, bits);
-                let before = self.log_state(proc, block);
-                if has_entry {
-                    let entry = self.caches[proc].peek_mut(block).expect("entry present");
-                    entry.owner_hint = Some(CacheId(owner as u16));
-                } else {
-                    let line = CacheLine::invalid_hint(
-                        CacheId(owner as u16),
-                        self.cfg.n_caches,
-                        self.cfg.spec.words_per_block(),
-                    );
-                    self.install_line(proc, block, line);
-                }
-                self.note_state_change(proc, block, before);
-            }
-        }
-        self.note_state_change(owner, block, before_owner);
-        value
-    }
-
-    // ------------------------------------------------------------------
-    // Write paths.
-    // ------------------------------------------------------------------
-
-    /// The write itself, once `proc` owns the block (§2.2 cases 3(a)–(c)).
-    fn perform_owned_write(&mut self, proc: usize, block: BlockAddr, offset: usize, value: u64) {
-        let me = CacheId(proc as u16);
-        let line = self.caches[proc].peek_mut(block).expect("owner has a line");
-        debug_assert!(line.is_owned());
-        line.data.set_word(offset, value);
-        line.modified = true;
-        if line.mode == Mode::DistributedWrite && !line.is_exclusive(me) {
-            // 3(b): distribute the write to all caches with a copy.
-            let mut others = line.present.clone();
-            others.remove(proc);
-            if others.is_empty() {
-                return;
-            }
-            self.counters.incr("updates_multicast");
-            let delivered = self.mcast(
-                MsgKind::UpdateWrite,
-                proc,
-                &others,
-                self.cfg.sizing.update_bits(),
-            );
-            for &dest in &delivered {
-                if dest == proc {
-                    continue;
-                }
-                if let Some(line) = self.caches[dest].peek_mut(block) {
-                    if line.is_valid() {
-                        line.data.set_word(offset, value);
-                    }
-                }
-                others.remove(dest);
-            }
-            self.recycle_delivered(delivered);
-            debug_assert!(others.is_empty(), "scheme must cover all copy holders");
-        }
-    }
-
-    /// §2.2 case 3(d): write hit on an UnOwned copy — ownership request via
-    /// the memory module.
-    fn acquire_ownership_from_unowned(&mut self, proc: usize, block: BlockAddr) {
-        let h = self.home_port(block);
-        self.send(
-            MsgKind::OwnershipReq,
-            proc,
-            h,
-            self.cfg.sizing.request_bits(),
-        );
-        let old = self
-            .store
-            .owner(block)
-            .expect("an UnOwned copy implies an owner")
-            .port();
-        debug_assert_ne!(old, proc, "owner cannot hold an UnOwned copy");
-        self.store.set_owner(block, CacheId(proc as u16));
-        self.send(
-            MsgKind::FwdOwnership,
-            h,
-            old,
-            self.cfg.sizing.request_bits(),
-        );
-        self.transfer_ownership(old, proc, block, /* requester_has_data */ true);
-    }
-
-    /// §2.2 case 4: write miss — load with ownership via the memory module.
-    fn load_with_ownership(&mut self, proc: usize, block: BlockAddr) {
-        let h = self.home_port(block);
-        self.send(MsgKind::LoadOwnReq, proc, h, self.cfg.sizing.request_bits());
-        match self.store.owner(block) {
-            None => {
-                let _ = self.load_from_memory(proc, block, 0, h);
-            }
-            Some(o) => {
-                let old = o.port();
-                debug_assert_ne!(old, proc, "an owner never write-misses");
-                self.store.set_owner(block, CacheId(proc as u16));
-                self.send(MsgKind::FwdLoadOwn, h, old, self.cfg.sizing.request_bits());
-                {
-                    let line = self.caches[old].peek_mut(block).expect("owner line");
-                    line.present.insert(proc);
-                }
-                self.transfer_ownership(old, proc, block, /* requester_has_data */ false);
-            }
-        }
-    }
-
-    /// Moves ownership (and the state field, and the data when the new
-    /// owner needs it) from `old` to `new`. Handles both modes:
-    ///
-    /// * distributed write: the old owner's copy remains valid as UnOwned;
-    /// * global read: the old owner announces the new owner to all
-    ///   invalid-entry holders and invalidates its own copy.
-    fn transfer_ownership(
-        &mut self,
-        old: usize,
-        new: usize,
-        block: BlockAddr,
-        requester_has_data: bool,
-    ) {
-        self.counters.incr("ownership_transfers");
-        self.tracer.push(ProtocolEvent::OwnershipTransfer {
-            block,
-            from: old,
-            to: new,
-            handoff: false,
-        });
-        let before_old = self.log_state(old, block);
-        let (mode, modified, data, mut present) = {
-            let line = self.caches[old].peek_mut(block).expect("old owner line");
-            debug_assert!(line.is_owned());
-            line.present.insert(new);
-            (
-                line.mode,
-                line.modified,
-                line.data.clone(),
-                line.present.clone(),
-            )
-        };
-        let send_data = !requester_has_data || mode == Mode::GlobalRead;
-        let bits = if send_data {
-            self.cfg.sizing.block_and_state_bits(self.cfg.n_caches)
-        } else {
-            self.cfg.sizing.state_transfer_bits(self.cfg.n_caches)
-        };
-        self.send(MsgKind::OwnershipXfer, old, new, bits);
-
-        match mode {
-            Mode::DistributedWrite => {
-                // Old owner's copy stays valid, demoted to UnOwned; the M
-                // bit (write-back responsibility) travels with ownership.
-                let line = self.caches[old].peek_mut(block).expect("old owner line");
-                line.validity = Validity::UnOwned;
-                line.modified = false;
-                line.owner_hint = Some(CacheId(new as u16));
-                line.present = DestSet::empty(self.cfg.n_caches);
-                line.reset_window();
-            }
-            Mode::GlobalRead => {
-                // 3(d)ii / 4(b)ii: distribute the new owner id to invalid
-                // copies, then invalidate the old owner's own copy.
-                let mut announce = present.clone();
-                announce.remove(old);
-                announce.remove(new);
-                if !announce.is_empty() {
-                    self.counters.incr("owner_announce_multicast");
-                    let delivered = self.mcast(
-                        MsgKind::NewOwnerAnnounce,
-                        old,
-                        &announce,
-                        self.cfg.sizing.new_owner_bits(self.cfg.n_caches),
-                    );
-                    for &dest in &delivered {
-                        if let Some(line) = self.caches[dest].peek_mut(block) {
-                            if !line.is_valid() {
-                                line.owner_hint = Some(CacheId(new as u16));
-                            }
-                        }
-                    }
-                    self.recycle_delivered(delivered);
-                }
-                let line = self.caches[old].peek_mut(block).expect("old owner line");
-                line.validity = Validity::Invalid;
-                line.modified = false;
-                line.owner_hint = Some(CacheId(new as u16));
-                line.present = DestSet::empty(self.cfg.n_caches);
-                line.reset_window();
-            }
-        }
-        self.note_state_change(old, block, before_old);
-
-        // Install the owned line at the new owner.
-        let before_new = self.log_state(new, block);
-        present.insert(new);
-        let new_data = if send_data {
-            data
-        } else {
-            self.caches[new]
-                .peek(block)
-                .expect("requester said it has data")
-                .data
-                .clone()
-        };
-        let line = CacheLine {
-            validity: Validity::Owned,
-            mode,
-            modified,
-            present,
-            owner_hint: Some(CacheId(new as u16)),
-            data: new_data,
-            window_refs: 0,
-            window_remote_reads: 0,
-            window_writes: 0,
-        };
-        self.install_line(new, block, line);
-        self.note_state_change(new, block, before_new);
-    }
-
-    // ------------------------------------------------------------------
-    // Replacement (§2.2 case 5).
+    // Installing a line (replacement is §2.2 case 5, `ir_exec.rs`).
     // ------------------------------------------------------------------
 
     /// Installs `line` for `block` at `proc`, first running the replacement
@@ -1325,286 +864,9 @@ impl System {
         debug_assert!(evicted.is_none(), "replacement must have freed the way");
     }
 
-    /// Runs the §2.2 case-5 actions for `victim` at `proc` and drops the
-    /// entry.
-    fn replace(&mut self, proc: usize, victim: BlockAddr) {
-        if let Some(table) = self.ir {
-            return self.ir_replace(table, proc, victim);
-        }
-        self.counters.incr("replacements");
-        let before = self.log_state(proc, victim);
-        let h = self.home_port(victim);
-        let line = self.caches[proc]
-            .peek(victim)
-            .expect("victim exists")
-            .clone();
-        self.tracer.push(ProtocolEvent::Replacement {
-            proc,
-            block: victim,
-            wrote_back: line.validity == Validity::Owned
-                && line.is_exclusive(CacheId(proc as u16))
-                && line.modified,
-        });
-        match line.validity {
-            Validity::Owned => {
-                let me = CacheId(proc as u16);
-                if line.is_exclusive(me) {
-                    // 5(a): tell memory, write back if modified.
-                    if line.modified {
-                        self.send(
-                            MsgKind::WriteBack,
-                            proc,
-                            h,
-                            self.cfg.sizing.block_transfer_bits(),
-                        );
-                        self.counters.incr("writebacks");
-                        self.memory.write_block(victim, &line.data);
-                    } else {
-                        self.send(
-                            MsgKind::ReplaceNotice,
-                            proc,
-                            h,
-                            self.cfg.sizing.request_bits(),
-                        );
-                    }
-                    self.store.clear(victim);
-                } else {
-                    // 5(b): hand ownership to a cache in the present vector.
-                    self.handoff_ownership(proc, victim, &line);
-                }
-            }
-            Validity::UnOwned | Validity::Invalid => {
-                // 5(c): via memory, ask the owner to clear our present flag.
-                self.send(
-                    MsgKind::ReplaceNotice,
-                    proc,
-                    h,
-                    self.cfg.sizing.request_bits(),
-                );
-                if let Some(o) = self.store.owner(victim) {
-                    self.send(
-                        MsgKind::FwdPresenceClear,
-                        h,
-                        o.port(),
-                        self.cfg.sizing.request_bits(),
-                    );
-                    if let Some(oline) = self.caches[o.port()].peek_mut(victim) {
-                        oline.present.remove(proc);
-                    }
-                }
-            }
-        }
-        self.caches[proc].remove(victim);
-        self.note_state_change(proc, victim, before);
-    }
-
-    /// §2.2 case 5(b): the replacing owner offers ownership to candidates
-    /// from its present vector until one accepts; the acceptor then runs the
-    /// regular ownership-request handshake through the memory module.
-    fn handoff_ownership(&mut self, proc: usize, block: BlockAddr, line: &CacheLine) {
-        let h = self.home_port(block);
-        // Candidates are the present-vector ports other than the replacer,
-        // iterated in ascending order straight off the DestSet — no
-        // collected list.
-        let n_candidates = line.present.len() - usize::from(line.present.contains(proc));
-        debug_assert!(n_candidates > 0, "nonexclusive implies other copies");
-        let mut accepted = None;
-        let mut offered = 0;
-        for cand in line.present.iter() {
-            if cand == proc {
-                continue;
-            }
-            offered += 1;
-            self.send(
-                MsgKind::OwnershipOffer,
-                proc,
-                cand,
-                self.cfg.sizing.request_bits(),
-            );
-            let last = offered == n_candidates;
-            if self.nak_budget > 0 && !last {
-                self.nak_budget -= 1;
-                self.counters.incr("offer_nak");
-                self.send(MsgKind::OfferNak, cand, proc, self.cfg.sizing.ack_bits());
-                continue;
-            }
-            self.send(MsgKind::OfferAck, cand, proc, self.cfg.sizing.ack_bits());
-            accepted = Some(cand);
-            break;
-        }
-        let cand = accepted.expect("final candidate always accepts");
-        self.tracer.push(ProtocolEvent::OwnershipTransfer {
-            block,
-            from: proc,
-            to: cand,
-            handoff: true,
-        });
-        self.note_with(|| format!("C{proc} hands ownership of {block} to C{cand}"));
-
-        // The acceptor requests ownership "according to the protocol":
-        // through the memory module, which updates the block store.
-        self.send(
-            MsgKind::OwnershipReq,
-            cand,
-            h,
-            self.cfg.sizing.request_bits(),
-        );
-        self.store.set_owner(block, CacheId(cand as u16));
-        self.send(
-            MsgKind::FwdOwnership,
-            h,
-            proc,
-            self.cfg.sizing.request_bits(),
-        );
-
-        // Transfer the state field (and data in GR mode, where the
-        // candidate only has an invalid entry). The departing cache's own
-        // present flag is cleared as part of the transferred state.
-        let bits = match line.mode {
-            Mode::DistributedWrite => self.cfg.sizing.state_transfer_bits(self.cfg.n_caches),
-            Mode::GlobalRead => self.cfg.sizing.block_and_state_bits(self.cfg.n_caches),
-        };
-        self.send(MsgKind::OwnershipXfer, proc, cand, bits);
-        let mut present = line.present.clone();
-        present.remove(proc);
-        present.insert(cand);
-
-        match line.mode {
-            Mode::DistributedWrite => {
-                let before = self.log_state(cand, block);
-                let cline = self.caches[cand]
-                    .peek_mut(block)
-                    .expect("present flag implies a resident copy");
-                debug_assert!(cline.is_valid(), "DW present flags mark valid copies");
-                cline.validity = Validity::Owned;
-                cline.mode = Mode::DistributedWrite;
-                cline.modified = line.modified;
-                cline.present = present;
-                cline.owner_hint = Some(CacheId(cand as u16));
-                cline.reset_window();
-                self.note_state_change(cand, block, before);
-            }
-            Mode::GlobalRead => {
-                let before = self.log_state(cand, block);
-                {
-                    let cline = self.caches[cand]
-                        .peek_mut(block)
-                        .expect("present flag implies a resident entry");
-                    debug_assert!(!cline.is_valid(), "GR present flags mark invalid entries");
-                    cline.validity = Validity::Owned;
-                    cline.mode = Mode::GlobalRead;
-                    cline.modified = line.modified;
-                    cline.data = line.data.clone();
-                    cline.present = present.clone();
-                    cline.owner_hint = Some(CacheId(cand as u16));
-                    cline.reset_window();
-                }
-                self.note_state_change(cand, block, before);
-                // Announce the new owner to the remaining invalid entries.
-                let mut announce = present;
-                announce.remove(cand);
-                if !announce.is_empty() {
-                    self.counters.incr("owner_announce_multicast");
-                    let delivered = self.mcast(
-                        MsgKind::NewOwnerAnnounce,
-                        proc,
-                        &announce,
-                        self.cfg.sizing.new_owner_bits(self.cfg.n_caches),
-                    );
-                    for &dest in &delivered {
-                        if let Some(dline) = self.caches[dest].peek_mut(block) {
-                            if !dline.is_valid() {
-                                dline.owner_hint = Some(CacheId(cand as u16));
-                            }
-                        }
-                    }
-                    self.recycle_delivered(delivered);
-                }
-            }
-        }
-        self.counters.incr("ownership_transfers");
-    }
-
     // ------------------------------------------------------------------
-    // Mode switching (§2.2 cases 6 and 7) and the adaptive policy (§5).
+    // The adaptive policy (§5).
     // ------------------------------------------------------------------
-
-    /// Switches the mode of an already-owned block in place. `adaptive`
-    /// only labels the trace event: `true` for §5 window decisions, `false`
-    /// for software directives.
-    fn switch_mode_at_owner(
-        &mut self,
-        owner: usize,
-        block: BlockAddr,
-        target: Mode,
-        adaptive: bool,
-    ) {
-        if let Some(table) = self.ir {
-            return self.ir_switch_mode(table, owner, block, target, adaptive);
-        }
-        let current = self.caches[owner].peek(block).expect("owner line").mode;
-        if current == target {
-            return;
-        }
-        self.tracer.push(ProtocolEvent::ModeSwitch {
-            owner,
-            block,
-            to: target.into(),
-            adaptive,
-        });
-        let before = self.log_state(owner, block);
-        match target {
-            Mode::DistributedWrite => {
-                // Case 6: set DW. The GR present vector marked invalid
-                // entries; clear it to the owner alone (see DESIGN.md).
-                self.counters.incr("mode_switch_to_dw");
-                let line = self.caches[owner].peek_mut(block).expect("owner line");
-                line.mode = Mode::DistributedWrite;
-                let mut fresh = DestSet::empty(self.cfg.n_caches);
-                fresh.insert(owner);
-                line.present = fresh;
-                line.reset_window();
-            }
-            Mode::GlobalRead => {
-                // Case 7: clear DW; if copies exist, invalidate them. The
-                // present vector is retained — the invalidated caches are
-                // exactly the invalid-entry holders GR mode tracks.
-                self.counters.incr("mode_switch_to_gr");
-                let mut others = {
-                    let line = self.caches[owner].peek_mut(block).expect("owner line");
-                    line.mode = Mode::GlobalRead;
-                    line.reset_window();
-                    let mut o = line.present.clone();
-                    o.remove(owner);
-                    o
-                };
-                if !others.is_empty() {
-                    self.counters.incr("invalidate_multicast");
-                    let delivered = self.mcast(
-                        MsgKind::Invalidate,
-                        owner,
-                        &others,
-                        self.cfg.sizing.invalidate_bits(),
-                    );
-                    for &dest in &delivered {
-                        if let Some(line) = self.caches[dest].peek_mut(block) {
-                            if line.is_valid() && !line.is_owned() {
-                                let b = self.log_state(dest, block);
-                                let line = self.caches[dest].peek_mut(block).expect("checked");
-                                line.validity = Validity::Invalid;
-                                line.owner_hint = Some(CacheId(owner as u16));
-                                self.note_state_change(dest, block, b);
-                            }
-                        }
-                        others.remove(dest);
-                    }
-                    self.recycle_delivered(delivered);
-                    debug_assert!(others.is_empty(), "invalidation must reach all copies");
-                }
-            }
-        }
-        self.note_state_change(owner, block, before);
-    }
 
     /// Feeds the §5 measurement counters at the block's owner and runs the
     /// adaptive switch at window boundaries.
@@ -2101,7 +1363,7 @@ impl System {
             Some(o) => {
                 let o = o.port();
                 self.send(MsgKind::UpdateWrite, proc, o, self.cfg.sizing.update_bits());
-                self.perform_owned_write(o, block, offset, value);
+                self.write_through_owner(o, block, offset, value);
             }
             None => {
                 let h = self.home_port(block);

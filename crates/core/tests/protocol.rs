@@ -613,3 +613,150 @@ fn oracle_with_nak_injection() {
         sys.check_invariants().unwrap();
     }
 }
+
+// ----------------------------------------------------------------------
+// Pinned answers on seeded scripts.
+//
+// Until PR 16 the protocol existed twice — hand-written transition bodies
+// in `system.rs` and the rule tables in `ir.rs` — and a differential suite
+// drove both with these scripts. The hand-written engine is gone; what it
+// answered on every cell below is kept as a golden, so the tables must
+// keep reproducing it: per-access stats, trace events, transaction log,
+// fingerprint, counters and link bits, across every multicast scheme and
+// mode policy, with mode directives, refused ownership offers and
+// out-of-range processors in the stream.
+// ----------------------------------------------------------------------
+
+/// One cell's digests: FNV-1a of the protocol fingerprint, of the counter
+/// set, the raw link-bit total, and FNV-1a of the whole observable stream
+/// (per-access results, trace events, transaction log, per-link ledger).
+type Pinned = (u64, u64, u64, u64);
+
+fn pinned_cell(n: usize, scheme: SchemeKind, policy: ModePolicy) -> Pinned {
+    use std::fmt::Write as _;
+    use tmc_obs::jsonl::fnv1a64;
+
+    let cfg = SystemConfig::new(n)
+        .multicast(scheme)
+        .mode_policy(policy)
+        .cache_blocks(8)
+        .timing(tmc_omeganet::TimingModel::default())
+        .log_transactions(true);
+    let mut sys = System::new(cfg).unwrap();
+    sys.set_tracing(true);
+    // Enough distinct blocks to overflow the 8-block caches, few enough to
+    // keep heavy sharing and stale-hint traffic.
+    let words = n as u64 * 24;
+    let mut rng = SimRng::seed_from(0x1_5EED ^ n as u64);
+    let mut stream = String::new();
+    for step in 0..600 {
+        if step % 100 == 0 {
+            sys.inject_offer_naks(3);
+        }
+        // Every 97th access names a processor the machine does not have:
+        // a typed error, and no trace of it in any observable below.
+        let proc = if step % 97 == 96 {
+            n
+        } else {
+            rng.gen_range(0..n)
+        };
+        let a = addr(rng.gen_range(0..words));
+        match rng.gen_range(0..10u32) {
+            0..=4 => write!(stream, "{:?};", sys.read_stats(proc, a)),
+            5..=8 => write!(stream, "{:?};", sys.write_stats(proc, a, rng.next_u64())),
+            _ => {
+                let mode = if rng.gen_bool(0.5) {
+                    Mode::DistributedWrite
+                } else {
+                    Mode::GlobalRead
+                };
+                write!(stream, "{:?};", sys.set_mode(proc, a, mode))
+            }
+        }
+        .unwrap();
+    }
+    sys.check_invariants().unwrap();
+    write!(
+        stream,
+        "{:?}{:?}{:?}",
+        sys.drain_trace(),
+        sys.take_log(),
+        sys.traffic()
+    )
+    .unwrap();
+    let counters = format!("{:?}", sys.counters().iter().collect::<Vec<_>>());
+    (
+        fnv1a64(&sys.protocol_fingerprint()),
+        fnv1a64(counters.as_bytes()),
+        sys.traffic().total_bits(),
+        fnv1a64(stream.as_bytes()),
+    )
+}
+
+#[test]
+fn seeded_scripts_reproduce_the_pinned_digests() {
+    const SCHEMES: [SchemeKind; 4] = [
+        SchemeKind::Replicated,
+        SchemeKind::BitVector,
+        SchemeKind::BroadcastTag,
+        SchemeKind::Combined,
+    ];
+    const POLICIES: [ModePolicy; 3] = [
+        ModePolicy::Fixed(Mode::DistributedWrite),
+        ModePolicy::Fixed(Mode::GlobalRead),
+        ModePolicy::Adaptive { window: 4 },
+    ];
+    // Row order: N ∈ {2, 4, 16} × SCHEMES × POLICIES.
+    #[rustfmt::skip]
+    const PINNED: [Pinned; 36] = [
+        (0xa80cfd6ef061e3dc, 0x935e7775ea136bdd, 169461, 0x81369f7ecd8456b0),
+        (0x8841cc79479b642a, 0xf45e7598c0412fd3, 167249, 0x713f73b823c932ee),
+        (0x8ee8bf2d982a6627, 0x2102fdefd960e663, 165524, 0xf395c4a982786861),
+        (0xa80cfd6ef061e3dc, 0x528ec2a79c0ad183, 169729, 0xa2b4393568cc1013),
+        (0x8841cc79479b642a, 0x8661224f5bbbd009, 167347, 0xcaeb6c76d63b01be),
+        (0x8ee8bf2d982a6627, 0xd68cd44ce2afdb34, 165684, 0x360f01697dedab1d),
+        (0xa80cfd6ef061e3dc, 0xf39fd5d4d6cde6bc, 169595, 0xf2ea894e54ba9768),
+        (0x8841cc79479b642a, 0xa476077e2a49d1d3, 167298, 0xb5cf3398015c76ef),
+        (0x8ee8bf2d982a6627, 0x637c1952996341d7, 165604, 0x8a576fbed3656c5e),
+        (0xa80cfd6ef061e3dc, 0x935e7775ea136bdd, 169461, 0x81369f7ecd8456b0),
+        (0x8841cc79479b642a, 0xf45e7598c0412fd3, 167249, 0x713f73b823c932ee),
+        (0x8ee8bf2d982a6627, 0x2102fdefd960e663, 165524, 0xf395c4a982786861),
+        (0xa82e70e951f8fe28, 0xde4b651d5e84557e, 461688, 0x5d230f74f1b70989),
+        (0xfee1ea1ddaeba274, 0x4703ebf0abe80961, 434913, 0x2ca9d6b7c0c08fe7),
+        (0xd65ece1f505cc6ee, 0xb690c81a11780c5e, 435666, 0x28b8655c074ad307),
+        (0xa82e70e951f8fe28, 0xfbf8dfee6bff04df, 456402, 0x2737f5ea33c366c6),
+        (0xfee1ea1ddaeba274, 0x77193a03dd48cb37, 433741, 0x4ec5c97798c95aee),
+        (0xd65ece1f505cc6ee, 0xe2a82d1e9afbc687, 434272, 0xab12628cb883ef74),
+        (0xa82e70e951f8fe28, 0xd1505af01fce9534, 459383, 0xdbcae587487ea541),
+        (0xfee1ea1ddaeba274, 0xc22cc37ab6ed4363, 434330, 0x25ff7042c4b34e9c),
+        (0xd65ece1f505cc6ee, 0xd846c1ea54bd4f71, 434792, 0xa26ce48098baf514),
+        (0xa82e70e951f8fe28, 0x58a8df118cd0b77b, 455856, 0x082355442698eed4),
+        (0xfee1ea1ddaeba274, 0x3a54fb7ac1e3d30e, 433379, 0x0b3c4583923132f4),
+        (0xd65ece1f505cc6ee, 0x16ffb37a380c1bea, 433924, 0xdc9ac0e80bb789ca),
+        (0xb2f3c088fe769c53, 0x23898c174b6e7461, 1004540, 0x1f31a2ce0b625499),
+        (0x2d4b0c3bde74ef49, 0xf572fc637ea96464, 913280, 0xe14f012f2182e6d6),
+        (0xd630ef3764b2948a, 0x7915398dd5d8a6b0, 911520, 0x8b3205127fc799c0),
+        (0xb2f3c088fe769c53, 0xaa664e2a9dfad035, 996440, 0x3fb518718c507085),
+        (0x2d4b0c3bde74ef49, 0x94242ff950a6b907, 912964, 0x64397f45d84d4391),
+        (0xd630ef3764b2948a, 0xf1dcfc93e89c0fad, 911183, 0x9937e3d3ce7bdd4a),
+        (0xb2f3c088fe769c53, 0x6f8870e9c800e1c1, 1065856, 0x336d539af15255cc),
+        (0x2d4b0c3bde74ef49, 0x230ca4dd849e2319, 933140, 0xa4572730db4c4dda),
+        (0xd630ef3764b2948a, 0x9a63d8fb3716d904, 931370, 0x9711a7e9584f36d2),
+        (0xb2f3c088fe769c53, 0xabfb647d3694087d, 994275, 0xffa8acb43e77dcff),
+        (0x2d4b0c3bde74ef49, 0x3c92a2d6fb177eb3, 911124, 0x10966d104a884d68),
+        (0xd630ef3764b2948a, 0x6faeb3902b89b4e6, 909364, 0x2aff267f01b7c4aa),
+    ];
+    let mut rows = PINNED.iter();
+    for n in [2usize, 4, 16] {
+        for scheme in SCHEMES {
+            for policy in POLICIES {
+                let got = pinned_cell(n, scheme, policy);
+                assert_eq!(
+                    Some(&got),
+                    rows.next(),
+                    "N={n} {scheme:?} {policy:?}: (fingerprint, counters, total_bits, stream)"
+                );
+            }
+        }
+    }
+}

@@ -222,6 +222,20 @@ impl<L> CacheArray<L> {
         self.lines[at].as_mut()
     }
 
+    /// Looks up `block`, refreshing its recency only when the line found
+    /// satisfies `used` — one tag probe for a caller that must see the
+    /// line before it knows whether the access counts as a use.
+    #[inline]
+    pub fn get_if(&mut self, block: BlockAddr, used: impl FnOnce(&L) -> bool) -> Option<&L> {
+        let (slot, at) = self.locate(block)?;
+        let line = self.lines[at].as_ref()?;
+        if used(line) {
+            self.tick += 1;
+            self.stamps[slot] = self.tick;
+        }
+        Some(line)
+    }
+
     /// Looks up `block` without touching recency.
     pub fn peek(&self, block: BlockAddr) -> Option<&L> {
         let (_, at) = self.locate(block)?;

@@ -378,7 +378,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(cs.get("read_hit"), 10);
 /// assert_eq!(cs.get("never_touched"), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct CounterSet {
     /// Sorted name → slot in `values`; the source of truth for lookups and
@@ -388,16 +388,41 @@ pub struct CounterSet {
     values: Vec<u64>,
     /// Pointer-identity fast path. A string literal's address is stable
     /// for the life of the program, so the same `incr("read_hit")` call
-    /// site resolves to its slot with a short linear scan instead of a
-    /// tree walk. Correctness never depends on it: a miss (including two
-    /// identical literals at different addresses) falls back to the name
-    /// index, which maps both to the same slot.
-    fast: Vec<(usize, usize)>,
+    /// site resolves to its slot through an open-addressed table of
+    /// `(address, slot)` rows instead of a tree walk. The table is inline
+    /// (no allocation), rows are never removed, and at most half are ever
+    /// occupied, so a probe ends at the literal's row or at a free one
+    /// (address zero). Correctness never depends on it: a miss (including
+    /// two identical literals at different addresses) falls back to the
+    /// name index, which maps both to the same slot.
+    fast: [(usize, usize); FAST_LANES],
+    /// Occupied rows of `fast`.
+    fast_len: usize,
 }
 
-/// Fast-path rows kept before new names degrade to tree lookups; protocol
-/// engines use a few dozen distinct counters, so the scan stays short.
-const FAST_LANES: usize = 64;
+impl Default for CounterSet {
+    fn default() -> Self {
+        CounterSet {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+            fast: [(0, 0); FAST_LANES],
+            fast_len: 0,
+        }
+    }
+}
+
+/// Rows of the fast-path table, a power of two. Protocol engines use a few
+/// dozen distinct counters; names beyond half the rows degrade to tree
+/// lookups.
+const FAST_LANES: usize = 128;
+
+/// The row a literal's address hashes to (Fibonacci hashing: the top bits
+/// of the product).
+#[inline]
+fn lane(addr: usize) -> usize {
+    ((addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FAST_LANES.trailing_zeros()))
+        as usize
+}
 
 impl CounterSet {
     /// Creates an empty set.
@@ -409,11 +434,17 @@ impl CounterSet {
     #[inline]
     pub fn add(&mut self, name: &'static str, n: u64) {
         let addr = name.as_ptr() as usize;
-        for &(a, slot) in &self.fast {
+        let mut at = lane(addr);
+        loop {
+            let (a, slot) = self.fast[at];
             if a == addr {
                 self.values[slot] += n;
                 return;
             }
+            if a == 0 {
+                break;
+            }
+            at = (at + 1) % FAST_LANES;
         }
         self.add_slow(name, addr, n);
     }
@@ -429,8 +460,13 @@ impl CounterSet {
                 next
             }
         };
-        if self.fast.len() < FAST_LANES {
-            self.fast.push((addr, slot));
+        if self.fast_len < FAST_LANES / 2 {
+            let mut at = lane(addr);
+            while self.fast[at].0 != 0 {
+                at = (at + 1) % FAST_LANES;
+            }
+            self.fast[at] = (addr, slot);
+            self.fast_len += 1;
         }
         self.values[slot] += n;
     }
@@ -606,6 +642,25 @@ mod tests {
         cs.merge(&other);
         assert_eq!(cs.get("x"), 4);
         assert_eq!(cs.get("z"), 1);
+    }
+
+    /// More names than the fast-path table admits, each bumped through
+    /// two different addresses: every one still lands in its own counter.
+    #[test]
+    fn counterset_counts_beyond_the_fast_rows() {
+        let leak = |i: usize| -> &'static str { Box::leak(format!("c{i:03}").into_boxed_str()) };
+        let mut cs = CounterSet::new();
+        for round in 0..3 {
+            for i in 0..FAST_LANES {
+                let (a, b) = (leak(i), leak(i));
+                cs.incr(a);
+                cs.add(b, round);
+                cs.incr(a);
+            }
+        }
+        assert!(cs.fast_len <= FAST_LANES / 2);
+        assert_eq!(cs.iter().count(), FAST_LANES);
+        assert!(cs.iter().all(|(_, v)| v == 9));
     }
 
     #[test]
