@@ -41,8 +41,8 @@ use tmc_core::{
     decode_system, encode_system, memory_digest, recover_journal, FaultSpec, Journal, Mode,
     ModePolicy, System, SystemConfig,
 };
-use tmc_obs::jsonl::encode_record;
-use tmc_obs::{LinkCharge, TraceRecord};
+use tmc_obs::jsonl::encode_event_into;
+use tmc_obs::LinkCharge;
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
@@ -92,6 +92,8 @@ struct Runner {
     ops_done: u64,
     events: u64,
     trace_fnv: u64,
+    /// The line buffer `drain` encodes each event into.
+    line: Vec<u8>,
 }
 
 impl Runner {
@@ -103,17 +105,17 @@ impl Runner {
             ops_done: 0,
             events: 0,
             trace_fnv: FNV_BASIS,
+            line: Vec::new(),
         }
     }
 
     fn drain(&mut self) {
         for e in self.sys.drain_trace() {
             self.events += 1;
-            self.trace_fnv = fnv_fold(
-                self.trace_fnv,
-                encode_record(&TraceRecord::Event(e)).as_bytes(),
-            );
-            self.trace_fnv = fnv_fold(self.trace_fnv, b"\n");
+            self.line.clear();
+            encode_event_into(&mut self.line, &e);
+            self.line.push(b'\n');
+            self.trace_fnv = fnv_fold(self.trace_fnv, &self.line);
         }
     }
 
@@ -150,6 +152,7 @@ impl Runner {
             ops_done,
             events,
             trace_fnv,
+            line: Vec::new(),
         })
     }
 

@@ -1,11 +1,13 @@
 //! End-to-end trace replay: capture a run as JSONL, re-execute it against
 //! a fresh system, and verify every trailer obligation — plus the
-//! zero-perturbation guarantee that tracing never changes what it records.
+//! zero-perturbation guarantee that tracing never changes what it records,
+//! and the reader's promise to answer any input with a typed error rather
+//! than a panic.
 
 use tmc_bench::tracecheck::{capture, check, config_from, header_for, roundtrip};
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::WordAddr;
-use tmc_obs::fnv1a64;
+use tmc_obs::{fnv1a64, TraceReader};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
 use tmc_workload::{Op, Placement, SharedBlockWorkload, Trace};
@@ -141,4 +143,57 @@ fn headers_pin_the_machine_exactly() {
     assert_eq!(header.policy, "adaptive:64");
     assert_eq!(header.scheme, "broadcast-tag");
     assert_eq!(config_from(&header).unwrap(), cfg);
+}
+
+/// Every prefix and every single-byte substitution of a small capture is
+/// read without a panic: the result is the trace or a `TraceError` that
+/// names a line of the input.
+#[test]
+fn reader_never_panics_on_truncated_or_substituted_bytes() {
+    let text = capture(SystemConfig::new(4), |sys| {
+        let a = WordAddr::new(0);
+        sys.set_mode(0, a, Mode::DistributedWrite).unwrap();
+        for p in 0..4 {
+            sys.read(p, a).unwrap();
+        }
+        sys.write(1, a, 7).unwrap();
+        sys.read(2, WordAddr::new(64)).unwrap();
+    })
+    .unwrap();
+    assert!(text.contains(r#""links":[["#), "the capture has a cast");
+    let bytes = text.as_bytes();
+    let lines = text.lines().count();
+    let read = |input: &[u8]| match TraceReader::new(input).read_all() {
+        Ok(_) => true,
+        Err(e) => {
+            // A substituted `\n` can split a line in two.
+            assert!(e.line <= lines + 1, "line {} of {lines}: {e}", e.line);
+            false
+        }
+    };
+    assert!(read(bytes));
+
+    // A prefix lacks the trailer or ends inside a record; dropping only
+    // the final newline is still a whole trace.
+    for cut in 0..bytes.len() {
+        assert_eq!(
+            read(&bytes[..cut]),
+            cut == bytes.len() - 1,
+            "prefix of {cut} bytes"
+        );
+    }
+
+    let mut rejected = 0;
+    let mut mutant = bytes.to_vec();
+    for i in 0..bytes.len() {
+        for &b in b"\":,[]{}09tf\\\n\xc3" {
+            mutant[i] = b;
+            rejected += usize::from(!read(&mutant));
+        }
+        mutant[i] = bytes[i];
+    }
+    assert!(
+        rejected > bytes.len() * 8,
+        "only {rejected} substitutions rejected"
+    );
 }

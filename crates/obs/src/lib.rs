@@ -61,7 +61,10 @@ pub mod stream;
 pub mod tracer;
 
 pub use event::{FaultLabel, LinkCharge, ProtocolEvent, TraceMode};
-pub use jsonl::{fnv1a64, TraceHeader, TraceReader, TraceRecord, TraceTrailer, TraceWriter};
+pub use jsonl::{
+    fnv1a64, TraceError, TraceErrorKind, TraceHeader, TraceReader, TraceRecord, TraceTrailer,
+    TraceWriter,
+};
 pub use metrics::MetricsRegistry;
 pub use stream::{interleave, ShardEvents};
 pub use tracer::Tracer;

@@ -23,8 +23,7 @@ use std::path::{Path, PathBuf};
 use tmc_bench::shardsim::ShardOp;
 use tmc_core::{decode_system, encode_system, memory_digest, recover_journal, Journal, System};
 use tmc_memsys::{ReferenceMemory, WordAddr};
-use tmc_obs::jsonl::{encode_record, fnv1a64};
-use tmc_obs::TraceRecord;
+use tmc_obs::jsonl::{encode_event_into, fnv1a64};
 
 use crate::ops::materialize;
 use crate::run::{counters_of, link_checksum, ScenarioOutcome};
@@ -121,6 +120,8 @@ struct RunnerState {
     events: u64,
     /// Streaming FNV over each event's JSONL line + `\n`.
     trace_fnv: u64,
+    /// The line buffer `drain` encodes each event into.
+    line: Vec<u8>,
 }
 
 impl RunnerState {
@@ -136,6 +137,7 @@ impl RunnerState {
             reads_fnv: FNV_BASIS,
             events: 0,
             trace_fnv: FNV_BASIS,
+            line: Vec::new(),
         })
     }
 
@@ -144,11 +146,10 @@ impl RunnerState {
     fn drain(&mut self) {
         for e in self.sys.drain_trace() {
             self.events += 1;
-            self.trace_fnv = fnv_fold(
-                self.trace_fnv,
-                encode_record(&TraceRecord::Event(e)).as_bytes(),
-            );
-            self.trace_fnv = fnv_fold(self.trace_fnv, b"\n");
+            self.line.clear();
+            encode_event_into(&mut self.line, &e);
+            self.line.push(b'\n');
+            self.trace_fnv = fnv_fold(self.trace_fnv, &self.line);
         }
     }
 
@@ -218,6 +219,7 @@ impl RunnerState {
             reads_fnv,
             events,
             trace_fnv,
+            line: Vec::new(),
         })
     }
 }
