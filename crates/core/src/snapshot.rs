@@ -9,9 +9,39 @@
 //! into a **journal**:
 //!
 //! ```text
-//! file   := "TMCJ0002" frame*
+//! file   := "TMCJ0003" frame*
 //! frame  := "TMCF" len:u64le payload:[u8; len] digest(payload):u64le
 //! ```
+//!
+//! A payload costs what the machine holds, not what its fields could hold
+//! (payload version 2). Scalars and counts are LEB128 varints; ascending
+//! keys (ledger cells, slots, ports, blocks) are written as the gap after
+//! the previous key (`key − previous − 1`); a block's words are one width
+//! byte (the widest word's byte count) and then every word at that width:
+//!
+//! ```text
+//! payload := version=2 config clock nak_budget tracing histogram counters
+//!            ledger cache{n_caches} memory store faults
+//! ledger  := layers lines n (cell_delta bits)*        cell = layer·lines + line
+//! cache   := tick n (line)*                           lines in slot order
+//! line    := control flags slot_delta tag_high age [hint] present block [window]
+//! present := n (port_delta)* | bitmap[⌈N/8⌉]          whichever is shorter
+//! block   := width (word[width]){words per block}
+//! memory  := n (block_delta block)*
+//! store   := n (block_delta owner)*
+//! ```
+//!
+//! `control` holds four 2-bit width codes (1, 2, 4 or 8 bytes) for the
+//! slot delta, the tag with its set bits dropped (the slot implies the
+//! set), the stamp's age `tick − stamp` and the owner hint; `flags` holds
+//! the validity (2 bits), DW, M, hint-present, window-present and
+//! present-as-bitmap bits, top bit clear. The three adaptive counters are
+//! written only when one is nonzero. The decoder accepts the canonical
+//! form only — narrowest widths, minimal varints of at most 10 bytes,
+//! in-range checked deltas, no flag without its field and no field without
+//! its flag, the shorter present-set form — so encode∘decode is a byte
+//! fixed point, and a payload of another version is a typed
+//! [`SnapshotError::Corrupt`].
 //!
 //! `digest` is four FNV-1a-64 lanes folded over interleaved 8-byte
 //! little-endian words and FNV-combined at the end (tail bytes one at a
@@ -51,7 +81,7 @@
 //! # Ok::<(), tmc_core::CoreError>(())
 //! ```
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -61,7 +91,6 @@ use std::sync::{Mutex, OnceLock};
 
 use tmc_faults::{FaultInjector, FaultPlan, FaultSpec, InjectorState, MsgFault, RetryPolicy};
 use tmc_memsys::{BlockAddr, BlockData, BlockSpec, CacheGeometry, CacheId, MsgSizing};
-use tmc_obs::jsonl::fnv1a64;
 use tmc_omeganet::{DestSet, LinkId, SchemeKind};
 use tmc_simcore::SimTime;
 
@@ -70,9 +99,10 @@ use crate::state::{CacheLine, Mode, Validity};
 use crate::system::{FaultState, System};
 
 /// Magic bytes opening a journal file. The version tail changes whenever
-/// the frame format (including the digest function) changes, so stale
-/// journals are rejected at the header instead of failing frame by frame.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"TMCJ0002";
+/// the frame format (including the digest function) or the payload format
+/// changes, so stale journals are rejected at the header instead of
+/// failing frame by frame.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"TMCJ0003";
 
 /// Magic bytes opening each frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"TMCF";
@@ -146,8 +176,28 @@ fn frame_digest(bytes: &[u8]) -> u64 {
     digest.finish(&bytes[full..])
 }
 
-/// Payload format version, first field of every system payload.
-const PAYLOAD_VERSION: u32 = 1;
+/// Payload format version, the first field of every system payload.
+const PAYLOAD_VERSION: u64 = 2;
+
+/// Main memory and the block store are paged tables whose page directory
+/// grows to the highest block touched, so a checkpoint names memory,
+/// block-store and degraded-block entries only below this bound: it keeps
+/// a corrupt block number from driving an absurd allocation on decode. The
+/// encoder refuses a machine beyond it rather than write a payload it
+/// could not read back.
+const BLOCK_LIMIT: u64 = 1 << 32;
+
+/// Line flags byte: validity in the low two bits, then one bit each.
+const FLAG_DW: u8 = 1 << 2;
+const FLAG_MODIFIED: u8 = 1 << 3;
+const FLAG_HINT: u8 = 1 << 4;
+const FLAG_WINDOW: u8 = 1 << 5;
+const FLAG_BITMAP: u8 = 1 << 6;
+const FLAG_RESERVED: u8 = 1 << 7;
+
+/// Fewest bytes a cache line takes: control, flags, three one-byte coded
+/// fields, an empty present list and a zero block's width byte.
+const MIN_LINE: usize = 7;
 
 // ----------------------------------------------------------------------
 // Errors.
@@ -176,10 +226,11 @@ pub enum SnapshotError {
         /// Zero-based index of the damaged frame.
         frame: usize,
     },
-    /// A payload decoded to an impossible machine state.
+    /// A payload decoded to an impossible machine state, or is not in the
+    /// canonical form the encoder writes.
     Corrupt(String),
-    /// The configuration cannot be checkpointed (timing model or
-    /// transaction log enabled, or an undrained tracer).
+    /// The machine cannot be checkpointed (timing model or transaction log
+    /// enabled, an undrained tracer, or a block beyond the codec's limit).
     Unsupported(&'static str),
 }
 
@@ -205,31 +256,144 @@ impl fmt::Display for SnapshotError {
 impl Error for SnapshotError {}
 
 // ----------------------------------------------------------------------
-// Little-endian byte codec.
+// Byte codec: LEB128 varints, width-coded integers, width-packed blocks.
 // ----------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+/// Bytes the LEB128 encoding of `v` takes (1..=10).
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Writes `v` as LEB128 at `out[at..]`; returns the offset after it.
+#[inline]
+fn put_varint(out: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    out[at] = v as u8;
+    at + 1
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The 2-bit code of the narrowest of 1, 2, 4 and 8 bytes that holds `v`.
+#[inline]
+fn width_code(v: u64) -> u8 {
+    const BY_TOP_BYTE: [u8; 8] = [0, 1, 2, 2, 3, 3, 3, 3];
+    BY_TOP_BYTE[(63 - (v | 1).leading_zeros() as usize) >> 3]
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Stores the low `1 << code` bytes of `v` at `out[at..]`; returns the
+/// offset after them. The store is one whole 8-byte write, so `out` needs
+/// 8 bytes of room whatever the width.
+#[inline]
+fn put_coded(out: &mut [u8], at: usize, v: u64, code: u8) -> usize {
+    out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    at + (1 << (code & 3))
 }
 
-fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Bytes the widest of `words` needs: 0 when every word is 0.
+#[inline]
+fn data_width(words: &[u64]) -> usize {
+    let widest = words.iter().fold(0, |acc, &w| acc | w);
+    (64 - widest.leading_zeros() as usize).div_ceil(8)
 }
 
-/// A bounds-checked little-endian reader; every overrun is a typed error,
-/// never a panic.
+/// Writes a block as one width byte and every word at that width; needs
+/// `1 + 8 * words.len()` bytes of room.
+#[inline]
+fn put_data(out: &mut [u8], at: usize, words: &[u64]) -> usize {
+    let width = data_width(words);
+    out[at] = width as u8;
+    let mut at = at + 1;
+    if width == 0 {
+        return at; // an invalid entry's zeroed block: most lines
+    }
+    for &w in words {
+        out[at..at + 8].copy_from_slice(&w.to_le_bytes());
+        at += width;
+    }
+    at
+}
+
+/// Bytes a present set takes as a count plus ascending port deltas.
+fn present_list_len(present: &DestSet) -> usize {
+    let mut next = 0;
+    let mut len = varint_len(present.len() as u64);
+    for port in present.iter() {
+        len += varint_len((port - next) as u64);
+        next = port + 1;
+    }
+    len
+}
+
+/// The payload under construction: `buf[..pos]` is written and the bytes
+/// past `pos` are working room, so a field can be stored with one whole
+/// 8-byte write and then advanced by its real width. A cache line asks for
+/// its worst-case room once and is written with plain indexed stores —
+/// per-field `Vec` pushes, each a capacity check and a length update, cost
+/// more than the bytes they save.
+struct Writer {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl Writer {
+    /// The room from `pos` on: at least `n` bytes.
+    #[inline]
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.buf.len() - self.pos < n {
+            self.grow(n);
+        }
+        &mut self.buf[self.pos..]
+    }
+
+    #[cold]
+    fn grow(&mut self, n: usize) {
+        let len = (self.pos + n).max(2 * self.buf.len());
+        self.buf.resize(len, 0);
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.room(1)[0] = v;
+        self.pos += 1;
+    }
+
+    fn varint(&mut self, v: u64) {
+        let n = put_varint(self.room(10), 0, v);
+        self.pos += n;
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+    }
+
+    /// An ascending key as its distance from `*next`, which then moves
+    /// past it.
+    fn delta(&mut self, key: u64, next: &mut u64) {
+        self.varint(key - *next);
+        *next = key + 1;
+    }
+
+    fn data(&mut self, words: &[u64]) {
+        let n = put_data(self.room(1 + 8 * words.len()), 0, words);
+        self.pos += n;
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.buf.truncate(self.pos);
+        self.buf
+    }
+}
+
+/// A borrowing, bounds-checked payload reader. Every overrun and every
+/// encoding the writer would not have produced is a typed error, never a
+/// panic, so a payload that decodes re-encodes to the same bytes.
+///
+/// The field readers are `inline(always)` and their error paths cold: a
+/// line is a dozen fields, and as calls each returning a `Result` they
+/// made decoding 15–20 % slower.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -244,56 +408,144 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    #[cold]
+    #[inline(never)]
+    fn corrupt(&self, why: impl fmt::Display) -> SnapshotError {
+        SnapshotError::Corrupt(format!("byte {}: {why}", self.pos))
+    }
+
+    #[inline(always)]
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
-            return Err(SnapshotError::Corrupt(format!(
-                "payload truncated at byte {} (needed {n} more)",
-                self.pos
-            )));
+            return Err(self.corrupt(format_args!("payload truncated (needed {n} more)")));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[inline(always)]
     fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.bytes(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, SnapshotError> {
-        Ok(u128::from_le_bytes(self.bytes(16)?.try_into().unwrap()))
-    }
-
-    /// A element count whose elements take at least `min_elem` bytes each;
-    /// rejects counts the remaining bytes cannot possibly hold, so a
-    /// corrupt length can never drive an absurd allocation.
-    fn count(&mut self, min_elem: usize, what: &str) -> Result<usize, SnapshotError> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(min_elem.max(1))
-            .is_none_or(|need| need > self.remaining())
-        {
-            return Err(SnapshotError::Corrupt(format!(
-                "{what} count {n} exceeds remaining payload"
-            )));
+    #[inline(always)]
+    fn flag(&mut self, what: &str) -> Result<bool, SnapshotError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(self.corrupt(format_args!("{what} flag {v} is not a bool"))),
         }
-        Ok(n)
+    }
+
+    /// A LEB128 varint: at most 10 bytes, the tenth carrying only bit 63,
+    /// and no redundant trailing zero byte.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, SnapshotError> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.u8()?;
+            if i == 9 && b > 1 {
+                return Err(self.corrupt("varint overflows 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(self.corrupt("varint has a redundant zero byte"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(self.corrupt("varint longer than 10 bytes"))
+    }
+
+    #[inline(always)]
+    fn u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| self.corrupt(format_args!("{what} {v} exceeds 32 bits")))
+    }
+
+    #[inline(always)]
+    fn usize(&mut self, what: &str) -> Result<usize, SnapshotError> {
+        let v = self.varint()?;
+        usize::try_from(v).map_err(|_| self.corrupt(format_args!("{what} {v} exceeds usize")))
+    }
+
+    /// An element count whose elements take at least `min_elem` bytes
+    /// each; a count the remaining bytes cannot hold is rejected before
+    /// anything is allocated for it.
+    #[inline(always)]
+    fn count(&mut self, min_elem: usize, what: &str) -> Result<usize, SnapshotError> {
+        let n = self.varint()?;
+        if n > (self.remaining() / min_elem) as u64 {
+            return Err(self.corrupt(format_args!("{what} count {n} exceeds the payload")));
+        }
+        Ok(n as usize)
+    }
+
+    /// The ascending key after `*next`, stored as its distance from it.
+    #[inline(always)]
+    fn delta(&mut self, next: &mut u64, limit: u64, what: &str) -> Result<u64, SnapshotError> {
+        let d = self.varint()?;
+        match next.checked_add(d) {
+            Some(key) if key < limit => {
+                *next = key + 1;
+                Ok(key)
+            }
+            _ => Err(self.corrupt(format_args!("{what} {next}+{d} out of range"))),
+        }
+    }
+
+    /// A little-endian integer of `width` (0..=8) bytes.
+    #[inline(always)]
+    fn uint(&mut self, width: usize) -> Result<u64, SnapshotError> {
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+            let v = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+            self.pos += width;
+            Ok(if width == 8 {
+                v
+            } else {
+                v & ((1 << (8 * width)) - 1)
+            })
+        } else {
+            let bytes = self.bytes(width)?;
+            Ok(bytes
+                .iter()
+                .rev()
+                .fold(0, |acc, &b| acc << 8 | u64::from(b)))
+        }
+    }
+
+    /// A width-coded field, which must sit at its narrowest width.
+    #[inline(always)]
+    fn coded(&mut self, code: u8, what: &str) -> Result<u64, SnapshotError> {
+        let v = self.uint(1 << code)?;
+        if width_code(v) != code {
+            return Err(self.corrupt(format_args!("{what} {v} is wider than it needs")));
+        }
+        Ok(v)
+    }
+
+    /// A block written by [`put_data`], into `words`.
+    #[inline(always)]
+    fn data(&mut self, wpb: usize, words: &mut Vec<u64>) -> Result<(), SnapshotError> {
+        let width = self.u8()? as usize;
+        if width > 8 {
+            return Err(self.corrupt(format_args!("word width {width}")));
+        }
+        words.clear();
+        for _ in 0..wpb {
+            words.push(self.uint(width)?);
+        }
+        if data_width(words) != width {
+            return Err(self.corrupt(format_args!("word width {width} is not the widest word's")));
+        }
+        Ok(())
     }
 
     fn finish(self) -> Result<(), SnapshotError> {
         if self.remaining() != 0 {
-            return Err(SnapshotError::Corrupt(format!(
+            return Err(self.corrupt(format_args!(
                 "{} trailing bytes after payload end",
                 self.remaining()
             )));
@@ -306,16 +558,16 @@ impl<'a> Reader<'a> {
 /// keyed [`tmc_simcore::CounterSet`]. Leakage is bounded by the set of
 /// distinct names ever decoded — in practice the fixed counter vocabulary
 /// of the engine.
-fn intern(name: String) -> &'static str {
+fn intern(name: &str) -> &'static str {
     static NAMES: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
     let mut set = NAMES
         .get_or_init(|| Mutex::new(BTreeSet::new()))
         .lock()
         .expect("interner poisoned");
-    if let Some(&s) = set.get(name.as_str()) {
+    if let Some(&s) = set.get(name) {
         return s;
     }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
+    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
     set.insert(leaked);
     leaked
 }
@@ -330,8 +582,9 @@ fn intern(name: String) -> &'static str {
 ///
 /// [`SnapshotError::Unsupported`] when the configuration enables the
 /// timing model or transaction log (their state is deliberately outside
-/// the checkpoint contract, mirroring `merge_shard`), or when the tracer
-/// holds undrained events.
+/// the checkpoint contract, mirroring `merge_shard`), when the tracer
+/// holds undrained events, or when memory, the block store or the fault
+/// state names a block at or beyond 2³².
 pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
     let mut buf = Vec::new();
     encode_system_into(sys, &mut buf)?;
@@ -339,10 +592,10 @@ pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
 }
 
 /// [`encode_system`], but writing into a caller-owned buffer that is
-/// cleared and reused. Steady-cadence checkpointing should prefer this: a
-/// multi-megabyte payload allocated fresh per checkpoint is served by
-/// `mmap` and unmapped again on free, so every encode would re-fault its
-/// pages in; a reused buffer keeps them mapped.
+/// reused. Steady-cadence checkpointing should prefer this: the buffer's
+/// pages stay mapped and its length from the last payload is the working
+/// room for the next, so nothing is allocated or zero-filled again unless
+/// the machine grew.
 ///
 /// # Errors
 ///
@@ -364,404 +617,461 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
         ));
     }
 
-    // A big machine's payload is multi-megabyte; reserving a close
-    // estimate up front avoids the realloc-copy chain while it grows.
-    // (Per-line present sets are estimated small; heavily shared blocks
-    // at most cost one further doubling.)
+    let n_caches = sys.cfg.n_caches;
     let wpb = sys.cfg.spec.words_per_block();
-    let resident: usize = sys.caches.iter().map(|c| c.len()).sum();
-    let estimate = 4096
-        + resident * (64 + 8 * wpb)
-        + sys.memory.dirty_blocks() * (8 + 8 * wpb)
-        + sys.store.owned_blocks() * 10;
-    let mut buf = std::mem::take(out);
-    buf.clear();
-    buf.reserve(estimate);
-    put_u32(&mut buf, PAYLOAD_VERSION);
-    encode_config(&mut buf, &sys.cfg);
+    let mut w = Writer {
+        buf: std::mem::take(out),
+        pos: 0,
+    };
+    if w.buf.is_empty() {
+        // A first payload starts from a close estimate instead of doubling
+        // up from nothing.
+        let resident: usize = sys.caches.iter().map(|c| c.len()).sum();
+        let estimate = 4096 + resident * (16 + 2 * wpb) + sys.memory.dirty_blocks() * (4 + 4 * wpb);
+        w.buf.resize(estimate, 0);
+    }
+    w.varint(PAYLOAD_VERSION);
+    encode_config(&mut w, &sys.cfg);
 
-    // Dynamic scalar state.
-    put_u64(&mut buf, sys.now.cycles());
-    put_u64(&mut buf, sys.nak_budget as u64);
-    put_u8(&mut buf, sys.tracer.is_enabled() as u8);
+    w.varint(sys.now.cycles());
+    w.varint(sys.nak_budget as u64);
+    w.u8(u8::from(sys.tracer.is_enabled()));
 
     // Latency histogram (exact raw parts).
     let (buckets, count, total) = sys.latencies.to_raw_parts();
-    put_u64(&mut buf, buckets.len() as u64);
+    w.varint(buckets.len() as u64);
     for &b in buckets {
-        put_u64(&mut buf, b);
+        w.varint(b);
     }
-    put_u64(&mut buf, count);
-    put_u128(&mut buf, total);
+    w.varint(count);
+    w.varint(total as u64);
+    w.varint((total >> 64) as u64);
 
-    // Counters, in CounterSet's canonical name order.
-    let counters: Vec<(&'static str, u64)> = sys.counters.iter().collect();
-    put_u64(&mut buf, counters.len() as u64);
-    for (name, value) in counters {
-        put_u64(&mut buf, name.len() as u64);
-        buf.extend_from_slice(name.as_bytes());
-        put_u64(&mut buf, value);
+    // Counters, in CounterSet's name order.
+    w.varint(sys.counters.iter().count() as u64);
+    for (name, value) in sys.counters.iter() {
+        w.varint(name.len() as u64);
+        w.bytes(name.as_bytes());
+        w.varint(value);
     }
 
-    // Per-link charge ledger: nonzero cells in (layer, line) order.
+    // Per-link ledger: nonzero cells as deltas of their flat index
+    // `layer · lines + line`, each with its bits.
     let layers = sys.traffic.layers();
     let lines = sys.traffic.n_ports();
-    put_u64(&mut buf, layers as u64);
-    put_u64(&mut buf, lines as u64);
-    let mut cells = Vec::new();
-    for layer in 0..layers as u32 {
+    w.varint(layers as u64);
+    w.varint(lines as u64);
+    w.varint(sys.traffic.links_used() as u64);
+    let mut next = 0;
+    for layer in 0..layers {
         for line in 0..lines {
-            let bits = sys.traffic.link_bits(LinkId { layer, line });
+            let bits = sys.traffic.link_bits(LinkId {
+                layer: layer as u32,
+                line,
+            });
             if bits > 0 {
-                cells.push((layer, line, bits));
+                w.delta((layer * lines + line) as u64, &mut next);
+                w.varint(bits);
             }
         }
     }
-    put_u64(&mut buf, cells.len() as u64);
-    for (layer, line, bits) in cells {
-        put_u32(&mut buf, layer);
-        put_u64(&mut buf, line as u64);
-        put_u64(&mut buf, bits);
-    }
 
-    // Every cache's SoA image: exact slots, stamps and LRU clock. This is
-    // the bulk of a big machine's payload (every resident line of every
-    // cache), so each entry is written with one `resize` plus indexed
-    // stores into the fresh region — a single capacity check per line
-    // instead of one per field, which is what dominated encode time at
-    // N=1024 (~1.3M capacity-checked extends for a ~9 MB frame).
+    // Every cache in slot order: its clock, then each resident line.
+    let set_bits = sys.cfg.geometry.sets().trailing_zeros();
+    let bitmap_len = n_caches.div_ceil(8);
+    // Control and flags, four coded fields, present set, block, counters.
+    let line_room = 2 + 4 * 8 + bitmap_len + 1 + 8 * wpb + 3 * 5;
+    // Present sets up to this size are never longer as a list than as a
+    // bitmap: a port delta takes at most `varint_len(n_caches - 1)` bytes.
+    let list_bound = (bitmap_len - 1) / varint_len(n_caches as u64 - 1);
     for cache in &sys.caches {
-        put_u64(&mut buf, cache.tick());
-        put_u64(&mut buf, cache.len() as u64);
+        let tick = cache.tick();
+        w.varint(tick);
+        w.varint(cache.len() as u64);
+        let mut next = 0;
         for (slot, tag, stamp, line) in cache.slots() {
-            let sz = 57 + 2 * line.present.len() + 8 * line.data.len();
-            let start = buf.len();
-            buf.resize(start + sz, 0);
-            let out = &mut buf[start..];
-            out[0..8].copy_from_slice(&(slot as u64).to_le_bytes());
-            out[8..16].copy_from_slice(&tag.to_le_bytes());
-            out[16..24].copy_from_slice(&stamp.to_le_bytes());
-            out[24] = match line.validity {
-                Validity::Invalid => 0,
-                Validity::UnOwned => 1,
-                Validity::Owned => 2,
+            let head = LineHead {
+                slot_delta: (slot - next) as u64,
+                tag_high: tag >> set_bits,
+                age: tick - stamp,
             };
-            out[25] = line.mode.dw_bit() as u8;
-            out[26] = line.modified as u8;
-            out[27..35].copy_from_slice(&(line.present.len() as u64).to_le_bytes());
-            let mut at = 35;
-            for port in line.present.iter() {
-                out[at..at + 2].copy_from_slice(&(port as u16).to_le_bytes());
-                at += 2;
-            }
-            out[at..at + 2]
-                .copy_from_slice(&line.owner_hint.map_or(u16::MAX, |c| c.0).to_le_bytes());
-            out[at + 2..at + 10].copy_from_slice(&(line.data.len() as u64).to_le_bytes());
-            at += 10;
-            for &w in line.data.words() {
-                out[at..at + 8].copy_from_slice(&w.to_le_bytes());
-                at += 8;
-            }
-            out[at..at + 4].copy_from_slice(&line.window_refs.to_le_bytes());
-            out[at + 4..at + 8].copy_from_slice(&line.window_remote_reads.to_le_bytes());
-            out[at + 8..at + 12].copy_from_slice(&line.window_writes.to_le_bytes());
+            let n = put_line(w.room(line_room), &head, line, bitmap_len, list_bound);
+            w.pos += n;
+            next = slot + 1;
         }
     }
 
     // Main memory: written blocks only, ascending.
-    put_u64(&mut buf, sys.memory.dirty_blocks() as u64);
-    for (block, words) in sys.memory.iter() {
-        put_u64(&mut buf, block.index());
-        for &w in words {
-            put_u64(&mut buf, w);
-        }
-    }
+    w.varint(sys.memory.dirty_blocks() as u64);
+    // `try_for_each` rather than `for`: the paged iterators are nested
+    // flat-maps, which iterate far faster from the inside.
+    let mut next = 0;
+    sys.memory.iter().try_for_each(|(block, words)| {
+        w.delta(block_key(block)?, &mut next);
+        w.data(words);
+        Ok(())
+    })?;
 
     // Block store: (block, owner) entries, ascending.
-    put_u64(&mut buf, sys.store.owned_blocks() as u64);
-    for (block, owner) in sys.store.iter() {
-        put_u64(&mut buf, block.index());
-        put_u16(&mut buf, owner.0);
-    }
+    w.varint(sys.store.owned_blocks() as u64);
+    let mut next = 0;
+    sys.store.iter().try_for_each(|(block, owner)| {
+        w.delta(block_key(block)?, &mut next);
+        w.varint(u64::from(owner.0));
+        Ok(())
+    })?;
 
     // Live fault-injection state (the plan itself is regenerated from the
     // config's FaultSpec on decode).
     match &sys.faults {
-        None => put_u8(&mut buf, 0),
+        None => w.u8(0),
         Some(fs) => {
-            put_u8(&mut buf, 1);
-            put_u64(&mut buf, fs.op);
-            put_u64(&mut buf, fs.degraded.len() as u64);
+            w.u8(1);
+            w.varint(fs.op);
+            w.varint(fs.degraded.len() as u64);
+            let mut next = 0;
             for (&block, &(heal, since)) in &fs.degraded {
-                put_u64(&mut buf, block.index());
-                put_u64(&mut buf, heal);
-                put_u64(&mut buf, since);
+                w.delta(block_key(block)?, &mut next);
+                w.varint(heal);
+                w.varint(since);
             }
-            put_u64(&mut buf, fs.quarantined.len() as u64);
+            w.varint(fs.quarantined.len() as u64);
+            let mut next = 0;
             for (&cache, &(heal, since)) in &fs.quarantined {
-                put_u64(&mut buf, cache as u64);
-                put_u64(&mut buf, heal);
-                put_u64(&mut buf, since);
+                w.delta(cache as u64, &mut next);
+                w.varint(heal);
+                w.varint(since);
             }
-            encode_injector(&mut buf, &fs.injector.state());
+            encode_injector(&mut w, &fs.injector.state());
         }
     }
 
-    *out = buf;
+    *out = w.finish();
     Ok(())
 }
 
-fn encode_config(buf: &mut Vec<u8>, cfg: &SystemConfig) {
-    put_u64(buf, cfg.n_caches as u64);
-    put_u64(buf, cfg.geometry.sets() as u64);
-    put_u64(buf, cfg.geometry.ways() as u64);
-    put_u32(buf, cfg.spec.words_per_block().trailing_zeros());
-    put_u64(buf, cfg.sizing.addr_bits);
-    put_u64(buf, cfg.sizing.word_bits);
-    put_u64(buf, cfg.sizing.block_words as u64);
-    put_u64(buf, cfg.sizing.control_bits);
-    put_u8(
-        buf,
-        match cfg.multicast {
-            SchemeKind::Replicated => 0,
-            SchemeKind::BitVector => 1,
-            SchemeKind::BroadcastTag => 2,
-            SchemeKind::Combined => 3,
-        },
-    );
-    match cfg.mode_policy {
-        ModePolicy::Fixed(Mode::GlobalRead) => put_u8(buf, 0),
-        ModePolicy::Fixed(Mode::DistributedWrite) => put_u8(buf, 1),
-        ModePolicy::Adaptive { window } => {
-            put_u8(buf, 2);
-            put_u32(buf, window);
+/// A block number as the payload stores it: below [`BLOCK_LIMIT`].
+fn block_key(block: BlockAddr) -> Result<u64, SnapshotError> {
+    if block.index() >= BLOCK_LIMIT {
+        return Err(SnapshotError::Unsupported(
+            "a block at or beyond 2^32 is not checkpointable",
+        ));
+    }
+    Ok(block.index())
+}
+
+/// The fields of a line header that come from its slot rather than the
+/// line: the distance from the previous occupied slot, the tag with its
+/// set bits dropped (the slot implies the set), and the LRU stamp as its
+/// age on the cache's clock.
+struct LineHead {
+    slot_delta: u64,
+    tag_high: u64,
+    age: u64,
+}
+
+/// Writes one cache line into `out` (which has the worst-case room) and
+/// returns its length:
+///
+/// ```text
+/// line := control flags slot_delta tag_high age [hint] present block [window]
+/// ```
+///
+/// `control` holds the 2-bit width codes of the four coded fields (hint
+/// code 0 when the line has no hint); `flags` the validity, DW, M, hint,
+/// window and bitmap bits; `present` is a count plus ascending port deltas
+/// or, when strictly shorter, a `bitmap_len`-byte bitmap; `window` the
+/// three adaptive counters, present only when one is nonzero.
+#[inline(always)]
+fn put_line(
+    out: &mut [u8],
+    head: &LineHead,
+    line: &CacheLine,
+    bitmap_len: usize,
+    list_bound: usize,
+) -> usize {
+    let hint = line.owner_hint.map(|c| u64::from(c.0));
+    let window = [
+        line.window_refs,
+        line.window_remote_reads,
+        line.window_writes,
+    ];
+    // Only sets between the two size bounds need their list measured.
+    let members = line.present.len();
+    let bitmap = members > list_bound
+        && (members >= bitmap_len || bitmap_len < present_list_len(&line.present));
+    let codes = [
+        width_code(head.slot_delta),
+        width_code(head.tag_high),
+        width_code(head.age),
+        width_code(hint.unwrap_or(0)),
+    ];
+    // Every code is at most 3, so the head ends by byte 34; checking that
+    // once spares the coded stores their own bounds checks.
+    assert!(out.len() >= 34, "room for the line head");
+    out[0] = codes[0] | codes[1] << 2 | codes[2] << 4 | codes[3] << 6;
+    let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+    out[1] = match line.validity {
+        Validity::Invalid => 0,
+        Validity::UnOwned => 1,
+        Validity::Owned => 2,
+    } | flag(line.mode.dw_bit(), FLAG_DW)
+        | flag(line.modified, FLAG_MODIFIED)
+        | flag(hint.is_some(), FLAG_HINT)
+        | flag(window != [0; 3], FLAG_WINDOW)
+        | flag(bitmap, FLAG_BITMAP);
+    let mut at = put_coded(out, 2, head.slot_delta, codes[0]);
+    at = put_coded(out, at, head.tag_high, codes[1]);
+    at = put_coded(out, at, head.age, codes[2]);
+    if let Some(hint) = hint {
+        at = put_coded(out, at, hint, codes[3]);
+    }
+    if bitmap {
+        let map = &mut out[at..at + bitmap_len];
+        map.fill(0);
+        for port in line.present.iter() {
+            map[port / 8] |= 1 << (port % 8);
+        }
+        at += bitmap_len;
+    } else {
+        at = put_varint(out, at, members as u64);
+        if members > 0 {
+            // Most present sets are empty; this skips making an iterator.
+            let mut next = 0;
+            for port in line.present.iter() {
+                at = put_varint(out, at, (port - next) as u64);
+                next = port + 1;
+            }
         }
     }
-    put_u8(buf, cfg.owner_bypass as u8);
+    at = put_data(out, at, line.data.words());
+    if window != [0; 3] {
+        for v in window {
+            at = put_varint(out, at, u64::from(v));
+        }
+    }
+    at
+}
+
+fn encode_config(w: &mut Writer, cfg: &SystemConfig) {
+    w.varint(cfg.n_caches as u64);
+    w.varint(cfg.geometry.sets() as u64);
+    w.varint(cfg.geometry.ways() as u64);
+    w.varint(u64::from(cfg.spec.words_per_block().trailing_zeros()));
+    w.varint(cfg.sizing.addr_bits);
+    w.varint(cfg.sizing.word_bits);
+    w.varint(cfg.sizing.block_words as u64);
+    w.varint(cfg.sizing.control_bits);
+    w.u8(match cfg.multicast {
+        SchemeKind::Replicated => 0,
+        SchemeKind::BitVector => 1,
+        SchemeKind::BroadcastTag => 2,
+        SchemeKind::Combined => 3,
+    });
+    match cfg.mode_policy {
+        ModePolicy::Fixed(Mode::GlobalRead) => w.u8(0),
+        ModePolicy::Fixed(Mode::DistributedWrite) => w.u8(1),
+        ModePolicy::Adaptive { window } => {
+            w.u8(2);
+            w.varint(u64::from(window));
+        }
+    }
+    w.u8(u8::from(cfg.owner_bypass));
     match &cfg.faults {
-        None => put_u8(buf, 0),
+        None => w.u8(0),
         Some(spec) => {
-            put_u8(buf, 1);
-            put_u64(buf, spec.seed);
-            put_u64(buf, spec.count as u64);
-            put_u64(buf, spec.horizon);
-            put_u64(buf, spec.mean_outage);
-            put_u32(buf, spec.retry.max_retries);
-            put_u64(buf, spec.retry.backoff_base);
+            w.u8(1);
+            w.varint(spec.seed);
+            w.varint(spec.count as u64);
+            w.varint(spec.horizon);
+            w.varint(spec.mean_outage);
+            w.varint(u64::from(spec.retry.max_retries));
+            w.varint(spec.retry.backoff_base);
         }
     }
 }
 
-fn encode_injector(buf: &mut Vec<u8>, st: &InjectorState) {
-    put_u64(buf, st.cursor as u64);
-    put_u64(buf, st.op);
-    put_u64(buf, st.down_links.len() as u64);
+fn encode_injector(w: &mut Writer, st: &InjectorState) {
+    w.varint(st.cursor as u64);
+    w.varint(st.op);
+    w.varint(st.down_links.len() as u64);
     for &(link, heal) in &st.down_links {
-        put_u32(buf, link.layer);
-        put_u64(buf, link.line as u64);
-        put_u64(buf, heal);
+        w.varint(u64::from(link.layer));
+        w.varint(link.line as u64);
+        w.varint(heal);
     }
-    put_u64(buf, st.stalled.len() as u64);
+    w.varint(st.stalled.len() as u64);
     for &(cache, heal) in &st.stalled {
-        put_u64(buf, cache as u64);
-        put_u64(buf, heal);
+        w.varint(cache as u64);
+        w.varint(heal);
     }
-    put_u64(buf, st.pending_msgs.len() as u64);
+    w.varint(st.pending_msgs.len() as u64);
     for &m in &st.pending_msgs {
         match m {
-            MsgFault::Drop => put_u8(buf, 0),
-            MsgFault::Duplicate => put_u8(buf, 1),
+            MsgFault::Drop => w.u8(0),
+            MsgFault::Duplicate => w.u8(1),
             MsgFault::Delay(cycles) => {
-                put_u8(buf, 2);
-                put_u64(buf, cycles);
+                w.u8(2);
+                w.varint(cycles);
             }
         }
     }
-    put_u64(buf, st.injected);
+    w.varint(st.injected);
 }
 
 /// Rebuilds a complete machine from a payload produced by
 /// [`encode_system`].
 ///
 /// Every malformed input is rejected with a typed [`SnapshotError`]; this
-/// function never panics, whatever the bytes. The decoded system is
-/// *exactly* the snapshotted one: same protocol fingerprint, counters,
-/// charge ledgers, LRU order and fault state, so continuing it is
-/// bit-identical to continuing the original.
+/// function never panics, whatever the bytes. Only the canonical encoding
+/// is accepted (narrowest widths, minimal varints, ascending keys, the
+/// shorter present-set form), so a payload that decodes re-encodes to the
+/// same bytes. The decoded system is *exactly* the snapshotted one: same
+/// protocol fingerprint, counters, charge ledgers, LRU order and fault
+/// state, so continuing it is bit-identical to continuing the original.
 pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
-    let corrupt = |why: String| SnapshotError::Corrupt(why);
     let mut r = Reader::new(bytes);
-    let version = r.u32()?;
+    let version = r.varint()?;
     if version != PAYLOAD_VERSION {
-        return Err(corrupt(format!("unknown payload version {version}")));
+        return Err(r.corrupt(format_args!(
+            "payload version {version}, this build reads {PAYLOAD_VERSION}"
+        )));
     }
     let cfg = decode_config(&mut r)?;
-    let mut sys = System::new(cfg).map_err(|e| corrupt(format!("config rejected: {e}")))?;
+    let mut sys = System::new(cfg).map_err(|e| r.corrupt(format_args!("config rejected: {e}")))?;
 
-    sys.now = SimTime::new(r.u64()?);
-    sys.nak_budget = r.u64()? as usize;
-    let tracing = r.u8()?;
-    if tracing > 1 {
-        return Err(corrupt(format!("tracer flag {tracing} is not a bool")));
-    }
-    sys.tracer.set_enabled(tracing == 1);
+    sys.now = SimTime::new(r.varint()?);
+    sys.nak_budget = r.usize("NAK budget")?;
+    sys.tracer.set_enabled(r.flag("tracer")?);
 
     // Latency histogram.
-    let n_buckets = r.count(8, "histogram bucket")?;
-    if n_buckets > 1024 {
-        return Err(corrupt(format!("histogram bucket count {n_buckets}")));
+    let n_buckets = r.count(1, "histogram bucket")?;
+    if n_buckets != sys.latencies.to_raw_parts().0.len() {
+        return Err(r.corrupt(format_args!("histogram of {n_buckets} buckets")));
     }
     let mut buckets = Vec::with_capacity(n_buckets);
     for _ in 0..n_buckets {
-        buckets.push(r.u64()?);
+        buckets.push(r.varint()?);
     }
-    let count = r.u64()?;
-    let total = r.u128()?;
+    let count = r.varint()?;
+    let total = u128::from(r.varint()?) | u128::from(r.varint()?) << 64;
     sys.latencies = tmc_simcore::Histogram::from_raw_parts(buckets, count, total);
 
-    // Counters.
-    let n_counters = r.count(16, "counter")?;
+    // Counters, strictly ascending by name.
+    let n_counters = r.count(2, "counter")?;
+    let mut prev: Option<&str> = None;
     for _ in 0..n_counters {
         let name_len = r.count(1, "counter name byte")?;
         if name_len > 256 {
-            return Err(corrupt(format!("counter name length {name_len}")));
+            return Err(r.corrupt(format_args!("counter name length {name_len}")));
         }
         let name = std::str::from_utf8(r.bytes(name_len)?)
-            .map_err(|_| corrupt("counter name is not UTF-8".into()))?
-            .to_owned();
-        let value = r.u64()?;
+            .map_err(|_| r.corrupt("counter name is not UTF-8"))?;
+        if prev.is_some_and(|p| p >= name) {
+            return Err(r.corrupt(format_args!("counter {name:?} out of order")));
+        }
+        prev = Some(name);
+        let value = r.varint()?;
         sys.counters.add(intern(name), value);
     }
 
     // Traffic ledger.
-    let layers = r.u64()? as usize;
-    let lines = r.u64()? as usize;
+    let layers = r.usize("ledger layers")?;
+    let lines = r.usize("ledger lines")?;
     if layers != sys.traffic.layers() || lines != sys.traffic.n_ports() {
-        return Err(corrupt(format!(
+        return Err(r.corrupt(format_args!(
             "traffic shape {layers}x{lines} does not match the {}x{} network",
             sys.traffic.layers(),
             sys.traffic.n_ports()
         )));
     }
-    let n_cells = r.count(20, "traffic cell")?;
+    let n_cells = r.count(2, "traffic cell")?;
+    let mut next = 0;
     for _ in 0..n_cells {
-        let layer = r.u32()?;
-        let line = r.u64()? as usize;
-        let bits = r.u64()?;
-        if (layer as usize) >= layers || line >= lines {
-            return Err(corrupt(format!(
-                "traffic cell ({layer}, {line}) out of shape"
-            )));
-        }
+        let cell = r.delta(&mut next, (layers * lines) as u64, "traffic cell")? as usize;
+        let bits = r.varint()?;
         if bits == 0 {
-            return Err(corrupt("zero traffic cell breaks canonical form".into()));
+            return Err(r.corrupt("zero traffic cell breaks canonical form"));
         }
-        sys.traffic.add(LinkId { layer, line }, bits);
+        let link = LinkId {
+            layer: (cell / lines) as u32,
+            line: cell % lines,
+        };
+        sys.traffic.add(link, bits);
     }
 
     // Caches.
     let n_caches = sys.cfg.n_caches;
     let geometry = sys.cfg.geometry;
-    let wpb = sys.cfg.spec.words_per_block();
+    let mut shape = LineShape {
+        n_caches,
+        ways: geometry.ways(),
+        set_bits: geometry.sets().trailing_zeros(),
+        capacity: geometry.capacity_blocks() as u64,
+        bitmap_len: n_caches.div_ceil(8),
+        wpb: sys.cfg.spec.words_per_block(),
+        tick: 0,
+    };
+    let mut words = Vec::with_capacity(shape.wpb);
     for ci in 0..n_caches {
-        let tick = r.u64()?;
-        let n_slots = r.count(24, "cache slot")?;
-        if n_slots > geometry.capacity_blocks() {
-            return Err(corrupt(format!(
-                "cache {ci} claims {n_slots} resident slots over capacity {}",
-                geometry.capacity_blocks()
-            )));
-        }
-        let mut prev_slot = None;
-        for _ in 0..n_slots {
-            let slot = r.u64()? as usize;
-            let tag = r.u64()?;
-            let stamp = r.u64()?;
-            if prev_slot.is_some_and(|p| slot <= p) || slot >= geometry.capacity_blocks() {
-                return Err(corrupt(format!(
-                    "cache {ci} slot {slot} out of order or range"
-                )));
-            }
-            prev_slot = Some(slot);
-            if stamp == 0 || stamp > tick {
-                return Err(corrupt(format!(
-                    "cache {ci} slot {slot} stamp {stamp} outside 1..={tick}"
-                )));
-            }
-            if geometry.set_of(BlockAddr::new(tag)) != slot / geometry.ways() {
-                return Err(corrupt(format!(
-                    "cache {ci} tag {tag:#x} does not map to slot {slot}'s set"
-                )));
-            }
-            let line = decode_line(&mut r, n_caches, wpb)?;
+        shape.tick = r.varint()?;
+        let n_lines = r.count(MIN_LINE, "cache line")?;
+        let mut next = 0;
+        for _ in 0..n_lines {
+            let (slot, tag, stamp, line) = decode_line(&mut r, &shape, &mut next, &mut words)?;
             sys.caches[ci].restore_slot(slot, tag, stamp, line);
         }
-        sys.caches[ci].restore_tick(tick);
+        sys.caches[ci].restore_tick(shape.tick);
     }
 
     // Main memory.
-    let n_written = r.count(8 + 8 * wpb, "memory block")?;
-    let mut prev_block = None;
+    let n_written = r.count(2, "memory block")?;
+    let mut next = 0;
     for _ in 0..n_written {
-        let block = r.u64()?;
-        if prev_block.is_some_and(|p| block <= p) {
-            return Err(corrupt(format!("memory block {block:#x} out of order")));
-        }
-        prev_block = Some(block);
-        let mut words = Vec::with_capacity(wpb);
-        for _ in 0..wpb {
-            words.push(r.u64()?);
-        }
+        let block = r.delta(&mut next, BLOCK_LIMIT, "memory block")?;
+        r.data(shape.wpb, &mut words)?;
         sys.memory
-            .write_block(BlockAddr::new(block), &BlockData::from_words(words));
+            .write_block(BlockAddr::new(block), &BlockData::from_slice(&words));
     }
 
     // Block store.
-    let n_owned = r.count(10, "store entry")?;
-    let mut prev_block = None;
+    let n_owned = r.count(2, "store entry")?;
+    let mut next = 0;
     for _ in 0..n_owned {
-        let block = r.u64()?;
-        let owner = r.u16()?;
-        if prev_block.is_some_and(|p| block <= p) {
-            return Err(corrupt(format!("store entry {block:#x} out of order")));
+        let block = r.delta(&mut next, BLOCK_LIMIT, "store block")?;
+        let owner = r.varint()?;
+        if owner >= n_caches as u64 {
+            return Err(r.corrupt(format_args!("store owner C{owner} out of range")));
         }
-        prev_block = Some(block);
-        if owner as usize >= n_caches {
-            return Err(corrupt(format!("store owner C{owner} out of range")));
-        }
-        sys.store.set_owner(BlockAddr::new(block), CacheId(owner));
+        sys.store
+            .set_owner(BlockAddr::new(block), CacheId(owner as u16));
     }
 
     // Fault state.
-    let has_faults = r.u8()?;
+    let has_faults = r.flag("fault state")?;
     match (has_faults, sys.cfg.faults) {
-        (0, None) => {}
-        (1, Some(spec)) => {
-            let op = r.u64()?;
-            let n_degraded = r.count(24, "degraded block")?;
-            let mut degraded = std::collections::BTreeMap::new();
+        (false, None) => {}
+        (true, Some(spec)) => {
+            let op = r.varint()?;
+            let n_degraded = r.count(3, "degraded block")?;
+            let mut degraded = BTreeMap::new();
+            let mut next = 0;
             for _ in 0..n_degraded {
-                let block = r.u64()?;
-                let heal = r.u64()?;
-                let since = r.u64()?;
-                degraded.insert(BlockAddr::new(block), (heal, since));
+                let block = r.delta(&mut next, BLOCK_LIMIT, "degraded block")?;
+                degraded.insert(BlockAddr::new(block), (r.varint()?, r.varint()?));
             }
-            let n_quarantined = r.count(24, "quarantined cache")?;
-            let mut quarantined = std::collections::BTreeMap::new();
+            let n_quarantined = r.count(3, "quarantined cache")?;
+            let mut quarantined = BTreeMap::new();
+            let mut next = 0;
             for _ in 0..n_quarantined {
-                let cache = r.u64()? as usize;
-                let heal = r.u64()?;
-                let since = r.u64()?;
-                if cache >= n_caches {
-                    return Err(corrupt(format!("quarantined cache {cache} out of range")));
-                }
-                quarantined.insert(cache, (heal, since));
+                let cache = r.delta(&mut next, n_caches as u64, "quarantined cache")?;
+                quarantined.insert(cache as usize, (r.varint()?, r.varint()?));
             }
-            let state = decode_injector(&mut r)?;
+            let state = decode_injector(&mut r, n_caches, sys.net.stages())?;
             let plan = FaultPlan::generate(&spec, n_caches, sys.net.stages())
-                .map_err(|e| corrupt(format!("fault plan regeneration failed: {e}")))?;
+                .map_err(|e| r.corrupt(format_args!("fault plan regeneration failed: {e}")))?;
             let injector = FaultInjector::restore(plan, state)
-                .ok_or_else(|| corrupt("injector cursor runs past the regenerated plan".into()))?;
+                .ok_or_else(|| r.corrupt("injector cursor runs past the regenerated plan"))?;
             sys.faults = Some(Box::new(FaultState {
                 injector,
                 op,
@@ -770,9 +1080,7 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
             }));
         }
         _ => {
-            return Err(corrupt(
-                "fault-state presence disagrees with the configuration".into(),
-            ));
+            return Err(r.corrupt("fault-state presence disagrees with the configuration"));
         }
     }
 
@@ -781,74 +1089,65 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<SystemConfig, SnapshotError> {
-    let corrupt = |why: String| SnapshotError::Corrupt(why);
-    let n_caches = r.u64()? as usize;
+    let n_caches = r.usize("cache count")?;
     if !n_caches.is_power_of_two() || !(2..=65536).contains(&n_caches) {
-        return Err(corrupt(format!("cache count {n_caches} invalid")));
+        return Err(r.corrupt(format_args!("cache count {n_caches} invalid")));
     }
-    let sets = r.u64()? as usize;
-    let ways = r.u64()? as usize;
+    let sets = r.usize("set count")?;
+    let ways = r.usize("way count")?;
     if !sets.is_power_of_two() || sets > 1 << 24 || ways == 0 || ways > 1 << 10 {
-        return Err(corrupt(format!("cache geometry {sets}x{ways} invalid")));
+        return Err(r.corrupt(format_args!("cache geometry {sets}x{ways} invalid")));
     }
-    let offset_bits = r.u32()?;
+    let offset_bits = r.u32("block offset bits")?;
     if offset_bits > 16 {
-        return Err(corrupt(format!("block offset bits {offset_bits} invalid")));
+        return Err(r.corrupt(format_args!("block offset bits {offset_bits} invalid")));
     }
-    let addr_bits = r.u64()?;
-    let word_bits = r.u64()?;
-    let block_words = r.u64()? as usize;
-    let control_bits = r.u64()?;
+    let sizing = MsgSizing {
+        addr_bits: r.varint()?,
+        word_bits: r.varint()?,
+        block_words: r.usize("sizing block words")?,
+        control_bits: r.varint()?,
+    };
     let multicast = match r.u8()? {
         0 => SchemeKind::Replicated,
         1 => SchemeKind::BitVector,
         2 => SchemeKind::BroadcastTag,
         3 => SchemeKind::Combined,
-        k => return Err(corrupt(format!("multicast scheme tag {k}"))),
+        k => return Err(r.corrupt(format_args!("multicast scheme tag {k}"))),
     };
     let mode_policy = match r.u8()? {
         0 => ModePolicy::Fixed(Mode::GlobalRead),
         1 => ModePolicy::Fixed(Mode::DistributedWrite),
-        2 => ModePolicy::Adaptive { window: r.u32()? },
-        k => return Err(corrupt(format!("mode policy tag {k}"))),
+        2 => ModePolicy::Adaptive {
+            window: r.u32("adaptive window")?,
+        },
+        k => return Err(r.corrupt(format_args!("mode policy tag {k}"))),
     };
-    let owner_bypass = match r.u8()? {
-        0 => false,
-        1 => true,
-        k => return Err(corrupt(format!("owner bypass flag {k}"))),
-    };
-    let faults = match r.u8()? {
-        0 => None,
-        1 => {
-            let seed = r.u64()?;
-            let count = r.u64()? as usize;
-            let horizon = r.u64()?;
-            let mean_outage = r.u64()?;
-            let max_retries = r.u32()?;
-            let backoff_base = r.u64()?;
-            Some(
-                FaultSpec::new(seed)
-                    .count(count)
-                    .horizon(horizon)
-                    .mean_outage(mean_outage)
-                    .retry(RetryPolicy {
-                        max_retries,
-                        backoff_base,
-                    }),
-            )
-        }
-        k => return Err(corrupt(format!("fault spec flag {k}"))),
+    let owner_bypass = r.flag("owner bypass")?;
+    let faults = if r.flag("fault spec")? {
+        let seed = r.varint()?;
+        let count = r.usize("fault count")?;
+        let horizon = r.varint()?;
+        let mean_outage = r.varint()?;
+        let retry = RetryPolicy {
+            max_retries: r.u32("max retries")?,
+            backoff_base: r.varint()?,
+        };
+        Some(
+            FaultSpec::new(seed)
+                .count(count)
+                .horizon(horizon)
+                .mean_outage(mean_outage)
+                .retry(retry),
+        )
+    } else {
+        None
     };
     Ok(SystemConfig {
         n_caches,
         geometry: CacheGeometry::new(sets, ways),
         spec: BlockSpec::new(offset_bits),
-        sizing: MsgSizing {
-            addr_bits,
-            word_bits,
-            block_words,
-            control_bits,
-        },
+        sizing,
         multicast,
         mode_policy,
         owner_bypass,
@@ -858,94 +1157,158 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SystemConfig, SnapshotError> {
     })
 }
 
+/// What decoding a cache's lines needs to know about the machine.
+struct LineShape {
+    n_caches: usize,
+    ways: usize,
+    set_bits: u32,
+    capacity: u64,
+    bitmap_len: usize,
+    wpb: usize,
+    /// The clock of the cache being decoded.
+    tick: u64,
+}
+
+/// Reads one line written by [`put_line`]: its slot (after `*next`, which
+/// moves past it), tag, stamp and the line itself.
 fn decode_line(
     r: &mut Reader<'_>,
-    n_caches: usize,
-    wpb: usize,
-) -> Result<CacheLine, SnapshotError> {
-    let corrupt = |why: String| SnapshotError::Corrupt(why);
-    let validity = match r.u8()? {
+    shape: &LineShape,
+    next: &mut u64,
+    words: &mut Vec<u64>,
+) -> Result<(usize, u64, u64, CacheLine), SnapshotError> {
+    let control = r.u8()?;
+    let flags = r.u8()?;
+    if flags & FLAG_RESERVED != 0 {
+        return Err(r.corrupt("reserved line flag set"));
+    }
+    let validity = match flags & 3 {
         0 => Validity::Invalid,
         1 => Validity::UnOwned,
         2 => Validity::Owned,
-        v => return Err(corrupt(format!("validity tag {v}"))),
+        _ => return Err(r.corrupt("validity code 3")),
     };
-    let mode = match r.u8()? {
-        0 => Mode::GlobalRead,
-        1 => Mode::DistributedWrite,
-        m => return Err(corrupt(format!("mode tag {m}"))),
+    let slot_delta = r.coded(control & 3, "slot delta")?;
+    let slot = match next.checked_add(slot_delta) {
+        Some(slot) if slot < shape.capacity => slot,
+        _ => return Err(r.corrupt(format_args!("slot {next}+{slot_delta} out of range"))),
     };
-    let modified = match r.u8()? {
-        0 => false,
-        1 => true,
-        m => return Err(corrupt(format!("modified flag {m}"))),
-    };
-    let n_present = r.count(2, "present port")?;
-    if n_present > n_caches {
-        return Err(corrupt(format!(
-            "present set of {n_present} over {n_caches} ports"
+    *next = slot + 1;
+    let slot = slot as usize;
+    let tag_high = r.coded(control >> 2 & 3, "tag")?;
+    if shape.set_bits > 0 && tag_high >> (64 - shape.set_bits) != 0 {
+        return Err(r.corrupt(format_args!("tag {tag_high:#x} overflows 64 bits")));
+    }
+    let tag = tag_high << shape.set_bits | (slot / shape.ways) as u64;
+    let age = r.coded(control >> 4 & 3, "stamp age")?;
+    if age >= shape.tick {
+        return Err(r.corrupt(format_args!(
+            "stamp age {age} reaches past clock {}",
+            shape.tick
         )));
     }
-    let mut present = DestSet::empty(n_caches);
-    let mut prev_port = None;
-    for _ in 0..n_present {
-        let port = r.u16()? as usize;
-        if port >= n_caches || prev_port.is_some_and(|p| port <= p) {
-            return Err(corrupt(format!(
-                "present port {port} out of order or range"
-            )));
+    let hint_code = control >> 6;
+    let owner_hint = if flags & FLAG_HINT != 0 {
+        let hint = r.coded(hint_code, "owner hint")?;
+        if hint >= shape.n_caches as u64 {
+            return Err(r.corrupt(format_args!("owner hint C{hint} out of range")));
         }
-        prev_port = Some(port);
-        present.insert(port);
-    }
-    let hint = r.u16()?;
-    let owner_hint = if hint == u16::MAX {
-        None
-    } else if (hint as usize) < n_caches {
-        Some(CacheId(hint))
+        Some(CacheId(hint as u16))
+    } else if hint_code != 0 {
+        return Err(r.corrupt("hint width without a hint"));
     } else {
-        return Err(corrupt(format!("owner hint C{hint} out of range")));
+        None
     };
-    let n_words = r.count(8, "line word")?;
-    if n_words != wpb {
-        return Err(corrupt(format!(
-            "line holds {n_words} words, spec says {wpb}"
-        )));
+
+    let n = shape.n_caches;
+    let mut present = DestSet::empty(n);
+    if flags & FLAG_BITMAP != 0 {
+        for (i, &byte) in r.bytes(shape.bitmap_len)?.iter().enumerate() {
+            let mut rest = byte;
+            while rest != 0 {
+                let port = 8 * i + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if port >= n {
+                    return Err(r.corrupt(format_args!("present bit {port} of {n} ports")));
+                }
+                present.insert(port);
+            }
+        }
+        if present_list_len(&present) <= shape.bitmap_len {
+            return Err(r.corrupt("present bitmap where the list is no longer"));
+        }
+    } else {
+        let start = r.pos;
+        let members = r.count(1, "present port")?;
+        if members > n {
+            return Err(r.corrupt(format_args!("present set of {members} over {n} ports")));
+        }
+        let mut next = 0;
+        for _ in 0..members {
+            present.insert(r.delta(&mut next, n as u64, "present port")? as usize);
+        }
+        if r.pos - start > shape.bitmap_len {
+            return Err(r.corrupt("present list longer than its bitmap"));
+        }
     }
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(r.u64()?);
-    }
-    Ok(CacheLine {
+
+    r.data(shape.wpb, words)?;
+    let window = if flags & FLAG_WINDOW != 0 {
+        let window = [
+            r.u32("window refs")?,
+            r.u32("window remote reads")?,
+            r.u32("window writes")?,
+        ];
+        if window == [0; 3] {
+            return Err(r.corrupt("window counters flagged but all zero"));
+        }
+        window
+    } else {
+        [0; 3]
+    };
+    let line = CacheLine {
         validity,
-        mode,
-        modified,
+        mode: if flags & FLAG_DW != 0 {
+            Mode::DistributedWrite
+        } else {
+            Mode::GlobalRead
+        },
+        modified: flags & FLAG_MODIFIED != 0,
         present,
         owner_hint,
-        data: BlockData::from_words(words),
-        window_refs: r.u32()?,
-        window_remote_reads: r.u32()?,
-        window_writes: r.u32()?,
-    })
+        data: BlockData::from_slice(words),
+        window_refs: window[0],
+        window_remote_reads: window[1],
+        window_writes: window[2],
+    };
+    Ok((slot, tag, shape.tick - age, line))
 }
 
-fn decode_injector(r: &mut Reader<'_>) -> Result<InjectorState, SnapshotError> {
-    let cursor = r.u64()? as usize;
-    let op = r.u64()?;
-    let n_down = r.count(20, "down link")?;
+fn decode_injector(
+    r: &mut Reader<'_>,
+    n_caches: usize,
+    stages: u32,
+) -> Result<InjectorState, SnapshotError> {
+    let cursor = r.usize("injector cursor")?;
+    let op = r.varint()?;
+    let n_down = r.count(3, "down link")?;
     let mut down_links = Vec::with_capacity(n_down);
     for _ in 0..n_down {
-        let layer = r.u32()?;
-        let line = r.u64()? as usize;
-        let heal = r.u64()?;
-        down_links.push((LinkId { layer, line }, heal));
+        let layer = r.u32("down link layer")?;
+        let line = r.usize("down link line")?;
+        if layer > stages || line >= n_caches {
+            return Err(r.corrupt(format_args!("down link ({layer}, {line}) out of shape")));
+        }
+        down_links.push((LinkId { layer, line }, r.varint()?));
     }
-    let n_stalled = r.count(16, "stalled cache")?;
+    let n_stalled = r.count(2, "stalled cache")?;
     let mut stalled = Vec::with_capacity(n_stalled);
     for _ in 0..n_stalled {
-        let cache = r.u64()? as usize;
-        let heal = r.u64()?;
-        stalled.push((cache, heal));
+        let cache = r.usize("stalled cache")?;
+        if cache >= n_caches {
+            return Err(r.corrupt(format_args!("stalled cache {cache} out of range")));
+        }
+        stalled.push((cache, r.varint()?));
     }
     let n_pending = r.count(1, "pending message fault")?;
     let mut pending_msgs = Vec::with_capacity(n_pending);
@@ -953,11 +1316,11 @@ fn decode_injector(r: &mut Reader<'_>) -> Result<InjectorState, SnapshotError> {
         pending_msgs.push(match r.u8()? {
             0 => MsgFault::Drop,
             1 => MsgFault::Duplicate,
-            2 => MsgFault::Delay(r.u64()?),
-            k => return Err(SnapshotError::Corrupt(format!("message fault tag {k}"))),
+            2 => MsgFault::Delay(r.varint()?),
+            k => return Err(r.corrupt(format_args!("message fault tag {k}"))),
         });
     }
-    let injected = r.u64()?;
+    let injected = r.varint()?;
     Ok(InjectorState {
         cursor,
         op,
@@ -968,17 +1331,20 @@ fn decode_injector(r: &mut Reader<'_>) -> Result<InjectorState, SnapshotError> {
     })
 }
 
-/// FNV-1a digest of the written-block memory image — a compact witness for
-/// the crash harness's "memory images equal" assertion.
+/// FNV-1a digest of the written-block memory image (each block's index and
+/// words as little-endian `u64`s, ascending) — a compact witness for the
+/// crash harness's "memory images equal" assertion.
 pub fn memory_digest(sys: &System) -> u64 {
-    let mut buf = Vec::new();
+    let mut hash = FNV_OFFSET;
     for (block, words) in sys.memory.iter() {
-        put_u64(&mut buf, block.index());
-        for &w in words {
-            put_u64(&mut buf, w);
+        for word in std::iter::once(block.index()).chain(words.iter().copied()) {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(FNV_PRIME);
+            }
         }
     }
-    fnv1a64(&buf)
+    hash
 }
 
 // ----------------------------------------------------------------------
@@ -1314,6 +1680,18 @@ mod tests {
             other => panic!("expected BadMagic at 0, got {other:?}"),
         }
         let _ = fs::remove_file(&path);
+    }
+
+    /// The digest folds FNV-1a word by word; the value is the one the
+    /// earlier build-the-image-then-hash version gave, so crash-harness
+    /// witnesses recorded before the change still compare.
+    #[test]
+    fn memory_digest_is_pinned() {
+        let sys = busy_system();
+        assert!(sys.memory.dirty_blocks() > 0);
+        assert_eq!(memory_digest(&sys), 0x759e_1a3d_933e_e188);
+        let empty = System::new(SystemConfig::new(4)).unwrap();
+        assert_eq!(memory_digest(&empty), FNV_OFFSET);
     }
 
     #[test]

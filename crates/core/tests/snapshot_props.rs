@@ -1,15 +1,19 @@
 //! Snapshot codec properties: the checkpoint byte format is a fixed
 //! point of encode∘decode across every protocol variant and machine
-//! scale, and journal recovery survives arbitrary single-byte damage
-//! and truncation without ever panicking or trusting a corrupt byte.
+//! scale and at every edge of its compact encodings; journal recovery
+//! survives arbitrary single-byte damage and truncation without ever
+//! panicking or trusting a corrupt byte; and the payload decoder itself,
+//! handed damaged bytes directly, answers with a typed error or a machine
+//! that re-encodes to exactly those bytes.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tmc_core::{
-    decode_system, encode_system, recover_journal, Journal, Mode, ModePolicy, SnapshotError,
-    System, SystemConfig,
+    decode_system, encode_system, recover_journal, FaultSpec, Journal, Mode, ModePolicy,
+    SnapshotError, System, SystemConfig,
 };
-use tmc_memsys::WordAddr;
+use tmc_memsys::{BlockAddr, WordAddr};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
 
@@ -230,7 +234,7 @@ fn every_prefix_truncation_is_detected() {
 #[test]
 fn journal_appends_cost_frame_bytes_not_journal_bytes() {
     const FRAME_OVERHEAD: u64 = 4 + 8 + 8; // "TMCF" + len + digest trailer
-    const HEADER: u64 = 8; // "TMCJ0002"
+    const HEADER: u64 = 8; // "TMCJ0003"
     let dir = std::env::temp_dir().join(format!("tmc-snapprops-cost-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join("cost.journal");
@@ -267,4 +271,182 @@ fn journal_appends_cost_frame_bytes_not_journal_bytes() {
     assert_eq!(rec.frames[0], large);
     assert!(rec.frames[1..].iter().all(|f| f == &small));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An N = 256 adaptive machine that reaches every edge of the line
+/// encoding: a `u64::MAX` word (width 8), a block shared by 40 caches (its
+/// present set takes the bitmap form), owners mid-way through an adaptive
+/// window (nonzero counters), and — as in any cache — a most recently used
+/// line whose stamp age is 0. Small caches keep a decode cheap enough to
+/// sweep.
+fn edge_system() -> System {
+    let n = 256;
+    let cfg = SystemConfig::new(n)
+        .cache_blocks(32)
+        .mode_policy(ModePolicy::Adaptive { window: 8 });
+    let mut sys = System::new(cfg).expect("valid config");
+    let shared = WordAddr::new(0);
+    sys.set_mode(0, shared, Mode::DistributedWrite)
+        .expect("valid proc");
+    for p in 0..40 {
+        sys.read(p * 6, shared).expect("valid proc");
+    }
+    sys.write(7, WordAddr::new(4), u64::MAX)
+        .expect("valid proc");
+    let mut rng = SimRng::seed_from(0xed9e);
+    for _ in 0..48 {
+        let proc = rng.gen_range(0..n);
+        let a = WordAddr::new(rng.gen_range(8..72u64));
+        if rng.gen_bool(0.3) {
+            sys.write(proc, a, rng.next_u64() >> rng.gen_range(0..64u32))
+                .expect("valid proc");
+        } else {
+            sys.read(proc, a).expect("valid proc");
+        }
+    }
+    sys
+}
+
+#[test]
+fn encoding_edges_are_a_byte_fixed_point_and_resume_identically() {
+    let mut live = edge_system();
+    let shared = live.present_set(BlockAddr::new(0)).expect("owned");
+    assert!(
+        shared.len() > 32,
+        "{} sharers take the list form",
+        shared.len()
+    );
+    assert_eq!(live.peek_word(WordAddr::new(4)), u64::MAX);
+
+    let first = encode_system(&live).expect("encode");
+    let mut thawed = decode_system(&first).expect("decode");
+    assert_eq!(encode_system(&thawed).expect("re-encode"), first);
+    assert_eq!(thawed.protocol_fingerprint(), live.protocol_fingerprint());
+
+    // The adaptive counters show only when a window closes, so both
+    // machines run on over the same blocks and must stay identical.
+    let mut rng = SimRng::seed_from(0xc0de);
+    for _ in 0..400 {
+        let proc = rng.gen_range(0..256);
+        let a = WordAddr::new(rng.gen_range(0..64u64));
+        if rng.gen_bool(0.4) {
+            let v = rng.next_u64();
+            live.write(proc, a, v).expect("valid proc");
+            thawed.write(proc, a, v).expect("valid proc");
+        } else {
+            assert_eq!(
+                live.read(proc, a).expect("valid proc"),
+                thawed.read(proc, a).expect("valid proc")
+            );
+        }
+    }
+    assert_eq!(thawed.protocol_fingerprint(), live.protocol_fingerprint());
+    assert_eq!(
+        thawed.counters().iter().collect::<Vec<_>>(),
+        live.counters().iter().collect::<Vec<_>>()
+    );
+    assert_eq!(thawed.traffic(), live.traffic());
+}
+
+/// An N = 16 adaptive machine with a fault plan part-way through its
+/// schedule, so the payload carries live fault-injection state.
+fn faulty_system() -> System {
+    let cfg = SystemConfig::new(16)
+        .cache_blocks(32)
+        .mode_policy(ModePolicy::Adaptive { window: 8 })
+        .faults(FaultSpec::new(5).count(24).horizon(300).mean_outage(20));
+    let mut sys = System::new(cfg).expect("valid config");
+    let mut rng = SimRng::seed_from(0xfa17);
+    for i in 0..120u64 {
+        let proc = rng.gen_range(0..16);
+        let a = WordAddr::new(rng.gen_range(0..96u64));
+        if rng.gen_bool(0.4) {
+            sys.write(proc, a, i).expect("valid proc");
+        } else {
+            sys.read(proc, a).expect("valid proc");
+        }
+    }
+    assert!(sys.faults_injected() > 0, "the plan has started firing");
+    sys
+}
+
+/// The journal sweeps above never reach the payload decoder with damaged
+/// bytes: the frame digest rejects them first. Here every prefix and every
+/// single-byte substitution of two payloads goes to `decode_system`
+/// directly. Each answer is a typed error or a machine that encodes back
+/// to exactly the bytes it came from — never a panic, and never a
+/// non-canonical payload accepted.
+#[test]
+fn payload_decoder_never_panics_on_truncated_or_substituted_bytes() {
+    let decode = |bytes: &[u8], what: &str| -> bool {
+        let decoded = catch_unwind(AssertUnwindSafe(|| decode_system(bytes)))
+            .unwrap_or_else(|_| panic!("{what}: decode panicked"));
+        match decoded {
+            Ok(sys) => {
+                let again = encode_system(&sys).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(again, bytes, "{what}: accepted a non-canonical payload");
+                true
+            }
+            Err(SnapshotError::Corrupt(_)) => false,
+            Err(e) => panic!("{what}: untyped damage {e:?}"),
+        }
+    };
+    for (name, sys) in [
+        ("faulty N=16", faulty_system()),
+        ("shared N=256", edge_system()),
+    ] {
+        let payload = encode_system(&sys).expect("encode");
+        assert!(decode(&payload, name));
+        for cut in 0..payload.len() {
+            assert!(!decode(&payload[..cut], &format!("{name}, prefix {cut}")));
+        }
+        let mut rejected = 0;
+        let mut mutant = payload.clone();
+        for i in 0..payload.len() {
+            for b in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+                if b == payload[i] {
+                    continue;
+                }
+                mutant[i] = b;
+                rejected += usize::from(!decode(&mutant, &format!("{name}, byte {i} = {b:#04x}")));
+            }
+            mutant[i] = payload[i];
+        }
+        assert!(
+            rejected > payload.len() * 2,
+            "{name}: only {rejected} of {} substitutions rejected",
+            payload.len() * 5
+        );
+    }
+}
+
+/// A journal or payload of an earlier format is refused with a typed
+/// error at its first byte that differs, never misread.
+#[test]
+fn earlier_formats_are_rejected_with_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("tmc-snapprops-old-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("old.journal");
+    let mut old = b"TMCJ0002".to_vec();
+    let payload = encode_system(&faulty_system()).expect("encode");
+    old.extend_from_slice(b"TMCF");
+    old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    old.extend_from_slice(&payload);
+    old.extend_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&path, &old).expect("write old journal");
+    assert_eq!(
+        recover_journal(&path).map(|r| r.frames.len()),
+        Err(SnapshotError::BadMagic { at: 0 })
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A version-1 payload opens with a little-endian `u32` 1, then the
+    // cache count as a `u64`.
+    let mut v1 = 1u32.to_le_bytes().to_vec();
+    v1.extend_from_slice(&16u64.to_le_bytes());
+    v1.extend_from_slice(&64u64.to_le_bytes());
+    match decode_system(&v1) {
+        Err(SnapshotError::Corrupt(why)) => assert!(why.contains("version 1"), "{why}"),
+        other => panic!("a v1 payload decoded to {:?}", other.map(|_| ())),
+    }
 }

@@ -107,6 +107,15 @@ pub struct ScheduledFault {
     pub kind: FaultKind,
 }
 
+/// Most faults a spec may schedule: the plan is generated up front, one
+/// entry per fault.
+const MAX_COUNT: usize = 1 << 20;
+
+/// Largest horizon, mean outage and backoff base. Far beyond any run, and
+/// small enough that the generator's `2 * mean_outage`, `at + outage` and
+/// `4 * backoff_base` cannot overflow.
+const MAX_SPAN: u64 = 1 << 48;
+
 /// Seed-driven fault campaign parameters.
 ///
 /// Lives in `tmc_core::SystemConfig` so every engine can see (and, for the
@@ -170,8 +179,27 @@ impl FaultSpec {
     /// # Errors
     ///
     /// Returns [`FaultError::BadSpec`] for a zero horizon or zero mean
-    /// outage with a nonzero fault count, or an excessive retry count.
+    /// outage with a nonzero fault count, an excessive retry count, more
+    /// than 2²⁰ faults, or a horizon, mean outage or backoff base above
+    /// 2⁴⁸.
     pub fn validate(&self) -> Result<(), FaultError> {
+        if self.count > MAX_COUNT {
+            return Err(FaultError::BadSpec(format!(
+                "count {} exceeds the supported bound of {MAX_COUNT}",
+                self.count
+            )));
+        }
+        for (name, value) in [
+            ("horizon", self.horizon),
+            ("mean_outage", self.mean_outage),
+            ("backoff_base", self.retry.backoff_base),
+        ] {
+            if value > MAX_SPAN {
+                return Err(FaultError::BadSpec(format!(
+                    "{name} {value} exceeds the supported bound of {MAX_SPAN}"
+                )));
+            }
+        }
         if self.count > 0 && self.horizon == 0 {
             return Err(FaultError::BadSpec(
                 "horizon must be >= 1 when faults are scheduled".into(),
@@ -345,6 +373,42 @@ mod tests {
         assert!(bad.validate().is_err());
         // All three are fine with a zero fault count (except retries).
         assert!(FaultSpec::new(1).count(0).horizon(0).validate().is_ok());
+    }
+
+    /// Each of these fields once reached the generator unchecked: a huge
+    /// count asked `Vec::with_capacity` for it (a capacity-overflow panic
+    /// or an out-of-memory abort), and a huge horizon, mean outage or
+    /// backoff base overflowed `at + outage`, `2 * mean_outage` or
+    /// `4 * backoff_base` (a panic in debug builds).
+    #[test]
+    fn generation_rejects_fields_beyond_their_bounds() {
+        let retry = |backoff_base| RetryPolicy {
+            max_retries: 3,
+            backoff_base,
+        };
+        for spec in [
+            FaultSpec::new(1).count(usize::MAX),
+            FaultSpec::new(1).count(MAX_COUNT + 1),
+            FaultSpec::new(1).horizon(u64::MAX),
+            FaultSpec::new(1).mean_outage(u64::MAX),
+            FaultSpec::new(1).retry(retry(u64::MAX)),
+            FaultSpec::new(1).retry(retry(MAX_SPAN + 1)),
+        ] {
+            assert!(
+                matches!(
+                    FaultPlan::generate(&spec, 8, 3),
+                    Err(FaultError::BadSpec(_))
+                ),
+                "{spec:?} was accepted"
+            );
+        }
+        let widest = FaultSpec::new(1)
+            .count(64)
+            .horizon(MAX_SPAN)
+            .mean_outage(MAX_SPAN)
+            .retry(retry(MAX_SPAN));
+        let plan = FaultPlan::generate(&widest, 8, 3).unwrap();
+        assert_eq!(plan.len(), 64);
     }
 
     #[test]

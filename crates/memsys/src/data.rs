@@ -145,6 +145,7 @@ impl BlockData {
     }
 
     /// All words, in offset order.
+    #[inline]
     pub fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline { words, len } => &words[..*len as usize],

@@ -588,6 +588,7 @@ impl DestSet {
     }
 
     /// Iterates over member ports in ascending order.
+    #[inline]
     pub fn iter(&self) -> DestIter<'_> {
         DestIter {
             state: match &self.repr {

@@ -4,10 +4,11 @@
 //! A journaled run drives the same serial engine as
 //! [`crate::run::run_scenario`], but every `every` ops it freezes the
 //! complete machine — protocol state, memory image, fault machinery, RNG
-//! streams — through [`tmc_core::encode_system`] and appends the frame to
-//! an atomically-rewritten [`Journal`]. A crash (simulated here by
-//! [`JournalOptions::kill_at`], real in the `crashsim` harness by killing
-//! the process) loses at most the work since the last frame;
+//! streams — through [`encode_system_into`], into buffers the runner
+//! keeps, and appends the frame to an atomically-rewritten [`Journal`]. A
+//! crash (simulated here by [`JournalOptions::kill_at`], real in the
+//! `crashsim` harness by killing the process) loses at most the work
+//! since the last frame;
 //! [`resume_journaled`] salvages the longest valid frame prefix, rebuilds
 //! the machine, and replays the remaining script. The resumed run is
 //! **bit-identical** to an uninterrupted one: same [`ScenarioOutcome`],
@@ -21,7 +22,8 @@
 use std::path::{Path, PathBuf};
 
 use tmc_bench::shardsim::ShardOp;
-use tmc_core::{decode_system, encode_system, memory_digest, recover_journal, Journal, System};
+use tmc_core::snapshot::encode_system_into;
+use tmc_core::{decode_system, memory_digest, recover_journal, Journal, System};
 use tmc_memsys::{ReferenceMemory, WordAddr};
 use tmc_obs::jsonl::{encode_event_into, fnv1a64};
 
@@ -122,6 +124,10 @@ struct RunnerState {
     trace_fnv: u64,
     /// The line buffer `drain` encodes each event into.
     line: Vec<u8>,
+    /// The machine snapshot and the whole frame, reused from checkpoint
+    /// to checkpoint.
+    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl RunnerState {
@@ -138,6 +144,8 @@ impl RunnerState {
             events: 0,
             trace_fnv: FNV_BASIS,
             line: Vec::new(),
+            payload: Vec::new(),
+            frame: Vec::new(),
         })
     }
 
@@ -155,9 +163,11 @@ impl RunnerState {
 
     /// One checkpoint frame: runner accumulators, oracle image, machine
     /// snapshot.
-    fn encode(&mut self) -> Result<Vec<u8>, String> {
+    fn encode(&mut self) -> Result<&[u8], String> {
         self.drain();
-        let mut buf = Vec::new();
+        encode_system_into(&self.sys, &mut self.payload).map_err(|e| e.to_string())?;
+        let buf = &mut self.frame;
+        buf.clear();
         buf.extend_from_slice(&FRAME_VERSION.to_le_bytes());
         for v in [
             self.ops_done,
@@ -176,9 +186,8 @@ impl RunnerState {
             buf.extend_from_slice(&a.to_le_bytes());
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        let sys = encode_system(&self.sys).map_err(|e| e.to_string())?;
-        buf.extend_from_slice(&(sys.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&sys);
+        buf.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&self.payload);
         Ok(buf)
     }
 
@@ -220,6 +229,8 @@ impl RunnerState {
             events,
             trace_fnv,
             line: Vec::new(),
+            payload: Vec::new(),
+            frame: Vec::new(),
         })
     }
 }
@@ -271,8 +282,7 @@ impl<'a> FrameReader<'a> {
 pub fn run_journaled(sc: &Scenario, opts: &JournalOptions) -> Result<JournalReport, String> {
     let mut journal = Journal::create(&opts.path).map_err(|e| e.to_string())?;
     let mut state = RunnerState::fresh(sc)?;
-    let frame = state.encode()?;
-    journal.append(&frame).map_err(|e| e.to_string())?;
+    journal.append(state.encode()?).map_err(|e| e.to_string())?;
     drive(sc, state, &mut journal, opts, None, None)
 }
 
@@ -361,8 +371,7 @@ fn drive(
         }
         state.ops_done += 1;
         if opts.every > 0 && state.ops_done.is_multiple_of(opts.every) {
-            let frame = state.encode()?;
-            journal.append(&frame).map_err(|e| e.to_string())?;
+            journal.append(state.encode()?).map_err(|e| e.to_string())?;
         }
         if opts.kill_at == Some(state.ops_done) {
             return Ok(JournalReport {

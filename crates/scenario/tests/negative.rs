@@ -4,6 +4,7 @@
 //! refactor that shifts a column or vagues up a message fails here.
 
 use std::fs;
+use std::panic::catch_unwind;
 use std::path::Path;
 
 use tmc_scenario::parse;
@@ -103,6 +104,18 @@ const EXPECTED: &[(&str, usize, usize, &str)] = &[
         1,
         "unterminated section header",
     ),
+    (
+        "faults-count-beyond-bound.tmcs",
+        3,
+        1,
+        "count 2000000 exceeds the supported bound of 1048576",
+    ),
+    (
+        "faults-outage-beyond-bound.tmcs",
+        3,
+        1,
+        "mean_outage 18446744073709551615 exceeds the supported bound",
+    ),
 ];
 
 fn fixtures_dir() -> std::path::PathBuf {
@@ -147,4 +160,51 @@ fn display_format_is_stable() {
         err.to_string(),
         "line 2, col 12: n_caches must be a power of two in 2..=65536, got 3"
     );
+}
+
+/// Every prefix of two committed scenarios, and every substitution of one
+/// byte from a fixed set, parses or fails with a position inside the
+/// input — never a panic. A byte that breaks UTF-8 is refused before the
+/// parser sees it, as reading the file into a `String` would refuse it.
+#[test]
+fn parser_never_panics_on_truncated_or_substituted_scenarios() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    for name in ["fault-link-outage.tmcs", "producer-consumer-dw.tmcs"] {
+        let text = fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let bytes = text.as_bytes();
+        let lines = text.lines().count();
+        let parses = |input: &[u8], what: &str| -> bool {
+            let Ok(input) = std::str::from_utf8(input) else {
+                return false;
+            };
+            match catch_unwind(|| parse(input)).unwrap_or_else(|_| panic!("{what}: panicked")) {
+                Ok(_) => true,
+                Err(e) => {
+                    // A substituted `\n` can split a line in two.
+                    assert!(
+                        (1..=lines + 1).contains(&e.line) && e.col >= 1,
+                        "{what}: `{e}` is outside the {lines}-line input"
+                    );
+                    false
+                }
+            }
+        };
+        assert!(parses(bytes, name));
+        for cut in 0..bytes.len() {
+            parses(&bytes[..cut], &format!("{name}, prefix {cut}"));
+        }
+        let mut rejected = 0;
+        let mut mutant = bytes.to_vec();
+        for i in 0..bytes.len() {
+            for &b in b"\n =[]#09x-.\xff" {
+                mutant[i] = b;
+                rejected += usize::from(!parses(&mutant, &format!("{name}, byte {i} = {b:#04x}")));
+            }
+            mutant[i] = bytes[i];
+        }
+        assert!(
+            rejected > bytes.len() * 3,
+            "{name}: only {rejected} substitutions rejected"
+        );
+    }
 }

@@ -1,10 +1,12 @@
 //! Randomized tests for the workload generators and the trace format,
 //! driven by the in-tree [`SimRng`] (no external crates needed).
 
+use std::panic::catch_unwind;
+
 use tmc_simcore::SimRng;
 use tmc_workload::{
-    format_trace, parse_trace, HotSpotWorkload, MigratingWorkload, Op, Placement, PrivateWorkload,
-    SharedBlockWorkload, StencilWorkload, Trace,
+    format_trace, parse_trace, HotSpotWorkload, MigratingWorkload, Op, ParseTraceError, Placement,
+    PrivateWorkload, SharedBlockWorkload, StencilWorkload, Trace,
 };
 
 const CASES: usize = 48;
@@ -131,4 +133,58 @@ fn write_fraction_converges() {
             .generate(8, &mut rng);
         assert!((trace.write_fraction() - w).abs() < 0.05);
     }
+}
+
+/// Every prefix of a `format_trace` output, and every substitution of one
+/// byte from a fixed set, parses or fails with the line it failed on — a
+/// record's own line, or line 1 for a bad header — never a panic. A byte
+/// that breaks UTF-8 is refused before the parser sees it.
+#[test]
+fn parse_trace_never_panics_on_truncated_or_substituted_text() {
+    let trace = SharedBlockWorkload::new(4, 8, 0.3)
+        .references(40)
+        .generate(8, &mut SimRng::seed_from(5));
+    let text = format_trace(&trace);
+    let bytes = text.as_bytes();
+    let lines = text.lines().count();
+    let header_end = text.find('\n').expect("a header line");
+    // Whether `input` parses; `damage` is the offset of the changed byte.
+    let parses = |input: &[u8], damage: usize, what: &str| -> bool {
+        let Ok(input) = std::str::from_utf8(input) else {
+            return false;
+        };
+        let parsed = catch_unwind(|| parse_trace(input));
+        match parsed.unwrap_or_else(|_| panic!("{what}: panicked")) {
+            Ok(_) => true,
+            Err(ParseTraceError::BadHeader(h)) => {
+                assert!(damage <= header_end, "{what}: bad header {h:?}");
+                false
+            }
+            Err(ParseTraceError::BadRecord { line, why }) => {
+                // A substituted `\n` can split a line in two.
+                assert!(
+                    (2..=lines + 1).contains(&line),
+                    "{what}: line {line} of {lines}: {why}"
+                );
+                false
+            }
+        }
+    };
+    assert!(parses(bytes, bytes.len(), "the whole trace"));
+    for cut in 0..bytes.len() {
+        parses(&bytes[..cut], cut, &format!("prefix {cut}"));
+    }
+    let mut rejected = 0;
+    let mut mutant = bytes.to_vec();
+    for i in 0..bytes.len() {
+        for &b in b"\n #09xRWf\xc3" {
+            mutant[i] = b;
+            rejected += usize::from(!parses(&mutant, i, &format!("byte {i} = {b:#04x}")));
+        }
+        mutant[i] = bytes[i];
+    }
+    assert!(
+        rejected > bytes.len() * 3,
+        "only {rejected} substitutions rejected"
+    );
 }
