@@ -14,7 +14,6 @@ use crate::multicast;
 
 /// One of the paper's three multicast schemes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scheme {
     /// Scheme 1: replicated unicasts.
     S1,

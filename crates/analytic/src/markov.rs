@@ -22,7 +22,6 @@
 /// assert!((pi_shared - 0.75).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoStateChain {
     /// P(next = 1 | now = 0).
     pub p01: f64,

@@ -1,7 +1,7 @@
 //! The paper's printed tables, as data — with the reproduction scorecard
 //! computed (and locked in by tests) rather than eyeballed.
 //!
-//! The experiment binaries print these side by side with our
+//! The `tmc paper` tables print these side by side with our
 //! equation-derived values; this module is the single source of truth for
 //! both, so the match counts reported in `EXPERIMENTS.md` are regression-
 //! tested.

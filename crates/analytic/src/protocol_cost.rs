@@ -23,7 +23,6 @@ use crate::multicast;
 /// assert!(!t.prefers_distributed_write(0.2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoModeThreshold {
     n: u64,
 }
@@ -70,7 +69,6 @@ impl TwoModeThreshold {
 /// assert!(model.two_mode_norm(w) <= model.no_cache_norm(w));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolCostModel {
     /// Number of tasks sharing the block.
     pub n: u64,

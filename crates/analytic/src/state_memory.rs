@@ -22,7 +22,6 @@
 /// assert!(m.distributed_bits() * 10 < m.full_map_bits());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateMemoryModel {
     /// Number of caches `N` (a power of two).
     pub n_caches: u64,

@@ -36,7 +36,7 @@ impl TwoModeAdapter {
     /// is the paper's *fault-free* comparison surface, and its
     /// `expect`-based [`CoherentSystem`] calls could not surface recovery
     /// behaviour meaningfully. Run fault campaigns on [`System`] directly
-    /// (see the `chaos` binary in `tmc-bench`).
+    /// (see `tmc chaos`).
     pub fn new(inner: System, name: &'static str) -> Self {
         assert!(
             !inner.faults_enabled(),

@@ -1,0 +1,152 @@
+//! `tmc replay`: replays a saved text trace (see
+//! `tmc_workload::format_trace`) through a chosen protocol — or through
+//! *all* of them in parallel on [`crate::sweep`] — and reports traffic and
+//! counters.
+//!
+//! ```text
+//! tmc replay TRACE_FILE [PROTOCOL] [--trace-out FILE]
+//! tmc replay TRACE_FILE all [--threads N] [--shards K]
+//!   PROTOCOL  no-cache | dir | update | dw | gr | adaptive | all
+//!             (default: adaptive; `all` compares every protocol)
+//! ```
+//!
+//! With `--trace-out FILE` and a two-mode protocol (`dw`, `gr` or
+//! `adaptive`), the run is additionally captured as a replayable JSONL
+//! protocol trace (check it with `tmc trace check FILE`). With
+//! `--shards K`, the two-mode rows of `all` replay on the block-sharded
+//! engine — bit-identical traffic, several cores per row.
+
+use std::path::{Path, PathBuf};
+
+use tmc_core::{ModePolicy, SystemConfig};
+use tmc_workload::{parse_trace, Op, Trace};
+
+use crate::args::{Args, CliError};
+use crate::{
+    build_protocol, drive, shardsim, sweep, tracecheck, two_mode_policy, Table, PROTOCOLS,
+};
+
+const USAGE: &str = "usage: tmc replay TRACE_FILE [no-cache|dir|update|dw|gr|adaptive|all] \
+                     [--threads N] [--shards K] [--trace-out FILE]";
+
+/// Runs `tmc replay`.
+///
+/// # Errors
+///
+/// A usage error for bad arguments; a failure when the trace cannot be
+/// read or parsed, or the protocol trace cannot be written.
+pub fn run(mut args: Args) -> Result<(), CliError> {
+    let threads = sweep::threads(&mut args)?;
+    let shards: Option<usize> = args.value("--shards")?;
+    let trace_out: Option<PathBuf> = args.value("--trace-out")?;
+    let path: Option<String> = args.positional("trace file")?;
+    let protocol: String = args
+        .positional("protocol")?
+        .unwrap_or_else(|| "adaptive".into());
+    args.finish()?;
+    let path = path.ok_or(CliError::Usage(USAGE.into()))?;
+    let all = protocol == "all";
+    if !all && !PROTOCOLS.contains(&protocol.as_str()) {
+        return Err(CliError::Usage(format!(
+            "unknown protocol {protocol}\n{USAGE}"
+        )));
+    }
+    if shards.is_some() && !all {
+        return Err(CliError::Usage("--shards applies to `all` only".into()));
+    }
+    let policy = two_mode_policy(&protocol);
+    if trace_out.is_some() && policy.is_none() {
+        return Err(CliError::Usage(
+            "--trace-out captures a two-mode protocol only (dw|gr|adaptive)".into(),
+        ));
+    }
+
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let trace = parse_trace(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let n_procs = trace.n_procs().next_power_of_two().max(2);
+
+    println!("trace      : {path}");
+    println!("references : {}", trace.len());
+    println!("write frac : {:.3}", trace.write_fraction());
+
+    if all {
+        replay_all(&trace, n_procs, threads, shards.unwrap_or(0));
+        return Ok(());
+    }
+    let mut sys = build_protocol(&protocol, n_procs).expect("known protocol");
+    let report = drive(sys.as_mut(), &trace);
+    println!("protocol   : {}", sys.name());
+    println!(
+        "traffic    : {} bits ({:.2} bits/ref)",
+        report.total_bits, report.bits_per_ref
+    );
+    println!("\ncounters:\n{}", sys.counters());
+    if let (Some(out), Some(policy)) = (trace_out, policy) {
+        save_protocol_trace(&out, policy, &trace, n_procs)?;
+    }
+    Ok(())
+}
+
+fn replay_all(trace: &Trace, n_procs: usize, threads: usize, shards: usize) {
+    if shards > 0 {
+        println!("sharded    : two-mode rows run block-sharded ({shards} shards requested)");
+    }
+    let rows = sweep::map(threads, PROTOCOLS.to_vec(), |p| {
+        let mut sys = build_protocol(p, n_procs).expect("known protocol");
+        let report = match two_mode_policy(p).filter(|_| shards > 0) {
+            Some(policy) => {
+                let cfg = SystemConfig::new(n_procs).mode_policy(policy);
+                shardsim::drive_sharded(&cfg, trace, shards, 0)
+                    .expect("default two-mode configs are shardable")
+                    .0
+            }
+            None => drive(sys.as_mut(), trace),
+        };
+        (sys.name().to_string(), report)
+    });
+    let mut t = Table::new(vec![
+        "protocol".into(),
+        "total bits".into(),
+        "bits/ref".into(),
+    ]);
+    for (name, report) in rows {
+        t.row(vec![
+            name,
+            report.total_bits.to_string(),
+            format!("{:.2}", report.bits_per_ref),
+        ]);
+    }
+    t.print("Replay: all protocols");
+}
+
+/// Re-runs the trace on an identically configured `System` with tracing
+/// on and saves the replayable JSONL protocol trace to `out`.
+fn save_protocol_trace(
+    out: &Path,
+    policy: ModePolicy,
+    trace: &Trace,
+    n_procs: usize,
+) -> Result<(), String> {
+    let cfg = SystemConfig::new(n_procs).mode_policy(policy);
+    let text = tracecheck::capture(cfg, |sys| {
+        let mut stamp = 1u64;
+        for r in trace.iter() {
+            match r.op {
+                Op::Read => {
+                    sys.read(r.proc, r.addr).expect("trace uses valid procs");
+                }
+                Op::Write => {
+                    sys.write(r.proc, r.addr, stamp)
+                        .expect("trace uses valid procs");
+                    stamp += 1;
+                }
+            }
+        }
+    })?;
+    std::fs::write(out, &text).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    println!(
+        "protocol trace written to {} (verify with tmc trace check)",
+        out.display()
+    );
+    Ok(())
+}

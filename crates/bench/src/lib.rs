@@ -1,21 +1,66 @@
-//! Experiment harness: table formatting, trace-driven protocol runs and
-//! the parallel sweep engine ([`sweep`]).
+//! Experiment harness: table formatting, trace-driven protocol runs, the
+//! parallel sweep engine ([`sweep`]) and the bodies of the `tmc`
+//! subcommands that need the analytic models or the baselines.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper;
-//! this library holds the shared plumbing. See `DESIGN.md` (experiment
-//! index) and `EXPERIMENTS.md` (recorded outputs) at the repository root,
-//! plus `docs/PERFORMANCE.md` for the sweep engine.
+//! Each [`paper`] output regenerates one table or figure of the paper;
+//! [`cmd`] holds the tool commands; [`args`] is the one argument parser
+//! they all share. See `DESIGN.md` (experiment index) and `EXPERIMENTS.md`
+//! (recorded outputs) at the repository root, plus `docs/PERFORMANCE.md`
+//! for the sweep engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
+pub mod paper;
 pub mod shardsim;
 pub mod sweep;
 pub mod tracecheck;
 
-use tmc_baselines::CoherentSystem;
+/// The tool subcommands of `tmc`, one plain function each.
+pub mod cmd {
+    pub mod chaos;
+    pub mod crashsim;
+    pub mod replay;
+    pub mod sweep;
+    pub mod trace;
+}
+
+use tmc_baselines::{
+    two_mode_adaptive, two_mode_fixed, CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem,
+    UpdateOnlySystem,
+};
+use tmc_core::{Mode, ModePolicy};
 use tmc_memsys::ReferenceMemory;
 use tmc_workload::{Op, Trace};
+
+/// Command-line names of the six protocols `tmc replay`, `tmc sweep` and
+/// `tmc paper sim-fig8` compare, in report order.
+pub const PROTOCOLS: [&str; 6] = ["no-cache", "dir", "update", "dw", "gr", "adaptive"];
+
+/// The mode policy behind a two-mode protocol name (`dw`, `gr`,
+/// `adaptive`); `None` for the baselines and unknown names.
+pub fn two_mode_policy(protocol: &str) -> Option<ModePolicy> {
+    match protocol {
+        "dw" => Some(ModePolicy::Fixed(Mode::DistributedWrite)),
+        "gr" => Some(ModePolicy::Fixed(Mode::GlobalRead)),
+        "adaptive" => Some(ModePolicy::Adaptive { window: 64 }),
+        _ => None,
+    }
+}
+
+/// Builds the protocol named `protocol` (one of [`PROTOCOLS`]) for
+/// `n_procs` processors; `None` for an unknown name.
+pub fn build_protocol(protocol: &str, n_procs: usize) -> Option<Box<dyn CoherentSystem>> {
+    Some(match (protocol, two_mode_policy(protocol)) {
+        ("no-cache", _) => Box::new(NoCacheSystem::new(n_procs)),
+        ("dir", _) => Box::new(DirectoryInvalidateSystem::new(n_procs)),
+        ("update", _) => Box::new(UpdateOnlySystem::new(n_procs)),
+        (_, Some(ModePolicy::Fixed(mode))) => Box::new(two_mode_fixed(n_procs, mode)),
+        (_, Some(ModePolicy::Adaptive { window })) => Box::new(two_mode_adaptive(n_procs, window)),
+        (_, None) => return None,
+    })
+}
 
 /// A plain-text table printer with right-aligned numeric columns.
 ///
@@ -172,7 +217,7 @@ pub fn drive_steady_state(sys: &mut dyn CoherentSystem, trace: &Trace, warmup: u
 }
 
 /// [`drive_steady_state`], but every read is value-checked against the
-/// [`ReferenceMemory`] oracle — the experiment binaries use this so the
+/// [`ReferenceMemory`] oracle — the paper commands use this so the
 /// published traffic figures come from runs that were *correct*, not just
 /// cheap. The write stamps are the same either way, so traffic is
 /// bit-identical.

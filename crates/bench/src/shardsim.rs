@@ -76,21 +76,6 @@ use tmc_workload::{Op, Trace};
 
 use crate::{sweep, RunReport};
 
-/// Environment variable opting the figure/replay binaries into sharded
-/// execution of their two-mode steady-state drives. A positive integer
-/// requests that many shards (rounded by [`shard_count`]); absent, zero or
-/// unparsable means serial. Results are bit-identical either way — the
-/// variable only changes how many cores a single run uses.
-pub const SHARDS_ENV: &str = "TMC_SHARDS";
-
-/// Parses [`SHARDS_ENV`]: the requested shard count, or 0 for "serial".
-pub fn env_shards() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0)
-}
-
 /// One scripted reference with every operand precomputed — the issuing
 /// processor, the word address, and (for writes) the global stamp value
 /// the serial drivers would have produced — so a shard worker can replay
@@ -337,52 +322,51 @@ pub fn run(
 
     let tracing = opts.tracing;
     let check = opts.check;
-    let outcomes: Vec<Result<ShardOutcome, String>> =
-        sweep::map_with_threads(threads, parts, |ops| {
-            let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
-            sys.set_tracing(tracing);
-            let mut events = ShardEvents::new();
-            let mut traced_len = 0usize;
-            let mut oracle = check.then(ReferenceMemory::new);
-            let mut warm_bits = 0u64;
-            let mut crossed = false;
-            for &(idx, ref op) in &ops {
-                if !crossed && idx >= warmup {
-                    warm_bits = sys.traffic().total_bits();
-                    crossed = true;
-                }
-                if let (Some(oracle), &ShardOp::Write { addr, value, .. }) = (oracle.as_mut(), op) {
-                    oracle.write(addr, value);
-                }
-                if let (Some(oracle), &ShardOp::Read { proc, addr }) = (oracle.as_ref(), op) {
-                    let got = sys.read(proc, addr).map_err(|e| e.to_string())?;
-                    let want = oracle.read(addr);
-                    if got != want {
-                        return Err(format!(
-                            "stale read at global reference {idx} (proc {proc}, {addr:?}): \
-                             got {got}, oracle {want}"
-                        ));
-                    }
-                } else {
-                    apply_op(&mut sys, op).map_err(|e| e.to_string())?;
-                }
-                if tracing {
-                    let len = sys.trace_events().len();
-                    events.groups.push((idx, (len - traced_len) as u32));
-                    traced_len = len;
-                }
-            }
-            if !crossed {
-                // Every reference on this shard was warmup.
+    let outcomes: Vec<Result<ShardOutcome, String>> = sweep::map(threads, parts, |ops| {
+        let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
+        sys.set_tracing(tracing);
+        let mut events = ShardEvents::new();
+        let mut traced_len = 0usize;
+        let mut oracle = check.then(ReferenceMemory::new);
+        let mut warm_bits = 0u64;
+        let mut crossed = false;
+        for &(idx, ref op) in &ops {
+            if !crossed && idx >= warmup {
                 warm_bits = sys.traffic().total_bits();
+                crossed = true;
             }
-            events.events = sys.drain_trace();
-            Ok(ShardOutcome {
-                system: sys,
-                events,
-                warm_bits,
-            })
-        });
+            if let (Some(oracle), &ShardOp::Write { addr, value, .. }) = (oracle.as_mut(), op) {
+                oracle.write(addr, value);
+            }
+            if let (Some(oracle), &ShardOp::Read { proc, addr }) = (oracle.as_ref(), op) {
+                let got = sys.read(proc, addr).map_err(|e| e.to_string())?;
+                let want = oracle.read(addr);
+                if got != want {
+                    return Err(format!(
+                        "stale read at global reference {idx} (proc {proc}, {addr:?}): \
+                             got {got}, oracle {want}"
+                    ));
+                }
+            } else {
+                apply_op(&mut sys, op).map_err(|e| e.to_string())?;
+            }
+            if tracing {
+                let len = sys.trace_events().len();
+                events.groups.push((idx, (len - traced_len) as u32));
+                traced_len = len;
+            }
+        }
+        if !crossed {
+            // Every reference on this shard was warmup.
+            warm_bits = sys.traffic().total_bits();
+        }
+        events.events = sys.drain_trace();
+        Ok(ShardOutcome {
+            system: sys,
+            events,
+            warm_bits,
+        })
+    });
 
     let mut merged = System::new(cfg.clone()).map_err(|e| e.to_string())?;
     let mut streams = Vec::with_capacity(shards);

@@ -1,6 +1,6 @@
 //! Parallel sweep engine: fan independent simulation cells across cores.
 //!
-//! Every figure-reproduction binary evaluates a grid of independent cells —
+//! Every `tmc paper` figure evaluates a grid of independent cells —
 //! (write fraction × system) for fig. 8, (sharing set size × scheme) for
 //! fig. 5, and so on. Each cell seeds its own [`tmc_simcore::SimRng`] and
 //! builds its own [`tmc_core::System`], so cells share no state and can run
@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! let squares = tmc_bench::sweep::map((0..8u64).collect(), |x| x * x);
+//! let squares = tmc_bench::sweep::map(2, (0..8u64).collect(), |x| x * x);
 //! assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -31,12 +31,11 @@ use std::sync::Mutex;
 
 use tmc_core::SystemConfig;
 
-/// Environment variable overriding the worker-thread count.
-pub const THREADS_ENV: &str = "TMC_SWEEP_THREADS";
+use crate::args::{Args, CliError};
 
 /// Admission check for a figure-sweep cell configuration.
 ///
-/// The figure binaries reproduce the paper's *fault-free steady-state*
+/// The figure commands reproduce the paper's *fault-free steady-state*
 /// cost models, so a cell must not enable features that would perturb the
 /// published numbers or break run-to-run comparability: fault injection
 /// (perturbs traffic), the timing model (adds a global clock the tables
@@ -60,46 +59,33 @@ pub fn check_cell_config(cfg: &SystemConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a `TMC_SWEEP_THREADS`-style override; `default` when absent or
-/// unparsable. Zero is treated as "no override".
-fn parse_threads(value: Option<&str>, default: usize) -> usize {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
-}
-
-/// The worker-thread count a sweep will use: `TMC_SWEEP_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism.
-pub fn num_threads() -> usize {
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    parse_threads(std::env::var(THREADS_ENV).ok().as_deref(), default)
-}
-
-/// Maps `worker` over `cells` in parallel, returning results in cell order.
+/// Claims `--threads N` (N ≥ 1): the worker count a sweep uses. Without
+/// the flag, one worker per available core.
 ///
-/// Uses [`num_threads`] workers. The worker function must be `Sync` (shared
-/// by reference across threads) and is called exactly once per cell.
-/// Equivalent to `cells.into_iter().map(worker).collect()` — only faster.
-pub fn map<I, R, F>(cells: Vec<I>, worker: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(I) -> R + Sync,
-{
-    map_with_threads(num_threads(), cells, worker)
+/// # Errors
+///
+/// A usage error for a missing, unparsable or zero count.
+pub fn threads(args: &mut Args) -> Result<usize, CliError> {
+    match args.value("--threads")? {
+        Some(0) => Err(CliError::Usage("--threads must be at least 1".into())),
+        Some(n) => Ok(n),
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+    }
 }
 
-/// [`map`] with an explicit thread count. `threads <= 1` runs serially on
-/// the calling thread (no pool, no locks), which is also the reference
-/// behavior the parallel path must reproduce.
+/// Maps `worker` over `cells` on `threads` workers, returning results in
+/// cell order.
+///
+/// The worker function must be `Sync` (shared by reference across
+/// threads) and is called exactly once per cell. Equivalent to
+/// `cells.into_iter().map(worker).collect()` — only faster. `threads <= 1`
+/// runs serially on the calling thread (no pool, no locks), which is also
+/// the reference behavior the parallel path must reproduce.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any worker invocation.
-pub fn map_with_threads<I, R, F>(threads: usize, cells: Vec<I>, worker: F) -> Vec<R>
+pub fn map<I, R, F>(threads: usize, cells: Vec<I>, worker: F) -> Vec<R>
 where
     I: Send,
     R: Send,
@@ -179,7 +165,7 @@ mod tests {
     fn results_come_back_in_cell_order() {
         let cells: Vec<usize> = (0..97).collect();
         for threads in [1, 2, 3, 8, 200] {
-            let got = map_with_threads(threads, cells.clone(), |x| x * 3);
+            let got = map(threads, cells.clone(), |x| x * 3);
             let want: Vec<usize> = cells.iter().map(|x| x * 3).collect();
             assert_eq!(got, want, "threads = {threads}");
         }
@@ -189,7 +175,7 @@ mod tests {
     fn uneven_cell_costs_still_merge_in_order() {
         // Make early cells slow so stealing actually reorders execution.
         let cells: Vec<u64> = (0..40).collect();
-        let got = map_with_threads(4, cells, |x| {
+        let got = map(4, cells, |x| {
             let spin = if x < 4 { 200_000 } else { 100 };
             let mut acc = x;
             for i in 0..spin {
@@ -203,19 +189,23 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_sweeps() {
-        let empty: Vec<u32> = map_with_threads(8, Vec::new(), |x: u32| x);
+        let empty: Vec<u32> = map(8, Vec::new(), |x: u32| x);
         assert!(empty.is_empty());
-        assert_eq!(map_with_threads(8, vec![7u32], |x| x + 1), [8]);
+        assert_eq!(map(8, vec![7u32], |x| x + 1), [8]);
     }
 
     #[test]
     fn thread_override_parsing() {
-        assert_eq!(parse_threads(None, 6), 6);
-        assert_eq!(parse_threads(Some("4"), 6), 4);
-        assert_eq!(parse_threads(Some(" 2 "), 6), 2);
-        assert_eq!(parse_threads(Some("0"), 6), 6);
-        assert_eq!(parse_threads(Some("lots"), 6), 6);
-        assert_eq!(parse_threads(Some(""), 6), 6);
+        let parse = |argv: &[&str]| threads(&mut Args::new(argv.iter().map(|s| s.to_string())));
+        assert_eq!(parse(&["--threads", "4"]), Ok(4));
+        assert!(parse(&[]).unwrap() >= 1);
+        for bad in [
+            &["--threads", "0"][..],
+            &["--threads", "lots"],
+            &["--threads"],
+        ] {
+            assert!(matches!(parse(bad), Err(CliError::Usage(_))), "{bad:?}");
+        }
     }
 
     #[test]
@@ -241,8 +231,8 @@ mod tests {
                 .map(|_| rng.next_u64())
                 .fold(0u64, u64::wrapping_add)
         };
-        let serial = map_with_threads(1, cells.clone(), run);
-        let parallel = map_with_threads(4, cells, run);
+        let serial = map(1, cells.clone(), run);
+        let parallel = map(4, cells, run);
         assert_eq!(serial, parallel);
     }
 }

@@ -27,6 +27,7 @@ use tmc_memsys::{BlockSpec, CacheGeometry, MsgSizing, ReferenceMemory};
 use tmc_obs::jsonl::{fnv1a64, TraceHeader, TraceReader, TraceTrailer, TraceWriter, TRACE_VERSION};
 use tmc_obs::{LinkCharge, ProtocolEvent};
 use tmc_omeganet::{SchemeKind, TrafficMatrix};
+use tmc_simcore::CounterSet;
 
 /// Stable header string for a [`SchemeKind`].
 pub fn scheme_kind_str(kind: SchemeKind) -> &'static str {
@@ -180,6 +181,8 @@ pub struct ReplayReport {
     pub fingerprint: u64,
     /// The verified total link-bit charge.
     pub total_bits: u64,
+    /// The replayed machine's counters.
+    pub counters: CounterSet,
 }
 
 impl fmt::Display for ReplayReport {
@@ -308,6 +311,7 @@ pub fn check(trace: &str) -> Result<ReplayReport, String> {
         words_checked,
         fingerprint,
         total_bits,
+        counters: sys.counters().clone(),
     })
 }
 

@@ -1,14 +1,10 @@
 //! The parallel sweep engine must be a drop-in for serial iteration: same
 //! cells, same results, same order, bit-for-bit — regardless of thread
-//! count, stealing order or finish order. This drives the sim_fig8 grid
+//! count, stealing order or finish order. This drives the sim-fig8 grid
 //! (write fraction × protocol) both ways and compares exactly.
 
-use tmc_baselines::{
-    two_mode_adaptive, two_mode_fixed, CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem,
-    UpdateOnlySystem,
-};
-use tmc_bench::{drive_steady_state, sweep};
-use tmc_core::Mode;
+use tmc_bench::args::Args;
+use tmc_bench::{build_protocol, drive_steady_state, sweep, PROTOCOLS};
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
 
@@ -17,21 +13,13 @@ const N_TASKS: usize = 8;
 const N_BLOCKS: u64 = 16;
 const REFS: usize = 6_000;
 const WARMUP: usize = 1_000;
-const N_SYSTEMS: usize = 6;
 
 fn run_cell((w, seed, sys_idx): (f64, u64, usize)) -> (u64, f64) {
     let trace = SharedBlockWorkload::new(N_TASKS, N_BLOCKS, w)
         .references(REFS)
         .placement(Placement::Adjacent { base: 0 })
         .generate(N_PROCS, &mut SimRng::seed_from(seed));
-    let mut sys: Box<dyn CoherentSystem> = match sys_idx {
-        0 => Box::new(NoCacheSystem::new(N_PROCS)),
-        1 => Box::new(DirectoryInvalidateSystem::new(N_PROCS)),
-        2 => Box::new(UpdateOnlySystem::new(N_PROCS)),
-        3 => Box::new(two_mode_fixed(N_PROCS, Mode::DistributedWrite)),
-        4 => Box::new(two_mode_fixed(N_PROCS, Mode::GlobalRead)),
-        _ => Box::new(two_mode_adaptive(N_PROCS, 64)),
-    };
+    let mut sys = build_protocol(PROTOCOLS[sys_idx], N_PROCS).expect("known protocol");
     let report = drive_steady_state(sys.as_mut(), &trace, WARMUP);
     // Compare total bits (exact integers) AND the derived float,
     // bit-for-bit.
@@ -42,17 +30,17 @@ fn grid() -> Vec<(f64, u64, usize)> {
     let ws = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9];
     ws.iter()
         .enumerate()
-        .flat_map(|(i, &w)| (0..N_SYSTEMS).map(move |s| (w, 1000 + i as u64, s)))
+        .flat_map(|(i, &w)| (0..PROTOCOLS.len()).map(move |s| (w, 1000 + i as u64, s)))
         .collect()
 }
 
 #[test]
 fn parallel_sim_fig8_grid_is_bit_identical_to_serial() {
     let plain: Vec<(u64, f64)> = grid().into_iter().map(run_cell).collect();
-    let serial = sweep::map_with_threads(1, grid(), run_cell);
+    let serial = sweep::map(1, grid(), run_cell);
     assert_eq!(serial.len(), plain.len());
     for threads in [2, 4, 7] {
-        let parallel = sweep::map_with_threads(threads, grid(), run_cell);
+        let parallel = sweep::map(threads, grid(), run_cell);
         for (i, ((pb, pf), (sb, sf))) in parallel.iter().zip(&plain).enumerate() {
             assert_eq!(pb, sb, "threads={threads} cell {i}: total_bits differ");
             assert_eq!(
@@ -67,8 +55,9 @@ fn parallel_sim_fig8_grid_is_bit_identical_to_serial() {
 
 #[test]
 fn default_map_matches_explicit_serial() {
-    // Exercise sweep::map (env-driven thread count, whatever it is here).
-    let via_map = sweep::map(grid(), run_cell);
+    // The thread count a command gets without `--threads`: one per core.
+    let threads = sweep::threads(&mut Args::new([])).expect("no flag given");
+    let via_map = sweep::map(threads, grid(), run_cell);
     let serial: Vec<(u64, f64)> = grid().into_iter().map(run_cell).collect();
     assert_eq!(via_map, serial);
 }

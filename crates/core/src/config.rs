@@ -8,7 +8,6 @@ use crate::state::Mode;
 
 /// How a block's consistency mode is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ModePolicy {
     /// Every block uses `Mode` from the moment it is first owned. Software
     /// can still override per block with [`crate::System::set_mode`].
@@ -54,7 +53,6 @@ impl ModePolicy {
 /// assert_eq!(cfg.n_caches, 16);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemConfig {
     /// Number of caches/processors/memory modules (a power of two; this is
     /// also the network size N).

@@ -9,7 +9,7 @@
 //! network's timing model.
 //!
 //! The result is machine-level throughput and utilization — the extension
-//! measurements behind the `throughput` experiment binary.
+//! measurements behind `tmc paper throughput`.
 
 use tmc_memsys::WordAddr;
 use tmc_simcore::SimTime;

@@ -9,7 +9,6 @@ use crate::state::StateName;
 /// paper; `Fwd*` variants are the memory module retransmitting a request to
 /// the owner it found in the block store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MsgKind {
     /// Cache → memory: load request (read miss).
     LoadReq,
@@ -85,7 +84,6 @@ impl MsgKind {
 
 /// Where a message went.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Destination {
     /// One port.
     Unicast(usize),
@@ -100,7 +98,6 @@ pub enum Destination {
 
 /// One entry of a transaction trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceEvent {
     /// A message crossed the network.
     Msg {
@@ -136,7 +133,6 @@ pub enum TraceEvent {
 /// when on, every message and state change lands here until drained by
 /// [`TransactionLog::drain`].
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransactionLog {
     events: Vec<TraceEvent>,
 }

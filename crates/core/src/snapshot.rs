@@ -63,7 +63,7 @@
 //! can skip all per-transaction scratch (the multicast memo buffers): a
 //! freshly decoded [`System`] re-derives them, and because they are pure
 //! caches the continuation is bit-identical to a run that never stopped —
-//! `tmc-bench/src/bin/crashsim` proves exactly that.
+//! `tmc crashsim` proves exactly that.
 //!
 //! # Example
 //!

@@ -12,7 +12,6 @@ use tmc_omeganet::DestSet;
 
 /// The consistency mode of a block — the paper's DW bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Mode {
     /// Writes are distributed to every cache holding a copy (DW = 1).
     DistributedWrite,
@@ -57,7 +56,6 @@ impl From<tmc_obs::TraceMode> for Mode {
 
 /// Validity/ownership of a resident line (the V and O bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Validity {
     /// V = 0: the entry is reserved (tag match) but holds no valid copy;
     /// the OWNER field says where the block lives.
@@ -71,7 +69,6 @@ pub enum Validity {
 /// The six named states of Table 1 (plus the implicit "no entry at all",
 /// which is a cache miss rather than a state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StateName {
     /// V = 0.
     Invalid,
@@ -107,7 +104,6 @@ impl std::fmt::Display for StateName {
 /// [`CacheArray`](tmc_memsys::CacheArray) keyed by block address) and state
 /// field.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheLine {
     /// V and O bits.
     pub validity: Validity,

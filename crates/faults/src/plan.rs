@@ -13,7 +13,6 @@ use crate::error::FaultError;
 /// granularity, so retries against a hard outage exhaust deterministically
 /// and the engine falls back to graceful degradation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetryPolicy {
     /// Retry attempts after the first timeout (≤ 32).
     pub max_retries: u32,
@@ -50,7 +49,6 @@ impl RetryPolicy {
 
 /// One concrete fault, ready to fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// A network link goes out of service until op `heal_at`; every route
     /// crossing it is unreachable in the meantime.
@@ -99,7 +97,6 @@ pub enum FaultKind {
 
 /// A fault and the simulated op index at which it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduledFault {
     /// Op index (1-based public-transaction count) at which the fault fires.
     pub at: u64,
@@ -121,7 +118,6 @@ const MAX_SPAN: u64 = 1 << 48;
 /// Lives in `tmc_core::SystemConfig` so every engine can see (and, for the
 /// sharded/baseline engines, explicitly reject) fault-enabled configs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSpec {
     /// Seed for the schedule (and nothing else — workloads seed separately).
     pub seed: u64,

@@ -4,7 +4,6 @@ use std::fmt;
 
 /// A word address in the shared address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WordAddr(u64);
 
 impl WordAddr {
@@ -30,7 +29,6 @@ impl fmt::Display for WordAddr {
 /// The *block* is the paper's unit of consistency: "a logical unit of memory
 /// consisting of a number of words and with an identification".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockAddr(u64);
 
 impl BlockAddr {
@@ -53,7 +51,6 @@ impl fmt::Display for BlockAddr {
 
 /// Identifies one cache (equivalently, its processor and network port).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheId(pub u16);
 
 impl CacheId {
@@ -83,7 +80,6 @@ impl fmt::Display for CacheId {
 /// assert_eq!(spec.word_at(spec.block_of(WordAddr::new(11)), 3), WordAddr::new(11));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockSpec {
     offset_bits: u32,
 }
@@ -132,7 +128,6 @@ impl BlockSpec {
 /// Maps blocks to memory modules by low-order interleaving, the standard
 /// layout for multistage-network machines (RP3, Butterfly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModuleMap {
     modules: usize,
 }

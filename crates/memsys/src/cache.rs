@@ -28,7 +28,6 @@ use crate::addr::BlockAddr;
 ///
 /// Total capacity is `sets × ways` blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeometry {
     sets: usize,
     ways: usize,
@@ -99,7 +98,6 @@ fn position(place: u64) -> usize {
 /// assert_eq!(evicted, Some((BlockAddr::new(1), 10)));
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheArray<L> {
     geometry: CacheGeometry,
     /// Slot `set * ways + way` holds `[tag, place]`: that way's block index

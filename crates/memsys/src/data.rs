@@ -17,7 +17,6 @@
 /// assert_eq!(b.word(0), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockData {
     words: Words,
 }
@@ -32,7 +31,6 @@ const INLINE_WORDS: usize = 8;
 /// is always `Inline` (unused tail slots zeroed), so the derived
 /// `PartialEq`/`Hash` agree with value equality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Words {
     Inline { words: [u64; INLINE_WORDS], len: u8 },
     Heap(Vec<u64>),

@@ -22,7 +22,6 @@ const PAGE_MAP_WORDS: usize = PAGE_BLOCKS / 64;
 /// One page of main memory: a presence bitmap plus the page's block words
 /// stored contiguously (`PAGE_BLOCKS × words_per_block`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct MemPage {
     written: [u64; PAGE_MAP_WORDS],
     words: Vec<u64>,
@@ -64,7 +63,6 @@ fn page_slot(block: BlockAddr) -> (usize, usize) {
 /// assert_eq!(mem.read_block(b)[0], 99);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MainMemory {
     spec: BlockSpec,
     pages: Vec<Option<Box<MemPage>>>,
@@ -240,7 +238,6 @@ impl Eq for MainMemory {}
 /// One page of the block store: a valid bitmap plus the owner id per slot
 /// (structure-of-arrays, like the paper's V bit + log₂ N-bit ID field).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct StorePage {
     valid: [u64; PAGE_MAP_WORDS],
     owner: Vec<u16>,
@@ -276,7 +273,6 @@ impl StorePage {
 /// assert_eq!(store.owner(b), None);
 /// ```
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockStore {
     pages: Vec<Option<Box<StorePage>>>,
     owned: usize,

@@ -24,7 +24,6 @@ use crate::addr::WordAddr;
 /// assert_eq!(oracle.read(a), 7);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReferenceMemory {
     words: HashMap<WordAddr, u64>,
     writes: u64,

@@ -25,7 +25,6 @@
 /// assert_eq!(s.state_field_bits(64), 64 + 6 + 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsgSizing {
     /// Bits of a block identification (address).
     pub addr_bits: u64,

@@ -17,7 +17,6 @@ use tmc_omeganet::SchemeChoice;
 /// observability crate does not depend on the protocol engine (which would
 /// be a dependency cycle — the engine emits the events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceMode {
     /// Writes are multicast to all copy holders.
     DistributedWrite,
@@ -55,7 +54,6 @@ impl std::fmt::Display for TraceMode {
 /// Structural twin of `tmc_faults::FaultKind`'s discriminant (kept here so
 /// the observability crate does not depend on the fault crate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultLabel {
     /// A network link went out of service.
     LinkDown,
@@ -113,7 +111,6 @@ impl std::fmt::Display for FaultLabel {
 /// A flattened `tmc_omeganet::LinkId` plus the charge, so trace consumers
 /// need no network handle to interpret it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkCharge {
     /// Link layer, `0..=m`.
     pub layer: u32,
@@ -128,9 +125,8 @@ pub struct LinkCharge {
 /// `Read`, `Write` and `SetMode` are the *replayable* subset: re-executing
 /// them in order against a fresh system reproduces the entire run, so every
 /// other variant is regenerated and can be cross-checked (see the
-/// `trace_check` harness in `tmc-bench`).
+/// `tmc trace` harness in `tmc-bench`).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProtocolEvent {
     /// A processor read completed.
     Read {

@@ -62,7 +62,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The first record of a trace: the run configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceHeader {
     /// Trace-format version ([`TRACE_VERSION`]).
     pub version: u64,
@@ -85,7 +84,6 @@ pub struct TraceHeader {
 
 /// The last record of a trace: the replay-check obligations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceTrailer {
     /// Number of event records between header and trailer.
     pub events: u64,

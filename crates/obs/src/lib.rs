@@ -1,5 +1,5 @@
 //! Observability for the two-mode coherence simulator: structured protocol
-//! events, a metrics registry, and a replayable JSONL trace sink.
+//! events and a replayable JSONL trace sink.
 //!
 //! The paper's evaluation is entirely about per-reference communication
 //! cost (eqs. 2–12), yet aggregate totals cannot answer *why* a run cost
@@ -13,14 +13,11 @@
 //! * [`Tracer`] — a zero-cost-when-disabled event buffer that the engines
 //!   own by value (it is `Clone`, so cloneable `System`s — required by the
 //!   bounded model checker — stay cloneable);
-//! * [`MetricsRegistry`] — counters, histograms and accumulators (from
-//!   [`tmc_simcore`]) folded from an event stream: latency and cast-cost
-//!   distributions, mode residency, hit/miss tallies;
 //! * [`jsonl`] — a dependency-free JSONL codec for traces
 //!   (header / events / trailer), designed so a captured run can be
 //!   *re-executed* and checked against the live system: the trailer pins
 //!   the protocol fingerprint hash, the total bits, and every per-link bit
-//!   charge. See `trace_check` in `tmc-bench` for the replay harness.
+//!   charge. See `tmc trace` (`tmc_bench::tracecheck`) for the replay harness.
 //!
 //! The crate deliberately depends only on the substrate crates
 //! ([`tmc_simcore`], [`tmc_omeganet`], [`tmc_memsys`]) — not on the
@@ -30,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use tmc_obs::{MetricsRegistry, ProtocolEvent, TraceMode, Tracer};
+//! use tmc_obs::{ProtocolEvent, TraceMode, Tracer};
 //! use tmc_memsys::WordAddr;
 //!
 //! let mut tracer = Tracer::new();
@@ -44,10 +41,9 @@
 //!     latency: None,
 //!     mode: Some(TraceMode::DistributedWrite),
 //! });
-//! let mut metrics = MetricsRegistry::new();
-//! metrics.observe_all(tracer.events());
-//! assert_eq!(metrics.counters().get("reads"), 1);
-//! assert_eq!(metrics.counters().get("read_hits"), 1);
+//! assert_eq!(tracer.len(), 1);
+//! assert!(matches!(tracer.drain()[0], ProtocolEvent::Read { hit: true, .. }));
+//! assert!(tracer.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,7 +52,6 @@
 pub mod event;
 pub mod json;
 pub mod jsonl;
-pub mod metrics;
 pub mod stream;
 pub mod tracer;
 
@@ -65,6 +60,5 @@ pub use jsonl::{
     fnv1a64, TraceError, TraceErrorKind, TraceHeader, TraceReader, TraceRecord, TraceTrailer,
     TraceWriter,
 };
-pub use metrics::MetricsRegistry;
 pub use stream::{interleave, ShardEvents};
 pub use tracer::Tracer;

@@ -30,7 +30,6 @@ use crate::traffic::TrafficMatrix;
 /// # Ok::<(), tmc_omeganet::NetError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AryOmega {
     /// Number of stages (base-`a` digits of a port number).
     m: u32,

@@ -29,7 +29,6 @@ const SMALL_MAX_PORTS: usize = (1 << 16) - 1;
 /// `PartialEq`/`Hash` (used by the multicast memo cache) stay consistent
 /// across promotion and demotion.
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Repr {
     Inline(u64),
     Small([u16; SMALL_CAP]),
@@ -80,7 +79,6 @@ fn range_mask(lo: usize, hi: usize) -> u64 {
 /// # Ok::<(), tmc_omeganet::NetError>(())
 /// ```
 #[derive(PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DestSet {
     repr: Repr,
     n_ports: usize,

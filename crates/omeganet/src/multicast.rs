@@ -37,7 +37,6 @@ use crate::traffic::TrafficMatrix;
 
 /// Which multicast scheme to use for a cast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchemeKind {
     /// Scheme 1: one routed unicast per destination.
     Replicated,
@@ -52,7 +51,6 @@ pub enum SchemeKind {
 
 /// The concrete scheme a cast actually used (resolves [`SchemeKind::Combined`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchemeChoice {
     /// Scheme 1 ran.
     Replicated,
@@ -64,7 +62,6 @@ pub enum SchemeChoice {
 
 /// Outcome of one multicast.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CastReceipt {
     /// The scheme that was actually used.
     pub scheme: SchemeChoice,

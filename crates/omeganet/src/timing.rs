@@ -17,7 +17,6 @@ use crate::topology::{LinkId, Omega, PortId};
 
 /// Link/switch timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingModel {
     /// Cycles to traverse one switch (added after every non-final hop).
     pub switch_latency: u64,

@@ -30,7 +30,6 @@ pub type PortId = usize;
 ///   it feeds, but it is the same physical wire).
 /// * Layer `m` is the wire from the last stage into output port `line`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkId {
     /// Link layer, `0..=m`.
     pub layer: u32,
@@ -104,7 +103,6 @@ impl ExactSizeIterator for RouteIter {}
 /// # Ok::<(), tmc_omeganet::NetError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Omega {
     m: u32,
     n: usize,

@@ -26,7 +26,6 @@ use crate::topology::{LinkId, Omega};
 /// # Ok::<(), tmc_omeganet::NetError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficMatrix {
     /// `bits[layer][line]`.
     bits: Vec<Vec<u64>>,

@@ -1,394 +1,61 @@
-//! `tmc scenario` — run, list, check, and pin the committed corpus.
+//! `tmc`: the one command-line entry point of the workspace. It picks the
+//! subcommand and hands the remaining arguments to that command's
+//! function; every command parses them with `tmc_bench::args::Args`.
 //!
-//! ```text
-//! tmc scenario list [--dir D]
-//! tmc scenario run <name>... [--dir D] [--checkpoint-every N] [--journal P]
-//!                            [--kill-at OP] [--resume P]
-//! tmc scenario check (--all | <name>...) [--dir D] [--reshard K] [--sample N]
-//! tmc scenario pin (--all | <name>...) [--dir D]
-//! ```
-//!
-//! `check` is the CI entry point: every scenario runs twice (determinism),
-//! goldens are compared, and the applicable cross engines execute. With
-//! `--reshard K --sample N` it instead reruns every N-th scenario with the
-//! shard count forced to `K`, asserting bit-identity under resharding.
-//! `pin` reruns scenarios and rewrites their `[expect]` sections in place
-//! (the golden-regeneration workflow after an intentional protocol
-//! change).
-//!
-//! `run` honors a scenario's `[checkpoint]` section (or the
-//! `--checkpoint-every` override) by journaling whole-machine frames to
-//! `--journal P` (default `<name>.journal`); `--kill-at OP` injects a
-//! crash after that op, and `--resume P` restarts a killed run from the
-//! newest intact frame of its journal — bit-identical to an
-//! uninterrupted run. When a run diverges from pinned goldens, every
-//! divergence is reported as `file.tmcs:LINE: key: expected X, actual Y`
-//! (the line of that key in the `[expect]` section) and the exit code is
-//! nonzero.
+//! Exit codes: 0 = OK, 1 = a check failed, 2 = usage.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tmc_scenario::corpus;
-use tmc_scenario::journal::{
-    cadence_for, default_journal_path, resume_journaled, run_journaled, JournalOptions,
-};
-use tmc_scenario::run::{check_scenario, expect_diffs, run_scenario, ScenarioOutcome};
-use tmc_scenario::spec::{encode_expect, Scenario};
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_cli(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-struct Cli {
-    names: Vec<String>,
-    all: bool,
-    dir: PathBuf,
-    reshard: Option<usize>,
-    sample: usize,
-    checkpoint_every: Option<u64>,
-    journal: Option<PathBuf>,
-    kill_at: Option<u64>,
-    resume: Option<PathBuf>,
-}
-
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        names: Vec::new(),
-        all: false,
-        dir: corpus::default_dir(),
-        reshard: None,
-        sample: 1,
-        checkpoint_every: None,
-        journal: None,
-        kill_at: None,
-        resume: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--all" => cli.all = true,
-            "--dir" => {
-                cli.dir = PathBuf::from(it.next().ok_or("--dir needs a path")?);
-            }
-            "--reshard" => {
-                let k = it.next().ok_or("--reshard needs a shard count")?;
-                cli.reshard = Some(k.parse().map_err(|_| format!("bad shard count `{k}`"))?);
-            }
-            "--sample" => {
-                let n = it.next().ok_or("--sample needs a stride")?;
-                cli.sample = n.parse().map_err(|_| format!("bad sample stride `{n}`"))?;
-                if cli.sample == 0 {
-                    return Err("--sample stride must be >= 1".into());
-                }
-            }
-            "--checkpoint-every" => {
-                let n = it.next().ok_or("--checkpoint-every needs an op count")?;
-                let every: u64 = n.parse().map_err(|_| format!("bad op count `{n}`"))?;
-                if every == 0 {
-                    return Err("--checkpoint-every must be >= 1".into());
-                }
-                cli.checkpoint_every = Some(every);
-            }
-            "--journal" => {
-                cli.journal = Some(PathBuf::from(it.next().ok_or("--journal needs a path")?));
-            }
-            "--kill-at" => {
-                let n = it.next().ok_or("--kill-at needs an op count")?;
-                cli.kill_at = Some(n.parse().map_err(|_| format!("bad op count `{n}`"))?);
-            }
-            "--resume" => {
-                cli.resume = Some(PathBuf::from(
-                    it.next().ok_or("--resume needs a journal path")?,
-                ));
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            name => cli.names.push(name.to_string()),
-        }
-    }
-    Ok(cli)
-}
+use tmc_bench::args::{Args, CliError};
+use tmc_bench::{cmd, paper};
+use tmc_scenario::cli;
 
 fn usage() -> String {
-    "usage: tmc scenario <list|run|check|pin> [--all | <name>...] \
-     [--dir D] [--reshard K] [--sample N] [--checkpoint-every N] \
-     [--journal P] [--kill-at OP] [--resume P]"
-        .into()
+    format!(
+        "usage: tmc <subcommand> [arguments]\n\
+         \n\
+         \x20 paper <{}> [--threads N] [--shards K]\n\
+         \x20 scenario <list|run|check|pin> [--all | <name>...] [--dir D] ...\n\
+         \x20 fuzz (--smoke | --budget N | --corpus DIR) [--seed S] [--bign] [--corpus-out DIR]\n\
+         \x20 chaos [--smoke]\n\
+         \x20 crashsim [--smoke]\n\
+         \x20 trace [roundtrip [SEED] | capture FILE [SEED] | check FILE]\n\
+         \x20 replay TRACE_FILE [PROTOCOL|all] [--threads N] [--shards K] [--trace-out FILE]\n\
+         \x20 sweep [PROTOCOL|all] [N_PROCS] [N_TASKS] [W] [REFS] [SEED]\n\
+         \n\
+         exit codes: 0 = OK, 1 = a check failed, 2 = usage\n",
+        paper::NAMES.join("|")
+    )
 }
 
-fn run_cli(args: &[String]) -> Result<(), String> {
-    let Some(first) = args.first() else {
-        return Err(usage());
+fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next();
+    let args = Args::new(argv);
+    let result = match command.as_deref() {
+        Some("paper") => paper::run(args),
+        Some("scenario") => cli::scenario(args),
+        Some("fuzz") => cli::fuzz(args),
+        Some("chaos") => cmd::chaos::run(args),
+        Some("crashsim") => cmd::crashsim::run(args),
+        Some("trace") => cmd::trace::run(args),
+        Some("replay") => cmd::replay::run(args),
+        Some("sweep") => cmd::sweep::run(args),
+        Some("help" | "--help" | "-h") => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Some(other) => Err(CliError::Usage(format!(
+            "unknown subcommand `{other}`\n{}",
+            usage()
+        ))),
+        None => Err(CliError::Usage(usage())),
     };
-    if first != "scenario" {
-        return Err(usage());
-    }
-    let Some(verb) = args.get(1) else {
-        return Err(usage());
-    };
-    let cli = parse_cli(&args[2..])?;
-    match verb.as_str() {
-        "list" => cmd_list(&cli),
-        "run" => cmd_run(&cli),
-        "check" => cmd_check(&cli),
-        "pin" => cmd_pin(&cli),
-        other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
-    }
-}
-
-/// The scenarios the command applies to: the whole corpus with `--all`
-/// (or for `list`), otherwise the named subset.
-fn select(cli: &Cli, verb: &str) -> Result<Vec<(PathBuf, Scenario)>, String> {
-    let entries = corpus::load_dir(&cli.dir)?;
-    if cli.all || (verb == "list" && cli.names.is_empty()) {
-        if entries.is_empty() {
-            return Err(format!("no .tmcs scenarios in {}", cli.dir.display()));
-        }
-        return Ok(entries);
-    }
-    if cli.names.is_empty() {
-        return Err(format!("scenario {verb} needs --all or scenario names"));
-    }
-    let mut selected = Vec::new();
-    for name in &cli.names {
-        let found = entries.iter().find(|(_, sc)| &sc.name == name);
-        match found {
-            Some(e) => selected.push(e.clone()),
-            None => {
-                return Err(format!(
-                    "no scenario named `{name}` in {} ({} available: {})",
-                    cli.dir.display(),
-                    entries.len(),
-                    entries
-                        .iter()
-                        .map(|(_, sc)| sc.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            }
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(e.exit_code())
         }
     }
-    Ok(selected)
-}
-
-fn cmd_list(cli: &Cli) -> Result<(), String> {
-    let entries = select(cli, "list")?;
-    println!("{} scenarios in {}", entries.len(), cli.dir.display());
-    for (_, sc) in &entries {
-        let mut tags = Vec::new();
-        if let Some(w) = &sc.workload {
-            tags.push(w.family.name().to_string());
-        }
-        if !sc.ops.is_empty() {
-            tags.push(format!("{} explicit ops", sc.ops.len()));
-        }
-        if sc.fault_configured() {
-            tags.push("faults".into());
-        }
-        if sc.machine.shards > 1 {
-            tags.push(format!("shards={}", sc.machine.shards));
-        }
-        tags.push(
-            if sc.expect.is_pinned() {
-                "pinned"
-            } else {
-                "unpinned"
-            }
-            .into(),
-        );
-        println!(
-            "  {:<24} N={:<5} {}",
-            sc.name,
-            sc.machine.n_caches,
-            tags.join(", ")
-        );
-        if !sc.note.is_empty() {
-            println!("  {:<24} {}", "", sc.note);
-        }
-    }
-    Ok(())
-}
-
-fn cmd_run(cli: &Cli) -> Result<(), String> {
-    let entries = select(cli, "run")?;
-    if (cli.resume.is_some() || cli.kill_at.is_some()) && entries.len() != 1 {
-        return Err("--resume / --kill-at apply to exactly one scenario".into());
-    }
-    let mut golden_failures = 0usize;
-    for (path, sc) in &entries {
-        let every = cadence_for(sc, cli.checkpoint_every);
-        let journaled = every > 0 || cli.resume.is_some() || cli.kill_at.is_some();
-        let outcome = if journaled {
-            let jpath = cli
-                .journal
-                .clone()
-                .or_else(|| cli.resume.clone())
-                .unwrap_or_else(|| default_journal_path(sc));
-            let mut opts = JournalOptions::new(&jpath, every);
-            opts.kill_at = cli.kill_at;
-            let report = if cli.resume.is_some() {
-                resume_journaled(sc, &opts)
-            } else {
-                run_journaled(sc, &opts)
-            }
-            .map_err(|e| format!("{}: {e}", sc.name))?;
-            if let Some(d) = &report.damage {
-                eprintln!("warning: {}: journal tail dropped: {d}", sc.name);
-            }
-            if let Some(at) = report.resumed_at {
-                println!("{}: resumed at op {at} from {}", sc.name, jpath.display());
-            }
-            let Some(done) = report.outcome else {
-                println!(
-                    "{}: killed at op {} ({} frames in {})",
-                    sc.name,
-                    report.ops_done,
-                    report.frames,
-                    jpath.display()
-                );
-                continue;
-            };
-            println!(
-                "{}: journaled {} frames to {}",
-                sc.name,
-                report.frames,
-                jpath.display()
-            );
-            println!("  trace_chksum = 0x{:016x}", done.trace_checksum);
-            println!("  mem_digest   = 0x{:016x}", done.memory_digest);
-            done.outcome
-        } else {
-            run_scenario(sc).map_err(|e| format!("{}: {e}", sc.name))?
-        };
-        println!("{}:", sc.name);
-        println!(
-            "  ops          = {} ({} reads, {} writes)",
-            outcome.ops, outcome.reads, outcome.writes
-        );
-        println!("  events       = {}", outcome.events);
-        println!("  fingerprint  = 0x{:016x}", outcome.fingerprint);
-        println!("  total_bits   = {}", outcome.total_bits);
-        println!("  link_chksum  = 0x{:016x}", outcome.link_checksum);
-        println!("  reads_chksum = 0x{:016x}", outcome.reads_checksum);
-        for (name, v) in &outcome.counters {
-            if *v != 0 {
-                println!("  counter {name:<28} {v}");
-            }
-        }
-        golden_failures += report_golden_diffs(path, sc, &outcome);
-    }
-    if golden_failures > 0 {
-        return Err(format!("{golden_failures} golden field(s) diverged"));
-    }
-    Ok(())
-}
-
-/// Prints one `file.tmcs:LINE: key: expected X, actual Y` line per
-/// diverged golden and returns how many diverged.
-fn report_golden_diffs(path: &PathBuf, sc: &Scenario, outcome: &ScenarioOutcome) -> usize {
-    let (_, diffs) = expect_diffs(&sc.expect, outcome);
-    if diffs.is_empty() {
-        return 0;
-    }
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    for d in &diffs {
-        match expect_key_line(&text, &d.key) {
-            Some(line) => println!("{}:{line}: {d}", path.display()),
-            None => println!("{}: {d}", path.display()),
-        }
-    }
-    diffs.len()
-}
-
-/// 1-based line of `key` inside the `[expect]` section of `text`
-/// (`counter <name>` keys match their `counter = <name> ...` line).
-fn expect_key_line(text: &str, key: &str) -> Option<usize> {
-    let mut in_expect = false;
-    for (i, raw) in text.lines().enumerate() {
-        let t = raw.trim();
-        if t.starts_with('[') {
-            in_expect = t == "[expect]";
-            continue;
-        }
-        if !in_expect {
-            continue;
-        }
-        let Some(eq) = t.find('=') else { continue };
-        let k = t[..eq].trim();
-        let v = t[eq + 1..].trim();
-        let hit = match key.strip_prefix("counter ") {
-            Some(name) => k == "counter" && v.split_whitespace().next() == Some(name),
-            None => k == key,
-        };
-        if hit {
-            return Some(i + 1);
-        }
-    }
-    None
-}
-
-fn cmd_check(cli: &Cli) -> Result<(), String> {
-    let entries = select(cli, "check")?;
-    let mut checked = 0usize;
-    let mut goldens = 0usize;
-    let mut failures = Vec::new();
-    for (i, (_, sc)) in entries.iter().enumerate() {
-        if i % cli.sample != 0 {
-            continue;
-        }
-        match check_scenario(sc, cli.reshard) {
-            Ok(report) => {
-                checked += 1;
-                goldens += report.goldens;
-                let engines = if report.engines.is_empty() {
-                    "serial+oracle".to_string()
-                } else {
-                    format!("serial+oracle+{}", report.engines.join("+"))
-                };
-                println!(
-                    "ok   {:<24} {} goldens, engines: {engines}",
-                    sc.name, report.goldens
-                );
-            }
-            Err(e) => {
-                println!("FAIL {:<24} {e}", sc.name);
-                failures.push(format!("{}: {e}", sc.name));
-            }
-        }
-    }
-    println!("checked {checked} scenarios, {goldens} golden fields");
-    if !failures.is_empty() {
-        return Err(format!(
-            "{} scenario(s) failed:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_pin(cli: &Cli) -> Result<(), String> {
-    let entries = select(cli, "pin")?;
-    for (path, sc) in &entries {
-        let outcome = run_scenario(sc).map_err(|e| format!("{}: {e}", sc.name))?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let body = match text.find("[expect]") {
-            Some(at) => text[..at].trim_end().to_string(),
-            None => text.trim_end().to_string(),
-        };
-        let pinned = format!("{body}\n\n{}", encode_expect(&outcome.to_expect()));
-        std::fs::write(path, &pinned).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!(
-            "pinned {:<24} fingerprint 0x{:016x}",
-            sc.name, outcome.fingerprint
-        );
-    }
-    Ok(())
 }

@@ -1,0 +1,137 @@
+//! Adaptive-policy boundary behavior at the conformance level: switch
+//! storms must shard deterministically at every K, and the
+//! adaptive-vs-fixed divergence the pair *tolerates* must actually
+//! exist — otherwise the pair's documentation would be describing a
+//! phantom.
+
+use tmc_bench::shardsim::{capture_sharded, run, ShardOp, ShardRunOptions};
+use tmc_bench::tracecheck;
+use tmc_core::{Mode, ModePolicy};
+use tmc_memsys::WordAddr;
+use tmc_scenario::outcome::run_serial;
+use tmc_scenario::{check_pair, CaseSpec, Pair};
+
+/// A switch storm: every processor hammers a handful of blocks with a
+/// write-heavy mix under a tiny adaptive window, maximizing mid-stream
+/// mode churn, plus explicit §2.2 directives layered on top.
+fn storm_case(seed: u64) -> CaseSpec {
+    let mut ops = Vec::new();
+    for i in 0..240u64 {
+        let proc = (i % 8) as usize;
+        let addr = WordAddr::new((i * 5) % 24);
+        match i % 6 {
+            0 | 1 => ops.push(ShardOp::Write {
+                proc,
+                addr,
+                value: i + 1,
+            }),
+            5 => ops.push(ShardOp::SetMode {
+                proc,
+                addr,
+                mode: if i % 12 == 5 {
+                    Mode::GlobalRead
+                } else {
+                    Mode::DistributedWrite
+                },
+            }),
+            _ => ops.push(ShardOp::Read { proc, addr }),
+        }
+    }
+    CaseSpec {
+        seed,
+        n_caches: 8,
+        sets: 4,
+        ways: 2,
+        words_log2: 2,
+        scheme: tmc_omeganet::SchemeKind::Combined,
+        policy: ModePolicy::Adaptive { window: 4 },
+        owner_bypass: true,
+        shards: 2,
+        fault_seed: seed,
+        analytic: None,
+        ops,
+    }
+}
+
+/// The storm shards bit-identically at K = 2, 4 and 8: fingerprints,
+/// counters, traffic, and the merged JSONL event stream all match the
+/// serial run, even while adaptive windows close at different points in
+/// different shards' local streams.
+#[test]
+fn switch_storm_is_shard_invariant() {
+    let case = storm_case(77);
+    let cfg = case.config();
+    let serial = run_serial(cfg.clone(), &case.ops, false).expect("serial run");
+    let serial_jsonl = tracecheck::capture(cfg.clone(), |sys| {
+        tmc_bench::shardsim::apply_script(sys, &case.ops);
+    })
+    .expect("capturable");
+    let mut switched = false;
+    for shards in [2usize, 4, 8] {
+        let sharded = run(
+            &cfg,
+            &case.ops,
+            &ShardRunOptions::new(shards, 2).check(true),
+        )
+        .unwrap_or_else(|e| panic!("K={shards}: {e}"));
+        assert_eq!(
+            sharded.system.protocol_fingerprint(),
+            serial.fingerprint,
+            "K={shards}: fingerprint"
+        );
+        assert_eq!(
+            sharded.system.traffic().total_bits(),
+            serial.total_bits,
+            "K={shards}: traffic"
+        );
+        switched |= sharded.system.counters().get("adaptive_switches") > 0;
+        let jsonl = capture_sharded(&cfg, &case.ops, shards, 2).expect("capturable");
+        assert_eq!(jsonl, serial_jsonl, "K={shards}: JSONL stream");
+    }
+    assert!(switched, "the storm must actually drive adaptive switches");
+}
+
+/// The divergence `adaptive-vs-fixed` documents as *expected* is real:
+/// there are cases where the adaptive run's fingerprint and traffic
+/// differ from both fixed modes while the pair (checking read values and
+/// the cost bound) still passes. If this test ever fails because no
+/// divergence exists, the pair could be tightened to full bit-identity.
+#[test]
+fn adaptive_vs_fixed_divergence_is_real_and_tolerated() {
+    let case = storm_case(78);
+    check_pair(&case, Pair::AdaptiveVsFixed).expect("the pair's contract holds");
+
+    let adaptive = run_serial(case.config(), &case.ops, false).expect("adaptive");
+    let dw = run_serial(
+        case.config_with_policy(ModePolicy::Fixed(Mode::DistributedWrite)),
+        &case.ops,
+        false,
+    )
+    .expect("fixed DW");
+    let gr = run_serial(
+        case.config_with_policy(ModePolicy::Fixed(Mode::GlobalRead)),
+        &case.ops,
+        false,
+    )
+    .expect("fixed GR");
+    assert_eq!(
+        adaptive.read_values, dw.read_values,
+        "values are contractual"
+    );
+    assert_eq!(
+        adaptive.read_values, gr.read_values,
+        "values are contractual"
+    );
+    assert_ne!(
+        adaptive.fingerprint, dw.fingerprint,
+        "adaptive protocol state should diverge from fixed DW"
+    );
+    assert_ne!(
+        adaptive.fingerprint, gr.fingerprint,
+        "adaptive protocol state should diverge from fixed GR"
+    );
+    assert!(
+        adaptive.total_bits != dw.total_bits || adaptive.total_bits != gr.total_bits,
+        "adaptive traffic should differ from at least one fixed mode"
+    );
+}

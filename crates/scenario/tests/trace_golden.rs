@@ -22,7 +22,7 @@ use tmc_workload::MultiTenantZipfWorkload;
 /// `(trace name, byte length, FNV-1a of the bytes)`.
 const GOLDEN: &[(&str, usize, u64)] = &[
     ("adaptive-crossover", 306631, 0xeec3d485d36e4d75),
-    ("bigN-batched", 776391, 0xbe060e58897a15c6),
+    ("bigN-sharded-1024", 776391, 0xbe060e58897a15c6),
     ("false-sharing", 3272, 0x3c78181470f3a546),
     ("hotspot-contended", 365306, 0x933bd98c6b5ede1a),
     ("iriw", 1968, 0xd2692aecce1c3c83),

@@ -9,9 +9,8 @@
 //! * [`SimTime`] — a cycle-granular simulated clock value,
 //! * [`SimRng`] — a seedable random-number source so every experiment is
 //!   reproducible from a single `u64` seed,
-//! * [`stats`] — streaming statistics (mean/variance/extrema), power-of-two
-//!   histograms and named counter sets used for traffic and latency
-//!   accounting.
+//! * [`stats`] — power-of-two histograms and named counter sets used for
+//!   traffic and latency accounting.
 //!
 //! # Example
 //!
@@ -40,5 +39,5 @@ pub mod stats;
 pub mod time;
 
 pub use rng::SimRng;
-pub use stats::{Accumulator, Counter, CounterSet, Histogram};
+pub use stats::{CounterSet, Histogram};
 pub use time::SimTime;

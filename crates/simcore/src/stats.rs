@@ -1,4 +1,4 @@
-//! Streaming statistics: accumulators, histograms and named counter sets.
+//! Streaming statistics: histograms and named counter sets.
 //!
 //! Traffic and latency accounting throughout the simulator uses these types
 //! rather than collecting raw samples, so arbitrarily long runs use constant
@@ -6,167 +6,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Streaming mean/variance/extrema over `f64` samples (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use tmc_simcore::Accumulator;
-///
-/// let mut acc = Accumulator::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     acc.record(x);
-/// }
-/// assert_eq!(acc.count(), 8);
-/// assert!((acc.mean() - 5.0).abs() < 1e-12);
-/// assert!((acc.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Accumulator {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    total: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            total: 0.0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.total += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (0 when empty).
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than one sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Unbiased sample variance (0 when fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Folds another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.count += other.count;
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Accumulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.count == 0 {
-            return write!(f, "n=0");
-        }
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.std_dev(),
-            self.min,
-            self.max
-        )
-    }
-}
-
-impl Extend<f64> for Accumulator {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.record(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Accumulator {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut acc = Accumulator::new();
-        acc.extend(iter);
-        acc
-    }
-}
 
 /// A histogram over `u64` values with power-of-two bucket boundaries.
 ///
@@ -188,7 +27,6 @@ impl FromIterator<f64> for Accumulator {
 /// assert_eq!(h.bucket_count(3), 1); // 5 lands in [4, 8)
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -317,54 +155,10 @@ impl Histogram {
     }
 }
 
-/// A single monotone counter.
-///
-/// # Example
-///
-/// ```
-/// use tmc_simcore::Counter;
-///
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// A set of counters addressed by static names.
 ///
 /// Protocol engines use one `CounterSet` per run to tally message kinds,
-/// hits/misses, invalidations and so on; experiment binaries print them as
+/// hits/misses, invalidations and so on; experiment commands print them as
 /// report rows.
 ///
 /// # Example
@@ -379,7 +173,6 @@ impl fmt::Display for Counter {
 /// assert_eq!(cs.get("never_touched"), 0);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct CounterSet {
     /// Sorted name → slot in `values`; the source of truth for lookups and
     /// the name-ordered iteration the reports rely on.
@@ -529,50 +322,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulator_empty_is_safe() {
-        let acc = Accumulator::new();
-        assert_eq!(acc.count(), 0);
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.min(), None);
-        assert_eq!(acc.max(), None);
-        assert_eq!(acc.population_variance(), 0.0);
-    }
-
-    #[test]
-    fn accumulator_single_sample() {
-        let acc: Accumulator = [3.5].into_iter().collect();
-        assert_eq!(acc.mean(), 3.5);
-        assert_eq!(acc.min(), Some(3.5));
-        assert_eq!(acc.max(), Some(3.5));
-        assert_eq!(acc.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn accumulator_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i) as f64 * 0.37).collect();
-        let seq: Accumulator = xs.iter().copied().collect();
-        let mut left: Accumulator = xs[..37].iter().copied().collect();
-        let right: Accumulator = xs[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), seq.count());
-        assert!((left.mean() - seq.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - seq.population_variance()).abs() < 1e-6);
-        assert_eq!(left.min(), seq.min());
-        assert_eq!(left.max(), seq.max());
-    }
-
-    #[test]
-    fn accumulator_merge_with_empty_sides() {
-        let mut a = Accumulator::new();
-        let b: Accumulator = [1.0, 2.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let mut c: Accumulator = [1.0, 2.0].into_iter().collect();
-        c.merge(&Accumulator::new());
-        assert_eq!(c.count(), 2);
-    }
-
-    #[test]
     fn histogram_bucket_boundaries() {
         assert_eq!(Histogram::bucket_index(0), 0);
         assert_eq!(Histogram::bucket_index(1), 1);
@@ -669,9 +418,5 @@ mod tests {
         assert_eq!(format!("{cs}"), "(no counters)");
         cs.add("hits", 1);
         assert!(format!("{cs}").contains("hits"));
-        let mut acc = Accumulator::new();
-        assert_eq!(format!("{acc}"), "n=0");
-        acc.record(1.0);
-        assert!(format!("{acc}").contains("n=1"));
     }
 }

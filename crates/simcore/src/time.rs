@@ -24,7 +24,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t - SimTime::new(2), 3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -32,7 +32,6 @@ use crate::trace::{Op, Reference, Trace};
 /// assert_eq!(trace.len(), 1000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HotSpotWorkload {
     n_tasks: usize,
     hot_fraction: f64,

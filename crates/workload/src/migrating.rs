@@ -28,7 +28,6 @@ use crate::trace::{Op, Reference, Trace};
 /// assert_eq!(trace.len(), 1000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigratingWorkload {
     n_tasks: usize,
     n_blocks: u64,

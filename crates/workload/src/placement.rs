@@ -9,7 +9,6 @@ use tmc_simcore::SimRng;
 
 /// How `n_tasks` logical tasks map onto `n_procs` processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// Task `t` runs on processor `base + t` — the allocation the paper
     /// recommends ("tasks that share a data structure are allocated to

@@ -24,7 +24,6 @@ use crate::trace::{Op, Reference, Trace};
 /// assert_eq!(trace.len(), 100);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrivateWorkload {
     n_tasks: usize,
     blocks_per_task: u64,

@@ -36,7 +36,6 @@ use crate::trace::{Op, Reference, Trace};
 /// # let _ = writers;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SharedBlockWorkload {
     n_tasks: usize,
     n_blocks: u64,

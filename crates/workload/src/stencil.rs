@@ -32,7 +32,6 @@ use crate::trace::{Op, Reference, Trace};
 /// assert_eq!(trace.active_procs(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StencilWorkload {
     n_tasks: usize,
     rows_per_task: usize,

@@ -4,7 +4,6 @@ use tmc_memsys::WordAddr;
 
 /// A memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// A load.
     Read,
@@ -14,7 +13,6 @@ pub enum Op {
 
 /// One memory reference issued by one processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Reference {
     /// Issuing processor (cache / network port index).
     pub proc: usize,
@@ -39,7 +37,6 @@ pub struct Reference {
 /// assert_eq!(t.write_fraction(), 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     refs: Vec<Reference>,
     n_procs: usize,

@@ -38,7 +38,6 @@ fn splitmix64(x: u64) -> u64 {
 /// The `O(n)` harmonic-sum precompute happens once in [`ZipfSampler::new`];
 /// sampling is `O(1)`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ZipfSampler {
     n: u64,
     theta: f64,
@@ -123,7 +122,6 @@ impl ZipfSampler {
 /// assert_eq!(trace.len(), 1000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiTenantZipfWorkload {
     n_tasks: usize,
     users: u64,

@@ -14,7 +14,7 @@
 //! | [`workload`] | `tmc-workload` | §4 sharing model, stencil and private workloads |
 //! | [`baselines`] | `tmc-baselines` | no-cache, directory-invalidate, update-only comparators |
 //! | [`sim`] | `tmc-simcore` | event queue, RNG, statistics |
-//! | [`obs`] | `tmc-obs` | protocol events, metrics registry, replayable JSONL traces |
+//! | [`obs`] | `tmc-obs` | protocol events, replayable JSONL traces |
 //! | [`faults`] | `tmc-faults` | deterministic fault plans: link outages, message faults, stalls, bit flips |
 //!
 //! # Quick start
@@ -32,8 +32,8 @@
 //!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the
 //! system inventory and experiment index, and `EXPERIMENTS.md` for the
-//! recorded paper-versus-measured results. The binaries that regenerate
-//! every table and figure live in `crates/bench/src/bin/`; runnable
+//! recorded paper-versus-measured results. `tmc paper <name>` regenerates
+//! every table and figure (sources in `crates/bench/src/paper/`); runnable
 //! examples live in `examples/`.
 
 #![forbid(unsafe_code)]

@@ -18,7 +18,7 @@
 //!    the same formulas the conformance fuzzer's sim-vs-analytic pair
 //!    calibrated to within a few percent of measurement.
 //!
-//! The fuzzer's ranking check (`tmc-conformance`) guards around the same
+//! The fuzzer's ranking check (`tmc fuzz`) guards around the same
 //! corrected crossover, so the threshold formula, the simulator, and the
 //! fuzzer cannot silently drift apart.
 
