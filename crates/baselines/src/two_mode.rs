@@ -108,6 +108,10 @@ impl CoherentSystem for TwoModeAdapter {
         self.inner.traffic().total_bits()
     }
 
+    fn traffic(&self) -> &tmc_omeganet::TrafficMatrix {
+        self.inner.traffic()
+    }
+
     fn counters(&self) -> &CounterSet {
         self.inner.counters()
     }
