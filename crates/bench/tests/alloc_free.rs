@@ -9,7 +9,9 @@
 //!   `BlockStore` pages,
 //! * the `CastCache` replay path through a 1024-port omega network, and
 //!   its walk path for casts that never repeat,
-//! * a full `System` reference pass (reads, writes, unicast billing).
+//! * a full `System` reference pass (reads, writes, unicast billing),
+//! * the no-cache, directory-invalidate and update-only baselines on the
+//!   paper's §4 sharing stream, at N = 16 and N = 128.
 //!
 //! Everything lives in one `#[test]` and the counter is thread-local, so
 //! concurrently running tests in this binary cannot pollute the counts.
@@ -18,12 +20,13 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use tmc_baselines::{CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem, UpdateOnlySystem};
 use tmc_bench::shardsim::{apply_script, ShardOp};
 use tmc_core::{System, SystemConfig};
 use tmc_memsys::{BlockAddr, BlockData, BlockSpec, BlockStore, CacheId, MainMemory, WordAddr};
 use tmc_omeganet::{CastCache, DestSet, Omega, SchemeKind, TrafficMatrix};
 use tmc_simcore::SimRng;
-use tmc_workload::{MultiTenantZipfWorkload, Trace};
+use tmc_workload::{MultiTenantZipfWorkload, Op, Placement, SharedBlockWorkload, Trace};
 
 /// Counts heap acquisitions on the current thread. Deallocation is free
 /// to happen (dropping a demoted bitmap is fine); what the hot paths must
@@ -74,6 +77,7 @@ fn hot_paths_allocate_nothing_after_warmup() {
     castcache_hits_are_allocation_free();
     never_repeating_casts_are_allocation_free();
     reference_pass_is_allocation_free();
+    baselines_are_allocation_free();
 }
 
 /// The big-M cell's trace generation: after the first pass sizes the
@@ -364,4 +368,71 @@ fn reference_pass_is_allocation_free() {
         sys.traffic().total_bits() > bits_before,
         "measured pass moved no network traffic"
     );
+}
+
+/// References in the baselines' stream.
+const BASELINE_REFS: usize = 20_000;
+/// Passes over the stream before the measured one.
+const BASELINE_WARMUP_PASSES: usize = 3;
+
+/// The comparison engines on the paper's §4 sharing stream, billed the way
+/// `System` bills. The same stream runs four times. The first pass fills
+/// the caches, materializes the memory and directory pages and touches
+/// every counter. Nothing evicts, so from each block's first write in a
+/// pass on, a pass repeats the previous one's states and casts, and two
+/// more passes let each engine's cast memo admit every cast that repeats.
+/// The fourth pass — unicasts through `charge_unicast`, casts replayed
+/// from the memo or walked, sharer sets edited in place — acquires heap
+/// memory zero times.
+fn baselines_are_allocation_free() {
+    // The paper-grid cell at w = 0.5, and a wider machine whose eight
+    // scattered sharers stay in a `DestSet`'s inline list.
+    let cells = [
+        (16, 16, 0.5, Placement::Adjacent { base: 0 }),
+        (
+            128,
+            64,
+            0.3,
+            Placement::Strided {
+                base: 3,
+                stride: 13,
+            },
+        ),
+    ];
+    for (n, blocks, w, placement) in cells {
+        let trace = SharedBlockWorkload::new(8, blocks, w)
+            .references(BASELINE_REFS)
+            .placement(placement)
+            .generate(n, &mut SimRng::seed_from(0xBA5E));
+        let engines: [Box<dyn CoherentSystem>; 3] = [
+            Box::new(NoCacheSystem::new(n)),
+            Box::new(DirectoryInvalidateSystem::new(n)),
+            Box::new(UpdateOnlySystem::new(n)),
+        ];
+        for mut sys in engines {
+            for _ in 0..BASELINE_WARMUP_PASSES {
+                drive(sys.as_mut(), &trace);
+            }
+            let bits_before = sys.total_traffic_bits();
+            let allocs = allocations(|| drive(sys.as_mut(), &trace));
+            assert_eq!(
+                allocs,
+                0,
+                "{} at N = {n}: measured pass allocated {allocs} times",
+                sys.name()
+            );
+            assert!(sys.total_traffic_bits() > bits_before, "{}", sys.name());
+        }
+    }
+}
+
+fn drive(sys: &mut dyn CoherentSystem, trace: &Trace) {
+    for (i, r) in trace.iter().enumerate() {
+        match r.op {
+            Op::Read => {
+                black_box(sys.read(r.proc, r.addr));
+            }
+            Op::Write => sys.write(r.proc, r.addr, i as u64),
+        }
+    }
 }

@@ -1396,14 +1396,14 @@ impl System {
         };
         match fault {
             MsgFault::Drop | MsgFault::Duplicate => {
-                let receipt = self
+                let resent = self
                     .net
-                    .unicast(from, to, payload_bits, &mut self.traffic)
+                    .charge_unicast(from, to, payload_bits, &mut self.traffic)
                     .expect("ports are valid by construction");
-                debug_assert_eq!(receipt.cost_bits, cost_bits);
-                self.txn_bits += receipt.cost_bits;
-                self.counters.add("bits_total", receipt.cost_bits);
-                self.counters.add(kind.bits_counter(), receipt.cost_bits);
+                debug_assert_eq!(resent, cost_bits);
+                self.txn_bits += resent;
+                self.counters.add("bits_total", resent);
+                self.counters.add(kind.bits_counter(), resent);
                 self.counters.incr(match fault {
                     MsgFault::Drop => "fault_msg_drops",
                     _ => "fault_msg_dups",
@@ -1451,13 +1451,13 @@ impl System {
                 attempt: 0,
                 backoff_cycles: 0,
             });
-            let receipt = self
+            let cost_bits = self
                 .net
-                .unicast(from, d, payload_bits, &mut self.traffic)
+                .charge_unicast(from, d, payload_bits, &mut self.traffic)
                 .expect("ports are valid by construction");
-            self.txn_bits += receipt.cost_bits;
-            self.counters.add("bits_total", receipt.cost_bits);
-            self.counters.add(kind.bits_counter(), receipt.cost_bits);
+            self.txn_bits += cost_bits;
+            self.counters.add("bits_total", cost_bits);
+            self.counters.add(kind.bits_counter(), cost_bits);
         }
     }
 }

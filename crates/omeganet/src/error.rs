@@ -1,4 +1,6 @@
-//! Error type for network construction and routing.
+//! Error type for network construction, routing and casts. Link outages
+//! are not errors: the network bills routes, and a caller modelling a
+//! fault asks [`crate::Omega::first_down_link`] what it would cross.
 
 use std::error::Error;
 use std::fmt;
@@ -30,20 +32,6 @@ pub enum NetError {
     /// Scheme 3 (broadcast-tag) requires the destinations to form an aligned
     /// subcube; this set does not.
     NotASubcube,
-    /// The unique route between two ports crosses a link that is currently
-    /// out of service, so the destination cannot be reached. Returned by
-    /// [`crate::Omega::unicast_checked`] *instead of* charging the route —
-    /// callers decide whether to retry, queue, or degrade.
-    Unreachable {
-        /// Source port.
-        src: usize,
-        /// Unreachable destination port.
-        dst: usize,
-        /// Layer of the first dead link on the route.
-        layer: u32,
-        /// Line of the first dead link on the route.
-        line: usize,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -69,15 +57,6 @@ impl fmt::Display for NetError {
                     "scheme 3 requires destinations to form an aligned subcube"
                 )
             }
-            NetError::Unreachable {
-                src,
-                dst,
-                layer,
-                line,
-            } => write!(
-                f,
-                "port {dst} unreachable from port {src}: link (layer {layer}, line {line}) is down"
-            ),
         }
     }
 }
@@ -103,13 +82,5 @@ mod tests {
             net_ports: 16,
         };
         assert!(e.to_string().contains("N=8"));
-        let e = NetError::Unreachable {
-            src: 3,
-            dst: 5,
-            layer: 1,
-            line: 2,
-        };
-        assert!(e.to_string().contains("unreachable"));
-        assert!(e.to_string().contains("layer 1"));
     }
 }
