@@ -37,8 +37,7 @@
 //! therefore rejected or unsupported here: the timing model (a global
 //! clock), `System::inject_offer_naks` (a global fault budget consumed
 //! in trace order), and fault injection (the `tmc_faults` plan is keyed to
-//! one global op clock). Transaction logs are also unsupported — use the
-//! structured tracer, which merges canonically.
+//! one global op clock).
 //!
 //! Write values are the other global sequence: the serial drivers stamp
 //! writes `1, 2, 3, …` in trace order. [`script_from_trace`] precomputes
@@ -277,9 +276,9 @@ fn resolve_threads(threads: usize, shards: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Fails if `cfg` enables the timing model, transaction logging, or fault
-/// injection (all global-order features the per-block partition cannot
-/// reproduce), or if [`System::new`] rejects `cfg`.
+/// Fails if `cfg` enables the timing model or fault injection (global-order
+/// features the per-block partition cannot reproduce), or if
+/// [`System::new`] rejects `cfg`.
 pub fn run(
     cfg: &SystemConfig,
     script: &[ShardOp],
@@ -287,12 +286,6 @@ pub fn run(
 ) -> Result<ShardRun, String> {
     if cfg.timing.is_some() {
         return Err("sharded runs do not support the timing model (global clock)".into());
-    }
-    if cfg.log_transactions {
-        return Err(
-            "sharded runs do not support transaction logs; use tracing, which merges canonically"
-                .into(),
-        );
     }
     if cfg.faults.is_some() {
         return Err(
@@ -624,16 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn timing_and_logging_are_rejected() {
+    fn timing_and_faults_are_rejected() {
         let script = Vec::new();
         let timed = SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default());
         assert!(run(&timed, &script, &ShardRunOptions::new(2, 1))
             .unwrap_err()
             .contains("timing"));
-        let logged = SystemConfig::new(4).log_transactions(true);
-        assert!(run(&logged, &script, &ShardRunOptions::new(2, 1))
-            .unwrap_err()
-            .contains("transaction logs"));
         let faulty = SystemConfig::new(4).faults(tmc_core::FaultSpec::new(1));
         assert!(run(&faulty, &script, &ShardRunOptions::new(2, 1))
             .unwrap_err()

@@ -38,8 +38,8 @@ use crate::args::{Args, CliError};
 /// The figure commands reproduce the paper's *fault-free steady-state*
 /// cost models, so a cell must not enable features that would perturb the
 /// published numbers or break run-to-run comparability: fault injection
-/// (perturbs traffic), the timing model (adds a global clock the tables
-/// don't report), or transaction logging (unbounded memory across a grid).
+/// (perturbs traffic) or the timing model (adds a global clock the tables
+/// don't report).
 /// Rejecting here, before the sweep fans out, turns a misconfigured grid
 /// into one clear error instead of thousands of skewed cells.
 pub fn check_cell_config(cfg: &SystemConfig) -> Result<(), String> {
@@ -52,9 +52,6 @@ pub fn check_cell_config(cfg: &SystemConfig) -> Result<(), String> {
     }
     if cfg.timing.is_some() {
         return Err("figure sweeps do not use the timing model (tables report traffic)".into());
-    }
-    if cfg.log_transactions {
-        return Err("figure sweeps do not keep transaction logs (unbounded across a grid)".into());
     }
     Ok(())
 }
@@ -215,10 +212,6 @@ mod tests {
         assert!(check_cell_config(&faulty).unwrap_err().contains("fault"));
         let timed = SystemConfig::new(8).timing(tmc_omeganet::TimingModel::default());
         assert!(check_cell_config(&timed).unwrap_err().contains("timing"));
-        let logged = SystemConfig::new(8).log_transactions(true);
-        assert!(check_cell_config(&logged)
-            .unwrap_err()
-            .contains("transaction logs"));
     }
 
     #[test]

@@ -75,8 +75,6 @@ pub struct SystemConfig {
     /// Optional latency model; when set, per-transaction latencies are
     /// recorded with link contention.
     pub timing: Option<TimingModel>,
-    /// Whether to record a [`crate::TransactionLog`].
-    pub log_transactions: bool,
     /// Optional deterministic fault-injection plan (see `tmc-faults` and
     /// `docs/ROBUSTNESS.md`). `None` — and, bit-for-bit, a spec with
     /// `count == 0` — leaves every execution path identical to a fault-free
@@ -87,7 +85,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// A default configuration for an `n_caches`-processor machine:
     /// 4-way × 64-set caches, 4-word blocks, combined multicast, fixed
-    /// global-read initial mode, bypass on, no timing, no logging.
+    /// global-read initial mode, bypass on, no timing, no faults.
     ///
     /// # Panics
     ///
@@ -106,7 +104,6 @@ impl SystemConfig {
             mode_policy: ModePolicy::default(),
             owner_bypass: true,
             timing: None,
-            log_transactions: false,
             faults: None,
         }
     }
@@ -161,12 +158,6 @@ impl SystemConfig {
         self
     }
 
-    /// Enables transaction logging.
-    pub fn log_transactions(mut self, on: bool) -> Self {
-        self.log_transactions = on;
-        self
-    }
-
     /// Enables deterministic fault injection driven by `spec`.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
@@ -183,12 +174,10 @@ mod tests {
         let cfg = SystemConfig::new(8)
             .cache_blocks(16)
             .multicast(SchemeKind::BitVector)
-            .owner_bypass(false)
-            .log_transactions(true);
+            .owner_bypass(false);
         assert_eq!(cfg.geometry.capacity_blocks(), 16);
         assert_eq!(cfg.multicast, SchemeKind::BitVector);
         assert!(!cfg.owner_bypass);
-        assert!(cfg.log_transactions);
     }
 
     #[test]

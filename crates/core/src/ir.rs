@@ -424,10 +424,6 @@ pub enum Step {
     /// Install a fresh invalid entry at the requester holding only the
     /// OWNER hint.
     InstallInvalidHint,
-    /// Record the serving owner's state change in the transaction log.
-    NoteServeOwner,
-    /// Log the stale-hint redirect note.
-    StaleHintNote,
     /// Point the block store at the requester (ownership moves).
     SetOwnerReq,
     /// Begin an ownership transfer: count it, trace it, register the
@@ -596,7 +592,6 @@ pub static READ_RULES: &[Rule] = &[
             S::OwnerProbeDw(Hint),
             send!(BlockReply, Hint -> Requester, BlockTransfer),
             S::InstallUnownedCopy,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -613,7 +608,6 @@ pub static READ_RULES: &[Rule] = &[
             S::Count("read_remote_gr"),
             send!(DatumReply, Hint -> Requester, Datum),
             S::SetHintAtReq,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -632,7 +626,6 @@ pub static READ_RULES: &[Rule] = &[
             },
             send!(DirectLoadReq, Requester -> Hint, Request),
             S::Count("redirects"),
-            S::StaleHintNote,
             send!(Redirect, Hint -> Home, Request),
             send!(BlockReply, Home -> Requester, BlockTransfer),
             S::InstallOwnedExclusive,
@@ -655,13 +648,11 @@ pub static READ_RULES: &[Rule] = &[
             },
             send!(DirectLoadReq, Requester -> Hint, Request),
             S::Count("redirects"),
-            S::StaleHintNote,
             send!(Redirect, Hint -> Home, Request),
             send!(FwdLoad, Home -> Owner, Request),
             S::OwnerProbeDw(Owner),
             send!(BlockReply, Owner -> Requester, BlockTransfer),
             S::InstallUnownedCopy,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -681,14 +672,12 @@ pub static READ_RULES: &[Rule] = &[
             },
             send!(DirectLoadReq, Requester -> Hint, Request),
             S::Count("redirects"),
-            S::StaleHintNote,
             send!(Redirect, Hint -> Home, Request),
             send!(FwdLoad, Home -> Owner, Request),
             S::OwnerProbeGr(Owner),
             S::Count("read_remote_gr"),
             send!(DatumReply, Owner -> Requester, Datum),
             S::SetHintAtReq,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -724,7 +713,6 @@ pub static READ_RULES: &[Rule] = &[
             S::OwnerProbeDw(Owner),
             send!(BlockReply, Owner -> Requester, BlockTransfer),
             S::InstallUnownedCopy,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -747,7 +735,6 @@ pub static READ_RULES: &[Rule] = &[
             S::Count("read_remote_gr"),
             send!(DatumReply, Owner -> Requester, Datum),
             S::SetHintAtReq,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -778,7 +765,6 @@ pub static READ_RULES: &[Rule] = &[
             S::OwnerProbeDw(Owner),
             send!(BlockReply, Owner -> Requester, BlockTransfer),
             S::InstallUnownedCopy,
-            S::NoteServeOwner,
         ],
     ),
     rule!(
@@ -796,7 +782,6 @@ pub static READ_RULES: &[Rule] = &[
             S::Count("read_remote_gr"),
             send!(DatumReply, Owner -> Requester, DatumPlusOwnerId),
             S::InstallInvalidHint,
-            S::NoteServeOwner,
         ],
     ),
 ];
@@ -1439,7 +1424,6 @@ mod tests {
     }
 
     fn needs(step: &Step) -> Vec<Need> {
-        const PROBES: &[Step] = &[S::OwnerProbeDw(Owner), S::OwnerProbeGr(Owner)];
         const XFER: &[Step] = &[S::XferProbe];
         const OFFERS: &[Step] = &[S::HandoffOffers];
         // The steps that leave the requester owning the block.
@@ -1458,8 +1442,6 @@ mod tests {
                 Guarded(&[G::InvalidEntry]),
             ],
             S::InstallInvalidHint => vec![After(&[S::OwnerProbeGr(Owner)]), Guarded(&[G::Missing])],
-            S::NoteServeOwner => vec![After(PROBES)],
-            S::StaleHintNote => vec![Guarded(&[G::HintStale])],
             S::XferProbe => vec![Guarded(OWNED)],
             S::DemoteOldDw => vec![After(XFER), Guarded(&[G::OwnerIsDw])],
             S::AnnounceCast | S::InvalidateOldGr => vec![After(XFER), Guarded(&[G::OwnerIsGr])],

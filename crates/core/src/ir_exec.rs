@@ -1,7 +1,7 @@
 //! The protocol engine proper: runs the rule tables of [`crate::ir`] on
 //! the live machine. This is the only code that moves a block, an owner
 //! or a mode — `system.rs` holds the entry points and the plumbing
-//! (`send`, `mcast`, `install_line`, logging, timing, faults) that the
+//! (`send`, `mcast`, `install_line`, timing, faults) that the
 //! steps below share.
 //!
 //! One transaction is: encode the request into [`Facts`] (probing the
@@ -50,9 +50,6 @@ pub(crate) struct Txn {
     serve: usize,
     /// The handoff candidate that accepted ownership.
     cand: usize,
-    /// `log_state` snapshot of the serving/old owner, consumed by
-    /// `note_serve_owner` / the demote and invalidate steps.
-    before_owner: Option<StateName>,
     /// Mode and M bit of the old owner's line: with the present vector,
     /// the state field that travels in an ownership transfer.
     xfer: (Mode, bool),
@@ -72,7 +69,6 @@ impl Txn {
             hint: None,
             serve: usize::MAX,
             cand: usize::MAX,
-            before_owner: None,
             xfer: (Mode::DistributedWrite, false),
         }
     }
@@ -158,12 +154,11 @@ impl System {
     }
 
     /// Runs the §2.2 case-5 actions for `victim` at `proc` through
-    /// [`REPLACE_RULES`] and drops the entry. The replacement counter,
-    /// trace event and state-change log entry bracket every rule; the
-    /// rules carry what differs per victim class.
+    /// [`REPLACE_RULES`] and drops the entry. The replacement counter and
+    /// trace event bracket every rule; the rules carry what differs per
+    /// victim class.
     pub(super) fn replace(&mut self, proc: usize, victim: BlockAddr) {
         self.counters.incr("replacements");
-        let before = self.log_state(proc, victim);
         let me = CacheId(proc as u16);
         let line = self.caches[proc].peek(victim).expect("victim exists");
         let ctx = VictimCtx {
@@ -183,14 +178,13 @@ impl System {
             &mut Txn::new(proc, victim),
         );
         self.caches[proc].remove(victim);
-        self.note_state_change(proc, victim, before);
     }
 
     /// Switches the mode of an already-owned block in place through
     /// [`MODE_RULES`] (§2.2 cases 6 and 7). `adaptive` only labels the
     /// trace event: `true` for §5 window decisions, `false` for software
     /// directives. A rule without steps (the block is already in the
-    /// requested mode) is fully silent — no trace event, no log entry.
+    /// requested mode) is silent: no trace event.
     pub(super) fn switch_mode_at_owner(
         &mut self,
         owner: usize,
@@ -215,9 +209,7 @@ impl System {
             to: target.into(),
             adaptive,
         });
-        let before = self.log_state(owner, block);
         (rule.run)(self, &mut t);
-        self.note_state_change(owner, block, before);
     }
 
     // ------------------------------------------------------------------
@@ -297,16 +289,6 @@ impl System {
             Step::InstallUnownedCopy => self.install_unowned_copy(t),
             Step::SetHintAtReq => self.set_hint_at_req(t),
             Step::InstallInvalidHint => self.install_invalid_hint(t),
-            Step::NoteServeOwner => {
-                let before = t.before_owner.take();
-                self.note_state_change(t.serve, t.block, before);
-            }
-            Step::StaleHintNote => {
-                let (proc, block) = (t.proc, t.block);
-                self.note_with(|| {
-                    format!("stale OWNER hint at C{proc} for {block}: redirect via memory")
-                });
-            }
             Step::SetOwnerReq => self.store.set_owner(t.block, CacheId(t.proc as u16)),
             Step::XferProbe => self.xfer_probe(t),
             Step::DemoteOldDw => self.retire_old_owner(t, Validity::UnOwned),
@@ -390,7 +372,6 @@ impl System {
         let (proc, block) = (t.proc, t.block);
         let data = self.memory.block_data(block);
         t.value_out = data.word(t.offset);
-        let before = self.log_state(proc, block);
         let line = CacheLine::owned_exclusive(
             data,
             CacheId(proc as u16),
@@ -399,7 +380,6 @@ impl System {
         );
         self.install_line(proc, block, line);
         self.store.set_owner(block, CacheId(proc as u16));
-        self.note_state_change(proc, block, before);
     }
 
     /// The serving owner registers the requester and reads the word. In
@@ -408,7 +388,6 @@ impl System {
     /// read.
     fn owner_probe(&mut self, t: &mut Txn, ep: Ep, mode: Mode) {
         t.serve = self.ep(t, ep);
-        t.before_owner = self.log_state(t.serve, t.block);
         let line = self.caches[t.serve]
             .peek_mut(t.block)
             .expect("block store names an owner without a line");
@@ -422,7 +401,6 @@ impl System {
 
     /// 2(b)i: the requester holds the owner's copy UnOwned.
     fn install_unowned_copy(&mut self, t: &mut Txn) {
-        let before = self.log_state(t.proc, t.block);
         let owner = self.caches[t.serve].peek(t.block).expect("probed above");
         let line = CacheLine::unowned(
             owner.data.clone(),
@@ -430,29 +408,24 @@ impl System {
             self.cfg.n_caches,
         );
         self.install_line(t.proc, t.block, line);
-        self.note_state_change(t.proc, t.block, before);
     }
 
     /// 2(b)ii with an entry: only the OWNER hint is refreshed.
     fn set_hint_at_req(&mut self, t: &mut Txn) {
-        let before = self.log_state(t.proc, t.block);
         let entry = self.caches[t.proc]
             .peek_mut(t.block)
             .expect("entry present");
         entry.owner_hint = Some(CacheId(t.serve as u16));
-        self.note_state_change(t.proc, t.block, before);
     }
 
     /// 2(b)ii without one: reserve an invalid entry holding the hint.
     fn install_invalid_hint(&mut self, t: &mut Txn) {
-        let before = self.log_state(t.proc, t.block);
         let line = CacheLine::invalid_hint(
             CacheId(t.serve as u16),
             self.cfg.n_caches,
             self.cfg.spec.words_per_block(),
         );
         self.install_line(t.proc, t.block, line);
-        self.note_state_change(t.proc, t.block, before);
     }
 
     // ------------------------------------------------------------------
@@ -476,7 +449,6 @@ impl System {
         debug_assert!(line.is_owned());
         line.present.insert(proc);
         t.xfer = (line.mode, line.modified);
-        t.before_owner = self.log_state(old, block);
     }
 
     /// The old owner steps down: its copy stays valid as UnOwned
@@ -490,8 +462,6 @@ impl System {
         line.modified = false;
         line.owner_hint = Some(CacheId(t.proc as u16));
         line.reset_window();
-        let before = t.before_owner.take();
-        self.note_state_change(old, t.block, before);
     }
 
     /// 3(d)ii / 4(b)ii: the old owner distributes the new owner's id to
@@ -537,7 +507,6 @@ impl System {
     fn install_xfer(&mut self, t: &mut Txn, send_data: bool) {
         let (proc, block) = (t.proc, t.block);
         let old = self.ep(t, Ep::Owner);
-        let before = self.log_state(proc, block);
         let empty = DestSet::empty(self.cfg.n_caches);
         let old_line = self.caches[old].peek_mut(block).expect("old owner line");
         let present = std::mem::replace(&mut old_line.present, empty);
@@ -560,7 +529,6 @@ impl System {
             window_writes: 0,
         };
         self.install_line(proc, block, line);
-        self.note_state_change(proc, block, before);
     }
 
     /// The write itself, once the requester owns the block (§2.2 cases
@@ -640,14 +608,12 @@ impl System {
             .peek_mut(victim)
             .expect("victim exists")
             .present = present;
-        let cand = t.cand;
         self.tracer.push(ProtocolEvent::OwnershipTransfer {
             block: victim,
             from: proc,
-            to: cand,
+            to: t.cand,
             handoff: true,
         });
-        self.note_with(|| format!("C{proc} hands ownership of {victim} to C{cand}"));
     }
 
     /// The candidate's entry becomes the owner's line and receives the
@@ -664,7 +630,6 @@ impl System {
         present.insert(cand);
         let modified = vline.modified;
         let data = (mode == Mode::GlobalRead).then(|| vline.data.clone());
-        let before = self.log_state(cand, victim);
         let cline = self.caches[cand]
             .peek_mut(victim)
             .expect("present flag implies a resident entry");
@@ -682,7 +647,6 @@ impl System {
         cline.present = present;
         cline.owner_hint = Some(CacheId(cand as u16));
         cline.reset_window();
-        self.note_state_change(cand, victim, before);
     }
 
     /// Announce the promoted candidate to the remaining invalid entries.
@@ -721,13 +685,10 @@ impl System {
         let bits = self.size_bits(SizeClass::Invalidate);
         let delivered = self.mcast(MsgKind::Invalidate, owner, &others, bits);
         for &dest in &delivered {
-            let copy = self.caches[dest].peek(block);
-            if copy.is_some_and(|l| l.is_valid() && !l.is_owned()) {
-                let before = self.log_state(dest, block);
-                let line = self.caches[dest].peek_mut(block).expect("checked");
+            let copy = self.caches[dest].peek_mut(block);
+            if let Some(line) = copy.filter(|l| l.is_valid() && !l.is_owned()) {
                 line.validity = Validity::Invalid;
                 line.owner_hint = Some(CacheId(owner as u16));
-                self.note_state_change(dest, block, before);
             }
             others.remove(dest);
         }

@@ -57,7 +57,7 @@ pub mod system;
 pub use config::{ModePolicy, SystemConfig};
 pub use driver::{run_concurrent, DriveOutcome, DriverOp};
 pub use error::{CoreError, InvariantViolation};
-pub use msg::{Destination, MsgKind, TraceEvent, TransactionLog};
+pub use msg::MsgKind;
 pub use snapshot::{
     decode_system, encode_system, memory_digest, recover_journal, Journal, Recovery, SnapshotError,
 };

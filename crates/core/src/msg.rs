@@ -1,9 +1,4 @@
-//! Protocol messages and the per-transaction trace log.
-
-use tmc_memsys::BlockAddr;
-use tmc_omeganet::SchemeChoice;
-
-use crate::state::StateName;
+//! Protocol messages.
 
 /// Every message family the protocol sends. The names follow §2.2 of the
 /// paper; `Fwd*` variants are the memory module retransmitting a request to
@@ -79,123 +74,5 @@ impl MsgKind {
             MsgKind::OfferNak => "bits[OfferNak]",
             MsgKind::Redirect => "bits[Redirect]",
         }
-    }
-}
-
-/// Where a message went.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Destination {
-    /// One port.
-    Unicast(usize),
-    /// A multicast to several ports with the scheme that carried it.
-    Multicast {
-        /// Receiving ports, ascending.
-        ports: Vec<usize>,
-        /// Concrete scheme used.
-        scheme: SchemeChoice,
-    },
-}
-
-/// One entry of a transaction trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A message crossed the network.
-    Msg {
-        /// Message family.
-        kind: MsgKind,
-        /// Sending port.
-        from: usize,
-        /// Receiver(s).
-        to: Destination,
-        /// Payload bits (excluding routing tags).
-        payload_bits: u64,
-        /// Total bits charged across all links, tags included.
-        cost_bits: u64,
-    },
-    /// A cache line changed state.
-    StateChange {
-        /// The cache whose line changed.
-        cache: usize,
-        /// The block.
-        block: BlockAddr,
-        /// State before (`None` = no entry).
-        from: Option<StateName>,
-        /// State after (`None` = entry dropped).
-        to: Option<StateName>,
-    },
-    /// A note (mode switches, replacements, redirections).
-    Note(String),
-}
-
-/// The accumulated trace of one or more transactions.
-///
-/// Logging is off by default ([`crate::SystemConfig::log_transactions`]);
-/// when on, every message and state change lands here until drained by
-/// [`TransactionLog::drain`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TransactionLog {
-    events: Vec<TraceEvent>,
-}
-
-impl TransactionLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        TransactionLog::default()
-    }
-
-    /// Appends an event.
-    pub fn push(&mut self, e: TraceEvent) {
-        self.events.push(e);
-    }
-
-    /// Number of events logged.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterates over events in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Removes and returns all events.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Messages only, in order.
-    pub fn messages(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Msg { .. }))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn log_accumulates_and_drains() {
-        let mut log = TransactionLog::new();
-        assert!(log.is_empty());
-        log.push(TraceEvent::Note("hello".into()));
-        log.push(TraceEvent::Msg {
-            kind: MsgKind::LoadReq,
-            from: 0,
-            to: Destination::Unicast(3),
-            payload_bits: 36,
-            cost_bits: 150,
-        });
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.messages().count(), 1);
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(log.is_empty());
     }
 }

@@ -229,8 +229,8 @@ pub enum SnapshotError {
     /// A payload decoded to an impossible machine state, or is not in the
     /// canonical form the encoder writes.
     Corrupt(String),
-    /// The machine cannot be checkpointed (timing model or transaction log
-    /// enabled, an undrained tracer, or a block beyond the codec's limit).
+    /// The machine cannot be checkpointed (timing model enabled, an
+    /// undrained tracer, or a block beyond the codec's limit).
     Unsupported(&'static str),
 }
 
@@ -581,8 +581,8 @@ fn intern(name: &str) -> &'static str {
 /// # Errors
 ///
 /// [`SnapshotError::Unsupported`] when the configuration enables the
-/// timing model or transaction log (their state is deliberately outside
-/// the checkpoint contract, mirroring `merge_shard`), when the tracer
+/// timing model (its state is deliberately outside the checkpoint
+/// contract, mirroring `merge_shard`), when the tracer
 /// holds undrained events, or when memory, the block store or the fault
 /// state names a block at or beyond 2³².
 pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
@@ -604,11 +604,6 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
     if sys.cfg.timing.is_some() {
         return Err(SnapshotError::Unsupported(
             "timing-model state is not checkpointable; disable timing",
-        ));
-    }
-    if sys.cfg.log_transactions {
-        return Err(SnapshotError::Unsupported(
-            "transaction-log state is not checkpointable; disable logging",
         ));
     }
     if !sys.tracer.is_empty() {
@@ -1152,7 +1147,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SystemConfig, SnapshotError> {
         mode_policy,
         owner_bypass,
         timing: None,
-        log_transactions: false,
         faults,
     })
 }
@@ -1610,11 +1604,6 @@ mod tests {
     fn unsupported_configs_are_rejected_with_typed_errors() {
         let sys =
             System::new(SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default())).unwrap();
-        assert!(matches!(
-            encode_system(&sys),
-            Err(SnapshotError::Unsupported(_))
-        ));
-        let sys = System::new(SystemConfig::new(4).log_transactions(true)).unwrap();
         assert!(matches!(
             encode_system(&sys),
             Err(SnapshotError::Unsupported(_))

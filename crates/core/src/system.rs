@@ -1,12 +1,12 @@
 //! The simulated machine: caches, memory, block store and network, the
 //! public transactions, and the plumbing every protocol action shares
-//! (unicast and multicast billing, line installation, the transaction log,
-//! timing, fault admission).
+//! (unicast and multicast billing, line installation, timing, fault
+//! admission).
 //!
 //! Every public access ([`System::read`] / [`System::write`]) runs as an
 //! atomic transaction: the full message sequence of §2.2 is generated,
 //! routed over the simulated omega network (billing every link), applied to
-//! the cache/memory state, and logged. The paper defines the protocol
+//! the cache/memory state, and counted. The paper defines the protocol
 //! without transient states, so atomic transactions are the faithful
 //! execution model; timing (with link contention) is layered on optionally
 //! and never affects correctness.
@@ -25,7 +25,7 @@ use tmc_simcore::{CounterSet, Histogram, SimTime};
 use crate::config::{ModePolicy, SystemConfig};
 use crate::error::CoreError;
 use crate::ir::LookupClass;
-use crate::msg::{Destination, MsgKind, TraceEvent, TransactionLog};
+use crate::msg::MsgKind;
 use crate::state::{CacheLine, Mode, StateName, Validity};
 
 #[path = "ir_exec.rs"]
@@ -99,7 +99,6 @@ pub struct System {
     pub(crate) store: BlockStore,
     pub(crate) modules: ModuleMap,
     pub(crate) counters: CounterSet,
-    log: TransactionLog,
     schedule: Option<LinkSchedule>,
     pub(crate) now: SimTime,
     pub(crate) latencies: Histogram,
@@ -164,7 +163,6 @@ impl System {
             store: BlockStore::new(),
             modules: ModuleMap::new(cfg.n_caches),
             counters: CounterSet::new(),
-            log: TransactionLog::new(),
             schedule,
             now: SimTime::ZERO,
             latencies: Histogram::new(),
@@ -216,11 +214,6 @@ impl System {
     /// Transaction-latency histogram (empty unless timing is enabled).
     pub fn latencies(&self) -> &Histogram {
         &self.latencies
-    }
-
-    /// Drains the transaction log (empty unless logging is enabled).
-    pub fn take_log(&mut self) -> Vec<TraceEvent> {
-        self.log.drain()
     }
 
     /// Turns structured protocol-event tracing on or off. Off by default;
@@ -393,7 +386,7 @@ impl System {
     /// histogram, cache lines, memory image and block store all merge.
     ///
     /// Valid only under the sharding preconditions: identical configs, no
-    /// timing model, no transaction logging, and shard state whose home
+    /// timing model, no fault injection, and shard state whose home
     /// modules and cache sets never overlap with `self`'s (the
     /// per-component `absorb`s assert that disjointness). The shard's trace
     /// buffer must be drained first — trace events need a canonical global
@@ -401,7 +394,7 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the configs differ, a timing model or transaction log is
+    /// Panics if the configs differ, a timing model or fault injection is
     /// enabled, or the two machines' block state overlaps.
     pub fn merge_shard(&mut self, shard: System) {
         assert!(
@@ -411,10 +404,6 @@ impl System {
         assert!(
             self.cfg.timing.is_none(),
             "merge_shard does not support the timing model"
-        );
-        assert!(
-            !self.cfg.log_transactions,
-            "merge_shard does not support transaction logging"
         );
         assert!(
             self.cfg.faults.is_none(),
@@ -460,15 +449,6 @@ impl System {
         }
         if let (Some(sched), Some(model)) = (self.schedule.as_mut(), self.cfg.timing) {
             self.now = sched.timed_unicast(&self.net, model, from, to, payload_bits, self.now);
-        }
-        if self.cfg.log_transactions {
-            self.log.push(TraceEvent::Msg {
-                kind,
-                from,
-                to: Destination::Unicast(to),
-                payload_bits,
-                cost_bits,
-            });
         }
     }
 
@@ -546,18 +526,6 @@ impl System {
                 self.now = latest;
             }
         }
-        if self.cfg.log_transactions {
-            self.log.push(TraceEvent::Msg {
-                kind,
-                from,
-                to: Destination::Multicast {
-                    ports: delivered.clone(),
-                    scheme,
-                },
-                payload_bits,
-                cost_bits,
-            });
-        }
         delivered
     }
 
@@ -565,54 +533,6 @@ impl System {
     /// its capacity.
     fn recycle_delivered(&mut self, buf: Vec<usize>) {
         self.cast_delivered = buf;
-    }
-
-    /// The before-state snapshot for [`System::note_state_change`]. Only
-    /// the transaction log observes it, so when logging is off the tag
-    /// probe and state classification are skipped entirely.
-    #[inline]
-    fn log_state(&mut self, cache: usize, block: BlockAddr) -> Option<StateName> {
-        if !self.cfg.log_transactions {
-            return None;
-        }
-        self.logged_state(cache, block)
-    }
-
-    /// [`System::state_name`], kept out of line so that the protocol steps
-    /// carry one flag test each, not the classification code.
-    #[cold]
-    #[inline(never)]
-    fn logged_state(&self, cache: usize, block: BlockAddr) -> Option<StateName> {
-        self.state_name(cache, block)
-    }
-
-    #[inline]
-    fn note_state_change(&mut self, cache: usize, block: BlockAddr, from: Option<StateName>) {
-        if self.cfg.log_transactions {
-            self.log_state_change(cache, block, from);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn log_state_change(&mut self, cache: usize, block: BlockAddr, from: Option<StateName>) {
-        let to = self.state_name(cache, block);
-        if from != to {
-            self.log.push(TraceEvent::StateChange {
-                cache,
-                block,
-                from,
-                to,
-            });
-        }
-    }
-
-    /// Appends a note to the transaction log, building the text only when
-    /// logging is on — the format machinery never runs on the hot path.
-    fn note_with(&mut self, f: impl FnOnce() -> String) {
-        if self.cfg.log_transactions {
-            self.log.push(TraceEvent::Note(f()));
-        }
     }
 
     /// Sets the departure time of the *next* transaction. Used by the
@@ -902,7 +822,6 @@ impl System {
         };
         if let Some(target) = decision {
             self.counters.incr("adaptive_switches");
-            self.note_with(|| format!("adaptive switch of {block} to {target}"));
             self.switch_mode_at_owner(owner, block, target, /* adaptive */ true);
         }
     }

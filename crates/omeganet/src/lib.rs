@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod aary;
-pub mod blocking;
 pub mod castcache;
 pub mod destset;
 pub mod error;

@@ -187,8 +187,7 @@ impl Omega {
     /// layer 0 first.
     ///
     /// This form allocates a fresh `Vec` per call and is kept for cold
-    /// paths (tests, diagnostics, the blocking analyzer's collision
-    /// report). Hot callers use [`Omega::route_iter`] (no allocation) or
+    /// paths (tests, diagnostics). Hot callers use [`Omega::route_iter`] (no allocation) or
     /// [`Omega::route_into`] (caller-provided scratch).
     ///
     /// # Panics
