@@ -2,7 +2,7 @@
 //! switching, ownership migration, and value-level coherence against a
 //! program-order oracle.
 
-use tmc_core::{Mode, ModePolicy, StateName, System, SystemConfig};
+use tmc_core::{AccessStats, CoreError, Mode, ModePolicy, StateName, System, SystemConfig};
 use tmc_memsys::{BlockSpec, CacheGeometry, ReferenceMemory, WordAddr};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
@@ -680,25 +680,35 @@ fn oracle_with_nak_injection() {
 
 /// One cell's digests: FNV-1a of the protocol fingerprint, of the counter
 /// set, the raw link-bit total, and FNV-1a of the whole observable stream
-/// (per-access results, trace events, per-link ledger).
+/// (per-access results, trace events as JSONL, per-link ledger).
 type Pinned = (u64, u64, u64, u64);
 
+/// Appends one access's value, link bits and message count to the stream,
+/// or the error's `Debug` when it was refused.
+fn push_access(stream: &mut Vec<u8>, result: Result<AccessStats, CoreError>) {
+    use std::io::Write as _;
+    match result {
+        Ok(s) => write!(stream, "{} {} {};", s.value, s.cost_bits, s.messages),
+        Err(e) => write!(stream, "{e:?};"),
+    }
+    .unwrap();
+}
+
 fn pinned_cell(n: usize, scheme: SchemeKind, policy: ModePolicy) -> Pinned {
-    use std::fmt::Write as _;
-    use tmc_obs::jsonl::fnv1a64;
+    use std::io::Write as _;
+    use tmc_obs::jsonl::{encode_event_into, fnv1a64};
 
     let cfg = SystemConfig::new(n)
         .multicast(scheme)
         .mode_policy(policy)
-        .cache_blocks(8)
-        .timing(tmc_omeganet::TimingModel::default());
+        .cache_blocks(8);
     let mut sys = System::new(cfg).unwrap();
     sys.set_tracing(true);
     // Enough distinct blocks to overflow the 8-block caches, few enough to
     // keep heavy sharing and stale-hint traffic.
     let words = n as u64 * 24;
     let mut rng = SimRng::seed_from(0x1_5EED ^ n as u64);
-    let mut stream = String::new();
+    let mut stream = Vec::new();
     for step in 0..600 {
         if step % 100 == 0 {
             sys.inject_offer_naks(3);
@@ -712,27 +722,29 @@ fn pinned_cell(n: usize, scheme: SchemeKind, policy: ModePolicy) -> Pinned {
         };
         let a = addr(rng.gen_range(0..words));
         match rng.gen_range(0..10u32) {
-            0..=4 => write!(stream, "{:?};", sys.read_stats(proc, a)),
-            5..=8 => write!(stream, "{:?};", sys.write_stats(proc, a, rng.next_u64())),
+            0..=4 => push_access(&mut stream, sys.read_stats(proc, a)),
+            5..=8 => push_access(&mut stream, sys.write_stats(proc, a, rng.next_u64())),
             _ => {
                 let mode = if rng.gen_bool(0.5) {
                     Mode::DistributedWrite
                 } else {
                     Mode::GlobalRead
                 };
-                write!(stream, "{:?};", sys.set_mode(proc, a, mode))
+                write!(stream, "{:?};", sys.set_mode(proc, a, mode)).unwrap();
             }
         }
-        .unwrap();
     }
     sys.check_invariants().unwrap();
-    write!(stream, "{:?}{:?}", sys.drain_trace(), sys.traffic()).unwrap();
+    for event in sys.drain_trace() {
+        encode_event_into(&mut stream, &event);
+    }
+    write!(stream, "{:?}", sys.traffic()).unwrap();
     let counters = format!("{:?}", sys.counters().iter().collect::<Vec<_>>());
     (
         fnv1a64(&sys.protocol_fingerprint()),
         fnv1a64(counters.as_bytes()),
         sys.traffic().total_bits(),
-        fnv1a64(stream.as_bytes()),
+        fnv1a64(&stream),
     )
 }
 
@@ -752,42 +764,42 @@ fn seeded_scripts_reproduce_the_pinned_digests() {
     // Row order: N ∈ {2, 4, 16} × SCHEMES × POLICIES.
     #[rustfmt::skip]
     const PINNED: [Pinned; 36] = [
-        (0xa80cfd6ef061e3dc, 0x935e7775ea136bdd, 169461, 0xe64666168b85ea50),
-        (0x8841cc79479b642a, 0xf45e7598c0412fd3, 167249, 0x575c632b9aba5748),
-        (0x8ee8bf2d982a6627, 0x2102fdefd960e663, 165524, 0xe3190846b3bb03e8),
-        (0xa80cfd6ef061e3dc, 0x528ec2a79c0ad183, 169729, 0x18282f0ee46c02fb),
-        (0x8841cc79479b642a, 0x8661224f5bbbd009, 167347, 0xea96090c4c62fa65),
-        (0x8ee8bf2d982a6627, 0xd68cd44ce2afdb34, 165684, 0x4486e8a45adb37c8),
-        (0xa80cfd6ef061e3dc, 0xf39fd5d4d6cde6bc, 169595, 0xb22bde395c0d286e),
-        (0x8841cc79479b642a, 0xa476077e2a49d1d3, 167298, 0xac4d5d8fcfb04728),
-        (0x8ee8bf2d982a6627, 0x637c1952996341d7, 165604, 0xb924e422fc829f71),
-        (0xa80cfd6ef061e3dc, 0x935e7775ea136bdd, 169461, 0xe64666168b85ea50),
-        (0x8841cc79479b642a, 0xf45e7598c0412fd3, 167249, 0x575c632b9aba5748),
-        (0x8ee8bf2d982a6627, 0x2102fdefd960e663, 165524, 0xe3190846b3bb03e8),
-        (0xa82e70e951f8fe28, 0xde4b651d5e84557e, 461688, 0x4901301b2f9e0c59),
-        (0xfee1ea1ddaeba274, 0x4703ebf0abe80961, 434913, 0x24776be9b437b557),
-        (0xd65ece1f505cc6ee, 0xb690c81a11780c5e, 435666, 0x67cd0aea9e70f1b2),
-        (0xa82e70e951f8fe28, 0xfbf8dfee6bff04df, 456402, 0x5128646c22b9aaa6),
-        (0xfee1ea1ddaeba274, 0x77193a03dd48cb37, 433741, 0xf401d38f95735894),
-        (0xd65ece1f505cc6ee, 0xe2a82d1e9afbc687, 434272, 0x5930ebd597b70ce7),
-        (0xa82e70e951f8fe28, 0xd1505af01fce9534, 459383, 0x0c1d11aae429fc69),
-        (0xfee1ea1ddaeba274, 0xc22cc37ab6ed4363, 434330, 0x2453883ab29c6341),
-        (0xd65ece1f505cc6ee, 0xd846c1ea54bd4f71, 434792, 0xe0acd0fbaf5e97c9),
-        (0xa82e70e951f8fe28, 0x58a8df118cd0b77b, 455856, 0xfa0195514cbccedf),
-        (0xfee1ea1ddaeba274, 0x3a54fb7ac1e3d30e, 433379, 0xbd194dd945d142e9),
-        (0xd65ece1f505cc6ee, 0x16ffb37a380c1bea, 433924, 0xb63cd02f5853e2f6),
-        (0xb2f3c088fe769c53, 0x23898c174b6e7461, 1004540, 0x747773a1a8e1f6d6),
-        (0x2d4b0c3bde74ef49, 0xf572fc637ea96464, 913280, 0xfde9753e0d86d336),
-        (0xd630ef3764b2948a, 0x7915398dd5d8a6b0, 911520, 0xfd522fb64cccb2d4),
-        (0xb2f3c088fe769c53, 0xaa664e2a9dfad035, 996440, 0xa939f254212af2c4),
-        (0x2d4b0c3bde74ef49, 0x94242ff950a6b907, 912964, 0xfa32abfd081756bd),
-        (0xd630ef3764b2948a, 0xf1dcfc93e89c0fad, 911183, 0x90817e9a1b494266),
-        (0xb2f3c088fe769c53, 0x6f8870e9c800e1c1, 1065856, 0x8e994b870de0aab6),
-        (0x2d4b0c3bde74ef49, 0x230ca4dd849e2319, 933140, 0x6def77543bdc9904),
-        (0xd630ef3764b2948a, 0x9a63d8fb3716d904, 931370, 0x61ff2039b35be655),
-        (0xb2f3c088fe769c53, 0xabfb647d3694087d, 994275, 0x229a5c6fa3bb8792),
-        (0x2d4b0c3bde74ef49, 0x3c92a2d6fb177eb3, 911124, 0x9af320a97a0d6fc0),
-        (0xd630ef3764b2948a, 0x6faeb3902b89b4e6, 909364, 0x2254eb202c91a9f6),
+        (0xa80cfd6ef061e3dc, 0x935e7775ea136bdd, 169461, 0x91acdd87c3343bee),
+        (0x8841cc79479b642a, 0xf45e7598c0412fd3, 167249, 0x8b814e7782cba703),
+        (0x8ee8bf2d982a6627, 0x2102fdefd960e663, 165524, 0xc3395a9850d0e6e3),
+        (0xa80cfd6ef061e3dc, 0x528ec2a79c0ad183, 169729, 0x679ed32307102f9f),
+        (0x8841cc79479b642a, 0x8661224f5bbbd009, 167347, 0x13e8f8a7973313d0),
+        (0x8ee8bf2d982a6627, 0xd68cd44ce2afdb34, 165684, 0xe79199d6cbf04981),
+        (0xa80cfd6ef061e3dc, 0xf39fd5d4d6cde6bc, 169595, 0x8af02eec611d5b5e),
+        (0x8841cc79479b642a, 0xa476077e2a49d1d3, 167298, 0xf1cb40f3d425c8e6),
+        (0x8ee8bf2d982a6627, 0x637c1952996341d7, 165604, 0x563a4796f576f226),
+        (0xa80cfd6ef061e3dc, 0x935e7775ea136bdd, 169461, 0x91acdd87c3343bee),
+        (0x8841cc79479b642a, 0xf45e7598c0412fd3, 167249, 0x8b814e7782cba703),
+        (0x8ee8bf2d982a6627, 0x2102fdefd960e663, 165524, 0xc3395a9850d0e6e3),
+        (0xa82e70e951f8fe28, 0xde4b651d5e84557e, 461688, 0xf3931aed3d3d2ca4),
+        (0xfee1ea1ddaeba274, 0x4703ebf0abe80961, 434913, 0x6b9e18c13dd1c2d5),
+        (0xd65ece1f505cc6ee, 0xb690c81a11780c5e, 435666, 0x9a99e0e18fe0a8b3),
+        (0xa82e70e951f8fe28, 0xfbf8dfee6bff04df, 456402, 0xcb0ce1ab16d8c899),
+        (0xfee1ea1ddaeba274, 0x77193a03dd48cb37, 433741, 0xcf56125c70d7154e),
+        (0xd65ece1f505cc6ee, 0xe2a82d1e9afbc687, 434272, 0x55a92631ecc7f932),
+        (0xa82e70e951f8fe28, 0xd1505af01fce9534, 459383, 0xbc998a8306fc9122),
+        (0xfee1ea1ddaeba274, 0xc22cc37ab6ed4363, 434330, 0xf133e70f87c471b0),
+        (0xd65ece1f505cc6ee, 0xd846c1ea54bd4f71, 434792, 0x00db3fc4bc864c15),
+        (0xa82e70e951f8fe28, 0x58a8df118cd0b77b, 455856, 0x7685091fa72690bd),
+        (0xfee1ea1ddaeba274, 0x3a54fb7ac1e3d30e, 433379, 0x0881470ef376ff38),
+        (0xd65ece1f505cc6ee, 0x16ffb37a380c1bea, 433924, 0x3ba9bd622433bff1),
+        (0xb2f3c088fe769c53, 0x23898c174b6e7461, 1004540, 0xf8692f03e7534b64),
+        (0x2d4b0c3bde74ef49, 0xf572fc637ea96464, 913280, 0xee648c96ff4c88e3),
+        (0xd630ef3764b2948a, 0x7915398dd5d8a6b0, 911520, 0x2ec9d9602739e9b2),
+        (0xb2f3c088fe769c53, 0xaa664e2a9dfad035, 996440, 0x2735fea78c583bdc),
+        (0x2d4b0c3bde74ef49, 0x94242ff950a6b907, 912964, 0x92ccfbfed5c2aec8),
+        (0xd630ef3764b2948a, 0xf1dcfc93e89c0fad, 911183, 0xd010aa5c075c2b2a),
+        (0xb2f3c088fe769c53, 0x6f8870e9c800e1c1, 1065856, 0x045a320421827381),
+        (0x2d4b0c3bde74ef49, 0x230ca4dd849e2319, 933140, 0xd75b33c40555e130),
+        (0xd630ef3764b2948a, 0x9a63d8fb3716d904, 931370, 0x4fb34aaf0075eeb7),
+        (0xb2f3c088fe769c53, 0xabfb647d3694087d, 994275, 0xd5dc21b4b5179089),
+        (0x2d4b0c3bde74ef49, 0x3c92a2d6fb177eb3, 911124, 0x23e1e3677063f6ab),
+        (0xd630ef3764b2948a, 0x6faeb3902b89b4e6, 909364, 0x65ba21abb003c7c8),
     ];
     let mut rows = PINNED.iter();
     for n in [2usize, 4, 16] {
