@@ -230,7 +230,6 @@ impl CoherentSystem for DirectoryInvalidateSystem {
                 value,
                 hit,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }
@@ -294,7 +293,6 @@ impl CoherentSystem for DirectoryInvalidateSystem {
                 value,
                 hit: state.is_some(),
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }

@@ -84,7 +84,6 @@ impl CoherentSystem for NoCacheSystem {
                 value,
                 hit: false,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }
@@ -107,7 +106,6 @@ impl CoherentSystem for NoCacheSystem {
                 value,
                 hit: false,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }

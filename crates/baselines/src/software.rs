@@ -163,7 +163,6 @@ impl CoherentSystem for SoftwareMarkedSystem {
                 value,
                 hit,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }
@@ -201,7 +200,6 @@ impl CoherentSystem for SoftwareMarkedSystem {
                 value,
                 hit,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }

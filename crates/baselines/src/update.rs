@@ -178,7 +178,6 @@ impl CoherentSystem for UpdateOnlySystem {
                 value,
                 hit,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }
@@ -226,7 +225,6 @@ impl CoherentSystem for UpdateOnlySystem {
                 value,
                 hit,
                 cost_bits: self.bill.bits() - before,
-                latency: None,
                 mode: None,
             });
         }

@@ -19,7 +19,6 @@ mod fig5;
 mod fig6;
 mod fig7;
 mod fig8;
-mod latency;
 mod migration;
 mod radix_sweep;
 mod regime_map;
@@ -29,10 +28,9 @@ mod table1;
 mod table2;
 mod table3;
 mod table4;
-mod throughput;
 
 /// Every `tmc paper` name, in listing order.
-pub const NAMES: [&str; 17] = [
+pub const NAMES: [&str; 15] = [
     "fig3",
     "fig5",
     "fig6",
@@ -47,8 +45,6 @@ pub const NAMES: [&str; 17] = [
     "regime-map",
     "ablation",
     "migration",
-    "latency",
-    "throughput",
     "state-memory",
 ];
 
@@ -82,8 +78,6 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
         "regime-map" => regime_map::run(threads),
         "ablation" => ablation::run(threads),
         "migration" => migration::run(threads),
-        "latency" => latency::run(threads),
-        "throughput" => throughput::run(),
         "state-memory" => state_memory::run(),
         _ => return Err(usage()),
     }

@@ -26,18 +26,17 @@
 //!   protocol coupling *between* blocks — is confined within a shard.
 //!
 //! Everything else the engine touches is either per-block protocol state or
-//! an additive statistic (counters, per-link traffic, latency histograms),
+//! an additive statistic (counters, per-link traffic),
 //! so executing the global reference stream's shard-`k` subsequence on a
 //! fresh machine reproduces exactly the state and charges the serial run
 //! accumulates for those blocks. [`System::merge_shard`] reassembles the
 //! pieces; [`tmc_obs::interleave`] restores the canonical trace order from
 //! each reference's global index.
 //!
-//! Three global mutable knobs fall outside the per-block argument and are
-//! therefore rejected or unsupported here: the timing model (a global
-//! clock), `System::inject_offer_naks` (a global fault budget consumed
-//! in trace order), and fault injection (the `tmc_faults` plan is keyed to
-//! one global op clock).
+//! Two global mutable knobs fall outside the per-block argument and are
+//! therefore rejected or unsupported here: `System::inject_offer_naks` (a
+//! global fault budget consumed in trace order) and fault injection (the
+//! `tmc_faults` plan is keyed to one global op clock).
 //!
 //! Write values are the other global sequence: the serial drivers stamp
 //! writes `1, 2, 3, …` in trace order. [`script_from_trace`] precomputes
@@ -276,17 +275,14 @@ fn resolve_threads(threads: usize, shards: usize) -> usize {
 ///
 /// # Errors
 ///
-/// Fails if `cfg` enables the timing model or fault injection (global-order
-/// features the per-block partition cannot reproduce), or if
-/// [`System::new`] rejects `cfg`.
+/// Fails if `cfg` enables fault injection (a global-order feature the
+/// per-block partition cannot reproduce), or if [`System::new`] rejects
+/// `cfg`.
 pub fn run(
     cfg: &SystemConfig,
     script: &[ShardOp],
     opts: &ShardRunOptions,
 ) -> Result<ShardRun, String> {
-    if cfg.timing.is_some() {
-        return Err("sharded runs do not support the timing model (global clock)".into());
-    }
     if cfg.faults.is_some() {
         return Err(
             "sharded runs do not support fault injection (the fault plan is keyed to one \
@@ -617,12 +613,8 @@ mod tests {
     }
 
     #[test]
-    fn timing_and_faults_are_rejected() {
+    fn fault_injection_is_rejected() {
         let script = Vec::new();
-        let timed = SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default());
-        assert!(run(&timed, &script, &ShardRunOptions::new(2, 1))
-            .unwrap_err()
-            .contains("timing"));
         let faulty = SystemConfig::new(4).faults(tmc_core::FaultSpec::new(1));
         assert!(run(&faulty, &script, &ShardRunOptions::new(2, 1))
             .unwrap_err()

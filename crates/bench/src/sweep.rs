@@ -38,8 +38,7 @@ use crate::args::{Args, CliError};
 /// The figure commands reproduce the paper's *fault-free steady-state*
 /// cost models, so a cell must not enable features that would perturb the
 /// published numbers or break run-to-run comparability: fault injection
-/// (perturbs traffic) or the timing model (adds a global clock the tables
-/// don't report).
+/// perturbs traffic.
 /// Rejecting here, before the sweep fans out, turns a misconfigured grid
 /// into one clear error instead of thousands of skewed cells.
 pub fn check_cell_config(cfg: &SystemConfig) -> Result<(), String> {
@@ -49,9 +48,6 @@ pub fn check_cell_config(cfg: &SystemConfig) -> Result<(), String> {
              traffic figures; run fault campaigns via the chaos harness instead"
                 .into(),
         );
-    }
-    if cfg.timing.is_some() {
-        return Err("figure sweeps do not use the timing model (tables report traffic)".into());
     }
     Ok(())
 }
@@ -210,8 +206,6 @@ mod tests {
         assert!(check_cell_config(&SystemConfig::new(8)).is_ok());
         let faulty = SystemConfig::new(8).faults(tmc_core::FaultSpec::new(1));
         assert!(check_cell_config(&faulty).unwrap_err().contains("fault"));
-        let timed = SystemConfig::new(8).timing(tmc_omeganet::TimingModel::default());
-        assert!(check_cell_config(&timed).unwrap_err().contains("timing"));
     }
 
     #[test]

@@ -75,16 +75,13 @@ pub fn parse_policy(s: &str) -> Option<ModePolicy> {
 /// Builds the trace header describing `sys`'s configuration.
 ///
 /// Fails for configurations the header cannot represent: non-default
-/// message sizing, an enabled timing model, or a fault plan (replay
+/// message sizing or a fault plan (replay
 /// rebuilds the system from the header alone, so anything unrepresented
 /// would silently change the replayed machine).
 pub fn header_for(sys: &System) -> Result<TraceHeader, String> {
     let cfg = sys.config();
     if cfg.sizing != MsgSizing::default() {
         return Err("traces only encode the default message sizing".into());
-    }
-    if cfg.timing.is_some() {
-        return Err("traces do not encode timing models; disable timing to capture".into());
     }
     if cfg.faults.is_some() {
         return Err("traces do not encode fault plans; disable faults to capture".into());
@@ -375,10 +372,6 @@ mod tests {
         )
         .unwrap();
         assert!(header_for(&sys).unwrap_err().contains("sizing"));
-
-        let timed =
-            System::new(SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default())).unwrap();
-        assert!(header_for(&timed).unwrap_err().contains("timing"));
 
         let faulty = System::new(SystemConfig::new(4).faults(tmc_core::FaultSpec::new(3))).unwrap();
         assert!(header_for(&faulty).unwrap_err().contains("fault plans"));

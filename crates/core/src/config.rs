@@ -2,7 +2,7 @@
 
 use tmc_faults::FaultSpec;
 use tmc_memsys::{BlockSpec, CacheGeometry, MsgSizing};
-use tmc_omeganet::{SchemeKind, TimingModel};
+use tmc_omeganet::SchemeKind;
 
 use crate::state::Mode;
 
@@ -72,9 +72,6 @@ pub struct SystemConfig {
     /// the OWNER field (the paper's bypass). Off = always via the memory
     /// module (an ablation).
     pub owner_bypass: bool,
-    /// Optional latency model; when set, per-transaction latencies are
-    /// recorded with link contention.
-    pub timing: Option<TimingModel>,
     /// Optional deterministic fault-injection plan (see `tmc-faults` and
     /// `docs/ROBUSTNESS.md`). `None` — and, bit-for-bit, a spec with
     /// `count == 0` — leaves every execution path identical to a fault-free
@@ -85,7 +82,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// A default configuration for an `n_caches`-processor machine:
     /// 4-way × 64-set caches, 4-word blocks, combined multicast, fixed
-    /// global-read initial mode, bypass on, no timing, no faults.
+    /// global-read initial mode, bypass on, no faults.
     ///
     /// # Panics
     ///
@@ -103,7 +100,6 @@ impl SystemConfig {
             multicast: SchemeKind::Combined,
             mode_policy: ModePolicy::default(),
             owner_bypass: true,
-            timing: None,
             faults: None,
         }
     }
@@ -149,12 +145,6 @@ impl SystemConfig {
     /// Enables or disables the OWNER-field bypass.
     pub fn owner_bypass(mut self, on: bool) -> Self {
         self.owner_bypass = on;
-        self
-    }
-
-    /// Enables the latency model.
-    pub fn timing(mut self, model: TimingModel) -> Self {
-        self.timing = Some(model);
         self
     }
 

@@ -1,7 +1,7 @@
 //! The protocol engine proper: runs the rule tables of [`crate::ir`] on
 //! the live machine. This is the only code that moves a block, an owner
 //! or a mode — `system.rs` holds the entry points and the plumbing
-//! (`send`, `mcast`, `install_line`, timing, faults) that the
+//! (`send`, `mcast`, `install_line`, faults) that the
 //! steps below share.
 //!
 //! One transaction is: encode the request into [`Facts`] (probing the

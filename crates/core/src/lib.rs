@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod driver;
 pub mod error;
 pub mod invariants;
 pub mod ir;
@@ -55,7 +54,6 @@ pub mod state;
 pub mod system;
 
 pub use config::{ModePolicy, SystemConfig};
-pub use driver::{run_concurrent, DriveOutcome, DriverOp};
 pub use error::{CoreError, InvariantViolation};
 pub use msg::MsgKind;
 pub use snapshot::{

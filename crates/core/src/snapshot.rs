@@ -20,8 +20,9 @@
 //! byte (the widest word's byte count) and then every word at that width:
 //!
 //! ```text
-//! payload := version=2 config clock nak_budget tracing histogram counters
+//! payload := version=2 config clock=0 nak_budget tracing histogram counters
 //!            ledger cache{n_caches} memory store faults
+//! histogram := 65 0{65} count=0 total_low=0 total_high=0
 //! ledger  := layers lines n (cell_delta bits)*        cell = layer·lines + line
 //! cache   := tick n (line)*                           lines in slot order
 //! line    := control flags slot_delta tag_high age [hint] present block [window]
@@ -42,6 +43,10 @@
 //! its flag, the shorter present-set form — so encode∘decode is a byte
 //! fixed point, and a payload of another version is a typed
 //! [`SnapshotError::Corrupt`].
+//!
+//! `clock` and `histogram` are reserved slots: the machine keeps no
+//! simulated time and records no latencies, so they always hold the
+//! constants shown, and the decoder rejects any other value.
 //!
 //! `digest` is four FNV-1a-64 lanes folded over interleaved 8-byte
 //! little-endian words and FNV-combined at the end (tail bytes one at a
@@ -92,7 +97,6 @@ use std::sync::{Mutex, OnceLock};
 use tmc_faults::{FaultInjector, FaultPlan, FaultSpec, InjectorState, MsgFault, RetryPolicy};
 use tmc_memsys::{BlockAddr, BlockData, BlockSpec, CacheGeometry, CacheId, MsgSizing};
 use tmc_omeganet::{DestSet, LinkId, SchemeKind};
-use tmc_simcore::SimTime;
 
 use crate::config::{ModePolicy, SystemConfig};
 use crate::state::{CacheLine, Mode, Validity};
@@ -179,6 +183,9 @@ fn frame_digest(bytes: &[u8]) -> u64 {
 /// Payload format version, the first field of every system payload.
 const PAYLOAD_VERSION: u64 = 2;
 
+/// Buckets of the reserved, always-empty latency-histogram slot.
+const RESERVED_BUCKETS: u64 = 65;
+
 /// Main memory and the block store are paged tables whose page directory
 /// grows to the highest block touched, so a checkpoint names memory,
 /// block-store and degraded-block entries only below this bound: it keeps
@@ -229,8 +236,8 @@ pub enum SnapshotError {
     /// A payload decoded to an impossible machine state, or is not in the
     /// canonical form the encoder writes.
     Corrupt(String),
-    /// The machine cannot be checkpointed (timing model enabled, an
-    /// undrained tracer, or a block beyond the codec's limit).
+    /// The machine cannot be checkpointed (an undrained tracer, or a block
+    /// beyond the codec's limit).
     Unsupported(&'static str),
 }
 
@@ -580,11 +587,9 @@ fn intern(name: &str) -> &'static str {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Unsupported`] when the configuration enables the
-/// timing model (its state is deliberately outside the checkpoint
-/// contract, mirroring `merge_shard`), when the tracer
-/// holds undrained events, or when memory, the block store or the fault
-/// state names a block at or beyond 2³².
+/// [`SnapshotError::Unsupported`] when the tracer holds undrained events,
+/// or when memory, the block store or the fault state names a block at or
+/// beyond 2³².
 pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
     let mut buf = Vec::new();
     encode_system_into(sys, &mut buf)?;
@@ -601,11 +606,6 @@ pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
 ///
 /// As [`encode_system`]. On error the buffer contents are unspecified.
 pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-    if sys.cfg.timing.is_some() {
-        return Err(SnapshotError::Unsupported(
-            "timing-model state is not checkpointable; disable timing",
-        ));
-    }
     if !sys.tracer.is_empty() {
         return Err(SnapshotError::Unsupported(
             "tracer holds undrained events; drain_trace() before snapshotting",
@@ -628,19 +628,15 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
     w.varint(PAYLOAD_VERSION);
     encode_config(&mut w, &sys.cfg);
 
-    w.varint(sys.now.cycles());
+    w.varint(0); // reserved clock
     w.varint(sys.nak_budget as u64);
     w.u8(u8::from(sys.tracer.is_enabled()));
 
-    // Latency histogram (exact raw parts).
-    let (buckets, count, total) = sys.latencies.to_raw_parts();
-    w.varint(buckets.len() as u64);
-    for &b in buckets {
-        w.varint(b);
+    // Reserved latency histogram: always empty.
+    w.varint(RESERVED_BUCKETS);
+    for _ in 0..RESERVED_BUCKETS + 3 {
+        w.varint(0);
     }
-    w.varint(count);
-    w.varint(total as u64);
-    w.varint((total >> 64) as u64);
 
     // Counters, in CounterSet's name order.
     w.varint(sys.counters.iter().count() as u64);
@@ -935,22 +931,23 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
     let cfg = decode_config(&mut r)?;
     let mut sys = System::new(cfg).map_err(|e| r.corrupt(format_args!("config rejected: {e}")))?;
 
-    sys.now = SimTime::new(r.varint()?);
+    let clock = r.varint()?;
+    if clock != 0 {
+        return Err(r.corrupt(format_args!("reserved clock slot holds {clock}")));
+    }
     sys.nak_budget = r.usize("NAK budget")?;
     sys.tracer.set_enabled(r.flag("tracer")?);
 
-    // Latency histogram.
-    let n_buckets = r.count(1, "histogram bucket")?;
-    if n_buckets != sys.latencies.to_raw_parts().0.len() {
+    // Reserved latency histogram: always empty.
+    let n_buckets = r.varint()?;
+    if n_buckets != RESERVED_BUCKETS {
         return Err(r.corrupt(format_args!("histogram of {n_buckets} buckets")));
     }
-    let mut buckets = Vec::with_capacity(n_buckets);
-    for _ in 0..n_buckets {
-        buckets.push(r.varint()?);
+    for _ in 0..RESERVED_BUCKETS + 3 {
+        if r.varint()? != 0 {
+            return Err(r.corrupt("reserved latency histogram is not empty"));
+        }
     }
-    let count = r.varint()?;
-    let total = u128::from(r.varint()?) | u128::from(r.varint()?) << 64;
-    sys.latencies = tmc_simcore::Histogram::from_raw_parts(buckets, count, total);
 
     // Counters, strictly ascending by name.
     let n_counters = r.count(2, "counter")?;
@@ -1146,7 +1143,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SystemConfig, SnapshotError> {
         multicast,
         mode_policy,
         owner_bypass,
-        timing: None,
         faults,
     })
 }
@@ -1602,12 +1598,6 @@ mod tests {
 
     #[test]
     fn unsupported_configs_are_rejected_with_typed_errors() {
-        let sys =
-            System::new(SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default())).unwrap();
-        assert!(matches!(
-            encode_system(&sys),
-            Err(SnapshotError::Unsupported(_))
-        ));
         let mut sys = System::new(SystemConfig::new(4)).unwrap();
         sys.set_tracing(true);
         sys.write(0, WordAddr::new(1), 1).unwrap();

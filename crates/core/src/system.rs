@@ -1,15 +1,13 @@
 //! The simulated machine: caches, memory, block store and network, the
 //! public transactions, and the plumbing every protocol action shares
-//! (unicast and multicast billing, line installation, timing, fault
-//! admission).
+//! (unicast and multicast billing, line installation, fault admission).
 //!
 //! Every public access ([`System::read`] / [`System::write`]) runs as an
 //! atomic transaction: the full message sequence of §2.2 is generated,
 //! routed over the simulated omega network (billing every link), applied to
 //! the cache/memory state, and counted. The paper defines the protocol
 //! without transient states, so atomic transactions are the faithful
-//! execution model; timing (with link contention) is layered on optionally
-//! and never affects correctness.
+//! execution model.
 //!
 //! What a transaction *does* is not written here: the transitions are the
 //! rule tables of [`crate::ir`], run by the step methods in `ir_exec.rs`.
@@ -19,8 +17,8 @@ use std::collections::BTreeMap;
 use tmc_faults::{FaultInjector, FaultKind, FaultPlan, MsgFault, ScheduledFault};
 use tmc_memsys::{BlockAddr, BlockStore, CacheArray, CacheId, MainMemory, ModuleMap, WordAddr};
 use tmc_obs::{FaultLabel, LinkCharge, ProtocolEvent, Tracer};
-use tmc_omeganet::{CastCache, CastStats, DestSet, LinkId, LinkSchedule, Omega, TrafficMatrix};
-use tmc_simcore::{CounterSet, Histogram, SimTime};
+use tmc_omeganet::{CastCache, CastStats, DestSet, LinkId, Omega, TrafficMatrix};
+use tmc_simcore::CounterSet;
 
 use crate::config::{ModePolicy, SystemConfig};
 use crate::error::CoreError;
@@ -41,8 +39,6 @@ pub struct AccessStats {
     pub cost_bits: u64,
     /// Messages sent (multicasts count once).
     pub messages: usize,
-    /// Transaction latency in cycles, when the timing model is enabled.
-    pub latency_cycles: Option<u64>,
 }
 
 /// How the fault layer routed one transaction.
@@ -99,9 +95,6 @@ pub struct System {
     pub(crate) store: BlockStore,
     pub(crate) modules: ModuleMap,
     pub(crate) counters: CounterSet,
-    schedule: Option<LinkSchedule>,
-    pub(crate) now: SimTime,
-    pub(crate) latencies: Histogram,
     txn_bits: u64,
     txn_msgs: usize,
     /// Fault injection: the next `nak_budget` ownership offers are refused
@@ -142,7 +135,6 @@ impl System {
             )));
         }
         let traffic = TrafficMatrix::new(&net);
-        let schedule = cfg.timing.map(|_| LinkSchedule::new(&net));
         let faults = match cfg.faults {
             None => None,
             Some(spec) => {
@@ -163,9 +155,6 @@ impl System {
             store: BlockStore::new(),
             modules: ModuleMap::new(cfg.n_caches),
             counters: CounterSet::new(),
-            schedule,
-            now: SimTime::ZERO,
-            latencies: Histogram::new(),
             txn_bits: 0,
             txn_msgs: 0,
             nak_budget: 0,
@@ -211,11 +200,6 @@ impl System {
         self.cast_cache.stats()
     }
 
-    /// Transaction-latency histogram (empty unless timing is enabled).
-    pub fn latencies(&self) -> &Histogram {
-        &self.latencies
-    }
-
     /// Turns structured protocol-event tracing on or off. Off by default;
     /// while off, the hooks on the access path cost one branch each.
     pub fn set_tracing(&mut self, on: bool) {
@@ -241,11 +225,6 @@ impl System {
     /// The block's mode as a trace label, if the block is owned.
     fn trace_mode_of(&self, block: BlockAddr) -> Option<tmc_obs::TraceMode> {
         self.mode_of(block).map(Into::into)
-    }
-
-    /// Records a driver issue event (hook for [`crate::driver`]).
-    pub(crate) fn trace_issue(&mut self, proc: usize, cycle: u64) {
-        self.tracer.push(ProtocolEvent::Issue { proc, cycle });
     }
 
     /// Table 1 classification of `proc`'s entry for `block`, or `None` if
@@ -382,11 +361,11 @@ impl System {
     /// Absorbs the protocol state and statistics of `shard` — a machine
     /// that simulated a disjoint slice of the block address space (see
     /// `tmc_bench::shardsim`) — leaving `self` exactly as if it had executed
-    /// that shard's references itself: counters, per-link traffic, latency
-    /// histogram, cache lines, memory image and block store all merge.
+    /// that shard's references itself: counters, per-link traffic, cache
+    /// lines, memory image and block store all merge.
     ///
     /// Valid only under the sharding preconditions: identical configs, no
-    /// timing model, no fault injection, and shard state whose home
+    /// fault injection, and shard state whose home
     /// modules and cache sets never overlap with `self`'s (the
     /// per-component `absorb`s assert that disjointness). The shard's trace
     /// buffer must be drained first — trace events need a canonical global
@@ -394,16 +373,12 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the configs differ, a timing model or fault injection is
-    /// enabled, or the two machines' block state overlaps.
+    /// Panics if the configs differ, fault injection is enabled, or the
+    /// two machines' block state overlaps.
     pub fn merge_shard(&mut self, shard: System) {
         assert!(
             self.cfg == shard.cfg,
             "merge_shard requires identical configs"
-        );
-        assert!(
-            self.cfg.timing.is_none(),
-            "merge_shard does not support the timing model"
         );
         assert!(
             self.cfg.faults.is_none(),
@@ -415,7 +390,6 @@ impl System {
         );
         self.counters.merge(&shard.counters);
         self.traffic.merge(&shard.traffic);
-        self.latencies.merge(&shard.latencies);
         for (mine, theirs) in self.caches.iter_mut().zip(shard.caches) {
             mine.absorb(theirs);
         }
@@ -446,9 +420,6 @@ impl System {
         self.txn_msgs += 1;
         if self.faults.is_some() {
             self.apply_msg_fault(kind, from, to, payload_bits, cost_bits);
-        }
-        if let (Some(sched), Some(model)) = (self.schedule.as_mut(), self.cfg.timing) {
-            self.now = sched.timed_unicast(&self.net, model, from, to, payload_bits, self.now);
         }
     }
 
@@ -510,22 +481,6 @@ impl System {
         {
             self.fault_mcast_retransmit(kind, from, &delivered, payload_bits);
         }
-        if let (Some(sched), Some(model)) = (self.schedule.as_mut(), self.cfg.timing) {
-            let arrivals = sched
-                .timed_multicast(
-                    &self.net,
-                    model,
-                    scheme,
-                    from,
-                    dests,
-                    payload_bits,
-                    self.now,
-                )
-                .expect("validated");
-            if let Some(latest) = arrivals.iter().map(|&(_, t)| t).max() {
-                self.now = latest;
-            }
-        }
         delivered
     }
 
@@ -535,31 +490,16 @@ impl System {
         self.cast_delivered = buf;
     }
 
-    /// Sets the departure time of the *next* transaction. Used by the
-    /// concurrent driver ([`crate::driver`]) to model per-processor issue
-    /// times: link occupancy handles an earlier-than-now departure
-    /// correctly (the message simply queues behind whatever holds the
-    /// links).
-    pub fn depart_at(&mut self, t: SimTime) {
-        self.now = t;
-    }
-
-    fn txn_begin(&mut self) -> SimTime {
+    fn txn_begin(&mut self) {
         self.txn_bits = 0;
         self.txn_msgs = 0;
-        self.now
     }
 
-    fn txn_end(&mut self, start: SimTime, value: u64) -> AccessStats {
-        let latency = self.cfg.timing.map(|_| self.now - start);
-        if let Some(l) = latency {
-            self.latencies.record(l);
-        }
+    fn txn_end(&self, value: u64) -> AccessStats {
         AccessStats {
             value,
             cost_bits: self.txn_bits,
             messages: self.txn_msgs,
-            latency_cycles: latency,
         }
     }
 
@@ -607,11 +547,11 @@ impl System {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        let start = self.txn_begin();
+        self.txn_begin();
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             self.counters.incr("fault_uncached_reads");
             let value = self.fault_uncached_read(proc, block, offset);
-            let stats = self.txn_end(start, value);
+            let stats = self.txn_end(value);
             if self.tracer.is_enabled() {
                 self.tracer.push(ProtocolEvent::Read {
                     proc,
@@ -619,7 +559,6 @@ impl System {
                     value,
                     hit: false,
                     cost_bits: stats.cost_bits,
-                    latency: stats.latency_cycles,
                     mode: None,
                 });
             }
@@ -633,7 +572,7 @@ impl System {
         let hit_word = line.filter(|_| hit).map_or(0, |l| l.data.word(offset));
         let value = self.rule_read(proc, block, offset, lookup, hit_word);
         self.note_block_ref(block, false);
-        let stats = self.txn_end(start, value);
+        let stats = self.txn_end(value);
         if self.tracer.is_enabled() {
             let mode = self.trace_mode_of(block);
             self.tracer.push(ProtocolEvent::Read {
@@ -642,7 +581,6 @@ impl System {
                 value,
                 hit,
                 cost_bits: stats.cost_bits,
-                latency: stats.latency_cycles,
                 mode,
             });
         }
@@ -672,11 +610,11 @@ impl System {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        let start = self.txn_begin();
+        self.txn_begin();
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             self.counters.incr("fault_uncached_writes");
             self.fault_uncached_write(proc, block, offset, value);
-            let stats = self.txn_end(start, value);
+            let stats = self.txn_end(value);
             if self.tracer.is_enabled() {
                 self.tracer.push(ProtocolEvent::Write {
                     proc,
@@ -684,7 +622,6 @@ impl System {
                     value,
                     hit: false,
                     cost_bits: stats.cost_bits,
-                    latency: stats.latency_cycles,
                     mode: None,
                 });
             }
@@ -694,7 +631,7 @@ impl System {
         let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
         self.rule_write(proc, block, offset, value, lookup);
         self.note_block_ref(block, true);
-        let stats = self.txn_end(start, value);
+        let stats = self.txn_end(value);
         if self.tracer.is_enabled() {
             let mode = self.trace_mode_of(block);
             self.tracer.push(ProtocolEvent::Write {
@@ -703,7 +640,6 @@ impl System {
                 value,
                 hit,
                 cost_bits: stats.cost_bits,
-                latency: stats.latency_cycles,
                 mode,
             });
         }
@@ -722,12 +658,11 @@ impl System {
     pub fn set_mode(&mut self, proc: usize, addr: WordAddr, mode: Mode) -> Result<(), CoreError> {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
-        let start = self.txn_begin();
+        self.txn_begin();
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             // A degraded block is uncacheable — its mode is meaningless
             // until it heals, so the directive is dropped (not queued).
             self.counters.incr("fault_uncached_setmodes");
-            let _ = self.txn_end(start, 0);
             return Ok(());
         }
         self.tracer.push(ProtocolEvent::SetMode {
@@ -737,7 +672,6 @@ impl System {
         });
         let lookup = Self::classify(self.caches[proc].peek(block));
         self.rule_set_mode(proc, block, mode, lookup);
-        let _ = self.txn_end(start, 0);
         Ok(())
     }
 
@@ -1081,9 +1015,6 @@ impl System {
                 .expect("ports are valid by construction");
             self.txn_bits += bits;
             self.counters.add("bits_total", bits);
-            if self.cfg.timing.is_some() {
-                self.now += backoff;
-            }
             if self.fault_first_blocked(proc, block, waited_ops).is_none() {
                 return FaultPath::Normal;
             }
@@ -1328,12 +1259,7 @@ impl System {
                     _ => "fault_msg_dups",
                 });
             }
-            MsgFault::Delay(cycles) => {
-                self.counters.incr("fault_msg_delays");
-                if self.cfg.timing.is_some() {
-                    self.now += cycles;
-                }
-            }
+            MsgFault::Delay(_) => self.counters.incr("fault_msg_delays"),
         }
     }
 

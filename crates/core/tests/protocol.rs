@@ -463,19 +463,6 @@ fn per_kind_traffic_breakdown_sums_to_the_total() {
 }
 
 #[test]
-fn timing_model_produces_latencies() {
-    let mut sys =
-        System::new(SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default())).unwrap();
-    sys.write(0, addr(0), 1).unwrap();
-    let s = sys.read_stats(1, addr(0)).unwrap();
-    assert!(s.latency_cycles.unwrap() > 0);
-    assert!(sys.latencies().count() >= 2);
-    // A local hit has zero latency.
-    let s = sys.read_stats(0, addr(0)).unwrap();
-    assert_eq!(s.latency_cycles, Some(0));
-}
-
-#[test]
 fn rejects_out_of_range_processor() {
     let mut sys = small_system();
     assert!(matches!(
@@ -628,16 +615,6 @@ fn oracle_single_word_blocks() {
             8,
         );
     }
-}
-
-#[test]
-fn oracle_with_timing_enabled() {
-    oracle_run(
-        80,
-        SystemConfig::new(4).timing(tmc_omeganet::TimingModel::default()),
-        800,
-        8,
-    );
 }
 
 #[test]

@@ -450,3 +450,35 @@ fn earlier_formats_are_rejected_with_typed_errors() {
         other => panic!("a v1 payload decoded to {:?}", other.map(|_| ())),
     }
 }
+
+/// The payload keeps a clock slot and a 65-bucket latency-histogram slot
+/// that are always zero and empty. Any other value there is corrupt: the
+/// decoder answers with a typed error and does not panic.
+#[test]
+fn reserved_clock_and_histogram_slots_must_be_empty() {
+    let mut sys = System::new(SystemConfig::new(4)).expect("valid config");
+    sys.write(0, WordAddr::new(1), 1).unwrap();
+    sys.inject_offer_naks(3);
+    let payload = encode_system(&sys).expect("encode");
+    // clock=0, NAK budget 3, tracing off, then the empty histogram.
+    let mut slots = vec![0, 3, 0, 65];
+    slots.extend([0; 68]);
+    let clock = payload
+        .windows(slots.len())
+        .position(|w| w == slots)
+        .expect("reserved slots");
+    for (at, byte, what) in [
+        (clock, 7, "clock"),
+        (clock + 3, 64, "histogram of 64 buckets"),
+        (clock + 4, 1, "histogram is not empty"),
+        (clock + 4 + 68 - 1, 1, "histogram is not empty"),
+    ] {
+        let mut bad = payload.clone();
+        bad[at] = byte;
+        match catch_unwind(|| decode_system(&bad)) {
+            Ok(Err(SnapshotError::Corrupt(why))) => assert!(why.contains(what), "{why}"),
+            Ok(other) => panic!("byte {at} = {byte} decoded to {:?}", other.map(|_| ())),
+            Err(_) => panic!("byte {at} = {byte}: the decoder panicked"),
+        }
+    }
+}

@@ -14,7 +14,8 @@ pub enum MsgFault {
     Drop,
     /// The message is duplicated in flight (route billed twice).
     Duplicate,
-    /// The message is delayed by this many simulated cycles.
+    /// The message is delayed by this many cycles. The engine keeps no
+    /// simulated time: it counts the delay and changes nothing else.
     Delay(u64),
 }
 

@@ -72,9 +72,11 @@ pub enum FaultKind {
     /// The next protocol message is duplicated in flight (billed twice;
     /// the protocol's transactions are idempotent at the receiver).
     MsgDup,
-    /// The next protocol message is delayed by `cycles` of simulated time.
+    /// The next protocol message is delayed by `cycles`. The engine keeps no
+    /// simulated time, so a delay is only counted (`fault_msg_delays`): it
+    /// moves no bits and no state.
     MsgDelay {
-        /// Added latency in simulated cycles.
+        /// The drawn delay; part of the plan, not applied to anything.
         cycles: u64,
     },
     /// A single bit of a resident cache line flips; the engine models

@@ -140,8 +140,6 @@ pub enum ProtocolEvent {
         hit: bool,
         /// Bits the transaction pushed across network links.
         cost_bits: u64,
-        /// Transaction latency in cycles, when timing is enabled.
-        latency: Option<u64>,
         /// The block's mode after the access, if the block is owned.
         mode: Option<TraceMode>,
     },
@@ -157,8 +155,6 @@ pub enum ProtocolEvent {
         hit: bool,
         /// Bits the transaction pushed across network links.
         cost_bits: u64,
-        /// Transaction latency in cycles, when timing is enabled.
-        latency: Option<u64>,
         /// The block's mode after the access, if the block is owned.
         mode: Option<TraceMode>,
     },
@@ -229,13 +225,6 @@ pub enum ProtocolEvent {
         /// The exact per-link charges, nonzero links only.
         links: Vec<LinkCharge>,
     },
-    /// The concurrent driver issued a reference (cycle-stamped).
-    Issue {
-        /// Issuing processor.
-        proc: usize,
-        /// Departure cycle assigned by the driver.
-        cycle: u64,
-    },
     /// A scheduled fault fired (see `tmc-faults`).
     FaultInjected {
         /// What fired.
@@ -304,7 +293,6 @@ impl ProtocolEvent {
             ProtocolEvent::OwnershipTransfer { .. } => "ownership_transfer",
             ProtocolEvent::Replacement { .. } => "replacement",
             ProtocolEvent::Cast { .. } => "cast",
-            ProtocolEvent::Issue { .. } => "issue",
             ProtocolEvent::FaultInjected { .. } => "fault",
             ProtocolEvent::RetryAttempt { .. } => "retry",
             ProtocolEvent::Degraded { .. } => "degraded",
@@ -430,7 +418,6 @@ mod tests {
             value: 0,
             hit: false,
             cost_bits: 0,
-            latency: None,
             mode: None,
         };
         assert!(read.is_replayable());

@@ -213,10 +213,10 @@ macro_rules! keys {
 keys! {
     // Most frequent first: a line's keys are looked up in this order.
     Type = "type", Proc = "proc", Block = "block", Addr = "addr", Value = "value", Hit = "hit",
-    CostBits = "cost_bits", Mode = "mode", Write = "write", Cold = "cold", Latency = "latency",
+    CostBits = "cost_bits", Mode = "mode", Write = "write", Cold = "cold",
     From = "from", To = "to", Handoff = "handoff", WroteBack = "wrote_back", Scheme = "scheme",
     PayloadBits = "payload_bits", Links = "links", Owner = "owner", Adaptive = "adaptive",
-    Cycle = "cycle", Label = "label", Op = "op", Layer = "layer", Line = "line", Cache = "cache",
+    Label = "label", Op = "op", Layer = "layer", Line = "line", Cache = "cache",
     HealOp = "heal_op", Dest = "dest", Attempt = "attempt", BackoffCycles = "backoff_cycles",
     AfterOps = "after_ops", Version = "version", NProcs = "n_procs", Sets = "sets", Ways = "ways",
     WordsLog2 = "words_log2", Policy = "policy", OwnerBypass = "owner_bypass", Events = "events",
@@ -327,7 +327,6 @@ pub fn encode_event_into(out: &mut Vec<u8>, event: &ProtocolEvent) {
             value,
             hit,
             cost_bits,
-            latency,
             mode,
         }
         | ProtocolEvent::Write {
@@ -336,15 +335,13 @@ pub fn encode_event_into(out: &mut Vec<u8>, event: &ProtocolEvent) {
             value,
             hit,
             cost_bits,
-            latency,
             mode,
         } => {
             w.int(Key::Proc, proc as u64)
                 .int(Key::Addr, addr.value())
                 .int(Key::Value, value)
                 .flag(Key::Hit, hit)
-                .int(Key::CostBits, cost_bits)
-                .opt(Key::Latency, latency);
+                .int(Key::CostBits, cost_bits);
             if let Some(m) = mode {
                 w.label(Key::Mode, m.as_str());
             }
@@ -408,9 +405,6 @@ pub fn encode_event_into(out: &mut Vec<u8>, event: &ProtocolEvent) {
                 .int(Key::PayloadBits, payload_bits)
                 .int(Key::CostBits, cost_bits)
                 .links(Key::Links, links);
-        }
-        ProtocolEvent::Issue { proc, cycle } => {
-            w.int(Key::Proc, proc as u64).int(Key::Cycle, cycle);
         }
         ProtocolEvent::FaultInjected {
             label,
@@ -618,7 +612,6 @@ fn parse_line(line: &[u8]) -> Result<TraceRecord, TraceErrorKind> {
             let value = f.num(Key::Value)?;
             let hit = f.flag(Key::Hit)?;
             let cost_bits = f.num(Key::CostBits)?;
-            let latency = f.opt_num(Key::Latency)?;
             let mode = match f.opt_text(Key::Mode)? {
                 Some(s) => Some(TraceMode::parse(&s).ok_or_else(|| bad(Key::Mode, s))?),
                 None => None,
@@ -630,7 +623,6 @@ fn parse_line(line: &[u8]) -> Result<TraceRecord, TraceErrorKind> {
                     value,
                     hit,
                     cost_bits,
-                    latency,
                     mode,
                 }
             } else {
@@ -640,7 +632,6 @@ fn parse_line(line: &[u8]) -> Result<TraceRecord, TraceErrorKind> {
                     value,
                     hit,
                     cost_bits,
-                    latency,
                     mode,
                 }
             }
@@ -679,10 +670,6 @@ fn parse_line(line: &[u8]) -> Result<TraceRecord, TraceErrorKind> {
             payload_bits: f.num(Key::PayloadBits)?,
             cost_bits: f.num(Key::CostBits)?,
             links: f.links(Key::Links)?,
-        },
-        b"issue" => ProtocolEvent::Issue {
-            proc: f.num(Key::Proc)?,
-            cycle: f.num(Key::Cycle)?,
         },
         b"fault" => ProtocolEvent::FaultInjected {
             label: f.label(Key::Label, FaultLabel::parse)?,
@@ -890,7 +877,6 @@ mod tests {
                 value: 7,
                 hit: false,
                 cost_bits: 120,
-                latency: Some(14),
                 mode: Some(TraceMode::GlobalRead),
             },
             ProtocolEvent::Write {
@@ -899,7 +885,6 @@ mod tests {
                 value: 9,
                 hit: true,
                 cost_bits: 96,
-                latency: None,
                 mode: None,
             },
             ProtocolEvent::SetMode {
@@ -948,7 +933,6 @@ mod tests {
                     },
                 ],
             },
-            ProtocolEvent::Issue { proc: 0, cycle: 17 },
             ProtocolEvent::FaultInjected {
                 label: FaultLabel::LinkDown,
                 op: 12,
@@ -1005,8 +989,8 @@ mod tests {
     const GOLDEN_HEADER: &str = r#"{"type":"header","version":1,"n_procs":4,"sets":2,"ways":2,"words_log2":2,"scheme":"combined","policy":"adaptive:0.25","owner_bypass":true}"#;
 
     /// The exact line of every `sample_events()` entry, in order.
-    const GOLDEN_EVENT_LINES: [&str; 16] = [
-        r#"{"type":"read","proc":1,"addr":64,"value":7,"hit":false,"cost_bits":120,"latency":14,"mode":"gr"}"#,
+    const GOLDEN_EVENT_LINES: [&str; 15] = [
+        r#"{"type":"read","proc":1,"addr":64,"value":7,"hit":false,"cost_bits":120,"mode":"gr"}"#,
         r#"{"type":"write","proc":2,"addr":64,"value":9,"hit":true,"cost_bits":96}"#,
         r#"{"type":"set_mode","proc":0,"addr":0,"mode":"dw"}"#,
         r#"{"type":"miss","proc":1,"block":4,"write":false,"cold":true}"#,
@@ -1014,7 +998,6 @@ mod tests {
         r#"{"type":"ownership_transfer","block":4,"from":1,"to":2,"handoff":false}"#,
         r#"{"type":"replacement","proc":3,"block":9,"wrote_back":true}"#,
         r#"{"type":"cast","from":2,"scheme":"broadcast-tag","payload_bits":32,"cost_bits":144,"links":[[0,2,48],[1,0,96]]}"#,
-        r#"{"type":"issue","proc":0,"cycle":17}"#,
         r#"{"type":"fault","label":"link_down","op":12,"layer":1,"line":3,"heal_op":40}"#,
         r#"{"type":"fault","label":"msg_drop","op":13}"#,
         r#"{"type":"fault","label":"bit_flip","op":14,"cache":2}"#,
@@ -1052,7 +1035,7 @@ mod tests {
             want.push_str(line);
             want.push('\n');
         }
-        want.push_str(r#"{"type":"trailer","events":16,"fingerprint":17177761064896540950,"total_bits":360,"links":[[2,1,360],[3,15,9]]}"#);
+        want.push_str(r#"{"type":"trailer","events":15,"fingerprint":17177761064896540950,"total_bits":360,"links":[[2,1,360],[3,15,9]]}"#);
         want.push('\n');
         assert_eq!(String::from_utf8(bytes).unwrap(), want);
     }
@@ -1150,7 +1133,7 @@ mod tests {
         let hit = GOLDEN_EVENT_LINES[1].replace("\"hit\":true", "\"hit\":truest");
         assert!(matches!(parse(&hit), Syntax(_)));
         assert_eq!(parse(r#"{"proc":1}"#), Missing("type"));
-        assert_eq!(parse(r#"{"type":"issue","proc":1}"#), Missing("cycle"));
+        assert_eq!(parse(r#"{"type":"miss","proc":1}"#), Missing("block"));
         assert_eq!(
             parse(r#"{"type":"teleport"}"#),
             UnknownType("teleport".into())
@@ -1161,7 +1144,7 @@ mod tests {
             value: "sideways".into(),
         };
         assert_eq!(parse(&mode), want);
-        let attempt = GOLDEN_EVENT_LINES[12].replace("\"attempt\":2", "\"attempt\":4294967296");
+        let attempt = GOLDEN_EVENT_LINES[11].replace("\"attempt\":2", "\"attempt\":4294967296");
         assert!(matches!(
             parse(&attempt),
             BadValue {
@@ -1172,12 +1155,12 @@ mod tests {
         let row = GOLDEN_EVENT_LINES[7].replace("[1,0,96]", "[1,0]");
         assert!(matches!(parse(&row), Syntax(e) if e.expected == "a [layer,line,bits] row"));
         // A field of the wrong type is an error, not an absent field.
-        let latency = GOLDEN_EVENT_LINES[0].replace("\"latency\":14", "\"latency\":\"14\"");
+        let heal_op = GOLDEN_EVENT_LINES[8].replace("\"heal_op\":40", "\"heal_op\":\"40\"");
         let want = WrongType {
-            field: "latency",
+            field: "heal_op",
             expected: "an unsigned integer",
         };
-        assert_eq!(parse(&latency), want);
+        assert_eq!(parse(&heal_op), want);
     }
 
     #[test]
@@ -1200,6 +1183,13 @@ mod tests {
                 "{shuffled}"
             );
         }
+        // Older traces carry a `latency` key on reads and writes; it is
+        // ignored like any other unknown key.
+        let old = GOLDEN_EVENT_LINES[0].replace("\"mode\"", "\"latency\":14,\"mode\"");
+        assert_eq!(
+            parse_record(&old),
+            Ok(TraceRecord::Event(sample_events()[0].clone()))
+        );
     }
 
     #[test]
@@ -1207,7 +1197,7 @@ mod tests {
         use tmc_omeganet::SchemeChoice as S;
         let kinds: std::collections::BTreeSet<_> =
             sample_events().iter().map(ProtocolEvent::kind).collect();
-        assert_eq!(kinds.len(), 13, "sample_events() covers every variant");
+        assert_eq!(kinds.len(), 12, "sample_events() covers every variant");
         let modes = [TraceMode::DistributedWrite, TraceMode::GlobalRead].map(TraceMode::as_str);
         let schemes = [S::Replicated, S::BitVector, S::BroadcastTag].map(scheme_choice_str);
         let faults = [

@@ -38,7 +38,6 @@
 //!     value: 7,
 //!     hit: true,
 //!     cost_bits: 0,
-//!     latency: None,
 //!     mode: Some(TraceMode::DistributedWrite),
 //! });
 //! assert_eq!(tracer.len(), 1);

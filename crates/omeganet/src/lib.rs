@@ -15,9 +15,10 @@
 //! * [`TrafficMatrix`] — per-link bit accounting; its grand total is the
 //!   paper's *communication cost* metric `CC = Σᵢ Lᵢ` (eq. 1),
 //! * [`multicast`] — the three multicast schemes of §3 plus the combined
-//!   scheme of eq. 8, all accounted link-by-link,
-//! * [`timing`] — an optional latency model with per-link contention, used by
-//!   the latency extension experiments (the paper itself only counts bits).
+//!   scheme of eq. 8, all accounted link-by-link.
+//!
+//! Like the paper, the crate keeps no simulated time: a message's cost is
+//! the bits it puts on each link, not when it arrives.
 //!
 //! # Example: one multicast, measured
 //!
@@ -41,7 +42,6 @@ pub mod castcache;
 pub mod destset;
 pub mod error;
 pub mod multicast;
-pub mod timing;
 pub mod topology;
 pub mod traffic;
 
@@ -51,6 +51,5 @@ pub use castcache::{CastCache, CastStats};
 pub use destset::DestSet;
 pub use error::NetError;
 pub use multicast::{CastReceipt, SchemeChoice, SchemeKind};
-pub use timing::{LinkSchedule, TimingModel};
 pub use topology::{LinkId, Omega, PortId, RouteIter};
 pub use traffic::TrafficMatrix;

@@ -27,8 +27,6 @@ const PAPER: &[(&str, usize, u64)] = &[
     ("regime-map", 635, 0x7cfb4138ba6228c8),
     ("ablation", 1310, 0xcd0466db30a1f86d),
     ("migration", 1075, 0xb95722b108daaba5),
-    ("latency", 1034, 0xb9e94e0c772fe6de),
-    ("throughput", 1274, 0xff697261a25b636f),
     ("state-memory", 1095, 0x781655c85c1e05d5),
 ];
 
@@ -84,6 +82,22 @@ fn outputs_match_the_pinned_bytes() {
         })
         .collect();
     assert!(diverged.is_empty(), "{}", diverged.join("\n"));
+}
+
+#[test]
+fn every_paper_name_is_pinned() {
+    let pinned: Vec<&str> = PAPER.iter().map(|&(name, ..)| name).collect();
+    assert_eq!(pinned, tmc_bench::paper::NAMES);
+    let out = Command::new(env!("CARGO_BIN_EXE_tmc"))
+        .args(["paper", "latency"])
+        .output()
+        .expect("spawn tmc");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "an unknown name is a usage error"
+    );
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

@@ -1,159 +1,10 @@
-//! Streaming statistics: histograms and named counter sets.
+//! Named counter sets.
 //!
-//! Traffic and latency accounting throughout the simulator uses these types
-//! rather than collecting raw samples, so arbitrarily long runs use constant
-//! memory.
+//! Event accounting throughout the simulator tallies into these rather than
+//! collecting raw samples, so arbitrarily long runs use constant memory.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A histogram over `u64` values with power-of-two bucket boundaries.
-///
-/// Bucket `i` counts values `v` with `floor(log2(v)) == i - 1`; bucket 0
-/// counts zeros. This is the usual latency-histogram layout: cheap, fixed
-/// size, resolution proportional to magnitude.
-///
-/// # Example
-///
-/// ```
-/// use tmc_simcore::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(0);
-/// h.record(1);
-/// h.record(5);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_count(0), 1); // the zero
-/// assert_eq!(h.bucket_count(3), 1); // 5 lands in [4, 8)
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    total: u128,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            total: 0,
-        }
-    }
-
-    fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.total += value as u128;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values.
-    pub fn total(&self) -> u128 {
-        self.total
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.count as f64
-        }
-    }
-
-    /// Count in bucket `i` (see type docs for the bucket layout).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_low(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            _ => 1u64 << (i - 1),
-        }
-    }
-
-    /// Smallest value `v` such that at least `q` (0..=1) of samples are ≤ the
-    /// upper bound of v's bucket. Returns the bucket lower bound; `None` when
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `0.0..=1.0`.
-    pub fn quantile_bucket_low(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Self::bucket_low(i));
-            }
-        }
-        Some(Self::bucket_low(self.buckets.len() - 1))
-    }
-
-    /// Iterates over `(bucket_low, count)` pairs for nonempty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_low(i), c))
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.total += other.total;
-    }
-
-    /// Exact internal state, for checkpoint codecs: every bucket count
-    /// (including empty buckets), the sample count, and the running total.
-    ///
-    /// [`Histogram::iter`] is lossy for this purpose — replaying
-    /// `record(bucket_low)` per sample reconstructs the buckets but not the
-    /// exact `total`, so a round-trip through it would not be bit-identical.
-    pub fn to_raw_parts(&self) -> (&[u64], u64, u128) {
-        (&self.buckets, self.count, self.total)
-    }
-
-    /// Rebuilds a histogram from state captured by
-    /// [`Histogram::to_raw_parts`]. Short bucket vectors are zero-padded to
-    /// the fixed 65-bucket layout; extra buckets are truncated.
-    pub fn from_raw_parts(buckets: Vec<u64>, count: u64, total: u128) -> Self {
-        let mut buckets = buckets;
-        buckets.resize(65, 0);
-        Histogram {
-            buckets,
-            count,
-            total,
-        }
-    }
-}
 
 /// A set of counters addressed by static names.
 ///
@@ -320,61 +171,6 @@ impl fmt::Display for CounterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-        assert_eq!(Histogram::bucket_low(0), 0);
-        assert_eq!(Histogram::bucket_low(1), 1);
-        assert_eq!(Histogram::bucket_low(4), 8);
-    }
-
-    #[test]
-    fn histogram_mean_and_quantiles() {
-        let mut h = Histogram::new();
-        for v in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10);
-        assert!((h.mean() - 103.3).abs() < 1e-9);
-        assert_eq!(h.quantile_bucket_low(0.5), Some(1));
-        assert_eq!(h.quantile_bucket_low(1.0), Some(1024));
-        assert_eq!(Histogram::new().quantile_bucket_low(0.5), None);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(7);
-        b.record(0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bucket_count(3), 2); // 5 and 7
-        assert_eq!(a.bucket_count(0), 1);
-    }
-
-    #[test]
-    fn histogram_raw_parts_roundtrip_is_exact() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 5, 1024, u64::MAX] {
-            h.record(v);
-        }
-        let (buckets, count, total) = h.to_raw_parts();
-        let rebuilt = Histogram::from_raw_parts(buckets.to_vec(), count, total);
-        assert_eq!(rebuilt, h);
-        assert_eq!(rebuilt.total(), h.total());
-        // Short vectors pad to the fixed layout.
-        let padded = Histogram::from_raw_parts(vec![3], 3, 0);
-        assert_eq!(padded.bucket_count(0), 3);
-        assert_eq!(padded.bucket_count(64), 0);
-    }
 
     #[test]
     fn counterset_basics() {

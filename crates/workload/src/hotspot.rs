@@ -5,8 +5,8 @@
 //! "Reducing Contention in Shared-Memory Multiprocessors"). The classic
 //! contention stressor is a hot spot: a fraction `h` of all references
 //! target one block (a lock, a counter, a work queue head), the rest go to
-//! private per-task data. This generator produces that mix, which is what
-//! the latency/throughput experiments use to expose link contention.
+//! private per-task data. This generator produces that mix; the hot-spot
+//! scenarios use it to concentrate traffic on one block's links.
 
 use tmc_memsys::{BlockAddr, BlockSpec};
 use tmc_simcore::SimRng;

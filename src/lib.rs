@@ -13,7 +13,7 @@
 //! | [`analytic`] | `tmc-analytic` | equations 2–12, break-even points, Markov model |
 //! | [`workload`] | `tmc-workload` | §4 sharing model, stencil and private workloads |
 //! | [`baselines`] | `tmc-baselines` | no-cache, directory-invalidate, update-only comparators |
-//! | [`sim`] | `tmc-simcore` | event queue, RNG, statistics |
+//! | [`sim`] | `tmc-simcore` | seeded RNG, named counters |
 //! | [`obs`] | `tmc-obs` | protocol events, replayable JSONL traces |
 //! | [`faults`] | `tmc-faults` | deterministic fault plans: link outages, message faults, stalls, bit flips |
 //!
@@ -70,7 +70,7 @@ pub mod baselines {
     pub use tmc_baselines::*;
 }
 
-/// Simulation kernel and statistics (re-export of `tmc-simcore`).
+/// Seeded random numbers and named counters (re-export of `tmc-simcore`).
 pub mod sim {
     pub use tmc_simcore::*;
 }

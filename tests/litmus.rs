@@ -341,11 +341,5 @@ fn tracing_does_not_perturb_any_engine() {
         assert!(plain.drain_trace().is_empty(), "{}", plain.name());
         let events = traced.drain_trace();
         assert!(!events.is_empty(), "{}: no events", traced.name());
-        assert!(
-            events
-                .iter()
-                .all(|e| !matches!(e, two_mode_coherence::obs::ProtocolEvent::Issue { .. })),
-            "no driver in this script"
-        );
     }
 }
