@@ -37,7 +37,7 @@
 //!
 //! The format is the single reproducer currency of the repo: the
 //! conformance fuzzer emits shrunken divergences as scenario files, and
-//! the corpus regression replays them through [`parse`].
+//! the corpus regression replays them through [`parse()`].
 //!
 //! # Differential conformance
 //!

@@ -107,9 +107,9 @@ pub fn run_serial(cfg: SystemConfig, ops: &[ShardOp], tracing: bool) -> Result<R
 
 /// Runs `ops` against `sys` and returns every read's value in op order.
 ///
-/// Identical transaction sequence to
-/// [`apply_script`](tmc_bench::shardsim::apply_script) — same stamps, same
-/// order — but keeps the read results for value-level comparison.
+/// Identical transaction sequence to [`tmc_bench::shardsim::apply_script`]
+/// — same stamps, same order — but keeps the read results for value-level
+/// comparison.
 pub fn collect_reads(sys: &mut System, ops: &[ShardOp]) -> Vec<u64> {
     let mut vals = Vec::new();
     for op in ops {

@@ -4,7 +4,7 @@
 //! shape, an optional generated workload, per-block mode directives, an
 //! optional fault plan, an explicit op script, and the golden
 //! expectations CI asserts. [`Scenario::encode`] renders the canonical
-//! `.tmcs` text; [`crate::parse`] is the inverse.
+//! `.tmcs` text; [`crate::parse()`] is the inverse.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
