@@ -632,7 +632,8 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
     w.varint(sys.nak_budget as u64);
     w.u8(u8::from(sys.tracer.is_enabled()));
 
-    // Reserved latency histogram: always empty.
+    // Reserved latency histogram, always empty: the bucket count, then
+    // every bucket, the sample count and the two halves of the total.
     w.varint(RESERVED_BUCKETS);
     for _ in 0..RESERVED_BUCKETS + 3 {
         w.varint(0);

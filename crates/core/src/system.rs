@@ -365,11 +365,11 @@ impl System {
     /// lines, memory image and block store all merge.
     ///
     /// Valid only under the sharding preconditions: identical configs, no
-    /// fault injection, and shard state whose home
-    /// modules and cache sets never overlap with `self`'s (the
-    /// per-component `absorb`s assert that disjointness). The shard's trace
-    /// buffer must be drained first — trace events need a canonical global
-    /// order that only the sharding driver knows.
+    /// fault injection, and shard state whose home modules and cache sets
+    /// never overlap with `self`'s (the per-component `absorb`s assert that
+    /// disjointness). The shard's trace buffer must be drained first —
+    /// trace events need a canonical global order that only the sharding
+    /// driver knows.
     ///
     /// # Panics
     ///
