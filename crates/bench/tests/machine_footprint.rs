@@ -2,7 +2,9 @@
 //! pages read from `/proc/self/statm` around building an N = 1024 `System`
 //! and around a short run on it. A machine must cost what the run touches —
 //! at the parent of this guard, construction alone wrote all 262 144 cache
-//! line slots (≈ 37 MiB).
+//! line slots (≈ 37 MiB), and until the line store grew with use, each
+//! cache the run touched reserved a line slot for every way of every set
+//! (≈ 10.4 MiB after the run below; ≈ 7 MiB with rows added on demand).
 //!
 //! One test in its own file, so it has the process (and its heap) to
 //! itself.
@@ -56,7 +58,7 @@ fn big_machine_costs_what_the_run_touches() {
     sys.check_invariants().expect("healthy after the run");
     let ran = resident_bytes().saturating_sub(before);
     assert!(
-        ran < 16 * MIB,
+        ran < 10 * MIB,
         "{REFS} references on an N={N_PORTS} machine grew the resident set by {} KiB",
         ran / 1024
     );

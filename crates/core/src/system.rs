@@ -325,11 +325,15 @@ impl System {
     /// revisited states.
     pub fn protocol_fingerprint(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        // One sort buffer for every cache: most caches of a big machine
+        // hold a few lines or none.
+        let mut entries: Vec<(BlockAddr, &CacheLine)> = Vec::new();
         for cache in &self.caches {
-            let mut entries: Vec<(BlockAddr, &CacheLine)> = cache.iter().collect();
+            entries.clear();
+            entries.extend(cache.iter());
             entries.sort_by_key(|&(b, _)| b);
             out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (block, line) in entries {
+            for &(block, line) in &entries {
                 out.extend_from_slice(&block.index().to_le_bytes());
                 out.push(match line.validity {
                     crate::state::Validity::Invalid => 0,

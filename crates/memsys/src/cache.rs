@@ -15,12 +15,15 @@
 //! a way keeps its place in its set's row for good.
 //!
 //! A cache costs what the run touches. Nothing is allocated until the first
-//! line goes in; then every table is sized for the whole geometry at once,
-//! so nothing reallocates while a machine runs — but the slot and stamp
-//! tables come zero-filled from the allocator (place 0 = the set has no row
-//! yet) and the line store is only reserved, so no line slot is written
-//! before its set is used. Sweeping a cache ([`CacheArray::iter`]) walks
-//! the rows that exist, not the geometry.
+//! line goes in; then the slot and stamp tables are sized for the whole
+//! geometry, zero-filled straight from the allocator (place 0 = the set has
+//! no row yet). The line store grows with use instead: it starts empty and
+//! gains one row when a set is first used, doubling its capacity when full,
+//! so a cache holding a handful of lines costs a handful of rows. Once it
+//! holds four rows, its next growth reserves the whole geometry, so a cache
+//! that fills reallocates its store three times at most. A cache whose
+//! sets have all been used stops growing. Sweeping a cache
+//! ([`CacheArray::iter`]) walks the rows that exist, not the geometry.
 
 use crate::addr::BlockAddr;
 
@@ -68,6 +71,13 @@ impl CacheGeometry {
 
 /// Set in a slot's place word while the way holds a line.
 const OCCUPIED: u64 = 1 << 63;
+
+/// Rows up to which the line store grows by doubling; past them the next
+/// growth reserves the whole geometry. Four keeps a sparse cache small and
+/// gives a filling cache its full store early in its life. Doubling on to
+/// 32 lines and beyond cost `bigN-zipf` a quarter of its set-up time
+/// (docs/PERFORMANCE.md, "The line store grows with use").
+const DOUBLING_ROWS: usize = 4;
 
 /// Where a place word says the way's line is; the set must have a row.
 #[inline]
@@ -153,16 +163,15 @@ impl<L> CacheArray<L> {
         }
     }
 
-    /// Allocates every table at full capacity, once, when the first line
-    /// goes in: zero-filled slot words (no set has a row) and stamps, and a
-    /// reserved but unwritten line store.
+    /// Allocates the slot and stamp tables at full capacity, once, when the
+    /// first line goes in: zero-filled slot words (no set has a row) and
+    /// stamps. The line store is left empty; `add_row` grows it a row at a
+    /// time.
     #[cold]
     fn allocate(&mut self) {
         let CacheGeometry { sets, ways } = self.geometry;
         self.slots = vec![[0; 2]; sets * ways];
         self.stamps = vec![0; sets * ways];
-        self.lines = Vec::with_capacity(sets * ways);
-        self.row_sets = Vec::with_capacity(sets);
     }
 
     /// The array's geometry.
@@ -267,17 +276,29 @@ impl<L> CacheArray<L> {
         Some((BlockAddr::new(tag), line.expect("occupied slot has a line")))
     }
 
-    /// Fills the free `slot`; on the first use of the slot's set, appends a
-    /// row of empty lines to the store and gives every way its place in it.
+    /// Appends a row of empty lines for `set`, which has none yet, and gives
+    /// every way of the set its place in it. A full store doubles while it
+    /// holds at most [`DOUBLING_ROWS`] rows; its next growth reserves the
+    /// whole geometry.
+    #[cold]
+    fn add_row(&mut self, set: usize) {
+        let ways = self.geometry.ways;
+        let row = self.lines.len();
+        if row + ways > self.lines.capacity() && row >= DOUBLING_ROWS * ways {
+            self.lines
+                .reserve_exact(self.geometry.capacity_blocks() - row);
+        }
+        self.lines.resize_with(row + ways, || None);
+        for way in 0..ways {
+            self.slots[set * ways + way][1] = (row + way + 1) as u64;
+        }
+        self.row_sets.push(set as u32);
+    }
+
+    /// Fills the free `slot`, adding its set's row on the set's first use.
     fn occupy(&mut self, slot: usize, tag: u64, stamp: u64, line: L) {
         if self.slots[slot][1] == 0 {
-            let ways = self.geometry.ways;
-            let set = slot / ways;
-            for way in 0..ways {
-                self.lines.push(None);
-                self.slots[set * ways + way][1] = self.lines.len() as u64;
-            }
-            self.row_sets.push(set as u32);
+            self.add_row(slot / self.geometry.ways);
         }
         let place = &mut self.slots[slot][1];
         *place |= OCCUPIED;
@@ -693,6 +714,27 @@ mod tests {
         emptied.remove(b(3));
         fresh.restore_tick(1);
         assert_eq!(fresh, emptied);
+    }
+
+    #[test]
+    fn line_store_grows_with_use() {
+        let g = CacheGeometry::new(64, 4);
+        let mut c: CacheArray<u8> = CacheArray::new(g);
+        c.insert(b(0), 0);
+        assert_eq!(c.lines.len(), 4, "one row for the one set used");
+        for i in 1..DOUBLING_ROWS as u64 {
+            c.insert(b(i), i as u8);
+        }
+        assert_eq!(c.lines.capacity(), DOUBLING_ROWS * 4);
+        c.insert(b(DOUBLING_ROWS as u64), 0);
+        assert_eq!(c.lines.capacity(), g.capacity_blocks());
+        // Filling every set stays inside that one reservation.
+        for i in 1..64 {
+            c.insert(b(i), i as u8);
+        }
+        assert_eq!(c.lines.len(), g.capacity_blocks());
+        assert_eq!(c.lines.capacity(), g.capacity_blocks());
+        assert_eq!(c.row_sets.len(), 64);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! tmc scenario run <name>... [--dir D] [--checkpoint-every N] [--journal P]
 //!                            [--kill-at OP] [--resume P]
 //! tmc scenario check (--all | <name>...) [--dir D] [--reshard K] [--sample N]
+//!                    [--threads N]
 //! tmc scenario pin (--all | <name>...) [--dir D]
 //! ```
 //!
@@ -12,6 +13,10 @@
 //! goldens are compared, and the applicable cross engines execute. With
 //! `--reshard K --sample N` it instead reruns every N-th scenario with the
 //! shard count forced to `K`, asserting bit-identity under resharding.
+//! The selected scenarios are checked on the sweep pool
+//! ([`tmc_bench::sweep::map`], `--threads N` workers, one per available
+//! core by default); their lines print in corpus order, so the output does
+//! not depend on the worker count.
 //! `pin` reruns scenarios and rewrites their `[expect]` sections in place
 //! (the golden-regeneration workflow after an intentional protocol
 //! change).
@@ -43,6 +48,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tmc_bench::args::{Args, CliError};
+use tmc_bench::sweep;
 
 use crate::corpus;
 use crate::gen::{generate_case_with, GenProfile};
@@ -55,7 +61,7 @@ use crate::shrink::shrink;
 use crate::spec::{encode_expect, Scenario};
 
 const SCENARIO_USAGE: &str = "usage: tmc scenario <list|run|check|pin> [--all | <name>...] \
-     [--dir D] [--reshard K] [--sample N] [--checkpoint-every N] \
+     [--dir D] [--reshard K] [--sample N] [--threads N] [--checkpoint-every N] \
      [--journal P] [--kill-at OP] [--resume P]";
 
 struct Cli {
@@ -63,6 +69,7 @@ struct Cli {
     dir: PathBuf,
     reshard: Option<usize>,
     sample: usize,
+    threads: usize,
     checkpoint_every: Option<u64>,
     journal: Option<PathBuf>,
     kill_at: Option<u64>,
@@ -89,6 +96,7 @@ pub fn scenario(mut args: Args) -> Result<(), CliError> {
         dir: args.value("--dir")?.unwrap_or_else(corpus::default_dir),
         reshard: args.value("--reshard")?,
         sample: positive("--sample", args.value("--sample")?)?.unwrap_or(1) as usize,
+        threads: sweep::threads(&mut args)?,
         checkpoint_every: positive("--checkpoint-every", args.value("--checkpoint-every")?)?,
         journal: args.value("--journal")?,
         kill_at: args.value("--kill-at")?,
@@ -305,14 +313,19 @@ fn expect_key_line(text: &str, key: &str) -> Option<usize> {
 
 fn cmd_check(cli: &Cli) -> Result<(), String> {
     let entries = select(cli, "check")?;
+    let picked: Vec<&Scenario> = entries
+        .iter()
+        .step_by(cli.sample)
+        .map(|(_, sc)| sc)
+        .collect();
+    let reports = sweep::map(cli.threads, picked, |sc| {
+        (sc, check_scenario(sc, cli.reshard))
+    });
     let mut checked = 0usize;
     let mut goldens = 0usize;
     let mut failures = Vec::new();
-    for (i, (_, sc)) in entries.iter().enumerate() {
-        if i % cli.sample != 0 {
-            continue;
-        }
-        match check_scenario(sc, cli.reshard) {
+    for (sc, report) in reports {
+        match report {
             Ok(report) => {
                 checked += 1;
                 goldens += report.goldens;

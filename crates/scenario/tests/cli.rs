@@ -28,6 +28,7 @@ fn usage_errors_exit_2() {
         &["paper", "fig9"],
         &["sweep", "dw", "sixteen"],
         &["scenario", "list", "--dri", "scenarios"],
+        &["scenario", "check", "--threads", "0"],
         &["fuzz", "--budget", "many"],
     ] {
         assert_eq!(exit_code(argv), 2, "tmc {}", argv.join(" "));
@@ -55,6 +56,70 @@ fn a_corrupted_golden_fails_the_check_with_exit_1() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stdout).contains("FAIL private-baseline"));
+}
+
+/// `tmc scenario check` with `argv`, once serially and once on two
+/// workers: the two runs must print the same bytes and exit alike.
+fn check_serial_and_pooled(argv: &[&str]) -> Output {
+    let serial = tmc(&[argv, &["--threads", "1"]].concat());
+    let pooled = tmc(&[argv, &["--threads", "2"]].concat());
+    assert_eq!(
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&pooled.stdout),
+        "tmc {}: --threads 1 and 2 print differently",
+        argv.join(" ")
+    );
+    assert_eq!(serial.status.code(), pooled.status.code());
+    pooled
+}
+
+#[test]
+fn pooled_check_of_the_corpus_matches_the_serial_one() {
+    let out = check_serial_and_pooled(&["scenario", "check", "--all"]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
+fn pooled_check_reports_a_failure_at_its_corpus_position() {
+    let dir = std::env::temp_dir().join(format!("tmc-cli-pool-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    // Corpus order is file-name order: the corrupted scenario is third.
+    let names = [
+        "iriw",
+        "migratory-8",
+        "private-baseline",
+        "producer-consumer",
+        "stencil-8",
+    ];
+    for name in names {
+        let file = format!("{name}.tmcs");
+        let mut text = std::fs::read_to_string(corpus.join(&file)).unwrap();
+        if name == "private-baseline" {
+            let corrupted = text.replace("total_bits = 103936", "total_bits = 103937");
+            assert_ne!(corrupted, text, "the golden to corrupt is pinned");
+            text = corrupted;
+        }
+        std::fs::write(dir.join(&file), text).unwrap();
+    }
+    let dir_arg = dir.to_str().unwrap();
+    let out = check_serial_and_pooled(&["scenario", "check", "--all", "--dir", dir_arg]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), names.len() + 1, "{stdout}");
+    for (line, name) in lines.iter().zip(names) {
+        let verdict = if name == "private-baseline" {
+            "FAIL"
+        } else {
+            "ok  "
+        };
+        assert!(
+            line.starts_with(&format!("{verdict} {name} ")),
+            "{name}: {line}"
+        );
+    }
 }
 
 #[test]
