@@ -19,11 +19,11 @@
 use std::path::{Path, PathBuf};
 
 use tmc_core::{ModePolicy, SystemConfig};
-use tmc_workload::{parse_trace, Op, Trace};
+use tmc_workload::{parse_trace, Trace};
 
 use crate::args::{Args, CliError};
 use crate::{
-    build_protocol, drive, shardsim, sweep, tracecheck, two_mode_policy, Table, PROTOCOLS,
+    build_protocol, drive, script, shardsim, sweep, tracecheck, two_mode_policy, Table, PROTOCOLS,
 };
 
 const USAGE: &str = "usage: tmc replay TRACE_FILE [no-cache|dir|update|dw|gr|adaptive|all] \
@@ -129,19 +129,7 @@ fn save_protocol_trace(
 ) -> Result<(), String> {
     let cfg = SystemConfig::new(n_procs).mode_policy(policy);
     let text = tracecheck::capture(cfg, |sys| {
-        let mut stamp = 1u64;
-        for r in trace.iter() {
-            match r.op {
-                Op::Read => {
-                    sys.read(r.proc, r.addr).expect("trace uses valid procs");
-                }
-                Op::Write => {
-                    sys.write(r.proc, r.addr, stamp)
-                        .expect("trace uses valid procs");
-                    stamp += 1;
-                }
-            }
-        }
+        script::apply_script(sys, &script::from_trace(trace));
     })?;
     std::fs::write(out, &text).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(

@@ -21,10 +21,10 @@ use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::WordAddr;
 use tmc_obs::TraceReader;
 use tmc_simcore::SimRng;
-use tmc_workload::{Op, Placement, SharedBlockWorkload};
+use tmc_workload::{Placement, SharedBlockWorkload};
 
 use crate::args::{Args, CliError};
-use crate::tracecheck;
+use crate::{script, tracecheck};
 
 const N_PROCS: usize = 16;
 const N_TASKS: usize = 8;
@@ -44,18 +44,7 @@ fn canonical_drive(sys: &mut System, seed: u64) {
         .expect("valid proc");
     sys.set_mode(1, WordAddr::new(4), Mode::GlobalRead)
         .expect("valid proc");
-    let mut stamp = 1u64;
-    for r in trace.iter() {
-        match r.op {
-            Op::Read => {
-                sys.read(r.proc, r.addr).expect("valid proc");
-            }
-            Op::Write => {
-                sys.write(r.proc, r.addr, stamp).expect("valid proc");
-                stamp += 1;
-            }
-        }
-    }
+    script::apply_script(sys, &script::from_trace(&trace));
 }
 
 fn capture(seed: u64) -> String {

@@ -13,6 +13,7 @@
 
 pub mod args;
 pub mod paper;
+pub mod script;
 pub mod shardsim;
 pub mod sweep;
 pub mod tracecheck;

@@ -18,6 +18,7 @@ use tmc_core::SystemConfig;
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
 
+use crate::script;
 use crate::shardsim::{self, ShardRunOptions};
 use crate::{build_protocol, drive_steady_state_checked, sweep, two_mode_policy, Table, PROTOCOLS};
 
@@ -54,8 +55,8 @@ fn run_cell(w: f64, seed: u64, protocol: &str, shards: usize) -> f64 {
     if shards > 0 {
         if let Some(policy) = two_mode_policy(protocol) {
             let cfg = SystemConfig::new(N_PROCS).mode_policy(policy);
-            let script = shardsim::script_from_trace(&trace);
-            let opts = ShardRunOptions::new(shards, 0).warmup(WARMUP).check(true);
+            let script = script::from_trace(&trace);
+            let opts = ShardRunOptions::new(shards, 0).warmup(WARMUP);
             return shardsim::run(&cfg, &script, &opts)
                 .expect("default two-mode configs are shardable")
                 .report

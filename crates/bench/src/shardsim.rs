@@ -39,12 +39,16 @@
 //! `tmc_faults` plan is keyed to one global op clock).
 //!
 //! Write values are the other global sequence: the serial drivers stamp
-//! writes `1, 2, 3, …` in trace order. [`script_from_trace`] precomputes
-//! each write's global stamp so shard workers replay the exact values.
+//! writes `1, 2, 3, …` in trace order. [`crate::script::from_trace`]
+//! precomputes each write's global stamp so shard workers replay the exact
+//! values. Each worker steps its ops through a [`Runner`], so every read
+//! is checked against a per-shard oracle (valid because a word's reads
+//! depend only on that word's writes, which live on the same shard).
 //!
 //! # Example
 //!
 //! ```
+//! use tmc_bench::script;
 //! use tmc_bench::shardsim::{self, ShardRunOptions};
 //! use tmc_core::SystemConfig;
 //! use tmc_simcore::SimRng;
@@ -54,12 +58,12 @@
 //! let trace = SharedBlockWorkload::new(2, 8, 0.3)
 //!     .references(400)
 //!     .generate(4, &mut SimRng::seed_from(9));
-//! let script = shardsim::script_from_trace(&trace);
+//! let script = script::from_trace(&trace);
 //! let sharded = shardsim::run(&cfg, &script, &ShardRunOptions::new(4, 2)).unwrap();
 //!
 //! // Bit-identical to the serial engine.
 //! let mut serial = tmc_core::System::new(cfg).unwrap();
-//! shardsim::apply_script(&mut serial, &script);
+//! script::apply_script(&mut serial, &script);
 //! assert_eq!(
 //!     sharded.system.protocol_fingerprint(),
 //!     serial.protocol_fingerprint()
@@ -67,104 +71,12 @@
 //! assert_eq!(sharded.system.traffic(), serial.traffic());
 //! ```
 
-use tmc_core::{CoreError, Mode, System, SystemConfig};
-use tmc_memsys::{ReferenceMemory, WordAddr};
+use tmc_core::{System, SystemConfig};
 use tmc_obs::{interleave, ProtocolEvent, ShardEvents};
-use tmc_workload::{Op, Trace};
+use tmc_workload::Trace;
 
+use crate::script::{from_trace, Runner, ScriptOp};
 use crate::{sweep, RunReport};
-
-/// One scripted reference with every operand precomputed — the issuing
-/// processor, the word address, and (for writes) the global stamp value
-/// the serial drivers would have produced — so a shard worker can replay
-/// its subsequence without seeing the rest of the script. Scenario
-/// programs and conformance cases use the same type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardOp {
-    /// Processor `proc` reads `addr`.
-    Read {
-        /// Issuing processor.
-        proc: usize,
-        /// Word address.
-        addr: WordAddr,
-    },
-    /// Processor `proc` writes `value` (its precomputed global stamp).
-    Write {
-        /// Issuing processor.
-        proc: usize,
-        /// Word address.
-        addr: WordAddr,
-        /// The value to write — the global stamp sequence position the
-        /// serial drivers would have used.
-        value: u64,
-    },
-    /// Software mode directive for `addr`'s block.
-    SetMode {
-        /// Issuing processor.
-        proc: usize,
-        /// Word address naming the block.
-        addr: WordAddr,
-        /// Target mode.
-        mode: Mode,
-    },
-}
-
-impl ShardOp {
-    /// The word address this op touches.
-    pub fn addr(&self) -> WordAddr {
-        match *self {
-            ShardOp::Read { addr, .. }
-            | ShardOp::Write { addr, .. }
-            | ShardOp::SetMode { addr, .. } => addr,
-        }
-    }
-}
-
-/// Converts a workload trace into a shard script, assigning each write its
-/// global stamp value — the same `1, 2, 3, …` sequence [`crate::drive`] and
-/// [`crate::drive_steady_state`] generate, so a sharded replay writes
-/// bit-identical data.
-pub fn script_from_trace(trace: &Trace) -> Vec<ShardOp> {
-    let mut stamp = 1u64;
-    trace
-        .iter()
-        .map(|r| match r.op {
-            Op::Read => ShardOp::Read {
-                proc: r.proc,
-                addr: r.addr,
-            },
-            Op::Write => {
-                let value = stamp;
-                stamp += 1;
-                ShardOp::Write {
-                    proc: r.proc,
-                    addr: r.addr,
-                    value,
-                }
-            }
-        })
-        .collect()
-}
-
-/// Executes `script` on `sys` one reference at a time — the serial
-/// behavior the sharded pipeline must reproduce bit-for-bit.
-///
-/// # Panics
-///
-/// Panics if an op names a processor `sys` does not have.
-pub fn apply_script(sys: &mut System, script: &[ShardOp]) {
-    for op in script {
-        apply_op(sys, op).expect("valid processor");
-    }
-}
-
-fn apply_op(sys: &mut System, op: &ShardOp) -> Result<(), CoreError> {
-    match *op {
-        ShardOp::Read { proc, addr } => sys.read(proc, addr).map(drop),
-        ShardOp::Write { proc, addr, value } => sys.write(proc, addr, value),
-        ShardOp::SetMode { proc, addr, mode } => sys.set_mode(proc, addr, mode),
-    }
-}
 
 /// The shard count actually used for `cfg` when `requested` is asked for:
 /// the largest power of two that is ≤ `requested`, divides the module count
@@ -194,10 +106,6 @@ pub struct ShardRunOptions {
     pub warmup: usize,
     /// Record protocol events and merge them into canonical global order.
     pub tracing: bool,
-    /// Check every read against a per-shard [`ReferenceMemory`] oracle
-    /// (valid because a word's reads depend only on that word's writes,
-    /// which live on the same shard).
-    pub check: bool,
     /// Freeze every shard machine through the crash-recovery snapshot
     /// codec ([`tmc_core::encode_system`] → [`tmc_core::decode_system`])
     /// before merging — proves checkpoint frames are transparent to the
@@ -207,14 +115,13 @@ pub struct ShardRunOptions {
 
 impl ShardRunOptions {
     /// Options for a plain sharded run: `shards` shards on `threads`
-    /// workers, no warmup, no tracing, no value checking.
+    /// workers, no warmup, no tracing.
     pub fn new(shards: usize, threads: usize) -> Self {
         ShardRunOptions {
             shards,
             threads,
             warmup: 0,
             tracing: false,
-            check: false,
             snapshot_roundtrip: false,
         }
     }
@@ -228,12 +135,6 @@ impl ShardRunOptions {
     /// Enables canonical-order event tracing.
     pub fn tracing(mut self, on: bool) -> Self {
         self.tracing = on;
-        self
-    }
-
-    /// Enables per-shard oracle value checking.
-    pub fn check(mut self, on: bool) -> Self {
-        self.check = on;
         self
     }
 
@@ -280,7 +181,7 @@ fn resolve_threads(threads: usize, shards: usize) -> usize {
 /// `cfg`.
 pub fn run(
     cfg: &SystemConfig,
-    script: &[ShardOp],
+    script: &[ScriptOp],
     opts: &ShardRunOptions,
 ) -> Result<ShardRun, String> {
     if cfg.faults.is_some() {
@@ -296,7 +197,7 @@ pub fn run(
 
     // Partition the script by shard, preserving global order within each
     // shard and remembering every reference's global index.
-    let mut parts: Vec<Vec<(u64, ShardOp)>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut parts: Vec<Vec<(u64, ScriptOp)>> = (0..shards).map(|_| Vec::new()).collect();
     for (idx, op) in script.iter().enumerate() {
         let block = cfg.spec.block_of(op.addr());
         let shard = (block.index() as usize) & (shards - 1);
@@ -310,45 +211,29 @@ pub fn run(
     }
 
     let tracing = opts.tracing;
-    let check = opts.check;
     let outcomes: Vec<Result<ShardOutcome, String>> = sweep::map(threads, parts, |ops| {
         let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
         sys.set_tracing(tracing);
+        let mut runner = Runner::new(sys);
         let mut events = ShardEvents::new();
         let mut traced_len = 0usize;
-        let mut oracle = check.then(ReferenceMemory::new);
-        let mut warm_bits = 0u64;
-        let mut crossed = false;
+        let mut warm_bits = None;
         for &(idx, ref op) in &ops {
-            if !crossed && idx >= warmup {
-                warm_bits = sys.traffic().total_bits();
-                crossed = true;
+            if warm_bits.is_none() && idx >= warmup {
+                warm_bits = Some(runner.sys().traffic().total_bits());
             }
-            if let (Some(oracle), &ShardOp::Write { addr, value, .. }) = (oracle.as_mut(), op) {
-                oracle.write(addr, value);
-            }
-            if let (Some(oracle), &ShardOp::Read { proc, addr }) = (oracle.as_ref(), op) {
-                let got = sys.read(proc, addr).map_err(|e| e.to_string())?;
-                let want = oracle.read(addr);
-                if got != want {
-                    return Err(format!(
-                        "stale read at global reference {idx} (proc {proc}, {addr:?}): \
-                             got {got}, oracle {want}"
-                    ));
-                }
-            } else {
-                apply_op(&mut sys, op).map_err(|e| e.to_string())?;
-            }
+            runner
+                .step(op)
+                .map_err(|e| format!("global reference {idx}: {e}"))?;
             if tracing {
-                let len = sys.trace_events().len();
+                let len = runner.sys().trace_events().len();
                 events.groups.push((idx, (len - traced_len) as u32));
                 traced_len = len;
             }
         }
-        if !crossed {
-            // Every reference on this shard was warmup.
-            warm_bits = sys.traffic().total_bits();
-        }
+        let mut sys = runner.into_system();
+        // A shard whose every reference was warmup bills nothing.
+        let warm_bits = warm_bits.unwrap_or_else(|| sys.traffic().total_bits());
         events.events = sys.drain_trace();
         Ok(ShardOutcome {
             system: sys,
@@ -417,7 +302,7 @@ pub fn drive_sharded(
     shards: usize,
     threads: usize,
 ) -> Result<(RunReport, System), String> {
-    let script = script_from_trace(trace);
+    let script = from_trace(trace);
     let run = run(cfg, &script, &ShardRunOptions::new(shards, threads))?;
     Ok((run.report, run.system))
 }
@@ -436,7 +321,7 @@ pub fn drive_steady_state_sharded(
     shards: usize,
     threads: usize,
 ) -> Result<(RunReport, System), String> {
-    let script = script_from_trace(trace);
+    let script = from_trace(trace);
     let run = run(
         cfg,
         &script,
@@ -455,7 +340,7 @@ pub fn drive_steady_state_sharded(
 /// Fails for configs [`run`] or [`crate::tracecheck::header_for`] reject.
 pub fn capture_sharded(
     cfg: &SystemConfig,
-    script: &[ShardOp],
+    script: &[ScriptOp],
     shards: usize,
     threads: usize,
 ) -> Result<String, String> {
@@ -480,6 +365,8 @@ pub fn capture_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::apply_script;
+    use tmc_core::Mode;
     use tmc_simcore::SimRng;
     use tmc_workload::{Placement, SharedBlockWorkload};
 
@@ -503,28 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn script_reproduces_drive_stamps() {
-        let trace = workload(200, 3);
-        let script = script_from_trace(&trace);
-        let cfg = SystemConfig::new(8);
-        let mut scripted = System::new(cfg.clone()).unwrap();
-        apply_script(&mut scripted, &script);
-        let mut adapter = tmc_baselines::two_mode_fixed(8, Mode::GlobalRead);
-        let cfg_match = tmc_core::SystemConfig::new(8);
-        assert_eq!(cfg, cfg_match, "fixture assumes default config");
-        crate::drive(&mut adapter, &trace);
-        assert_eq!(
-            scripted.protocol_fingerprint(),
-            adapter.inner().protocol_fingerprint()
-        );
-        assert_eq!(scripted.traffic(), adapter.inner().traffic());
-    }
-
-    #[test]
     fn sharded_matches_serial_bit_for_bit() {
         let cfg = SystemConfig::new(8);
         let trace = workload(600, 11);
-        let script = script_from_trace(&trace);
+        let script = from_trace(&trace);
         let mut serial = System::new(cfg.clone()).unwrap();
         serial.set_tracing(true);
         apply_script(&mut serial, &script);
@@ -571,7 +440,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_is_invisible_to_the_merge() {
         let cfg = SystemConfig::new(8);
-        let script = script_from_trace(&workload(400, 21));
+        let script = from_trace(&workload(400, 21));
         let mut serial = System::new(cfg.clone()).unwrap();
         serial.set_tracing(true);
         apply_script(&mut serial, &script);
@@ -596,15 +465,15 @@ mod tests {
     #[test]
     fn oracle_checking_passes_on_coherent_runs() {
         let cfg = SystemConfig::new(8);
-        let script = script_from_trace(&workload(300, 7));
-        let run = run(&cfg, &script, &ShardRunOptions::new(4, 2).check(true)).unwrap();
+        let script = from_trace(&workload(300, 7));
+        let run = run(&cfg, &script, &ShardRunOptions::new(4, 2)).unwrap();
         assert!(run.report.total_bits > 0);
     }
 
     #[test]
     fn capture_matches_serial_capture_byte_for_byte() {
         let cfg = SystemConfig::new(8);
-        let script = script_from_trace(&workload(250, 13));
+        let script = from_trace(&workload(250, 13));
         let serial =
             crate::tracecheck::capture(cfg.clone(), |sys| apply_script(sys, &script)).unwrap();
         let sharded = capture_sharded(&cfg, &script, 4, 2).unwrap();

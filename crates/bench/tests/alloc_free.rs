@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use tmc_baselines::{CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem, UpdateOnlySystem};
-use tmc_bench::shardsim::{apply_script, ShardOp};
+use tmc_bench::script::{apply_script, ScriptOp};
 use tmc_core::{System, SystemConfig};
 use tmc_memsys::{BlockAddr, BlockData, BlockSpec, BlockStore, CacheId, MainMemory, WordAddr};
 use tmc_omeganet::{CastCache, DestSet, Omega, SchemeKind, TrafficMatrix};
@@ -310,7 +310,7 @@ fn never_repeating_casts_are_allocation_free() {
 /// The protocol engine end to end at full machine scale: N = 1024 ports
 /// with each processor's stripe strided so the footprint spans the
 /// 2^21-block address space. After warmup materializes cache entries,
-/// directory pages and counter slots, a full `apply_script` pass —
+/// directory pages and counter slots, a full pass through `script::apply` —
 /// unicast routing through the 10-stage omega and per-message link and
 /// counter billing included — acquires heap memory exactly zero times.
 fn reference_pass_is_allocation_free() {
@@ -324,10 +324,10 @@ fn reference_pass_is_allocation_free() {
         |proc: u64, j: u64| WordAddr::new((proc * STRIDE + j) * spec.words_per_block() as u64);
 
     // Every processor first takes ownership of its own stripe.
-    let mut script: Vec<ShardOp> = Vec::new();
+    let mut script: Vec<ScriptOp> = Vec::new();
     for p in 0..N_PORTS as u64 {
         for j in 0..BLOCKS_PER_PROC {
-            script.push(ShardOp::Write {
+            script.push(ScriptOp::Write {
                 proc: p as usize,
                 addr: addr(p, j),
                 value: p ^ j,
@@ -343,11 +343,11 @@ fn reference_pass_is_allocation_free() {
     for p in 0..N_PORTS as u64 {
         let neighbour = (p + 1) % N_PORTS as u64;
         for j in 0..BLOCKS_PER_PROC {
-            script.push(ShardOp::Read {
+            script.push(ScriptOp::Read {
                 proc: p as usize,
                 addr: addr(neighbour, j),
             });
-            script.push(ShardOp::Write {
+            script.push(ScriptOp::Write {
                 proc: p as usize,
                 addr: addr(p, j),
                 value: p + j,

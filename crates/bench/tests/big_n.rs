@@ -6,6 +6,7 @@
 //! exercises page-granular recombination rather than per-entry hash-map
 //! moves.
 
+use tmc_bench::script;
 use tmc_bench::shardsim::{self, ShardRunOptions};
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_omeganet::SchemeKind;
@@ -30,18 +31,7 @@ fn invariants_hold_at_big_n() {
         ] {
             let mut sys = System::new(SystemConfig::new(n).mode_policy(policy)).expect("system");
             let trace = zipf_trace(n, 4000, 0xB16 ^ n as u64);
-            let mut stamp = 1;
-            for r in trace.iter() {
-                match r.op {
-                    tmc_workload::Op::Read => {
-                        sys.read(r.proc, r.addr).expect("read");
-                    }
-                    tmc_workload::Op::Write => {
-                        sys.write(r.proc, r.addr, stamp).expect("write");
-                        stamp += 1;
-                    }
-                }
-            }
+            script::apply_script(&mut sys, &script::from_trace(&trace));
             sys.check_invariants()
                 .unwrap_or_else(|e| panic!("N={n} {policy:?}: {e}"));
             assert!(sys.counters().get("msgs_total") > 0);
@@ -56,20 +46,18 @@ fn sharded_merge_is_bit_identical_at_n_256() {
         .multicast(SchemeKind::Combined)
         .mode_policy(ModePolicy::Adaptive { window: 16 });
     let trace = zipf_trace(n, 3000, 0x5AFE);
-    let script = shardsim::script_from_trace(&trace);
+    let script = script::from_trace(&trace);
 
     let mut serial = System::new(cfg.clone()).expect("serial system");
     serial.set_tracing(true);
-    shardsim::apply_script(&mut serial, &script);
+    script::apply_script(&mut serial, &script);
     let serial_events = serial.drain_trace();
 
     for shards in [2usize, 4, 8] {
         let got = shardsim::run(
             &cfg,
             &script,
-            &ShardRunOptions::new(shards, shards.min(4))
-                .tracing(true)
-                .check(true),
+            &ShardRunOptions::new(shards, shards.min(4)).tracing(true),
         )
         .unwrap_or_else(|e| panic!("N=256 K={shards}: sharded run failed: {e}"));
         assert_eq!(
@@ -99,9 +87,9 @@ fn sharded_capture_replays_at_n_256() {
     let n = 256;
     let cfg = SystemConfig::new(n).mode_policy(ModePolicy::Adaptive { window: 16 });
     let trace = zipf_trace(n, 1500, 0xCA7);
-    let script = shardsim::script_from_trace(&trace);
+    let script = script::from_trace(&trace);
     let jsonl = shardsim::capture_sharded(&cfg, &script, 8, 4).expect("capture");
-    let serial = tmc_bench::tracecheck::capture(cfg, |sys| shardsim::apply_script(sys, &script))
+    let serial = tmc_bench::tracecheck::capture(cfg, |sys| script::apply_script(sys, &script))
         .expect("serial capture");
     assert_eq!(jsonl, serial, "sharded capture must be byte-identical");
     tmc_bench::tracecheck::check(&jsonl).expect("replay");

@@ -11,7 +11,7 @@
 
 use std::process::Command;
 
-use tmc_bench::shardsim::{apply_script, script_from_trace};
+use tmc_bench::script::{apply_script, from_trace};
 use tmc_core::{CastStats, ModePolicy, System, SystemConfig};
 use tmc_simcore::SimRng;
 use tmc_workload::MultiTenantZipfWorkload;
@@ -31,7 +31,7 @@ fn run_stream() -> (CastStats, u64) {
     let cfg = SystemConfig::new(N_PORTS).mode_policy(ModePolicy::Adaptive { window: 64 });
     let mut sys = System::new(cfg).expect("valid config");
     assert_eq!(sys.cast_stats(), CastStats::default());
-    apply_script(&mut sys, &script_from_trace(&trace));
+    apply_script(&mut sys, &from_trace(&trace));
     let casts = [
         "updates_multicast",
         "owner_announce_multicast",

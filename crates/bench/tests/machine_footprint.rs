@@ -10,7 +10,7 @@
 //! itself.
 #![cfg(target_os = "linux")]
 
-use tmc_bench::shardsim::{apply_script, script_from_trace};
+use tmc_bench::script::{apply_script, from_trace};
 use tmc_core::{System, SystemConfig};
 use tmc_simcore::SimRng;
 use tmc_workload::MultiTenantZipfWorkload;
@@ -40,7 +40,7 @@ fn big_machine_costs_what_the_run_touches() {
         .blocks_per_tenant(32)
         .references(REFS)
         .generate(N_PORTS, &mut SimRng::seed_from(14));
-    let script = script_from_trace(&trace);
+    let script = from_trace(&trace);
 
     let before = resident_bytes();
     let mut sys = System::new(SystemConfig::new(N_PORTS)).expect("valid config");

@@ -4,7 +4,8 @@
 //! every multicast scheme, both fixed modes plus the adaptive policy, and
 //! explicit mode-switch storms.
 
-use tmc_bench::shardsim::{self, ShardOp, ShardRunOptions};
+use tmc_bench::script::{self, ScriptOp};
+use tmc_bench::shardsim::{self, ShardRunOptions};
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
@@ -54,10 +55,10 @@ fn workloads(seed: u64) -> Vec<Trace> {
 
 /// Interleaves explicit software mode directives into a script so sharding
 /// is exercised while blocks flip modes under it ("mode-switch storm").
-fn storm(script: &mut Vec<ShardOp>, rng: &mut SimRng) {
+fn storm(script: &mut Vec<ScriptOp>, rng: &mut SimRng) {
     let mut i = 5;
     while i < script.len() {
-        let (ShardOp::Read { proc, addr } | ShardOp::Write { proc, addr, .. }) = script[i] else {
+        let (ScriptOp::Read { proc, addr } | ScriptOp::Write { proc, addr, .. }) = script[i] else {
             i += 13;
             continue;
         };
@@ -66,24 +67,22 @@ fn storm(script: &mut Vec<ShardOp>, rng: &mut SimRng) {
         } else {
             Mode::GlobalRead
         };
-        script.insert(i, ShardOp::SetMode { proc, addr, mode });
+        script.insert(i, ScriptOp::SetMode { proc, addr, mode });
         i += 13;
     }
 }
 
-fn assert_identical(cfg: &SystemConfig, script: &[ShardOp], label: &str) {
+fn assert_identical(cfg: &SystemConfig, script: &[ScriptOp], label: &str) {
     let mut serial = System::new(cfg.clone()).expect("serial system");
     serial.set_tracing(true);
-    shardsim::apply_script(&mut serial, script);
+    script::apply_script(&mut serial, script);
     let serial_events = serial.drain_trace();
 
     for (shards, threads) in [(2, 2), (4, 4), (8, 2)] {
         let got = shardsim::run(
             cfg,
             script,
-            &ShardRunOptions::new(shards, threads)
-                .tracing(true)
-                .check(true),
+            &ShardRunOptions::new(shards, threads).tracing(true),
         )
         .unwrap_or_else(|e| panic!("{label}: sharded run failed: {e}"));
         assert_eq!(
@@ -113,7 +112,7 @@ fn assert_identical(cfg: &SystemConfig, script: &[ShardOp], label: &str) {
 fn sharded_matches_serial_across_schemes_policies_and_workloads() {
     for cfg in configs() {
         for (w, trace) in workloads(0xC0FFEE).into_iter().enumerate() {
-            let script = shardsim::script_from_trace(&trace);
+            let script = script::from_trace(&trace);
             assert_identical(&cfg, &script, &format!("cfg {cfg:?} workload {w}"));
         }
     }
@@ -128,7 +127,7 @@ fn sharded_matches_serial_under_mode_switch_storms() {
     ] {
         let cfg = SystemConfig::new(N_PROCS).mode_policy(policy);
         for trace in workloads(0xD15EA5E) {
-            let mut script = shardsim::script_from_trace(&trace);
+            let mut script = script::from_trace(&trace);
             storm(&mut script, &mut rng);
             assert_identical(&cfg, &script, &format!("storm {policy:?}"));
         }
@@ -141,9 +140,9 @@ fn sharded_capture_replays_through_tracecheck() {
     let trace = SharedBlockWorkload::new(4, 24, 0.4)
         .references(500)
         .generate(N_PROCS, &mut SimRng::seed_from(77));
-    let script = shardsim::script_from_trace(&trace);
+    let script = script::from_trace(&trace);
     let jsonl = shardsim::capture_sharded(&cfg, &script, 8, 4).expect("capture");
-    let serial = tmc_bench::tracecheck::capture(cfg, |sys| shardsim::apply_script(sys, &script))
+    let serial = tmc_bench::tracecheck::capture(cfg, |sys| script::apply_script(sys, &script))
         .expect("serial capture");
     assert_eq!(jsonl, serial, "sharded capture must be byte-identical");
     tmc_bench::tracecheck::check(&jsonl).expect("replay");

@@ -4,13 +4,14 @@
 //! and the reader's promise to answer any input with a typed error rather
 //! than a panic.
 
+use tmc_bench::script::{apply_script, from_trace};
 use tmc_bench::tracecheck::{capture, check, config_from, header_for, roundtrip};
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::WordAddr;
 use tmc_obs::{fnv1a64, TraceReader};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
-use tmc_workload::{Op, Placement, SharedBlockWorkload, Trace};
+use tmc_workload::{Placement, SharedBlockWorkload, Trace};
 
 fn workload(seed: u64, refs: usize) -> Trace {
     SharedBlockWorkload::new(4, 8, 0.3)
@@ -20,18 +21,7 @@ fn workload(seed: u64, refs: usize) -> Trace {
 }
 
 fn drive(sys: &mut System, trace: &Trace) {
-    let mut stamp = 1u64;
-    for r in trace.iter() {
-        match r.op {
-            Op::Read => {
-                sys.read(r.proc, r.addr).unwrap();
-            }
-            Op::Write => {
-                sys.write(r.proc, r.addr, stamp).unwrap();
-                stamp += 1;
-            }
-        }
-    }
+    apply_script(sys, &from_trace(trace));
 }
 
 #[test]

@@ -3,25 +3,18 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors surfaced by fault-plan validation and fault-aware engines.
+/// Errors surfaced by fault-plan validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultError {
     /// A [`crate::FaultSpec`] field combination that cannot produce a
     /// well-defined schedule.
     BadSpec(String),
-    /// Fault injection was requested from an engine that cannot honor its
-    /// determinism contract under faults (e.g. the block-sharded parallel
-    /// engine, whose shards share no global op order).
-    Unsupported(String),
 }
 
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultError::BadSpec(why) => write!(f, "invalid fault spec: {why}"),
-            FaultError::Unsupported(what) => {
-                write!(f, "fault injection not supported here: {what}")
-            }
         }
     }
 }
@@ -36,7 +29,5 @@ mod tests {
     fn display_is_informative() {
         let e = FaultError::BadSpec("zero horizon".into());
         assert!(e.to_string().contains("zero horizon"));
-        let e = FaultError::Unsupported("sharded runs".into());
-        assert!(e.to_string().contains("sharded runs"));
     }
 }

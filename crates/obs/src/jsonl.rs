@@ -50,14 +50,23 @@ use tmc_memsys::{BlockAddr, WordAddr};
 /// Current trace-format version; bumped on incompatible encoding changes.
 pub const TRACE_VERSION: u64 = 1;
 
-/// FNV-1a hash of `bytes`, used to pin protocol fingerprints in trailers.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit offset basis: the hash of no bytes, where a
+/// streaming [`fnv1a64_fold`] starts.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a state `h`; folding chunks in turn
+/// from [`FNV1A64_OFFSET`] equals [`fnv1a64`] of their concatenation.
+pub fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a hash of `bytes`, used to pin protocol fingerprints in trailers.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_fold(FNV1A64_OFFSET, bytes)
 }
 
 /// The first record of a trace: the run configuration.
@@ -1247,5 +1256,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a64_fold(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 }

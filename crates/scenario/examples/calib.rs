@@ -8,11 +8,12 @@
 //! cargo run --release -p tmc-scenario --example calib
 //! ```
 
+use tmc_bench::script::{apply, from_trace};
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::MsgSizing;
 use tmc_omeganet::{DestSet, Omega, SchemeKind};
 use tmc_simcore::SimRng;
-use tmc_workload::{Op, Placement, SharedBlockWorkload};
+use tmc_workload::{Placement, SharedBlockWorkload};
 
 fn main() {
     let sizing = MsgSizing::default();
@@ -29,26 +30,18 @@ fn main() {
                         .references(warmup + refs)
                         .placement(Placement::Adjacent { base: 0 })
                         .generate(big_n, &mut SimRng::seed_from(42));
+                    let script = from_trace(&trace);
                     let measure = |mode: Mode| -> f64 {
                         let cfg = SystemConfig::new(big_n)
                             .multicast(scheme)
                             .mode_policy(ModePolicy::Fixed(mode));
                         let mut sys = System::new(cfg).unwrap();
-                        let mut stamp = 1u64;
                         let mut base = 0u64;
-                        for (i, r) in trace.iter().enumerate() {
+                        for (i, op) in script.iter().enumerate() {
                             if i == warmup {
                                 base = sys.traffic().total_bits();
                             }
-                            match r.op {
-                                Op::Read => {
-                                    sys.read(r.proc, r.addr).unwrap();
-                                }
-                                Op::Write => {
-                                    sys.write(r.proc, r.addr, stamp).unwrap();
-                                    stamp += 1;
-                                }
-                            }
+                            apply(&mut sys, op).unwrap();
                         }
                         (sys.traffic().total_bits() - base) as f64 / refs as f64
                     };

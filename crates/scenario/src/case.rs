@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::spec::{Analytic, Faults, Scenario};
-use tmc_bench::shardsim::ShardOp;
+use tmc_bench::script::ScriptOp;
 use tmc_core::{ModePolicy, SystemConfig};
 use tmc_memsys::{BlockSpec, CacheGeometry};
 use tmc_omeganet::SchemeKind;
@@ -63,7 +63,7 @@ pub struct CaseSpec {
     /// Steady-state probe for the analytic pair, when applicable.
     pub analytic: Option<AnalyticProbe>,
     /// The op script every value-level engine executes.
-    pub ops: Vec<ShardOp>,
+    pub ops: Vec<ScriptOp>,
 }
 
 impl CaseSpec {
@@ -205,16 +205,16 @@ mod tests {
                 warmup: 100,
             }),
             ops: vec![
-                ShardOp::Write {
+                ScriptOp::Write {
                     proc: 0,
                     addr: WordAddr::new(12),
                     value: 1,
                 },
-                ShardOp::Read {
+                ScriptOp::Read {
                     proc: 3,
                     addr: WordAddr::new(12),
                 },
-                ShardOp::SetMode {
+                ScriptOp::SetMode {
                     proc: 0,
                     addr: WordAddr::new(12),
                     mode: Mode::DistributedWrite,

@@ -8,7 +8,7 @@
 //! storm mode switches, and scripts salted with explicit §2.2 mode
 //! directives mid-stream.
 
-use tmc_bench::shardsim::{script_from_trace, ShardOp};
+use tmc_bench::script::{from_trace, ScriptOp};
 use tmc_core::{Mode, ModePolicy};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
@@ -73,7 +73,7 @@ pub fn generate_case_with(seed: u64, profile: GenProfile) -> CaseSpec {
     let shards = *rng.choose(&[2usize, 4, 8]).unwrap();
 
     let trace = random_trace(&mut rng, n_caches, profile);
-    let mut ops = script_from_trace(&trace);
+    let mut ops = from_trace(&trace);
     sprinkle_mode_directives(&mut rng, &mut ops, n_caches);
 
     let analytic = match policy {
@@ -159,7 +159,7 @@ fn random_trace(rng: &mut SimRng, n_procs: usize, profile: GenProfile) -> Trace 
 }
 
 /// Inserts explicit mode directives at random points of the script.
-fn sprinkle_mode_directives(rng: &mut SimRng, ops: &mut Vec<ShardOp>, n_procs: usize) {
+fn sprinkle_mode_directives(rng: &mut SimRng, ops: &mut Vec<ScriptOp>, n_procs: usize) {
     if ops.is_empty() || !rng.gen_bool(0.7) {
         return;
     }
@@ -173,7 +173,7 @@ fn sprinkle_mode_directives(rng: &mut SimRng, ops: &mut Vec<ShardOp>, n_procs: u
         } else {
             Mode::GlobalRead
         };
-        ops.insert(at, ShardOp::SetMode { proc, addr, mode });
+        ops.insert(at, ScriptOp::SetMode { proc, addr, mode });
     }
 }
 
@@ -221,9 +221,9 @@ mod tests {
             let c = generate_case_with(seed, GenProfile::BigN);
             for op in &c.ops {
                 let proc = match *op {
-                    ShardOp::Read { proc, .. }
-                    | ShardOp::Write { proc, .. }
-                    | ShardOp::SetMode { proc, .. } => proc,
+                    ScriptOp::Read { proc, .. }
+                    | ScriptOp::Write { proc, .. }
+                    | ScriptOp::SetMode { proc, .. } => proc,
                 };
                 assert!(proc < c.n_caches, "seed {seed}: proc {proc} out of range");
             }
@@ -236,9 +236,9 @@ mod tests {
             let c = generate_case(seed);
             for op in &c.ops {
                 let proc = match *op {
-                    ShardOp::Read { proc, .. }
-                    | ShardOp::Write { proc, .. }
-                    | ShardOp::SetMode { proc, .. } => proc,
+                    ScriptOp::Read { proc, .. }
+                    | ScriptOp::Write { proc, .. }
+                    | ScriptOp::SetMode { proc, .. } => proc,
                 };
                 assert!(proc < c.n_caches, "seed {seed}: proc {proc} out of range");
             }

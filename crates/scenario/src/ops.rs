@@ -3,10 +3,10 @@
 //! Order is contractual: per-block `[modes]` directives first (issued by
 //! processor 0), then the explicit `[ops]` script, then the generated
 //! `[workload]` trace with the standard `1, 2, 3, …` write-stamp values
-//! ([`tmc_bench::shardsim::script_from_trace`]). The same scenario text
+//! ([`tmc_bench::script::from_trace`]). The same scenario text
 //! therefore always produces the same script, byte for byte.
 
-use tmc_bench::shardsim::{script_from_trace, ShardOp};
+use tmc_bench::script::{from_trace, ScriptOp};
 use tmc_memsys::BlockAddr;
 use tmc_simcore::SimRng;
 use tmc_workload::{
@@ -64,11 +64,11 @@ fn build_trace(w: &Workload, n_procs: usize, rng: &mut SimRng) -> Trace {
 
 /// Materializes the full op script: mode directives, explicit ops, then
 /// the generated workload.
-pub fn materialize(sc: &Scenario) -> Vec<ShardOp> {
+pub fn materialize(sc: &Scenario) -> Vec<ScriptOp> {
     let spec = sc.machine.block_spec();
     let mut ops = Vec::new();
     for d in &sc.modes {
-        ops.push(ShardOp::SetMode {
+        ops.push(ScriptOp::SetMode {
             proc: 0,
             addr: spec.word_at(BlockAddr::new(d.block), 0),
             mode: d.mode,
@@ -76,7 +76,7 @@ pub fn materialize(sc: &Scenario) -> Vec<ShardOp> {
     }
     ops.extend(sc.ops.iter().copied());
     if sc.workload.is_some() {
-        ops.extend(script_from_trace(&workload_trace(sc)));
+        ops.extend(from_trace(&workload_trace(sc)));
     }
     ops
 }
@@ -103,7 +103,7 @@ mod tests {
         let b = materialize(&sc);
         assert_eq!(a, b);
         assert_eq!(a.len(), 101);
-        assert!(matches!(a[0], ShardOp::SetMode { .. }));
+        assert!(matches!(a[0], ScriptOp::SetMode { .. }));
     }
 
     #[test]

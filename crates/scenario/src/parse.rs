@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use tmc_bench::shardsim::ShardOp;
+use tmc_bench::script::ScriptOp;
 use tmc_bench::tracecheck::{parse_policy, parse_scheme_kind};
 use tmc_core::ModePolicy;
 use tmc_memsys::WordAddr;
@@ -254,9 +254,9 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     }
     for (op, at) in sc.ops.iter().zip(&op_ats) {
         let proc = match *op {
-            ShardOp::Read { proc, .. }
-            | ShardOp::Write { proc, .. }
-            | ShardOp::SetMode { proc, .. } => proc,
+            ScriptOp::Read { proc, .. }
+            | ScriptOp::Write { proc, .. }
+            | ScriptOp::SetMode { proc, .. } => proc,
         };
         if proc >= sc.machine.n_caches {
             return err(
@@ -580,18 +580,18 @@ fn parse_ops_key(sc: &mut Scenario, p: &Pair<'_>) -> Result<(), ParseError> {
         return unknown_key(p, "ops");
     }
     let f: Vec<&str> = p.val.split_whitespace().collect();
-    let op = (|| -> Option<ShardOp> {
+    let op = (|| -> Option<ScriptOp> {
         match f[..] {
-            ["R", proc, addr] => Some(ShardOp::Read {
+            ["R", proc, addr] => Some(ScriptOp::Read {
                 proc: proc.parse().ok()?,
                 addr: WordAddr::new(addr.parse().ok()?),
             }),
-            ["W", proc, addr, value] => Some(ShardOp::Write {
+            ["W", proc, addr, value] => Some(ScriptOp::Write {
                 proc: proc.parse().ok()?,
                 addr: WordAddr::new(addr.parse().ok()?),
                 value: value.parse().ok()?,
             }),
-            ["M", proc, addr, mode] => Some(ShardOp::SetMode {
+            ["M", proc, addr, mode] => Some(ScriptOp::SetMode {
                 proc: proc.parse().ok()?,
                 addr: WordAddr::new(addr.parse().ok()?),
                 mode: parse_mode(mode)?,
@@ -674,7 +674,7 @@ mod tests {
             block: 7,
             mode: Mode::DistributedWrite,
         });
-        sc.ops.push(ShardOp::Write {
+        sc.ops.push(ScriptOp::Write {
             proc: 3,
             addr: WordAddr::new(44),
             value: 9,

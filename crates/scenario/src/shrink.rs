@@ -9,7 +9,7 @@
 //! [`MAX_CHECKS`] predicate evaluations — so a pathological case cannot
 //! hang the fuzzer.
 
-use tmc_bench::shardsim::ShardOp;
+use tmc_bench::script::ScriptOp;
 
 use crate::case::CaseSpec;
 use crate::pairs::{check_pair, Pair};
@@ -40,9 +40,9 @@ pub fn shrink(case: &CaseSpec, pair: Pair) -> CaseSpec {
             c.config().spec.block_of(op.addr()).index()
         });
         shrink_by_key(&mut best, &mut fails, |_, op| match *op {
-            ShardOp::Read { proc, .. }
-            | ShardOp::Write { proc, .. }
-            | ShardOp::SetMode { proc, .. } => proc as u64,
+            ScriptOp::Read { proc, .. }
+            | ScriptOp::Write { proc, .. }
+            | ScriptOp::SetMode { proc, .. } => proc as u64,
         });
         if best.ops.len() >= before || budget.get() == 0 {
             break;
@@ -78,7 +78,7 @@ fn shrink_chunks(best: &mut CaseSpec, fails: &mut impl FnMut(&CaseSpec) -> bool)
 fn shrink_by_key(
     best: &mut CaseSpec,
     fails: &mut impl FnMut(&CaseSpec) -> bool,
-    key: impl Fn(&CaseSpec, &ShardOp) -> u64,
+    key: impl Fn(&CaseSpec, &ScriptOp) -> u64,
 ) {
     let mut keys: Vec<u64> = best.ops.iter().map(|op| key(best, op)).collect();
     keys.sort_unstable();
@@ -126,7 +126,7 @@ mod tests {
         let mut case = generate_case(3);
         // Culprit: the single write of value 77.
         case.ops = (0..40)
-            .map(|i| ShardOp::Write {
+            .map(|i| ScriptOp::Write {
                 proc: 0,
                 addr: WordAddr::new(i % 7),
                 value: if i == 23 { 77 } else { i },
@@ -135,7 +135,7 @@ mod tests {
         let mut fails = |c: &CaseSpec| {
             c.ops
                 .iter()
-                .any(|op| matches!(op, ShardOp::Write { value: 77, .. }))
+                .any(|op| matches!(op, ScriptOp::Write { value: 77, .. }))
         };
         shrink_chunks(&mut case, &mut fails);
         assert_eq!(case.ops.len(), 1, "minimized to the culprit op");
@@ -146,17 +146,17 @@ mod tests {
     fn block_dropping_removes_innocent_blocks() {
         let mut case = generate_case(4);
         case.ops = vec![
-            ShardOp::Write {
+            ScriptOp::Write {
                 proc: 0,
                 addr: WordAddr::new(0),
                 value: 1,
             },
-            ShardOp::Write {
+            ScriptOp::Write {
                 proc: 1,
                 addr: WordAddr::new(64),
                 value: 2,
             },
-            ShardOp::Read {
+            ScriptOp::Read {
                 proc: 1,
                 addr: WordAddr::new(0),
             },
@@ -164,7 +164,7 @@ mod tests {
         let mut fails = |c: &CaseSpec| {
             c.ops
                 .iter()
-                .any(|op| op.addr() == WordAddr::new(0) && matches!(op, ShardOp::Read { .. }))
+                .any(|op| op.addr() == WordAddr::new(0) && matches!(op, ScriptOp::Read { .. }))
         };
         shrink_by_key(&mut case, &mut fails, |c, op| {
             c.config().spec.block_of(op.addr()).index()

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use tmc_bench::shardsim::ShardOp;
+use tmc_bench::script::ScriptOp;
 use tmc_bench::tracecheck::{policy_str, scheme_kind_str};
 use tmc_core::{Mode, ModePolicy, SystemConfig};
 use tmc_faults::{FaultSpec, RetryPolicy};
@@ -383,7 +383,7 @@ pub struct Scenario {
     /// Periodic crash-recovery checkpointing, if requested.
     pub checkpoint: Option<Checkpoint>,
     /// Explicit op script, run after mode directives, before the workload.
-    pub ops: Vec<ShardOp>,
+    pub ops: Vec<ScriptOp>,
     /// Golden expectations.
     pub expect: Expect,
 }
@@ -536,13 +536,13 @@ impl Scenario {
             let _ = writeln!(s, "\n[ops]");
             for op in &self.ops {
                 match *op {
-                    ShardOp::Read { proc, addr } => {
+                    ScriptOp::Read { proc, addr } => {
                         let _ = writeln!(s, "op = R {proc} {}", addr.value());
                     }
-                    ShardOp::Write { proc, addr, value } => {
+                    ScriptOp::Write { proc, addr, value } => {
                         let _ = writeln!(s, "op = W {proc} {} {value}", addr.value());
                     }
-                    ShardOp::SetMode { proc, addr, mode } => {
+                    ScriptOp::SetMode { proc, addr, mode } => {
                         let _ = writeln!(s, "op = M {proc} {} {}", addr.value(), mode_str(mode));
                     }
                 }

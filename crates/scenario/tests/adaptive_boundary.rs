@@ -4,7 +4,8 @@
 //! exist — otherwise the pair's documentation would be describing a
 //! phantom.
 
-use tmc_bench::shardsim::{capture_sharded, run, ShardOp, ShardRunOptions};
+use tmc_bench::script::{apply_script, ScriptOp};
+use tmc_bench::shardsim::{capture_sharded, run, ShardRunOptions};
 use tmc_bench::tracecheck;
 use tmc_core::{Mode, ModePolicy};
 use tmc_memsys::WordAddr;
@@ -20,12 +21,12 @@ fn storm_case(seed: u64) -> CaseSpec {
         let proc = (i % 8) as usize;
         let addr = WordAddr::new((i * 5) % 24);
         match i % 6 {
-            0 | 1 => ops.push(ShardOp::Write {
+            0 | 1 => ops.push(ScriptOp::Write {
                 proc,
                 addr,
                 value: i + 1,
             }),
-            5 => ops.push(ShardOp::SetMode {
+            5 => ops.push(ScriptOp::SetMode {
                 proc,
                 addr,
                 mode: if i % 12 == 5 {
@@ -34,7 +35,7 @@ fn storm_case(seed: u64) -> CaseSpec {
                     Mode::DistributedWrite
                 },
             }),
-            _ => ops.push(ShardOp::Read { proc, addr }),
+            _ => ops.push(ScriptOp::Read { proc, addr }),
         }
     }
     CaseSpec {
@@ -63,17 +64,13 @@ fn switch_storm_is_shard_invariant() {
     let cfg = case.config();
     let serial = run_serial(cfg.clone(), &case.ops, false).expect("serial run");
     let serial_jsonl = tracecheck::capture(cfg.clone(), |sys| {
-        tmc_bench::shardsim::apply_script(sys, &case.ops);
+        apply_script(sys, &case.ops);
     })
     .expect("capturable");
     let mut switched = false;
     for shards in [2usize, 4, 8] {
-        let sharded = run(
-            &cfg,
-            &case.ops,
-            &ShardRunOptions::new(shards, 2).check(true),
-        )
-        .unwrap_or_else(|e| panic!("K={shards}: {e}"));
+        let sharded = run(&cfg, &case.ops, &ShardRunOptions::new(shards, 2))
+            .unwrap_or_else(|e| panic!("K={shards}: {e}"));
         assert_eq!(
             sharded.system.protocol_fingerprint(),
             serial.fingerprint,

@@ -10,7 +10,7 @@
 //! `actual` listing the failure prints only after the scenario goldens
 //! and `crates/core/tests/protocol.rs` explain why the stream moved.
 
-use tmc_bench::shardsim::{apply_script, script_from_trace};
+use tmc_bench::script::{apply_script, from_trace};
 use tmc_bench::tracecheck::capture;
 use tmc_core::{ModePolicy, SystemConfig};
 use tmc_obs::fnv1a64;
@@ -55,7 +55,7 @@ fn zipf_trace() -> String {
         .blocks_per_tenant(1024)
         .references(50_000)
         .generate(n, &mut SimRng::seed_from(11));
-    let ops = script_from_trace(&trace);
+    let ops = from_trace(&trace);
     let cfg = SystemConfig::new(n).mode_policy(ModePolicy::Adaptive { window: 64 });
     capture(cfg, |sys| apply_script(sys, &ops)).unwrap()
 }

@@ -2,7 +2,7 @@
 //! pin the FNV-1a trailer against an independent recomputation, and
 //! prove decode → re-encode reproduces the capture byte for byte.
 
-use tmc_bench::shardsim::apply_script;
+use tmc_bench::script::apply_script;
 use tmc_bench::tracecheck::capture;
 use tmc_core::System;
 use tmc_obs::jsonl::{encode_record, fnv1a64, parse_record, TraceRecord};
