@@ -54,11 +54,6 @@ impl TwoModeAdapter {
     pub fn inner_mut(&mut self) -> &mut System {
         &mut self.inner
     }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> System {
-        self.inner
-    }
 }
 
 /// The two-mode protocol pinned to a single mode for every block.

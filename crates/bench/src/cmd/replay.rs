@@ -5,16 +5,14 @@
 //!
 //! ```text
 //! tmc replay TRACE_FILE [PROTOCOL] [--trace-out FILE]
-//! tmc replay TRACE_FILE all [--threads N] [--shards K]
+//! tmc replay TRACE_FILE all [--threads N]
 //!   PROTOCOL  no-cache | dir | update | dw | gr | adaptive | all
 //!             (default: adaptive; `all` compares every protocol)
 //! ```
 //!
 //! With `--trace-out FILE` and a two-mode protocol (`dw`, `gr` or
 //! `adaptive`), the run is additionally captured as a replayable JSONL
-//! protocol trace (check it with `tmc trace check FILE`). With
-//! `--shards K`, the two-mode rows of `all` replay on the block-sharded
-//! engine — bit-identical traffic, several cores per row.
+//! protocol trace (check it with `tmc trace check FILE`).
 
 use std::path::{Path, PathBuf};
 
@@ -22,12 +20,10 @@ use tmc_core::{ModePolicy, SystemConfig};
 use tmc_workload::{parse_trace, Trace};
 
 use crate::args::{Args, CliError};
-use crate::{
-    build_protocol, drive, script, shardsim, sweep, tracecheck, two_mode_policy, Table, PROTOCOLS,
-};
+use crate::{build_protocol, drive, script, sweep, tracecheck, two_mode_policy, Table, PROTOCOLS};
 
 const USAGE: &str = "usage: tmc replay TRACE_FILE [no-cache|dir|update|dw|gr|adaptive|all] \
-                     [--threads N] [--shards K] [--trace-out FILE]";
+                     [--threads N] [--trace-out FILE]";
 
 /// Runs `tmc replay`.
 ///
@@ -37,7 +33,6 @@ const USAGE: &str = "usage: tmc replay TRACE_FILE [no-cache|dir|update|dw|gr|ada
 /// read or parsed, or the protocol trace cannot be written.
 pub fn run(mut args: Args) -> Result<(), CliError> {
     let threads = sweep::threads(&mut args)?;
-    let shards: Option<usize> = args.value("--shards")?;
     let trace_out: Option<PathBuf> = args.value("--trace-out")?;
     let path: Option<String> = args.positional("trace file")?;
     let protocol: String = args
@@ -50,9 +45,6 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
         return Err(CliError::Usage(format!(
             "unknown protocol {protocol}\n{USAGE}"
         )));
-    }
-    if shards.is_some() && !all {
-        return Err(CliError::Usage("--shards applies to `all` only".into()));
     }
     let policy = two_mode_policy(&protocol);
     if trace_out.is_some() && policy.is_none() {
@@ -70,7 +62,7 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     println!("write frac : {:.3}", trace.write_fraction());
 
     if all {
-        replay_all(&trace, n_procs, threads, shards.unwrap_or(0));
+        replay_all(&trace, n_procs, threads);
         return Ok(());
     }
     let mut sys = build_protocol(&protocol, n_procs).expect("known protocol");
@@ -87,21 +79,10 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn replay_all(trace: &Trace, n_procs: usize, threads: usize, shards: usize) {
-    if shards > 0 {
-        println!("sharded    : two-mode rows run block-sharded ({shards} shards requested)");
-    }
+fn replay_all(trace: &Trace, n_procs: usize, threads: usize) {
     let rows = sweep::map(threads, PROTOCOLS.to_vec(), |p| {
         let mut sys = build_protocol(p, n_procs).expect("known protocol");
-        let report = match two_mode_policy(p).filter(|_| shards > 0) {
-            Some(policy) => {
-                let cfg = SystemConfig::new(n_procs).mode_policy(policy);
-                shardsim::drive_sharded(&cfg, trace, shards, 0)
-                    .expect("default two-mode configs are shardable")
-                    .0
-            }
-            None => drive(sys.as_mut(), trace),
-        };
+        let report = drive(sys.as_mut(), trace);
         (sys.name().to_string(), report)
     });
     let mut t = Table::new(vec![

@@ -14,7 +14,6 @@
 pub mod args;
 pub mod paper;
 pub mod script;
-pub mod shardsim;
 pub mod sweep;
 pub mod tracecheck;
 

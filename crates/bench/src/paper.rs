@@ -3,12 +3,10 @@
 //!
 //! ```text
 //! tmc paper <name> [--threads N]          one output; N sweep workers
-//! tmc paper sim-fig8 [--shards K]         two-mode cells block-sharded
 //! ```
 //!
 //! Output is identical for every `--threads` value except the thread
-//! count `sim-fig8` prints in its header; `--shards` adds one line to
-//! `sim-fig8` and changes nothing else.
+//! count `sim-fig8` prints in its header.
 
 use crate::args::{Args, CliError};
 use crate::sweep;
@@ -55,21 +53,17 @@ pub const NAMES: [&str; 15] = [
 /// A usage error for a missing or unknown name or a bad flag.
 pub fn run(mut args: Args) -> Result<(), CliError> {
     let threads = sweep::threads(&mut args)?;
-    let shards: Option<usize> = args.value("--shards")?;
     let name: Option<String> = args.positional("name")?;
     args.finish()?;
     let usage = || CliError::Usage(format!("usage: tmc paper <{}>", NAMES.join("|")));
     let name = name.ok_or_else(usage)?;
-    if shards.is_some() && name != "sim-fig8" {
-        return Err(CliError::Usage("--shards applies to sim-fig8 only".into()));
-    }
     match name.as_str() {
         "fig3" => fig3::run(),
         "fig5" => fig5::run(threads),
         "fig6" => fig6::run(threads),
         "fig7" => fig7::run(threads),
         "fig8" => fig8::run(threads),
-        "sim-fig8" => sim_fig8::run(threads, shards.unwrap_or(0)),
+        "sim-fig8" => sim_fig8::run(threads),
         "table1" => table1::run(),
         "table2" => table2::run(),
         "table3" => table3::run(),

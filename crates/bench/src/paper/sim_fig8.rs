@@ -14,13 +14,10 @@
 //! directory-invalidate (write-once-equivalent) baseline peaks in the
 //! middle (the w(1−w) hump); no-cache is the 2−w reference line.
 
-use tmc_core::SystemConfig;
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
 
-use crate::script;
-use crate::shardsim::{self, ShardRunOptions};
-use crate::{build_protocol, drive_steady_state_checked, sweep, two_mode_policy, Table, PROTOCOLS};
+use crate::{build_protocol, drive_steady_state_checked, sweep, Table, PROTOCOLS};
 
 const N_PROCS: usize = 16;
 const N_TASKS: usize = 8;
@@ -43,31 +40,16 @@ const SYSTEMS: [&str; 6] = [
 /// value-checked against the sequential-consistency oracle, so the
 /// published numbers come from verified-correct runs (the checked drive
 /// writes the same stamp sequence, keeping traffic bit-identical).
-///
-/// With `shards > 0`, the two-mode cells run on the block-sharded engine
-/// instead — same oracle checking, bit-identical traffic — so one cell can
-/// use several cores.
-fn run_cell(w: f64, seed: u64, protocol: &str, shards: usize) -> f64 {
+fn run_cell(w: f64, seed: u64, protocol: &str) -> f64 {
     let trace = SharedBlockWorkload::new(N_TASKS, N_BLOCKS, w)
         .references(REFS)
         .placement(Placement::Adjacent { base: 0 })
         .generate(N_PROCS, &mut SimRng::seed_from(seed));
-    if shards > 0 {
-        if let Some(policy) = two_mode_policy(protocol) {
-            let cfg = SystemConfig::new(N_PROCS).mode_policy(policy);
-            let script = script::from_trace(&trace);
-            let opts = ShardRunOptions::new(shards, 0).warmup(WARMUP);
-            return shardsim::run(&cfg, &script, &opts)
-                .expect("default two-mode configs are shardable")
-                .report
-                .bits_per_ref;
-        }
-    }
     let mut sys = build_protocol(protocol, N_PROCS).expect("known protocol");
     drive_steady_state_checked(sys.as_mut(), &trace, WARMUP).bits_per_ref
 }
 
-pub fn run(threads: usize, shards: usize) {
+pub fn run(threads: usize) {
     let ws = [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9];
     let mut headers: Vec<String> = vec!["w".into()];
     headers.extend(SYSTEMS.iter().map(|s| s.to_string()));
@@ -78,16 +60,13 @@ pub fn run(threads: usize, shards: usize) {
          {N_BLOCKS} blocks, {REFS} refs ({WARMUP} warm-up), bits/reference \
          ({threads} sweep threads):"
     );
-    if shards > 0 {
-        println!("Two-mode cells run block-sharded ({shards} shards requested).");
-    }
 
     let cells: Vec<(f64, u64, &str)> = ws
         .iter()
         .enumerate()
         .flat_map(|(i, &w)| PROTOCOLS.map(move |p| (w, 1000 + i as u64, p)))
         .collect();
-    let bits = sweep::map(threads, cells, |(w, seed, p)| run_cell(w, seed, p, shards));
+    let bits = sweep::map(threads, cells, |(w, seed, p)| run_cell(w, seed, p));
 
     for (i, &w) in ws.iter().enumerate() {
         let row = &bits[i * SYSTEMS.len()..(i + 1) * SYSTEMS.len()];

@@ -55,9 +55,8 @@ use tmc_workload::{Op, Trace};
 const FRAME_VERSION: u32 = 1;
 
 /// One scripted reference with every operand precomputed — the issuing
-/// processor, the word address, and (for writes) the value — so any
-/// engine, serial or sharded, replays it without seeing the rest of the
-/// script.
+/// processor, the word address, and (for writes) the value — so a run
+/// resumed from any frame replays it without seeing the ops before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScriptOp {
     /// Processor `proc` reads `addr`.

@@ -29,28 +29,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tmc_core::SystemConfig;
-
 use crate::args::{Args, CliError};
-
-/// Admission check for a figure-sweep cell configuration.
-///
-/// The figure commands reproduce the paper's *fault-free steady-state*
-/// cost models, so a cell must not enable features that would perturb the
-/// published numbers or break run-to-run comparability: fault injection
-/// perturbs traffic.
-/// Rejecting here, before the sweep fans out, turns a misconfigured grid
-/// into one clear error instead of thousands of skewed cells.
-pub fn check_cell_config(cfg: &SystemConfig) -> Result<(), String> {
-    if cfg.faults.is_some() {
-        return Err(
-            "figure sweeps are fault-free: fault injection would perturb the published \
-             traffic figures; run fault campaigns via the chaos harness instead"
-                .into(),
-        );
-    }
-    Ok(())
-}
 
 /// Claims `--threads N` (N ≥ 1): the worker count a sweep uses. Without
 /// the flag, one worker per available core.
@@ -199,13 +178,6 @@ mod tests {
         ] {
             assert!(matches!(parse(bad), Err(CliError::Usage(_))), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn cell_config_admission() {
-        assert!(check_cell_config(&SystemConfig::new(8)).is_ok());
-        let faulty = SystemConfig::new(8).faults(tmc_core::FaultSpec::new(1));
-        assert!(check_cell_config(&faulty).unwrap_err().contains("fault"));
     }
 
     #[test]

@@ -294,16 +294,6 @@ impl System {
         })
     }
 
-    /// Blocks currently degraded to memory-direct (uncacheable) service.
-    pub fn degraded_blocks(&self) -> usize {
-        self.faults.as_ref().map_or(0, |f| f.degraded.len())
-    }
-
-    /// Caches currently quarantined (emptied and bypassed).
-    pub fn quarantined_caches(&self) -> usize {
-        self.faults.as_ref().map_or(0, |f| f.quarantined.len())
-    }
-
     /// True when no outage, stall, degradation, quarantine or pending
     /// message fault is active — every fault injected so far has been fully
     /// recovered from. Vacuously true for a fault-free machine. The chaos
@@ -360,45 +350,6 @@ impl System {
             out.extend_from_slice(&owner.0.to_le_bytes());
         }
         out
-    }
-
-    /// Absorbs the protocol state and statistics of `shard` — a machine
-    /// that simulated a disjoint slice of the block address space (see
-    /// `tmc_bench::shardsim`) — leaving `self` exactly as if it had executed
-    /// that shard's references itself: counters, per-link traffic, cache
-    /// lines, memory image and block store all merge.
-    ///
-    /// Valid only under the sharding preconditions: identical configs, no
-    /// fault injection, and shard state whose home modules and cache sets
-    /// never overlap with `self`'s (the per-component `absorb`s assert that
-    /// disjointness). The shard's trace buffer must be drained first —
-    /// trace events need a canonical global order that only the sharding
-    /// driver knows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configs differ, fault injection is enabled, or the
-    /// two machines' block state overlaps.
-    pub fn merge_shard(&mut self, shard: System) {
-        assert!(
-            self.cfg == shard.cfg,
-            "merge_shard requires identical configs"
-        );
-        assert!(
-            self.cfg.faults.is_none(),
-            "merge_shard does not support fault injection"
-        );
-        assert!(
-            shard.tracer.is_empty(),
-            "drain the shard's trace before merging"
-        );
-        self.counters.merge(&shard.counters);
-        self.traffic.merge(&shard.traffic);
-        for (mine, theirs) in self.caches.iter_mut().zip(shard.caches) {
-            mine.absorb(theirs);
-        }
-        self.memory.absorb(shard.memory);
-        self.store.absorb(shard.store);
     }
 
     // ------------------------------------------------------------------

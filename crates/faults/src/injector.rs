@@ -119,14 +119,6 @@ impl FaultInjector {
         self.stalled.iter().any(|&(c, _)| c == cache)
     }
 
-    /// The op at which `cache` recovers, if it is currently stalled.
-    pub fn stall_heal_at(&self, cache: usize) -> Option<u64> {
-        self.stalled
-            .iter()
-            .find(|&&(c, _)| c == cache)
-            .map(|&(_, heal)| heal)
-    }
-
     /// Pops the next pending per-message fault, if any. The engine applies
     /// it to the next protocol message it sends.
     pub fn take_msg_fault(&mut self) -> Option<MsgFault> {

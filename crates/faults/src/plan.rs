@@ -118,7 +118,7 @@ const MAX_SPAN: u64 = 1 << 48;
 /// Seed-driven fault campaign parameters.
 ///
 /// Lives in `tmc_core::SystemConfig` so every engine can see (and, for the
-/// sharded/baseline engines, explicitly reject) fault-enabled configs.
+/// baseline engines, explicitly reject) fault-enabled configs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Seed for the schedule (and nothing else — workloads seed separately).

@@ -461,43 +461,6 @@ impl<L> CacheArray<L> {
         );
         self.tick = tick;
     }
-
-    /// Absorbs every resident line of `other` into `self`, asserting that no
-    /// insertion evicts. Valid only when the two arrays' resident blocks map
-    /// to disjoint sets (the shard-merge invariant: a shard's blocks fill
-    /// sets no other shard touches). Recency stamps are re-issued in
-    /// `other`'s LRU order, so relative recency within each absorbed set is
-    /// preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and `other` have different geometries, or if an
-    /// insertion would evict a resident line (overlapping sets).
-    pub fn absorb(&mut self, other: CacheArray<L>) {
-        assert_eq!(
-            self.geometry, other.geometry,
-            "absorb requires identical geometries"
-        );
-        let ways = other.geometry.ways;
-        let mut resident: Vec<(u64, BlockAddr, L)> = other
-            .lines
-            .into_iter()
-            .enumerate()
-            .filter_map(|(at, line)| {
-                let slot = other.row_sets[at / ways] as usize * ways + at % ways;
-                let tag = other.slots[slot][0];
-                Some((other.stamps[slot], BlockAddr::new(tag), line?))
-            })
-            .collect();
-        resident.sort_by_key(|&(stamp, _, _)| stamp);
-        for (_, block, line) in resident {
-            let evicted = self.insert(block, line);
-            assert!(
-                evicted.is_none(),
-                "absorb must not evict: shard sets overlap at {block}"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -601,23 +564,6 @@ mod tests {
         let g = CacheGeometry::new(8, 4);
         assert_eq!(g.capacity_blocks(), 32);
         assert_eq!(g.set_of(b(13)), 13 % 8);
-    }
-
-    #[test]
-    fn absorb_merges_disjoint_sets_preserving_recency() {
-        let g = CacheGeometry::new(2, 2);
-        // Shard 0 fills set 0 (even blocks), shard 1 fills set 1 (odd).
-        let mut even: CacheArray<u8> = CacheArray::new(g);
-        even.insert(b(0), 10);
-        even.insert(b(2), 12);
-        even.get(b(0)); // block 2 is now LRU in set 0
-        let mut odd: CacheArray<u8> = CacheArray::new(g);
-        odd.insert(b(1), 11);
-        even.absorb(odd);
-        assert_eq!(even.len(), 3);
-        assert_eq!(even.peek(b(1)), Some(&11));
-        // Recency within the absorbed sets survived the merge.
-        assert_eq!(even.would_evict(b(4)).map(|(bl, _)| bl), Some(b(2)));
     }
 
     #[test]
@@ -751,16 +697,5 @@ mod tests {
         let mut c: CacheArray<u8> = CacheArray::new(CacheGeometry::new(1, 1));
         c.restore_slot(0, 3, 7, 9);
         c.restore_tick(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "absorb must not evict")]
-    fn absorb_rejects_overlapping_sets() {
-        let g = CacheGeometry::new(1, 1);
-        let mut a: CacheArray<u8> = CacheArray::new(g);
-        a.insert(b(0), 0);
-        let mut c: CacheArray<u8> = CacheArray::new(g);
-        c.insert(b(1), 1);
-        a.absorb(c);
     }
 }

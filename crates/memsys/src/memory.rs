@@ -189,34 +189,6 @@ impl MainMemory {
                 })
             })
     }
-
-    /// Absorbs every written block of `other`, asserting disjointness — the
-    /// shard-merge invariant: two shards never write the same block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch or if both memories wrote a block.
-    pub fn absorb(&mut self, other: MainMemory) {
-        assert_eq!(self.spec, other.spec, "absorb requires identical specs");
-        let wpb = self.spec.words_per_block();
-        for (pi, page) in other.pages.into_iter().enumerate() {
-            let Some(page) = page else { continue };
-            for (wi, &w) in page.written.iter().enumerate() {
-                let mut rest = w;
-                while rest != 0 {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    let slot = wi * 64 + bit;
-                    let block = BlockAddr::new((pi * PAGE_BLOCKS + slot) as u64);
-                    assert!(
-                        self.written_block(block).is_none(),
-                        "absorb must be disjoint: both wrote {block}"
-                    );
-                    self.write_words(block, &page.words[slot * wpb..(slot + 1) * wpb]);
-                }
-            }
-        }
-    }
 }
 
 /// Written-footprint equality: two memories are equal when the same set of
@@ -355,22 +327,6 @@ impl BlockStore {
                 })
             })
     }
-
-    /// Absorbs every entry of `other`, asserting disjointness — the
-    /// shard-merge invariant: a block's owner is tracked by one shard only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both stores track an owner for the same block.
-    pub fn absorb(&mut self, other: BlockStore) {
-        for (block, owner) in other.iter() {
-            assert!(
-                self.owner(block).is_none(),
-                "absorb must be disjoint: {block} owned twice"
-            );
-            self.set_owner(block, owner);
-        }
-    }
 }
 
 /// Entry-set equality: equal stores track the same owners for the same
@@ -463,30 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_absorb_merges_disjoint_footprints() {
-        let spec = BlockSpec::new(0);
-        let mut a = MainMemory::new(spec);
-        a.write_block(BlockAddr::new(1), &BlockData::from_words(vec![10]));
-        let mut b = MainMemory::new(spec);
-        b.write_block(BlockAddr::new(2), &BlockData::from_words(vec![20]));
-        b.write_block(BlockAddr::new(4096), &BlockData::from_words(vec![30]));
-        a.absorb(b);
-        assert_eq!(a.dirty_blocks(), 3);
-        assert_eq!(a.read_block(BlockAddr::new(4096)), &[30]);
-    }
-
-    #[test]
-    #[should_panic(expected = "absorb must be disjoint")]
-    fn memory_absorb_rejects_overlap() {
-        let spec = BlockSpec::new(0);
-        let mut a = MainMemory::new(spec);
-        a.write_block(BlockAddr::new(1), &BlockData::from_words(vec![10]));
-        let mut b = MainMemory::new(spec);
-        b.write_block(BlockAddr::new(1), &BlockData::from_words(vec![20]));
-        a.absorb(b);
-    }
-
-    #[test]
     fn block_store_tracks_ownership_changes() {
         let mut store = BlockStore::new();
         let b = BlockAddr::new(9);
@@ -519,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn block_store_equality_and_absorb() {
+    fn block_store_equality_ignores_page_history() {
         let mut a = BlockStore::new();
         a.set_owner(BlockAddr::new(1), CacheId(1));
         let mut b = BlockStore::new();
@@ -528,21 +460,5 @@ mod tests {
         b.set_owner(BlockAddr::new(100_000), CacheId(2));
         b.clear(BlockAddr::new(100_000));
         assert_eq!(a, b);
-
-        let mut c = BlockStore::new();
-        c.set_owner(BlockAddr::new(2048), CacheId(4));
-        a.absorb(c);
-        assert_eq!(a.owner(BlockAddr::new(2048)), Some(CacheId(4)));
-        assert_eq!(a.owned_blocks(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "owned twice")]
-    fn block_store_absorb_rejects_overlap() {
-        let mut a = BlockStore::new();
-        a.set_owner(BlockAddr::new(3), CacheId(1));
-        let mut b = BlockStore::new();
-        b.set_owner(BlockAddr::new(3), CacheId(2));
-        a.absorb(b);
     }
 }

@@ -1,5 +1,5 @@
 //! Randomized tests: the set-associative LRU cache against a naive reference
-//! model (every public operation, `absorb` and `iter_mut` included), and
+//! model (every public operation, `iter_mut` included), and
 //! address-mapping roundtrips. Driven by the in-tree [`SimRng`]
 //! (no external crates needed).
 
@@ -87,9 +87,6 @@ enum CacheOp {
     WouldEvict(u64),
     /// Add to every resident value through `iter_mut`.
     Bump(u32),
-    /// Absorb a second array built from these inserts/gets, restricted to
-    /// the sets the first array has empty (the shard-merge precondition).
-    Absorb(Vec<(u64, u32)>),
 }
 
 fn arb_ops(rng: &mut SimRng) -> Vec<CacheOp> {
@@ -103,12 +100,7 @@ fn arb_ops(rng: &mut SimRng) -> Vec<CacheOp> {
                 8..=10 => CacheOp::Remove(b),
                 11..=12 => CacheOp::Peek(b),
                 13 => CacheOp::WouldEvict(b),
-                14 => CacheOp::Bump(rng.gen_range(1..5u32)),
-                _ => CacheOp::Absorb(
-                    (0..rng.gen_range(1..12usize))
-                        .map(|_| (rng.gen_range(0..32u64), rng.next_u64() as u32))
-                        .collect(),
-                ),
+                _ => CacheOp::Bump(rng.gen_range(1..5u32)),
             }
         })
         .collect()
@@ -159,29 +151,6 @@ fn cache_array_matches_naive_lru_model() {
                     }
                     for (_, v) in model.sets.iter_mut().flatten() {
                         *v = v.wrapping_add(by);
-                    }
-                }
-                CacheOp::Absorb(script) => {
-                    let mut other: CacheArray<u32> = CacheArray::new(geometry);
-                    let mut other_model = ModelCache::new(geometry);
-                    for (b, v) in script {
-                        let b = BlockAddr::new(b);
-                        if !model.sets[geometry.set_of(b)].is_empty() {
-                            continue;
-                        }
-                        // Even values insert, odd ones touch: recency in
-                        // `other` is not insertion order.
-                        if v % 2 == 0 {
-                            assert_eq!(other.insert(b, v), other_model.insert(b, v));
-                        } else {
-                            assert_eq!(other.get(b).copied(), other_model.get(b));
-                        }
-                    }
-                    real.absorb(other);
-                    for (mine, theirs) in model.sets.iter_mut().zip(other_model.sets) {
-                        if !theirs.is_empty() {
-                            *mine = theirs; // `mine` was empty: sets are disjoint
-                        }
                     }
                 }
             }

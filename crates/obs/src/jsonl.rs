@@ -755,11 +755,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Number of event lines written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
     /// Writes the trailer line and returns the underlying sink.
     ///
     /// `trailer.events` is overwritten with the actual count written.

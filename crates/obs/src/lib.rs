@@ -51,7 +51,6 @@
 pub mod event;
 pub mod json;
 pub mod jsonl;
-pub mod stream;
 pub mod tracer;
 
 pub use event::{FaultLabel, LinkCharge, ProtocolEvent, TraceMode};
@@ -59,5 +58,4 @@ pub use jsonl::{
     fnv1a64, TraceError, TraceErrorKind, TraceHeader, TraceReader, TraceRecord, TraceTrailer,
     TraceWriter,
 };
-pub use stream::{interleave, ShardEvents};
 pub use tracer::Tracer;

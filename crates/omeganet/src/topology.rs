@@ -149,11 +149,6 @@ impl Omega {
         self.m + 1
     }
 
-    /// Number of 2×2 switches per stage, `N/2`.
-    pub fn switches_per_stage(&self) -> usize {
-        self.n / 2
-    }
-
     /// Validates that `port < N`.
     ///
     /// # Errors

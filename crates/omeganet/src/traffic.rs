@@ -119,20 +119,6 @@ impl TrafficMatrix {
         }
     }
 
-    /// Adds every cell of `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two matrices have different shapes.
-    pub fn merge(&mut self, other: &TrafficMatrix) {
-        assert_eq!(self.n_ports, other.n_ports, "traffic matrix shape mismatch");
-        for (mine, theirs) in self.bits.iter_mut().zip(&other.bits) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
-            }
-        }
-    }
-
     /// Per-layer totals `L₀..L_m`, a compact profile for reports.
     pub fn layer_profile(&self) -> Vec<u64> {
         (0..self.layers() as u32)
@@ -175,26 +161,5 @@ mod tests {
         assert_eq!(t.hottest_link(), Some((LinkId { layer: 1, line: 4 }, 9)));
         t.clear();
         assert_eq!(t.total_bits(), 0);
-    }
-
-    #[test]
-    fn merge_adds_cellwise() {
-        let n = net();
-        let mut a = TrafficMatrix::new(&n);
-        let mut b = TrafficMatrix::new(&n);
-        a.add(LinkId { layer: 0, line: 0 }, 1);
-        b.add(LinkId { layer: 0, line: 0 }, 2);
-        b.add(LinkId { layer: 2, line: 5 }, 4);
-        a.merge(&b);
-        assert_eq!(a.link_bits(LinkId { layer: 0, line: 0 }), 3);
-        assert_eq!(a.total_bits(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn merge_rejects_different_shapes() {
-        let mut a = TrafficMatrix::new(&Omega::new(2).unwrap());
-        let b = TrafficMatrix::new(&Omega::new(3).unwrap());
-        a.merge(&b);
     }
 }

@@ -14,13 +14,13 @@ fn usage() -> String {
     format!(
         "usage: tmc <subcommand> [arguments]\n\
          \n\
-         \x20 paper <{}> [--threads N] [--shards K]\n\
+         \x20 paper <{}> [--threads N]\n\
          \x20 scenario <list|run|check|pin> [--all | <name>...] [--dir D] ...\n\
          \x20 fuzz (--smoke | --budget N | --corpus DIR) [--seed S] [--bign] [--corpus-out DIR]\n\
          \x20 chaos [--smoke]\n\
          \x20 crashsim [--smoke]\n\
          \x20 trace [roundtrip [SEED] | capture FILE [SEED] | check FILE]\n\
-         \x20 replay TRACE_FILE [PROTOCOL|all] [--threads N] [--shards K] [--trace-out FILE]\n\
+         \x20 replay TRACE_FILE [PROTOCOL|all] [--threads N] [--trace-out FILE]\n\
          \x20 sweep [PROTOCOL|all] [N_PROCS] [N_TASKS] [W] [REFS] [SEED]\n\
          \n\
          exit codes: 0 = OK, 1 = a check failed, 2 = usage\n",

@@ -2,7 +2,7 @@
 //!
 //! A case is *self-contained*: after shrinking, the op list is no longer
 //! derivable from the seed, so the persisted form carries every field —
-//! config, shard request, fault seed, analytic probe and the op script.
+//! config, fault seed, analytic probe and the op script.
 //! Cases serialize as ordinary `.tmcs` scenario files ([`CaseSpec::encode`]
 //! delegates to [`Scenario::encode`]) so one format is the
 //! repo's single reproducer currency: a shrunken divergence drops
@@ -35,8 +35,8 @@ pub struct AnalyticProbe {
     pub warmup: usize,
 }
 
-/// One conformance case: config × op script × shard request × fault seed
-/// × optional analytic probe.
+/// One conformance case: config × op script × fault seed × optional
+/// analytic probe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
     /// Seed the case was generated from (zero for hand-written cases).
@@ -55,9 +55,6 @@ pub struct CaseSpec {
     pub policy: ModePolicy,
     /// Whether the owner-bypass optimization is on.
     pub owner_bypass: bool,
-    /// Requested shard count for the sharded pair (clamped by
-    /// `shard_count`; the pair is skipped when it clamps below 2).
-    pub shards: usize,
     /// Seed for the zero-count fault plan of the faults pair.
     pub fault_seed: u64,
     /// Steady-state probe for the analytic pair, when applicable.
@@ -99,7 +96,6 @@ impl CaseSpec {
         sc.machine.scheme = self.scheme;
         sc.machine.policy = self.policy;
         sc.machine.owner_bypass = self.owner_bypass;
-        sc.machine.shards = self.shards;
         sc.faults = Some(Faults {
             seed: self.fault_seed,
             count: 0,
@@ -128,7 +124,6 @@ impl CaseSpec {
             scheme: sc.machine.scheme,
             policy: sc.machine.policy,
             owner_bypass: sc.machine.owner_bypass,
-            shards: sc.machine.shards,
             fault_seed: sc.faults.map(|f| f.seed).unwrap_or(0),
             analytic: sc.analytic.map(|a| AnalyticProbe {
                 n_tasks: a.n_tasks,
@@ -196,7 +191,6 @@ mod tests {
             scheme: SchemeKind::BitVector,
             policy: ModePolicy::Adaptive { window: 8 },
             owner_bypass: false,
-            shards: 2,
             fault_seed: 99,
             analytic: Some(AnalyticProbe {
                 n_tasks: 4,

@@ -4,19 +4,16 @@
 //! tmc scenario list [--dir D]
 //! tmc scenario run <name>... [--dir D] [--checkpoint-every N] [--journal P]
 //!                            [--kill-at OP] [--resume P]
-//! tmc scenario check (--all | <name>...) [--dir D] [--reshard K] [--sample N]
-//!                    [--threads N]
+//! tmc scenario check (--all | <name>...) [--dir D] [--threads N]
 //! tmc scenario pin (--all | <name>...) [--dir D]
 //! ```
 //!
 //! `check` is the CI entry point: every scenario runs twice (determinism),
-//! goldens are compared, and the applicable cross engines execute. With
-//! `--reshard K --sample N` it instead reruns every N-th scenario with the
-//! shard count forced to `K`, asserting bit-identity under resharding.
-//! The selected scenarios are checked on the sweep pool
-//! ([`tmc_bench::sweep::map`], `--threads N` workers, one per available
-//! core by default); their lines print in corpus order, so the output does
-//! not depend on the worker count.
+//! goldens are compared, and every fault-free scenario is captured as a
+//! JSONL trace and replayed. The selected scenarios are checked on the
+//! sweep pool ([`tmc_bench::sweep::map`], `--threads N` workers, one per
+//! available core by default); their lines print in corpus order, so the
+//! output does not depend on the worker count.
 //! `pin` reruns scenarios and rewrites their `[expect]` sections in place
 //! (the golden-regeneration workflow after an intentional protocol
 //! change).
@@ -61,14 +58,12 @@ use crate::shrink::shrink;
 use crate::spec::{encode_expect, Scenario};
 
 const SCENARIO_USAGE: &str = "usage: tmc scenario <list|run|check|pin> [--all | <name>...] \
-     [--dir D] [--reshard K] [--sample N] [--threads N] [--checkpoint-every N] \
+     [--dir D] [--threads N] [--checkpoint-every N] \
      [--journal P] [--kill-at OP] [--resume P]";
 
 struct Cli {
     all: bool,
     dir: PathBuf,
-    reshard: Option<usize>,
-    sample: usize,
     threads: usize,
     checkpoint_every: Option<u64>,
     journal: Option<PathBuf>,
@@ -94,8 +89,6 @@ pub fn scenario(mut args: Args) -> Result<(), CliError> {
     let cli = Cli {
         all: args.flag("--all"),
         dir: args.value("--dir")?.unwrap_or_else(corpus::default_dir),
-        reshard: args.value("--reshard")?,
-        sample: positive("--sample", args.value("--sample")?)?.unwrap_or(1) as usize,
         threads: sweep::threads(&mut args)?,
         checkpoint_every: positive("--checkpoint-every", args.value("--checkpoint-every")?)?,
         journal: args.value("--journal")?,
@@ -168,9 +161,6 @@ fn cmd_list(cli: &Cli) -> Result<(), String> {
         }
         if sc.fault_configured() {
             tags.push("faults".into());
-        }
-        if sc.machine.shards > 1 {
-            tags.push(format!("shards={}", sc.machine.shards));
         }
         tags.push(
             if sc.expect.is_pinned() {
@@ -313,14 +303,8 @@ fn expect_key_line(text: &str, key: &str) -> Option<usize> {
 
 fn cmd_check(cli: &Cli) -> Result<(), String> {
     let entries = select(cli, "check")?;
-    let picked: Vec<&Scenario> = entries
-        .iter()
-        .step_by(cli.sample)
-        .map(|(_, sc)| sc)
-        .collect();
-    let reports = sweep::map(cli.threads, picked, |sc| {
-        (sc, check_scenario(sc, cli.reshard))
-    });
+    let picked: Vec<&Scenario> = entries.iter().map(|(_, sc)| sc).collect();
+    let reports = sweep::map(cli.threads, picked, |sc| (sc, check_scenario(sc, None)));
     let mut checked = 0usize;
     let mut goldens = 0usize;
     let mut failures = Vec::new();
@@ -329,10 +313,10 @@ fn cmd_check(cli: &Cli) -> Result<(), String> {
             Ok(report) => {
                 checked += 1;
                 goldens += report.goldens;
-                let engines = if report.engines.is_empty() {
-                    "serial+oracle".to_string()
+                let engines = if report.replayed {
+                    "serial+oracle+replay"
                 } else {
-                    format!("serial+oracle+{}", report.engines.join("+"))
+                    "serial+oracle"
                 };
                 println!(
                     "ok   {:<24} {} goldens, engines: {engines}",

@@ -147,11 +147,11 @@ mod tests {
         let dir = std::env::temp_dir().join("tmc-conformance-corpus-test");
         let _ = fs::remove_dir_all(&dir);
         let case = generate_case(9);
-        let path = save(&dir, &case, Pair::SerialVsShard, "unit test").unwrap();
+        let path = save(&dir, &case, Pair::SerialVsReplay, "unit test").unwrap();
         assert!(path.extension().is_some_and(|x| x == "tmcs"));
         let sc = load_file(&path).unwrap();
         assert_eq!(CaseSpec::from_scenario(&sc), case);
-        assert_eq!(sc.pair.as_deref(), Some(Pair::SerialVsShard.name()));
+        assert_eq!(sc.pair.as_deref(), Some(Pair::SerialVsReplay.name()));
         assert_eq!(load_dir(&dir).unwrap().len(), 1);
         assert_eq!(run_dir(&dir).unwrap().entries, 1);
         let _ = fs::remove_dir_all(&dir);

@@ -70,7 +70,6 @@ pub fn generate_case_with(seed: u64, profile: GenProfile) -> CaseSpec {
         },
     };
     let owner_bypass = rng.gen_bool(0.8);
-    let shards = *rng.choose(&[2usize, 4, 8]).unwrap();
 
     let trace = random_trace(&mut rng, n_caches, profile);
     let mut ops = from_trace(&trace);
@@ -95,7 +94,6 @@ pub fn generate_case_with(seed: u64, profile: GenProfile) -> CaseSpec {
         scheme,
         policy,
         owner_bypass,
-        shards,
         fault_seed: rng.next_u64(),
         analytic,
         ops,

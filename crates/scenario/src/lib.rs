@@ -6,10 +6,10 @@
 //! fault plan, explicit op script, and the golden observables CI asserts
 //! (protocol fingerprint, counter totals, per-link charge checksums).
 //! The committed corpus under `scenarios/` is swept deterministically by
-//! the `tmc scenario check --all` CI job against every applicable
-//! engine: the serial reference system with its sequential-consistency
-//! oracle, the block-sharded engine (bit-identity), and JSONL trace
-//! replay (full obligation suite).
+//! the `tmc scenario check --all` CI job: the serial reference system runs
+//! with its sequential-consistency oracle, and every fault-free scenario
+//! is also captured and checked by JSONL trace replay (full obligation
+//! suite).
 //!
 //! ```text
 //! # tmc scenario
@@ -24,7 +24,6 @@
 //! scheme = combined
 //! policy = fixed-gr
 //! owner_bypass = true
-//! shards = 4
 //!
 //! [workload]
 //! family = stencil
@@ -42,13 +41,13 @@
 //! # Differential conformance
 //!
 //! The same Stenström workload runs several ways — the serial
-//! [`tmc_core::System`], the block-sharded `tmc_bench::shardsim`, JSONL
-//! trace replay (`tmc_bench::tracecheck`), the fault-injected admission
-//! path, the checkpoint codec and the closed-form cost model. The
-//! conformance modules *hunt* for disagreement between them in the
-//! corners enumeration misses. A [`CaseSpec`] is a fully explicit,
-//! replayable case (config, op script, shard request, fault seed and an
-//! optional analytic probe); [`gen::generate_case`] derives one from a
+//! [`tmc_core::System`], JSONL trace replay (`tmc_bench::tracecheck`), the
+//! fault-injected admission path, the checkpoint codec and the
+//! closed-form cost model. The conformance modules *hunt* for
+//! disagreement between them in the corners enumeration misses. A
+//! [`CaseSpec`] is a fully explicit, replayable case (config, op script,
+//! fault seed and an optional analytic probe); [`gen::generate_case`]
+//! derives one from a
 //! `u64` seed; [`pairs::check_case`] runs it through every applicable
 //! engine pair and diffs fingerprints, counters, per-link charges, memory
 //! images and JSONL event streams; on divergence [`shrink::shrink`]
@@ -85,6 +84,5 @@ pub use run::{
     check_scenario, expect_diffs, run_scenario, CheckReport, GoldenDiff, ScenarioOutcome,
 };
 pub use spec::{
-    Analytic, Checkpoint, Engine, Expect, Family, Faults, Machine, ModeDirective, Scenario,
-    Workload,
+    Analytic, Checkpoint, Expect, Family, Faults, Machine, ModeDirective, Scenario, Workload,
 };

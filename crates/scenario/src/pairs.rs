@@ -2,7 +2,6 @@
 //!
 //! | pair | engines | comparison |
 //! |---|---|---|
-//! | `serial-vs-shard` | serial `System` vs `shardsim` | fingerprint, counters, per-link charges, memory image, event stream, byte-identical JSONL |
 //! | `serial-vs-replay` | serial capture vs `tracecheck` replay | every replay obligation (values, regenerated events, trailer, oracle, memory) |
 //! | `sim-vs-analytic` | steady-state simulation vs eqs. 11–12 | bits/ref inside a calibrated band + mode ranking vs the w₁ threshold |
 //! | `faults-zero-vs-off` | zero-count fault plan vs no plan | full outcome including events (bit-identity) |
@@ -17,7 +16,6 @@
 //! cost bound are contractual; the rest is *expected* divergence.
 
 use tmc_bench::script::{apply, apply_script, from_trace, Runner};
-use tmc_bench::shardsim::{capture_sharded, run, shard_count, ShardRunOptions};
 use tmc_bench::tracecheck;
 use tmc_core::{FaultSpec, Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::MsgSizing;
@@ -28,15 +26,9 @@ use tmc_workload::{Op, Placement, SharedBlockWorkload};
 use crate::case::CaseSpec;
 use crate::outcome::{diff_outcomes, run_serial, snapshot, Divergence};
 
-/// Worker threads for sharded runs (determinism is unconditional, so a
-/// small fixed pool keeps smoke runs cheap on any host).
-const SHARD_THREADS: usize = 2;
-
 /// One engine pair the fuzzer can diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pair {
-    /// Serial engine vs the block-sharded engine.
-    SerialVsShard,
     /// Serial capture vs JSONL trace replay.
     SerialVsReplay,
     /// Steady-state simulation vs the closed-form cost model.
@@ -53,10 +45,9 @@ pub enum Pair {
 
 impl Pair {
     /// Every pair, in check order.
-    pub fn all() -> [Pair; 7] {
+    pub fn all() -> [Pair; 6] {
         [
             Pair::OracleSelf,
-            Pair::SerialVsShard,
             Pair::ResumedVsUninterrupted,
             Pair::SerialVsReplay,
             Pair::FaultsZeroVsOff,
@@ -68,7 +59,6 @@ impl Pair {
     /// Stable name used in corpus files and reports.
     pub fn name(self) -> &'static str {
         match self {
-            Pair::SerialVsShard => "serial-vs-shard",
             Pair::SerialVsReplay => "serial-vs-replay",
             Pair::SimVsAnalytic => "sim-vs-analytic",
             Pair::FaultsZeroVsOff => "faults-zero-vs-off",
@@ -86,7 +76,6 @@ impl Pair {
     /// Whether the pair applies to `case`.
     pub fn applies(self, case: &CaseSpec) -> bool {
         match self {
-            Pair::SerialVsShard => shard_count(&case.config(), case.shards) >= 2,
             Pair::SerialVsReplay
             | Pair::FaultsZeroVsOff
             | Pair::OracleSelf
@@ -123,7 +112,6 @@ pub fn check_case(case: &CaseSpec) -> Result<usize, Divergence> {
 pub fn check_pair(case: &CaseSpec, pair: Pair) -> Result<(), Divergence> {
     let fail = |detail: String| Err(Divergence { pair, detail });
     match pair {
-        Pair::SerialVsShard => check_serial_vs_shard(case).or_else(fail),
         Pair::SerialVsReplay => check_serial_vs_replay(case).or_else(fail),
         Pair::SimVsAnalytic => check_sim_vs_analytic(case).or_else(fail),
         Pair::FaultsZeroVsOff => check_faults_zero_vs_off(case).or_else(fail),
@@ -182,35 +170,6 @@ fn check_resumed_vs_uninterrupted(case: &CaseSpec) -> Result<(), String> {
         "resumed",
     )?;
     Err("the final frames' machine payloads differ in state no observable shows".into())
-}
-
-fn check_serial_vs_shard(case: &CaseSpec) -> Result<(), String> {
-    let cfg = case.config();
-    let serial = run_serial(cfg.clone(), &case.ops, true)?;
-    let sharded = run(
-        &cfg,
-        &case.ops,
-        &ShardRunOptions::new(case.shards, SHARD_THREADS).tracing(true),
-    )?;
-    let mut shard_sys = sharded.system;
-    let mut shard_out = snapshot(&mut shard_sys, &case.ops, serial.read_values.clone());
-    // The merged system's trace is empty (events live in `sharded.events`);
-    // splice the canonical merged stream in for the comparison.
-    shard_out.events = Some(sharded.events);
-    diff_outcomes(&serial, &shard_out, "serial", "sharded")?;
-
-    let serial_jsonl = tracecheck::capture(cfg.clone(), |sys| apply_script(sys, &case.ops))?;
-    let sharded_jsonl = capture_sharded(&cfg, &case.ops, case.shards, SHARD_THREADS)?;
-    if serial_jsonl != sharded_jsonl {
-        let line = serial_jsonl
-            .lines()
-            .zip(sharded_jsonl.lines())
-            .position(|(a, b)| a != b);
-        return Err(format!(
-            "JSONL captures differ (first differing line: {line:?})"
-        ));
-    }
-    Ok(())
 }
 
 fn check_serial_vs_replay(case: &CaseSpec) -> Result<(), String> {

@@ -4,11 +4,10 @@
 //! `#` comments and blank lines. Sections are `[scenario]`, `[machine]`,
 //! `[workload]`, `[modes]`, `[faults]`, `[checkpoint]`, `[analytic]`,
 //! `[ops]` and `[expect]`. Every unknown section, unknown key, malformed value and
-//! semantic violation (non-power-of-two machine, fault plan handed to a
-//! non-fault engine, out-of-range fraction, op naming a processor the
-//! machine does not have) is rejected with the 1-based line and column
-//! of the offending token — the error contract the negative-parse suite
-//! pins.
+//! semantic violation (non-power-of-two machine, out-of-range fraction,
+//! invalid fault plan, op naming a processor the machine does not have)
+//! is rejected with the 1-based line and column of the offending token —
+//! the error contract the negative-parse suite pins.
 
 use std::fmt;
 
@@ -18,8 +17,8 @@ use tmc_core::ModePolicy;
 use tmc_memsys::WordAddr;
 
 use crate::spec::{
-    parse_mode, parse_placement, Analytic, Checkpoint, Engine, Expect, Family, Faults,
-    ModeDirective, Scenario, Workload,
+    parse_mode, parse_placement, Analytic, Checkpoint, Expect, Family, Faults, ModeDirective,
+    Scenario, Workload,
 };
 
 /// A parse failure, addressed to the offending token.
@@ -118,7 +117,6 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     let mut sc = Scenario::new("");
     let mut section: Option<Section> = None;
     let mut seen: Vec<Section> = Vec::new();
-    let mut engines_at: Option<At> = None;
     let mut tasks_at: Option<At> = None;
     let mut faults_at: Option<At> = None;
     let mut op_ats: Vec<At> = Vec::new();
@@ -200,7 +198,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         };
 
         match s {
-            Section::Scenario => parse_scenario_key(&mut sc, &p, &mut engines_at)?,
+            Section::Scenario => parse_scenario_key(&mut sc, &p)?,
             Section::Machine => parse_machine_key(&mut sc, &p)?,
             Section::Workload => parse_workload_key(&mut sc, &p, &mut tasks_at)?,
             Section::Modes => parse_modes_key(&mut sc, &p)?,
@@ -221,23 +219,6 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     // Post-pass semantic checks that need more than one section.
     if sc.name.is_empty() {
         return err(1, 1, "scenario has no name (set `name` in [scenario])");
-    }
-    if let (Some(engines), Some(at)) = (&sc.engines, engines_at) {
-        if sc.faults.is_some() {
-            for e in engines {
-                if matches!(e, Engine::Shard | Engine::Replay) {
-                    return err(
-                        at.line,
-                        at.col,
-                        format!(
-                            "fault plan on a non-fault engine: `{}` rejects scenarios \
-                             with a [faults] section",
-                            e.name()
-                        ),
-                    );
-                }
-            }
-        }
     }
     if let Some(w) = &sc.workload {
         if w.tasks > sc.machine.n_caches {
@@ -285,34 +266,12 @@ fn unknown_key<T>(p: &Pair<'_>, section: &str) -> Result<T, ParseError> {
     )
 }
 
-fn parse_scenario_key(
-    sc: &mut Scenario,
-    p: &Pair<'_>,
-    engines_at: &mut Option<At>,
-) -> Result<(), ParseError> {
+fn parse_scenario_key(sc: &mut Scenario, p: &Pair<'_>) -> Result<(), ParseError> {
     match p.key {
         "name" => sc.name = p.val.to_string(),
         "note" => sc.note = p.val.to_string(),
         "seed" => sc.seed = p.parse("seed")?,
         "pair" => sc.pair = Some(p.val.to_string()),
-        "engines" => {
-            let mut engines = Vec::new();
-            for word in p.val.split_whitespace() {
-                let Some(e) = Engine::parse(word) else {
-                    return err(
-                        p.line,
-                        p.val_col,
-                        format!("unknown engine `{word}` (known: serial, oracle, shard, replay)"),
-                    );
-                };
-                engines.push(e);
-            }
-            sc.engines = Some(engines);
-            *engines_at = Some(At {
-                line: p.line,
-                col: p.val_col,
-            });
-        }
         _ => return unknown_key(p, "scenario"),
     }
     Ok(())
@@ -384,13 +343,6 @@ fn parse_machine_key(sc: &mut Scenario, p: &Pair<'_>) -> Result<(), ParseError> 
             m.policy = policy;
         }
         "owner_bypass" => m.owner_bypass = p.parse("owner_bypass (true/false)")?,
-        "shards" => {
-            let shards: usize = p.parse("shards")?;
-            if shards == 0 {
-                return err(p.line, p.val_col, "shards must be >= 1");
-            }
-            m.shards = shards;
-        }
         _ => return unknown_key(p, "machine"),
     }
     Ok(())
@@ -664,7 +616,6 @@ mod tests {
         sc.machine.n_caches = 16;
         sc.machine.sets = 8;
         sc.machine.ways = 2;
-        sc.machine.shards = 4;
         let mut w = Workload::new(Family::Zipf);
         w.tasks = 8;
         w.theta = 0.75;
@@ -703,9 +654,12 @@ mod tests {
         let bad = format!("{text}\n[scenario2]");
         assert!(parse(&bad).is_err());
 
-        let with_engines = text.replace("name = faulty", "name = faulty\nengines = serial shard");
+        // A scenario cannot pick its engines: every one runs the serial
+        // engine, and replay joins when it is fault-free.
+        let with_engines = text.replace("name = faulty", "name = faulty\nengines = serial");
         let e = parse(&with_engines).unwrap_err();
-        assert!(e.msg.contains("non-fault engine"), "{e}");
+        assert_eq!((e.line, e.col), (4, 1));
+        assert!(e.msg.contains("unknown key `engines` in [scenario]"), "{e}");
     }
 
     #[test]

@@ -6,27 +6,22 @@
 //! [`ScenarioOutcome`] — the compact observables `[expect]` sections pin
 //! (FNV-1a fingerprint, counter totals, per-link charge checksum).
 //! [`check_scenario`] materialises the op script once, runs it twice
-//! (determinism), compares the outcome with the goldens, and hands the same
-//! script to every applicable cross engine: the block-sharded engine
-//! (bit-identity on fingerprint, counters, total and per-link charges) and
-//! JSONL trace replay (the full replay-obligation suite).
+//! (determinism), compares the outcome with the goldens and, for a
+//! fault-free scenario, captures the same script as a JSONL trace and
+//! replays it (the full replay-obligation suite).
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::{self, Write as _};
 
 use tmc_bench::script::{apply_script, Runner, ScriptOp};
-use tmc_bench::shardsim::{run as shard_run, shard_count, ShardRunOptions};
 use tmc_bench::tracecheck::{self, nonzero_links};
 use tmc_core::System;
 use tmc_obs::jsonl::fnv1a64;
 use tmc_obs::LinkCharge;
 
 use crate::ops::materialize;
-use crate::spec::{Engine, Expect, Scenario};
-
-/// Worker threads for sharded reruns (determinism is unconditional; a
-/// small fixed pool keeps sweeps cheap on any host).
-const SHARD_THREADS: usize = 2;
+use crate::spec::{Expect, Scenario};
 
 /// The condensed observables of one scenario run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,27 +127,6 @@ pub(crate) fn finish(runner: &mut Runner, ops: &[ScriptOp]) -> Result<ScenarioOu
     })
 }
 
-/// The cross engines `check` runs for this scenario: the explicit
-/// `engines` list when given, otherwise automatic — shard when the shard
-/// count resolves ≥ 2 and replay, both only on fault-free scenarios.
-pub fn engines_for(sc: &Scenario) -> Vec<Engine> {
-    if let Some(list) = &sc.engines {
-        return list
-            .iter()
-            .copied()
-            .filter(|e| matches!(e, Engine::Shard | Engine::Replay))
-            .collect();
-    }
-    let mut engines = Vec::new();
-    if !sc.fault_configured() {
-        if shard_count(&sc.config_fault_free(), sc.machine.shards) >= 2 {
-            engines.push(Engine::Shard);
-        }
-        engines.push(Engine::Replay);
-    }
-    engines
-}
-
 /// What one `check` verified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
@@ -160,20 +134,21 @@ pub struct CheckReport {
     pub outcome: ScenarioOutcome,
     /// Golden fields compared (0 for an unpinned scenario).
     pub goldens: usize,
-    /// Names of the cross engines that ran.
-    pub engines: Vec<&'static str>,
+    /// Whether the JSONL capture was replayed (every fault-free scenario).
+    pub replayed: bool,
 }
 
-/// Checks a scenario: deterministic rerun, goldens, cross engines.
+/// Checks a scenario: deterministic rerun, goldens, and trace replay when
+/// the scenario is fault-free.
 ///
-/// `reshard` overrides the scenario's shard request for the sharded
-/// bit-identity rerun (the CI sweep uses `K = 4`); the shard engine is
-/// skipped when the count clamps below 2 or faults are configured.
+/// The second parameter is a placeholder that only `None` can fill: it
+/// keeps the two-argument call the repository benchmark makes, and goes
+/// with the next change to that benchmark.
 ///
 /// # Errors
 ///
 /// Returns the first failure, naming the observable that diverged.
-pub fn check_scenario(sc: &Scenario, reshard: Option<usize>) -> Result<CheckReport, String> {
+pub fn check_scenario(sc: &Scenario, _: Option<Infallible>) -> Result<CheckReport, String> {
     let ops = materialize(sc);
     let outcome = run_ops(sc, &ops)?;
     let rerun = run_ops(sc, &ops)?;
@@ -183,40 +158,15 @@ pub fn check_scenario(sc: &Scenario, reshard: Option<usize>) -> Result<CheckRepo
 
     let goldens = check_expect(&sc.expect, &outcome)?;
 
-    let mut engines = Vec::new();
-    for engine in engines_for(sc) {
-        match engine {
-            Engine::Shard => {
-                let shards = reshard.unwrap_or(sc.machine.shards);
-                if shard_count(&sc.config_fault_free(), shards) < 2 {
-                    continue;
-                }
-                check_sharded(sc, &ops, shards, &outcome)?;
-                engines.push("shard");
-            }
-            Engine::Replay => {
-                check_replay(sc, &ops)?;
-                engines.push("replay");
-            }
-            Engine::Serial | Engine::Oracle => {}
-        }
-    }
-    if let Some(shards) = reshard {
-        // An explicit reshard request applies even to scenarios that did
-        // not opt into the shard engine, as long as one can run.
-        if !engines.contains(&"shard")
-            && !sc.fault_configured()
-            && shard_count(&sc.config_fault_free(), shards) >= 2
-        {
-            check_sharded(sc, &ops, shards, &outcome)?;
-            engines.push("shard");
-        }
+    let replayed = !sc.fault_configured();
+    if replayed {
+        check_replay(sc, &ops)?;
     }
 
     Ok(CheckReport {
         outcome,
         goldens,
-        engines,
+        replayed,
     })
 }
 
@@ -291,55 +241,10 @@ fn check_expect(expect: &Expect, outcome: &ScenarioOutcome) -> Result<usize, Str
         .join("\n"))
 }
 
-/// Sharded rerun: merged machine must match the serial outcome bit for
-/// bit on every condensed observable.
-fn check_sharded(
-    sc: &Scenario,
-    ops: &[ScriptOp],
-    shards: usize,
-    serial: &ScenarioOutcome,
-) -> Result<(), String> {
-    let cfg = sc.config_fault_free();
-    let sharded = shard_run(&cfg, ops, &ShardRunOptions::new(shards, SHARD_THREADS))?;
-    let sys = sharded.system;
-    let got_fingerprint = fnv1a64(&sys.protocol_fingerprint());
-    if got_fingerprint != serial.fingerprint {
-        return Err(format!(
-            "sharded (K={shards}) fingerprint 0x{got_fingerprint:x} != serial 0x{:x}",
-            serial.fingerprint
-        ));
-    }
-    let got_bits = sys.traffic().total_bits();
-    if got_bits != serial.total_bits {
-        return Err(format!(
-            "sharded (K={shards}) total_bits {got_bits} != serial {}",
-            serial.total_bits
-        ));
-    }
-    let got_links = link_checksum(&nonzero_links(sys.traffic()));
-    if got_links != serial.link_checksum {
-        return Err(format!(
-            "sharded (K={shards}) link_checksum 0x{got_links:x} != serial 0x{:x}",
-            serial.link_checksum
-        ));
-    }
-    let got_counters = counters_of(&sys);
-    if got_counters != serial.counters {
-        for (k, v) in &serial.counters {
-            let g = got_counters.get(k).copied().unwrap_or(0);
-            if g != *v {
-                return Err(format!(
-                    "sharded (K={shards}) counter {k}: {g} != serial {v}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Capture + replay with the full obligation suite.
+/// Capture + replay with the full obligation suite (fault-free scenarios
+/// only: a trace does not encode a fault plan).
 fn check_replay(sc: &Scenario, ops: &[ScriptOp]) -> Result<(), String> {
-    tracecheck::roundtrip(sc.config_fault_free(), |sys| apply_script(sys, ops)).map(|_| ())
+    tracecheck::roundtrip(sc.config(), |sys| apply_script(sys, ops)).map(|_| ())
 }
 
 #[cfg(test)]
@@ -351,7 +256,6 @@ mod tests {
         let mut sc = Scenario::new("unit");
         sc.machine.n_caches = 8;
         sc.machine.sets = 8;
-        sc.machine.shards = 4;
         let mut w = Workload::new(Family::SharedBlock);
         w.tasks = 4;
         w.references = 300;
@@ -367,8 +271,7 @@ mod tests {
         assert!(outcome.total_bits > 0);
         let report = check_scenario(&sc, None).unwrap();
         assert_eq!(report.outcome, outcome);
-        assert!(report.engines.contains(&"shard"));
-        assert!(report.engines.contains(&"replay"));
+        assert!(report.replayed);
     }
 
     #[test]
@@ -420,17 +323,9 @@ mod tests {
             max_retries: 3,
             backoff_base: 8,
         });
-        let report = check_scenario(&sc, Some(4)).unwrap();
-        assert!(report.engines.is_empty(), "{:?}", report.engines);
+        let report = check_scenario(&sc, None).unwrap();
+        assert!(!report.replayed);
         let injected = report.outcome.counters.get("faults_injected").copied();
         assert_eq!(injected, Some(6));
-    }
-
-    #[test]
-    fn reshard_override_matches_serial() {
-        let mut sc = small();
-        sc.machine.shards = 1; // no shard engine by default
-        let report = check_scenario(&sc, Some(8)).unwrap();
-        assert!(report.engines.contains(&"shard"));
     }
 }

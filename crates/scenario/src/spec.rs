@@ -34,8 +34,6 @@ pub struct Machine {
     pub policy: ModePolicy,
     /// OWNER-field bypass on read misses.
     pub owner_bypass: bool,
-    /// Requested shard count for the sharded engine (1 = serial only).
-    pub shards: usize,
 }
 
 impl Default for Machine {
@@ -48,7 +46,6 @@ impl Default for Machine {
             scheme: SchemeKind::Combined,
             policy: ModePolicy::Fixed(Mode::GlobalRead),
             owner_bypass: true,
-            shards: 1,
         }
     }
 }
@@ -284,44 +281,6 @@ pub struct Analytic {
     pub warmup: usize,
 }
 
-/// Cross-engine checks a scenario opts into (beyond the always-on serial
-/// run with its sequential-consistency oracle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The serial `tmc_core::System` reference engine (always on).
-    Serial,
-    /// Per-read `ReferenceMemory` oracle (always on).
-    Oracle,
-    /// Block-sharded engine, bit-identity against serial.
-    Shard,
-    /// JSONL capture + trace replay with full obligations.
-    Replay,
-}
-
-impl Engine {
-    /// Stable scenario-file name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Serial => "serial",
-            Engine::Oracle => "oracle",
-            Engine::Shard => "shard",
-            Engine::Replay => "replay",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<Engine> {
-        [
-            Engine::Serial,
-            Engine::Oracle,
-            Engine::Shard,
-            Engine::Replay,
-        ]
-        .into_iter()
-        .find(|e| e.name() == s)
-    }
-}
-
 /// Golden expectations. Every populated field is asserted by
 /// `tmc scenario check`; an empty section just runs the engines.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -367,9 +326,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Conformance pair metadata (reproducers only).
     pub pair: Option<String>,
-    /// Explicit engine selection; `None` = automatic (shard when the
-    /// shard count resolves ≥ 2, replay when fault-free).
-    pub engines: Option<Vec<Engine>>,
     /// Machine shape.
     pub machine: Machine,
     /// Generated workload, if any.
@@ -396,7 +352,6 @@ impl Scenario {
             note: String::new(),
             seed: 0,
             pair: None,
-            engines: None,
             machine: Machine::default(),
             workload: None,
             modes: Vec::new(),
@@ -424,19 +379,8 @@ impl Scenario {
         }
     }
 
-    /// Same config without the fault plan (for engines that reject one).
-    pub fn config_fault_free(&self) -> SystemConfig {
-        let m = &self.machine;
-        SystemConfig::new(m.n_caches)
-            .geometry(CacheGeometry::new(m.sets, m.ways))
-            .block_spec(BlockSpec::new(m.words_log2))
-            .multicast(m.scheme)
-            .mode_policy(m.policy)
-            .owner_bypass(m.owner_bypass)
-    }
-
     /// Whether the scenario schedules any faults (a zero-count plan still
-    /// counts as fault-*configured* for engine admission).
+    /// counts as fault-*configured*: such a scenario is not replayed).
     pub fn fault_configured(&self) -> bool {
         self.faults.is_some()
     }
@@ -457,10 +401,6 @@ impl Scenario {
         if let Some(pair) = &self.pair {
             let _ = writeln!(s, "pair = {pair}");
         }
-        if let Some(engines) = &self.engines {
-            let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-            let _ = writeln!(s, "engines = {}", names.join(" "));
-        }
 
         let m = &self.machine;
         let _ = writeln!(s, "\n[machine]");
@@ -471,7 +411,6 @@ impl Scenario {
         let _ = writeln!(s, "scheme = {}", scheme_kind_str(m.scheme));
         let _ = writeln!(s, "policy = {}", policy_str(m.policy));
         let _ = writeln!(s, "owner_bypass = {}", m.owner_bypass);
-        let _ = writeln!(s, "shards = {}", m.shards);
 
         if let Some(w) = &self.workload {
             let _ = writeln!(s, "\n[workload]");

@@ -1,11 +1,10 @@
 //! Adaptive-policy boundary behavior at the conformance level: switch
-//! storms must shard deterministically at every K, and the
+//! storms must drive adaptive switches and replay from their capture, and the
 //! adaptive-vs-fixed divergence the pair *tolerates* must actually
 //! exist — otherwise the pair's documentation would be describing a
 //! phantom.
 
 use tmc_bench::script::{apply_script, ScriptOp};
-use tmc_bench::shardsim::{capture_sharded, run, ShardRunOptions};
 use tmc_bench::tracecheck;
 use tmc_core::{Mode, ModePolicy};
 use tmc_memsys::WordAddr;
@@ -47,45 +46,27 @@ fn storm_case(seed: u64) -> CaseSpec {
         scheme: tmc_omeganet::SchemeKind::Combined,
         policy: ModePolicy::Adaptive { window: 4 },
         owner_bypass: true,
-        shards: 2,
         fault_seed: seed,
         analytic: None,
         ops,
     }
 }
 
-/// The storm shards bit-identically at K = 2, 4 and 8: fingerprints,
-/// counters, traffic, and the merged JSONL event stream all match the
-/// serial run, even while adaptive windows close at different points in
-/// different shards' local streams.
+/// The storm drives adaptive switches mid-run on the serial engine, and
+/// its JSONL capture replays with every obligation while windows close
+/// between directives.
 #[test]
-fn switch_storm_is_shard_invariant() {
+fn switch_storm_drives_adaptive_switches_and_replays() {
     let case = storm_case(77);
     let cfg = case.config();
     let serial = run_serial(cfg.clone(), &case.ops, false).expect("serial run");
-    let serial_jsonl = tracecheck::capture(cfg.clone(), |sys| {
-        apply_script(sys, &case.ops);
-    })
-    .expect("capturable");
-    let mut switched = false;
-    for shards in [2usize, 4, 8] {
-        let sharded = run(&cfg, &case.ops, &ShardRunOptions::new(shards, 2))
-            .unwrap_or_else(|e| panic!("K={shards}: {e}"));
-        assert_eq!(
-            sharded.system.protocol_fingerprint(),
-            serial.fingerprint,
-            "K={shards}: fingerprint"
-        );
-        assert_eq!(
-            sharded.system.traffic().total_bits(),
-            serial.total_bits,
-            "K={shards}: traffic"
-        );
-        switched |= sharded.system.counters().get("adaptive_switches") > 0;
-        let jsonl = capture_sharded(&cfg, &case.ops, shards, 2).expect("capturable");
-        assert_eq!(jsonl, serial_jsonl, "K={shards}: JSONL stream");
-    }
-    assert!(switched, "the storm must actually drive adaptive switches");
+    let switches = serial.counters.get("adaptive_switches").copied();
+    assert!(
+        switches.unwrap_or(0) > 0,
+        "the storm must actually drive adaptive switches"
+    );
+    let jsonl = tracecheck::capture(cfg, |sys| apply_script(sys, &case.ops)).expect("capturable");
+    tracecheck::check(&jsonl).expect("the storm's capture replays");
 }
 
 /// The divergence `adaptive-vs-fixed` documents as *expected* is real:

@@ -26,6 +26,10 @@ fn usage_errors_exit_2() {
         &["paper", "fig5", "--threads", "lots"],
         &["paper", "fig5", "--threads", "0"],
         &["paper", "fig9"],
+        &["paper", "sim-fig8", "--shards", "2"],
+        &["replay", "x.trace", "all", "--shards", "2"],
+        &["scenario", "check", "--all", "--reshard", "4"],
+        &["scenario", "check", "--all", "--sample", "3"],
         &["sweep", "dw", "sixteen"],
         &["scenario", "list", "--dri", "scenarios"],
         &["scenario", "check", "--threads", "0"],

@@ -1,7 +1,7 @@
 //! Tier-1 sweep of the committed corpus: every scenario under
 //! `scenarios/` must check clean — determinism double-run, pinned
-//! goldens, and every applicable cross engine. The CI `scenario-sweep`
-//! job repeats this in release mode and adds a resharded sample.
+//! goldens, and trace replay on every fault-free scenario. The CI
+//! `scenario-sweep` job repeats this in release mode.
 
 use tmc_scenario::{check_scenario, corpus};
 
@@ -11,15 +11,11 @@ fn committed_corpus_checks_clean() {
     assert!(entries.len() >= 20, "corpus shrank to {}", entries.len());
     let mut failures = Vec::new();
     let mut fault = 0;
-    let mut sharded = 0;
     let mut adaptive = 0;
     let mut big_n = 0;
     for (path, sc) in &entries {
         if sc.fault_configured() {
             fault += 1;
-        }
-        if sc.machine.shards > 1 {
-            sharded += 1;
         }
         if matches!(sc.machine.policy, tmc_core::ModePolicy::Adaptive { .. }) {
             adaptive += 1;
@@ -41,10 +37,9 @@ fn committed_corpus_checks_clean() {
         "scenario sweep failed:\n{}",
         failures.join("\n")
     );
-    // The issue's coverage floor: faults, sharding, adaptive policy and
-    // big-N Zipf must each be exercised by at least one scenario.
+    // The coverage floor: faults, adaptive policy and big-N Zipf must
+    // each be exercised by at least one scenario.
     assert!(fault >= 1, "no fault scenario in the corpus");
-    assert!(sharded >= 1, "no sharded scenario in the corpus");
     assert!(adaptive >= 1, "no adaptive-policy scenario in the corpus");
     assert!(big_n >= 1, "no big-N scenario in the corpus");
 }

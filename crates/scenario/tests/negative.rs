@@ -52,10 +52,16 @@ const EXPECTED: &[(&str, usize, usize, &str)] = &[
     ("bad-op.tmcs", 4, 6, "bad op (want `R <proc> <addr>`"),
     ("missing-equals.tmcs", 4, 1, "expected `key = value`"),
     (
-        "faults-on-shard-engine.tmcs",
+        "machine-shards-key.tmcs",
+        4,
+        1,
+        "unknown key `shards` in [machine]",
+    ),
+    (
+        "scenario-engines-key.tmcs",
         3,
-        11,
-        "fault plan on a non-fault engine: `shard` rejects scenarios with a [faults] section",
+        1,
+        "unknown key `engines` in [scenario]",
     ),
     ("bad-theta.tmcs", 5, 9, "theta must be in [0, 1), got 1.5"),
     (

@@ -99,22 +99,3 @@ fn every_paper_name_is_pinned() {
     );
     assert!(out.stdout.is_empty());
 }
-
-#[test]
-fn shards_add_one_line_to_sim_fig8() {
-    let serial = String::from_utf8(tmc(&["paper", "sim-fig8", "--threads", "2"])).unwrap();
-    let sharded = String::from_utf8(tmc(&[
-        "paper",
-        "sim-fig8",
-        "--threads",
-        "2",
-        "--shards",
-        "8",
-    ]))
-    .unwrap();
-    let mut lines: Vec<&str> = sharded.lines().collect();
-    let extra = "Two-mode cells run block-sharded (8 shards requested).";
-    let at = lines.iter().position(|l| *l == extra).expect("shard line");
-    lines.remove(at);
-    assert_eq!(lines, serial.lines().collect::<Vec<_>>());
-}

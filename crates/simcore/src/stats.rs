@@ -133,13 +133,6 @@ impl CounterSet {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.index.iter().map(|(&k, &slot)| (k, self.values[slot]))
     }
-
-    /// Folds another counter set into this one.
-    pub fn merge(&mut self, other: &CounterSet) {
-        for (name, value) in other.iter() {
-            self.add(name, value);
-        }
-    }
 }
 
 /// Equality is over the logical `(name, value)` pairs — the fast-path
@@ -181,12 +174,6 @@ mod tests {
         assert_eq!(cs.get("x"), 3);
         let pairs: Vec<_> = cs.iter().collect();
         assert_eq!(pairs, vec![("x", 3), ("y", 7)]);
-        let mut other = CounterSet::new();
-        other.add("x", 1);
-        other.add("z", 1);
-        cs.merge(&other);
-        assert_eq!(cs.get("x"), 4);
-        assert_eq!(cs.get("z"), 1);
     }
 
     /// More names than the fast-path table admits, each bumped through
