@@ -10,33 +10,15 @@
 //!
 //! The directory stores a full present-bit vector per block at the memory
 //! module — the `O(N·M)` state cost the paper's distributed scheme avoids.
+//! A line keeps no state of its own: it is exclusive exactly when the
+//! directory names its cache as the block's writer.
 
-use tmc_memsys::{
-    BlockAddr, BlockData, BlockSpec, CacheArray, CacheGeometry, MainMemory, ModuleMap, MsgSizing,
-    WordAddr,
-};
-use tmc_obs::{ProtocolEvent, Tracer};
-use tmc_omeganet::{SchemeKind, TrafficMatrix};
-use tmc_simcore::CounterSet;
+use tmc_memsys::{BlockAddr, BlockData, CacheGeometry, WordAddr};
+use tmc_omeganet::SchemeKind;
 
-use crate::billing::Billing;
-use crate::sharers::SharerTable;
+use crate::node::node_accessors;
+use crate::sharers::DirectoryFrame;
 use crate::CoherentSystem;
-
-/// Per-line state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LineState {
-    /// Clean copy, memory current, others may share.
-    Shared,
-    /// The only copy, dirty.
-    Exclusive,
-}
-
-#[derive(Debug, Clone)]
-struct Line {
-    state: LineState,
-    data: BlockData,
-}
 
 /// The full-map write-invalidate system.
 ///
@@ -53,17 +35,8 @@ struct Line {
 /// assert_eq!(sys.read(3, WordAddr::new(0)), 6);
 /// ```
 pub struct DirectoryInvalidateSystem {
-    bill: Billing,
-    caches: Vec<CacheArray<Line>>,
-    memory: MainMemory,
-    /// Sharers per block; the writer is the dirty exclusive holder.
-    directory: SharerTable,
-    modules: ModuleMap,
-    sizing: MsgSizing,
-    spec: BlockSpec,
-    counters: CounterSet,
-    tracer: Tracer,
-    n_procs: usize,
+    /// The directory's writer is the dirty exclusive holder.
+    dir: DirectoryFrame,
 }
 
 impl DirectoryInvalidateSystem {
@@ -83,108 +56,123 @@ impl DirectoryInvalidateSystem {
     ///
     /// Panics unless `n_procs` is a power of two in `2..=65536`.
     pub fn with_geometry(n_procs: usize, geometry: CacheGeometry) -> Self {
-        let spec = BlockSpec::new(2);
         DirectoryInvalidateSystem {
-            bill: Billing::new(n_procs),
-            caches: (0..n_procs).map(|_| CacheArray::new(geometry)).collect(),
-            memory: MainMemory::new(spec),
-            directory: SharerTable::new(n_procs),
-            modules: ModuleMap::new(n_procs),
-            sizing: MsgSizing::default(),
-            counters: CounterSet::new(),
-            tracer: Tracer::new(),
-            n_procs,
-            spec,
+            dir: DirectoryFrame::new(n_procs, geometry),
         }
     }
 
     /// Selects the invalidation multicast scheme.
     pub fn multicast(mut self, scheme: SchemeKind) -> Self {
-        self.bill.set_scheme(scheme);
+        self.dir.node.set_scheme(scheme);
         self
     }
+}
 
-    fn send(&mut self, from: usize, to: usize, bits: u64) {
-        self.bill.unicast(&mut self.counters, from, to, bits);
-    }
-
-    fn home(&self, block: BlockAddr) -> usize {
-        self.modules.module_of(block)
-    }
-
-    /// Invalidates every sharer except `keep`, leaving `keep` (if it was a
-    /// sharer) the only one in the directory.
-    fn invalidate_others(&mut self, block: BlockAddr, keep: usize) {
-        let home = self.home(block);
-        let entry = self.directory.entry(block);
-        let Some((others, delivered)) = self.bill.cast_to_others(
-            &mut self.counters,
-            home,
-            &entry.sharers,
-            keep,
-            self.sizing.invalidate_bits(),
-        ) else {
-            return;
-        };
-        entry.sharers.difference_with(others);
-        self.counters.incr("invalidations_multicast");
-        for &d in delivered {
-            if d != keep {
-                self.caches[d].remove(block);
-            }
+/// Invalidates every sharer except `keep`, leaving `keep` (if it was a
+/// sharer) the only one in the directory.
+fn invalidate_others(dir: &mut DirectoryFrame, block: BlockAddr, keep: usize) {
+    let DirectoryFrame {
+        node,
+        caches,
+        sharers,
+    } = dir;
+    let home = node.home(block);
+    let entry = sharers.entry(block);
+    let bits = node.sizing.invalidate_bits();
+    let Some((others, delivered)) =
+        node.cast(home, &entry.sharers, keep, bits, "invalidations_multicast")
+    else {
+        return;
+    };
+    entry.sharers.difference_with(others);
+    for &d in delivered {
+        if d != keep {
+            caches[d].remove(block);
         }
     }
+}
 
-    /// If the block is dirty somewhere, recalls it to memory. `drop_holder`
-    /// also invalidates the holder's copy.
-    fn recall_if_dirty(&mut self, block: BlockAddr, drop_holder: bool) {
-        let Some(holder) = self.directory.get(block).writer else {
-            return;
-        };
-        let home = self.home(block);
-        self.counters.incr("dirty_recalls");
-        self.send(home, holder, self.sizing.request_bits());
-        let cache = &mut self.caches[holder];
-        let data = if drop_holder {
-            cache.remove(block).map(|line| line.data)
-        } else {
-            cache.peek_mut(block).map(|line| {
-                line.state = LineState::Shared;
-                line.data.clone()
-            })
-        }
-        .expect("directory says holder has it");
-        self.send(holder, home, self.sizing.block_transfer_bits());
-        self.memory.write_block(block, &data);
-        let entry = self.directory.entry(block);
-        entry.writer = None;
-        if drop_holder {
-            entry.sharers.remove(holder);
-            debug_assert!(entry.sharers.is_empty(), "dirty implies one holder");
-        }
+/// If the block is dirty somewhere, recalls it to memory through the
+/// home. `drop_holder` also invalidates the holder's copy.
+fn recall_if_dirty(dir: &mut DirectoryFrame, block: BlockAddr, drop_holder: bool) {
+    let Some(holder) = dir.sharers.get(block).writer else {
+        return;
+    };
+    let node = &mut dir.node;
+    let home = node.home(block);
+    node.counters.incr("dirty_recalls");
+    node.send(home, holder, node.sizing.request_bits());
+    let cache = &mut dir.caches[holder];
+    let data = if drop_holder {
+        cache.remove(block)
+    } else {
+        cache.peek(block).cloned()
     }
+    .expect("directory says holder has it");
+    node.send(holder, home, node.sizing.block_transfer_bits());
+    node.memory.write_block(block, &data);
+    let entry = dir.sharers.entry(block);
+    entry.writer = None;
+    if drop_holder {
+        entry.sharers.remove(holder);
+        debug_assert!(entry.sharers.is_empty(), "dirty implies one holder");
+    }
+}
 
-    /// Installs a line, running replacement actions for the evicted victim.
-    fn install(&mut self, proc: usize, block: BlockAddr, line: Line) {
-        if let Some((victim, line)) = self.caches[proc].insert(block, line) {
-            self.replace(proc, victim, line);
-        }
-    }
+/// A read miss: the home recalls a dirty copy, then supplies the block.
+fn read_miss(dir: &mut DirectoryFrame, proc: usize, block: BlockAddr) -> BlockData {
+    let home = dir.node.home(block);
+    dir.node.send(proc, home, dir.node.sizing.request_bits());
+    recall_if_dirty(dir, block, false);
+    let data = dir.node.memory.block_data(block);
+    dir.node
+        .send(home, proc, dir.node.sizing.block_transfer_bits());
+    data
+}
 
-    fn replace(&mut self, proc: usize, victim: BlockAddr, line: Line) {
-        self.counters.incr("replacements");
-        let home = self.home(victim);
-        match line.state {
-            LineState::Exclusive => {
-                self.send(proc, home, self.sizing.block_transfer_bits());
-                self.counters.incr("writebacks");
-                self.memory.write_block(victim, &line.data);
-                self.directory.entry(victim).writer = None;
-            }
-            LineState::Shared => self.send(proc, home, self.sizing.request_bits()),
-        }
-        self.directory.entry(victim).sharers.remove(proc);
+/// A write: a hit on the exclusive copy is local, a hit on a shared copy
+/// upgrades by invalidating the others, and a miss recalls and invalidates
+/// every copy before the home supplies the block. Returns whether it hit.
+fn write(
+    dir: &mut DirectoryFrame,
+    proc: usize,
+    block: BlockAddr,
+    offset: usize,
+    value: u64,
+) -> bool {
+    let home = dir.node.home(block);
+    // The one tag probe: a resident line takes the word at once. Nothing
+    // below reads this cache's copy back — the invalidation spares `proc`
+    // and the miss path installs anew.
+    let hit = dir.caches[proc]
+        .get_mut(block)
+        .map(|line| line.set_word(offset, value))
+        .is_some();
+    if !hit {
+        dir.node.counters.incr("write_miss");
+        dir.node.send(proc, home, dir.node.sizing.request_bits());
+        recall_if_dirty(dir, block, true);
+        invalidate_others(dir, block, usize::MAX);
+        debug_assert!(
+            dir.sharers.get(block).sharers.is_empty(),
+            "every copy was dropped"
+        );
+        let mut data = dir.node.memory.block_data(block);
+        dir.node
+            .send(home, proc, dir.node.sizing.block_transfer_bits());
+        data.set_word(offset, value);
+        dir.install(proc, block, data);
+    } else if dir.sharers.get(block).writer == Some(proc) {
+        dir.node.counters.incr("write_hit_exclusive");
+        return true;
+    } else {
+        // Upgrade: invalidate the other sharers.
+        dir.node.counters.incr("write_upgrade");
+        dir.node.send(proc, home, dir.node.sizing.request_bits());
+        invalidate_others(dir, block, proc);
     }
+    dir.sharers.entry(block).writer = Some(proc);
+    hit
 }
 
 impl CoherentSystem for DirectoryInvalidateSystem {
@@ -193,161 +181,22 @@ impl CoherentSystem for DirectoryInvalidateSystem {
     }
 
     fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        assert!(proc < self.n_procs, "processor out of range");
-        let before = self.bill.bits();
-        let block = self.spec.block_of(addr);
-        let offset = self.spec.offset_of(addr);
-        let cached = self.caches[proc]
-            .get(block)
-            .map(|line| line.data.word(offset));
-        let hit = cached.is_some();
-        let value = if let Some(value) = cached {
-            self.counters.incr("read_hit");
-            value
-        } else {
-            self.counters.incr("read_miss");
-            let home = self.home(block);
-            self.send(proc, home, self.sizing.request_bits());
-            self.recall_if_dirty(block, false);
-            let data = self.memory.block_data(block);
-            self.send(home, proc, self.sizing.block_transfer_bits());
-            let value = data.word(offset);
-            self.install(
-                proc,
-                block,
-                Line {
-                    state: LineState::Shared,
-                    data,
-                },
-            );
-            self.directory.entry(block).sharers.insert(proc);
-            value
-        };
-        if self.tracer.is_enabled() {
-            self.tracer.push(ProtocolEvent::Read {
-                proc,
-                addr,
-                value,
-                hit,
-                cost_bits: self.bill.bits() - before,
-                mode: None,
-            });
-        }
-        value
+        self.dir.read(proc, addr, read_miss)
     }
 
     fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        assert!(proc < self.n_procs, "processor out of range");
-        let before = self.bill.bits();
-        let block = self.spec.block_of(addr);
-        let offset = self.spec.offset_of(addr);
-        let home = self.home(block);
-        // The one tag probe: a resident line takes the word and becomes
-        // exclusive at once. Nothing below reads this cache's copy back —
-        // the invalidation spares `proc` and the miss path installs anew.
-        let state = self.caches[proc].get_mut(block).map(|line| {
-            let state = line.state;
-            line.state = LineState::Exclusive;
-            line.data.set_word(offset, value);
-            state
-        });
-        match state {
-            Some(LineState::Exclusive) => {
-                self.counters.incr("write_hit_exclusive");
-            }
-            Some(LineState::Shared) => {
-                // Upgrade: invalidate the other sharers.
-                self.counters.incr("write_upgrade");
-                self.send(proc, home, self.sizing.request_bits());
-                self.invalidate_others(block, proc);
-                let entry = self.directory.entry(block);
-                entry.writer = Some(proc);
-                entry.sharers.insert(proc);
-            }
-            None => {
-                self.counters.incr("write_miss");
-                self.send(proc, home, self.sizing.request_bits());
-                self.recall_if_dirty(block, true);
-                self.invalidate_others(block, usize::MAX);
-                let mut data = self.memory.block_data(block);
-                self.send(home, proc, self.sizing.block_transfer_bits());
-                data.set_word(offset, value);
-                self.install(
-                    proc,
-                    block,
-                    Line {
-                        state: LineState::Exclusive,
-                        data,
-                    },
-                );
-                let entry = self.directory.entry(block);
-                debug_assert!(entry.sharers.is_empty(), "every copy was dropped");
-                entry.sharers.insert(proc);
-                entry.writer = Some(proc);
-            }
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.push(ProtocolEvent::Write {
-                proc,
-                addr,
-                value,
-                hit: state.is_some(),
-                cost_bits: self.bill.bits() - before,
-                mode: None,
-            });
-        }
-    }
-
-    fn total_traffic_bits(&self) -> u64 {
-        self.bill.bits()
-    }
-
-    fn traffic(&self) -> &TrafficMatrix {
-        self.bill.traffic()
-    }
-
-    fn counters(&self) -> &CounterSet {
-        &self.counters
+        self.dir.write(proc, addr, value, write);
     }
 
     fn flush(&mut self) {
-        let dirty: Vec<(BlockAddr, usize)> = self.directory.writers().collect();
-        for (block, holder) in dirty {
-            let home = self.home(block);
-            let line = self.caches[holder]
-                .peek_mut(block)
-                .expect("writer holds it");
-            line.state = LineState::Shared;
-            let data = line.data.clone();
-            self.send(holder, home, self.sizing.block_transfer_bits());
-            self.counters.incr("writebacks");
-            self.memory.write_block(block, &data);
-            self.directory.entry(block).writer = None;
-        }
+        self.dir.flush();
     }
 
     fn peek_word(&self, addr: WordAddr) -> u64 {
-        let block = self.spec.block_of(addr);
-        let offset = self.spec.offset_of(addr);
-        if let Some(holder) = self.directory.get(block).writer {
-            if let Some(line) = self.caches[holder].peek(block) {
-                return line.data.word(offset);
-            }
-        }
-        self.memory.read_block(block)[offset]
+        self.dir.peek_word(addr)
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracer.set_enabled(on);
-    }
-
-    fn tracing_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
-    fn drain_trace(&mut self) -> Vec<ProtocolEvent> {
-        self.tracer.drain()
-    }
+    node_accessors!(dir.node);
 }
 
 #[cfg(test)]

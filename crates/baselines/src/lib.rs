@@ -21,9 +21,12 @@
 //!   (eqs. 11 and 12) as degenerate cases of [`tmc_core::System`].
 //!
 //! All of them implement [`CoherentSystem`], the common harness interface.
-//! The hand-written engines bill every message the way [`tmc_core::System`]
-//! does — unicasts by `Omega::charge_unicast`, casts through a memoising
-//! `CastCache` — so a bit costs the same whichever protocol sent it.
+//! The three hand-written engines share one machine: a node (network,
+//! memory modules, counters, tracer) billing every message the way
+//! [`tmc_core::System`] does, so a bit costs the same whichever protocol
+//! sent it, and, under the two directory engines, one directory frame
+//! (caches and a full-map sharer table) that leaves each engine only its
+//! read-miss and write paths.
 //!
 //! # Example
 //!
@@ -40,17 +43,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod billing;
 pub mod directory;
 pub mod no_cache;
+mod node;
 mod sharers;
-pub mod software;
 pub mod two_mode;
 pub mod update;
 
 pub use directory::DirectoryInvalidateSystem;
 pub use no_cache::NoCacheSystem;
-pub use software::SoftwareMarkedSystem;
 pub use two_mode::{two_mode_adaptive, two_mode_fixed, TwoModeAdapter};
 pub use update::UpdateOnlySystem;
 

@@ -1,11 +1,8 @@
 //! The no-cache baseline (eq. 9).
 
-use tmc_memsys::{MainMemory, ModuleMap, MsgSizing, WordAddr};
-use tmc_obs::{ProtocolEvent, Tracer};
-use tmc_omeganet::TrafficMatrix;
-use tmc_simcore::CounterSet;
+use tmc_memsys::WordAddr;
 
-use crate::billing::Billing;
+use crate::node::{node_accessors, Node};
 use crate::CoherentSystem;
 
 /// Every reference goes to the memory module: a read is a request plus a
@@ -14,13 +11,7 @@ use crate::CoherentSystem;
 /// `CC_NC = (1−w)·2·CC₁ + w·CC₁`.
 #[derive(Debug)]
 pub struct NoCacheSystem {
-    bill: Billing,
-    memory: MainMemory,
-    modules: ModuleMap,
-    sizing: MsgSizing,
-    counters: CounterSet,
-    tracer: Tracer,
-    n_procs: usize,
+    node: Node,
 }
 
 impl NoCacheSystem {
@@ -31,36 +22,9 @@ impl NoCacheSystem {
     ///
     /// Panics unless `n_procs` is a power of two in `2..=65536`.
     pub fn new(n_procs: usize) -> Self {
-        Self::with_sizing(n_procs, MsgSizing::default())
-    }
-
-    /// Builds the baseline with explicit message sizing.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n_procs` is a power of two in `2..=65536`.
-    pub fn with_sizing(n_procs: usize, sizing: MsgSizing) -> Self {
         NoCacheSystem {
-            bill: Billing::new(n_procs),
-            memory: MainMemory::new(tmc_memsys::BlockSpec::new(
-                sizing.block_words.trailing_zeros(),
-            )),
-            modules: ModuleMap::new(n_procs),
-            counters: CounterSet::new(),
-            tracer: Tracer::new(),
-            n_procs,
-            sizing,
+            node: Node::new(n_procs),
         }
-    }
-
-    fn send(&mut self, from: usize, to: usize, bits: u64) {
-        self.bill.unicast(&mut self.counters, from, to, bits);
-    }
-
-    fn locate(&self, addr: WordAddr) -> (tmc_memsys::BlockAddr, usize, usize) {
-        let spec = self.memory.spec();
-        let block = spec.block_of(addr);
-        (block, spec.offset_of(addr), self.modules.module_of(block))
     }
 }
 
@@ -70,57 +34,28 @@ impl CoherentSystem for NoCacheSystem {
     }
 
     fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        assert!(proc < self.n_procs, "processor out of range");
-        let before = self.bill.bits();
-        let (block, offset, home) = self.locate(addr);
-        self.send(proc, home, self.sizing.request_bits());
-        self.send(home, proc, self.sizing.datum_bits());
-        self.counters.incr("reads");
-        let value = self.memory.read_block(block)[offset];
-        if self.tracer.is_enabled() {
-            self.tracer.push(ProtocolEvent::Read {
-                proc,
-                addr,
-                value,
-                hit: false,
-                cost_bits: self.bill.bits() - before,
-                mode: None,
-            });
-        }
+        let node = &mut self.node;
+        let before = node.begin(proc);
+        let home = node.home(node.spec.block_of(addr));
+        node.send(proc, home, node.sizing.request_bits());
+        node.send(home, proc, node.sizing.datum_bits());
+        node.counters.incr("reads");
+        let value = node.memory_word(addr);
+        node.record(false, proc, addr, value, false, before);
         value
     }
 
     fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        assert!(proc < self.n_procs, "processor out of range");
-        let before = self.bill.bits();
-        let (block, offset, home) = self.locate(addr);
-        self.send(proc, home, self.sizing.update_bits());
-        self.counters.incr("writes");
-        let mut data = self.memory.block_data(block);
-        data.set_word(offset, value);
-        self.memory.write_block(block, &data);
-        if self.tracer.is_enabled() {
-            self.tracer.push(ProtocolEvent::Write {
-                proc,
-                addr,
-                value,
-                hit: false,
-                cost_bits: self.bill.bits() - before,
-                mode: None,
-            });
-        }
-    }
-
-    fn total_traffic_bits(&self) -> u64 {
-        self.bill.bits()
-    }
-
-    fn traffic(&self) -> &TrafficMatrix {
-        self.bill.traffic()
-    }
-
-    fn counters(&self) -> &CounterSet {
-        &self.counters
+        let node = &mut self.node;
+        let before = node.begin(proc);
+        let block = node.spec.block_of(addr);
+        let home = node.home(block);
+        node.send(proc, home, node.sizing.update_bits());
+        node.counters.incr("writes");
+        let mut data = node.memory.block_data(block);
+        data.set_word(node.spec.offset_of(addr), value);
+        node.memory.write_block(block, &data);
+        node.record(true, proc, addr, value, false, before);
     }
 
     fn flush(&mut self) {
@@ -128,21 +63,10 @@ impl CoherentSystem for NoCacheSystem {
     }
 
     fn peek_word(&self, addr: WordAddr) -> u64 {
-        let (block, offset, _) = self.locate(addr);
-        self.memory.read_block(block)[offset]
+        self.node.memory_word(addr)
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracer.set_enabled(on);
-    }
-
-    fn tracing_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
-    fn drain_trace(&mut self) -> Vec<ProtocolEvent> {
-        self.tracer.drain()
-    }
+    node_accessors!(node);
 }
 
 #[cfg(test)]

@@ -1,12 +1,19 @@
-//! The full-map directory both directory engines keep at the memory
-//! modules: per block, the caches holding a copy and the one whose copy is
-//! newer than memory. Laid out like [`MainMemory`]: pages of
-//! [`MainMemory::page_blocks`] entries, materialized on first touch, so a
-//! lookup is a shift, a mask and an indexed load — no hashing, and no heap
-//! per entry while a sharer set fits a [`DestSet`]'s inline forms.
+//! The directory frame both directory engines share: every cache's lines,
+//! the full-map directory at the memory modules, and the [`Node`] beneath
+//! them. Install, replacement, `flush` and `peek_word` live here once; an
+//! engine adds only its read-miss and write paths.
+//!
+//! The directory keeps, per block, the caches holding a copy and the one
+//! whose copy is newer than memory. It is laid out like [`MainMemory`]:
+//! pages of [`MainMemory::page_blocks`] entries, materialized on first
+//! touch, so a lookup is a shift, a mask and an indexed load — no hashing,
+//! and no heap per entry while a sharer set fits a [`DestSet`]'s inline
+//! forms.
 
-use tmc_memsys::{BlockAddr, MainMemory};
+use tmc_memsys::{BlockAddr, BlockData, CacheArray, CacheGeometry, MainMemory, WordAddr};
 use tmc_omeganet::DestSet;
+
+use crate::node::Node;
 
 const PAGE_BLOCKS: usize = MainMemory::page_blocks();
 
@@ -16,7 +23,8 @@ pub(crate) struct Sharing {
     /// The caches holding a copy.
     pub(crate) sharers: DestSet,
     /// The cache whose copy is newer than memory, if any: the exclusive
-    /// holder under write-invalidate, the last writer under update-only.
+    /// holder under write-invalidate (a line is exclusive exactly when its
+    /// cache is named here), the last writer under update-only.
     pub(crate) writer: Option<usize>,
 }
 
@@ -81,6 +89,125 @@ impl SharerTable {
 fn page_slot(block: BlockAddr) -> (usize, usize) {
     let index = block.index() as usize;
     (index / PAGE_BLOCKS, index % PAGE_BLOCKS)
+}
+
+/// A directory engine's caches and sharer table over its [`Node`].
+pub(crate) struct DirectoryFrame {
+    pub(crate) node: Node,
+    pub(crate) caches: Vec<CacheArray<BlockData>>,
+    pub(crate) sharers: SharerTable,
+}
+
+impl DirectoryFrame {
+    /// An `n_procs`-cache machine whose caches have `geometry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n_procs` is a power of two in `2..=65536`.
+    pub(crate) fn new(n_procs: usize, geometry: CacheGeometry) -> Self {
+        DirectoryFrame {
+            node: Node::new(n_procs),
+            caches: (0..n_procs).map(|_| CacheArray::new(geometry)).collect(),
+            sharers: SharerTable::new(n_procs),
+        }
+    }
+
+    /// `proc` reads `addr`: a hit is served by its cache, a miss by
+    /// `fetch`, whose block `proc` then installs.
+    #[inline]
+    pub(crate) fn read(
+        &mut self,
+        proc: usize,
+        addr: WordAddr,
+        fetch: impl FnOnce(&mut Self, usize, BlockAddr) -> BlockData,
+    ) -> u64 {
+        let before = self.node.begin(proc);
+        let block = self.node.spec.block_of(addr);
+        let offset = self.node.spec.offset_of(addr);
+        let cached = self.caches[proc].get(block).map(|line| line.word(offset));
+        let hit = cached.is_some();
+        let value = if let Some(value) = cached {
+            self.node.counters.incr("read_hit");
+            value
+        } else {
+            self.node.counters.incr("read_miss");
+            let data = fetch(self, proc, block);
+            let value = data.word(offset);
+            self.install(proc, block, data);
+            value
+        };
+        self.node.record(false, proc, addr, value, hit, before);
+        value
+    }
+
+    /// `proc` writes `value` to `addr` by `write`, which is handed the
+    /// block and offset and says whether the write hit.
+    #[inline]
+    pub(crate) fn write(
+        &mut self,
+        proc: usize,
+        addr: WordAddr,
+        value: u64,
+        write: impl FnOnce(&mut Self, usize, BlockAddr, usize, u64) -> bool,
+    ) {
+        let before = self.node.begin(proc);
+        let block = self.node.spec.block_of(addr);
+        let offset = self.node.spec.offset_of(addr);
+        let hit = write(self, proc, block, offset, value);
+        self.node.record(true, proc, addr, value, hit, before);
+    }
+
+    /// Installs `proc`'s copy of `block` and enrolls it as a sharer,
+    /// running replacement actions for the evicted victim.
+    pub(crate) fn install(&mut self, proc: usize, block: BlockAddr, data: BlockData) {
+        if let Some((victim, line)) = self.caches[proc].insert(block, data) {
+            self.replace(proc, victim, line);
+        }
+        self.sharers.entry(block).sharers.insert(proc);
+    }
+
+    fn replace(&mut self, proc: usize, victim: BlockAddr, line: BlockData) {
+        let node = &mut self.node;
+        node.counters.incr("replacements");
+        let home = node.home(victim);
+        let entry = self.sharers.entry(victim);
+        if entry.writer == Some(proc) {
+            // Our copy is newer than memory: write it back.
+            node.send(proc, home, node.sizing.block_transfer_bits());
+            node.counters.incr("writebacks");
+            node.memory.write_block(victim, &line);
+            entry.writer = None;
+        } else {
+            node.send(proc, home, node.sizing.request_bits());
+        }
+        entry.sharers.remove(proc);
+    }
+
+    /// Writes every copy newer than memory back to it (end of run).
+    pub(crate) fn flush(&mut self) {
+        let dirty: Vec<(BlockAddr, usize)> = self.sharers.writers().collect();
+        for (block, writer) in dirty {
+            let line = self.caches[writer].peek(block).expect("writer holds it");
+            let home = self.node.home(block);
+            self.node
+                .send(writer, home, self.node.sizing.block_transfer_bits());
+            self.node.counters.incr("writebacks");
+            self.node.memory.write_block(block, line);
+            self.sharers.entry(block).writer = None;
+        }
+    }
+
+    /// The current value of the word at `addr`: the writer's copy if the
+    /// block has one, else memory's.
+    pub(crate) fn peek_word(&self, addr: WordAddr) -> u64 {
+        let block = self.node.spec.block_of(addr);
+        if let Some(writer) = self.sharers.get(block).writer {
+            if let Some(line) = self.caches[writer].peek(block) {
+                return line.word(self.node.spec.offset_of(addr));
+            }
+        }
+        self.node.memory_word(addr)
+    }
 }
 
 #[cfg(test)]

@@ -6,22 +6,12 @@
 //! first fill. Memory goes stale while a block has a "last writer"; read
 //! misses are served by that writer through the home module.
 
-use tmc_memsys::{
-    BlockAddr, BlockData, BlockSpec, CacheArray, CacheGeometry, MainMemory, ModuleMap, MsgSizing,
-    WordAddr,
-};
-use tmc_obs::{ProtocolEvent, Tracer};
-use tmc_omeganet::{SchemeKind, TrafficMatrix};
-use tmc_simcore::CounterSet;
+use tmc_memsys::{BlockAddr, BlockData, CacheGeometry, WordAddr};
+use tmc_omeganet::SchemeKind;
 
-use crate::billing::Billing;
-use crate::sharers::SharerTable;
+use crate::node::node_accessors;
+use crate::sharers::DirectoryFrame;
 use crate::CoherentSystem;
-
-#[derive(Debug, Clone)]
-struct Line {
-    data: BlockData,
-}
 
 /// The always-update system.
 ///
@@ -38,18 +28,9 @@ struct Line {
 /// assert_eq!(sys.read(5, WordAddr::new(0)), 2); // served locally
 /// ```
 pub struct UpdateOnlySystem {
-    bill: Billing,
-    caches: Vec<CacheArray<Line>>,
-    memory: MainMemory,
-    /// Sharers per block; the writer holds the authoritative copy while
-    /// memory is stale.
-    directory: SharerTable,
-    modules: ModuleMap,
-    sizing: MsgSizing,
-    spec: BlockSpec,
-    counters: CounterSet,
-    tracer: Tracer,
-    n_procs: usize,
+    /// The directory's writer holds the authoritative copy while memory is
+    /// stale.
+    dir: DirectoryFrame,
 }
 
 impl UpdateOnlySystem {
@@ -68,83 +49,80 @@ impl UpdateOnlySystem {
     ///
     /// Panics unless `n_procs` is a power of two in `2..=65536`.
     pub fn with_geometry(n_procs: usize, geometry: CacheGeometry) -> Self {
-        let spec = BlockSpec::new(2);
         UpdateOnlySystem {
-            bill: Billing::new(n_procs),
-            caches: (0..n_procs).map(|_| CacheArray::new(geometry)).collect(),
-            memory: MainMemory::new(spec),
-            directory: SharerTable::new(n_procs),
-            modules: ModuleMap::new(n_procs),
-            sizing: MsgSizing::default(),
-            counters: CounterSet::new(),
-            tracer: Tracer::new(),
-            n_procs,
-            spec,
+            dir: DirectoryFrame::new(n_procs, geometry),
         }
     }
 
     /// Selects the update multicast scheme.
     pub fn multicast(mut self, scheme: SchemeKind) -> Self {
-        self.bill.set_scheme(scheme);
+        self.dir.node.set_scheme(scheme);
         self
     }
+}
 
-    fn send(&mut self, from: usize, to: usize, bits: u64) {
-        self.bill.unicast(&mut self.counters, from, to, bits);
-    }
-
-    fn home(&self, block: BlockAddr) -> usize {
-        self.modules.module_of(block)
-    }
-
-    /// Installs `proc`'s copy of `block` and enrolls it as a sharer,
-    /// running replacement actions for the evicted victim.
-    fn install(&mut self, proc: usize, block: BlockAddr, data: BlockData) {
-        if let Some((victim, line)) = self.caches[proc].insert(block, Line { data }) {
-            self.replace(proc, victim, line);
+/// Fetches `block` for `proc`'s cache, generating the fill traffic: the
+/// home supplies it, or forwards to the last writer while memory is stale.
+fn fetch(dir: &mut DirectoryFrame, proc: usize, block: BlockAddr) -> BlockData {
+    let node = &mut dir.node;
+    let home = node.home(block);
+    node.send(proc, home, node.sizing.request_bits());
+    match dir.sharers.get(block).writer.filter(|&w| w != proc) {
+        Some(w) => {
+            // Memory is stale: forward to the last writer, which supplies
+            // the block through the network.
+            node.counters.incr("writer_supplies");
+            node.send(home, w, node.sizing.request_bits());
+            let data = dir.caches[w].peek(block).expect("writer resident").clone();
+            node.send(w, proc, node.sizing.block_transfer_bits());
+            data
         }
-        self.directory.entry(block).sharers.insert(proc);
-    }
-
-    fn replace(&mut self, proc: usize, victim: BlockAddr, line: Line) {
-        self.counters.incr("replacements");
-        let home = self.home(victim);
-        if self.directory.get(victim).writer == Some(proc) {
-            // Our copy is the authoritative one: write it back.
-            self.send(proc, home, self.sizing.block_transfer_bits());
-            self.counters.incr("writebacks");
-            self.memory.write_block(victim, &line.data);
-            self.directory.entry(victim).writer = None;
-        } else {
-            self.send(proc, home, self.sizing.request_bits());
+        None => {
+            node.send(home, proc, node.sizing.block_transfer_bits());
+            node.memory.block_data(block)
         }
-        self.directory.entry(victim).sharers.remove(proc);
     }
+}
 
-    /// Fetches `block` for `proc`'s cache, generating the fill traffic.
-    fn fetch(&mut self, proc: usize, block: BlockAddr) -> BlockData {
-        let home = self.home(block);
-        self.send(proc, home, self.sizing.request_bits());
-        match self.directory.get(block).writer.filter(|&w| w != proc) {
-            Some(w) => {
-                // Memory is stale: forward to the last writer, which
-                // supplies the block through the network.
-                self.counters.incr("writer_supplies");
-                self.send(home, w, self.sizing.request_bits());
-                let data = self.caches[w]
-                    .peek(block)
-                    .expect("writer resident")
-                    .data
-                    .clone();
-                self.send(w, proc, self.sizing.block_transfer_bits());
-                data
+/// A write: the writer takes a copy if it has none, then multicasts the
+/// word to every other holder and becomes the block's writer. Returns
+/// whether it hit.
+fn write(
+    dir: &mut DirectoryFrame,
+    proc: usize,
+    block: BlockAddr,
+    offset: usize,
+    value: u64,
+) -> bool {
+    let hit = dir.caches[proc]
+        .get_mut(block)
+        .map(|line| line.set_word(offset, value))
+        .is_some();
+    if !hit {
+        dir.node.counters.incr("write_miss");
+        let mut data = fetch(dir, proc, block);
+        data.set_word(offset, value);
+        dir.install(proc, block, data);
+    }
+    let DirectoryFrame {
+        node,
+        caches,
+        sharers,
+    } = dir;
+    let entry = sharers.entry(block);
+    let bits = node.sizing.update_bits();
+    if let Some((_, delivered)) = node.cast(proc, &entry.sharers, proc, bits, "updates_multicast") {
+        for &d in delivered {
+            if d == proc {
+                continue;
             }
-            None => {
-                self.send(home, proc, self.sizing.block_transfer_bits());
-                self.memory.block_data(block)
+            if let Some(line) = caches[d].peek_mut(block) {
+                line.set_word(offset, value);
             }
         }
     }
+    entry.writer = Some(proc);
+    hit
 }
 
 impl CoherentSystem for UpdateOnlySystem {
@@ -153,131 +131,22 @@ impl CoherentSystem for UpdateOnlySystem {
     }
 
     fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        assert!(proc < self.n_procs, "processor out of range");
-        let before = self.bill.bits();
-        let block = self.spec.block_of(addr);
-        let offset = self.spec.offset_of(addr);
-        let cached = self.caches[proc]
-            .get(block)
-            .map(|line| line.data.word(offset));
-        let hit = cached.is_some();
-        let value = if let Some(value) = cached {
-            self.counters.incr("read_hit");
-            value
-        } else {
-            self.counters.incr("read_miss");
-            let data = self.fetch(proc, block);
-            let value = data.word(offset);
-            self.install(proc, block, data);
-            value
-        };
-        if self.tracer.is_enabled() {
-            self.tracer.push(ProtocolEvent::Read {
-                proc,
-                addr,
-                value,
-                hit,
-                cost_bits: self.bill.bits() - before,
-                mode: None,
-            });
-        }
-        value
+        self.dir.read(proc, addr, fetch)
     }
 
     fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        assert!(proc < self.n_procs, "processor out of range");
-        let before = self.bill.bits();
-        let block = self.spec.block_of(addr);
-        let offset = self.spec.offset_of(addr);
-        let hit = self.caches[proc]
-            .get_mut(block)
-            .map(|line| line.data.set_word(offset, value))
-            .is_some();
-        if !hit {
-            self.counters.incr("write_miss");
-            let mut data = self.fetch(proc, block);
-            data.set_word(offset, value);
-            self.install(proc, block, data);
-        }
-        let entry = self.directory.entry(block);
-        if let Some((_, delivered)) = self.bill.cast_to_others(
-            &mut self.counters,
-            proc,
-            &entry.sharers,
-            proc,
-            self.sizing.update_bits(),
-        ) {
-            self.counters.incr("updates_multicast");
-            for &d in delivered {
-                if d == proc {
-                    continue;
-                }
-                if let Some(line) = self.caches[d].peek_mut(block) {
-                    line.data.set_word(offset, value);
-                }
-            }
-        }
-        entry.writer = Some(proc);
-        if self.tracer.is_enabled() {
-            self.tracer.push(ProtocolEvent::Write {
-                proc,
-                addr,
-                value,
-                hit,
-                cost_bits: self.bill.bits() - before,
-                mode: None,
-            });
-        }
-    }
-
-    fn total_traffic_bits(&self) -> u64 {
-        self.bill.bits()
-    }
-
-    fn traffic(&self) -> &TrafficMatrix {
-        self.bill.traffic()
-    }
-
-    fn counters(&self) -> &CounterSet {
-        &self.counters
+        self.dir.write(proc, addr, value, write);
     }
 
     fn flush(&mut self) {
-        let dirty: Vec<(BlockAddr, usize)> = self.directory.writers().collect();
-        for (block, w) in dirty {
-            if let Some(line) = self.caches[w].peek(block) {
-                let data = line.data.clone();
-                let home = self.home(block);
-                self.send(w, home, self.sizing.block_transfer_bits());
-                self.counters.incr("writebacks");
-                self.memory.write_block(block, &data);
-            }
-            self.directory.entry(block).writer = None;
-        }
+        self.dir.flush();
     }
 
     fn peek_word(&self, addr: WordAddr) -> u64 {
-        let block = self.spec.block_of(addr);
-        let offset = self.spec.offset_of(addr);
-        if let Some(w) = self.directory.get(block).writer {
-            if let Some(line) = self.caches[w].peek(block) {
-                return line.data.word(offset);
-            }
-        }
-        self.memory.read_block(block)[offset]
+        self.dir.peek_word(addr)
     }
 
-    fn set_tracing(&mut self, on: bool) {
-        self.tracer.set_enabled(on);
-    }
-
-    fn tracing_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
-    fn drain_trace(&mut self) -> Vec<ProtocolEvent> {
-        self.tracer.drain()
-    }
+    node_accessors!(dir.node);
 }
 
 #[cfg(test)]

@@ -14,11 +14,8 @@
 //! tables (ROADMAP.md, "The baselines are rule tables too") must reproduce
 //! every row below before the hand-written bodies are deleted.
 
-use tmc_baselines::{
-    CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem, SoftwareMarkedSystem,
-    UpdateOnlySystem,
-};
-use tmc_memsys::{BlockAddr, CacheGeometry, WordAddr};
+use tmc_baselines::{CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem, UpdateOnlySystem};
+use tmc_memsys::{CacheGeometry, WordAddr};
 use tmc_obs::jsonl::{encode_event_into, fnv1a64};
 use tmc_omeganet::{LinkId, SchemeKind};
 use tmc_simcore::SimRng;
@@ -119,16 +116,8 @@ fn geometry() -> CacheGeometry {
     CacheGeometry::new(4, 2)
 }
 
-fn software(n: usize) -> SoftwareMarkedSystem {
-    let mut sys = SoftwareMarkedSystem::new(n);
-    for block in (0..BLOCKS).step_by(3) {
-        sys.mark_noncacheable(BlockAddr::new(block));
-    }
-    sys
-}
-
 /// Every engine of one row set, in row order: directory-invalidate and
-/// update-only under each scheme, then no-cache, then software-marked.
+/// update-only under each scheme, then no-cache.
 fn engines(n: usize) -> Vec<(String, Box<dyn CoherentSystem>)> {
     let mut out: Vec<(String, Box<dyn CoherentSystem>)> = Vec::new();
     for scheme in SCHEMES {
@@ -144,7 +133,6 @@ fn engines(n: usize) -> Vec<(String, Box<dyn CoherentSystem>)> {
         ));
     }
     out.push(("no-cache".into(), Box::new(NoCacheSystem::new(n))));
-    out.push(("software-marked".into(), Box::new(software(n))));
     out
 }
 
@@ -152,7 +140,7 @@ fn engines(n: usize) -> Vec<(String, Box<dyn CoherentSystem>)> {
 fn seeded_scripts_reproduce_the_pinned_digests() {
     // Row order: N ∈ {4, 16, 128} × the engines of `engines`.
     #[rustfmt::skip]
-    const PINNED: [Pinned; 30] = [
+    const PINNED: [Pinned; 27] = [
         (0xc1e66fc8e2d9c068, 0x381f8b01f0d528c7, 835995, 0x27ea8771ea65d83f),
         (0x1c9e772d7cd1cd1a, 0x7a0aac4af28bd2cd, 832963, 0x27ea8771ea65d83f),
         (0x4d03b938dc76c8d8, 0x728c6517d58da453, 833979, 0x27ea8771ea65d83f),
@@ -162,7 +150,6 @@ fn seeded_scripts_reproduce_the_pinned_digests() {
         (0xea80d9ffcddc4e9c, 0x2051d8e89ae650d1, 732232, 0x27ea8771ea65d83f),
         (0x336c7452bf05d44e, 0x8344e98f6357b57f, 725058, 0x27ea8771ea65d83f),
         (0xa243d0727be5b12a, 0xd7490df97f9af93c, 266430, 0x27ea8771ea65d83f),
-        (0xc75fac4c30078845, 0xaa9f9b5b68284529, 245337, 0xde4e5f8ee38a5c1f),
         (0xdbe2d751f872e4f5, 0xb630593a23962d50, 1731330, 0x12fea5376cee368f),
         (0x770df2d83928a2bf, 0x7f394cb6d5958084, 1706073, 0x12fea5376cee368f),
         (0x358c9c6a481b1279, 0xb26daccfeba4d9d9, 1802544, 0x12fea5376cee368f),
@@ -172,7 +159,6 @@ fn seeded_scripts_reproduce_the_pinned_digests() {
         (0x7cbc9f257b50e134, 0x7db0a8e39e9d7a47, 1752380, 0x12fea5376cee368f),
         (0xae08cb31ffe2f448, 0xe9bd134d27aac8cc, 1539547, 0x12fea5376cee368f),
         (0xe0ed2edf862bdbcf, 0x1961ef1a83e3ad94, 472140, 0x12fea5376cee368f),
-        (0x2cb15615a3c16e3a, 0xcb281f355477ed49, 700230, 0x06273fb0346bb016),
         (0x077dc7c25e12d913, 0x53c33f74579e053a, 3461832, 0x6532f4b959f1873c),
         (0xe6973909d74de90d, 0x24f2ca0d7337f6ca, 3482495, 0x6532f4b959f1873c),
         (0x7a63993dade22a66, 0x42f2a98cfa2d24b2, 5267842, 0x6532f4b959f1873c),
@@ -182,7 +168,6 @@ fn seeded_scripts_reproduce_the_pinned_digests() {
         (0xd24d8d13656b79c9, 0x85ee1c8517a06df1, 9667668, 0x6532f4b959f1873c),
         (0x1a10d2ae7436d36d, 0xf174a8ec67f01faf, 5454431, 0x6532f4b959f1873c),
         (0xc4a0a734138d459e, 0xafcb8411ffac5ff1, 927008, 0x6532f4b959f1873c),
-        (0x40dfd7d7261384c6, 0x4838d44a9f048f0c, 1910864, 0xb95dffa1e65dfc5c),
     ];
     let mut names = Vec::new();
     let mut got = Vec::new();
@@ -209,18 +194,16 @@ fn seeded_scripts_reproduce_the_pinned_digests() {
 fn traced_scripts_reproduce_the_pinned_event_bytes() {
     const N: usize = 16;
     // (events, FNV-1a of their JSONL bytes) for directory-invalidate,
-    // update-only, no-cache and software-marked.
-    const PINNED: [(usize, u64); 4] = [
+    // update-only and no-cache.
+    const PINNED: [(usize, u64); 3] = [
         (1265, 0xc8172586b8ce1c97),
         (1265, 0x8e1bc7ab58b27a08),
         (1265, 0x15c6469d7c04a3c0),
-        (1265, 0xc9650b76fd408df6),
     ];
-    let traced: [Box<dyn CoherentSystem>; 4] = [
+    let traced: [Box<dyn CoherentSystem>; 3] = [
         Box::new(DirectoryInvalidateSystem::with_geometry(N, geometry())),
         Box::new(UpdateOnlySystem::with_geometry(N, geometry())),
         Box::new(NoCacheSystem::new(N)),
-        Box::new(software(N)),
     ];
     let ops = script(N);
     let got: Vec<(usize, u64)> = traced

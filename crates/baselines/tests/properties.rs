@@ -3,10 +3,10 @@
 
 use tmc_baselines::{
     two_mode_adaptive, two_mode_fixed, CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem,
-    SoftwareMarkedSystem, UpdateOnlySystem,
+    UpdateOnlySystem,
 };
 use tmc_core::Mode;
-use tmc_memsys::{BlockAddr, CacheGeometry, ReferenceMemory, WordAddr};
+use tmc_memsys::{CacheGeometry, ReferenceMemory, WordAddr};
 use tmc_simcore::SimRng;
 
 const CASES: usize = 64;
@@ -103,20 +103,6 @@ fn two_mode_adapters_match_oracle() {
             _ => Box::new(two_mode_adaptive(4, 16)),
         };
         check(sys.as_mut(), &ops);
-    }
-}
-
-#[test]
-fn software_marking_is_coherent_when_all_shared_blocks_are_tagged() {
-    let mut rng = SimRng::seed_from(0x50F7);
-    for _ in 0..CASES {
-        let ops = arb_ops(&mut rng);
-        let mut sys = SoftwareMarkedSystem::new(4);
-        // Everything in this workload may be shared: mark it all.
-        for b in 0..8 {
-            sys.mark_noncacheable(BlockAddr::new(b));
-        }
-        check(&mut sys, &ops);
     }
 }
 

@@ -4,8 +4,8 @@
 //! ```text
 //! tmc sweep [PROTOCOL] [N_PROCS] [N_TASKS] [W] [REFS] [SEED]
 //!   PROTOCOL  no-cache | dir | update | dw | gr | adaptive | all (default: all)
-//!   N_PROCS   power of two (default 16)
-//!   N_TASKS   sharing tasks (default 8)
+//!   N_PROCS   power of two in 2..=65536 (default 16)
+//!   N_TASKS   sharing tasks, 1..=N_PROCS (default 8)
 //!   W         write fraction 0..=1 (default 0.2)
 //!   REFS      references (default 20000)
 //!   SEED      RNG seed (default 1)
@@ -40,7 +40,11 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
         p if PROTOCOLS.contains(&p) => vec![p],
         _ => return Err(CliError::Usage(USAGE.into())),
     };
-    if !n_procs.is_power_of_two() || n_tasks > n_procs || !(0.0..=1.0).contains(&w) {
+    if !n_procs.is_power_of_two()
+        || !(2..=65536).contains(&n_procs)
+        || !(1..=n_procs).contains(&n_tasks)
+        || !(0.0..=1.0).contains(&w)
+    {
         return Err(CliError::Usage(USAGE.into()));
     }
 

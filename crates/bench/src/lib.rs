@@ -333,18 +333,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale read")]
     fn checked_drive_catches_incoherence() {
-        use tmc_baselines::SoftwareMarkedSystem;
         use tmc_memsys::WordAddr;
+        use tmc_omeganet::TrafficMatrix;
+        use tmc_simcore::CounterSet;
         use tmc_workload::{Op, Reference};
-        // A software-marked system with a shared read-write block left
-        // cacheable returns stale data — the §1 hazard. The oracle sees it.
+
+        /// No-cache that drops every write, so a read after a write
+        /// returns the stale value.
+        struct DropsWrites(NoCacheSystem);
+
+        impl CoherentSystem for DropsWrites {
+            fn name(&self) -> &'static str {
+                "drops-writes"
+            }
+            fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
+                self.0.read(proc, addr)
+            }
+            fn write(&mut self, _: usize, _: WordAddr, _: u64) {}
+            fn total_traffic_bits(&self) -> u64 {
+                self.0.total_traffic_bits()
+            }
+            fn traffic(&self) -> &TrafficMatrix {
+                self.0.traffic()
+            }
+            fn counters(&self) -> &CounterSet {
+                self.0.counters()
+            }
+            fn flush(&mut self) {}
+            fn peek_word(&self, addr: WordAddr) -> u64 {
+                self.0.peek_word(addr)
+            }
+        }
+
         let mut trace = Trace::new(4);
         let a = WordAddr::new(0);
         for (proc, op) in [(0, Op::Write), (1, Op::Read), (0, Op::Write), (1, Op::Read)] {
             trace.push(Reference { proc, addr: a, op });
         }
-        let mut sys = SoftwareMarkedSystem::new(4);
-        drive_steady_state_checked(&mut sys, &trace, 0);
+        drive_steady_state_checked(&mut DropsWrites(NoCacheSystem::new(4)), &trace, 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::fmt;
 
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
-use tmc_memsys::{BlockSpec, CacheGeometry, MsgSizing, ReferenceMemory};
+use tmc_memsys::{MsgSizing, ReferenceMemory};
 use tmc_obs::jsonl::{fnv1a64, TraceHeader, TraceReader, TraceTrailer, TraceWriter, TRACE_VERSION};
 use tmc_obs::{LinkCharge, ProtocolEvent};
 use tmc_omeganet::{SchemeKind, TrafficMatrix};
@@ -107,9 +107,11 @@ pub fn config_from(header: &TraceHeader) -> Result<SystemConfig, String> {
     if !header.n_procs.is_power_of_two() || !(2..=65536).contains(&header.n_procs) {
         return Err(format!("bad processor count {}", header.n_procs));
     }
+    let (geometry, spec) =
+        SystemConfig::checked_shape(header.sets, header.ways, header.words_log2)?;
     Ok(SystemConfig::new(header.n_procs)
-        .geometry(CacheGeometry::new(header.sets, header.ways))
-        .block_spec(BlockSpec::new(header.words_log2))
+        .geometry(geometry)
+        .block_spec(spec)
         .multicast(scheme)
         .mode_policy(policy)
         .owner_bypass(header.owner_bypass))
@@ -324,7 +326,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmc_memsys::WordAddr;
+    use tmc_memsys::{BlockSpec, CacheGeometry, WordAddr};
 
     #[test]
     fn scheme_and_policy_strings_roundtrip() {

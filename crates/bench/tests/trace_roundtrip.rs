@@ -120,6 +120,21 @@ fn corrupted_traces_are_rejected() {
         err.contains("events") || err.contains("regenerated"),
         "unexpected error: {err}"
     );
+
+    // A header naming a machine nothing can build is an error, not a panic.
+    for (field, bad) in [
+        ("\"sets\":64", "\"sets\":3"),
+        ("\"sets\":64", "\"sets\":0"),
+        ("\"ways\":4", "\"ways\":0"),
+        ("\"words_log2\":2", "\"words_log2\":40"),
+    ] {
+        let header = lines[0].replace(field, bad);
+        assert_ne!(header, lines[0], "{field} not in the header");
+        let mut tampered = lines.clone();
+        tampered[0] = &header;
+        let err = check(&tampered.join("\n")).unwrap_err();
+        assert!(err.contains("invalid"), "{bad}: unexpected error: {err}");
+    }
 }
 
 #[test]

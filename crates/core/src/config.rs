@@ -153,6 +153,28 @@ impl SystemConfig {
         self.faults = Some(spec);
         self
     }
+
+    /// The cache and block shape a decoded machine may name: a
+    /// power-of-two set count up to 2^24, 1 to 2^10 ways, and at most 16
+    /// block offset bits. Checkpoints and JSONL trace headers both pass
+    /// their fields through here before building anything.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of bounds.
+    pub fn checked_shape(
+        sets: usize,
+        ways: usize,
+        offset_bits: u32,
+    ) -> Result<(CacheGeometry, BlockSpec), String> {
+        if !sets.is_power_of_two() || sets > 1 << 24 || ways == 0 || ways > 1 << 10 {
+            return Err(format!("cache geometry {sets}x{ways} invalid"));
+        }
+        if offset_bits > 16 {
+            return Err(format!("block offset bits {offset_bits} invalid"));
+        }
+        Ok((CacheGeometry::new(sets, ways), BlockSpec::new(offset_bits)))
+    }
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 use tmc_faults::{FaultInjector, FaultPlan, FaultSpec, InjectorState, MsgFault, RetryPolicy};
-use tmc_memsys::{BlockAddr, BlockData, BlockSpec, CacheGeometry, CacheId, MsgSizing};
+use tmc_memsys::{BlockAddr, BlockData, CacheId, MsgSizing};
 use tmc_omeganet::{DestSet, LinkId, SchemeKind};
 
 use crate::config::{ModePolicy, SystemConfig};
@@ -1088,13 +1088,9 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SystemConfig, SnapshotError> {
     }
     let sets = r.usize("set count")?;
     let ways = r.usize("way count")?;
-    if !sets.is_power_of_two() || sets > 1 << 24 || ways == 0 || ways > 1 << 10 {
-        return Err(r.corrupt(format_args!("cache geometry {sets}x{ways} invalid")));
-    }
     let offset_bits = r.u32("block offset bits")?;
-    if offset_bits > 16 {
-        return Err(r.corrupt(format_args!("block offset bits {offset_bits} invalid")));
-    }
+    let (geometry, spec) =
+        SystemConfig::checked_shape(sets, ways, offset_bits).map_err(|why| r.corrupt(why))?;
     let sizing = MsgSizing {
         addr_bits: r.varint()?,
         word_bits: r.varint()?,
@@ -1138,8 +1134,8 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SystemConfig, SnapshotError> {
     };
     Ok(SystemConfig {
         n_caches,
-        geometry: CacheGeometry::new(sets, ways),
-        spec: BlockSpec::new(offset_bits),
+        geometry,
+        spec,
         sizing,
         multicast,
         mode_policy,

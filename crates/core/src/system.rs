@@ -1182,8 +1182,8 @@ impl System {
 
     /// Applies one pending transient message fault to the unicast just
     /// sent: drops and duplicates bill the route a second time (the
-    /// retransmission / extra delivery), delays advance simulated time.
-    /// Protocol state is never touched.
+    /// retransmission / extra delivery), and a delay is only counted (the
+    /// machine keeps no simulated time). Protocol state is never touched.
     fn apply_msg_fault(
         &mut self,
         kind: MsgKind,

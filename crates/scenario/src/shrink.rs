@@ -174,11 +174,11 @@ mod tests {
 
     #[test]
     fn shrink_keeps_a_failing_case_failing() {
-        // End-to-end against a real pair: fabricate a case that fails
-        // oracle-self is impossible (the engine is correct), so instead
-        // assert shrink() is identity on a passing case.
+        // End-to-end against a real pair: fabricating a case that fails
+        // serial-vs-replay is impossible (the engine is correct), so
+        // instead assert shrink() is identity on a passing case.
         let case = generate_case(5);
-        let shrunk = shrink(&case, Pair::OracleSelf);
+        let shrunk = shrink(&case, Pair::SerialVsReplay);
         assert_eq!(shrunk, case, "passing cases shrink to themselves");
     }
 }

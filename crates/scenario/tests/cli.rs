@@ -31,6 +31,9 @@ fn usage_errors_exit_2() {
         &["scenario", "check", "--all", "--reshard", "4"],
         &["scenario", "check", "--all", "--sample", "3"],
         &["sweep", "dw", "sixteen"],
+        &["sweep", "dw", "1", "1"],
+        &["sweep", "all", "131072", "8"],
+        &["sweep", "dw", "16", "0"],
         &["scenario", "list", "--dri", "scenarios"],
         &["scenario", "check", "--threads", "0"],
         &["fuzz", "--budget", "many"],

@@ -75,7 +75,8 @@ pub fn format_trace(trace: &Trace) -> String {
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] on a malformed header or record, including
-/// processor indices at or beyond the header's `procs=` count.
+/// a `procs=` count outside `1..=65536` (the largest machine) and processor
+/// indices at or beyond it.
 pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines
@@ -84,7 +85,7 @@ pub fn parse_trace(text: &str) -> Result<Trace, ParseTraceError> {
     let n_procs = header
         .strip_prefix("tmctrace v1 procs=")
         .and_then(|n| n.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+        .filter(|n| (1..=65536).contains(n))
         .ok_or_else(|| ParseTraceError::BadHeader(header.to_string()))?;
     let mut trace = Trace::new(n_procs);
     for (idx, line) in lines {
@@ -165,6 +166,10 @@ mod tests {
         ));
         assert!(matches!(
             parse_trace("tmctrace v1 procs=0\n"),
+            Err(ParseTraceError::BadHeader(_))
+        ));
+        assert!(matches!(
+            parse_trace("tmctrace v1 procs=100000\n"),
             Err(ParseTraceError::BadHeader(_))
         ));
         let cases = [

@@ -171,41 +171,6 @@ fn adaptive_tracks_the_cheaper_mode() {
     }
 }
 
-/// The §1 software approach, correctly tagged: coherent, but it pays the
-/// no-cache price on shared data — which is exactly why the paper builds
-/// hardware coherence. The two-mode protocol must beat it.
-#[test]
-fn software_tagging_is_coherent_but_expensive_on_shared_data() {
-    use two_mode_coherence::baselines::SoftwareMarkedSystem;
-    use two_mode_coherence::memsys::BlockAddr;
-    let trace = paper_workload(0.1, 940);
-    let mut sw = SoftwareMarkedSystem::new(N_PROCS);
-    for b in 0..64 {
-        sw.mark_noncacheable(BlockAddr::new(b)); // all shared blocks
-    }
-    // Value-correct under correct tagging:
-    let mut oracle = ReferenceMemory::new();
-    let mut stamp = 1;
-    for r in trace.iter() {
-        match r.op {
-            Op::Read => assert_eq!(sw.read(r.proc, r.addr), oracle.read(r.addr)),
-            Op::Write => {
-                sw.write(r.proc, r.addr, stamp);
-                oracle.write(r.addr, stamp);
-                stamp += 1;
-            }
-        }
-    }
-    // …but expensive: the properly-moded two-mode protocol wins big.
-    let software = sw.total_traffic_bits() as f64 / trace.len() as f64;
-    let mut tm = two_mode_fixed(N_PROCS, Mode::DistributedWrite);
-    let two_mode = steady_bits(&mut tm, &trace, 3000);
-    assert!(
-        two_mode * 2.0 < software,
-        "two-mode {two_mode:.1} should be far below software tagging {software:.1}"
-    );
-}
-
 /// No-sharing sanity: on disjoint working sets every caching protocol's
 /// steady-state traffic collapses to (near) zero while no-cache keeps
 /// paying full price.
