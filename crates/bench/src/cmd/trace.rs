@@ -16,10 +16,12 @@
 //! asserts the regenerated event stream, protocol-fingerprint hash, total
 //! link bits and per-link charges all match the recorded trace. The report
 //! is the trace header, its trailer, and the replayed machine's counters.
+//! The trace is parsed once: one that does not parse, or whose header names
+//! no buildable machine, is a `malformed trace` before anything runs, and
+//! `replay FAILED` names a replay that diverged.
 
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::WordAddr;
-use tmc_obs::TraceReader;
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
 
@@ -58,7 +60,8 @@ fn capture(seed: u64) -> String {
 /// # Errors
 ///
 /// A usage error for bad arguments; a failure when the trace cannot be
-/// read, written or parsed, or its replay diverges.
+/// read, written or parsed (a header naming no buildable machine
+/// included), or its replay diverges.
 pub fn run(mut args: Args) -> Result<(), CliError> {
     let mode: String = args
         .positional("mode")?
@@ -91,9 +94,8 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
         other => return Err(CliError::Usage(format!("unknown mode '{other}'\n{USAGE}"))),
     };
 
-    let (header, _, trailer) = TraceReader::new(trace.as_bytes())
-        .read_all()
-        .map_err(|e| format!("malformed trace: {e}"))?;
+    let parsed = tracecheck::parse(&trace).map_err(|e| format!("malformed trace: {e}"))?;
+    let (header, trailer) = (&parsed.header, &parsed.trailer);
     println!(
         "trace      : v{} {}p {}x{} cache, scheme={}, policy={}, bypass={}",
         header.version,
@@ -114,7 +116,7 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     if let Some(path) = wrote {
         println!("wrote      : {path}");
     }
-    let report = tracecheck::check(&trace).map_err(|e| format!("replay FAILED: {e}"))?;
+    let report = tracecheck::replay(&parsed).map_err(|e| format!("replay FAILED: {e}"))?;
     println!("\ncounters:\n{}\n", report.counters);
     println!("replay OK  : {report}");
     Ok(())

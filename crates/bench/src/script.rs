@@ -49,7 +49,10 @@ use tmc_core::snapshot::encode_system_into;
 use tmc_core::{decode_system, CoreError, Journal, Mode, System, SystemConfig};
 use tmc_memsys::{BlockAddr, ReferenceMemory, WordAddr};
 use tmc_obs::jsonl::{encode_event_into, fnv1a64_fold, FNV1A64_OFFSET};
+use tmc_obs::ProtocolEvent;
 use tmc_workload::{Op, Trace};
+
+use crate::tracecheck;
 
 /// Version tag of the runner frame layout (wraps the machine payload).
 const FRAME_VERSION: u32 = 1;
@@ -170,12 +173,15 @@ pub fn touched_words(cfg: &SystemConfig, ops: &[ScriptOp]) -> Vec<u64> {
 /// Every read is checked against the oracle as it happens ([`step`]);
 /// [`audit`] checks the end state. A plain runner counts protocol events;
 /// a [`framed`] one also folds each event's canonical JSONL line into the
-/// trace checksum a frame carries, and only it can [`encode`].
+/// trace checksum a frame carries, and only it can [`encode`]; a
+/// [`capturing`] one keeps the events for the run's JSONL [`trace`].
 ///
 /// [`step`]: Runner::step
 /// [`audit`]: Runner::audit
 /// [`framed`]: Runner::framed
 /// [`encode`]: Runner::encode
+/// [`capturing`]: Runner::capturing
+/// [`trace`]: Runner::trace
 #[derive(Debug)]
 pub struct Runner {
     sys: System,
@@ -190,6 +196,8 @@ pub struct Runner {
     /// Streaming FNV-1a over each event's JSONL line + `\n`; framed
     /// runners only.
     trace_fnv: Option<u64>,
+    /// Every drained event, in order; capturing runners only.
+    captured: Option<Vec<ProtocolEvent>>,
     /// The line buffer `drain` encodes each event into.
     line: Vec<u8>,
     /// The machine payload and the whole frame, reused from checkpoint
@@ -210,6 +218,15 @@ impl Runner {
         Runner::at_start(sys, Some(FNV1A64_OFFSET))
     }
 
+    /// A runner at op 0 over `sys` that keeps every event it drains, so
+    /// the run can be written out as a JSONL [`trace`](Runner::trace).
+    pub fn capturing(sys: System) -> Runner {
+        Runner {
+            captured: Some(Vec::new()),
+            ..Runner::at_start(sys, None)
+        }
+    }
+
     fn at_start(sys: System, trace_fnv: Option<u64>) -> Runner {
         Runner {
             sys,
@@ -220,6 +237,7 @@ impl Runner {
             reads_fnv: FNV1A64_OFFSET,
             events: 0,
             trace_fnv,
+            captured: None,
             line: Vec::new(),
             payload: Vec::new(),
             frame: Vec::new(),
@@ -361,7 +379,8 @@ impl Runner {
     }
 
     /// Folds the tracer's pending events into the event count (and the
-    /// trace checksum of a framed runner).
+    /// trace checksum of a framed runner, or the events a capturing runner
+    /// keeps).
     fn drain(&mut self) {
         let events = self.sys.drain_trace();
         self.events += events.len() as u64;
@@ -373,6 +392,28 @@ impl Runner {
                 *h = fnv1a64_fold(*h, &self.line);
             }
         }
+        match self.captured.as_mut() {
+            Some(kept) if kept.is_empty() => *kept = events,
+            Some(kept) => kept.extend(events),
+            None => {}
+        }
+    }
+
+    /// The JSONL trace of the run so far, through
+    /// [`tracecheck::write_trace`]: the header and trailer describe the
+    /// machine as it stands. Drains the tracer first.
+    ///
+    /// # Errors
+    ///
+    /// A runner that is not [`capturing`](Runner::capturing), or a machine
+    /// a trace header cannot describe.
+    pub fn trace(&mut self) -> Result<String, String> {
+        self.drain();
+        let events = self
+            .captured
+            .as_deref()
+            .ok_or("only a capturing runner keeps its events")?;
+        tracecheck::write_trace(&self.sys, events)
     }
 
     /// The runner as one frame (see the module docs), in a buffer the

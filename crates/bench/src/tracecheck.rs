@@ -2,10 +2,11 @@
 //!
 //! [`capture`] drives a fresh [`System`] with tracing on and serialises the
 //! event stream as a JSONL trace (header, events, trailer — see
-//! [`tmc_obs::jsonl`]). [`check`] does the inverse: it rebuilds an
-//! identically configured `System` from the header, re-executes the
-//! replayable events (`read`, `write`, `set_mode`) in order with the
-//! [`ReferenceMemory`] oracle alongside, and asserts that
+//! [`tmc_obs::jsonl`]) through [`write_trace`], the one trace writer.
+//! [`check`] does the inverse: [`parse`] reads the trace and the machine
+//! its header describes, and [`replay`] rebuilds that `System`,
+//! re-executes the replayable events (`read`, `write`, `set_mode`) in
+//! order with the [`ReferenceMemory`] oracle alongside, and asserts that
 //!
 //! 1. every read returns both the recorded value and the oracle's value;
 //! 2. the regenerated event stream equals the recorded one exactly —
@@ -141,6 +142,24 @@ pub fn trailer_for(sys: &System) -> TraceTrailer {
     }
 }
 
+/// The JSONL trace of a run on `sys`: the header from [`header_for`],
+/// `events` in order, then the trailer from [`trailer_for`]. This is the
+/// one writer of a whole trace; [`capture`] and a checked scenario run
+/// both call it.
+///
+/// # Errors
+///
+/// Fails if `sys` cannot be represented in a trace header (see
+/// [`header_for`]).
+pub fn write_trace(sys: &System, events: &[ProtocolEvent]) -> Result<String, String> {
+    let mut w = TraceWriter::new(Vec::new(), &header_for(sys)?).map_err(|e| e.to_string())?;
+    for e in events {
+        w.event(e).map_err(|e| e.to_string())?;
+    }
+    let bytes = w.finish(trailer_for(sys)).map_err(|e| e.to_string())?;
+    String::from_utf8(bytes).map_err(|e| e.to_string())
+}
+
 /// Builds a system from `cfg`, enables tracing, runs `drive` against it,
 /// and returns the full JSONL trace text.
 ///
@@ -153,16 +172,40 @@ where
     F: FnOnce(&mut System),
 {
     let mut sys = System::new(cfg).map_err(|e| e.to_string())?;
-    let header = header_for(&sys)?;
     sys.set_tracing(true);
     drive(&mut sys);
     let events = sys.drain_trace();
-    let mut w = TraceWriter::new(Vec::new(), &header).map_err(|e| e.to_string())?;
-    for e in &events {
-        w.event(e).map_err(|e| e.to_string())?;
-    }
-    let bytes = w.finish(trailer_for(&sys)).map_err(|e| e.to_string())?;
-    String::from_utf8(bytes).map_err(|e| e.to_string())
+    write_trace(&sys, &events)
+}
+
+/// A trace read back, with the machine its header describes.
+#[derive(Debug, Clone)]
+pub struct ParsedTrace {
+    /// The header record.
+    pub header: TraceHeader,
+    /// The configuration the header describes ([`config_from`]).
+    pub config: SystemConfig,
+    /// Every event record, in order.
+    pub events: Vec<ProtocolEvent>,
+    /// The trailer record.
+    pub trailer: TraceTrailer,
+}
+
+/// Reads a JSONL trace and rebuilds its header's configuration.
+///
+/// # Errors
+///
+/// A [`TraceReader::read_all`] error, or a header [`config_from`]
+/// rejects.
+pub fn parse(trace: &str) -> Result<ParsedTrace, String> {
+    let (header, events, trailer) = TraceReader::new(trace.as_bytes()).read_all()?;
+    let config = config_from(&header)?;
+    Ok(ParsedTrace {
+        header,
+        config,
+        events,
+        trailer,
+    })
 }
 
 /// What a successful replay verified.
@@ -204,14 +247,28 @@ fn mismatch(i: usize, what: &str, got: impl fmt::Debug, want: impl fmt::Debug) -
     format!("event {i}: {what}: replay produced {got:?}, trace recorded {want:?}")
 }
 
-/// Replays `trace` against a fresh system and verifies every obligation.
+/// [`parse`]s `trace` and [`replay`]s it.
+///
+/// # Errors
+///
+/// The first parse error or divergence.
+pub fn check(trace: &str) -> Result<ReplayReport, String> {
+    replay(&parse(trace)?)
+}
+
+/// Replays a parsed trace against a fresh system and verifies every
+/// obligation.
 ///
 /// See the module docs for the full checklist. Returns a [`ReplayReport`]
 /// on success and a message naming the first divergence otherwise.
-pub fn check(trace: &str) -> Result<ReplayReport, String> {
-    let (header, events, trailer) = TraceReader::new(trace.as_bytes()).read_all()?;
-    let cfg = config_from(&header)?;
-    let mut sys = System::new(cfg).map_err(|e| e.to_string())?;
+pub fn replay(trace: &ParsedTrace) -> Result<ReplayReport, String> {
+    let ParsedTrace {
+        config,
+        events,
+        trailer,
+        ..
+    } = trace;
+    let mut sys = System::new(config.clone()).map_err(|e| e.to_string())?;
     sys.set_tracing(true);
     let mut oracle = ReferenceMemory::new();
     let mut replayed = 0usize;
@@ -260,7 +317,7 @@ pub fn check(trace: &str) -> Result<ReplayReport, String> {
             events.len()
         ));
     }
-    for (i, (got, want)) in regenerated.iter().zip(&events).enumerate() {
+    for (i, (got, want)) in regenerated.iter().zip(events).enumerate() {
         if got != want {
             return Err(mismatch(i, "regenerated event", got, want));
         }
@@ -312,15 +369,6 @@ pub fn check(trace: &str) -> Result<ReplayReport, String> {
         total_bits,
         counters: sys.counters().clone(),
     })
-}
-
-/// Captures a trace from `cfg`+`drive` and immediately [`check`]s it — the
-/// round-trip a CI job runs.
-pub fn roundtrip<F>(cfg: SystemConfig, drive: F) -> Result<ReplayReport, String>
-where
-    F: FnOnce(&mut System),
-{
-    check(&capture(cfg, drive)?)
 }
 
 #[cfg(test)]
@@ -381,7 +429,7 @@ mod tests {
 
     #[test]
     fn capture_then_check_verifies_a_small_run() {
-        let report = roundtrip(SystemConfig::new(4), |sys| {
+        let trace = capture(SystemConfig::new(4), |sys| {
             let a = WordAddr::new(0);
             let b = WordAddr::new(64);
             sys.set_mode(0, a, Mode::DistributedWrite).unwrap();
@@ -393,6 +441,7 @@ mod tests {
             }
         })
         .unwrap();
+        let report = check(&trace).unwrap();
         assert!(report.events > 0);
         assert!(report.replayed > 0);
         assert!(report.reads_checked >= 16);

@@ -5,7 +5,7 @@
 //! than a panic.
 
 use tmc_bench::script::{apply_script, from_trace};
-use tmc_bench::tracecheck::{capture, check, config_from, header_for, roundtrip};
+use tmc_bench::tracecheck::{capture, check, config_from, header_for};
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::WordAddr;
 use tmc_obs::{fnv1a64, TraceReader};
@@ -36,7 +36,8 @@ fn roundtrip_verifies_under_every_policy_and_scheme() {
         for (si, &scheme) in schemes.iter().enumerate() {
             let cfg = SystemConfig::new(8).mode_policy(policy).multicast(scheme);
             let trace = workload(40 + (pi * 2 + si) as u64, 600);
-            let report = roundtrip(cfg, |sys| drive(sys, &trace))
+            let report = capture(cfg, |sys| drive(sys, &trace))
+                .and_then(|text| check(&text))
                 .unwrap_or_else(|e| panic!("policy {policy:?} scheme {scheme:?}: {e}"));
             assert_eq!(report.replayed, 600, "every reference replays");
             assert!(report.events >= report.replayed);
@@ -54,7 +55,7 @@ fn roundtrip_covers_mode_directives_and_small_caches() {
         .cache_blocks(8)
         .mode_policy(ModePolicy::Adaptive { window: 8 });
     let trace = workload(7, 800);
-    let report = roundtrip(cfg, |sys| {
+    let text = capture(cfg, |sys| {
         sys.set_mode(0, WordAddr::new(0), Mode::DistributedWrite)
             .unwrap();
         drive(sys, &trace);
@@ -62,7 +63,7 @@ fn roundtrip_covers_mode_directives_and_small_caches() {
         sys.read(1, WordAddr::new(0)).unwrap();
     })
     .unwrap();
-    assert_eq!(report.replayed, 803);
+    assert_eq!(check(&text).unwrap().replayed, 803);
 }
 
 #[test]

@@ -27,15 +27,20 @@
 //! and golden digests hash them.
 //!
 //! Reading is a borrowing scan. [`TraceReader`] reads each line into one
-//! reused buffer, and one pass over it fills a fixed slot per known key:
+//! reused buffer and first walks it as the encoder wrote it: `type`, then
+//! that kind's `,"key":` literals in encoder order, plain digits,
+//! `true`/`false`, labels without escapes, a `links` row list, `}` and an
+//! optional `\n`. At the first byte that differs that walk gives up, and
+//! one general pass over the line fills a fixed slot per known key:
 //! integers and booleans decoded in place, strings and link arrays by
 //! offset (unknown keys are checked and dropped, keys may come in any
 //! order, the last of a repeated key wins). The record's `type` then reads
-//! just the slots it needs, with the JSON type it needs there. Nothing is
-//! allocated per field except an escaped string and a cast's link vector.
-//! Every other input — malformed JSON, a missing or mistyped field, a value
-//! out of range, records out of order — is a [`TraceError`] naming the
-//! line, never a panic.
+//! just the slots it needs, with the JSON type it needs there. Both reads
+//! give the same record for any line the first one accepts, and only the
+//! second one reports errors. Nothing is allocated per field except an
+//! escaped string and a cast's link vector. Every other input — malformed
+//! JSON, a missing or mistyped field, a value out of range, records out of
+//! order — is a [`TraceError`] naming the line, never a panic.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -586,7 +591,253 @@ fn bad(key: Key, value: impl fmt::Display) -> TraceErrorKind {
     }
 }
 
+/// A cursor that accepts only the bytes the encoder writes. Each read
+/// returns `None` at the first byte that differs, and [`parse_scanned`]
+/// then reads the line, so this cursor never decides what is an error.
+struct Canon<'a> {
+    line: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Canon<'a> {
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        self.line[self.pos..].starts_with(lit).then(|| {
+            self.pos += lit.len();
+        })
+    }
+
+    /// Consumes `key`'s `,"key":` if that field comes next.
+    fn key(&mut self, key: Key) -> Option<()> {
+        self.lit(Key::FIELDS[key as usize])
+    }
+
+    /// Plain decimal digits that fit the target type.
+    fn digits<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        let start = self.pos;
+        let mut v: u64 = 0;
+        while let Some(&d) = self.line.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            v = v.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return None;
+        }
+        T::try_from(v).ok()
+    }
+
+    fn num<T: TryFrom<u64>>(&mut self, key: Key) -> Option<T> {
+        self.key(key)?;
+        self.digits()
+    }
+
+    fn opt_num<T: TryFrom<u64>>(&mut self, key: Key) -> Option<Option<T>> {
+        if self.key(key).is_some() {
+            self.digits().map(Some)
+        } else {
+            Some(None)
+        }
+    }
+
+    fn flag(&mut self, key: Key) -> Option<bool> {
+        self.key(key)?;
+        if self.lit(b"true").is_some() {
+            Some(true)
+        } else {
+            self.lit(b"false").map(|()| false)
+        }
+    }
+
+    /// A quoted run of printable ASCII without `"` or `\` inside.
+    fn label(&mut self) -> Option<&'a str> {
+        self.lit(b"\"")?;
+        let rest = &self.line[self.pos..];
+        let len = rest.iter().position(|&b| b == b'"')?;
+        let text = &rest[..len];
+        let plain = |&b: &u8| (b' '..=b'~').contains(&b) && b != b'\\';
+        if !text.iter().all(plain) {
+            return None;
+        }
+        self.pos += len + 1;
+        std::str::from_utf8(text).ok()
+    }
+
+    fn text(&mut self, key: Key) -> Option<&'a str> {
+        self.key(key)?;
+        self.label()
+    }
+
+    fn word<T>(&mut self, key: Key, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        parse(self.text(key)?)
+    }
+
+    fn links(&mut self, key: Key) -> Option<Vec<LinkCharge>> {
+        self.key(key)?;
+        self.lit(b"[")?;
+        let mut links = Vec::new();
+        if self.lit(b"]").is_some() {
+            return Some(links);
+        }
+        loop {
+            self.lit(b"[")?;
+            let layer = self.digits()?;
+            self.lit(b",")?;
+            let line = self.digits()?;
+            self.lit(b",")?;
+            let bits = self.digits()?;
+            self.lit(b"]")?;
+            links.push(LinkCharge { layer, line, bits });
+            if self.lit(b"]").is_some() {
+                return Some(links);
+            }
+            self.lit(b",")?;
+        }
+    }
+
+    /// `}`, an optional `\n`, and nothing after.
+    fn end(mut self) -> Option<()> {
+        self.lit(b"}")?;
+        let _ = self.lit(b"\n");
+        (self.pos == self.line.len()).then_some(())
+    }
+}
+
+/// Reads a line laid out exactly as the encoder writes it, or `None`.
+fn parse_canonical(line: &[u8]) -> Option<TraceRecord> {
+    let mut c = Canon { line, pos: 0 };
+    c.lit(b"{\"type\":")?;
+    let record = match c.label()? {
+        "header" => TraceRecord::Header(TraceHeader {
+            version: c.num(Key::Version)?,
+            n_procs: c.num(Key::NProcs)?,
+            sets: c.num(Key::Sets)?,
+            ways: c.num(Key::Ways)?,
+            words_log2: c.num(Key::WordsLog2)?,
+            scheme: c.text(Key::Scheme)?.to_owned(),
+            policy: c.text(Key::Policy)?.to_owned(),
+            owner_bypass: c.flag(Key::OwnerBypass)?,
+        }),
+        "trailer" => TraceRecord::Trailer(TraceTrailer {
+            events: c.num(Key::Events)?,
+            fingerprint: c.num(Key::Fingerprint)?,
+            total_bits: c.num(Key::TotalBits)?,
+            links: c.links(Key::Links)?,
+        }),
+        kind => TraceRecord::Event(canonical_event(&mut c, kind)?),
+    };
+    c.end()?;
+    Some(record)
+}
+
+/// The fields of a `kind` event after its `type`, in encoder order.
+fn canonical_event(c: &mut Canon<'_>, kind: &str) -> Option<ProtocolEvent> {
+    Some(match kind {
+        "read" | "write" => {
+            let proc = c.num(Key::Proc)?;
+            let addr = WordAddr::new(c.num(Key::Addr)?);
+            let value = c.num(Key::Value)?;
+            let hit = c.flag(Key::Hit)?;
+            let cost_bits = c.num(Key::CostBits)?;
+            let mode = if c.key(Key::Mode).is_some() {
+                Some(TraceMode::parse(c.label()?)?)
+            } else {
+                None
+            };
+            if kind == "read" {
+                ProtocolEvent::Read {
+                    proc,
+                    addr,
+                    value,
+                    hit,
+                    cost_bits,
+                    mode,
+                }
+            } else {
+                ProtocolEvent::Write {
+                    proc,
+                    addr,
+                    value,
+                    hit,
+                    cost_bits,
+                    mode,
+                }
+            }
+        }
+        "set_mode" => ProtocolEvent::SetMode {
+            proc: c.num(Key::Proc)?,
+            addr: WordAddr::new(c.num(Key::Addr)?),
+            mode: c.word(Key::Mode, TraceMode::parse)?,
+        },
+        "miss" => ProtocolEvent::Miss {
+            proc: c.num(Key::Proc)?,
+            block: BlockAddr::new(c.num(Key::Block)?),
+            write: c.flag(Key::Write)?,
+            cold: c.flag(Key::Cold)?,
+        },
+        "mode_switch" => ProtocolEvent::ModeSwitch {
+            owner: c.num(Key::Owner)?,
+            block: BlockAddr::new(c.num(Key::Block)?),
+            to: c.word(Key::To, TraceMode::parse)?,
+            adaptive: c.flag(Key::Adaptive)?,
+        },
+        "ownership_transfer" => ProtocolEvent::OwnershipTransfer {
+            block: BlockAddr::new(c.num(Key::Block)?),
+            from: c.num(Key::From)?,
+            to: c.num(Key::To)?,
+            handoff: c.flag(Key::Handoff)?,
+        },
+        "replacement" => ProtocolEvent::Replacement {
+            proc: c.num(Key::Proc)?,
+            block: BlockAddr::new(c.num(Key::Block)?),
+            wrote_back: c.flag(Key::WroteBack)?,
+        },
+        "cast" => ProtocolEvent::Cast {
+            from: c.num(Key::From)?,
+            scheme: c.word(Key::Scheme, parse_scheme_choice)?,
+            payload_bits: c.num(Key::PayloadBits)?,
+            cost_bits: c.num(Key::CostBits)?,
+            links: c.links(Key::Links)?,
+        },
+        "fault" => ProtocolEvent::FaultInjected {
+            label: c.word(Key::Label, FaultLabel::parse)?,
+            op: c.num(Key::Op)?,
+            layer: c.opt_num(Key::Layer)?,
+            line: c.opt_num(Key::Line)?,
+            cache: c.opt_num(Key::Cache)?,
+            heal_op: c.opt_num(Key::HealOp)?,
+        },
+        "retry" => ProtocolEvent::RetryAttempt {
+            op: c.num(Key::Op)?,
+            proc: c.num(Key::Proc)?,
+            dest: c.num(Key::Dest)?,
+            attempt: c.num(Key::Attempt)?,
+            backoff_cycles: c.num(Key::BackoffCycles)?,
+        },
+        "degraded" => ProtocolEvent::Degraded {
+            op: c.num(Key::Op)?,
+            block: c.opt_num(Key::Block)?.map(BlockAddr::new),
+            cache: c.opt_num(Key::Cache)?,
+            heal_op: c.num(Key::HealOp)?,
+        },
+        "recovered" => ProtocolEvent::Recovered {
+            op: c.num(Key::Op)?,
+            block: c.opt_num(Key::Block)?.map(BlockAddr::new),
+            cache: c.opt_num(Key::Cache)?,
+            after_ops: c.num(Key::AfterOps)?,
+        },
+        _ => return None,
+    })
+}
+
 fn parse_line(line: &[u8]) -> Result<TraceRecord, TraceErrorKind> {
+    match parse_canonical(line) {
+        Some(record) => Ok(record),
+        None => parse_scanned(line),
+    }
+}
+
+/// Reads any line of the trace subset of JSON through [`Slots`]; the one
+/// source of [`TraceErrorKind`]s for a line.
+fn parse_scanned(line: &[u8]) -> Result<TraceRecord, TraceErrorKind> {
     let f = Slots::scan(line)?;
     let kind = match f.values[Key::Type as usize] {
         Some(Value::Str(at)) => Scanner::at(line, at).bytes(),
@@ -1193,6 +1444,121 @@ mod tests {
         assert_eq!(
             parse_record(&old),
             Ok(TraceRecord::Event(sample_events()[0].clone()))
+        );
+    }
+
+    /// Each value of a canonical line replaced in turn by each of `with`
+    /// (`{}` stands for the value as written).
+    fn each_number(line: &[u8], with: &[&str]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < line.len() {
+            let len = line[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+            if len == 0 {
+                i += 1;
+                continue;
+            }
+            let digits = std::str::from_utf8(&line[i..i + len]).unwrap();
+            for w in with {
+                let mut v = line[..i].to_vec();
+                v.extend_from_slice(w.replace("{}", digits).as_bytes());
+                v.extend_from_slice(&line[i + len..]);
+                out.push(v);
+            }
+            i += len;
+        }
+        out
+    }
+
+    #[test]
+    fn canonical_fast_path_agrees_with_the_slot_scanner() {
+        let trailer = TraceTrailer {
+            events: 15,
+            ..sample_trailer()
+        };
+        let mut lines: Vec<String> = GOLDEN_EVENT_LINES.map(String::from).to_vec();
+        lines.push(GOLDEN_HEADER.into());
+        lines.push(encode_record(&TraceRecord::Trailer(trailer)));
+        lines.push(
+            r#"{"type":"trailer","events":0,"fingerprint":0,"total_bits":0,"links":[]}"#.into(),
+        );
+
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for line in &lines {
+            assert!(parse_canonical(line.as_bytes()).is_some(), "{line}");
+            let bytes = format!("{line}\n").into_bytes();
+            inputs.push(bytes.clone());
+            inputs.push(format!("{line}\r\n").into_bytes());
+            for cut in 0..bytes.len() {
+                inputs.push(bytes[..cut].to_vec());
+            }
+            for i in 0..bytes.len() {
+                for &b in b"\":,[]{}09tf\\\n\r \xc3" {
+                    let mut v = bytes.clone();
+                    v[i] = b;
+                    inputs.push(v);
+                }
+                let mut v = bytes.clone();
+                v.insert(i, b' ');
+                inputs.push(v);
+            }
+            let u64_max = u64::MAX.to_string();
+            let over = "18446744073709551616";
+            inputs.extend(each_number(
+                &bytes,
+                &["0{}", "00", &u64_max, over, "4294967296"],
+            ));
+
+            // Keys begin `,"` and no value contains that pair.
+            let body = &line[1..line.len() - 1];
+            let fields: Vec<String> = body
+                .split(",\"")
+                .map(|f| format!("\"{}", f.trim_start_matches('"')))
+                .collect();
+            let object = |fields: &[String]| format!("{{{}}}\n", fields.join(",")).into_bytes();
+            for i in 0..fields.len() {
+                let mut v = fields.clone();
+                v.push(fields[i].clone());
+                inputs.push(object(&v));
+                let mut v = fields.clone();
+                v.insert(i, r#""note":1"#.into());
+                inputs.push(object(&v));
+                let mut v = fields.clone();
+                v.swap(i, (i + 1) % fields.len());
+                inputs.push(object(&v));
+            }
+            // Each string with its first character written as an escape.
+            let quotes: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'"').collect();
+            for &open in quotes.iter().step_by(2) {
+                if let Some(&c) = bytes.get(open + 1).filter(|&&c| c != b'"') {
+                    let mut v = bytes[..=open].to_vec();
+                    v.extend_from_slice(format!("\\u{:04x}", c).as_bytes());
+                    v.extend_from_slice(&bytes[open + 2..]);
+                    inputs.push(v);
+                }
+            }
+        }
+
+        let mut fast = 0;
+        for input in &inputs {
+            fast += usize::from(parse_canonical(input).is_some());
+            assert_eq!(
+                parse_line(input),
+                parse_scanned(input),
+                "{}",
+                String::from_utf8_lossy(input)
+            );
+        }
+        // The originals, `\n`-less prefixes and in-range number rewrites
+        // take the fast path; the rest fall through.
+        assert!(
+            fast > 3 * lines.len(),
+            "only {fast} inputs took the fast path"
+        );
+        assert!(
+            fast < inputs.len() / 4,
+            "{fast} of {} took the fast path",
+            inputs.len()
         );
     }
 

@@ -8,9 +8,10 @@
 //! tmc scenario pin (--all | <name>...) [--dir D]
 //! ```
 //!
-//! `check` is the CI entry point: every scenario runs twice (determinism),
-//! goldens are compared, and every fault-free scenario is captured as a
-//! JSONL trace and replayed. The selected scenarios are checked on the
+//! `check` is the CI entry point: every scenario runs once against its
+//! goldens; a fault-free scenario's run is captured as a JSONL trace and
+//! replayed on a second machine (determinism), and a scenario with faults
+//! runs a second time instead. The selected scenarios are checked on the
 //! sweep pool ([`tmc_bench::sweep::map`], `--threads N` workers, one per
 //! available core by default); their lines print in corpus order, so the
 //! output does not depend on the worker count.

@@ -5,16 +5,19 @@
 //! alongside, no journal — and condenses the audited run into a
 //! [`ScenarioOutcome`] — the compact observables `[expect]` sections pin
 //! (FNV-1a fingerprint, counter totals, per-link charge checksum).
-//! [`check_scenario`] materialises the op script once, runs it twice
-//! (determinism), compares the outcome with the goldens and, for a
-//! fault-free scenario, captures the same script as a JSONL trace and
-//! replays it (the full replay-obligation suite).
+//! [`check_scenario`] materialises the op script once and runs it on two
+//! machines. A fault-free scenario's oracle-checked run is also its JSONL
+//! capture, and the replay of that capture on a fresh machine is the
+//! determinism check (the full replay-obligation suite plus the counters).
+//! A scenario with faults cannot be replayed, so it runs twice and the two
+//! outcomes must agree. Either way the run's outcome is compared with the
+//! goldens.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::fmt::{self, Write as _};
 
-use tmc_bench::script::{apply_script, Runner, ScriptOp};
+use tmc_bench::script::{Runner, ScriptOp};
 use tmc_bench::tracecheck::{self, nonzero_links};
 use tmc_core::System;
 use tmc_obs::jsonl::fnv1a64;
@@ -92,14 +95,26 @@ pub(crate) fn counters_of(sys: &System) -> BTreeMap<String, u64> {
 /// (stale read), or an invariant violation at a fault-quiescent end
 /// state.
 pub fn run_scenario(sc: &Scenario) -> Result<ScenarioOutcome, String> {
-    run_ops(sc, &materialize(sc))
+    run_ops(sc, &materialize(sc), false).map(|(outcome, _)| outcome)
 }
 
-/// [`run_scenario`] over an already materialised script.
-fn run_ops(sc: &Scenario, ops: &[ScriptOp]) -> Result<ScenarioOutcome, String> {
-    let mut runner = Runner::new(traced_system(sc)?);
+/// [`run_scenario`] over an already materialised script; with `capture`,
+/// also the run's JSONL trace.
+fn run_ops(
+    sc: &Scenario,
+    ops: &[ScriptOp],
+    capture: bool,
+) -> Result<(ScenarioOutcome, Option<String>), String> {
+    let sys = traced_system(sc)?;
+    let mut runner = if capture {
+        Runner::capturing(sys)
+    } else {
+        Runner::new(sys)
+    };
     runner.run(ops, None, None)?;
-    finish(&mut runner, ops)
+    let outcome = finish(&mut runner, ops)?;
+    let trace = if capture { Some(runner.trace()?) } else { None };
+    Ok((outcome, trace))
 }
 
 /// A fresh machine for `sc` with tracing on: every scenario run counts its
@@ -138,8 +153,12 @@ pub struct CheckReport {
     pub replayed: bool,
 }
 
-/// Checks a scenario: deterministic rerun, goldens, and trace replay when
-/// the scenario is fault-free.
+/// Checks a scenario: one oracle-checked run compared with the goldens,
+/// and a second machine for determinism. For a fault-free scenario the run
+/// is captured and the second machine replays the capture, which must
+/// regenerate every event, the trailer's observables and the run's
+/// counters; a scenario with faults runs twice and the two outcomes must
+/// be equal.
 ///
 /// The second parameter is a placeholder that only `None` can fill: it
 /// keeps the two-argument call the repository benchmark makes, and goes
@@ -150,17 +169,16 @@ pub struct CheckReport {
 /// Returns the first failure, naming the observable that diverged.
 pub fn check_scenario(sc: &Scenario, _: Option<Infallible>) -> Result<CheckReport, String> {
     let ops = materialize(sc);
-    let outcome = run_ops(sc, &ops)?;
-    let rerun = run_ops(sc, &ops)?;
-    if rerun != outcome {
+    let replayed = !sc.fault_configured();
+    let (outcome, trace) = run_ops(sc, &ops, replayed)?;
+    if !replayed && run_ops(sc, &ops, false)?.0 != outcome {
         return Err("nondeterministic: two serial runs disagree".into());
     }
 
     let goldens = check_expect(&sc.expect, &outcome)?;
 
-    let replayed = !sc.fault_configured();
-    if replayed {
-        check_replay(sc, &ops)?;
+    if let Some(trace) = trace {
+        check_replay(&outcome, &trace)?;
     }
 
     Ok(CheckReport {
@@ -241,10 +259,34 @@ fn check_expect(expect: &Expect, outcome: &ScenarioOutcome) -> Result<usize, Str
         .join("\n"))
 }
 
-/// Capture + replay with the full obligation suite (fault-free scenarios
-/// only: a trace does not encode a fault plan).
-fn check_replay(sc: &Scenario, ops: &[ScriptOp]) -> Result<(), String> {
-    tracecheck::roundtrip(sc.config(), |sys| apply_script(sys, ops)).map(|_| ())
+/// Replays a run's own capture on a fresh machine: the determinism check of
+/// a fault-free scenario. [`tracecheck::check`] regenerates the event
+/// stream event for event (read values included) and verifies the
+/// fingerprint, total bits, every link charge, the invariants and the
+/// oracle memory image; then the replay's counters must equal the run's.
+///
+/// # Errors
+///
+/// The first divergence, or the first counter (in name order) that
+/// differs.
+fn check_replay(outcome: &ScenarioOutcome, trace: &str) -> Result<(), String> {
+    let replayed = tracecheck::check(trace)?.counters;
+    let run = |name: &str| outcome.counters.get(name).copied().unwrap_or(0);
+    let diverged = outcome
+        .counters
+        .keys()
+        .map(String::as_str)
+        .chain(replayed.iter().map(|(name, _)| name))
+        .filter(|&name| run(name) != replayed.get(name))
+        .min();
+    match diverged {
+        None => Ok(()),
+        Some(name) => Err(format!(
+            "counter {name}: run has {}, replay has {}",
+            run(name),
+            replayed.get(name)
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -310,6 +352,37 @@ mod tests {
             rendered.contains("expected") && rendered.contains("actual"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn the_replay_of_the_runs_capture_names_what_diverged() {
+        let sc = small();
+        let (outcome, trace) = run_ops(&sc, &materialize(&sc), true).unwrap();
+        let trace = trace.unwrap();
+        check_replay(&outcome, &trace).unwrap();
+
+        // One read event's recorded value, off by one.
+        let read = trace
+            .lines()
+            .find(|l| l.starts_with(r#"{"type":"read""#))
+            .unwrap();
+        let at = read.find(r#""value":"#).unwrap() + r#""value":"#.len();
+        let digits = read[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let value: u64 = read[at..at + digits].parse().unwrap();
+        let bad_read = format!("{}{}{}", &read[..at], value + 1, &read[at + digits..]);
+        let e = check_replay(&outcome, &trace.replacen(read, &bad_read, 1)).unwrap_err();
+        assert!(e.contains(": read value: "), "{e}");
+
+        // One counter of the run's outcome, off by one.
+        let mut drifted = outcome.clone();
+        let (name, count) = drifted
+            .counters
+            .iter_mut()
+            .find(|(_, &mut v)| v > 0)
+            .unwrap();
+        *count += 1;
+        let want = format!("counter {name}: run has {count}, replay has {}", *count - 1);
+        assert_eq!(check_replay(&drifted, &trace).unwrap_err(), want);
     }
 
     #[test]

@@ -146,3 +146,55 @@ fn help_lists_every_subcommand_and_exits_0() {
         assert!(help.contains(name), "paper {name} missing:\n{help}");
     }
 }
+
+/// `tmc trace check` reports a trace it cannot turn into a machine as
+/// malformed, and keeps `replay FAILED` for a replay that diverges; both
+/// exit 1.
+#[test]
+fn trace_check_tells_a_malformed_header_from_a_divergence() {
+    let dir = std::env::temp_dir().join(format!("tmc-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("canonical.jsonl");
+    let path_arg = path.to_str().unwrap();
+    assert_eq!(exit_code(&["trace", "capture", path_arg]), 0);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(exit_code(&["trace", "check", path_arg]), 0);
+
+    // The first read's recorded value, off by one.
+    let read = text
+        .lines()
+        .find(|l| l.starts_with(r#"{"type":"read""#))
+        .unwrap();
+    let at = read.find(r#""value":"#).unwrap() + r#""value":"#.len();
+    let digits = read[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let value: u64 = read[at..at + digits].parse().unwrap();
+    let bad_read = format!("{}{}{}", &read[..at], value + 1, &read[at + digits..]);
+
+    for (from, to, want) in [
+        (
+            r#""sets":64"#,
+            r#""sets":3"#,
+            "error: malformed trace: cache geometry 3x4 invalid",
+        ),
+        (
+            r#""scheme":"combined""#,
+            r#""scheme":"morse""#,
+            "error: malformed trace: unknown multicast scheme 'morse'",
+        ),
+        (
+            r#""n_procs":16"#,
+            r#""n_procs":12"#,
+            "error: malformed trace: bad processor count 12",
+        ),
+        (read, bad_read.as_str(), "error: replay FAILED: event "),
+    ] {
+        let edited = text.replacen(from, to, 1);
+        assert_ne!(edited, text, "{from} is in the capture");
+        std::fs::write(&path, edited).unwrap();
+        let out = tmc(&["trace", "check", path_arg]);
+        assert_eq!(out.status.code(), Some(1), "{to}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(want), "{to}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
