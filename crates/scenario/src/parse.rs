@@ -405,7 +405,20 @@ fn parse_workload_key(
         key if w.family.allowed_keys().contains(&key) => match key {
             "blocks" => w.blocks = nonzero_u64(p, "blocks")?,
             "write_fraction" => w.write_fraction = fraction(p, "write_fraction")?,
-            "references" => w.references = p.parse("references")?,
+            "references" => {
+                let v: usize = p.parse("references")?;
+                if v > Workload::MAX_REFERENCES {
+                    return err(
+                        p.line,
+                        p.val_col,
+                        format!(
+                            "references must be in 0..={}, got {v}",
+                            Workload::MAX_REFERENCES
+                        ),
+                    );
+                }
+                w.references = v;
+            }
             "rows_per_task" => w.rows_per_task = nonzero_usize(p, "rows_per_task")?,
             "iterations" => w.iterations = nonzero_usize(p, "iterations")?,
             "blocks_per_task" => w.blocks_per_task = nonzero_u64(p, "blocks_per_task")?,
@@ -413,7 +426,17 @@ fn parse_workload_key(
             "any_writer" => w.any_writer = p.parse("any_writer (true/false)")?,
             "hot_block" => w.hot_block = p.parse("hot_block")?,
             "period" => w.period = nonzero_usize(p, "period")?,
-            "users" => w.users = nonzero_u64(p, "users")?,
+            "users" => {
+                let v = nonzero_u64(p, "users")?;
+                if v > Workload::MAX_USERS {
+                    return err(
+                        p.line,
+                        p.val_col,
+                        format!("users must be in 1..={}, got {v}", Workload::MAX_USERS),
+                    );
+                }
+                w.users = v;
+            }
             "theta" => {
                 let v: f64 = p.parse("theta")?;
                 if !(0.0..1.0).contains(&v) {

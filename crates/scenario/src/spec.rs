@@ -142,6 +142,8 @@ pub struct Workload {
     /// Logical tasks.
     pub tasks: usize,
     /// Reference count (families with a fixed sweep length ignore it).
+    /// The parser rejects values above [`Workload::MAX_REFERENCES`]: the
+    /// generated trace and its script are held in memory whole.
     pub references: usize,
     /// Task→processor placement.
     pub placement: Placement,
@@ -163,7 +165,8 @@ pub struct Workload {
     pub hot_block: u64,
     /// Migration period in references.
     pub period: usize,
-    /// Zipf logical users.
+    /// Zipf logical users. The parser accepts `1..=`[`Workload::MAX_USERS`]:
+    /// the sampler's normaliser ζ visits every user once.
     pub users: u64,
     /// Zipf skew θ.
     pub theta: f64,
@@ -174,6 +177,14 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// Largest `users` a `.tmcs` file may set: 2²⁸, about a second of the
+    /// Zipf normaliser's setup (the corpus uses at most 10⁶).
+    pub const MAX_USERS: u64 = 1 << 28;
+
+    /// Largest `references` a `.tmcs` file may set: 2²⁴, already a trace
+    /// of 384 MiB (the corpus uses at most 4 000).
+    pub const MAX_REFERENCES: usize = 1 << 24;
+
     /// Default parameters for `family`.
     pub fn new(family: Family) -> Self {
         Workload {

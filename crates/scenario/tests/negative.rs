@@ -122,6 +122,18 @@ const EXPECTED: &[(&str, usize, usize, &str)] = &[
         1,
         "mean_outage 18446744073709551615 exceeds the supported bound",
     ),
+    (
+        "users-beyond-bound.tmcs",
+        5,
+        9,
+        "users must be in 1..=268435456, got 1000000000000000",
+    ),
+    (
+        "references-beyond-bound.tmcs",
+        5,
+        14,
+        "references must be in 0..=16777216, got 1000000000000000",
+    ),
 ];
 
 fn fixtures_dir() -> std::path::PathBuf {

@@ -13,6 +13,38 @@
 //! writer task (chosen by block hash), so the trace stays comparable to the
 //! rest of the workload family and the protocol's distributed-write mode
 //! still gets exercised.
+//!
+//! # The Zipf normaliser
+//!
+//! [`ZipfSampler`] needs `ζ(n, θ) = Σ_{i=1..n} i^−θ` to the last bit: its
+//! `sample` raises a ζ-derived base to the power `1/(1−θ)` (100 at
+//! `θ = 0.99`), so one ulp of drift moves ranks, and with them every
+//! generated stream. The reference value is the left fold
+//! `(1..=n).map(|i| 1.0 / (i as f64).powf(θ)).sum()`, one `powf` per user.
+//! The sampler returns exactly that `f64` while calling `powf` far less:
+//!
+//! - **Head.** Terms `1..=4096` are folded exactly as the fold does.
+//! - **Anchors.** From `a = 4097` on, the exact term `T_a` is folded, and
+//!   each of the next `a >> 11` terms `j = a + k` is approximated as
+//!   `t = T_a · P(k/a)`, where `P` is the degree-5 Taylor polynomial of
+//!   `(1+x)^−θ` (coefficients `|c_m| ≤ 1`, `x ≤ 2⁻¹¹`, truncation error
+//!   `≤ 2⁻⁶⁶`), evaluated with plain `*` and `+` (`mul_add` is a libm call
+//!   on the default x86-64 target). The next anchor is `a + (a >> 11) + 1`.
+//! - **Certificate.** With `e = t · 2⁻⁴⁰`, if `acc + (t − e)` and
+//!   `acc + (t + e)` round to the same `f64`, that is the sum the fold
+//!   produces: round-to-nearest addition is monotone in the addend, and
+//!   the fold's term lies in `[t − e, t + e]`. Otherwise the exact term
+//!   is computed and folded. Terms are folded strictly in order `1..=n`.
+//!
+//! Error budget. The fold's term `1/powf(j, θ)` is within 1.5 ulp of
+//! `j^−θ` (`powf` ≤ 1 ulp, glibc documents < 0.52, plus the division).
+//! `t` is within `2⁻⁴⁹` relative of `j^−θ` (anchor term, `1/a`, Horner and
+//! the final product). So the two differ by less than `t · 2⁻⁴⁸`
+//! (`ZETA_TERM_ERROR`), and the certificate's margin is 256 times that.
+//!
+//! At `n = 10⁶, θ = 0.99` this takes ≈ 20.7 k `powf` calls (4 096 head,
+//! 10 794 anchors, 5 818 undecided terms) instead of 10⁶; unit tests bound
+//! the count and check the bit equality with the fold.
 
 use tmc_memsys::{BlockAddr, BlockSpec};
 use tmc_simcore::SimRng;
@@ -31,12 +63,37 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Terms `1..=ZETA_HEAD` of ζ are folded exactly, one `powf` each.
+const ZETA_HEAD: u64 = 4096;
+
+/// An anchor `a` approximates the next `a >> ZETA_SPAN_SHIFT` terms, so the
+/// Taylor argument `k/a` stays `≤ 2⁻¹¹`.
+const ZETA_SPAN_SHIFT: u32 = 11;
+
+/// Bound on `|t − T_j| / t` between an approximated term `t` and the
+/// fold's exact term `T_j`: `2⁻⁴⁸` (the error budget in the module docs).
+const ZETA_TERM_ERROR: f64 = 1.0 / (1u64 << 48) as f64;
+
+/// Relative half-width of the certificate's interval, `2⁻⁴⁰`: 256 times
+/// [`ZETA_TERM_ERROR`], and a power of two, so `t · ZETA_MARGIN` is exact.
+const ZETA_MARGIN: f64 = 256.0 * ZETA_TERM_ERROR;
+
+/// The exact `i`-th term of ζ, as the reference fold computes it.
+#[inline]
+fn zeta_term(i: u64, theta: f64) -> f64 {
+    1.0 / (i as f64).powf(theta)
+}
+
 /// Rejection-free Zipfian rank sampler (the YCSB construction): draws rank
 /// `r ∈ 0..n` with `P(r) ∝ 1/(r+1)^θ` using one uniform variate and a
 /// handful of floating-point ops — no tables, no allocation.
 ///
-/// The `O(n)` harmonic-sum precompute happens once in [`ZipfSampler::new`];
-/// sampling is `O(1)`.
+/// [`ZipfSampler::new`] computes the normaliser `ζ(n, θ) = Σ_{i≤n} i^−θ`
+/// as an anchored series: it still folds every term in order, but calls
+/// `powf` for only ≈ 2 % of them at `n = 10⁶` (the first 4 096, one anchor
+/// per `a/2048` terms after that, and the few a rounding certificate
+/// cannot decide), and its result is bit-identical to the plain fold. See
+/// the [module docs](self#the-zipf-normaliser). Sampling is `O(1)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZipfSampler {
     n: u64,
@@ -60,8 +117,8 @@ impl ZipfSampler {
             (0.0..1.0).contains(&theta),
             "theta must be in [0, 1) (got {theta})"
         );
-        let zetan = Self::zeta(n, theta);
-        let zeta2 = Self::zeta(n.min(2), theta);
+        let zetan = Self::zeta(n, theta).0;
+        let zeta2 = Self::zeta(n.min(2), theta).0;
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         ZipfSampler {
             n,
@@ -73,9 +130,53 @@ impl ZipfSampler {
         }
     }
 
-    /// Generalized harmonic number `Σ_{i=1..n} 1/i^θ`.
-    fn zeta(n: u64, theta: f64) -> f64 {
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    /// Generalized harmonic number `Σ_{i=1..n} 1/i^θ`, bit-identical to the
+    /// left fold of [`zeta_term`] over `1..=n`, and the number of terms it
+    /// computed exactly (with `powf`). The anchored series of the
+    /// [module docs](self#the-zipf-normaliser).
+    fn zeta(n: u64, theta: f64) -> (f64, u64) {
+        // `Sum` for floats starts at −0.0; so does the fold this matches.
+        let mut acc = -0.0;
+        let head = n.min(ZETA_HEAD);
+        for i in 1..=head {
+            acc += zeta_term(i, theta);
+        }
+        let mut exact = head;
+        // Taylor coefficients of (1+x)^−θ: c₀ = 1, c_m = c_{m−1}·(−θ−m+1)/m.
+        let mut c = [1.0f64; 6];
+        for m in 1..c.len() {
+            c[m] = c[m - 1] * (-theta - m as f64 + 1.0) / m as f64;
+        }
+        let [_, c1, c2, c3, c4, c5] = c;
+        let mut a = ZETA_HEAD + 1;
+        while a <= n {
+            let t_a = zeta_term(a, theta);
+            acc += t_a;
+            exact += 1;
+            let inv_a = 1.0 / a as f64;
+            let last = a.saturating_add(a >> ZETA_SPAN_SHIFT).min(n);
+            // `k` as an f64 counter: exact below 2⁵³, and cheaper than a
+            // u64 → f64 conversion per term.
+            let mut kf = 0.0;
+            for k in 1..=last - a {
+                kf += 1.0;
+                let x = kf * inv_a;
+                let t = t_a * (1.0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5)))));
+                let e = t * ZETA_MARGIN;
+                let lo = acc + (t - e);
+                if lo == acc + (t + e) {
+                    acc = lo;
+                } else {
+                    acc += zeta_term(a + k, theta);
+                    exact += 1;
+                }
+            }
+            if last == n {
+                break;
+            }
+            a = last + 1;
+        }
+        (acc, exact)
     }
 
     /// Population size.
@@ -298,6 +399,114 @@ impl MultiTenantZipfWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference ζ: one `powf` per term, folded left from −0.0.
+    fn fold_zeta(n: u64, theta: f64) -> f64 {
+        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    }
+
+    fn assert_zeta_exact(n: u64, theta: f64) {
+        let got = ZipfSampler::zeta(n, theta).0;
+        let want = fold_zeta(n, theta);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "ζ({n}, {theta}) = {got:e}, fold gives {want:e}"
+        );
+    }
+
+    /// Populations near the head/anchor seams and the ends of θ's range.
+    const EDGE_N: [u64; 8] = [1, 2, 3, 4095, 4096, 4097, 4098, 100_000];
+    const EDGE_THETA: [f64; 6] = [0.0, 1e-9, 0.5, 0.9, 0.99, 1.0 - 1.0 / (1u64 << 20) as f64];
+
+    #[test]
+    fn zeta_matches_the_fold_on_the_corpus_and_default_populations() {
+        // The corpus's Zipf scenarios, then the default-θ populations tests
+        // and benches build.
+        for (n, theta) in [(1_000_000, 0.99), (500_000, 0.99), (500_000, 0.9)] {
+            assert_zeta_exact(n, theta);
+        }
+        for n in [1 << 16, 1 << 20, 1_000_000, 2_000_000] {
+            assert_zeta_exact(n, 0.99);
+        }
+    }
+
+    #[test]
+    fn zeta_matches_the_fold_on_the_edge_grid() {
+        for n in EDGE_N {
+            for theta in EDGE_THETA {
+                assert_zeta_exact(n, theta);
+            }
+        }
+    }
+
+    #[test]
+    fn zeta_calls_powf_for_a_few_percent_of_a_million_terms() {
+        let (_, exact) = ZipfSampler::zeta(1_000_000, 0.99);
+        assert!(
+            exact <= 25_000,
+            "ζ(10⁶, 0.99) computed {exact} terms with powf"
+        );
+        // Below the head every term is exact.
+        assert_eq!(ZipfSampler::zeta(ZETA_HEAD, 0.99).1, ZETA_HEAD);
+    }
+
+    /// Seeded sweep: ≥ 2 000 pairs, `n` log-uniform in `1..=2²¹`, θ uniform
+    /// in `[0, 1)`, plus the edge grid. Slow in a debug build; CI runs it in
+    /// release.
+    #[test]
+    #[ignore]
+    fn zeta_matches_the_fold_on_a_seeded_sweep() {
+        let mut rng = SimRng::seed_from(0x5a_e7a);
+        for _ in 0..2_000 {
+            let n = (2f64.powf(21.0 * rng.gen_unit()) as u64).max(1);
+            let theta = rng.gen_unit();
+            assert_zeta_exact(n, theta);
+        }
+        for theta in EDGE_THETA {
+            assert_zeta_exact(1 << 21, theta);
+        }
+    }
+
+    /// FNV-1a over each reference's processor, word address and op.
+    fn stream_digest(trace: &Trace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in trace.iter() {
+            let op = match r.op {
+                Op::Read => 0u8,
+                Op::Write => 1,
+            };
+            let bytes = (r.proc as u64)
+                .to_le_bytes()
+                .into_iter()
+                .chain(r.addr.value().to_le_bytes())
+                .chain([op]);
+            for b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn zipf_streams_are_pinned() {
+        // Shapes of `zipf-1m-users` and `zipf-bign-256`, 10 000 references.
+        let a = MultiTenantZipfWorkload::new(16, 1_000_000, 0.2)
+            .theta(0.99)
+            .tenants(16)
+            .blocks_per_tenant(64)
+            .references(10_000)
+            .generate(16, &mut SimRng::seed_from(12));
+        assert_eq!(stream_digest(&a), 0x914a_98b6_bc61_c0c1);
+        let b = MultiTenantZipfWorkload::new(256, 500_000, 0.2)
+            .theta(0.9)
+            .tenants(32)
+            .blocks_per_tenant(32)
+            .references(10_000)
+            .generate(256, &mut SimRng::seed_from(13));
+        assert_eq!(stream_digest(&b), 0x805c_55fc_a0a0_1a56);
+    }
 
     #[test]
     fn zipf_sampler_stays_in_range_and_skews_low() {
