@@ -11,6 +11,8 @@
 
 use tmc_core::{Mode, ModePolicy};
 use tmc_scenario::gen::generate_case;
+use tmc_scenario::ops::materialize;
+use tmc_scenario::Machine;
 
 fn main() {
     let mut worst = 0.0f64;
@@ -20,15 +22,17 @@ fn main() {
     let mut max_excess = 0u64;
     for seed in 0..4000u64 {
         let case = generate_case(seed);
-        if !matches!(case.policy, ModePolicy::Adaptive { .. }) {
+        let m = &case.machine;
+        if !matches!(m.policy, ModePolicy::Adaptive { .. }) {
             continue;
         }
+        let ops = materialize(&case);
         let run = |policy: ModePolicy| {
-            tmc_scenario::outcome::run_serial(case.config_with_policy(policy), &case.ops, false)
+            tmc_scenario::outcome::run_serial(Machine { policy, ..*m }.config(), &ops, false)
                 .unwrap()
                 .total_bits
         };
-        let a = run(case.policy);
+        let a = run(m.policy);
         let best = run(ModePolicy::Fixed(Mode::DistributedWrite))
             .min(run(ModePolicy::Fixed(Mode::GlobalRead)));
         let ratio = a as f64 / best.max(1) as f64;

@@ -8,7 +8,7 @@ use std::process::ExitCode;
 
 use tmc_bench::args::{Args, CliError};
 use tmc_bench::{cmd, paper};
-use tmc_scenario::cli;
+use tmc_scenario::{cli, crashsim};
 
 fn usage() -> String {
     format!(
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
         Some("scenario") => cli::scenario(args),
         Some("fuzz") => cli::fuzz(args),
         Some("chaos") => cmd::chaos::run(args),
-        Some("crashsim") => cmd::crashsim::run(args),
+        Some("crashsim") => crashsim::run(args),
         Some("trace") => cmd::trace::run(args),
         Some("replay") => cmd::replay::run(args),
         Some("sweep") => cmd::sweep::run(args),

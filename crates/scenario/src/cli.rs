@@ -42,6 +42,7 @@
 //! when `--corpus-out` is given.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -115,10 +116,12 @@ pub fn scenario(mut args: Args) -> Result<(), CliError> {
 }
 
 /// The scenarios the command applies to: the whole corpus with `--all`
-/// (or for `list`), otherwise the named subset.
+/// (or for `list`), otherwise the named subset. The whole corpus must
+/// parse; a named subset fails on a file that does not parse only when
+/// the file's stem is one of the names.
 fn select(cli: &Cli, verb: &str) -> Result<Vec<(PathBuf, Scenario)>, String> {
-    let entries = corpus::load_dir(&cli.dir)?;
     if cli.all || (verb == "list" && cli.names.is_empty()) {
+        let entries = corpus::load_dir(&cli.dir)?;
         if entries.is_empty() {
             return Err(format!("no .tmcs scenarios in {}", cli.dir.display()));
         }
@@ -127,12 +130,32 @@ fn select(cli: &Cli, verb: &str) -> Result<Vec<(PathBuf, Scenario)>, String> {
     if cli.names.is_empty() {
         return Err(format!("scenario {verb} needs --all or scenario names"));
     }
+    let mut entries = Vec::new();
+    for path in corpus::tmcs_paths(&cli.dir)? {
+        match corpus::load_file(&path) {
+            Ok(sc) => entries.push((path, sc)),
+            Err(e)
+                if path
+                    .file_stem()
+                    .is_some_and(|stem| cli.names.iter().any(|n| stem == n.as_str())) =>
+            {
+                return Err(e)
+            }
+            Err(_) => {}
+        }
+    }
     let mut selected = Vec::new();
     for name in &cli.names {
-        let found = entries.iter().find(|(_, sc)| &sc.name == name);
-        match found {
-            Some(e) => selected.push(e.clone()),
-            None => {
+        let mut found = entries.iter().filter(|(_, sc)| &sc.name == name);
+        match (found.next(), found.next()) {
+            (Some(e), None) => selected.push(e.clone()),
+            (Some(_), Some((path, _))) => {
+                return Err(format!(
+                    "{}: duplicate scenario name `{name}`",
+                    path.display()
+                ))
+            }
+            (None, _) => {
                 return Err(format!(
                     "no scenario named `{name}` in {} ({} available: {})",
                     cli.dir.display(),
@@ -453,7 +476,7 @@ fn fuzz_cases(
                 );
                 print!("{}", corpus::entry_text(&minimized, pair, ""));
                 println!("-- #[test] snippet --");
-                print!("{}", minimized.rust_snippet(pair.name()));
+                print!("{}", rust_snippet(&minimized, pair));
                 if let Some(dir) = corpus_out {
                     match corpus::save(dir, &minimized, pair, "auto-minimized by fuzz run") {
                         Ok(p) => println!("-- saved {}", p.display()),
@@ -480,13 +503,38 @@ fn fuzz_cases(
     for (name, n) in &applied {
         println!("  {name:>20}: {n} case(s)");
     }
-    let pairs_exercised = applied.len();
-    if pairs_exercised < 5 {
-        println!("WARNING: only {pairs_exercised} engine pairs exercised (want >= 5)");
+    let (pairs_exercised, want) = (applied.len(), Pair::all().len());
+    if pairs_exercised < want {
+        println!("WARNING: only {pairs_exercised} engine pairs exercised (want >= {want})");
         return Err(format!("only {pairs_exercised} engine pairs exercised"));
     }
     match divergences {
         0 => Ok(()),
         n => Err(format!("{n} divergence(s)")),
     }
+}
+
+/// A self-contained `#[test]` that parses the minimized case back from
+/// its `.tmcs` text and asserts that `pair` holds on it.
+fn rust_snippet(sc: &Scenario, pair: Pair) -> String {
+    let mut s = String::new();
+    let _ = writeln!(s, "/// Minimized reproducer (seed {}).", sc.seed);
+    let _ = writeln!(s, "#[test]");
+    let _ = writeln!(s, "fn conformance_repro_seed_{}() {{", sc.seed);
+    let _ = writeln!(s, "    use tmc_scenario::{{check_pair, parse, Pair}};");
+    let _ = writeln!(s, "    let text = concat!(");
+    for line in sc.encode().lines() {
+        let _ = writeln!(s, "        {line:?}, \"\\n\",");
+    }
+    let _ = writeln!(s, "    );");
+    let _ = writeln!(s, "    let sc = parse(text).unwrap();");
+    let _ = writeln!(
+        s,
+        "    if let Err(d) = check_pair(&sc, Pair::parse({:?}).unwrap()) {{",
+        pair.name()
+    );
+    let _ = writeln!(s, "        panic!(\"{{}}\", d);");
+    let _ = writeln!(s, "    }}");
+    let _ = writeln!(s, "}}");
+    s
 }

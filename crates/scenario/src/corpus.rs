@@ -16,7 +16,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::case::CaseSpec;
 use crate::outcome::Divergence;
 use crate::pairs::{check_case, check_pair, Pair};
 use crate::parse::parse;
@@ -38,7 +37,7 @@ pub fn reproducer_dir() -> PathBuf {
 /// # Errors
 ///
 /// Returns `"<path>: <error>"` on I/O or parse failure.
-pub fn load_file(path: &Path) -> Result<Scenario, String> {
+pub(crate) fn load_file(path: &Path) -> Result<Scenario, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
@@ -50,12 +49,7 @@ pub fn load_file(path: &Path) -> Result<Scenario, String> {
 /// Returns the first unreadable or unparsable file, or a duplicate
 /// scenario name.
 pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, Scenario)>, String> {
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "tmcs"))
-        .collect();
-    paths.sort();
+    let paths = tmcs_paths(dir)?;
     let mut out = Vec::with_capacity(paths.len());
     for path in paths {
         let sc = load_file(&path)?;
@@ -74,6 +68,21 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, Scenario)>, String> {
     Ok(out)
 }
 
+/// Every `.tmcs` file in `dir`, sorted by file name.
+///
+/// # Errors
+///
+/// Returns `"<dir>: <error>"` when the directory cannot be read.
+pub(crate) fn tmcs_paths(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+        .map_err(|e| format!("{}: {e}", dir.display()))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "tmcs"))
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
 /// Summary of one reproducer replay.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusReport {
@@ -83,13 +92,16 @@ pub struct CorpusReport {
     pub failures: Vec<(PathBuf, Divergence)>,
 }
 
-/// Serializes a minimized reproducer as a named `.tmcs` scenario.
-pub fn entry_text(case: &CaseSpec, pair: Pair, note: &str) -> String {
-    let mut sc = case.to_scenario();
-    sc.name = format!("{}-seed{}", pair.name(), case.seed);
-    sc.pair = Some(pair.name().to_string());
-    sc.note = note.to_string();
-    sc.encode()
+/// Serializes a minimized reproducer as a `.tmcs` scenario named
+/// `<pair>-seed<seed>`, with the tripped pair and `note` recorded.
+pub fn entry_text(sc: &Scenario, pair: Pair, note: &str) -> String {
+    Scenario {
+        name: format!("{}-seed{}", pair.name(), sc.seed),
+        pair: Some(pair.name().to_string()),
+        note: note.to_string(),
+        ..sc.clone()
+    }
+    .encode()
 }
 
 /// Writes a minimized reproducer under `dir` as
@@ -98,10 +110,10 @@ pub fn entry_text(case: &CaseSpec, pair: Pair, note: &str) -> String {
 /// # Errors
 ///
 /// Propagates filesystem errors as messages.
-pub fn save(dir: &Path, case: &CaseSpec, pair: Pair, note: &str) -> Result<PathBuf, String> {
+pub fn save(dir: &Path, sc: &Scenario, pair: Pair, note: &str) -> Result<PathBuf, String> {
     fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let path = dir.join(format!("{}-seed{}.tmcs", pair.name(), case.seed));
-    fs::write(&path, entry_text(case, pair, note)).map_err(|e| e.to_string())?;
+    let path = dir.join(format!("{}-seed{}.tmcs", pair.name(), sc.seed));
+    fs::write(&path, entry_text(sc, pair, note)).map_err(|e| e.to_string())?;
     Ok(path)
 }
 
@@ -120,10 +132,9 @@ pub fn run_dir(dir: &Path) -> Result<CorpusReport, String> {
     }
     for (path, sc) in load_dir(dir)? {
         report.entries += 1;
-        let case = CaseSpec::from_scenario(&sc);
         let result = match sc.pair.as_deref().and_then(Pair::parse) {
-            Some(pair) => check_pair(&case, pair),
-            None => check_case(&case).map(|_| ()),
+            Some(pair) => check_pair(&sc, pair),
+            None => check_case(&sc).map(|_| ()),
         };
         if let Err(d) = result {
             report.failures.push((path, d));
@@ -150,8 +161,13 @@ mod tests {
         let path = save(&dir, &case, Pair::SerialVsReplay, "unit test").unwrap();
         assert!(path.extension().is_some_and(|x| x == "tmcs"));
         let sc = load_file(&path).unwrap();
-        assert_eq!(CaseSpec::from_scenario(&sc), case);
-        assert_eq!(sc.pair.as_deref(), Some(Pair::SerialVsReplay.name()));
+        let want = Scenario {
+            name: format!("serial-vs-replay-seed{}", case.seed),
+            pair: Some(Pair::SerialVsReplay.name().to_string()),
+            note: "unit test".into(),
+            ..case
+        };
+        assert_eq!(sc, want);
         assert_eq!(load_dir(&dir).unwrap().len(), 1);
         assert_eq!(run_dir(&dir).unwrap().entries, 1);
         let _ = fs::remove_dir_all(&dir);

@@ -1,4 +1,9 @@
-//! Deterministic case generation: one `u64` seed → one [`CaseSpec`].
+//! Deterministic case generation: one `u64` seed → one [`Scenario`].
+//!
+//! A generated case is self-contained: its machine, a zero-count
+//! `[faults]` plan carrying the seed of the faults pair, an optional
+//! `[analytic]` probe and the explicit `[ops]` script, so it encodes
+//! straight to a `.tmcs` reproducer.
 //!
 //! Every draw flows through the in-tree [`SimRng`], so the same seed
 //! always yields the same case on every host. Generation is biased toward
@@ -17,7 +22,7 @@ use tmc_workload::{
     SharedBlockWorkload, StencilWorkload, Trace,
 };
 
-use crate::case::{AnalyticProbe, CaseSpec};
+use crate::spec::{Analytic, Faults, Machine, Scenario};
 
 /// Distinguishes the generator's rng stream from other users of the seed.
 const GEN_STREAM: u64 = 0xC0FF_EE00;
@@ -37,12 +42,13 @@ pub enum GenProfile {
 }
 
 /// Generates the conformance case for `seed` under the classic profile.
-pub fn generate_case(seed: u64) -> CaseSpec {
+pub fn generate_case(seed: u64) -> Scenario {
     generate_case_with(seed, GenProfile::Classic)
 }
 
-/// Generates the conformance case for `seed` under `profile`.
-pub fn generate_case_with(seed: u64, profile: GenProfile) -> CaseSpec {
+/// Generates the conformance case for `seed` under `profile`, named
+/// `case-seed<seed>`.
+pub fn generate_case_with(seed: u64, profile: GenProfile) -> Scenario {
     let mut rng = SimRng::seed_from(seed).fork(GEN_STREAM);
 
     let n_caches = match profile {
@@ -75,18 +81,9 @@ pub fn generate_case_with(seed: u64, profile: GenProfile) -> CaseSpec {
     let mut ops = from_trace(&trace);
     sprinkle_mode_directives(&mut rng, &mut ops, n_caches);
 
-    let analytic = match policy {
-        ModePolicy::Fixed(_) if owner_bypass => Some(AnalyticProbe {
-            n_tasks: *rng.choose(&[2usize, 4, 8]).unwrap().min(&n_caches),
-            w: *rng.choose(&[0.05f64, 0.1, 0.2, 0.3, 0.5, 0.7]).unwrap(),
-            refs: 4000,
-            warmup: 1000,
-        }),
-        _ => None,
-    };
-
-    CaseSpec {
-        seed,
+    let mut sc = Scenario::new(&format!("case-seed{seed}"));
+    sc.seed = seed;
+    sc.machine = Machine {
         n_caches,
         sets,
         ways,
@@ -94,10 +91,23 @@ pub fn generate_case_with(seed: u64, profile: GenProfile) -> CaseSpec {
         scheme,
         policy,
         owner_bypass,
-        fault_seed: rng.next_u64(),
-        analytic,
-        ops,
-    }
+    };
+    sc.analytic = match policy {
+        ModePolicy::Fixed(_) if owner_bypass => Some(Analytic {
+            n_tasks: *rng.choose(&[2usize, 4, 8]).unwrap().min(&n_caches),
+            w: *rng.choose(&[0.05f64, 0.1, 0.2, 0.3, 0.5, 0.7]).unwrap(),
+            refs: 4000,
+            warmup: 1000,
+        }),
+        _ => None,
+    };
+    sc.faults = Some(Faults {
+        seed: rng.next_u64(),
+        count: 0,
+        ..Faults::default()
+    });
+    sc.ops = ops;
+    sc
 }
 
 /// Draws one of the workload families and generates a trace. The big-N
@@ -189,13 +199,14 @@ mod tests {
 
     #[test]
     fn distinct_seeds_vary_the_config() {
-        let cases: Vec<CaseSpec> = (0..40).map(generate_case).collect();
-        assert!(cases.windows(2).any(|w| w[0].n_caches != w[1].n_caches));
-        assert!(cases.windows(2).any(|w| w[0].scheme != w[1].scheme));
-        assert!(cases.iter().any(|c| c.sets == 1 && c.ways == 1));
-        assert!(cases
+        let cases: Vec<Scenario> = (0..40).map(generate_case).collect();
+        let machines: Vec<&Machine> = cases.iter().map(|c| &c.machine).collect();
+        assert!(machines.windows(2).any(|w| w[0].n_caches != w[1].n_caches));
+        assert!(machines.windows(2).any(|w| w[0].scheme != w[1].scheme));
+        assert!(machines.iter().any(|m| m.sets == 1 && m.ways == 1));
+        assert!(machines
             .iter()
-            .any(|c| matches!(c.policy, ModePolicy::Adaptive { .. })));
+            .any(|m| matches!(m.policy, ModePolicy::Adaptive { .. })));
         assert!(cases.iter().any(|c| c.analytic.is_some()));
     }
 
@@ -204,13 +215,33 @@ mod tests {
         let a = generate_case_with(7, GenProfile::BigN);
         let b = generate_case_with(7, GenProfile::BigN);
         assert_eq!(a, b);
-        let cases: Vec<CaseSpec> = (0..24)
-            .map(|s| generate_case_with(s, GenProfile::BigN))
+        let cases: Vec<usize> = (0..24)
+            .map(|s| generate_case_with(s, GenProfile::BigN).machine.n_caches)
             .collect();
-        assert!(cases.iter().all(|c| c.n_caches >= 64));
-        assert!(cases.iter().any(|c| c.n_caches >= 256));
+        assert!(cases.iter().all(|&n| n >= 64));
+        assert!(cases.iter().any(|&n| n >= 256));
         // Classic cases are untouched by the new profile plumbing.
-        assert!((0..24).map(generate_case).all(|c| c.n_caches <= 16));
+        assert!((0..24).all(|s| generate_case(s).machine.n_caches <= 16));
+    }
+
+    /// The generated cases, byte for byte: the FNV-1a digest of the
+    /// concatenated `.tmcs` text of classic seeds 0..200, then big-N seeds
+    /// 0..40, pinned when generation still built a separate case type and
+    /// converted it to a scenario. A generator change that moves a draw
+    /// moves this digest, and with it every fuzz seed's meaning. Each case
+    /// also survives its own text.
+    #[test]
+    fn generated_cases_are_pinned_and_parse_back() {
+        let cases = (0..200)
+            .map(generate_case)
+            .chain((0..40).map(|s| generate_case_with(s, GenProfile::BigN)));
+        let mut digest = tmc_obs::jsonl::FNV1A64_OFFSET;
+        for case in cases {
+            let text = case.encode();
+            assert_eq!(crate::parse(&text).as_ref(), Ok(&case), "{}", case.name);
+            digest = tmc_obs::jsonl::fnv1a64_fold(digest, text.as_bytes());
+        }
+        assert_eq!(digest, 0xf399_49ad_e52f_78b9);
     }
 
     #[test]
@@ -223,7 +254,10 @@ mod tests {
                     | ScriptOp::Write { proc, .. }
                     | ScriptOp::SetMode { proc, .. } => proc,
                 };
-                assert!(proc < c.n_caches, "seed {seed}: proc {proc} out of range");
+                assert!(
+                    proc < c.machine.n_caches,
+                    "seed {seed}: proc {proc} out of range"
+                );
             }
         }
     }
@@ -238,7 +272,10 @@ mod tests {
                     | ScriptOp::Write { proc, .. }
                     | ScriptOp::SetMode { proc, .. } => proc,
                 };
-                assert!(proc < c.n_caches, "seed {seed}: proc {proc} out of range");
+                assert!(
+                    proc < c.machine.n_caches,
+                    "seed {seed}: proc {proc} out of range"
+                );
             }
         }
     }

@@ -1,22 +1,24 @@
 //! Journaled scenario runs: periodic whole-machine checkpoints, crash
-//! injection, and bit-identical resume.
+//! injection, and bit-identical resume. This is the one journaled-run
+//! driver: `tmc scenario run --checkpoint-every/--kill-at/--resume` and
+//! `tmc crashsim` ([`crate::crashsim`]) both run through it.
 //!
 //! A journaled run steps the same script as [`crate::run::run_scenario`]
 //! through a framed [`Runner`]: every `every` ops the runner freezes
 //! itself into one frame — its accumulators, the oracle image and the
 //! complete machine (protocol state, memory image, fault machinery, RNG
 //! streams) — and appends it to an atomically-rewritten [`Journal`]. A
-//! crash (simulated here by [`JournalOptions::kill_at`], real in the
-//! `crashsim` harness by killing the process) loses at most the work
-//! since the last frame;
-//! [`resume_journaled`] salvages the longest valid frame prefix, thaws the
-//! runner, and replays the remaining script. The resumed run is
-//! **bit-identical** to an uninterrupted one: same [`ScenarioOutcome`],
-//! same memory digest, same JSONL trace checksum, and the oracle keeps
-//! auditing every read after the resume. The frame layout is documented
-//! in [`tmc_bench::script`].
+//! crash ([`JournalOptions::kill_at`]: the run stops as a killed process
+//! would, leaving only its journal) loses at most the work since the last
+//! frame; [`resume_journaled`] salvages the longest valid frame prefix,
+//! thaws the runner, and replays the remaining script. The resumed run is
+//! **bit-identical** to an uninterrupted one: its final runner frame
+//! ([`JournalOutcome::frame`]) equals the uninterrupted run's byte for
+//! byte, so the same [`ScenarioOutcome`], memory digest and JSONL trace
+//! checksum follow, and the oracle keeps auditing every read after the
+//! resume. The frame layout is documented in [`tmc_bench::script`].
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use tmc_bench::script::Runner;
 use tmc_core::{memory_digest, recover_journal, Journal};
@@ -68,6 +70,9 @@ pub struct JournalOutcome {
     pub trace_checksum: u64,
     /// Digest of the final memory image (written footprint).
     pub memory_digest: u64,
+    /// The final runner frame, encoded after the end-of-run audit: a
+    /// resumed run must reproduce it byte for byte.
+    pub frame: Vec<u8>,
 }
 
 /// What a journaled run left behind.
@@ -158,6 +163,7 @@ fn drive(
                 .trace_checksum()
                 .expect("a journaled runner is framed"),
             memory_digest: memory_digest(runner.sys()),
+            frame: runner.encode()?.to_vec(),
         })
     } else {
         None
@@ -183,54 +189,48 @@ pub fn default_journal_path(sc: &Scenario) -> PathBuf {
     PathBuf::from(format!("{}.journal", sc.name))
 }
 
-/// Runs `sc` uninterrupted and again with a kill + resume at `kill_at`,
-/// and proves the two bit-identical. The workhorse of the crash-recovery
-/// harness and the conformance pair.
-///
-/// # Errors
-///
-/// Returns a message naming the first diverging observable.
-pub fn prove_crash_equivalence(
-    sc: &Scenario,
-    dir: &Path,
-    every: u64,
-    kill_at: u64,
-) -> Result<JournalOutcome, String> {
-    let clean_path = dir.join(format!("{}-clean.journal", sc.name));
-    let crash_path = dir.join(format!("{}-crash.journal", sc.name));
-
-    let clean = run_journaled(sc, &JournalOptions::new(&clean_path, every))?;
-    let clean = clean
-        .outcome
-        .ok_or_else(|| "uninterrupted run produced no outcome".to_string())?;
-
-    let killed = run_journaled(
-        sc,
-        &JournalOptions::new(&crash_path, every).kill_at(kill_at),
-    )?;
-    if killed.outcome.is_some() {
-        return Err(format!("kill at op {kill_at} did not stop the run"));
-    }
-    let resumed = resume_journaled(sc, &JournalOptions::new(&crash_path, every))?;
-    let at = resumed.resumed_at;
-    let resumed = resumed
-        .outcome
-        .ok_or_else(|| "resumed run produced no outcome".to_string())?;
-
-    if resumed != clean {
-        return Err(format!(
-            "resumed run diverged from uninterrupted (killed at {kill_at}, resumed at {at:?}): \
-             resumed {resumed:#?} != clean {clean:#?}"
-        ));
-    }
-    Ok(clean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::run_scenario;
     use crate::spec::{Family, Faults, Workload};
+    use std::path::Path;
+
+    /// Runs `sc` uninterrupted and again killed at `kill_at` and resumed,
+    /// and demands the resumed run's final frame equal the uninterrupted
+    /// one's byte for byte.
+    fn prove_crash_equivalence(
+        sc: &Scenario,
+        dir: &Path,
+        every: u64,
+        kill_at: u64,
+    ) -> Result<(), String> {
+        let opts = |name: &str| JournalOptions::new(dir.join(format!("{}-{name}", sc.name)), every);
+        let clean = run_journaled(sc, &opts("clean.journal"))?
+            .outcome
+            .ok_or("uninterrupted run produced no outcome")?;
+        let crash = opts("crash.journal");
+        if run_journaled(sc, &crash.clone().kill_at(kill_at))?
+            .outcome
+            .is_some()
+        {
+            return Err(format!("kill at op {kill_at} did not stop the run"));
+        }
+        let resumed = resume_journaled(sc, &crash)?;
+        let at = resumed.resumed_at;
+        let resumed = resumed.outcome.ok_or("resumed run produced no outcome")?;
+        if resumed == clean {
+            return Ok(());
+        }
+        let observables =
+            |o: &JournalOutcome| (o.outcome.clone(), o.trace_checksum, o.memory_digest);
+        Err(format!(
+            "killed at {kill_at}, resumed at {at:?}: same frame {}; resumed {:#?} != clean {:#?}",
+            resumed.frame == clean.frame,
+            observables(&resumed),
+            observables(&clean)
+        ))
+    }
 
     fn small(faulty: bool) -> Scenario {
         let mut sc = Scenario::new(if faulty {

@@ -45,23 +45,31 @@
 //! fault-injected admission path, the checkpoint codec and the
 //! closed-form cost model. The conformance modules *hunt* for
 //! disagreement between them in the corners enumeration misses. A
-//! [`CaseSpec`] is a fully explicit, replayable case (config, op script,
-//! fault seed and an optional analytic probe); [`gen::generate_case`]
-//! derives one from a
-//! `u64` seed; [`pairs::check_case`] runs it through every applicable
-//! engine pair and diffs fingerprints, counters, per-link charges, memory
-//! images and JSONL event streams; on divergence [`shrink::shrink`]
-//! reduces it to a minimal reproducer, which [`corpus::save`] persists as
-//! a `.tmcs` scenario. `tmc fuzz` ([`cli::fuzz`]) drives the loop, and
-//! every divergence found and fixed lives on under `conformance/corpus/`,
-//! replayed by the corpus regression test and CI on every push.
+//! conformance case is a [`Scenario`] like any other: the machine, a
+//! zero-count `[faults]` plan carrying the faults pair's seed, an
+//! optional `[analytic]` probe and the explicit `[ops]` script.
+//! [`gen::generate_case`] derives one from a `u64` seed;
+//! [`pairs::check_case`] runs it through every applicable engine pair and
+//! diffs fingerprints, counters, per-link charges, memory images and JSONL
+//! event streams; on divergence [`shrink::shrink`] reduces it to a minimal
+//! reproducer, which [`corpus::save`] writes as a `.tmcs` file. `tmc fuzz`
+//! ([`cli::fuzz`]) drives the loop, and every divergence found and fixed
+//! lives on under `conformance/corpus/`, replayed by the corpus regression
+//! test and CI on every push.
+//!
+//! # Crash recovery
+//!
+//! [`journal`] is the one journaled-run driver: periodic runner frames,
+//! crash injection and bit-identical resume. `tmc scenario run
+//! --checkpoint-every/--kill-at/--resume` and `tmc crashsim`
+//! ([`crashsim`]), whose campaigns are scenarios too, run through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod case;
 pub mod cli;
 pub mod corpus;
+pub mod crashsim;
 pub mod gen;
 pub mod journal;
 pub mod ops;
@@ -72,11 +80,7 @@ pub mod run;
 pub mod shrink;
 pub mod spec;
 
-pub use case::{AnalyticProbe, CaseSpec};
-pub use journal::{
-    prove_crash_equivalence, resume_journaled, run_journaled, JournalOptions, JournalOutcome,
-    JournalReport,
-};
+pub use journal::{resume_journaled, run_journaled, JournalOptions, JournalOutcome, JournalReport};
 pub use outcome::{Divergence, RunOutcome};
 pub use pairs::{check_case, check_pair, Pair};
 pub use parse::{parse, ParseError};

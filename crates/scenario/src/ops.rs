@@ -18,7 +18,7 @@ use crate::spec::{Family, Scenario, Workload};
 
 /// Generates the workload trace a scenario's `[workload]` section
 /// describes (empty when there is none).
-pub fn workload_trace(sc: &Scenario) -> Trace {
+fn workload_trace(sc: &Scenario) -> Trace {
     let Some(w) = &sc.workload else {
         return Trace::new(sc.machine.n_caches);
     };

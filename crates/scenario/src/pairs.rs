@@ -33,7 +33,7 @@
 //! diverge from any fixed-mode run. Only value-level agreement and the
 //! cost bound are contractual; the rest is *expected* divergence.
 
-use tmc_bench::script::{apply, apply_script, from_trace, Runner};
+use tmc_bench::script::{apply, apply_script, from_trace, Runner, ScriptOp};
 use tmc_bench::tracecheck;
 use tmc_core::{FaultSpec, Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::MsgSizing;
@@ -41,8 +41,9 @@ use tmc_omeganet::{DestSet, Omega};
 use tmc_simcore::SimRng;
 use tmc_workload::{Op, Placement, SharedBlockWorkload};
 
-use crate::case::CaseSpec;
+use crate::ops::materialize;
 use crate::outcome::{diff_outcomes, run_serial, snapshot, Divergence};
+use crate::spec::{Machine, Scenario};
 
 /// One engine pair the fuzzer can diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,14 +88,13 @@ impl Pair {
         Pair::all().into_iter().find(|p| p.name() == s)
     }
 
-    /// Whether the pair applies to `case`.
-    pub fn applies(self, case: &CaseSpec) -> bool {
+    /// Whether the pair applies to `sc`.
+    pub fn applies(self, sc: &Scenario) -> bool {
+        let policy = sc.machine.policy;
         match self {
             Pair::SerialVsReplay | Pair::FaultsZeroVsOff | Pair::ResumedVsUninterrupted => true,
-            Pair::AdaptiveVsFixed => matches!(case.policy, ModePolicy::Adaptive { .. }),
-            Pair::SimVsAnalytic => {
-                case.analytic.is_some() && matches!(case.policy, ModePolicy::Fixed(_))
-            }
+            Pair::AdaptiveVsFixed => matches!(policy, ModePolicy::Adaptive { .. }),
+            Pair::SimVsAnalytic => sc.analytic.is_some() && matches!(policy, ModePolicy::Fixed(_)),
         }
     }
 }
@@ -104,51 +104,55 @@ impl Pair {
 /// # Errors
 ///
 /// Returns the first [`Divergence`] found.
-pub fn check_case(case: &CaseSpec) -> Result<usize, Divergence> {
+pub fn check_case(sc: &Scenario) -> Result<usize, Divergence> {
     let mut applied = 0;
     for pair in Pair::all() {
-        if pair.applies(case) {
+        if pair.applies(sc) {
             applied += 1;
-            check_pair(case, pair)?;
+            check_pair(sc, pair)?;
         }
     }
     Ok(applied)
 }
 
-/// Runs one pair against `case`.
+/// Runs one pair against `sc`: its materialised script on the fault-free
+/// [`Machine::config`], the faults pair's seed read from `[faults]` and
+/// the analytic probe from `[analytic]`.
 ///
 /// # Errors
 ///
 /// Returns the divergence, with the pair and first differing observable.
-pub fn check_pair(case: &CaseSpec, pair: Pair) -> Result<(), Divergence> {
-    let fail = |detail: String| Err(Divergence { pair, detail });
-    match pair {
-        Pair::SerialVsReplay => check_serial_vs_replay(case).or_else(fail),
-        Pair::SimVsAnalytic => check_sim_vs_analytic(case).or_else(fail),
-        Pair::FaultsZeroVsOff => check_faults_zero_vs_off(case).or_else(fail),
-        Pair::AdaptiveVsFixed => check_adaptive_vs_fixed(case).or_else(fail),
-        Pair::ResumedVsUninterrupted => check_resumed_vs_uninterrupted(case).or_else(fail),
-    }
+pub fn check_pair(sc: &Scenario, pair: Pair) -> Result<(), Divergence> {
+    let m = &sc.machine;
+    let ops = materialize(sc);
+    let result = match pair {
+        Pair::SerialVsReplay => check_serial_vs_replay(m, &ops),
+        Pair::SimVsAnalytic => check_sim_vs_analytic(sc),
+        Pair::FaultsZeroVsOff => check_faults_zero_vs_off(m, &ops, sc.faults.map_or(0, |f| f.seed)),
+        Pair::AdaptiveVsFixed => check_adaptive_vs_fixed(m, &ops),
+        Pair::ResumedVsUninterrupted => check_resumed_vs_uninterrupted(m, &ops),
+    };
+    result.map_err(|detail| Divergence { pair, detail })
 }
 
 /// Freeze/thaw the runner through its checkpoint frame at one-third and
 /// two-thirds of the script (and once at the end), exactly as a
 /// twice-crashed, twice-resumed run would, and demand its final frame
 /// match one uninterrupted run's byte for byte.
-fn check_resumed_vs_uninterrupted(case: &CaseSpec) -> Result<(), String> {
+fn check_resumed_vs_uninterrupted(m: &Machine, ops: &[ScriptOp]) -> Result<(), String> {
     let final_frame = |cuts: &[usize]| -> Result<Vec<u8>, String> {
-        let mut sys = System::new(case.config()).map_err(|e| e.to_string())?;
+        let mut sys = System::new(m.config()).map_err(|e| e.to_string())?;
         sys.set_tracing(true);
         let mut runner = Runner::framed(sys);
         for &cut in cuts {
-            runner.run(&case.ops[..cut], None, None)?;
+            runner.run(&ops[..cut], None, None)?;
             runner = Runner::decode(runner.encode()?)?;
         }
-        runner.run(&case.ops, None, None)?;
-        runner.audit(&case.ops)?;
+        runner.run(ops, None, None)?;
+        runner.audit(ops)?;
         Ok(runner.encode()?.to_vec())
     };
-    let n = case.ops.len();
+    let n = ops.len();
     let clean = final_frame(&[])?;
     let resumed = final_frame(&[n / 3, 2 * n / 3, n])?;
     if resumed == clean {
@@ -172,7 +176,7 @@ fn check_resumed_vs_uninterrupted(case: &CaseSpec) -> Result<(), String> {
             ));
         }
     }
-    let machine = |r: Runner| snapshot(&mut r.into_system(), &case.ops, Vec::new());
+    let machine = |r: Runner| snapshot(&mut r.into_system(), ops, Vec::new());
     diff_outcomes(
         &machine(clean),
         &machine(resumed),
@@ -182,17 +186,15 @@ fn check_resumed_vs_uninterrupted(case: &CaseSpec) -> Result<(), String> {
     Err("the final frames' machine payloads differ in state no observable shows".into())
 }
 
-fn check_serial_vs_replay(case: &CaseSpec) -> Result<(), String> {
-    let trace = tracecheck::capture(case.config(), |sys| apply_script(sys, &case.ops))?;
+fn check_serial_vs_replay(m: &Machine, ops: &[ScriptOp]) -> Result<(), String> {
+    let trace = tracecheck::capture(m.config(), |sys| apply_script(sys, ops))?;
     tracecheck::check(&trace).map(|_| ())
 }
 
-fn check_faults_zero_vs_off(case: &CaseSpec) -> Result<(), String> {
-    let plain = run_serial(case.config(), &case.ops, true)?;
-    let zero_plan = case
-        .config()
-        .faults(FaultSpec::new(case.fault_seed).count(0));
-    let with_plan = run_serial(zero_plan, &case.ops, true)?;
+fn check_faults_zero_vs_off(m: &Machine, ops: &[ScriptOp], fault_seed: u64) -> Result<(), String> {
+    let plain = run_serial(m.config(), ops, true)?;
+    let zero_plan = m.config().faults(FaultSpec::new(fault_seed).count(0));
+    let with_plan = run_serial(zero_plan, ops, true)?;
     diff_outcomes(&plain, &with_plan, "faults-off", "zero-plan")
 }
 
@@ -205,18 +207,11 @@ const ADAPTIVE_FACTOR: f64 = 2.0;
 /// Absolute slack for scripts too short to amortize learning.
 const ADAPTIVE_SLACK_BITS: u64 = 64_000;
 
-fn check_adaptive_vs_fixed(case: &CaseSpec) -> Result<(), String> {
-    let adaptive = run_serial(case.config(), &case.ops, false)?;
-    let dw = run_serial(
-        case.config_with_policy(ModePolicy::Fixed(Mode::DistributedWrite)),
-        &case.ops,
-        false,
-    )?;
-    let gr = run_serial(
-        case.config_with_policy(ModePolicy::Fixed(Mode::GlobalRead)),
-        &case.ops,
-        false,
-    )?;
+fn check_adaptive_vs_fixed(m: &Machine, ops: &[ScriptOp]) -> Result<(), String> {
+    let run = |policy| run_serial(Machine { policy, ..*m }.config(), ops, false);
+    let adaptive = run(m.policy)?;
+    let dw = run(ModePolicy::Fixed(Mode::DistributedWrite))?;
+    let gr = run(ModePolicy::Fixed(Mode::GlobalRead))?;
     // Value conformance is exact: mode choices never change what a read
     // returns under sequential consistency.
     if adaptive.read_values != dw.read_values {
@@ -258,13 +253,14 @@ const ANALYTIC_BAND_HI: f64 = 1.25;
 /// thresholds (see `tests/analytic_crossover.rs`, which brackets both).
 const RANKING_GUARD: f64 = 0.08;
 
-fn check_sim_vs_analytic(case: &CaseSpec) -> Result<(), String> {
-    let probe = match case.analytic {
+fn check_sim_vs_analytic(sc: &Scenario) -> Result<(), String> {
+    let probe = match sc.analytic {
         Some(p) => p,
         None => return Ok(()),
     };
     let n = probe.n_tasks.max(2);
-    let big_n = case.n_caches;
+    let big_n = sc.machine.n_caches;
+    let scheme = sc.machine.scheme;
     let sizing = MsgSizing::default();
 
     // Steady-state measurement under both fixed modes, default geometry
@@ -272,11 +268,11 @@ fn check_sim_vs_analytic(case: &CaseSpec) -> Result<(), String> {
     let trace = SharedBlockWorkload::new(n, 2 * n as u64, probe.w)
         .references(probe.warmup + probe.refs)
         .placement(Placement::Adjacent { base: 0 })
-        .generate(big_n, &mut SimRng::seed_from(case.seed ^ 0xA11A));
+        .generate(big_n, &mut SimRng::seed_from(sc.seed ^ 0xA11A));
     let script = from_trace(&trace);
     let measure = |mode: Mode| -> Result<f64, String> {
         let cfg = SystemConfig::new(big_n)
-            .multicast(case.scheme)
+            .multicast(scheme)
             .mode_policy(ModePolicy::Fixed(mode));
         let mut sys = System::new(cfg).map_err(|e| e.to_string())?;
         let mut base = 0u64;
@@ -311,7 +307,7 @@ fn check_sim_vs_analytic(case: &CaseSpec) -> Result<(), String> {
         let dests = DestSet::from_ports(big_n, (0..n).filter(|&p| p != writer))
             .map_err(|e| e.to_string())?;
         cc4_sum += net
-            .multicast_cost(case.scheme, &dests, sizing.update_bits())
+            .multicast_cost(scheme, &dests, sizing.update_bits())
             .map_err(|e| e.to_string())?;
     }
     let cc4 = cc4_sum as f64 / n as f64;

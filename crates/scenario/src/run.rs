@@ -72,7 +72,7 @@ impl ScenarioOutcome {
 
 /// Canonical checksum over per-link charges: FNV-1a of
 /// `layer:line:bits;` in `(layer, line)` order.
-pub fn link_checksum(links: &[LinkCharge]) -> u64 {
+fn link_checksum(links: &[LinkCharge]) -> u64 {
     let mut text = String::new();
     for l in links {
         write!(text, "{}:{}:{};", l.layer, l.line, l.bits).expect("writing to a String");

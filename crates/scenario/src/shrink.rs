@@ -5,23 +5,24 @@
 //! (ddmin-style, halves down to single ops), dropping every op that
 //! touches one block, dropping every op issued by one processor, prefix
 //! truncation, and (for the analytic pair) halving the probe's reference
-//! counts. The search is greedy and bounded — at most
-//! [`MAX_CHECKS`] predicate evaluations — so a pathological case cannot
-//! hang the fuzzer.
+//! counts. The search is greedy and bounded — at most `MAX_CHECKS`
+//! predicate evaluations — so a pathological case cannot hang the fuzzer.
 
 use tmc_bench::script::ScriptOp;
 
-use crate::case::CaseSpec;
+use crate::ops::materialize;
 use crate::pairs::{check_pair, Pair};
+use crate::spec::Scenario;
 
 /// Hard cap on predicate evaluations per shrink.
-pub const MAX_CHECKS: usize = 1500;
+const MAX_CHECKS: usize = 1500;
 
-/// Minimizes `case` for `pair`. Returns the smallest failing variant
-/// found (the input itself if nothing smaller still fails).
-pub fn shrink(case: &CaseSpec, pair: Pair) -> CaseSpec {
+/// Minimizes `sc` for `pair`. Returns the smallest failing variant found,
+/// its script materialised into `[ops]` (the input itself, so
+/// materialised, if nothing smaller still fails).
+pub fn shrink(sc: &Scenario, pair: Pair) -> Scenario {
     let budget = std::cell::Cell::new(MAX_CHECKS);
-    let mut fails = |c: &CaseSpec| -> bool {
+    let mut fails = |c: &Scenario| -> bool {
         if budget.get() == 0 {
             return false;
         }
@@ -29,7 +30,12 @@ pub fn shrink(case: &CaseSpec, pair: Pair) -> CaseSpec {
         check_pair(c, pair).is_err()
     };
 
-    let mut best = case.clone();
+    let mut best = Scenario {
+        ops: materialize(sc),
+        modes: Vec::new(),
+        workload: None,
+        ..sc.clone()
+    };
     if pair == Pair::SimVsAnalytic {
         shrink_probe(&mut best, &mut fails);
     }
@@ -37,7 +43,7 @@ pub fn shrink(case: &CaseSpec, pair: Pair) -> CaseSpec {
         let before = best.ops.len();
         shrink_chunks(&mut best, &mut fails);
         shrink_by_key(&mut best, &mut fails, |c, op| {
-            c.config().spec.block_of(op.addr()).index()
+            c.machine.block_spec().block_of(op.addr()).index()
         });
         shrink_by_key(&mut best, &mut fails, |_, op| match *op {
             ScriptOp::Read { proc, .. }
@@ -52,7 +58,7 @@ pub fn shrink(case: &CaseSpec, pair: Pair) -> CaseSpec {
 }
 
 /// ddmin-lite: try removing contiguous chunks, halving the chunk size.
-fn shrink_chunks(best: &mut CaseSpec, fails: &mut impl FnMut(&CaseSpec) -> bool) {
+fn shrink_chunks(best: &mut Scenario, fails: &mut impl FnMut(&Scenario) -> bool) {
     let mut chunk = (best.ops.len() / 2).max(1);
     while chunk >= 1 {
         let mut start = 0;
@@ -76,9 +82,9 @@ fn shrink_chunks(best: &mut CaseSpec, fails: &mut impl FnMut(&CaseSpec) -> bool)
 
 /// Drops all ops sharing one key (block or proc) at a time.
 fn shrink_by_key(
-    best: &mut CaseSpec,
-    fails: &mut impl FnMut(&CaseSpec) -> bool,
-    key: impl Fn(&CaseSpec, &ScriptOp) -> u64,
+    best: &mut Scenario,
+    fails: &mut impl FnMut(&Scenario) -> bool,
+    key: impl Fn(&Scenario, &ScriptOp) -> u64,
 ) {
     let mut keys: Vec<u64> = best.ops.iter().map(|op| key(best, op)).collect();
     keys.sort_unstable();
@@ -93,7 +99,7 @@ fn shrink_by_key(
 }
 
 /// Halves the analytic probe's measured and warmup references.
-fn shrink_probe(best: &mut CaseSpec, fails: &mut impl FnMut(&CaseSpec) -> bool) {
+fn shrink_probe(best: &mut Scenario, fails: &mut impl FnMut(&Scenario) -> bool) {
     while let Some(p) = best.analytic {
         if p.refs < 200 {
             break;
@@ -132,7 +138,7 @@ mod tests {
                 value: if i == 23 { 77 } else { i },
             })
             .collect();
-        let mut fails = |c: &CaseSpec| {
+        let mut fails = |c: &Scenario| {
             c.ops
                 .iter()
                 .any(|op| matches!(op, ScriptOp::Write { value: 77, .. }))
@@ -161,15 +167,38 @@ mod tests {
                 addr: WordAddr::new(0),
             },
         ];
-        let mut fails = |c: &CaseSpec| {
+        let mut fails = |c: &Scenario| {
             c.ops
                 .iter()
                 .any(|op| op.addr() == WordAddr::new(0) && matches!(op, ScriptOp::Read { .. }))
         };
         shrink_by_key(&mut case, &mut fails, |c, op| {
-            c.config().spec.block_of(op.addr()).index()
+            c.machine.block_spec().block_of(op.addr()).index()
         });
         assert!(case.ops.iter().all(|op| op.addr() != WordAddr::new(64)));
+    }
+
+    /// A scenario with a `[workload]` shrinks over its materialised
+    /// script: the result carries the generated references as explicit
+    /// `[ops]` and no workload.
+    #[test]
+    fn a_workload_scenario_shrinks_over_its_explicit_script() {
+        let text = "\
+[scenario]
+name = mini
+[machine]
+n_caches = 8
+[workload]
+family = shared-block
+tasks = 4
+references = 50
+";
+        let sc = crate::parse(text).expect("parses");
+        let shrunk = shrink(&sc, Pair::SerialVsReplay);
+        assert_eq!(shrunk.ops, materialize(&sc));
+        assert_eq!(shrunk.ops.len(), 50);
+        assert!(shrunk.workload.is_none());
+        assert_eq!(shrunk.machine, sc.machine);
     }
 
     #[test]

@@ -55,6 +55,16 @@ impl Machine {
     pub fn block_spec(&self) -> BlockSpec {
         BlockSpec::new(self.words_log2)
     }
+
+    /// The fault-free `SystemConfig` of this machine.
+    pub fn config(&self) -> SystemConfig {
+        SystemConfig::new(self.n_caches)
+            .geometry(CacheGeometry::new(self.sets, self.ways))
+            .block_spec(self.block_spec())
+            .multicast(self.scheme)
+            .mode_policy(self.policy)
+            .owner_bypass(self.owner_bypass)
+    }
 }
 
 /// Workload family selector.
@@ -374,16 +384,10 @@ impl Scenario {
         }
     }
 
-    /// The fault-free part of the `SystemConfig` this scenario describes,
-    /// with the fault plan attached when a `[faults]` section is present.
+    /// The machine's [`Machine::config`], with the fault plan attached
+    /// when a `[faults]` section is present.
     pub fn config(&self) -> SystemConfig {
-        let m = &self.machine;
-        let cfg = SystemConfig::new(m.n_caches)
-            .geometry(CacheGeometry::new(m.sets, m.ways))
-            .block_spec(BlockSpec::new(m.words_log2))
-            .multicast(m.scheme)
-            .mode_policy(m.policy)
-            .owner_bypass(m.owner_bypass);
+        let cfg = self.machine.config();
         match &self.faults {
             Some(f) => cfg.faults(f.to_spec()),
             None => cfg,
@@ -535,14 +539,14 @@ pub fn encode_expect(expect: &Expect) -> String {
 }
 
 /// Stable text for a [`Mode`].
-pub fn mode_str(mode: Mode) -> &'static str {
+fn mode_str(mode: Mode) -> &'static str {
     match mode {
         Mode::DistributedWrite => "dw",
         Mode::GlobalRead => "gr",
     }
 }
 
-/// Inverse of [`mode_str`].
+/// Inverse of `mode_str`.
 pub fn parse_mode(s: &str) -> Option<Mode> {
     match s {
         "dw" => Some(Mode::DistributedWrite),
@@ -553,7 +557,7 @@ pub fn parse_mode(s: &str) -> Option<Mode> {
 
 /// Stable text for a [`Placement`]: `adjacent:<base>`,
 /// `strided:<base>:<stride>`, or `random`.
-pub fn placement_str(p: Placement) -> String {
+fn placement_str(p: Placement) -> String {
     match p {
         Placement::Adjacent { base } => format!("adjacent:{base}"),
         Placement::Strided { base, stride } => format!("strided:{base}:{stride}"),
@@ -561,7 +565,7 @@ pub fn placement_str(p: Placement) -> String {
     }
 }
 
-/// Inverse of [`placement_str`] (also accepts bare `adjacent`).
+/// Inverse of `placement_str` (also accepts bare `adjacent`).
 pub fn parse_placement(s: &str) -> Option<Placement> {
     if s == "random" {
         return Some(Placement::Random);
@@ -617,6 +621,44 @@ mod tests {
             Some(Placement::Adjacent { base: 0 })
         );
         assert_eq!(parse_placement("diagonal"), None);
+    }
+
+    /// Every machine field reaches its `SystemConfig` field, and the
+    /// machine's config carries no fault plan; a scenario's adds exactly
+    /// its `[faults]` plan.
+    #[test]
+    fn machine_config_sets_every_field_and_no_faults() {
+        let m = Machine {
+            n_caches: 8,
+            sets: 2,
+            ways: 1,
+            words_log2: 1,
+            scheme: SchemeKind::BitVector,
+            policy: ModePolicy::Adaptive { window: 8 },
+            owner_bypass: false,
+        };
+        let want = SystemConfig {
+            n_caches: 8,
+            geometry: CacheGeometry::new(2, 1),
+            spec: BlockSpec::new(1),
+            sizing: tmc_memsys::MsgSizing::default(),
+            multicast: SchemeKind::BitVector,
+            mode_policy: ModePolicy::Adaptive { window: 8 },
+            owner_bypass: false,
+            faults: None,
+        };
+        assert_eq!(m.config(), want);
+
+        let mut sc = Scenario::new("faulty");
+        sc.machine = m;
+        assert_eq!(sc.config(), want);
+        let faults = Faults {
+            seed: 99,
+            count: 0,
+            ..Faults::default()
+        };
+        sc.faults = Some(faults);
+        assert_eq!(sc.config(), want.faults(faults.to_spec()));
     }
 
     #[test]

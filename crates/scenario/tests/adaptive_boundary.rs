@@ -9,12 +9,12 @@ use tmc_bench::tracecheck;
 use tmc_core::{Mode, ModePolicy};
 use tmc_memsys::WordAddr;
 use tmc_scenario::outcome::run_serial;
-use tmc_scenario::{check_pair, CaseSpec, Pair};
+use tmc_scenario::{check_pair, Faults, Machine, Pair, Scenario};
 
 /// A switch storm: every processor hammers a handful of blocks with a
 /// write-heavy mix under a tiny adaptive window, maximizing mid-stream
 /// mode churn, plus explicit §2.2 directives layered on top.
-fn storm_case(seed: u64) -> CaseSpec {
+fn storm_case(seed: u64) -> Scenario {
     let mut ops = Vec::new();
     for i in 0..240u64 {
         let proc = (i % 8) as usize;
@@ -37,8 +37,9 @@ fn storm_case(seed: u64) -> CaseSpec {
             _ => ops.push(ScriptOp::Read { proc, addr }),
         }
     }
-    CaseSpec {
-        seed,
+    let mut sc = Scenario::new("switch-storm");
+    sc.seed = seed;
+    sc.machine = Machine {
         n_caches: 8,
         sets: 4,
         ways: 2,
@@ -46,10 +47,14 @@ fn storm_case(seed: u64) -> CaseSpec {
         scheme: tmc_omeganet::SchemeKind::Combined,
         policy: ModePolicy::Adaptive { window: 4 },
         owner_bypass: true,
-        fault_seed: seed,
-        analytic: None,
-        ops,
-    }
+    };
+    sc.faults = Some(Faults {
+        seed,
+        count: 0,
+        ..Faults::default()
+    });
+    sc.ops = ops;
+    sc
 }
 
 /// The storm drives adaptive switches mid-run on the serial engine, and
@@ -58,7 +63,7 @@ fn storm_case(seed: u64) -> CaseSpec {
 #[test]
 fn switch_storm_drives_adaptive_switches_and_replays() {
     let case = storm_case(77);
-    let cfg = case.config();
+    let cfg = case.machine.config();
     let serial = run_serial(cfg.clone(), &case.ops, false).expect("serial run");
     let switches = serial.counters.get("adaptive_switches").copied();
     assert!(
@@ -79,19 +84,17 @@ fn adaptive_vs_fixed_divergence_is_real_and_tolerated() {
     let case = storm_case(78);
     check_pair(&case, Pair::AdaptiveVsFixed).expect("the pair's contract holds");
 
-    let adaptive = run_serial(case.config(), &case.ops, false).expect("adaptive");
-    let dw = run_serial(
-        case.config_with_policy(ModePolicy::Fixed(Mode::DistributedWrite)),
-        &case.ops,
-        false,
-    )
-    .expect("fixed DW");
-    let gr = run_serial(
-        case.config_with_policy(ModePolicy::Fixed(Mode::GlobalRead)),
-        &case.ops,
-        false,
-    )
-    .expect("fixed GR");
+    let run = |policy| {
+        let cfg = Machine {
+            policy,
+            ..case.machine
+        }
+        .config();
+        run_serial(cfg, &case.ops, false)
+    };
+    let adaptive = run(case.machine.policy).expect("adaptive");
+    let dw = run(ModePolicy::Fixed(Mode::DistributedWrite)).expect("fixed DW");
+    let gr = run(ModePolicy::Fixed(Mode::GlobalRead)).expect("fixed GR");
     assert_eq!(
         adaptive.read_values, dw.read_values,
         "values are contractual"

@@ -65,6 +65,44 @@ fn a_corrupted_golden_fails_the_check_with_exit_1() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("FAIL private-baseline"));
 }
 
+/// Scenarios named on the command line are found beside files that do
+/// not parse: only a named file's own parse error stops the run, while
+/// `--all` still fails on any file.
+#[test]
+fn a_named_run_reports_only_the_named_files_parse_error() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let fixtures_arg = fixtures.to_str().unwrap();
+    let out = tmc(&[
+        "scenario",
+        "run",
+        "users-beyond-bound",
+        "--dir",
+        fixtures_arg,
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("users must be in 1..=268435456"),
+        "{stderr}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("tmc-cli-named-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    std::fs::copy(
+        corpus.join("private-baseline.tmcs"),
+        dir.join("private-baseline.tmcs"),
+    )
+    .unwrap();
+    std::fs::copy(fixtures.join("bad-bool.tmcs"), dir.join("bad-bool.tmcs")).unwrap();
+    let dir_arg = dir.to_str().unwrap();
+    let named = exit_code(&["scenario", "run", "private-baseline", "--dir", dir_arg]);
+    let all = exit_code(&["scenario", "check", "--all", "--dir", dir_arg]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(named, 0);
+    assert_eq!(all, 1);
+}
+
 /// `tmc scenario check` with `argv`, once serially and once on two
 /// workers: the two runs must print the same bytes and exit alike.
 fn check_serial_and_pooled(argv: &[&str]) -> Output {
