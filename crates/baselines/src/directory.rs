@@ -11,197 +11,32 @@
 //! The directory stores a full present-bit vector per block at the memory
 //! module — the `O(N·M)` state cost the paper's distributed scheme avoids.
 //! A line keeps no state of its own: it is exclusive exactly when the
-//! directory names its cache as the block's writer.
+//! directory names its cache as the block's writer. The protocol is
+//! `tmc-core`'s `DIR_READ_RULES` and `DIR_WRITE_RULES`.
 
-use tmc_memsys::{BlockAddr, BlockData, CacheGeometry, WordAddr};
-use tmc_omeganet::SchemeKind;
-
-use crate::node::node_accessors;
-use crate::sharers::DirectoryFrame;
-use crate::CoherentSystem;
-
-/// The full-map write-invalidate system.
-///
-/// # Example
-///
-/// ```
-/// use tmc_baselines::{CoherentSystem, DirectoryInvalidateSystem};
-/// use tmc_memsys::WordAddr;
-///
-/// let mut sys = DirectoryInvalidateSystem::new(8);
-/// sys.write(0, WordAddr::new(0), 5);
-/// assert_eq!(sys.read(3, WordAddr::new(0)), 5);
-/// sys.write(1, WordAddr::new(0), 6); // invalidates the other copies
-/// assert_eq!(sys.read(3, WordAddr::new(0)), 6);
-/// ```
-pub struct DirectoryInvalidateSystem {
-    /// The directory's writer is the dirty exclusive holder.
-    dir: DirectoryFrame,
-}
-
-impl DirectoryInvalidateSystem {
-    /// Builds the baseline with default geometry (64×4 caches, 4-word
-    /// blocks, combined multicast).
+baseline_system! {
+    /// The full-map write-invalidate system.
     ///
-    /// # Panics
+    /// # Example
     ///
-    /// Panics unless `n_procs` is a power of two in `2..=65536`.
-    pub fn new(n_procs: usize) -> Self {
-        Self::with_geometry(n_procs, CacheGeometry::new(64, 4))
-    }
-
-    /// Builds the baseline with an explicit cache geometry.
+    /// ```
+    /// use tmc_baselines::{CoherentSystem, DirectoryInvalidateSystem};
+    /// use tmc_memsys::WordAddr;
     ///
-    /// # Panics
-    ///
-    /// Panics unless `n_procs` is a power of two in `2..=65536`.
-    pub fn with_geometry(n_procs: usize, geometry: CacheGeometry) -> Self {
-        DirectoryInvalidateSystem {
-            dir: DirectoryFrame::new(n_procs, geometry),
-        }
-    }
-
-    /// Selects the invalidation multicast scheme.
-    pub fn multicast(mut self, scheme: SchemeKind) -> Self {
-        self.dir.node.set_scheme(scheme);
-        self
-    }
-}
-
-/// Invalidates every sharer except `keep`, leaving `keep` (if it was a
-/// sharer) the only one in the directory.
-fn invalidate_others(dir: &mut DirectoryFrame, block: BlockAddr, keep: usize) {
-    let DirectoryFrame {
-        node,
-        caches,
-        sharers,
-    } = dir;
-    let home = node.home(block);
-    let entry = sharers.entry(block);
-    let bits = node.sizing.invalidate_bits();
-    let Some((others, delivered)) =
-        node.cast(home, &entry.sharers, keep, bits, "invalidations_multicast")
-    else {
-        return;
-    };
-    entry.sharers.difference_with(others);
-    for &d in delivered {
-        if d != keep {
-            caches[d].remove(block);
-        }
-    }
-}
-
-/// If the block is dirty somewhere, recalls it to memory through the
-/// home. `drop_holder` also invalidates the holder's copy.
-fn recall_if_dirty(dir: &mut DirectoryFrame, block: BlockAddr, drop_holder: bool) {
-    let Some(holder) = dir.sharers.get(block).writer else {
-        return;
-    };
-    let node = &mut dir.node;
-    let home = node.home(block);
-    node.counters.incr("dirty_recalls");
-    node.send(home, holder, node.sizing.request_bits());
-    let cache = &mut dir.caches[holder];
-    let data = if drop_holder {
-        cache.remove(block)
-    } else {
-        cache.peek(block).cloned()
-    }
-    .expect("directory says holder has it");
-    node.send(holder, home, node.sizing.block_transfer_bits());
-    node.memory.write_block(block, &data);
-    let entry = dir.sharers.entry(block);
-    entry.writer = None;
-    if drop_holder {
-        entry.sharers.remove(holder);
-        debug_assert!(entry.sharers.is_empty(), "dirty implies one holder");
-    }
-}
-
-/// A read miss: the home recalls a dirty copy, then supplies the block.
-fn read_miss(dir: &mut DirectoryFrame, proc: usize, block: BlockAddr) -> BlockData {
-    let home = dir.node.home(block);
-    dir.node.send(proc, home, dir.node.sizing.request_bits());
-    recall_if_dirty(dir, block, false);
-    let data = dir.node.memory.block_data(block);
-    dir.node
-        .send(home, proc, dir.node.sizing.block_transfer_bits());
-    data
-}
-
-/// A write: a hit on the exclusive copy is local, a hit on a shared copy
-/// upgrades by invalidating the others, and a miss recalls and invalidates
-/// every copy before the home supplies the block. Returns whether it hit.
-fn write(
-    dir: &mut DirectoryFrame,
-    proc: usize,
-    block: BlockAddr,
-    offset: usize,
-    value: u64,
-) -> bool {
-    let home = dir.node.home(block);
-    // The one tag probe: a resident line takes the word at once. Nothing
-    // below reads this cache's copy back — the invalidation spares `proc`
-    // and the miss path installs anew.
-    let hit = dir.caches[proc]
-        .get_mut(block)
-        .map(|line| line.set_word(offset, value))
-        .is_some();
-    if !hit {
-        dir.node.counters.incr("write_miss");
-        dir.node.send(proc, home, dir.node.sizing.request_bits());
-        recall_if_dirty(dir, block, true);
-        invalidate_others(dir, block, usize::MAX);
-        debug_assert!(
-            dir.sharers.get(block).sharers.is_empty(),
-            "every copy was dropped"
-        );
-        let mut data = dir.node.memory.block_data(block);
-        dir.node
-            .send(home, proc, dir.node.sizing.block_transfer_bits());
-        data.set_word(offset, value);
-        dir.install(proc, block, data);
-    } else if dir.sharers.get(block).writer == Some(proc) {
-        dir.node.counters.incr("write_hit_exclusive");
-        return true;
-    } else {
-        // Upgrade: invalidate the other sharers.
-        dir.node.counters.incr("write_upgrade");
-        dir.node.send(proc, home, dir.node.sizing.request_bits());
-        invalidate_others(dir, block, proc);
-    }
-    dir.sharers.entry(block).writer = Some(proc);
-    hit
-}
-
-impl CoherentSystem for DirectoryInvalidateSystem {
-    fn name(&self) -> &'static str {
-        "directory-invalidate"
-    }
-
-    fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        self.dir.read(proc, addr, read_miss)
-    }
-
-    fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        self.dir.write(proc, addr, value, write);
-    }
-
-    fn flush(&mut self) {
-        self.dir.flush();
-    }
-
-    fn peek_word(&self, addr: WordAddr) -> u64 {
-        self.dir.peek_word(addr)
-    }
-
-    node_accessors!(dir.node);
+    /// let mut sys = DirectoryInvalidateSystem::new(8);
+    /// sys.write(0, WordAddr::new(0), 5);
+    /// assert_eq!(sys.read(3, WordAddr::new(0)), 5);
+    /// sys.write(1, WordAddr::new(0), 6); // invalidates the other copies
+    /// assert_eq!(sys.read(3, WordAddr::new(0)), 6);
+    /// ```
+    DirectoryInvalidateSystem("directory-invalidate", DirectoryInvalidate) with caches
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoherentSystem;
+    use tmc_memsys::{CacheGeometry, WordAddr};
 
     #[test]
     fn shared_to_exclusive_invalidates() {
@@ -262,6 +97,7 @@ mod tests {
             } else {
                 assert_eq!(sys.read(proc, a), oracle.read(a), "step {step}");
             }
+            sys.sys.check_invariants().unwrap();
         }
         sys.flush();
         for (a, v) in oracle.iter() {

@@ -1,77 +1,19 @@
-//! The no-cache baseline (eq. 9).
+//! The no-cache baseline (eq. 9): `tmc-core`'s `NC_READ_RULES` and
+//! `NC_WRITE_RULES`.
 
-use tmc_memsys::WordAddr;
-
-use crate::node::{node_accessors, Node};
-use crate::CoherentSystem;
-
-/// Every reference goes to the memory module: a read is a request plus a
-/// datum reply (two network traversals), a write is a single datum-bearing
-/// message — exactly the costs behind eq. 9,
-/// `CC_NC = (1−w)·2·CC₁ + w·CC₁`.
-#[derive(Debug)]
-pub struct NoCacheSystem {
-    node: Node,
-}
-
-impl NoCacheSystem {
-    /// Builds the baseline for an `n_procs`-port machine with default
-    /// message sizing.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n_procs` is a power of two in `2..=65536`.
-    pub fn new(n_procs: usize) -> Self {
-        NoCacheSystem {
-            node: Node::new(n_procs),
-        }
-    }
-}
-
-impl CoherentSystem for NoCacheSystem {
-    fn name(&self) -> &'static str {
-        "no-cache"
-    }
-
-    fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        let node = &mut self.node;
-        let before = node.begin(proc);
-        let home = node.home(node.spec.block_of(addr));
-        node.send(proc, home, node.sizing.request_bits());
-        node.send(home, proc, node.sizing.datum_bits());
-        node.counters.incr("reads");
-        let value = node.memory_word(addr);
-        node.record(false, proc, addr, value, false, before);
-        value
-    }
-
-    fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        let node = &mut self.node;
-        let before = node.begin(proc);
-        let block = node.spec.block_of(addr);
-        let home = node.home(block);
-        node.send(proc, home, node.sizing.update_bits());
-        node.counters.incr("writes");
-        let mut data = node.memory.block_data(block);
-        data.set_word(node.spec.offset_of(addr), value);
-        node.memory.write_block(block, &data);
-        node.record(true, proc, addr, value, false, before);
-    }
-
-    fn flush(&mut self) {
-        // Nothing cached: memory is always current.
-    }
-
-    fn peek_word(&self, addr: WordAddr) -> u64 {
-        self.node.memory_word(addr)
-    }
-
-    node_accessors!(node);
+baseline_system! {
+    /// Every reference goes to the memory module: a read is a request plus a
+    /// datum reply (two network traversals), a write is a single datum-bearing
+    /// message — exactly the costs behind eq. 9,
+    /// `CC_NC = (1−w)·2·CC₁ + w·CC₁`.
+    NoCacheSystem("no-cache", NoCache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoherentSystem;
+    use tmc_memsys::WordAddr;
 
     #[test]
     fn values_roundtrip_through_memory() {

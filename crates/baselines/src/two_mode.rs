@@ -4,12 +4,8 @@
 //! comparison points.
 
 use tmc_core::{Mode, ModePolicy, System, SystemConfig};
-use tmc_memsys::WordAddr;
-use tmc_simcore::CounterSet;
 
-use crate::CoherentSystem;
-
-/// Wraps [`tmc_core::System`] as a [`CoherentSystem`].
+/// Wraps [`tmc_core::System`] as a [`CoherentSystem`](crate::CoherentSystem).
 ///
 /// # Example
 ///
@@ -23,9 +19,11 @@ use crate::CoherentSystem;
 /// assert_eq!(sys.read(3, WordAddr::new(0)), 1);
 /// ```
 pub struct TwoModeAdapter {
-    inner: System,
+    sys: System,
     name: &'static str,
 }
+
+on_system!(TwoModeAdapter);
 
 impl TwoModeAdapter {
     /// Wraps an already-configured system under a report `name`.
@@ -34,7 +32,7 @@ impl TwoModeAdapter {
     ///
     /// Panics if `inner` has fault injection enabled: the baseline harness
     /// is the paper's *fault-free* comparison surface, and its
-    /// `expect`-based [`CoherentSystem`] calls could not surface recovery
+    /// `expect`-based [`CoherentSystem`](crate::CoherentSystem) calls could not surface recovery
     /// behaviour meaningfully. Run fault campaigns on [`System`] directly
     /// (see `tmc chaos`).
     pub fn new(inner: System, name: &'static str) -> Self {
@@ -42,17 +40,17 @@ impl TwoModeAdapter {
             !inner.faults_enabled(),
             "the baseline harness is fault-free; drive fault-injected systems directly"
         );
-        TwoModeAdapter { inner, name }
+        TwoModeAdapter { sys: inner, name }
     }
 
     /// The wrapped system.
     pub fn inner(&self) -> &System {
-        &self.inner
+        &self.sys
     }
 
     /// Mutable access to the wrapped system (e.g. for `set_mode`).
     pub fn inner_mut(&mut self) -> &mut System {
-        &mut self.inner
+        &mut self.sys
     }
 }
 
@@ -82,59 +80,11 @@ pub fn two_mode_adaptive(n_procs: usize, window: u32) -> TwoModeAdapter {
     TwoModeAdapter::new(sys, "two-mode (adaptive)")
 }
 
-impl CoherentSystem for TwoModeAdapter {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        self.inner
-            .read(proc, addr)
-            .expect("harness uses valid processors")
-    }
-
-    fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        self.inner
-            .write(proc, addr, value)
-            .expect("harness uses valid processors");
-    }
-
-    fn total_traffic_bits(&self) -> u64 {
-        self.inner.traffic().total_bits()
-    }
-
-    fn traffic(&self) -> &tmc_omeganet::TrafficMatrix {
-        self.inner.traffic()
-    }
-
-    fn counters(&self) -> &CounterSet {
-        self.inner.counters()
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-
-    fn peek_word(&self, addr: WordAddr) -> u64 {
-        self.inner.peek_word(addr)
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.inner.set_tracing(on);
-    }
-
-    fn tracing_enabled(&self) -> bool {
-        self.inner.tracing_enabled()
-    }
-
-    fn drain_trace(&mut self) -> Vec<tmc_obs::ProtocolEvent> {
-        self.inner.drain_trace()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoherentSystem;
+    use tmc_memsys::WordAddr;
 
     #[test]
     fn adapter_delegates_and_names() {

@@ -4,154 +4,32 @@
 //! Once a cache holds a copy it keeps it; every write multicasts the new
 //! word to all other copy holders, so reads are always local after the
 //! first fill. Memory goes stale while a block has a "last writer"; read
-//! misses are served by that writer through the home module.
+//! misses are served by that writer through the home module. The protocol
+//! is `tmc-core`'s `UPD_READ_RULES` and `UPD_WRITE_RULES`.
 
-use tmc_memsys::{BlockAddr, BlockData, CacheGeometry, WordAddr};
-use tmc_omeganet::SchemeKind;
-
-use crate::node::node_accessors;
-use crate::sharers::DirectoryFrame;
-use crate::CoherentSystem;
-
-/// The always-update system.
-///
-/// # Example
-///
-/// ```
-/// use tmc_baselines::{CoherentSystem, UpdateOnlySystem};
-/// use tmc_memsys::WordAddr;
-///
-/// let mut sys = UpdateOnlySystem::new(8);
-/// sys.write(0, WordAddr::new(0), 1);
-/// assert_eq!(sys.read(5, WordAddr::new(0)), 1); // takes a copy
-/// sys.write(0, WordAddr::new(0), 2);            // update multicast
-/// assert_eq!(sys.read(5, WordAddr::new(0)), 2); // served locally
-/// ```
-pub struct UpdateOnlySystem {
-    /// The directory's writer holds the authoritative copy while memory is
-    /// stale.
-    dir: DirectoryFrame,
-}
-
-impl UpdateOnlySystem {
-    /// Builds the baseline with default geometry.
+baseline_system! {
+    /// The always-update system.
     ///
-    /// # Panics
+    /// # Example
     ///
-    /// Panics unless `n_procs` is a power of two in `2..=65536`.
-    pub fn new(n_procs: usize) -> Self {
-        Self::with_geometry(n_procs, CacheGeometry::new(64, 4))
-    }
-
-    /// Builds the baseline with an explicit cache geometry.
+    /// ```
+    /// use tmc_baselines::{CoherentSystem, UpdateOnlySystem};
+    /// use tmc_memsys::WordAddr;
     ///
-    /// # Panics
-    ///
-    /// Panics unless `n_procs` is a power of two in `2..=65536`.
-    pub fn with_geometry(n_procs: usize, geometry: CacheGeometry) -> Self {
-        UpdateOnlySystem {
-            dir: DirectoryFrame::new(n_procs, geometry),
-        }
-    }
-
-    /// Selects the update multicast scheme.
-    pub fn multicast(mut self, scheme: SchemeKind) -> Self {
-        self.dir.node.set_scheme(scheme);
-        self
-    }
-}
-
-/// Fetches `block` for `proc`'s cache, generating the fill traffic: the
-/// home supplies it, or forwards to the last writer while memory is stale.
-fn fetch(dir: &mut DirectoryFrame, proc: usize, block: BlockAddr) -> BlockData {
-    let node = &mut dir.node;
-    let home = node.home(block);
-    node.send(proc, home, node.sizing.request_bits());
-    match dir.sharers.get(block).writer.filter(|&w| w != proc) {
-        Some(w) => {
-            // Memory is stale: forward to the last writer, which supplies
-            // the block through the network.
-            node.counters.incr("writer_supplies");
-            node.send(home, w, node.sizing.request_bits());
-            let data = dir.caches[w].peek(block).expect("writer resident").clone();
-            node.send(w, proc, node.sizing.block_transfer_bits());
-            data
-        }
-        None => {
-            node.send(home, proc, node.sizing.block_transfer_bits());
-            node.memory.block_data(block)
-        }
-    }
-}
-
-/// A write: the writer takes a copy if it has none, then multicasts the
-/// word to every other holder and becomes the block's writer. Returns
-/// whether it hit.
-fn write(
-    dir: &mut DirectoryFrame,
-    proc: usize,
-    block: BlockAddr,
-    offset: usize,
-    value: u64,
-) -> bool {
-    let hit = dir.caches[proc]
-        .get_mut(block)
-        .map(|line| line.set_word(offset, value))
-        .is_some();
-    if !hit {
-        dir.node.counters.incr("write_miss");
-        let mut data = fetch(dir, proc, block);
-        data.set_word(offset, value);
-        dir.install(proc, block, data);
-    }
-    let DirectoryFrame {
-        node,
-        caches,
-        sharers,
-    } = dir;
-    let entry = sharers.entry(block);
-    let bits = node.sizing.update_bits();
-    if let Some((_, delivered)) = node.cast(proc, &entry.sharers, proc, bits, "updates_multicast") {
-        for &d in delivered {
-            if d == proc {
-                continue;
-            }
-            if let Some(line) = caches[d].peek_mut(block) {
-                line.set_word(offset, value);
-            }
-        }
-    }
-    entry.writer = Some(proc);
-    hit
-}
-
-impl CoherentSystem for UpdateOnlySystem {
-    fn name(&self) -> &'static str {
-        "update-only"
-    }
-
-    fn read(&mut self, proc: usize, addr: WordAddr) -> u64 {
-        self.dir.read(proc, addr, fetch)
-    }
-
-    fn write(&mut self, proc: usize, addr: WordAddr, value: u64) {
-        self.dir.write(proc, addr, value, write);
-    }
-
-    fn flush(&mut self) {
-        self.dir.flush();
-    }
-
-    fn peek_word(&self, addr: WordAddr) -> u64 {
-        self.dir.peek_word(addr)
-    }
-
-    node_accessors!(dir.node);
+    /// let mut sys = UpdateOnlySystem::new(8);
+    /// sys.write(0, WordAddr::new(0), 1);
+    /// assert_eq!(sys.read(5, WordAddr::new(0)), 1); // takes a copy
+    /// sys.write(0, WordAddr::new(0), 2);            // update multicast
+    /// assert_eq!(sys.read(5, WordAddr::new(0)), 2); // served locally
+    /// ```
+    UpdateOnlySystem("update-only", UpdateOnly) with caches
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoherentSystem;
+    use tmc_memsys::{CacheGeometry, WordAddr};
 
     #[test]
     fn reads_are_local_after_first_fill() {
@@ -211,6 +89,7 @@ mod tests {
             } else {
                 assert_eq!(sys.read(proc, a), oracle.read(a), "step {step}");
             }
+            sys.sys.check_invariants().unwrap();
         }
         sys.flush();
         for (a, v) in oracle.iter() {

@@ -6,13 +6,13 @@
 //! footprint after `flush`). A second test pins the JSONL bytes of one
 //! traced script per engine.
 //!
-//! The digests were computed with the engines as they stood before their
-//! billing moved onto the engine's path (`Omega::charge_unicast` for every
-//! unicast, a `CastCache` for every cast, `DestSet` sharer sets in a paged
-//! directory). They are the contract for any later rewrite of these
-//! engines: re-expressing directory-invalidate and update-only as rule
-//! tables (ROADMAP.md, "The baselines are rule tables too") must reproduce
-//! every row below before the hand-written bodies are deleted.
+//! The digests were computed with the baselines as hand-written engines,
+//! before their billing moved onto the engine's path (`Omega::charge_unicast`
+//! for every unicast, a `CastCache` for every cast, `DestSet` sharer sets in
+//! a paged directory). The baselines are now rule tables run by
+//! `tmc_core::System` (`System::baseline`), and those tables reproduced
+//! every row below, bit for bit, before the hand-written bodies were
+//! deleted. The rows stay the contract for any later change to them.
 
 use tmc_baselines::{CoherentSystem, DirectoryInvalidateSystem, NoCacheSystem, UpdateOnlySystem};
 use tmc_memsys::{CacheGeometry, WordAddr};

@@ -13,8 +13,9 @@
 //! * the no-cache, directory-invalidate and update-only baselines on the
 //!   paper's §4 sharing stream, at N = 16 and N = 128.
 //!
-//! Everything lives in one `#[test]` and the counter is thread-local, so
-//! concurrently running tests in this binary cannot pollute the counts.
+//! The machine-scale paths live in one `#[test]` and the baselines in a
+//! second; the counter is thread-local, so concurrently running tests in
+//! this binary cannot pollute each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -77,7 +78,6 @@ fn hot_paths_allocate_nothing_after_warmup() {
     castcache_hits_are_allocation_free();
     never_repeating_casts_are_allocation_free();
     reference_pass_is_allocation_free();
-    baselines_are_allocation_free();
 }
 
 /// The big-M cell's trace generation: after the first pass sizes the
@@ -375,15 +375,17 @@ const BASELINE_REFS: usize = 20_000;
 /// Passes over the stream before the measured one.
 const BASELINE_WARMUP_PASSES: usize = 3;
 
-/// The comparison engines on the paper's §4 sharing stream, billed the way
-/// `System` bills. The same stream runs four times. The first pass fills
+/// The comparison engines on the paper's §4 sharing stream: baseline
+/// `System`s running their rule tables. The same stream runs four times. The first pass fills
 /// the caches, materializes the memory and directory pages and touches
 /// every counter. Nothing evicts, so from each block's first write in a
 /// pass on, a pass repeats the previous one's states and casts, and two
 /// more passes let each engine's cast memo admit every cast that repeats.
 /// The fourth pass — unicasts through `charge_unicast`, casts replayed
 /// from the memo or walked, sharer sets edited in place — acquires heap
-/// memory zero times.
+/// memory zero times. Its own test (the counter is per thread), so CI can
+/// name it.
+#[test]
 fn baselines_are_allocation_free() {
     // The paper-grid cell at w = 0.5, and a wider machine whose eight
     // scattered sharers stay in a `DestSet`'s inline list.

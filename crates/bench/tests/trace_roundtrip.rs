@@ -85,8 +85,8 @@ fn tracing_does_not_perturb_the_run() {
         fnv1a64(&traced.protocol_fingerprint())
     );
     assert_eq!(plain.traffic().total_bits(), traced.traffic().total_bits());
-    assert!(plain.trace_events().is_empty());
-    assert!(!traced.trace_events().is_empty());
+    assert!(plain.drain_trace().is_empty());
+    assert!(!traced.drain_trace().is_empty());
 }
 
 #[test]

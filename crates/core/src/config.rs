@@ -32,7 +32,7 @@ impl Default for ModePolicy {
 
 impl ModePolicy {
     /// The mode a newly owned block starts in.
-    pub fn initial_mode(self) -> Mode {
+    pub(crate) fn initial_mode(self) -> Mode {
         match self {
             ModePolicy::Fixed(m) => m,
             ModePolicy::Adaptive { .. } => Mode::GlobalRead,

@@ -11,6 +11,7 @@
 use tmc_memsys::{BlockAddr, CacheArray};
 
 use crate::error::InvariantViolation;
+use crate::home::{Baseline, Home};
 use crate::state::{CacheLine, Mode, Validity};
 use crate::system::System;
 
@@ -27,20 +28,23 @@ impl System {
     ///    flag (beyond the owner) points at a cache holding an *invalid*
     ///    entry for the block.
     ///
+    /// A baseline machine ([`System::baseline`]) is checked against its
+    /// home directory instead: every line is a plain copy, the home's
+    /// sharer set is exactly the set of caches holding one, a writer holds
+    /// one (under write-invalidate it is the only holder, under
+    /// update-only every copy equals it), and with no writer every copy
+    /// equals memory.
+    ///
     /// # Errors
     ///
     /// Returns the first [`InvariantViolation`] found.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let fail = |what: String| Err(InvariantViolation { what });
-
-        // Every resident line, grouped by block with caches ascending; the
-        // block store already iterates in ascending block order.
-        let mut resident: Vec<(BlockAddr, usize, &CacheLine)> =
-            Vec::with_capacity(self.caches.iter().map(CacheArray::len).sum());
-        for (c, cache) in self.caches.iter().enumerate() {
-            resident.extend(cache.iter().map(|(block, line)| (block, c, line)));
+        if let Some(home) = self.home.as_deref() {
+            return self.check_home(home);
         }
-        resident.sort_unstable_by_key(|&(block, c, _)| (block, c));
+
+        let resident = self.resident_lines();
         let mut stored_owners = self.store.iter().peekable();
 
         let mut owners: Vec<usize> = Vec::new();
@@ -152,13 +156,91 @@ impl System {
             }
         }
     }
+
+    /// Every resident line, grouped by block with caches ascending.
+    fn resident_lines(&self) -> Vec<(BlockAddr, usize, &CacheLine)> {
+        let mut resident: Vec<(BlockAddr, usize, &CacheLine)> =
+            Vec::with_capacity(self.caches.iter().map(CacheArray::len).sum());
+        for (c, cache) in self.caches.iter().enumerate() {
+            resident.extend(cache.iter().map(|(block, line)| (block, c, line)));
+        }
+        resident.sort_unstable_by_key(|&(block, c, _)| (block, c));
+        resident
+    }
+
+    /// A baseline machine's invariants, per block any cache or the home
+    /// knows about:
+    ///
+    /// 1. every line is a plain valid copy, and the block store is empty;
+    /// 2. the home's sharer set is exactly the set of caches holding a
+    ///    copy;
+    /// 3. a writer holds a copy; under write-invalidate it is the only
+    ///    holder, under update-only every copy equals the writer's;
+    /// 4. with no writer, every copy equals memory.
+    fn check_home(&self, home: &Home) -> Result<(), InvariantViolation> {
+        let fail = |what: String| Err(InvariantViolation { what });
+        if let Some((block, c)) = self.store.iter().next() {
+            return fail(format!("{block}: a baseline's block store names {c}"));
+        }
+        let resident = self.resident_lines();
+        let mut entries = home.table.iter().peekable();
+        let mut holders: Vec<usize> = Vec::new();
+        let mut rest = &resident[..];
+        loop {
+            let block = match (rest.first(), entries.peek()) {
+                (Some(&(b, ..)), Some(&(e, _))) => b.min(e),
+                (Some(&(b, ..)), None) => b,
+                (None, Some(&(e, _))) => e,
+                (None, None) => return Ok(()),
+            };
+            let held = rest.iter().take_while(|&&(b, ..)| b == block).count();
+            let (group, tail) = rest.split_at(held);
+            rest = tail;
+            let entry = home.table.get(block);
+            entries.next_if(|&(e, _)| e == block);
+
+            holders.clear();
+            for &(_, c, line) in group {
+                if line.validity != Validity::UnOwned || line.modified {
+                    return fail(format!("{block}: C{c}'s line is not a plain copy"));
+                }
+                holders.push(c);
+            }
+            if !entry.sharers.iter().eq(holders.iter().copied()) {
+                let sharers: Vec<usize> = entry.sharers.iter().collect();
+                return fail(format!(
+                    "{block}: home sharers {sharers:?} != copies {holders:?}"
+                ));
+            }
+            let newest = match entry.writer {
+                Some(w) => {
+                    if !holders.contains(&w) {
+                        return fail(format!("{block}: writer C{w} holds no copy"));
+                    }
+                    if home.protocol == Baseline::DirectoryInvalidate && holders != [w] {
+                        return fail(format!(
+                            "{block}: writer C{w} is not the only holder of {holders:?}"
+                        ));
+                    }
+                    let line = group.iter().find(|&&(_, c, _)| c == w).expect("held");
+                    line.2.data.words()
+                }
+                None => self.memory.read_block(block),
+            };
+            for &(_, c, line) in group {
+                if line.data.words() != newest {
+                    return fail(format!("{block}: C{c}'s copy is stale"));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
-    use tmc_memsys::{CacheGeometry, CacheId, WordAddr};
+    use tmc_memsys::{BlockData, CacheGeometry, CacheId, WordAddr};
     use tmc_simcore::SimRng;
 
     use super::*;
@@ -500,5 +582,52 @@ mod tests {
         // Most single-field corruptions break an invariant (a few are
         // benign, e.g. a data flip on an invalid entry).
         assert!(violations >= 150, "only {violations} of 300 detected");
+    }
+
+    /// A baseline machine with block 0 shared by C0 and C1 and block 1
+    /// written by C2, checked after `corrupt`.
+    fn baseline_violation(protocol: Baseline, corrupt: impl FnOnce(&mut System)) -> String {
+        let cfg = SystemConfig::new(4).block_spec(tmc_memsys::BlockSpec::new(0));
+        let mut sys = System::baseline(cfg, protocol).unwrap();
+        sys.write(0, WordAddr::new(0), 7).unwrap();
+        sys.read(1, WordAddr::new(0)).unwrap();
+        sys.write(2, WordAddr::new(1), 9).unwrap();
+        assert_eq!(sys.check_invariants(), Ok(()));
+        corrupt(&mut sys);
+        sys.check_invariants().unwrap_err().what
+    }
+
+    fn home(sys: &mut System) -> &mut Home {
+        sys.home.as_deref_mut().unwrap()
+    }
+
+    #[test]
+    fn baseline_home_violations_are_caught() {
+        let (b0, b1) = (BlockAddr::new(0), BlockAddr::new(1));
+        let dir = Baseline::DirectoryInvalidate;
+        let what = baseline_violation(dir, |sys| {
+            home(sys).table.entry(b0).sharers.remove(1);
+        });
+        assert_eq!(what, "b0x0: home sharers [0] != copies [0, 1]");
+        let what = baseline_violation(dir, |sys| home(sys).table.entry(b0).writer = Some(0));
+        assert_eq!(what, "b0x0: writer C0 is not the only holder of [0, 1]");
+        let what = baseline_violation(dir, |sys| home(sys).table.entry(b1).writer = Some(3));
+        assert_eq!(what, "b0x1: writer C3 holds no copy");
+        // Update-only: a writer shares, but every copy must match it.
+        let upd = Baseline::UpdateOnly;
+        let what = baseline_violation(upd, |sys| {
+            home(sys).table.entry(b0).writer = Some(0);
+            sys.caches[1].peek_mut(b0).unwrap().data.set_word(0, 8);
+        });
+        assert_eq!(what, "b0x0: C1's copy is stale");
+        // No writer: memory must be current.
+        let what = baseline_violation(dir, |sys| home(sys).table.entry(b1).writer = None);
+        assert_eq!(what, "b0x1: C2's copy is stale");
+        let what = baseline_violation(upd, |sys| {
+            sys.caches[3].insert(b1, CacheLine::copy(BlockData::zeroed(1), 4));
+        });
+        assert_eq!(what, "b0x1: home sharers [2] != copies [2, 3]");
+        let what = baseline_violation(dir, |sys| sys.store.set_owner(b0, CacheId(0)));
+        assert_eq!(what, "b0x0: a baseline's block store names C0");
     }
 }

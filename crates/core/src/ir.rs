@@ -1,11 +1,13 @@
-//! The two-mode protocol as **data**: every §2.2 transition as a guarded
-//! action, and the only definition of the protocol in this crate.
+//! Every protocol the machine runs, as **data**: each §2.2 transition of
+//! the two-mode protocol, and each transition of the paper's §4 baselines,
+//! as a guarded action — the only definition of any protocol in this
+//! crate.
 //!
 //! The paper defines the protocol once — six line states, DW/GR modes,
 //! ownership migration, replacement, mode switches — and so does the
-//! code: five tables of [`Rule`]s, each a conjunction of [`Guard`]
-//! predicates plus an ordered list of [`Step`] effects. [`crate::System`]
-//! executes every reference by selecting one rule and running its steps
+//! code: tables of [`Rule`]s, each a conjunction of [`Guard`] predicates
+//! plus an ordered list of [`Step`] effects. [`crate::System`] executes
+//! every reference by selecting one rule and running its steps
 //! (`ir_exec.rs`); the bounded model checker explores through the same
 //! entry points, so its pinned visited-state counts are properties of
 //! these tables (the approach of guarded-action protocol languages; see
@@ -16,8 +18,8 @@
 //! * A request is decoded into a [`Facts`] word, one bit per [`Guard`],
 //!   gathered a [`FactGroup`] at a time: the requester's tag-lookup class
 //!   (or the victim's / the switching owner's state) is known at entry;
-//!   the OWNER-hint probe and the block-store/owner probe happen only when
-//!   a rule still in the running tests them.
+//!   the OWNER-hint probe, the block-store/owner probe and a baseline's
+//!   home probe happen only when a rule still in the running tests them.
 //! * Each rule's `when` list — the readable source — is folded into a bit
 //!   mask when the table is built (a `const fn` over the list), so
 //!   [`select`] is one compare per rule. The tables are written so exactly
@@ -36,13 +38,21 @@
 //!   earlier step has run — is linted over every table in the tests
 //!   below, so a misplaced step fails `cargo test`, not a run.
 //!
-//! Five tables cover the protocol: [`READ_RULES`], [`WRITE_RULES`],
-//! [`SET_MODE_RULES`], [`REPLACE_RULES`] (§2.2 case 5, reached from the
-//! install steps when a way must be freed) and [`MODE_RULES`] (§2.2 cases
-//! 6/7, reached from [`Step::SwitchMode`] and from the §5 adaptive
-//! policy). Fault injection is deliberately *not* in the tables: faults
-//! are pre-flight admission control around the protocol
-//! (docs/ROBUSTNESS.md), not part of the paper's state machine.
+//! Five tables, 37 rules, cover the two-mode protocol: [`READ_RULES`],
+//! [`WRITE_RULES`], [`SET_MODE_RULES`], [`REPLACE_RULES`] (§2.2 case 5,
+//! reached from the install steps when a way must be freed) and
+//! [`MODE_RULES`] (§2.2 cases 6/7, reached from [`Step::SwitchMode`] and
+//! from the §5 adaptive policy). Seven more, 15 rules, are the baselines a
+//! [`System::baseline`](crate::System::baseline) machine runs instead:
+//! directory-invalidate ([`DIR_READ_RULES`], [`DIR_WRITE_RULES`]) and
+//! update-only ([`UPD_READ_RULES`], [`UPD_WRITE_RULES`]), which share their
+//! read hit, their clean read miss and [`HOME_REPLACE_RULES`], and no-cache
+//! ([`NC_READ_RULES`], [`NC_WRITE_RULES`]). Their lines are plain copies;
+//! the home facts and the home-side steps ([`Step::Bill`] onwards) read
+//! and change the home directory's sharers and writer instead. Fault
+//! injection is deliberately *not* in the tables: faults are pre-flight
+//! admission control around the protocol (docs/ROBUSTNESS.md), not part of
+//! the paper's state machine.
 
 use crate::msg::MsgKind;
 use crate::state::Mode;
@@ -153,6 +163,15 @@ pub enum Guard {
     LoneCopy,
     /// Mode switch: other caches appear in the present vector.
     SharedCopies,
+    /// Baseline home: no cache's copy is newer than memory.
+    Unwritten,
+    /// Baseline home: one cache's copy is newer than memory (its writer).
+    Written,
+    /// Baseline home: the writer is the requester (or the replacer).
+    WriterIsReq,
+    /// Baseline home: the requester is not the writer (there is none, or
+    /// another cache is).
+    WriterNotReq,
 }
 
 /// The facts that are established together, by one probe of the machine.
@@ -168,28 +187,34 @@ pub enum FactGroup {
     Hint,
     /// The block store and the owner's line ([`Facts::owner`]).
     Owner,
+    /// A baseline machine's home directory entry ([`Facts::home`]).
+    Home,
 }
 
 impl FactGroup {
     /// The groups [`select`] may ask a probe for, each with its fact bits,
     /// in probe order: what the requester's own cache knows is asked before
-    /// the block store. The other groups are known at entry or not at all.
-    const ON_DEMAND: [(FactGroup, u32); 2] = [
+    /// the block store. Only the baseline tables test the home, so a
+    /// two-mode request never reaches its row. The other groups are known
+    /// at entry or not at all.
+    const ON_DEMAND: [(FactGroup, u64); 3] = [
         (FactGroup::Hint, FactGroup::Hint.mask()),
         (FactGroup::Owner, FactGroup::Owner.mask()),
+        (FactGroup::Home, FactGroup::Home.mask()),
     ];
 
     /// The fact bits this group establishes: a contiguous run of
     /// [`Guard`] variants.
-    const fn mask(self) -> u32 {
+    const fn mask(self) -> u64 {
         let (first, last) = match self {
             FactGroup::Lookup => (G::Hit, G::UnOwnedHit),
             FactGroup::Owner => (G::BlockOwned, G::OwnerIsGr),
             FactGroup::Hint => (G::UsableHint, G::HintIsGr),
             FactGroup::Victim => (G::VictimOwned, G::VictimGr),
             FactGroup::Switch => (G::SameMode, G::SharedCopies),
+            FactGroup::Home => (G::Unwritten, G::WriterNotReq),
         };
-        (2 << last as u32) - (1 << first as u32)
+        (2 << last as u64) - (1 << first as u64)
     }
 }
 
@@ -201,16 +226,16 @@ impl FactGroup {
 /// combined with `|`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Facts {
-    bits: u32,
-    known: u32,
+    bits: u64,
+    known: u64,
 }
 
 /// `guards` as fact bits.
-const fn fold(guards: &[Guard]) -> u32 {
+const fn fold(guards: &[Guard]) -> u64 {
     let mut bits = 0;
     let mut i = 0;
     while i < guards.len() {
-        bits |= 1 << guards[i] as u32;
+        bits |= 1 << guards[i] as u64;
         i += 1;
     }
     bits
@@ -299,6 +324,20 @@ impl Facts {
         )
     }
 
+    /// What a baseline machine's home knows of the block: its `writer`, if
+    /// any, and whether that is `req`, the requester or replacer.
+    #[must_use]
+    pub fn home(writer: Option<usize>, req: usize) -> Facts {
+        const fn of(guards: &[Guard]) -> Facts {
+            Facts::new(FactGroup::Home, guards)
+        }
+        match writer {
+            None => const { of(&[G::Unwritten, G::WriterNotReq]) },
+            Some(w) if w == req => const { of(&[G::Written, G::WriterIsReq]) },
+            Some(_) => const { of(&[G::Written, G::WriterNotReq]) },
+        }
+    }
+
     /// A mode directive arriving at the block's owner.
     #[must_use]
     pub fn switch(m: ModeCtx) -> Facts {
@@ -346,6 +385,8 @@ pub enum Ep {
     Hint,
     /// The handoff candidate that accepted ownership.
     Candidate,
+    /// The cache a baseline machine's home names as the block's writer.
+    Writer,
 }
 
 /// The §2.3 message-size classes — the IR's link-cost annotations. Each
@@ -482,6 +523,50 @@ pub enum Step {
     /// §2.2 case 7: multicast [`MsgKind::Invalidate`] at
     /// [`SizeClass::Invalidate`] to the other copy holders.
     InvalidateCast,
+
+    // The home-side steps of the baseline tables.
+    /// Emit one unicast message and bill its route link by link, tallying
+    /// only `bits_total` and `msgs_total`: a baseline machine keeps no
+    /// per-kind counters.
+    Bill {
+        /// Message kind (what the message is; not tallied).
+        kind: MsgKind,
+        /// Sending endpoint.
+        from: Ep,
+        /// Receiving endpoint.
+        to: Ep,
+        /// Payload-size annotation (§2.3).
+        size: SizeClass,
+    },
+    /// Install the block at the requester as a plain copy and enroll it
+    /// at the home, taking the data from the endpoint that supplied it:
+    /// [`Ep::Home`] (memory) or [`Ep::Writer`] (the writer's copy). A full
+    /// set first runs [`HOME_REPLACE_RULES`] for its victim.
+    InstallCopy(Ep),
+    /// Set the word in the requester's own copy.
+    WriteWord,
+    /// The writer's copy goes home: memory takes it and the home names no
+    /// writer. With `drop` the writer also loses its copy.
+    RecallWriter {
+        /// The writer's copy is dropped too (a write is taking the block).
+        drop: bool,
+    },
+    /// Multicast [`MsgKind::Invalidate`] at [`SizeClass::Invalidate`] from
+    /// the home to every sharer but the requester, dropping their copies.
+    InvalidateCopies,
+    /// Multicast [`MsgKind::UpdateWrite`] at [`SizeClass::Update`] from
+    /// the requester to every other sharer, setting the word in each copy.
+    UpdateCopies,
+    /// The home names the requester as the block's writer.
+    SetWriterReq,
+    /// The home names no writer (the replaced writer's copy went home).
+    ClearWriter,
+    /// The home forgets the replacer's copy.
+    DropSharer,
+    /// Serve a read with memory's word (no cache holds anything).
+    ReadMemoryWord,
+    /// Write the word straight into memory.
+    WriteMemoryWord,
 }
 
 /// One guarded action: `name` for diagnostics, `when` the guard
@@ -490,12 +575,14 @@ pub enum Step {
 pub struct Rule {
     /// Stable diagnostic name (also the docs' reference key).
     pub name: &'static str,
-    /// All guards must hold for the rule to fire.
+    /// All guards must hold for the rule to fire. The engine selects on
+    /// `mask`; the table tests read this list.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub when: &'static [Guard],
     /// Effects, applied in order.
     pub steps: &'static [Step],
     /// `when` as fact bits, folded once when the table is built.
-    mask: u32,
+    mask: u64,
     /// Applies `steps` to the machine.
     pub(crate) run: fn(&mut System, &mut Txn),
 }
@@ -555,7 +642,7 @@ pub fn select(
     }
 }
 
-use Ep::{Candidate, Hint, Home, Owner, Requester};
+use Ep::{Candidate, Hint, Home, Owner, Requester, Writer};
 use Guard as G;
 use MsgKind as K;
 use SizeClass as Z;
@@ -565,6 +652,18 @@ use Step as S;
 macro_rules! send {
     ($kind:ident, $from:ident -> $to:ident, $size:ident) => {
         S::Send {
+            kind: K::$kind,
+            from: $from,
+            to: $to,
+            size: Z::$size,
+        }
+    };
+}
+
+/// Shorthand for a baseline's unicast step.
+macro_rules! bill {
+    ($kind:ident, $from:ident -> $to:ident, $size:ident) => {
+        S::Bill {
             kind: K::$kind,
             from: $from,
             to: $to,
@@ -1111,6 +1210,209 @@ pub static MODE_RULES: &[Rule] = &[
     ),
 ];
 
+// ----------------------------------------------------------------------
+// The baselines of §4, on the same machine: a line is a plain copy, and
+// the home directory (`home.rs`) holds the sharers and the writer.
+// ----------------------------------------------------------------------
+
+/// A read hit under either directory baseline.
+const HOME_READ_HIT: Rule = rule!(
+    "home-read-hit",
+    [G::Hit],
+    [S::Count("read_hit"), S::ReadHitWord],
+);
+
+/// A read miss memory serves, under either directory baseline.
+const HOME_READ_MISS_CLEAN: Rule = rule!(
+    "home-read-miss-clean",
+    [G::Miss, G::Unwritten],
+    [
+        S::Count("read_miss"),
+        bill!(LoadReq, Requester -> Home, Request),
+        bill!(BlockReply, Home -> Requester, BlockTransfer),
+        S::InstallCopy(Home),
+    ],
+);
+
+/// Directory-invalidate read: a miss is served by memory, once the home
+/// has recalled a dirty copy.
+pub static DIR_READ_RULES: &[Rule] = &[
+    HOME_READ_HIT,
+    HOME_READ_MISS_CLEAN,
+    rule!(
+        "dir-read-miss-dirty",
+        [G::Miss, G::Written],
+        [
+            S::Count("read_miss"),
+            bill!(LoadReq, Requester -> Home, Request),
+            S::Count("dirty_recalls"),
+            bill!(FwdLoad, Home -> Writer, Request),
+            bill!(WriteBack, Writer -> Home, BlockTransfer),
+            S::RecallWriter { drop: false },
+            bill!(BlockReply, Home -> Requester, BlockTransfer),
+            S::InstallCopy(Home),
+        ],
+    ),
+];
+
+/// Directory-invalidate write: a hit on the exclusive copy is local, a
+/// hit on a shared copy invalidates the others, and a miss takes the block
+/// from memory once every other copy is gone.
+pub static DIR_WRITE_RULES: &[Rule] = &[
+    rule!(
+        "dir-write-hit-exclusive",
+        [G::Hit, G::WriterIsReq],
+        [S::Count("write_hit_exclusive"), S::WriteWord],
+    ),
+    rule!(
+        "dir-write-upgrade",
+        [G::Hit, G::WriterNotReq],
+        [
+            S::Count("write_upgrade"),
+            S::WriteWord,
+            bill!(OwnershipReq, Requester -> Home, Request),
+            S::InvalidateCopies,
+            S::SetWriterReq,
+        ],
+    ),
+    rule!(
+        "dir-write-miss-clean",
+        [G::Miss, G::Unwritten],
+        [
+            S::Count("write_miss"),
+            bill!(LoadOwnReq, Requester -> Home, Request),
+            S::InvalidateCopies,
+            bill!(BlockReply, Home -> Requester, BlockTransfer),
+            S::InstallCopy(Home),
+            S::WriteWord,
+            S::SetWriterReq,
+        ],
+    ),
+    rule!(
+        "dir-write-miss-dirty",
+        [G::Miss, G::Written],
+        [
+            S::Count("write_miss"),
+            bill!(LoadOwnReq, Requester -> Home, Request),
+            S::Count("dirty_recalls"),
+            bill!(FwdLoadOwn, Home -> Writer, Request),
+            bill!(WriteBack, Writer -> Home, BlockTransfer),
+            S::RecallWriter { drop: true },
+            bill!(BlockReply, Home -> Requester, BlockTransfer),
+            S::InstallCopy(Home),
+            S::WriteWord,
+            S::SetWriterReq,
+        ],
+    ),
+];
+
+/// Update-only read: a miss is served by memory, or by the last writer
+/// while memory is stale.
+pub static UPD_READ_RULES: &[Rule] = &[
+    HOME_READ_HIT,
+    HOME_READ_MISS_CLEAN,
+    rule!(
+        "upd-read-miss-written",
+        [G::Miss, G::Written],
+        [
+            S::Count("read_miss"),
+            bill!(LoadReq, Requester -> Home, Request),
+            S::Count("writer_supplies"),
+            bill!(FwdLoad, Home -> Writer, Request),
+            bill!(BlockReply, Writer -> Requester, BlockTransfer),
+            S::InstallCopy(Writer),
+        ],
+    ),
+];
+
+/// Update-only write: the writer takes a copy if it has none, multicasts
+/// the word to every other holder and becomes the block's writer.
+pub static UPD_WRITE_RULES: &[Rule] = &[
+    rule!(
+        "upd-write-hit",
+        [G::Hit],
+        [S::WriteWord, S::UpdateCopies, S::SetWriterReq],
+    ),
+    rule!(
+        "upd-write-miss-clean",
+        [G::Miss, G::Unwritten],
+        [
+            S::Count("write_miss"),
+            bill!(LoadOwnReq, Requester -> Home, Request),
+            bill!(BlockReply, Home -> Requester, BlockTransfer),
+            S::InstallCopy(Home),
+            S::WriteWord,
+            S::UpdateCopies,
+            S::SetWriterReq,
+        ],
+    ),
+    rule!(
+        "upd-write-miss-written",
+        [G::Miss, G::Written],
+        [
+            S::Count("write_miss"),
+            bill!(LoadOwnReq, Requester -> Home, Request),
+            S::Count("writer_supplies"),
+            bill!(FwdLoadOwn, Home -> Writer, Request),
+            bill!(BlockReply, Writer -> Requester, BlockTransfer),
+            S::InstallCopy(Writer),
+            S::WriteWord,
+            S::UpdateCopies,
+            S::SetWriterReq,
+        ],
+    ),
+];
+
+/// Replacement under both directory baselines, entered with the home's
+/// facts about the victim: the writer's copy goes home, any other copy
+/// only notifies. `System::home_replace` brackets it with the replacement
+/// counter and drops the entry.
+pub static HOME_REPLACE_RULES: &[Rule] = &[
+    rule!(
+        "home-replace-writer",
+        [G::WriterIsReq],
+        [
+            bill!(WriteBack, Requester -> Home, BlockTransfer),
+            S::Count("writebacks"),
+            S::MemWriteBackVictim,
+            S::ClearWriter,
+            S::DropSharer,
+        ],
+    ),
+    rule!(
+        "home-replace-copy",
+        [G::WriterNotReq],
+        [
+            bill!(ReplaceNotice, Requester -> Home, Request),
+            S::DropSharer
+        ],
+    ),
+];
+
+/// No-cache read (eq. 9): a request and a datum reply. Nothing is ever
+/// cached, so every reference is a miss.
+pub static NC_READ_RULES: &[Rule] = &[rule!(
+    "nc-read",
+    [G::Missing],
+    [
+        bill!(LoadReq, Requester -> Home, Request),
+        bill!(DatumReply, Home -> Requester, Datum),
+        S::Count("reads"),
+        S::ReadMemoryWord,
+    ],
+)];
+
+/// No-cache write (eq. 9): one datum-bearing message.
+pub static NC_WRITE_RULES: &[Rule] = &[rule!(
+    "nc-write",
+    [G::Missing],
+    [
+        bill!(UpdateWrite, Requester -> Home, Update),
+        S::Count("writes"),
+        S::WriteMemoryWord,
+    ],
+)];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1129,6 +1431,10 @@ mod tests {
         hint_mode: Option<Mode>,
         victim: Option<VictimCtx>,
         mode_switch: Option<ModeCtx>,
+        /// A baseline home names a writer.
+        written: bool,
+        /// That writer is the requester.
+        writer_is_req: bool,
     }
 
     impl Guard {
@@ -1170,6 +1476,10 @@ mod tests {
                     .is_some_and(|m| m.target == Mode::GlobalRead),
                 Guard::LoneCopy => ctx.mode_switch.is_some_and(|m| !m.other_copies),
                 Guard::SharedCopies => ctx.mode_switch.is_some_and(|m| m.other_copies),
+                Guard::Unwritten => !ctx.written,
+                Guard::Written => ctx.written,
+                Guard::WriterIsReq => ctx.writer_is_req,
+                Guard::WriterNotReq => !ctx.writer_is_req,
             }
         }
     }
@@ -1185,6 +1495,11 @@ mod tests {
                 }
                 FactGroup::Victim => self.victim.map_or(Facts::NONE, Facts::victim),
                 FactGroup::Switch => self.mode_switch.map_or(Facts::NONE, Facts::switch),
+                FactGroup::Home => {
+                    // The requester is port 0; another writer is port 1.
+                    let writer = self.written.then_some(usize::from(!self.writer_is_req));
+                    Facts::home(writer, 0)
+                }
             }
         }
     }
@@ -1363,27 +1678,96 @@ mod tests {
         }
     }
 
-    fn tables() -> [(&'static str, &'static [Rule], FactGroup); 5] {
+    /// Every context a baseline machine can reach selects exactly one rule
+    /// of each of its tables, and [`select`] probes the home only when the
+    /// lookup alone does not decide.
+    #[test]
+    fn baseline_tables_are_total_and_unambiguous() {
+        for (table, rules, _, _) in &tables()[5..] {
+            let (entry, lookups): (FactGroup, &[LookupClass]) = match *table {
+                "home-replace" => (FactGroup::Home, &[LookupClass::UnOwnedHit]),
+                "nc-read" | "nc-write" => (FactGroup::Lookup, &[LookupClass::Missing]),
+                _ => (
+                    FactGroup::Lookup,
+                    &[LookupClass::Missing, LookupClass::UnOwnedHit],
+                ),
+            };
+            for &lookup in lookups {
+                for (written, writer_is_req) in [(false, false), (true, false), (true, true)] {
+                    let miss = lookup == LookupClass::Missing;
+                    if (miss && writer_is_req) || (table.starts_with("nc") && written) {
+                        continue; // a writer holds a copy; no-cache never writes one
+                    }
+                    if table.starts_with("dir") && !miss && written && !writer_is_req {
+                        continue; // a write-invalidate writer is the only holder
+                    }
+                    let ctx = RuleCtx {
+                        lookup: (entry == FactGroup::Lookup).then_some(lookup),
+                        written,
+                        writer_is_req,
+                        ..RuleCtx::default()
+                    };
+                    let (rule, probed) = fired(table, rules, entry, &ctx);
+                    let decided = rule.mask & FactGroup::Home.mask() == 0;
+                    let expect: &[FactGroup] = if decided || entry == FactGroup::Home {
+                        &[]
+                    } else {
+                        &[FactGroup::Home]
+                    };
+                    assert_eq!(probed, expect, "{table}: probes for {ctx:?}");
+                }
+            }
+        }
+    }
+
+    /// Every table with its entry group and the groups its requests may
+    /// probe: the five two-mode tables, then the baselines'.
+    fn tables() -> [(&'static str, &'static [Rule], FactGroup, u64); 12] {
+        use FactGroup::{Hint as H, Home as M, Lookup as L, Owner as O, Switch, Victim};
+        let access = L.mask() | H.mask() | O.mask();
+        let baseline = L.mask() | M.mask();
         [
-            ("read", READ_RULES, FactGroup::Lookup),
-            ("write", WRITE_RULES, FactGroup::Lookup),
-            ("set_mode", SET_MODE_RULES, FactGroup::Lookup),
-            ("replace", REPLACE_RULES, FactGroup::Victim),
-            ("mode", MODE_RULES, FactGroup::Switch),
+            ("read", READ_RULES, L, access),
+            ("write", WRITE_RULES, L, access),
+            ("set_mode", SET_MODE_RULES, L, access),
+            ("replace", REPLACE_RULES, Victim, Victim.mask() | O.mask()),
+            ("mode", MODE_RULES, Switch, Switch.mask()),
+            ("dir-read", DIR_READ_RULES, L, baseline),
+            ("dir-write", DIR_WRITE_RULES, L, baseline),
+            ("upd-read", UPD_READ_RULES, L, baseline),
+            ("upd-write", UPD_WRITE_RULES, L, baseline),
+            ("home-replace", HOME_REPLACE_RULES, M, M.mask()),
+            ("nc-read", NC_READ_RULES, L, baseline),
+            ("nc-write", NC_WRITE_RULES, L, baseline),
         ]
     }
 
     /// Rule names are unique across the whole protocol — they key
-    /// diagnostics and the docs.
+    /// diagnostics and the docs. A rule two baseline tables share is one
+    /// rule, listed in both.
     #[test]
     fn rule_names_are_unique() {
-        let mut seen = std::collections::BTreeSet::new();
-        for (_, rules, _) in tables() {
+        let mut seen = std::collections::BTreeMap::new();
+        for (i, (_, rules, _, _)) in tables().into_iter().enumerate() {
             for r in rules {
-                assert!(seen.insert(r.name), "duplicate rule name {}", r.name);
+                if let Some(first) = seen.insert(r.name, r) {
+                    let same = first.when == r.when && first.steps == r.steps;
+                    assert!(same, "duplicate rule name {}", r.name);
+                }
+            }
+            if i == 4 {
+                assert_eq!(
+                    seen.len(),
+                    37,
+                    "two-mode rule census drifted — update the docs"
+                );
             }
         }
-        assert_eq!(seen.len(), 37, "rule census drifted — update the docs");
+        assert_eq!(
+            seen.len(),
+            37 + 15,
+            "baseline rule census drifted — update the docs"
+        );
     }
 
     /// What a step takes for granted when it runs.
@@ -1410,6 +1794,7 @@ mod tests {
             Owner => vec![Guarded(OWNED)],
             Hint => vec![Guarded(HINTED)],
             Candidate => vec![After(&[S::HandoffOffers])],
+            Writer => vec![Guarded(&[G::Written, G::WriterIsReq])],
         }
     }
 
@@ -1419,7 +1804,7 @@ mod tests {
         match ep {
             Owner => vec![Guarded(owner)],
             Hint => vec![Guarded(hint)],
-            Requester | Home | Candidate => vec![Never],
+            Requester | Home | Candidate | Writer => vec![Never],
         }
     }
 
@@ -1454,7 +1839,12 @@ mod tests {
             ],
             S::WriteAtOwner | S::SwitchMode => vec![AfterOrGuarded(ACQUIRES, &[G::OwnedHit])],
             S::UpdateCast => vec![After(&[S::WriteAtOwner])],
-            S::MemWriteBackVictim => vec![Guarded(&[G::VictimOwned]), Guarded(&[G::Dirty])],
+            // A two-mode victim's M bit, or a baseline home naming the
+            // replacer as writer, says memory is stale.
+            S::MemWriteBackVictim => vec![
+                Guarded(&[G::VictimOwned, G::WriterIsReq]),
+                Guarded(&[G::Dirty, G::WriterIsReq]),
+            ],
             S::ClearStoreVictim => vec![Guarded(&[G::VictimOwned]), Guarded(&[G::Exclusive])],
             S::ClearPresenceAtOwner => vec![Guarded(&[G::VictimCopy]), Guarded(OWNED)],
             S::HandoffOffers => vec![Guarded(&[G::VictimOwned]), Guarded(&[G::NotExclusive])],
@@ -1465,6 +1855,24 @@ mod tests {
             S::ModeToDw => vec![Guarded(&[G::ModeChanges]), Guarded(&[G::ToDw])],
             S::ModeToGr => vec![Guarded(&[G::ModeChanges]), Guarded(&[G::ToGr])],
             S::InvalidateCast => vec![After(&[S::ModeToGr]), Guarded(&[G::SharedCopies])],
+            S::Bill { from, to, .. } => endpoint(from).into_iter().chain(endpoint(to)).collect(),
+            // Memory supplies the block only while it is current: nothing
+            // written, or the writer recalled first.
+            S::InstallCopy(Home) => vec![
+                Guarded(&[G::Miss, G::Missing]),
+                AfterOrGuarded(&[S::RecallWriter { drop: false }], &[G::Unwritten]),
+            ],
+            S::InstallCopy(Writer) => vec![Guarded(&[G::Miss, G::Missing]), Guarded(&[G::Written])],
+            S::InstallCopy(_) => vec![Never],
+            S::WriteWord | S::SetWriterReq => {
+                vec![AfterOrGuarded(&[S::InstallCopy(Home)], &[G::Hit])]
+            }
+            S::RecallWriter { .. } => vec![Guarded(&[G::Written])],
+            S::UpdateCopies => vec![After(&[S::WriteWord])],
+            S::ClearWriter => vec![Guarded(&[G::WriterIsReq])],
+            S::InvalidateCopies | S::DropSharer | S::ReadMemoryWord | S::WriteMemoryWord => {
+                vec![]
+            }
         }
     }
 
@@ -1475,14 +1883,7 @@ mod tests {
     /// a panic in the middle of a run is a failure here instead.
     #[test]
     fn every_step_finds_what_it_assumes() {
-        for (table, rules, entry) in tables() {
-            let mut probes = entry.mask();
-            if entry != FactGroup::Switch {
-                probes |= FactGroup::Owner.mask();
-            }
-            if entry == FactGroup::Lookup {
-                probes |= FactGroup::Hint.mask();
-            }
+        for (table, rules, entry, probes) in tables() {
             for rule in rules {
                 let name = rule.name;
                 assert_ne!(

@@ -20,9 +20,10 @@
 //! `#[path]`) so the steps work directly on `System`'s private state.
 
 use super::*;
+use crate::home::Home;
 use crate::ir::{
     select, Ep, FactGroup, Facts, LookupClass, ModeCtx, Rule, SizeClass, Step, VictimCtx,
-    MODE_RULES, READ_RULES, REPLACE_RULES, SET_MODE_RULES, WRITE_RULES,
+    HOME_REPLACE_RULES, MODE_RULES, READ_RULES, REPLACE_RULES, SET_MODE_RULES, WRITE_RULES,
 };
 
 /// The working state of one rule firing.
@@ -41,8 +42,8 @@ pub(crate) struct Txn {
     value_out: u64,
     /// Requested mode (directives).
     target_mode: Mode,
-    /// Block-store owner at transaction start, once a guard has probed
-    /// for it.
+    /// Block-store owner at transaction start (on a baseline machine, the
+    /// home's writer), once a guard has probed for it.
     owner: Option<usize>,
     /// OWNER-hint target, once a guard has probed for it.
     hint: Option<usize>,
@@ -136,6 +137,46 @@ impl System {
         self.fire(SET_MODE_RULES, Facts::lookup(lookup), &mut t);
     }
 
+    /// A baseline machine's read through its home's read table: the
+    /// lookup decides a hit, and a miss probes the home. Returns the value
+    /// read.
+    pub(super) fn home_read(
+        &mut self,
+        proc: usize,
+        block: BlockAddr,
+        offset: usize,
+        lookup: LookupClass,
+        hit_word: u64,
+    ) -> u64 {
+        let mut t = Txn::new(proc, block);
+        t.offset = offset;
+        t.hit_word = hit_word;
+        self.fire(self.home().read, Facts::lookup(lookup), &mut t);
+        t.value_out
+    }
+
+    /// A baseline machine's write through its home's write table, entered
+    /// with the home's facts as well as the lookup: every write consults
+    /// or changes the block's entry. A hit refreshes the line's recency.
+    /// Returns the lookup class.
+    pub(super) fn home_write(
+        &mut self,
+        proc: usize,
+        block: BlockAddr,
+        offset: usize,
+        value: u64,
+    ) -> LookupClass {
+        let lookup = Self::classify(self.caches[proc].get_if(block, CacheLine::is_valid));
+        let mut t = Txn::new(proc, block);
+        t.offset = offset;
+        t.value_in = value;
+        let home = self.home();
+        t.owner = home.table.get(block).writer;
+        let entry = Facts::lookup(lookup) | Facts::home(t.owner, proc);
+        self.fire(home.write, entry, &mut t);
+        lookup
+    }
+
     /// The write itself at a cache that already owns the block, outside
     /// any table: the fault layer's write-through to a degraded block's
     /// owner.
@@ -177,6 +218,17 @@ impl System {
             Facts::victim(ctx),
             &mut Txn::new(proc, victim),
         );
+        self.caches[proc].remove(victim);
+    }
+
+    /// A baseline machine's replacement of `victim` at `proc` through
+    /// [`HOME_REPLACE_RULES`], entered with what the home knows of it. No
+    /// trace event: a baseline traces only its reads and writes.
+    fn home_replace(&mut self, proc: usize, victim: BlockAddr) {
+        self.counters.incr("replacements");
+        let mut t = Txn::new(proc, victim);
+        t.owner = self.home().table.get(victim).writer;
+        self.fire(HOME_REPLACE_RULES, Facts::home(t.owner, proc), &mut t);
         self.caches[proc].remove(victim);
     }
 
@@ -248,6 +300,10 @@ impl System {
                     t.hint.is_some(),
                     line.filter(|l| l.is_owned()).map(|l| l.mode),
                 )
+            }
+            FactGroup::Home => {
+                t.owner = self.home().table.get(t.block).writer;
+                Facts::home(t.owner, t.proc)
             }
             // Known at entry or not at all.
             FactGroup::Lookup | FactGroup::Victim | FactGroup::Switch => Facts::NONE,
@@ -328,6 +384,29 @@ impl System {
                 line.reset_window();
             }
             Step::InvalidateCast => self.invalidate_cast(t),
+            Step::Bill { from, to, size, .. } => {
+                let bits = self.size_bits(size);
+                self.bill(self.ep(t, from), self.ep(t, to), bits);
+            }
+            Step::InstallCopy(from) => self.install_copy(t, from),
+            Step::WriteWord => {
+                let line = self.caches[t.proc].peek_mut(t.block).expect("a copy");
+                line.data.set_word(t.offset, t.value_in);
+            }
+            Step::RecallWriter { drop } => self.recall_writer(t, drop),
+            Step::InvalidateCopies => self.invalidate_copies(t),
+            Step::UpdateCopies => self.update_copies(t),
+            Step::SetWriterReq => self.home_mut().table.entry(t.block).writer = Some(t.proc),
+            Step::ClearWriter => self.home_mut().table.entry(t.block).writer = None,
+            Step::DropSharer => {
+                self.home_mut().table.entry(t.block).sharers.remove(t.proc);
+            }
+            Step::ReadMemoryWord => t.value_out = self.memory.read_block(t.block)[t.offset],
+            Step::WriteMemoryWord => {
+                let mut data = self.memory.block_data(t.block);
+                data.set_word(t.offset, t.value_in);
+                self.memory.write_block(t.block, &data);
+            }
         }
     }
 
@@ -341,6 +420,7 @@ impl System {
             Ep::Owner => t.owner.expect("rule guards on an owned block"),
             Ep::Hint => t.hint.expect("rule guards on a usable hint"),
             Ep::Candidate => t.cand,
+            Ep::Writer => t.owner.expect("rule guards on a written block"),
         }
     }
 
@@ -694,5 +774,118 @@ impl System {
         }
         self.recycle_delivered(delivered);
         debug_assert!(others.is_empty(), "invalidation must reach all copies");
+    }
+
+    // ------------------------------------------------------------------
+    // The home-side steps of the baseline tables.
+    // ------------------------------------------------------------------
+
+    fn home(&self) -> &Home {
+        self.home
+            .as_deref()
+            .expect("home-side steps run on a baseline")
+    }
+
+    fn home_mut(&mut self) -> &mut Home {
+        self.home
+            .as_deref_mut()
+            .expect("home-side steps run on a baseline")
+    }
+
+    /// Writes every copy the home names as newer than memory back to it,
+    /// in ascending block order, and clears the writers.
+    pub(super) fn home_flush(&mut self) {
+        let dirty: Vec<(BlockAddr, usize)> = self
+            .home()
+            .table
+            .iter()
+            .filter_map(|(block, entry)| Some((block, entry.writer?)))
+            .collect();
+        for (block, writer) in dirty {
+            let line = self.caches[writer].peek(block);
+            let data = line.expect("the writer holds a copy").data.clone();
+            let bits = self.size_bits(SizeClass::BlockTransfer);
+            self.bill(writer, self.home_port(block), bits);
+            self.counters.incr("writebacks");
+            self.memory.write_block(block, &data);
+            self.home_mut().table.entry(block).writer = None;
+        }
+    }
+
+    /// Installs the block at the requester as a plain copy, supplied by
+    /// memory or by the writer's copy, and enrolls the requester at the
+    /// home. A full set first replaces its victim.
+    fn install_copy(&mut self, t: &mut Txn, from: Ep) {
+        let (proc, block) = (t.proc, t.block);
+        let data = if from == Ep::Writer {
+            let writer = self.ep(t, Ep::Writer);
+            let line = self.caches[writer].peek(block);
+            line.expect("the writer holds a copy").data.clone()
+        } else {
+            self.memory.block_data(block)
+        };
+        t.value_out = data.word(t.offset);
+        if let Some((victim, _)) = self.caches[proc].would_evict(block) {
+            self.home_replace(proc, victim);
+        }
+        let line = CacheLine::copy(data, self.cfg.n_caches);
+        let evicted = self.caches[proc].insert(block, line);
+        debug_assert!(evicted.is_none(), "replacement must have freed the way");
+        self.home_mut().table.entry(block).sharers.insert(proc);
+    }
+
+    /// Memory takes the writer's copy and the home names no writer; with
+    /// `drop` the writer's copy goes too, and with it the only sharer.
+    fn recall_writer(&mut self, t: &mut Txn, drop: bool) {
+        let (writer, block) = (self.ep(t, Ep::Writer), t.block);
+        let data = if drop {
+            self.caches[writer].remove(block).map(|line| line.data)
+        } else {
+            self.caches[writer]
+                .peek(block)
+                .map(|line| line.data.clone())
+        };
+        self.memory
+            .write_block(block, &data.expect("the writer holds a copy"));
+        let entry = self.home_mut().table.entry(block);
+        entry.writer = None;
+        if drop {
+            entry.sharers.remove(writer);
+            debug_assert!(entry.sharers.is_empty(), "a writer is the only holder");
+        }
+    }
+
+    /// Invalidates every copy but the requester's from the home.
+    fn invalidate_copies(&mut self, t: &mut Txn) {
+        let (proc, block) = (t.proc, t.block);
+        if !self.home_mut().load_dests(block, proc) {
+            return;
+        }
+        let bits = self.size_bits(SizeClass::Invalidate);
+        let delivered = self.home_cast(self.home_port(block), bits, "invalidations_multicast");
+        for &dest in &delivered {
+            if dest != proc {
+                self.caches[dest].remove(block);
+            }
+        }
+        self.recycle_delivered(delivered);
+        let home = self.home_mut();
+        home.table.entry(block).sharers.difference_with(&home.dests);
+    }
+
+    /// Multicasts the requester's write to every other copy.
+    fn update_copies(&mut self, t: &mut Txn) {
+        let (proc, block) = (t.proc, t.block);
+        if !self.home_mut().load_dests(block, proc) {
+            return;
+        }
+        let bits = self.size_bits(SizeClass::Update);
+        let delivered = self.home_cast(proc, bits, "updates_multicast");
+        for &dest in delivered.iter().filter(|&&d| d != proc) {
+            if let Some(line) = self.caches[dest].peek_mut(block) {
+                line.data.set_word(t.offset, t.value_in);
+            }
+        }
+        self.recycle_delivered(delivered);
     }
 }

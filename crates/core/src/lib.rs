@@ -44,23 +44,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod error;
-pub mod invariants;
-pub mod ir;
-pub mod msg;
+mod config;
+mod error;
+mod home;
+mod invariants;
+mod ir;
+mod msg;
 pub mod snapshot;
-pub mod state;
-pub mod system;
+mod state;
+mod system;
 
 pub use config::{ModePolicy, SystemConfig};
 pub use error::{CoreError, InvariantViolation};
-pub use msg::MsgKind;
+pub use home::Baseline;
 pub use snapshot::{
     decode_system, encode_system, memory_digest, recover_journal, Journal, Recovery, SnapshotError,
 };
 pub use state::{CacheLine, Mode, StateName, Validity};
-pub use system::{AccessStats, System};
+pub use system::System;
 pub use tmc_faults::{FaultError, FaultSpec, RetryPolicy};
-pub use tmc_obs::{ProtocolEvent, TraceMode, Tracer};
+pub use tmc_obs::ProtocolEvent;
 pub use tmc_omeganet::CastStats;

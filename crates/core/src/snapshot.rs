@@ -106,10 +106,10 @@ use crate::system::{FaultState, System};
 /// the frame format (including the digest function) or the payload format
 /// changes, so stale journals are rejected at the header instead of
 /// failing frame by frame.
-pub const JOURNAL_MAGIC: [u8; 8] = *b"TMCJ0003";
+const JOURNAL_MAGIC: [u8; 8] = *b"TMCJ0003";
 
 /// Magic bytes opening each frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"TMCF";
+const FRAME_MAGIC: [u8; 4] = *b"TMCF";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -587,8 +587,8 @@ fn intern(name: &str) -> &'static str {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Unsupported`] when the tracer holds undrained events,
-/// or when memory, the block store or the fault state names a block at or
+/// [`SnapshotError::Unsupported`] for a baseline machine, when the tracer
+/// holds undrained events, or when memory, the block store or the fault state names a block at or
 /// beyond 2³².
 pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
     let mut buf = Vec::new();
@@ -606,6 +606,11 @@ pub fn encode_system(sys: &System) -> Result<Vec<u8>, SnapshotError> {
 ///
 /// As [`encode_system`]. On error the buffer contents are unspecified.
 pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+    if sys.home.is_some() {
+        return Err(SnapshotError::Unsupported(
+            "a baseline machine is not checkpointed",
+        ));
+    }
     if !sys.tracer.is_empty() {
         return Err(SnapshotError::Unsupported(
             "tracer holds undrained events; drain_trace() before snapshotting",
@@ -1606,6 +1611,14 @@ mod tests {
         sys.drain_trace();
         let bytes = encode_system(&sys).unwrap();
         assert!(decode_system(&bytes).unwrap().tracing_enabled());
+        // A baseline machine is never checkpointed.
+        let baseline = System::baseline(SystemConfig::new(4), crate::Baseline::NoCache).unwrap();
+        assert_eq!(
+            encode_system(&baseline),
+            Err(SnapshotError::Unsupported(
+                "a baseline machine is not checkpointed"
+            ))
+        );
     }
 
     #[test]

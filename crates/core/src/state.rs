@@ -162,6 +162,22 @@ impl CacheLine {
         }
     }
 
+    /// A plain valid copy on a baseline machine, whose home directory
+    /// rather than the line records who shares the block.
+    pub(crate) fn copy(data: BlockData, n_caches: usize) -> Self {
+        CacheLine {
+            validity: Validity::UnOwned,
+            mode: Mode::DistributedWrite,
+            modified: false,
+            present: DestSet::empty(n_caches),
+            owner_hint: None,
+            data,
+            window_refs: 0,
+            window_remote_reads: 0,
+            window_writes: 0,
+        }
+    }
+
     /// A fresh exclusively owned copy for cache `me` in `mode`.
     pub fn owned_exclusive(data: BlockData, me: CacheId, mode: Mode, n_caches: usize) -> Self {
         let mut present = DestSet::empty(n_caches);
@@ -192,7 +208,7 @@ impl CacheLine {
     /// Whether the owner's copy is the only one recorded: `P = {me}`.
     ///
     /// Meaningful only when `self.is_owned()`.
-    pub fn is_exclusive(&self, me: CacheId) -> bool {
+    pub(crate) fn is_exclusive(&self, me: CacheId) -> bool {
         self.present.len() == 1 && self.present.contains(me.port())
     }
 
@@ -211,7 +227,7 @@ impl CacheLine {
     }
 
     /// Resets the adaptive-policy window counters.
-    pub fn reset_window(&mut self) {
+    pub(crate) fn reset_window(&mut self) {
         self.window_refs = 0;
         self.window_remote_reads = 0;
         self.window_writes = 0;

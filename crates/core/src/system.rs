@@ -11,6 +11,9 @@
 //!
 //! What a transaction *does* is not written here: the transitions are the
 //! rule tables of [`crate::ir`], run by the step methods in `ir_exec.rs`.
+//! A baseline machine ([`System::baseline`]) runs its own tables on the
+//! same machine, with a home directory (`home.rs`) in place of the line
+//! states and block store the two-mode tables use.
 
 use std::collections::BTreeMap;
 
@@ -22,6 +25,7 @@ use tmc_simcore::CounterSet;
 
 use crate::config::{ModePolicy, SystemConfig};
 use crate::error::CoreError;
+use crate::home::{Baseline, Home};
 use crate::ir::LookupClass;
 use crate::msg::MsgKind;
 use crate::state::{CacheLine, Mode, StateName, Validity};
@@ -29,17 +33,6 @@ use crate::state::{CacheLine, Mode, StateName, Validity};
 #[path = "ir_exec.rs"]
 mod ir_exec;
 pub(crate) use ir_exec::Txn;
-
-/// What one access cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessStats {
-    /// The value read (for writes: the value written).
-    pub value: u64,
-    /// Bits this transaction pushed across network links.
-    pub cost_bits: u64,
-    /// Messages sent (multicasts count once).
-    pub messages: usize,
-}
 
 /// How the fault layer routed one transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +88,8 @@ pub struct System {
     pub(crate) store: BlockStore,
     pub(crate) modules: ModuleMap,
     pub(crate) counters: CounterSet,
+    /// Bits the current transaction has billed so far.
     txn_bits: u64,
-    txn_msgs: usize,
     /// Fault injection: the next `nak_budget` ownership offers are refused
     /// (never the last remaining candidate, so handoff always terminates).
     pub(crate) nak_budget: usize,
@@ -116,6 +109,9 @@ pub struct System {
     /// same buffers.
     cast_delivered: Vec<usize>,
     cast_charges: Vec<(LinkId, u64)>,
+    /// A baseline machine's home directory; `None` on a two-mode machine,
+    /// which never allocates one.
+    pub(crate) home: Option<Box<Home>>,
 }
 
 impl System {
@@ -156,17 +152,38 @@ impl System {
             modules: ModuleMap::new(cfg.n_caches),
             counters: CounterSet::new(),
             txn_bits: 0,
-            txn_msgs: 0,
             nak_budget: 0,
             faults,
             cast_cache: CastCache::new(),
             tracer: Tracer::new(),
             cast_delivered: Vec::new(),
             cast_charges: Vec::new(),
+            home: None,
             net,
             traffic,
             cfg,
         })
+    }
+
+    /// Builds a machine from `cfg` that runs `protocol`, one of the
+    /// paper's §4 comparison protocols, instead of the two-mode protocol.
+    /// It bills every message as a two-mode machine does but tallies no
+    /// per-kind counters, traces only its reads and writes (with no mode),
+    /// ignores mode directives and is not checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::new`], and [`CoreError::BadConfig`] if `cfg` injects
+    /// faults: a baseline machine is fault-free.
+    pub fn baseline(cfg: SystemConfig, protocol: Baseline) -> Result<Self, CoreError> {
+        if cfg.faults.is_some() {
+            return Err(CoreError::BadConfig(
+                "a baseline machine is fault-free".into(),
+            ));
+        }
+        let mut sys = System::new(cfg)?;
+        sys.home = Some(Box::new(Home::new(protocol, sys.cfg.n_caches)));
+        Ok(sys)
     }
 
     // ------------------------------------------------------------------
@@ -211,11 +228,6 @@ impl System {
         self.tracer.is_enabled()
     }
 
-    /// Events recorded since the last drain.
-    pub fn trace_events(&self) -> &[ProtocolEvent] {
-        self.tracer.events()
-    }
-
     /// Takes every recorded protocol event, leaving the buffer empty (the
     /// enabled state is unchanged).
     pub fn drain_trace(&mut self) -> Vec<ProtocolEvent> {
@@ -257,14 +269,17 @@ impl System {
     }
 
     /// Reads `addr`'s current value without generating any traffic — the
-    /// test oracle's view (owner copy if owned, else memory).
+    /// test oracle's view (owner copy if owned, else memory; on a baseline
+    /// machine, the writer's copy if the block has one).
     pub fn peek_word(&self, addr: WordAddr) -> u64 {
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        if let Some(o) = self.store.owner(block) {
-            if let Some(line) = self.caches[o.port()].peek(block) {
-                return line.data.word(offset);
-            }
+        let newest = match &self.home {
+            None => self.store.owner(block).map(CacheId::port),
+            Some(home) => home.table.get(block).writer,
+        };
+        if let Some(line) = newest.and_then(|c| self.caches[c].peek(block)) {
+            return line.data.word(offset);
         }
         self.memory.read_block(block)[offset]
     }
@@ -308,10 +323,11 @@ impl System {
 
     /// A canonical encoding of the machine's *protocol* state: per-cache
     /// line states (validity, mode, modified bit, present vector, OWNER
-    /// hint) plus the block store. Data values, traffic tallies, clocks and
-    /// counters are deliberately excluded — the protocol's control behavior
-    /// does not depend on them, so two machines with equal fingerprints are
-    /// protocol-equivalent. Used by the bounded model checker to detect
+    /// hint) plus the block store, and on a baseline machine its home
+    /// directory (sharers and writer per block). Data values, traffic
+    /// tallies, clocks and counters are deliberately excluded — the
+    /// protocol's control behavior does not depend on them, so two machines
+    /// with equal fingerprints are protocol-equivalent. Used by the bounded model checker to detect
     /// revisited states.
     pub fn protocol_fingerprint(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -349,6 +365,17 @@ impl System {
             out.extend_from_slice(&block.index().to_le_bytes());
             out.extend_from_slice(&owner.0.to_le_bytes());
         }
+        if let Some(home) = &self.home {
+            for (block, entry) in home.table.iter() {
+                out.extend_from_slice(&block.index().to_le_bytes());
+                for p in entry.sharers.iter() {
+                    out.extend_from_slice(&(p as u16).to_le_bytes());
+                }
+                out.push(0xFF);
+                let writer = entry.writer.map_or(u16::MAX, |w| w as u16);
+                out.extend_from_slice(&writer.to_le_bytes());
+            }
+        }
         out
     }
 
@@ -368,11 +395,8 @@ impl System {
             .net
             .charge_unicast(from, to, payload_bits, &mut self.traffic)
             .expect("ports are valid by construction");
-        self.counters.incr("msgs_total");
-        self.counters.add("bits_total", cost_bits);
+        self.tally(cost_bits);
         self.counters.add(kind.bits_counter(), cost_bits);
-        self.txn_bits += cost_bits;
-        self.txn_msgs += 1;
         if self.faults.is_some() {
             self.apply_msg_fault(kind, from, to, payload_bits, cost_bits);
         }
@@ -421,10 +445,7 @@ impl System {
                 })
                 .collect(),
         });
-        self.txn_bits += cost_bits;
-        self.txn_msgs += 1;
-        self.counters.incr("msgs_total");
-        self.counters.add("bits_total", cost_bits);
+        self.tally(cost_bits);
         self.counters.add(kind.bits_counter(), cost_bits);
         // Fault model: destinations behind a dead link NACK the cast; the
         // sender retransmits to each point-to-point (state was already
@@ -445,17 +466,47 @@ impl System {
         self.cast_delivered = buf;
     }
 
-    fn txn_begin(&mut self) {
-        self.txn_bits = 0;
-        self.txn_msgs = 0;
+    /// Counts one message of `cost_bits` in the totals.
+    #[inline]
+    fn tally(&mut self, cost_bits: u64) {
+        self.counters.incr("msgs_total");
+        self.counters.add("bits_total", cost_bits);
+        self.txn_bits += cost_bits;
     }
 
-    fn txn_end(&self, value: u64) -> AccessStats {
-        AccessStats {
-            value,
-            cost_bits: self.txn_bits,
-            messages: self.txn_msgs,
-        }
+    /// A baseline machine's unicast: billed like [`System::send`], without
+    /// a per-kind counter.
+    fn bill(&mut self, from: usize, to: usize, payload_bits: u64) {
+        let cost_bits = self
+            .net
+            .charge_unicast(from, to, payload_bits, &mut self.traffic)
+            .expect("ports are valid by construction");
+        self.tally(cost_bits);
+    }
+
+    /// A baseline machine's cast from `from` to its home's cast set
+    /// (nonempty), counted under `counter`: billed like [`System::mcast`],
+    /// without a trace event or a per-kind counter. Hand the returned
+    /// buffer back with [`System::recycle_delivered`].
+    fn home_cast(&mut self, from: usize, payload_bits: u64, counter: &'static str) -> Vec<usize> {
+        let mut delivered = std::mem::take(&mut self.cast_delivered);
+        let dests = &self.home.as_deref().expect("a baseline machine").dests;
+        let (_, cost_bits) = self
+            .cast_cache
+            .multicast_into(
+                &self.net,
+                self.cfg.multicast,
+                from,
+                dests,
+                payload_bits,
+                &mut self.traffic,
+                &mut delivered,
+                None,
+            )
+            .expect("dest sets are valid by construction");
+        self.tally(cost_bits);
+        self.counters.incr(counter);
+        delivered
     }
 
     fn check_proc(&self, proc: usize) -> Result<(), CoreError> {
@@ -490,34 +541,24 @@ impl System {
     ///
     /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
     pub fn read(&mut self, proc: usize, addr: WordAddr) -> Result<u64, CoreError> {
-        self.read_stats(proc, addr).map(|s| s.value)
-    }
-
-    /// Like [`System::read`] but returns the full [`AccessStats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
-    pub fn read_stats(&mut self, proc: usize, addr: WordAddr) -> Result<AccessStats, CoreError> {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        self.txn_begin();
+        self.txn_bits = 0;
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             self.counters.incr("fault_uncached_reads");
             let value = self.fault_uncached_read(proc, block, offset);
-            let stats = self.txn_end(value);
             if self.tracer.is_enabled() {
                 self.tracer.push(ProtocolEvent::Read {
                     proc,
                     addr,
                     value,
                     hit: false,
-                    cost_bits: stats.cost_bits,
+                    cost_bits: self.txn_bits,
                     mode: None,
                 });
             }
-            return Ok(stats);
+            return Ok(value);
         }
         // One tag probe: a valid line is used (its recency refreshed) and
         // yields the word; anything else is classified without a trace.
@@ -525,9 +566,12 @@ impl System {
         let lookup = Self::classify(line);
         let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
         let hit_word = line.filter(|_| hit).map_or(0, |l| l.data.word(offset));
-        let value = self.rule_read(proc, block, offset, lookup, hit_word);
+        let value = if self.home.is_none() {
+            self.rule_read(proc, block, offset, lookup, hit_word)
+        } else {
+            self.home_read(proc, block, offset, lookup, hit_word)
+        };
         self.note_block_ref(block, false);
-        let stats = self.txn_end(value);
         if self.tracer.is_enabled() {
             let mode = self.trace_mode_of(block);
             self.tracer.push(ProtocolEvent::Read {
@@ -535,11 +579,11 @@ impl System {
                 addr,
                 value,
                 hit,
-                cost_bits: stats.cost_bits,
+                cost_bits: self.txn_bits,
                 mode,
             });
         }
-        Ok(stats)
+        Ok(value)
     }
 
     /// Processor `proc` writes `value` to `addr`.
@@ -548,45 +592,34 @@ impl System {
     ///
     /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
     pub fn write(&mut self, proc: usize, addr: WordAddr, value: u64) -> Result<(), CoreError> {
-        self.write_stats(proc, addr, value).map(|_| ())
-    }
-
-    /// Like [`System::write`] but returns the full [`AccessStats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
-    pub fn write_stats(
-        &mut self,
-        proc: usize,
-        addr: WordAddr,
-        value: u64,
-    ) -> Result<AccessStats, CoreError> {
         self.check_proc(proc)?;
         let block = self.cfg.spec.block_of(addr);
         let offset = self.cfg.spec.offset_of(addr);
-        self.txn_begin();
+        self.txn_bits = 0;
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             self.counters.incr("fault_uncached_writes");
             self.fault_uncached_write(proc, block, offset, value);
-            let stats = self.txn_end(value);
             if self.tracer.is_enabled() {
                 self.tracer.push(ProtocolEvent::Write {
                     proc,
                     addr,
                     value,
                     hit: false,
-                    cost_bits: stats.cost_bits,
+                    cost_bits: self.txn_bits,
                     mode: None,
                 });
             }
-            return Ok(stats);
+            return Ok(());
         }
-        let lookup = Self::classify(self.caches[proc].peek(block));
+        let lookup = if self.home.is_none() {
+            let lookup = Self::classify(self.caches[proc].peek(block));
+            self.rule_write(proc, block, offset, value, lookup);
+            lookup
+        } else {
+            self.home_write(proc, block, offset, value)
+        };
         let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
-        self.rule_write(proc, block, offset, value, lookup);
         self.note_block_ref(block, true);
-        let stats = self.txn_end(value);
         if self.tracer.is_enabled() {
             let mode = self.trace_mode_of(block);
             self.tracer.push(ProtocolEvent::Write {
@@ -594,26 +627,30 @@ impl System {
                 addr,
                 value,
                 hit,
-                cost_bits: stats.cost_bits,
+                cost_bits: self.txn_bits,
                 mode,
             });
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Software mode directive (operations 6 and 7 of §2.2): make `proc`
     /// the owner of `addr`'s block if it is not already, then put the block
     /// in `mode`. A DW→GR switch invalidates all other copies; a GR→DW
     /// switch clears the present vector to the owner alone (invalid-entry
-    /// holders re-register on their next miss — see DESIGN.md).
+    /// holders re-register on their next miss — see DESIGN.md). A baseline
+    /// machine has no modes and drops the directive.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
     pub fn set_mode(&mut self, proc: usize, addr: WordAddr, mode: Mode) -> Result<(), CoreError> {
         self.check_proc(proc)?;
+        if self.home.is_some() {
+            return Ok(());
+        }
         let block = self.cfg.spec.block_of(addr);
-        self.txn_begin();
+        self.txn_bits = 0;
         if self.faults.is_some() && self.fault_preflight(proc, block) == FaultPath::Uncached {
             // A degraded block is uncacheable — its mode is meaningless
             // until it heals, so the directive is dropped (not queued).
@@ -631,8 +668,13 @@ impl System {
     }
 
     /// Writes back every modified owned copy (end-of-run sync), billing the
-    /// write-back messages. States are unchanged apart from the M bits.
+    /// write-back messages — on a baseline machine, every copy its home
+    /// names as newer than memory. States are unchanged apart from the M
+    /// bits and the home's writers.
     pub fn flush(&mut self) {
+        if self.home.is_some() {
+            return self.home_flush();
+        }
         for proc in 0..self.cfg.n_caches {
             let dirty: Vec<BlockAddr> = self.caches[proc]
                 .iter()
@@ -1266,6 +1308,7 @@ impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
             .field("n_caches", &self.cfg.n_caches)
+            .field("baseline", &self.home.as_ref().map(|home| home.protocol))
             .field("owned_blocks", &self.store.owned_blocks())
             .field("traffic_bits", &self.traffic.total_bits())
             .finish()

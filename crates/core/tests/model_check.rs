@@ -3,9 +3,9 @@
 //! invariants (and value coherence against per-path oracles) at every
 //! state.
 //!
-//! Every transition runs the rule tables of [`tmc_core::ir`] — the only
-//! definition of the protocol — so the pinned visited-state counts below
-//! are properties of those tables. They were first measured through the
+//! Every transition runs the rule tables of `crates/core/src/ir.rs` — the
+//! only definition of each protocol — so the pinned visited-state counts
+//! below are properties of those tables, the baselines' included. They were first measured through the
 //! hand-written engine the tables replaced, which reached the bit-identical
 //! state sets.
 //!
@@ -17,7 +17,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use tmc_core::{Mode, ModePolicy, System, SystemConfig};
+use tmc_core::{Baseline, Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::{BlockAddr, BlockSpec, CacheGeometry};
 
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +72,13 @@ fn explore(cfg: SystemConfig, n_blocks: u64, depth: usize) -> usize {
 fn explore_procs(cfg: SystemConfig, active_procs: usize, n_blocks: u64, depth: usize) -> usize {
     assert!(active_procs <= cfg.n_caches);
     let ops = all_ops(active_procs, n_blocks);
-    let initial = System::new(cfg).expect("valid config");
+    explore_from(System::new(cfg).expect("valid config"), &ops, depth)
+}
+
+/// Breadth-first exploration of `initial` up to `depth` steps of `ops`;
+/// returns the number of distinct protocol states visited. Panics on any
+/// invariant violation.
+fn explore_from(initial: System, ops: &[Op], depth: usize) -> usize {
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     seen.insert(initial.protocol_fingerprint());
     let mut frontier: VecDeque<(System, usize)> = VecDeque::new();
@@ -81,7 +87,7 @@ fn explore_procs(cfg: SystemConfig, active_procs: usize, n_blocks: u64, depth: u
         if d == depth {
             continue;
         }
-        for &op in &ops {
+        for &op in ops {
             let mut next = state.clone();
             apply(&mut next, op);
             next.check_invariants().unwrap_or_else(|v| {
@@ -221,6 +227,35 @@ fn three_proc_space_closes_at_the_same_size_under_every_policy() {
         let at_9 = explore_procs(tiny4.clone().mode_policy(policy), 3, 2, 9);
         assert_eq!(at_8, 3349, "{policy:?}: closed-space size moved");
         assert_eq!(at_8, at_9, "{policy:?}: space not closed at depth 8");
+    }
+}
+
+/// The baselines explore through their own tables: reads and writes only
+/// (a baseline has no modes), on the one-slot 2-processor × 2-block
+/// machine, checking the home directory's invariants at every state. Each
+/// space is closed: one more step reaches nothing new. The counts are the
+/// whole space: each cache holds nothing or one of the two blocks, and a
+/// block held somewhere has no writer or one of its holders — under
+/// write-invalidate only a lone holder may be the writer (19 states),
+/// under update-only either of two sharers may (23).
+#[test]
+fn baseline_visited_state_counts_are_pinned() {
+    for (protocol, count) in [
+        (Baseline::DirectoryInvalidate, 19),
+        (Baseline::UpdateOnly, 23),
+    ] {
+        let ops: Vec<Op> = all_ops(2, 2)
+            .into_iter()
+            .filter(|op| !matches!(op, Op::SetMode(..)))
+            .collect();
+        let machine = || System::baseline(tiny_config(), protocol).expect("valid config");
+        let states = explore_from(machine(), &ops, 6);
+        assert_eq!(states, count, "{protocol:?}: visited-state count moved");
+        assert_eq!(
+            explore_from(machine(), &ops, 7),
+            count,
+            "{protocol:?}: not closed"
+        );
     }
 }
 

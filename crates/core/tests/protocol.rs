@@ -2,7 +2,7 @@
 //! switching, ownership migration, and value-level coherence against a
 //! program-order oracle.
 
-use tmc_core::{AccessStats, CoreError, Mode, ModePolicy, StateName, System, SystemConfig};
+use tmc_core::{CoreError, Mode, ModePolicy, StateName, System, SystemConfig};
 use tmc_memsys::{BlockSpec, CacheGeometry, ReferenceMemory, WordAddr};
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
@@ -64,11 +64,11 @@ fn figure2_like_distributed_state() {
 }
 
 /// One step of the Figure 2 walk: what it does, every message kind it
-/// sends as (kind, messages, link bits), and each cache's Table 1 state
-/// for block X afterwards.
+/// sends as (its `bits[..]` counter, messages, link bits), and each
+/// cache's Table 1 state for block X afterwards.
 type WalkStep = (
     &'static str,
-    &'static [(tmc_core::MsgKind, u64, u64)],
+    &'static [(&'static str, u64, u64)],
     [Option<StateName>; 4],
 );
 
@@ -77,19 +77,18 @@ type WalkStep = (
 /// `bits[..]` and `msgs_total` counter deltas and from `state_name`.
 #[test]
 fn figure2_walk_bills_every_step_by_kind() {
-    use tmc_core::MsgKind::*;
     use StateName::*;
     #[rustfmt::skip]
     const WALK: [WalkStep; 5] = [
-        ("C1 writes X", &[(LoadOwnReq, 1, 111), (BlockReply, 1, 495)],
+        ("C1 writes X", &[("bits[LoadOwnReq]", 1, 111), ("bits[BlockReply]", 1, 495)],
          [None, Some(OwnedExclusivelyGlobalRead), None, None]),
-        ("C3 reads X (GR)", &[(LoadReq, 1, 111), (FwdLoad, 1, 111), (DatumReply, 1, 117)],
+        ("C3 reads X (GR)", &[("bits[LoadReq]", 1, 111), ("bits[FwdLoad]", 1, 111), ("bits[DatumReply]", 1, 117)],
          [None, Some(OwnedNonExclusivelyGlobalRead), None, Some(Invalid)]),
         ("C1 sets DW", &[],
          [None, Some(OwnedExclusivelyDistributedWrite), None, Some(Invalid)]),
-        ("C2 reads X (DW)", &[(LoadReq, 1, 111), (FwdLoad, 1, 111), (BlockReply, 1, 495)],
+        ("C2 reads X (DW)", &[("bits[LoadReq]", 1, 111), ("bits[FwdLoad]", 1, 111), ("bits[BlockReply]", 1, 495)],
          [None, Some(OwnedNonExclusivelyDistributedWrite), Some(UnOwned), Some(Invalid)]),
-        ("C1 writes X (DW)", &[(UpdateWrite, 1, 213)],
+        ("C1 writes X (DW)", &[("bits[UpdateWrite]", 1, 213)],
          [None, Some(OwnedNonExclusivelyDistributedWrite), Some(UnOwned), Some(Invalid)]),
     ];
     let mut sys = small_system();
@@ -118,7 +117,7 @@ fn figure2_walk_bills_every_step_by_kind() {
             .collect();
         let mut want: Vec<(&str, u64)> = msgs
             .iter()
-            .map(|&(kind, _, bits)| (kind.bits_counter(), bits))
+            .map(|&(counter, _, bits)| (counter, bits))
             .collect();
         billed.sort_unstable();
         want.sort_unstable();
@@ -410,23 +409,34 @@ fn gr_remote_read_is_cheaper_than_block_load() {
         sys
     };
     let mut gr = mk(Mode::GlobalRead);
-    let s1 = gr.read_stats(1, addr(0)).unwrap();
+    let (_, gr_bits, _) = cost(&mut gr, |sys| sys.read(1, addr(0)).unwrap());
     let mut dw = mk(Mode::DistributedWrite);
-    let s2 = dw.read_stats(1, addr(0)).unwrap();
+    let (_, dw_bits, _) = cost(&mut dw, |sys| sys.read(1, addr(0)).unwrap());
     assert!(
-        s1.cost_bits < s2.cost_bits,
-        "GR first read ({}) should undercut DW block load ({})",
-        s1.cost_bits,
-        s2.cost_bits
+        gr_bits < dw_bits,
+        "GR first read ({gr_bits}) should undercut DW block load ({dw_bits})"
     );
+}
+
+/// Runs `access` on `sys` and returns its result with the link bits and
+/// messages it billed.
+fn cost<T>(sys: &mut System, access: impl FnOnce(&mut System) -> T) -> (T, u64, u64) {
+    let totals = |sys: &System| {
+        let c = sys.counters();
+        (c.get("bits_total"), c.get("msgs_total"))
+    };
+    let (bits, msgs) = totals(sys);
+    let out = access(sys);
+    let (bits_after, msgs_after) = totals(sys);
+    (out, bits_after - bits, msgs_after - msgs)
 }
 
 #[test]
 fn every_message_lands_in_the_traffic_matrix() {
     let mut sys = small_system();
     sys.write(0, addr(0), 1).unwrap();
-    let stats = sys.read_stats(2, addr(0)).unwrap();
-    assert!(stats.messages >= 2);
+    let (_, _, messages) = cost(&mut sys, |sys| sys.read(2, addr(0)).unwrap());
+    assert!(messages >= 2);
     assert_eq!(
         sys.counters().get("bits_total"),
         sys.traffic().total_bits(),
@@ -660,12 +670,13 @@ fn oracle_with_nak_injection() {
 /// (per-access results, trace events as JSONL, per-link ledger).
 type Pinned = (u64, u64, u64, u64);
 
-/// Appends one access's value, link bits and message count to the stream,
-/// or the error's `Debug` when it was refused.
-fn push_access(stream: &mut Vec<u8>, result: Result<AccessStats, CoreError>) {
+/// Appends one access's value (for a write, the value written), link bits
+/// and message count to the stream, or the error's `Debug` when it was
+/// refused.
+fn push_access(stream: &mut Vec<u8>, (result, bits, messages): (Result<u64, CoreError>, u64, u64)) {
     use std::io::Write as _;
     match result {
-        Ok(s) => write!(stream, "{} {} {};", s.value, s.cost_bits, s.messages),
+        Ok(value) => write!(stream, "{value} {bits} {messages};"),
         Err(e) => write!(stream, "{e:?};"),
     }
     .unwrap();
@@ -699,8 +710,12 @@ fn pinned_cell(n: usize, scheme: SchemeKind, policy: ModePolicy) -> Pinned {
         };
         let a = addr(rng.gen_range(0..words));
         match rng.gen_range(0..10u32) {
-            0..=4 => push_access(&mut stream, sys.read_stats(proc, a)),
-            5..=8 => push_access(&mut stream, sys.write_stats(proc, a, rng.next_u64())),
+            0..=4 => push_access(&mut stream, cost(&mut sys, |sys| sys.read(proc, a))),
+            5..=8 => {
+                let value = rng.next_u64();
+                let written = cost(&mut sys, |sys| sys.write(proc, a, value).map(|()| value));
+                push_access(&mut stream, written);
+            }
             _ => {
                 let mode = if rng.gen_bool(0.5) {
                     Mode::DistributedWrite

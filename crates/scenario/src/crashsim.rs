@@ -134,29 +134,44 @@ fn campaign(seed: u64, dir: &Path, refs: usize, kill_points: &[u64]) -> Result<(
     }
 
     // Corruption sweep on the last killed journal: bit flips in the tail
-    // frame, truncations, and a garbage header.
+    // frame, truncations, and a garbage header. Each is judged against what
+    // the pristine killed journal recovers: a flip must be reported as
+    // damage, a cut must lose frames or be reported.
     let n = pristine.len();
     if n == 0 {
         return Err("no kill points".into());
     }
-    for (what, bytes) in [
-        ("bit flip near the tail", {
+    std::fs::write(&victim, &pristine).map_err(|e| e.to_string())?;
+    let intact = recover_journal(&victim).map_err(|e| format!("pristine journal: {e}"))?;
+    if let Some(damage) = intact.damage {
+        return Err(format!(
+            "seed {seed}: the pristine journal reports {damage}"
+        ));
+    }
+    for (what, flip, bytes) in [
+        ("bit flip near the tail", true, {
             let mut b = pristine.clone();
-            b[n - 9] ^= 0x01; // inside the newest frame's checksum
+            // The newest frame's last payload byte: its checksum is the
+            // final 8 bytes.
+            b[n - 9] ^= 0x01;
             b
         }),
-        ("bit flip mid-frame", {
+        ("bit flip mid-frame", true, {
             let mut b = pristine.clone();
             b[n / 2] ^= 0x80;
             b
         }),
-        ("truncated mid-frame", pristine[..n - n / 3].to_vec()),
-        ("truncated to a frame header", pristine[..16].to_vec()),
+        ("truncated mid-frame", false, pristine[..n - n / 3].to_vec()),
+        (
+            "truncated to a frame header",
+            false,
+            pristine[..16].to_vec(),
+        ),
     ] {
         std::fs::write(&victim, &bytes).map_err(|e| e.to_string())?;
         let recovery = recover_journal(&victim).map_err(|e| format!("{what}: {e}"))?;
-        let detected = recovery.damage.is_some()
-            || recovery.frames.len() < 1 + (refs as u64 / CHECKPOINT_EVERY) as usize;
+        let detected =
+            recovery.damage.is_some() || (!flip && recovery.frames.len() < intact.frames.len());
         if !detected {
             return Err(format!("seed {seed}: {what}: damage not detected"));
         }
