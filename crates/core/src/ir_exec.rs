@@ -16,6 +16,23 @@
 //! trigger a replacement, whose rule may hand ownership off, each with its
 //! own `Txn`.
 //!
+//! A `Txn` also keeps a [`LineRef`] on every line its lookup and guards
+//! found, so each line is probed once per transaction: the steps after
+//! reach it through the handle. A handle is valid until the next insert
+//! or remove on its own cache, and the only such changes inside a
+//! transaction are at `proc` — installing there, and the replacement an
+//! install runs first, which only changes lines elsewhere in place — so
+//! handles into the other caches survive it, and every install at `proc`
+//! hands `here` a fresh one.
+//!
+//! The holders a multicast reaches are probed once each. An announcement
+//! or invalidation probes them with [`CacheArray::find_holder`], which
+//! selects the matching way without a branch: its holders' entries sit
+//! at ways that vary from cache to cache, and an early-exit scan
+//! mispredicts on each. An update keeps the early-exit
+//! [`CacheArray::find`], which is cheaper where the copies sit at one way
+//! everywhere (docs/PERFORMANCE.md, "What is left").
+//!
 //! This file is compiled as a child module of [`crate::system`] (via
 //! `#[path]`) so the steps work directly on `System`'s private state.
 
@@ -30,9 +47,9 @@ use crate::ir::{
 pub(crate) struct Txn {
     /// The cache the rule runs at: the requester of an access, the
     /// replacer of a victim, the owner switching a block's mode.
-    proc: usize,
+    pub(super) proc: usize,
     /// The block accessed, evicted or switched.
-    block: BlockAddr,
+    pub(super) block: BlockAddr,
     offset: usize,
     /// The word the requester's tag probe found (reads).
     hit_word: u64,
@@ -51,13 +68,22 @@ pub(crate) struct Txn {
     serve: usize,
     /// The handoff candidate that accepted ownership.
     cand: usize,
+    /// The line of `block` at `proc`: the lookup's, then each install's.
+    pub(super) here: Option<LineRef>,
+    /// The line of `block` at `owner`, found with it by the owner guard.
+    at_owner: Option<LineRef>,
+    /// The line of `block` at `hint`, found with it by the hint guard.
+    at_hint: Option<LineRef>,
+    /// The line of `block` at `cand`, once promoted.
+    at_cand: Option<LineRef>,
     /// Mode and M bit of the old owner's line: with the present vector,
     /// the state field that travels in an ownership transfer.
     xfer: (Mode, bool),
 }
 
 impl Txn {
-    fn new(proc: usize, block: BlockAddr) -> Self {
+    /// A transaction at `proc` whose line of `block` is `here`.
+    fn at(proc: usize, block: BlockAddr, here: Option<LineRef>) -> Self {
         Txn {
             proc,
             block,
@@ -70,8 +96,37 @@ impl Txn {
             hint: None,
             serve: usize::MAX,
             cand: usize::MAX,
+            here,
+            at_owner: None,
+            at_hint: None,
+            at_cand: None,
             xfer: (Mode::DistributedWrite, false),
         }
+    }
+
+    /// The handle this transaction holds on `block`'s line at `port`, if
+    /// it found that line.
+    pub(crate) fn line_at(&self, port: usize) -> Option<LineRef> {
+        if port == self.proc {
+            self.here
+        } else if Some(port) == self.owner {
+            self.at_owner
+        } else if Some(port) == self.hint {
+            self.at_hint
+        } else {
+            None
+        }
+    }
+
+    /// The requester's line.
+    fn here(&self) -> LineRef {
+        self.here.expect("the requester has a line")
+    }
+
+    /// The owner's line.
+    fn at_owner(&self) -> LineRef {
+        self.at_owner
+            .expect("the owner guard found the owner's line")
     }
 }
 
@@ -92,36 +147,40 @@ impl System {
     // Entry points: one per table.
     // ------------------------------------------------------------------
 
-    /// Processor read through [`READ_RULES`]. `hit_word` is the word the
-    /// tag probe found, meaningful for a hit. Returns the value read.
+    /// Processor read through [`READ_RULES`], then the §5 window count.
+    /// `here` is the line the tag probe found and `hit_word` its word,
+    /// meaningful for a hit. Returns the value read.
     pub(super) fn rule_read(
         &mut self,
         proc: usize,
         block: BlockAddr,
         offset: usize,
-        lookup: LookupClass,
+        (lookup, here): (LookupClass, Option<LineRef>),
         hit_word: u64,
     ) -> u64 {
-        let mut t = Txn::new(proc, block);
+        let mut t = Txn::at(proc, block, here);
         t.offset = offset;
         t.hit_word = hit_word;
         self.fire(READ_RULES, Facts::lookup(lookup), &mut t);
+        self.note_block_ref(&t, false);
         t.value_out
     }
 
-    /// Processor write through [`WRITE_RULES`].
+    /// Processor write through [`WRITE_RULES`], then the §5 window count;
+    /// `here` is the line the tag probe found.
     pub(super) fn rule_write(
         &mut self,
         proc: usize,
         block: BlockAddr,
         offset: usize,
         value: u64,
-        lookup: LookupClass,
+        (lookup, here): (LookupClass, Option<LineRef>),
     ) {
-        let mut t = Txn::new(proc, block);
+        let mut t = Txn::at(proc, block, here);
         t.offset = offset;
         t.value_in = value;
         self.fire(WRITE_RULES, Facts::lookup(lookup), &mut t);
+        self.note_block_ref(&t, true);
     }
 
     /// Software mode directive through [`SET_MODE_RULES`].
@@ -130,9 +189,9 @@ impl System {
         proc: usize,
         block: BlockAddr,
         mode: Mode,
-        lookup: LookupClass,
+        (lookup, here): (LookupClass, Option<LineRef>),
     ) {
-        let mut t = Txn::new(proc, block);
+        let mut t = Txn::at(proc, block, here);
         t.target_mode = mode;
         self.fire(SET_MODE_RULES, Facts::lookup(lookup), &mut t);
     }
@@ -145,10 +204,10 @@ impl System {
         proc: usize,
         block: BlockAddr,
         offset: usize,
-        lookup: LookupClass,
+        (lookup, here): (LookupClass, Option<LineRef>),
         hit_word: u64,
     ) -> u64 {
-        let mut t = Txn::new(proc, block);
+        let mut t = Txn::at(proc, block, here);
         t.offset = offset;
         t.hit_word = hit_word;
         self.fire(self.home().read, Facts::lookup(lookup), &mut t);
@@ -166,8 +225,8 @@ impl System {
         offset: usize,
         value: u64,
     ) -> LookupClass {
-        let lookup = Self::classify(self.caches[proc].get_if(block, CacheLine::is_valid));
-        let mut t = Txn::new(proc, block);
+        let (lookup, here) = self.lookup(proc, block, true);
+        let mut t = Txn::at(proc, block, here);
         t.offset = offset;
         t.value_in = value;
         let home = self.home();
@@ -187,21 +246,22 @@ impl System {
         offset: usize,
         value: u64,
     ) {
-        let mut t = Txn::new(owner, block);
+        let mut t = Txn::at(owner, block, self.caches[owner].find(block));
         t.offset = offset;
         t.value_in = value;
         self.write_at_owner(&mut t);
         self.update_cast(&mut t);
     }
 
-    /// Runs the §2.2 case-5 actions for `victim` at `proc` through
-    /// [`REPLACE_RULES`] and drops the entry. The replacement counter and
-    /// trace event bracket every rule; the rules carry what differs per
-    /// victim class.
-    pub(super) fn replace(&mut self, proc: usize, victim: BlockAddr) {
+    /// Runs the §2.2 case-5 actions for the `victim` line at `proc`
+    /// through [`REPLACE_RULES`] and drops the entry. The replacement
+    /// counter and trace event bracket every rule; the rules carry what
+    /// differs per victim class.
+    pub(super) fn replace(&mut self, proc: usize, at: LineRef) {
         self.counters.incr("replacements");
         let me = CacheId(proc as u16);
-        let line = self.caches[proc].peek(victim).expect("victim exists");
+        let victim = self.caches[proc].block(at);
+        let line = self.caches[proc].line(at);
         let ctx = VictimCtx {
             owned: line.validity == Validity::Owned,
             exclusive: line.is_exclusive(me),
@@ -216,41 +276,42 @@ impl System {
         self.fire(
             REPLACE_RULES,
             Facts::victim(ctx),
-            &mut Txn::new(proc, victim),
+            &mut Txn::at(proc, victim, Some(at)),
         );
-        self.caches[proc].remove(victim);
+        self.caches[proc].take(at);
     }
 
-    /// A baseline machine's replacement of `victim` at `proc` through
-    /// [`HOME_REPLACE_RULES`], entered with what the home knows of it. No
-    /// trace event: a baseline traces only its reads and writes.
-    fn home_replace(&mut self, proc: usize, victim: BlockAddr) {
+    /// A baseline machine's replacement of the `victim` line at `proc`
+    /// through [`HOME_REPLACE_RULES`], entered with what the home knows of
+    /// it. No trace event: a baseline traces only its reads and writes.
+    pub(super) fn home_replace(&mut self, proc: usize, at: LineRef) {
         self.counters.incr("replacements");
-        let mut t = Txn::new(proc, victim);
+        let victim = self.caches[proc].block(at);
+        let mut t = Txn::at(proc, victim, Some(at));
         t.owner = self.home().table.get(victim).writer;
         self.fire(HOME_REPLACE_RULES, Facts::home(t.owner, proc), &mut t);
-        self.caches[proc].remove(victim);
+        self.caches[proc].take(at);
     }
 
     /// Switches the mode of an already-owned block in place through
     /// [`MODE_RULES`] (§2.2 cases 6 and 7). `adaptive` only labels the
     /// trace event: `true` for §5 window decisions, `false` for software
     /// directives. A rule without steps (the block is already in the
-    /// requested mode) is silent: no trace event.
+    /// requested mode) is silent: no trace event. `at` is the owner's line.
     pub(super) fn switch_mode_at_owner(
         &mut self,
         owner: usize,
-        block: BlockAddr,
+        (block, at): (BlockAddr, LineRef),
         target: Mode,
         adaptive: bool,
     ) {
-        let line = self.caches[owner].peek(block).expect("owner line");
+        let line = self.caches[owner].line(at);
         let ctx = ModeCtx {
             current: line.mode,
             target,
             other_copies: line.present.len() > usize::from(line.present.contains(owner)),
         };
-        let mut t = Txn::new(owner, block);
+        let mut t = Txn::at(owner, block, Some(at));
         let rule = self.decide(MODE_RULES, Facts::switch(ctx), &mut t);
         if rule.steps.is_empty() {
             return;
@@ -286,16 +347,18 @@ impl System {
         match group {
             FactGroup::Owner => {
                 t.owner = self.store.owner(t.block).map(|o| o.port());
-                let line = t.owner.and_then(|o| self.caches[o].peek(t.block));
+                t.at_owner = t.owner.and_then(|o| self.caches[o].find(t.block));
+                let line = self.line_of(t.owner, t.at_owner);
                 Facts::owner(t.owner.is_some(), line.map(|l| l.mode))
             }
             FactGroup::Hint => {
-                let entry = self.caches[t.proc].peek(t.block);
+                let entry = self.line_of(Some(t.proc), t.here);
                 t.hint = entry
                     .and_then(|l| l.owner_hint)
                     .filter(|_| self.cfg.owner_bypass)
                     .map(|h| h.port());
-                let line = t.hint.and_then(|h| self.caches[h].peek(t.block));
+                t.at_hint = t.hint.and_then(|h| self.caches[h].find(t.block));
+                let line = self.line_of(t.hint, t.at_hint);
                 Facts::hint(
                     t.hint.is_some(),
                     line.filter(|l| l.is_owned()).map(|l| l.mode),
@@ -308,6 +371,11 @@ impl System {
             // Known at entry or not at all.
             FactGroup::Lookup | FactGroup::Victim | FactGroup::Switch => Facts::NONE,
         }
+    }
+
+    /// The line a handle names in cache `port`, when there is both.
+    fn line_of(&self, port: Option<usize>, at: Option<LineRef>) -> Option<&CacheLine> {
+        Some(self.caches[port?].line(at?))
     }
 
     #[inline]
@@ -356,20 +424,20 @@ impl System {
             Step::SwitchMode => {
                 self.switch_mode_at_owner(
                     t.proc,
-                    t.block,
+                    (t.block, t.here()),
                     t.target_mode,
                     /* adaptive */ false,
                 );
             }
             Step::MemWriteBackVictim => {
-                let line = self.caches[t.proc].peek(t.block).expect("victim exists");
+                let line = self.caches[t.proc].line(t.here());
                 self.memory.write_block(t.block, &line.data);
             }
             Step::ClearStoreVictim => self.store.clear(t.block),
             Step::ClearPresenceAtOwner => {
                 let owner = self.ep(t, Ep::Owner);
-                if let Some(oline) = self.caches[owner].peek_mut(t.block) {
-                    oline.present.remove(t.proc);
+                if let Some(at) = t.at_owner {
+                    self.caches[owner].line_mut(at).present.remove(t.proc);
                 }
             }
             Step::HandoffOffers => self.handoff_offers(t),
@@ -379,7 +447,7 @@ impl System {
             Step::AnnounceCastHandoff => self.announce_cast_handoff(t),
             Step::ModeToDw => self.mode_to_dw(t),
             Step::ModeToGr => {
-                let line = self.caches[t.proc].peek_mut(t.block).expect("owner line");
+                let line = self.caches[t.proc].line_mut(t.here());
                 line.mode = Mode::GlobalRead;
                 line.reset_window();
             }
@@ -390,7 +458,7 @@ impl System {
             }
             Step::InstallCopy(from) => self.install_copy(t, from),
             Step::WriteWord => {
-                let line = self.caches[t.proc].peek_mut(t.block).expect("a copy");
+                let line = self.caches[t.proc].line_mut(t.here());
                 line.data.set_word(t.offset, t.value_in);
             }
             Step::RecallWriter { drop } => self.recall_writer(t, drop),
@@ -458,7 +526,7 @@ impl System {
             self.cfg.mode_policy.initial_mode(),
             self.cfg.n_caches,
         );
-        self.install_line(proc, block, line);
+        self.install_line(t, line);
         self.store.set_owner(block, CacheId(proc as u16));
     }
 
@@ -468,9 +536,9 @@ impl System {
     /// read.
     fn owner_probe(&mut self, t: &mut Txn, ep: Ep, mode: Mode) {
         t.serve = self.ep(t, ep);
-        let line = self.caches[t.serve]
-            .peek_mut(t.block)
-            .expect("block store names an owner without a line");
+        let at = t.line_at(t.serve);
+        let line =
+            self.caches[t.serve].line_mut(at.expect("block store names an owner without a line"));
         debug_assert!(line.is_owned() && line.mode == mode);
         line.present.insert(t.proc);
         t.value_out = line.data.word(t.offset);
@@ -481,20 +549,18 @@ impl System {
 
     /// 2(b)i: the requester holds the owner's copy UnOwned.
     fn install_unowned_copy(&mut self, t: &mut Txn) {
-        let owner = self.caches[t.serve].peek(t.block).expect("probed above");
+        let owner = self.line_of(Some(t.serve), t.line_at(t.serve));
         let line = CacheLine::unowned(
-            owner.data.clone(),
+            owner.expect("probed above").data.clone(),
             CacheId(t.serve as u16),
             self.cfg.n_caches,
         );
-        self.install_line(t.proc, t.block, line);
+        self.install_line(t, line);
     }
 
     /// 2(b)ii with an entry: only the OWNER hint is refreshed.
     fn set_hint_at_req(&mut self, t: &mut Txn) {
-        let entry = self.caches[t.proc]
-            .peek_mut(t.block)
-            .expect("entry present");
+        let entry = self.caches[t.proc].line_mut(t.here());
         entry.owner_hint = Some(CacheId(t.serve as u16));
     }
 
@@ -505,7 +571,7 @@ impl System {
             self.cfg.n_caches,
             self.cfg.spec.words_per_block(),
         );
-        self.install_line(t.proc, t.block, line);
+        self.install_line(t, line);
     }
 
     // ------------------------------------------------------------------
@@ -525,7 +591,7 @@ impl System {
             to: proc,
             handoff: false,
         });
-        let line = self.caches[old].peek_mut(block).expect("old owner line");
+        let line = self.caches[old].line_mut(t.at_owner());
         debug_assert!(line.is_owned());
         line.present.insert(proc);
         t.xfer = (line.mode, line.modified);
@@ -537,7 +603,7 @@ impl System {
     /// vector stays behind until `install_xfer` collects it.
     fn retire_old_owner(&mut self, t: &mut Txn, validity: Validity) {
         let old = self.ep(t, Ep::Owner);
-        let line = self.caches[old].peek_mut(t.block).expect("old owner line");
+        let line = self.caches[old].line_mut(t.at_owner());
         line.validity = validity;
         line.modified = false;
         line.owner_hint = Some(CacheId(t.proc as u16));
@@ -548,7 +614,7 @@ impl System {
     /// the invalid-entry holders.
     fn announce_cast(&mut self, t: &mut Txn) {
         let old = self.ep(t, Ep::Owner);
-        let line = self.caches[old].peek(t.block).expect("old owner line");
+        let line = self.caches[old].line(t.at_owner());
         let mut announce = line.present.clone();
         announce.remove(old);
         announce.remove(t.proc);
@@ -571,7 +637,9 @@ impl System {
         let bits = self.size_bits(SizeClass::NewOwnerId);
         let delivered = self.mcast(MsgKind::NewOwnerAnnounce, from, holders, bits);
         for &dest in &delivered {
-            if let Some(line) = self.caches[dest].peek_mut(block) {
+            let cache = &mut self.caches[dest];
+            if let Some(at) = cache.find_holder(block) {
+                let line = cache.line_mut(at);
                 if !line.is_valid() {
                     line.owner_hint = Some(CacheId(new_owner as u16));
                 }
@@ -585,16 +653,15 @@ impl System {
     /// the network with the state (the old owner's entry still has the
     /// bytes); without, the requester's own valid copy is promoted.
     fn install_xfer(&mut self, t: &mut Txn, send_data: bool) {
-        let (proc, block) = (t.proc, t.block);
+        let proc = t.proc;
         let old = self.ep(t, Ep::Owner);
         let empty = DestSet::empty(self.cfg.n_caches);
-        let old_line = self.caches[old].peek_mut(block).expect("old owner line");
+        let old_line = self.caches[old].line_mut(t.at_owner());
         let present = std::mem::replace(&mut old_line.present, empty);
         let data = if send_data {
             old_line.data.clone()
         } else {
-            let own = self.caches[proc].peek(block);
-            own.expect("a sharer has a line").data.clone()
+            self.caches[proc].line(t.here()).data.clone()
         };
         let (mode, modified) = t.xfer;
         let line = CacheLine {
@@ -608,15 +675,13 @@ impl System {
             window_remote_reads: 0,
             window_writes: 0,
         };
-        self.install_line(proc, block, line);
+        self.install_line(t, line);
     }
 
     /// The write itself, once the requester owns the block (§2.2 cases
     /// 3(a)–(c)): set the word and the M bit.
     fn write_at_owner(&mut self, t: &mut Txn) {
-        let line = self.caches[t.proc]
-            .peek_mut(t.block)
-            .expect("owner has a line");
+        let line = self.caches[t.proc].line_mut(t.here());
         debug_assert!(line.is_owned());
         line.data.set_word(t.offset, t.value_in);
         line.modified = true;
@@ -625,7 +690,7 @@ impl System {
     /// 3(b): distribute the write to all caches with a copy. A write in
     /// global read, or by an exclusive owner, stays local.
     fn update_cast(&mut self, t: &mut Txn) {
-        let line = self.caches[t.proc].peek(t.block).expect("owner has a line");
+        let line = self.caches[t.proc].line(t.here());
         if line.mode != Mode::DistributedWrite || line.is_exclusive(CacheId(t.proc as u16)) {
             return;
         }
@@ -641,7 +706,9 @@ impl System {
             if dest == t.proc {
                 continue;
             }
-            if let Some(line) = self.caches[dest].peek_mut(t.block) {
+            let cache = &mut self.caches[dest];
+            if let Some(at) = cache.find(t.block) {
+                let line = cache.line_mut(at);
                 if line.is_valid() {
                     line.data.set_word(t.offset, t.value_in);
                 }
@@ -662,7 +729,7 @@ impl System {
         let (proc, victim) = (t.proc, t.block);
         // The vector leaves the line for the walk, which sends as it goes.
         let empty = DestSet::empty(self.cfg.n_caches);
-        let line = self.caches[proc].peek_mut(victim).expect("victim exists");
+        let line = self.caches[proc].line_mut(t.here());
         let present = std::mem::replace(&mut line.present, empty);
         let n_candidates = present.len() - usize::from(present.contains(proc));
         debug_assert!(n_candidates > 0, "nonexclusive implies other copies");
@@ -684,10 +751,7 @@ impl System {
             t.cand = cand;
             break;
         }
-        self.caches[proc]
-            .peek_mut(victim)
-            .expect("victim exists")
-            .present = present;
+        self.caches[proc].line_mut(t.here()).present = present;
         self.tracer.push(ProtocolEvent::OwnershipTransfer {
             block: victim,
             from: proc,
@@ -704,15 +768,15 @@ impl System {
     fn promote_cand(&mut self, t: &mut Txn, mode: Mode) {
         let (proc, victim, cand) = (t.proc, t.block, t.cand);
         let empty = DestSet::empty(self.cfg.n_caches);
-        let vline = self.caches[proc].peek_mut(victim).expect("victim exists");
+        let vline = self.caches[proc].line_mut(t.here());
         let mut present = std::mem::replace(&mut vline.present, empty);
         present.remove(proc);
         present.insert(cand);
         let modified = vline.modified;
         let data = (mode == Mode::GlobalRead).then(|| vline.data.clone());
-        let cline = self.caches[cand]
-            .peek_mut(victim)
-            .expect("present flag implies a resident entry");
+        let at = self.caches[cand].find(victim);
+        t.at_cand = at;
+        let cline = self.caches[cand].line_mut(at.expect("present flag implies a resident entry"));
         debug_assert_eq!(
             cline.is_valid(),
             mode == Mode::DistributedWrite,
@@ -731,7 +795,7 @@ impl System {
 
     /// Announce the promoted candidate to the remaining invalid entries.
     fn announce_cast_handoff(&mut self, t: &mut Txn) {
-        let line = self.caches[t.cand].peek(t.block).expect("promoted above");
+        let line = self.caches[t.cand].line(t.at_cand.expect("promoted above"));
         let mut announce = line.present.clone();
         announce.remove(t.cand);
         self.announce_owner(t.proc, &announce, t.block, t.cand);
@@ -746,7 +810,7 @@ impl System {
     fn mode_to_dw(&mut self, t: &mut Txn) {
         let mut fresh = DestSet::empty(self.cfg.n_caches);
         fresh.insert(t.proc);
-        let line = self.caches[t.proc].peek_mut(t.block).expect("owner line");
+        let line = self.caches[t.proc].line_mut(t.here());
         line.mode = Mode::DistributedWrite;
         line.present = fresh;
         line.reset_window();
@@ -757,7 +821,7 @@ impl System {
     /// holders GR mode tracks.
     fn invalidate_cast(&mut self, t: &mut Txn) {
         let (owner, block) = (t.proc, t.block);
-        let line = self.caches[owner].peek(block).expect("owner line");
+        let line = self.caches[owner].line(t.here());
         let mut others = line.present.clone();
         others.remove(owner);
         debug_assert!(!others.is_empty(), "rule guarded on shared copies");
@@ -765,7 +829,8 @@ impl System {
         let bits = self.size_bits(SizeClass::Invalidate);
         let delivered = self.mcast(MsgKind::Invalidate, owner, &others, bits);
         for &dest in &delivered {
-            let copy = self.caches[dest].peek_mut(block);
+            let cache = &mut self.caches[dest];
+            let copy = cache.find_holder(block).map(|at| cache.line_mut(at));
             if let Some(line) = copy.filter(|l| l.is_valid() && !l.is_owned()) {
                 line.validity = Validity::Invalid;
                 line.owner_hint = Some(CacheId(owner as u16));
@@ -825,12 +890,7 @@ impl System {
             self.memory.block_data(block)
         };
         t.value_out = data.word(t.offset);
-        if let Some((victim, _)) = self.caches[proc].would_evict(block) {
-            self.home_replace(proc, victim);
-        }
-        let line = CacheLine::copy(data, self.cfg.n_caches);
-        let evicted = self.caches[proc].insert(block, line);
-        debug_assert!(evicted.is_none(), "replacement must have freed the way");
+        self.install_line(t, CacheLine::copy(data, self.cfg.n_caches));
         self.home_mut().table.entry(block).sharers.insert(proc);
     }
 
@@ -863,9 +923,10 @@ impl System {
         }
         let bits = self.size_bits(SizeClass::Invalidate);
         let delivered = self.home_cast(self.home_port(block), bits, "invalidations_multicast");
-        for &dest in &delivered {
-            if dest != proc {
-                self.caches[dest].remove(block);
+        for &dest in delivered.iter().filter(|&&d| d != proc) {
+            let cache = &mut self.caches[dest];
+            if let Some(at) = cache.find_holder(block) {
+                cache.take(at);
             }
         }
         self.recycle_delivered(delivered);
@@ -882,8 +943,9 @@ impl System {
         let bits = self.size_bits(SizeClass::Update);
         let delivered = self.home_cast(proc, bits, "updates_multicast");
         for &dest in delivered.iter().filter(|&&d| d != proc) {
-            if let Some(line) = self.caches[dest].peek_mut(block) {
-                line.data.set_word(t.offset, t.value_in);
+            let cache = &mut self.caches[dest];
+            if let Some(at) = cache.find(block) {
+                cache.line_mut(at).data.set_word(t.offset, t.value_in);
             }
         }
         self.recycle_delivered(delivered);

@@ -18,7 +18,9 @@
 use std::collections::BTreeMap;
 
 use tmc_faults::{FaultInjector, FaultKind, FaultPlan, MsgFault, ScheduledFault};
-use tmc_memsys::{BlockAddr, BlockStore, CacheArray, CacheId, MainMemory, ModuleMap, WordAddr};
+use tmc_memsys::{
+    BlockAddr, BlockStore, CacheArray, CacheId, LineRef, MainMemory, ModuleMap, WordAddr,
+};
 use tmc_obs::{FaultLabel, LinkCharge, ProtocolEvent, Tracer};
 use tmc_omeganet::{CastCache, CastStats, DestSet, LinkId, Omega, TrafficMatrix};
 use tmc_simcore::CounterSet;
@@ -520,15 +522,28 @@ impl System {
         }
     }
 
-    /// Classifies a tag-probe result — the entry group of the access
-    /// tables.
-    fn classify(line: Option<&CacheLine>) -> LookupClass {
-        match line.map(|l| l.validity) {
+    /// The requester's tag probe: the class of `proc`'s entry for
+    /// `block` — the entry group of the access tables — and a handle on
+    /// it. With `used`, a hit refreshes the line's recency.
+    #[inline]
+    fn lookup(
+        &mut self,
+        proc: usize,
+        block: BlockAddr,
+        used: bool,
+    ) -> (LookupClass, Option<LineRef>) {
+        let cache = &mut self.caches[proc];
+        let here = cache.find(block);
+        let lookup = match here.map(|at| cache.line(at).validity) {
             None => LookupClass::Missing,
             Some(Validity::Invalid) => LookupClass::InvalidEntry,
             Some(Validity::UnOwned) => LookupClass::UnOwnedHit,
             Some(Validity::Owned) => LookupClass::OwnedHit,
+        };
+        if let Some(at) = here.filter(|_| used && lookup != LookupClass::InvalidEntry) {
+            cache.touch(at);
         }
+        (lookup, here)
     }
 
     // ------------------------------------------------------------------
@@ -562,16 +577,15 @@ impl System {
         }
         // One tag probe: a valid line is used (its recency refreshed) and
         // yields the word; anything else is classified without a trace.
-        let line = self.caches[proc].get_if(block, CacheLine::is_valid);
-        let lookup = Self::classify(line);
-        let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
-        let hit_word = line.filter(|_| hit).map_or(0, |l| l.data.word(offset));
+        let found = self.lookup(proc, block, true);
+        let hit = matches!(found.0, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
+        let here = found.1.filter(|_| hit);
+        let hit_word = here.map_or(0, |at| self.caches[proc].line(at).data.word(offset));
         let value = if self.home.is_none() {
-            self.rule_read(proc, block, offset, lookup, hit_word)
+            self.rule_read(proc, block, offset, found, hit_word)
         } else {
-            self.home_read(proc, block, offset, lookup, hit_word)
+            self.home_read(proc, block, offset, found, hit_word)
         };
-        self.note_block_ref(block, false);
         if self.tracer.is_enabled() {
             let mode = self.trace_mode_of(block);
             self.tracer.push(ProtocolEvent::Read {
@@ -611,15 +625,16 @@ impl System {
             }
             return Ok(());
         }
+        // A two-mode write hit leaves recency alone; a baseline's refreshes
+        // it (docs/PROTOCOL.md, "Replacement").
         let lookup = if self.home.is_none() {
-            let lookup = Self::classify(self.caches[proc].peek(block));
-            self.rule_write(proc, block, offset, value, lookup);
-            lookup
+            let found = self.lookup(proc, block, false);
+            self.rule_write(proc, block, offset, value, found);
+            found.0
         } else {
             self.home_write(proc, block, offset, value)
         };
         let hit = matches!(lookup, LookupClass::OwnedHit | LookupClass::UnOwnedHit);
-        self.note_block_ref(block, true);
         if self.tracer.is_enabled() {
             let mode = self.trace_mode_of(block);
             self.tracer.push(ProtocolEvent::Write {
@@ -662,8 +677,8 @@ impl System {
             addr,
             mode: mode.into(),
         });
-        let lookup = Self::classify(self.caches[proc].peek(block));
-        self.rule_set_mode(proc, block, mode, lookup);
+        let found = self.lookup(proc, block, false);
+        self.rule_set_mode(proc, block, mode, found);
         Ok(())
     }
 
@@ -705,34 +720,42 @@ impl System {
     // Installing a line (replacement is §2.2 case 5, `ir_exec.rs`).
     // ------------------------------------------------------------------
 
-    /// Installs `line` for `block` at `proc`, first running the replacement
-    /// actions for whatever the insertion would evict.
-    fn install_line(&mut self, proc: usize, block: BlockAddr, line: CacheLine) {
-        if let Some((victim, _)) = self.caches[proc].would_evict(block) {
-            self.replace(proc, victim);
+    /// Installs `line` for `t`'s block at `t`'s cache, first running the
+    /// replacement actions for the line it displaces (the home's, on a
+    /// baseline machine), and points `t.here` at it. One scan of the set
+    /// finds the way; the replacement only frees it.
+    fn install_line(&mut self, t: &mut Txn, line: CacheLine) {
+        let room = self.caches[t.proc].room(t.block);
+        if let Some(victim) = room.victim() {
+            match self.home {
+                None => self.replace(t.proc, victim),
+                Some(_) => self.home_replace(t.proc, victim),
+            }
         }
-        let evicted = self.caches[proc].insert(block, line);
-        debug_assert!(evicted.is_none(), "replacement must have freed the way");
+        t.here = Some(self.caches[t.proc].fill(room, t.block, line));
     }
 
     // ------------------------------------------------------------------
     // The adaptive policy (§5).
     // ------------------------------------------------------------------
 
-    /// Feeds the §5 measurement counters at the block's owner and runs the
+    /// Feeds the §5 measurement counters at the owner of `t`'s block,
+    /// through `t`'s handle on its line when `t` found it, and runs the
     /// adaptive switch at window boundaries.
-    fn note_block_ref(&mut self, block: BlockAddr, is_write: bool) {
+    fn note_block_ref(&mut self, t: &Txn, is_write: bool) {
         let ModePolicy::Adaptive { window } = self.cfg.mode_policy else {
             return;
         };
+        let block = t.block;
         let Some(owner) = self.store.owner(block) else {
             return;
         };
         let owner = owner.port();
+        let Some(at) = t.line_at(owner).or_else(|| self.caches[owner].find(block)) else {
+            return;
+        };
         let decision = {
-            let Some(line) = self.caches[owner].peek_mut(block) else {
-                return;
-            };
+            let line = self.caches[owner].line_mut(at);
             line.window_refs += 1;
             if is_write {
                 line.window_writes += 1;
@@ -753,7 +776,7 @@ impl System {
         };
         if let Some(target) = decision {
             self.counters.incr("adaptive_switches");
-            self.switch_mode_at_owner(owner, block, target, /* adaptive */ true);
+            self.switch_mode_at_owner(owner, (block, at), target, /* adaptive */ true);
         }
     }
 

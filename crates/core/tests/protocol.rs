@@ -684,7 +684,6 @@ fn push_access(stream: &mut Vec<u8>, (result, bits, messages): (Result<u64, Core
 
 fn pinned_cell(n: usize, scheme: SchemeKind, policy: ModePolicy) -> Pinned {
     use std::io::Write as _;
-    use tmc_obs::jsonl::{encode_event_into, fnv1a64};
 
     let cfg = SystemConfig::new(n)
         .multicast(scheme)
@@ -727,6 +726,15 @@ fn pinned_cell(n: usize, scheme: SchemeKind, policy: ModePolicy) -> Pinned {
         }
     }
     sys.check_invariants().unwrap();
+    digests(&mut sys, stream)
+}
+
+/// A script's [`Pinned`] digests: its access `stream` completed with the
+/// drained trace events and the link ledger.
+fn digests(sys: &mut System, mut stream: Vec<u8>) -> Pinned {
+    use std::io::Write as _;
+    use tmc_obs::jsonl::{encode_event_into, fnv1a64};
+
     for event in sys.drain_trace() {
         encode_event_into(&mut stream, &event);
     }
@@ -806,4 +814,103 @@ fn seeded_scripts_reproduce_the_pinned_digests() {
             }
         }
     }
+}
+
+/// A global-read ownership transfer into a full set: C0 takes block X
+/// from its GR owner while both of C0's ways are taken, so `InstallXfer`
+/// first replaces C0's least recently used line — block V, which C0 owns
+/// in global read with two invalid-entry holders. That victim hands off
+/// (`replace-handoff-gr`: one refused offer, promotion, announcement to
+/// the holder left) inside the write, before the write completes. A
+/// seeded tail then keeps migrating ownership through the same two-way
+/// caches. The digests were pinned before a transaction kept handles on
+/// the lines it had found, and must not move.
+#[test]
+fn gr_transfer_into_a_full_set_hands_off_its_victim() {
+    use std::io::Write as _;
+    use tmc_memsys::BlockAddr;
+    use tmc_obs::ProtocolEvent;
+
+    let cfg = SystemConfig::new(8)
+        .mode_policy(ModePolicy::Fixed(Mode::GlobalRead))
+        .geometry(CacheGeometry::new(1, 2));
+    let mut sys = System::new(cfg).unwrap();
+    sys.set_tracing(true);
+    let spec = sys.config().spec;
+    let word = |block: u64| spec.word_at(BlockAddr::new(block), 0);
+    let (v, w, x) = (word(0), word(1), word(2));
+    let mut stream = Vec::new();
+    let write = |sys: &mut System, stream: &mut Vec<u8>, proc, a, value| {
+        push_access(
+            stream,
+            cost(sys, |sys| sys.write(proc, a, value).map(|()| value)),
+        );
+    };
+    write(&mut sys, &mut stream, 0, v, 10); // C0 owns V (stamped first: the LRU line)
+    write(&mut sys, &mut stream, 0, w, 11); // C0 owns W: its set is full
+    sys.read(1, v).unwrap(); // C1 and C2: invalid entries for V
+    sys.read(2, v).unwrap();
+    write(&mut sys, &mut stream, 3, x, 12); // C3 owns X
+    sys.read(4, x).unwrap(); // C4: the holder X's transfer announces to
+    sys.inject_offer_naks(1); // C1 refuses V, C2 accepts
+    sys.drain_trace();
+    write(&mut sys, &mut stream, 0, x, 13);
+    let events = sys.drain_trace();
+    let handoff = events.iter().position(|e| {
+        matches!(
+            e,
+            ProtocolEvent::OwnershipTransfer {
+                from: 0,
+                to: 2,
+                handoff: true,
+                ..
+            }
+        )
+    });
+    let done = events
+        .iter()
+        .position(|e| matches!(e, ProtocolEvent::Write { proc: 0, .. }));
+    assert!(
+        handoff.is_some() && handoff < done,
+        "V's handoff runs inside the write: {events:?}"
+    );
+    let block = |a| spec.block_of(a);
+    assert_eq!(sys.owner_of(block(x)).map(|c| c.port()), Some(0));
+    assert_eq!(sys.owner_of(block(v)).map(|c| c.port()), Some(2));
+    assert_eq!(sys.state_name(0, block(v)), None, "V left C0");
+    assert_eq!(sys.read(2, v).unwrap(), 10, "V's data travelled with it");
+    assert_eq!(sys.read(4, x).unwrap(), 13);
+    sys.check_invariants().unwrap();
+
+    let mut rng = SimRng::seed_from(0x6A0FF);
+    for step in 0..400 {
+        if step % 50 == 0 {
+            sys.inject_offer_naks(2);
+        }
+        let proc = rng.gen_range(0..8);
+        let a = word(rng.gen_range(0..5));
+        match rng.gen_range(0..10u32) {
+            0..=3 => push_access(&mut stream, cost(&mut sys, |sys| sys.read(proc, a))),
+            4..=8 => write(&mut sys, &mut stream, proc, a, rng.next_u64()),
+            _ => {
+                let mode = if rng.gen_bool(0.3) {
+                    Mode::DistributedWrite
+                } else {
+                    Mode::GlobalRead
+                };
+                write!(stream, "{:?};", sys.set_mode(proc, a, mode)).unwrap();
+            }
+        }
+        sys.check_invariants().unwrap();
+    }
+    assert_eq!(
+        digests(&mut sys, stream),
+        (
+            0x96d4abd919d8b842,
+            0x79f3f1eb2aba47c9,
+            456741,
+            0x5a47fc192c77216f
+        ),
+        "(fingerprint, counters, total_bits, stream)"
+    );
 }

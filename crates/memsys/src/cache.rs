@@ -85,6 +85,58 @@ fn position(place: u64) -> usize {
     (place & !OCCUPIED) as usize - 1
 }
 
+/// A handle on one resident line: its slot and the place of its line in
+/// the store, as a lookup found them, so that later steps of the same
+/// transaction reach the line without scanning its set again.
+///
+/// A handle stays valid until the next [`CacheArray::insert`],
+/// [`CacheArray::remove`], [`CacheArray::fill`] or [`CacheArray::take`]
+/// on the array that issued it; inserts and removes on other arrays, and
+/// changes made to lines in place, leave it valid. Debug builds check
+/// every use against the slot's tag and the array's count of inserts and
+/// removes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineRef {
+    slot: u32,
+    at: u32,
+    #[cfg(debug_assertions)]
+    tag: u64,
+    #[cfg(debug_assertions)]
+    epoch: u64,
+}
+
+impl LineRef {
+    #[inline]
+    fn slot(self) -> usize {
+        self.slot as usize
+    }
+
+    #[inline]
+    fn at(self) -> usize {
+        self.at as usize
+    }
+}
+
+/// Where [`CacheArray::fill`] will put a block, found by one scan of its
+/// set ([`CacheArray::room`]): the block's own way when it is resident,
+/// else the first free way, else the way of the set's least recently used
+/// line, which must be taken out first.
+#[derive(Debug, Clone, Copy)]
+pub struct Room {
+    slot: usize,
+    resident: Option<LineRef>,
+    victim: Option<LineRef>,
+}
+
+impl Room {
+    /// The line a fill of a full set displaces, if the block is not
+    /// resident and the set has no free way: take it out
+    /// ([`CacheArray::take`]) before the fill.
+    pub fn victim(&self) -> Option<LineRef> {
+        self.victim
+    }
+}
+
 /// A set-associative, true-LRU cache array: a flat slot table over a store
 /// of line rows, one row per set that has held a line.
 ///
@@ -126,6 +178,10 @@ pub struct CacheArray<L> {
     row_sets: Vec<u32>,
     len: usize,
     tick: u64,
+    /// Inserts and removes so far: a [`LineRef`] issued before the latest
+    /// is stale.
+    #[cfg(debug_assertions)]
+    epoch: u64,
 }
 
 impl<L: PartialEq> PartialEq for CacheArray<L> {
@@ -145,12 +201,13 @@ impl<L> CacheArray<L> {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than `u32::MAX` sets.
+    /// Panics if the geometry has more than `u32::MAX` blocks.
     pub fn new(geometry: CacheGeometry) -> Self {
+        let CacheGeometry { sets, ways } = geometry;
         assert!(
-            u32::try_from(geometry.sets).is_ok(),
-            "cache of {} sets exceeds the u32 row index",
-            geometry.sets
+            sets.checked_mul(ways)
+                .is_some_and(|blocks| u32::try_from(blocks).is_ok()),
+            "cache of {sets}x{ways} blocks exceeds the u32 line index"
         );
         CacheArray {
             geometry,
@@ -160,6 +217,8 @@ impl<L> CacheArray<L> {
             row_sets: Vec::new(),
             len: 0,
             tick: 0,
+            #[cfg(debug_assertions)]
+            epoch: 0,
         }
     }
 
@@ -201,10 +260,53 @@ impl<L> CacheArray<L> {
         base..base + self.geometry.ways
     }
 
-    /// The slot holding `block` and the position of its line in `lines`, if
-    /// resident.
+    /// A handle on the line at `slot`, whose place word puts it at `at`.
     #[inline]
-    fn locate(&self, block: BlockAddr) -> Option<(usize, usize)> {
+    fn handle(&self, slot: usize, at: usize) -> LineRef {
+        LineRef {
+            slot: slot as u32,
+            at: at as u32,
+            #[cfg(debug_assertions)]
+            tag: self.slots[slot][0],
+            #[cfg(debug_assertions)]
+            epoch: self.epoch,
+        }
+    }
+
+    /// Checks in debug builds that `line` still names the line it was
+    /// issued for.
+    #[inline]
+    fn check(&self, line: LineRef) {
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(
+                line.epoch, self.epoch,
+                "line handle used after an insert or remove on its array"
+            );
+            let [tag, place] = self.slots[line.slot()];
+            assert!(
+                tag == line.tag && place & OCCUPIED != 0 && position(place) == line.at(),
+                "line handle does not name a resident line of this array"
+            );
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = line;
+    }
+
+    /// Counts an insert or remove: every handle issued so far goes stale.
+    #[inline]
+    fn moved(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.epoch += 1;
+        }
+    }
+
+    /// Finds `block`'s line, scanning its set until the matching way: the
+    /// cheapest probe when the lookup decides what happens next, as a
+    /// processor's own tag probe does.
+    #[inline]
+    pub fn find(&self, block: BlockAddr) -> Option<LineRef> {
         let idx = block.index();
         let range = self.set_range(block);
         let base = range.start;
@@ -213,7 +315,71 @@ impl<L> CacheArray<L> {
         let way = set
             .iter()
             .position(|&[tag, place]| tag == idx && place & OCCUPIED != 0)?;
-        Some((base + way, position(set[way][1])))
+        Some(self.handle(base + way, position(set[way][1])))
+    }
+
+    /// Finds `block`'s line like [`CacheArray::find`], but compares every
+    /// way of the set and selects the match without branching on it. A
+    /// loop that probes one block in many caches back to back (delivering
+    /// a multicast to its holders) runs without a mispredicted exit per
+    /// cache this way; a single probe is better served by `find`, whose
+    /// branches let the processor run ahead of a miss.
+    #[inline]
+    pub fn find_holder(&self, block: BlockAddr) -> Option<LineRef> {
+        /// The place word and way of the occupied way holding `idx`, or
+        /// zeros: every way is compared and the match selected by masking
+        /// (at most one occupied way holds a tag).
+        #[inline(always)]
+        fn select(set: &[[u64; 2]], idx: u64) -> (u64, usize) {
+            let (mut place, mut way) = (0, 0);
+            for (w, &[tag, p]) in set.iter().enumerate() {
+                let hit = 0u64.wrapping_sub(u64::from((tag == idx) & (p & OCCUPIED != 0)));
+                place |= p & hit;
+                way |= w & hit as usize;
+            }
+            (place, way)
+        }
+        let range = self.set_range(block);
+        let base = range.start;
+        let set = self.slots.get(range)?;
+        // Four ways, the default geometry, unroll into straight-line code.
+        let (place, way) = match <&[[u64; 2]; 4]>::try_from(set) {
+            Ok(four) => select(four, block.index()),
+            Err(_) => select(set, block.index()),
+        };
+        (place != 0).then(|| self.handle(base + way, position(place)))
+    }
+
+    /// The line `line` names.
+    #[inline]
+    pub fn line(&self, line: LineRef) -> &L {
+        self.check(line);
+        self.lines[line.at()]
+            .as_ref()
+            .expect("occupied slot has a line")
+    }
+
+    /// The line `line` names, mutably, without touching recency.
+    #[inline]
+    pub fn line_mut(&mut self, line: LineRef) -> &mut L {
+        self.check(line);
+        self.lines[line.at()]
+            .as_mut()
+            .expect("occupied slot has a line")
+    }
+
+    /// The block whose line `line` names.
+    pub fn block(&self, line: LineRef) -> BlockAddr {
+        self.check(line);
+        BlockAddr::new(self.slots[line.slot()][0])
+    }
+
+    /// Refreshes the recency of the line `line` names.
+    #[inline]
+    pub fn touch(&mut self, line: LineRef) {
+        self.check(line);
+        self.tick += 1;
+        self.stamps[line.slot()] = self.tick;
     }
 
     /// Looks up `block`, refreshing its recency.
@@ -223,57 +389,64 @@ impl<L> CacheArray<L> {
 
     /// Mutable lookup, refreshing recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let (slot, at) = self.locate(block)?;
-        let stamp = self.next_stamp();
-        self.stamps[slot] = stamp;
-        self.lines[at].as_mut()
-    }
-
-    /// Looks up `block`, refreshing its recency only when the line found
-    /// satisfies `used` — one tag probe for a caller that must see the
-    /// line before it knows whether the access counts as a use.
-    #[inline]
-    pub fn get_if(&mut self, block: BlockAddr, used: impl FnOnce(&L) -> bool) -> Option<&L> {
-        let (slot, at) = self.locate(block)?;
-        let line = self.lines[at].as_ref()?;
-        if used(line) {
-            self.tick += 1;
-            self.stamps[slot] = self.tick;
-        }
-        Some(line)
+        let line = self.find(block)?;
+        self.touch(line);
+        Some(self.line_mut(line))
     }
 
     /// Looks up `block` without touching recency.
     pub fn peek(&self, block: BlockAddr) -> Option<&L> {
-        let (_, at) = self.locate(block)?;
-        self.lines[at].as_ref()
+        self.find(block).map(|line| self.line(line))
     }
 
     /// Mutable lookup without touching recency.
     pub fn peek_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let (_, at) = self.locate(block)?;
-        self.lines[at].as_mut()
+        let line = self.find(block)?;
+        Some(self.line_mut(line))
+    }
+
+    /// Where a fill of `block` goes, by one scan of its set: the resident
+    /// way wins, then the first free way, then the least recently used one.
+    pub fn room(&self, block: BlockAddr) -> Room {
+        let range = self.set_range(block);
+        let mut room = Room {
+            slot: range.start,
+            resident: None,
+            victim: None,
+        };
+        let Some(set) = self.slots.get(range.clone()) else {
+            return room; // no tables yet: the set's first way is free
+        };
+        let idx = block.index();
+        let mut free: Option<usize> = None;
+        let mut lru: Option<usize> = None;
+        for (s, &[tag, place]) in range.zip(set) {
+            if place & OCCUPIED == 0 {
+                free = free.or(Some(s));
+            } else if tag == idx {
+                room.slot = s;
+                room.resident = Some(self.handle(s, position(place)));
+                return room;
+            } else if lru.is_none_or(|l| self.stamps[s] < self.stamps[l]) {
+                lru = Some(s);
+            }
+        }
+        match free {
+            Some(s) => room.slot = s,
+            None => {
+                let s = lru.expect("ways >= 1 by construction");
+                room.slot = s;
+                room.victim = Some(self.handle(s, position(self.slots[s][1])));
+            }
+        }
+        room
     }
 
     /// The block that would be evicted to make room for `incoming`, if its
     /// set is full and `incoming` is not already resident.
     pub fn would_evict(&self, incoming: BlockAddr) -> Option<(BlockAddr, &L)> {
-        let mut lru: Option<usize> = None;
-        for s in self.set_range(incoming) {
-            let [tag, place] = *self.slots.get(s)?; // no tables yet: all room
-            if place & OCCUPIED == 0 {
-                return None; // room left: nothing would be evicted
-            }
-            if tag == incoming.index() {
-                return None; // already resident: replaces in place
-            }
-            if lru.is_none_or(|l| self.stamps[s] < self.stamps[l]) {
-                lru = Some(s);
-            }
-        }
-        let [tag, place] = self.slots[lru?];
-        let line = self.lines[position(place)].as_ref();
-        Some((BlockAddr::new(tag), line.expect("occupied slot has a line")))
+        let victim = self.room(incoming).victim?;
+        Some((self.block(victim), self.line(victim)))
     }
 
     /// Appends a row of empty lines for `set`, which has none yet, and gives
@@ -295,64 +468,73 @@ impl<L> CacheArray<L> {
         self.row_sets.push(set as u32);
     }
 
-    /// Fills the free `slot`, adding its set's row on the set's first use.
-    fn occupy(&mut self, slot: usize, tag: u64, stamp: u64, line: L) {
+    /// Fills the free `slot`, adding its set's row on the set's first use,
+    /// and returns the position of its line.
+    fn occupy(&mut self, slot: usize, tag: u64, stamp: u64, line: L) -> usize {
         if self.slots[slot][1] == 0 {
             self.add_row(slot / self.geometry.ways);
         }
         let place = &mut self.slots[slot][1];
         *place |= OCCUPIED;
-        self.lines[position(*place)] = Some(line);
+        let at = position(*place);
+        self.lines[at] = Some(line);
         self.slots[slot][0] = tag;
         self.stamps[slot] = stamp;
         self.len += 1;
+        at
     }
 
     /// Installs `line` for `block` (replacing any existing line for the same
     /// block), evicting and returning the LRU way if the set is full.
     pub fn insert(&mut self, block: BlockAddr, line: L) -> Option<(BlockAddr, L)> {
+        let room = self.room(block);
+        let evicted = room.victim.map(|v| (self.block(v), self.take(v)));
+        self.fill(room, block, line);
+        evicted
+    }
+
+    /// Installs `line` for `block` where [`CacheArray::room`] found room
+    /// for it, once its victim (if any) has been taken out, and returns a
+    /// handle on it. Between `room` and `fill` the array may change only by
+    /// taking that victim out.
+    pub fn fill(&mut self, room: Room, block: BlockAddr, line: L) -> LineRef {
         if self.slots.is_empty() {
             self.allocate();
         }
         let stamp = self.next_stamp();
-        let idx = block.index();
-        // One scan of the set: the resident way wins, then the first free
-        // way, then the least recently used one.
-        let mut free: Option<usize> = None;
-        let mut lru: Option<usize> = None;
-        for s in self.set_range(block) {
-            let [tag, place] = self.slots[s];
-            if place & OCCUPIED == 0 {
-                free = free.or(Some(s));
-            } else if tag == idx {
-                self.lines[position(place)] = Some(line);
-                self.stamps[s] = stamp;
-                return None;
-            } else if lru.is_none_or(|l| self.stamps[s] < self.stamps[l]) {
-                lru = Some(s);
+        let filled = match room.resident {
+            Some(resident) => {
+                *self.line_mut(resident) = line;
+                self.stamps[resident.slot()] = stamp;
+                resident.at()
             }
-        }
-        if let Some(slot) = free {
-            self.occupy(slot, idx, stamp, line);
-            return None;
-        }
-        let slot = lru.expect("ways >= 1 by construction");
-        let [victim, place] = self.slots[slot];
-        let old = self.lines[position(place)].replace(line);
-        self.slots[slot][0] = idx;
-        self.stamps[slot] = stamp;
-        Some((
-            BlockAddr::new(victim),
-            old.expect("occupied slot has a line"),
-        ))
+            None => {
+                assert!(
+                    self.slots[room.slot][1] & OCCUPIED == 0,
+                    "a fill of a full set must follow taking its victim out"
+                );
+                self.occupy(room.slot, block.index(), stamp, line)
+            }
+        };
+        self.moved();
+        self.handle(room.slot, filled)
     }
 
     /// Removes `block`, returning its line if it was resident.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
-        let (slot, at) = self.locate(block)?;
-        self.slots[slot][1] &= !OCCUPIED;
+        let line = self.find(block)?;
+        Some(self.take(line))
+    }
+
+    /// Removes the line `line` names and returns it.
+    pub fn take(&mut self, line: LineRef) -> L {
+        self.check(line);
+        self.slots[line.slot()][1] &= !OCCUPIED;
         self.len -= 1;
-        self.lines[at].take()
+        self.moved();
+        self.lines[line.at()]
+            .take()
+            .expect("occupied slot has a line")
     }
 
     /// Iterates over `(block, line)` pairs row by row — the order in which
@@ -438,6 +620,7 @@ impl<L> CacheArray<L> {
         );
         assert!(stamp != 0, "stamp 0 is never issued");
         self.occupy(slot, tag, stamp, line);
+        self.moved();
     }
 
     /// Restores the LRU clock saved via [`CacheArray::tick`].
@@ -681,6 +864,130 @@ mod tests {
         assert_eq!(c.lines.len(), g.capacity_blocks());
         assert_eq!(c.lines.capacity(), g.capacity_blocks());
         assert_eq!(c.row_sets.len(), 64);
+    }
+
+    /// Sets of `c` holding a stale tag (its way freed, `OCCUPIED` clear)
+    /// that another way of the same set holds live.
+    fn stale_and_live(c: &CacheArray<u32>) -> usize {
+        let ways = c.geometry.ways;
+        c.slots
+            .chunks(ways)
+            .filter(|set| {
+                set.iter().any(|&[stale, place]| {
+                    place & OCCUPIED == 0
+                        && place != 0
+                        && set.iter().any(|&[t, p]| t == stale && p & OCCUPIED != 0)
+                })
+            })
+            .count()
+    }
+
+    /// The holder probe answers exactly what `peek_mut` answers, for
+    /// every block, after every step of seeded random insert/remove
+    /// histories on 1-, 4- and 16-way geometries, untouched arrays
+    /// included.
+    #[test]
+    fn holder_probe_matches_peek_mut() {
+        let mut rng = tmc_simcore::SimRng::seed_from(0x0401_DE25);
+        let mut stale_live_seen = 0;
+        for ways in [1, 4, 16] {
+            for sets in [1, 4] {
+                for _ in 0..8 {
+                    let mut c: CacheArray<u32> = CacheArray::new(CacheGeometry::new(sets, ways));
+                    let blocks = 2 * (sets * ways) as u64 + 1;
+                    for step in 0..=120u32 {
+                        for i in 0..blocks {
+                            let found = c.find(b(i));
+                            let holder = c.find_holder(b(i));
+                            assert_eq!(holder, found, "block {i} at step {step}");
+                            let want = c.peek_mut(b(i)).map(|l| *l);
+                            assert_eq!(holder.map(|h| *c.line_mut(h)), want);
+                        }
+                        stale_live_seen += stale_and_live(&c);
+                        let x = b(rng.gen_range(0..blocks));
+                        if rng.gen_bool(0.6) {
+                            c.insert(x, step);
+                        } else {
+                            c.remove(x);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            stale_live_seen > 0,
+            "no history freed a way its tag lived on beside"
+        );
+    }
+
+    /// A removed way keeps its tag; re-inserting the block puts it in an
+    /// earlier free way, so the set holds a stale and a live copy of one
+    /// tag. The holder probe must name the live one.
+    #[test]
+    fn holder_probe_skips_a_stale_copy_of_its_tag() {
+        let mut c: CacheArray<u32> = CacheArray::new(CacheGeometry::new(1, 4));
+        for i in 0..3 {
+            c.insert(b(i), i as u32);
+        }
+        c.remove(b(2)); // way 2 keeps tag 2, freed
+        c.remove(b(0)); // way 0 freed
+        c.insert(b(2), 22); // into way 0
+        assert_eq!(stale_and_live(&c), 1);
+        let holder = c.find_holder(b(2)).expect("resident");
+        assert_eq!(holder.slot(), 0);
+        assert_eq!(*c.line(holder), 22);
+        assert!(c.find_holder(b(0)).is_none());
+        let untouched: CacheArray<u32> = CacheArray::new(CacheGeometry::new(4, 16));
+        assert!(untouched.find_holder(b(2)).is_none());
+    }
+
+    /// Taking the victim `room` names and filling its way leaves the
+    /// array as `insert` does, and the handle `fill` returns is live.
+    #[test]
+    fn room_take_fill_equals_insert() {
+        let mut a: CacheArray<u8> = CacheArray::new(CacheGeometry::new(2, 2));
+        for i in 0..4 {
+            a.insert(b(i), i as u8);
+        }
+        a.get(b(0));
+        let mut c = a.clone();
+        let room = c.room(b(6));
+        let victim = room.victim().expect("full set");
+        assert_eq!(c.block(victim), b(2));
+        assert_eq!(c.take(victim), 2);
+        let filled = c.fill(room, b(6), 6);
+        assert_eq!(*c.line(filled), 6);
+        assert_eq!(a.insert(b(6), 6), Some((b(2), 2)));
+        assert_eq!(a, c);
+        // A resident block is refilled in place.
+        let room = c.room(b(0));
+        assert!(room.victim().is_none());
+        let filled = c.fill(room, b(0), 9);
+        assert_eq!(c.peek(b(0)), Some(&9));
+        assert_eq!(c.line(filled), &9);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "line handle used after an insert or remove on its array")]
+    fn handle_goes_stale_at_an_insert() {
+        let mut c: CacheArray<u8> = CacheArray::new(CacheGeometry::new(1, 2));
+        c.insert(b(0), 0);
+        let handle = c.find(b(0)).expect("resident");
+        c.insert(b(1), 1); // another way: block 0's line did not move
+        c.line(handle);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "line handle used after an insert or remove on its array")]
+    fn handle_goes_stale_at_a_remove() {
+        let mut c: CacheArray<u8> = CacheArray::new(CacheGeometry::new(1, 2));
+        c.insert(b(0), 0);
+        c.insert(b(1), 1);
+        let handle = c.find_holder(b(0)).expect("resident");
+        c.remove(b(1));
+        c.line_mut(handle);
     }
 
     #[test]

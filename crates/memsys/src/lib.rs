@@ -44,7 +44,7 @@ pub mod oracle;
 pub mod sizing;
 
 pub use addr::{BlockAddr, BlockSpec, CacheId, ModuleMap, WordAddr};
-pub use cache::{CacheArray, CacheGeometry};
+pub use cache::{CacheArray, CacheGeometry, LineRef, Room};
 pub use data::BlockData;
 pub use memory::{BlockStore, MainMemory};
 pub use oracle::ReferenceMemory;
