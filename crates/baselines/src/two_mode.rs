@@ -34,7 +34,7 @@ impl TwoModeAdapter {
     /// is the paper's *fault-free* comparison surface, and its
     /// `expect`-based [`CoherentSystem`](crate::CoherentSystem) calls could not surface recovery
     /// behaviour meaningfully. Run fault campaigns on [`System`] directly
-    /// (see `tmc chaos`).
+    /// (as `tmc fuzz` does for its generated fault cases).
     pub fn new(inner: System, name: &'static str) -> Self {
         assert!(
             !inner.faults_enabled(),

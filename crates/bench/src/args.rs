@@ -56,15 +56,6 @@ impl fmt::Display for CliError {
     }
 }
 
-/// `Err(msg())` unless `ok`: the check-failed path of a command body.
-pub(crate) fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(msg())
-    }
-}
-
 /// The arguments of one command; each is claimed at most once.
 #[derive(Debug, Clone)]
 pub struct Args {

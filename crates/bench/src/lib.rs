@@ -19,7 +19,6 @@ pub mod tracecheck;
 
 /// The tool subcommands of `tmc`, one plain function each.
 pub mod cmd {
-    pub mod chaos;
     pub mod replay;
     pub mod sweep;
     pub mod trace;

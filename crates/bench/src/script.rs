@@ -6,7 +6,8 @@
 //! [`System::read`]/[`System::write`]/[`System::set_mode`] call. [`Runner`]
 //! drives a script through a machine next to the sequential-consistency
 //! oracle ([`ReferenceMemory`]) and owns what every caller needs:
-//! the per-read oracle check, the end-of-run audit, the running
+//! the per-read oracle check, the invariant check after each fault
+//! recovery, the end-of-run audit (fault plan included), the running
 //! observables, and the checkpoint frame a journal stores.
 //!
 //! # Runner frame
@@ -285,12 +286,16 @@ impl Runner {
         self.trace_fnv
     }
 
-    /// Executes one op, checking a read against the oracle.
+    /// Executes one op, checking a read against the oracle, and the
+    /// invariants when the op completes a fault recovery (the machine turns
+    /// [quiescent](System::faults_quiescent)).
     ///
     /// # Errors
     ///
-    /// A rejected op, or a read that disagrees with the oracle.
+    /// A rejected op, a read that disagrees with the oracle, or an
+    /// invariant violation after a recovery.
     pub fn step(&mut self, op: &ScriptOp) -> Result<(), String> {
+        let recovering = !self.sys.faults_quiescent();
         let got = apply(&mut self.sys, op).map_err(|e| e.to_string())?;
         match (*op, got) {
             (ScriptOp::Read { proc, addr }, Some(got)) => {
@@ -310,6 +315,11 @@ impl Runner {
                 self.writes += 1;
             }
             _ => {}
+        }
+        if recovering && self.sys.faults_quiescent() {
+            self.sys
+                .check_invariants()
+                .map_err(|v| format!("op #{}: after a recovery: {v}", self.ops_done))?;
         }
         self.ops_done += 1;
         Ok(())
@@ -353,16 +363,35 @@ impl Runner {
     }
 
     /// The end-of-run audit of a run of `script`: the protocol invariants
-    /// when no fault is in flight, then every word of every block the
-    /// script touched against the oracle, so a word never written must
-    /// still read 0. Drains the tracer into the event count afterwards.
+    /// when no fault is in flight; once the run outlasts the machine's
+    /// fault plan (its faults fire by op `horizon` and heal within
+    /// `2·mean_outage` ops), that every planned fault fired and every
+    /// degradation healed; then every word of every block the script
+    /// touched against the oracle, so a word never written must still read
+    /// 0. Drains the tracer into the event count afterwards.
     ///
     /// # Errors
     ///
-    /// The first invariant violation or memory word that disagrees.
+    /// The first invariant violation, unfired or unhealed fault, or memory
+    /// word that disagrees.
     pub fn audit(&mut self, script: &[ScriptOp]) -> Result<(), String> {
         if self.sys.faults_quiescent() {
             self.sys.check_invariants().map_err(|e| e.to_string())?;
+        }
+        let ops = self.ops_done;
+        let plan = self.sys.config().faults;
+        if let Some(plan) = plan.filter(|p| ops > p.horizon + 2 * p.mean_outage) {
+            let (fired, planned) = (self.sys.faults_injected(), plan.count);
+            if fired != planned as u64 {
+                return Err(format!(
+                    "{fired} of {planned} planned faults fired in {ops} ops"
+                ));
+            }
+            if !self.sys.faults_healed() {
+                return Err(format!(
+                    "a degraded block or quarantined cache is unhealed after {ops} ops"
+                ));
+            }
         }
         for word in touched_words(self.sys.config(), script) {
             let word = WordAddr::new(word);

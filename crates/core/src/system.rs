@@ -300,16 +300,21 @@ impl System {
         })
     }
 
+    /// True when no block is degraded and no cache quarantined: every
+    /// degradation so far has healed. Vacuously true for a fault-free
+    /// machine.
+    pub fn faults_healed(&self) -> bool {
+        self.faults
+            .as_ref()
+            .is_none_or(|f| f.degraded.is_empty() && f.quarantined.is_empty())
+    }
+
     /// True when no outage, stall, degradation, quarantine or pending
     /// message fault is active — every fault injected so far has been fully
-    /// recovered from. Vacuously true for a fault-free machine. The chaos
-    /// harness checks invariants and the memory oracle at exactly these
-    /// quiescent points (plus the end of the run).
+    /// recovered from. Vacuously true for a fault-free machine. The script
+    /// runner checks invariants at each op that turns a machine quiescent.
     pub fn faults_quiescent(&self) -> bool {
-        match self.faults.as_ref() {
-            None => true,
-            Some(f) => f.injector.is_idle() && f.degraded.is_empty() && f.quarantined.is_empty(),
-        }
+        self.faults.as_ref().is_none_or(|f| f.injector.is_idle()) && self.faults_healed()
     }
 
     /// A canonical encoding of the machine's *protocol* state: per-cache
@@ -657,15 +662,16 @@ impl System {
     /// names as newer than memory. States are unchanged apart from the M
     /// bits and the home's writers.
     pub fn flush(&mut self) {
-        // Each line through [`FLUSH_RULES`], cache by cache; on a baseline
-        // through [`HOME_FLUSH_RULES`], in ascending block order.
+        // Each line through [`FLUSH_RULES`], cache by cache in slot order (so
+        // a decoded machine flushes alike); on a baseline through
+        // [`HOME_FLUSH_RULES`], in ascending block order.
         let dirty: Vec<(usize, BlockAddr)> = match &self.home {
             None => (0..self.cfg.n_caches)
                 .flat_map(|proc| {
                     self.caches[proc]
-                        .iter()
-                        .filter(|(_, l)| l.is_owned() && l.modified)
-                        .map(move |(block, _)| (proc, block))
+                        .slots()
+                        .filter(|(_, _, _, l)| l.is_owned() && l.modified)
+                        .map(move |(_, tag, _, _)| (proc, BlockAddr::new(tag)))
                 })
                 .collect(),
             Some(home) => home

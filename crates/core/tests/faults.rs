@@ -1,11 +1,12 @@
 //! Fault-injection robustness tests for the protocol engine: zero-fault
 //! transparency, recovery under seeded campaigns, and value correctness
 //! against a simple memory oracle throughout. The cross-engine
-//! determinism suite lives in `tmc-bench` (`tests/chaos_determinism.rs`).
+//! determinism suite lives in `tmc-bench` (`tests/chaos_determinism.rs`);
+//! generated fault campaigns run through `tmc fuzz`.
 
 use std::collections::BTreeMap;
 
-use tmc_core::{FaultSpec, Mode, ModePolicy, System, SystemConfig};
+use tmc_core::{decode_system, encode_system, FaultSpec, Mode, ModePolicy, System, SystemConfig};
 use tmc_memsys::WordAddr;
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
@@ -144,19 +145,34 @@ fn degradation_and_recovery_counters_are_coherent() {
     assert!(total_recovered > 0, "at least one degradation healed");
 }
 
-/// The multicast schemes and mode policies `tmc chaos` cycles through,
-/// campaign by campaign.
-const CHAOS_SCHEMES: [SchemeKind; 4] = [
+/// The multicast schemes and mode policies the seeded campaigns cycle
+/// through, campaign by campaign.
+const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Replicated,
     SchemeKind::BitVector,
     SchemeKind::BroadcastTag,
     SchemeKind::Combined,
 ];
-const CHAOS_POLICIES: [ModePolicy; 3] = [
+const POLICIES: [ModePolicy; 3] = [
     ModePolicy::Fixed(Mode::DistributedWrite),
     ModePolicy::Fixed(Mode::GlobalRead),
     ModePolicy::Adaptive { window: 8 },
 ];
+
+/// A seeded campaign's machine: 8 processors on `seed`'s plan of `faults`
+/// faults over `horizon` ops (mean outage 40), with the seed's scheme and
+/// policy.
+fn campaign(seed: u64, faults: usize, horizon: u64) -> System {
+    let spec = FaultSpec::new(seed)
+        .count(faults)
+        .horizon(horizon)
+        .mean_outage(40);
+    let cfg = SystemConfig::new(8)
+        .multicast(SCHEMES[seed as usize % 4])
+        .mode_policy(POLICIES[seed as usize % 3])
+        .faults(spec);
+    System::new(cfg).unwrap()
+}
 
 /// One FNV-1a digest over everything a run shows: the protocol
 /// fingerprint, every counter, the per-link charges, the values read (in
@@ -174,34 +190,25 @@ fn run_digest(sys: &mut System, mut stream: Vec<u8>) -> u64 {
     fnv1a64(&stream)
 }
 
-/// A `tmc chaos` campaign's machine and script (8 processors, the
-/// campaign's fault plan, scheme and policy), run on a traced `System`,
-/// with the values it read.
-fn chaos_run(
+/// A seeded [`campaign`] and its script, run on a traced `System`, with
+/// the values it read.
+fn campaign_run(
     seed: u64,
     faults: usize,
     horizon: u64,
     ops: usize,
     directives: bool,
 ) -> (System, Vec<u8>) {
-    let spec = FaultSpec::new(seed)
-        .count(faults)
-        .horizon(horizon)
-        .mean_outage(40);
-    let cfg = SystemConfig::new(8)
-        .multicast(CHAOS_SCHEMES[seed as usize % 4])
-        .mode_policy(CHAOS_POLICIES[seed as usize % 3])
-        .faults(spec);
-    let mut sys = System::new(cfg).unwrap();
+    let mut sys = campaign(seed, faults, horizon);
     sys.set_tracing(true);
     let (_, reads) = drive_checked(&mut sys, seed ^ 0xc4a0_5eed, ops, directives);
     sys.check_invariants().unwrap();
     (sys, reads)
 }
 
-/// Every fault path, pinned: the `tmc chaos --smoke` campaigns (seeds 0
-/// and 3 refetch a flipped copy and write through an owner's update
-/// cast), the full campaign's seed 3 (a bit flip in an empty cache) and
+/// Every fault path, pinned: four 8-fault campaigns (seeds 0 and 3
+/// refetch a flipped copy and write through an owner's update cast), a
+/// 12-fault campaign on seed 3 (a bit flip in an empty cache) and
 /// four campaigns with mode directives and flushes (directives dropped for
 /// degraded blocks, flushes of dirty lines under the plan). Each run's
 /// digest covers everything it shows; the recovery counters prove every
@@ -224,7 +231,7 @@ fn fault_paths_reproduce_their_pinned_digests() {
     ];
     let mut reached = tmc_simcore::CounterSet::new();
     for ((seed, faults, horizon, ops, directives), pinned) in RUNS {
-        let (mut sys, reads) = chaos_run(seed, faults, horizon, ops, directives);
+        let (mut sys, reads) = campaign_run(seed, faults, horizon, ops, directives);
         for (name, n) in sys.counters().iter() {
             reached.add(name, n);
         }
@@ -243,5 +250,35 @@ fn fault_paths_reproduce_their_pinned_digests() {
         "fault_degraded_blocks",
     ] {
         assert!(reached.get(path) > 0, "no run reached {path}");
+    }
+}
+
+/// A machine decoded from its checkpoint flushes exactly as the original
+/// does. `flush` lists dirty lines in slot order, a function of the
+/// caches' contents; in first-use order, which a decoded array rebuilds
+/// differently, a pending message drop or duplicate re-billed another
+/// write-back. Every 7th op of a 40-fault [`campaign`], a clone and a
+/// decoded copy are flushed and their per-link charges compared; these
+/// seeds diverged in first-use order.
+#[test]
+fn a_decoded_machine_flushes_like_the_original() {
+    for seed in [9u64, 19, 26, 29] {
+        let mut sys = campaign(seed, 40, 800);
+        let mut rng = SimRng::seed_from(seed);
+        for i in 1..=800 {
+            let (proc, a) = (rng.gen_range(0..8), WordAddr::new(rng.gen_range(0..48u64)));
+            if rng.gen_bool(0.4) {
+                sys.write(proc, a, rng.next_u64()).unwrap();
+            } else {
+                sys.read(proc, a).unwrap();
+            }
+            if i % 7 == 0 {
+                let mut decoded = decode_system(&encode_system(&sys).unwrap()).unwrap();
+                let mut clone = sys.clone();
+                clone.flush();
+                decoded.flush();
+                assert_eq!(clone.traffic(), decoded.traffic(), "seed {seed}, op {i}");
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@
 //! A spec with `count == 0` produces an empty plan whose injector never
 //! fires, so a zero-fault run is bit-identical to a run with no fault
 //! machinery attached at all (`tmc-bench/tests/chaos_determinism.rs` pins
-//! exactly that).
+//! exactly that). Seeded campaigns run as generated cases of `tmc fuzz`,
+//! whose script runner checks that every planned fault fired and healed.
 //!
 //! # Example
 //!

@@ -17,7 +17,6 @@ fn usage() -> String {
          \x20 paper <{}> [--threads N]\n\
          \x20 scenario <list|run|check|pin> [--all | <name>...] [--dir D] ...\n\
          \x20 fuzz (--smoke | --budget N | --corpus DIR) [--seed S] [--bign] [--corpus-out DIR]\n\
-         \x20 chaos [--smoke]\n\
          \x20 crashsim [--smoke]\n\
          \x20 trace [roundtrip [SEED] | capture FILE [SEED] | check FILE]\n\
          \x20 replay TRACE_FILE [PROTOCOL|all] [--threads N] [--trace-out FILE]\n\
@@ -36,7 +35,6 @@ fn main() -> ExitCode {
         Some("paper") => paper::run(args),
         Some("scenario") => cli::scenario(args),
         Some("fuzz") => cli::fuzz(args),
-        Some("chaos") => cmd::chaos::run(args),
         Some("crashsim") => crashsim::run(args),
         Some("trace") => cmd::trace::run(args),
         Some("replay") => cmd::replay::run(args),

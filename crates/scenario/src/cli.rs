@@ -384,9 +384,9 @@ fn cmd_pin(cli: &Cli) -> Result<(), String> {
 }
 
 /// Default seed for reproducible smoke runs.
-const SMOKE_SEED: u64 = 1;
+pub(crate) const SMOKE_SEED: u64 = 1;
 /// Smoke budget: comfortably above the CI floor of 200 cases.
-const SMOKE_BUDGET: usize = 240;
+pub(crate) const SMOKE_BUDGET: usize = 240;
 
 /// Runs `tmc fuzz`.
 ///
@@ -455,10 +455,16 @@ fn fuzz_cases(
     let started = Instant::now();
     let mut applied: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut divergences = 0usize;
+    // The resumed pair's audit fails a case whose plan does not fire in full.
+    let (mut fault_cases, mut faults) = (0usize, 0usize);
 
     for i in 0..budget {
         let seed = seed0.wrapping_add(i as u64);
         let case = generate_case_with(seed, profile);
+        if let Some(f) = case.faults.filter(|f| f.count > 0) {
+            fault_cases += 1;
+            faults += f.count;
+        }
         for pair in Pair::all() {
             if !pair.applies(&case) {
                 continue;
@@ -495,9 +501,9 @@ fn fuzz_cases(
     }
 
     println!(
-        "fuzzed {budget} case(s) from seed {seed0} in {:.1}s — {} divergence(s)",
+        "fuzzed {budget} case(s) from seed {seed0} in {:.1}s ({fault_cases} with faults, \
+         {faults} fault(s) injected) — {divergences} divergence(s)",
         started.elapsed().as_secs_f64(),
-        divergences
     );
     println!("pair coverage:");
     for (name, n) in &applied {

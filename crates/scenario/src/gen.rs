@@ -1,9 +1,9 @@
 //! Deterministic case generation: one `u64` seed → one [`Scenario`].
 //!
-//! A generated case is self-contained: its machine, a zero-count
-//! `[faults]` plan carrying the seed of the faults pair, an optional
-//! `[analytic]` probe and the explicit `[ops]` script, so it encodes
-//! straight to a `.tmcs` reproducer.
+//! A generated case is self-contained: its machine, a `[faults]` plan
+//! carrying the seed of the faults pair (1–16 faults in about one case in
+//! four, none in the others), an optional `[analytic]` probe and the
+//! explicit `[ops]` script, so it encodes straight to a `.tmcs` reproducer.
 //!
 //! Every draw flows through the in-tree [`SimRng`], so the same seed
 //! always yields the same case on every host. Generation is biased toward
@@ -26,6 +26,8 @@ use crate::spec::{Analytic, Faults, Machine, Scenario};
 
 /// Distinguishes the generator's rng stream from other users of the seed.
 const GEN_STREAM: u64 = 0xC0FF_EE00;
+/// The fault-campaign draws' own stream, so they move no other draw.
+const FAULT_STREAM: u64 = 0xC0FF_EE01;
 
 /// Which corner of the configuration space to sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,11 +103,21 @@ pub fn generate_case_with(seed: u64, profile: GenProfile) -> Scenario {
         }),
         _ => None,
     };
-    sc.faults = Some(Faults {
+    let mut faults = Faults {
         seed: rng.next_u64(),
         count: 0,
         ..Faults::default()
-    });
+    };
+    // Every fault fires in the script's first half and heals within
+    // `2·mean_outage ≈ ops/8` ops, so the script outlasts its plan.
+    let mut fault_rng = SimRng::seed_from(seed).fork(FAULT_STREAM);
+    if fault_rng.gen_bool(0.25) {
+        let n = ops.len() as u64;
+        faults.count = fault_rng.gen_range(1usize..=16);
+        faults.horizon = (n / 2).max(1);
+        faults.mean_outage = (n / 16).max(1);
+    }
+    sc.faults = Some(faults);
     sc.ops = ops;
     sc
 }
@@ -226,10 +238,11 @@ mod tests {
 
     /// The generated cases, byte for byte: the FNV-1a digest of the
     /// concatenated `.tmcs` text of classic seeds 0..200, then big-N seeds
-    /// 0..40, pinned when generation still built a separate case type and
-    /// converted it to a scenario. A generator change that moves a draw
-    /// moves this digest, and with it every fuzz seed's meaning. Each case
-    /// also survives its own text.
+    /// 0..40, re-pinned when fault campaigns were added (a case that draws
+    /// none encodes as before; the others gained a plan's count, horizon
+    /// and mean outage). A generator change that moves a draw moves this
+    /// digest, and with it every fuzz seed's meaning. Each case also
+    /// survives its own text.
     #[test]
     fn generated_cases_are_pinned_and_parse_back() {
         let cases = (0..200)
@@ -241,7 +254,44 @@ mod tests {
             assert_eq!(crate::parse(&text).as_ref(), Ok(&case), "{}", case.name);
             digest = tmc_obs::jsonl::fnv1a64_fold(digest, text.as_bytes());
         }
-        assert_eq!(digest, 0xf399_49ad_e52f_78b9);
+        assert_eq!(digest, 0x250f_eebe_82b9_5436);
+    }
+
+    /// The fault cases among the `tmc fuzz --smoke` seeds fire their whole
+    /// plans and, between them, reach every recovery path.
+    #[test]
+    fn smoke_fault_cases_reach_every_recovery_path() {
+        use crate::cli::{SMOKE_BUDGET, SMOKE_SEED};
+
+        let mut reached = std::collections::BTreeMap::<String, u64>::new();
+        let mut planned = 0;
+        for seed in (SMOKE_SEED..).take(SMOKE_BUDGET) {
+            let case = generate_case(seed);
+            let Some(faults) = case.faults.filter(|f| f.count > 0) else {
+                continue;
+            };
+            planned += faults.count as u64;
+            let run = crate::run::run_scenario(&case);
+            for (name, n) in run.unwrap_or_else(|e| panic!("seed {seed}: {e}")).counters {
+                *reached.entry(name).or_default() += n;
+            }
+        }
+        assert_eq!(reached.get("faults_injected"), Some(&planned));
+        for path in [
+            "fault_degraded_blocks",
+            "fault_quarantined_caches",
+            "fault_recoveries",
+            "fault_retries",
+            "fault_bitflip_refetch",
+            "fault_ecc_corrected",
+            "fault_mcast_nacks",
+            "fault_uncached_setmodes",
+        ] {
+            assert!(
+                reached.get(path).is_some_and(|&n| n > 0),
+                "no smoke fault case reached {path}"
+            );
+        }
     }
 
     #[test]

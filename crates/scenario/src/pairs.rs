@@ -2,7 +2,7 @@
 //!
 //! | pair | engines | comparison |
 //! |---|---|---|
-//! | `resumed-vs-uninterrupted` | one straight run vs the same script frozen/thawed mid-flight through the runner frame | every read of the straight run against `ReferenceMemory`, the end-of-run audit (invariants, every word of every touched block), then the final frame byte for byte: machine payload, oracle image, read values and event stream checksums |
+//! | `resumed-vs-uninterrupted` | one straight run vs the same script frozen/thawed mid-flight through the runner frame; a fault case runs both on its fault plan | every read of the straight run against `ReferenceMemory`, on a fault case the invariants at every quiescent op, the end-of-run audit (invariants, the fault plan fired and healed, every word of every touched block), then the final frame byte for byte: machine payload, oracle image, read values and event stream checksums |
 //! | `serial-vs-replay` | serial capture vs `tracecheck` replay | every replay obligation (values, regenerated events, trailer, oracle, memory) |
 //! | `faults-zero-vs-off` | zero-count fault plan vs no plan | full outcome including events (bit-identity) |
 //! | `adaptive-vs-fixed` | adaptive policy vs both fixed modes | identical read values; traffic bounded by the best fixed mode |
@@ -11,9 +11,10 @@
 //! The bug class each pair alone catches:
 //!
 //! * `resumed-vs-uninterrupted` — an incoherent read or a wrong word left
-//!   in memory (its straight run is the one oracle-checked run), and state
-//!   the checkpoint codec drops or restores wrongly, so a resumed run
-//!   drifts from a straight one;
+//!   in memory (its straight run is the one oracle-checked run), a fault
+//!   recovery that breaks an invariant, fires short of its plan or never
+//!   heals, and state the checkpoint codec drops or restores wrongly, so a
+//!   resumed run drifts from a straight one;
 //! * `serial-vs-replay` — a side effect the trace does not pin: an event,
 //!   a per-link cast charge or a trailer obligation that re-execution from
 //!   the JSONL header and replayable events regenerates differently;
@@ -116,8 +117,9 @@ pub fn check_case(sc: &Scenario) -> Result<usize, Divergence> {
 }
 
 /// Runs one pair against `sc`: its materialised script on the fault-free
-/// [`Machine::config`], the faults pair's seed read from `[faults]` and
-/// the analytic probe from `[analytic]`.
+/// [`Machine::config`] (on [`Scenario::config`], fault plan included, for
+/// the resumed pair of a case that schedules faults), the faults pair's
+/// seed read from `[faults]` and the analytic probe from `[analytic]`.
 ///
 /// # Errors
 ///
@@ -130,7 +132,7 @@ pub fn check_pair(sc: &Scenario, pair: Pair) -> Result<(), Divergence> {
         Pair::SimVsAnalytic => check_sim_vs_analytic(sc),
         Pair::FaultsZeroVsOff => check_faults_zero_vs_off(m, &ops, sc.faults.map_or(0, |f| f.seed)),
         Pair::AdaptiveVsFixed => check_adaptive_vs_fixed(m, &ops),
-        Pair::ResumedVsUninterrupted => check_resumed_vs_uninterrupted(m, &ops),
+        Pair::ResumedVsUninterrupted => check_resumed_vs_uninterrupted(sc, &ops),
     };
     result.map_err(|detail| Divergence { pair, detail })
 }
@@ -138,17 +140,35 @@ pub fn check_pair(sc: &Scenario, pair: Pair) -> Result<(), Divergence> {
 /// Freeze/thaw the runner through its checkpoint frame at one-third and
 /// two-thirds of the script (and once at the end), exactly as a
 /// twice-crashed, twice-resumed run would, and demand its final frame
-/// match one uninterrupted run's byte for byte.
-fn check_resumed_vs_uninterrupted(m: &Machine, ops: &[ScriptOp]) -> Result<(), String> {
+/// match one uninterrupted run's byte for byte. A fault case runs on its
+/// plan, and its straight run checks the invariants at every quiescent
+/// op.
+fn check_resumed_vs_uninterrupted(sc: &Scenario, ops: &[ScriptOp]) -> Result<(), String> {
+    let faulted = sc.faults.is_some_and(|f| f.count > 0);
+    let cfg = if faulted {
+        sc.config()
+    } else {
+        sc.machine.config()
+    };
     let final_frame = |cuts: &[usize]| -> Result<Vec<u8>, String> {
-        let mut sys = System::new(m.config()).map_err(|e| e.to_string())?;
+        let mut sys = System::new(cfg.clone()).map_err(|e| e.to_string())?;
         sys.set_tracing(true);
         let mut runner = Runner::framed(sys);
         for &cut in cuts {
             runner.run(&ops[..cut], None, None)?;
             runner = Runner::decode(runner.encode()?)?;
         }
-        runner.run(ops, None, None)?;
+        for op in &ops[runner.ops_done() as usize..] {
+            runner.step(op)?;
+            if faulted && runner.sys().faults_quiescent() {
+                if let Err(v) = runner.sys().check_invariants() {
+                    return Err(format!(
+                        "op #{}: at a quiescent op: {v}",
+                        runner.ops_done() - 1
+                    ));
+                }
+            }
+        }
         runner.audit(ops)?;
         Ok(runner.encode()?.to_vec())
     };

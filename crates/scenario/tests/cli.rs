@@ -20,7 +20,6 @@ fn usage_errors_exit_2() {
     for argv in [
         &["frobnicate"][..],
         &[],
-        &["chaos", "--smok"],
         &["crashsim", "--anything"],
         &["trace", "roundtrip", "abc"],
         &["paper", "fig5", "--threads", "lots"],
@@ -173,7 +172,7 @@ fn help_lists_every_subcommand_and_exits_0() {
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8(out.stdout).unwrap();
     for sub in [
-        "paper", "scenario", "fuzz", "chaos", "crashsim", "trace", "replay", "sweep",
+        "paper", "scenario", "fuzz", "crashsim", "trace", "replay", "sweep",
     ] {
         assert!(
             help.contains(&format!("\n  {sub} ")),

@@ -1,7 +1,7 @@
 //! Byte-for-byte pins of what the paper and tool commands print: the
 //! length and FNV-1a of stdout for every `tmc paper <name> --threads 1`,
 //! `tmc sweep` with default arguments, `tmc replay` of `shared-8p.trace`,
-//! and the chaos and crashsim smoke runs. The values were recorded from
+//! and the crashsim smoke run. The values were recorded from
 //! the standalone figure and tool programs these subcommands replaced, so
 //! a change here is a change to a published table, not a refactor.
 
@@ -39,7 +39,6 @@ const TOOLS: &[(&str, usize, u64)] = &[
         0x0750386dcd78c451,
     ),
     ("replay shared-8p.trace", 1401, 0x24fe1280ef342c55),
-    ("chaos --smoke", 774, 0x49ea266d3a2334bc),
     ("crashsim --smoke", 714, 0xef3115dfec63413f),
 ];
 
