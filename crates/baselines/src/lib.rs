@@ -180,14 +180,16 @@ pub trait CoherentSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is out of range.
+    /// Panics if `proc` is out of range or `addr`'s block is at or beyond
+    /// [`tmc_memsys::BlockAddr::LIMIT`].
     fn read(&mut self, proc: usize, addr: WordAddr) -> u64;
 
     /// Processor `proc` writes `value` to `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is out of range.
+    /// Panics if `proc` is out of range or `addr`'s block is at or beyond
+    /// [`tmc_memsys::BlockAddr::LIMIT`].
     fn write(&mut self, proc: usize, addr: WordAddr, value: u64);
 
     /// Total bits pushed across network links so far.

@@ -56,6 +56,16 @@ pub fn run(mut args: Args) -> Result<(), CliError> {
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = parse_trace(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
     let n_procs = trace.n_procs().next_power_of_two().max(2);
+    // Every protocol runs the default block geometry, so one check covers
+    // them all before any runs.
+    let cfg = SystemConfig::new(n_procs);
+    if let Some((i, e)) = trace
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| cfg.block_of(r.addr).err().map(|e| (i, e)))
+    {
+        return Err(format!("cannot replay {path}: reference {i}: {e}").into());
+    }
 
     println!("trace      : {path}");
     println!("references : {}", trace.len());

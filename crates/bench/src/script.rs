@@ -296,7 +296,7 @@ impl Runner {
     /// invariant violation after a recovery.
     pub fn step(&mut self, op: &ScriptOp) -> Result<(), String> {
         let recovering = !self.sys.faults_quiescent();
-        let got = apply(&mut self.sys, op).map_err(|e| e.to_string())?;
+        let got = apply(&mut self.sys, op).map_err(|e| format!("op #{}: {e}", self.ops_done))?;
         match (*op, got) {
             (ScriptOp::Read { proc, addr }, Some(got)) => {
                 let want = self.oracle.read(addr);

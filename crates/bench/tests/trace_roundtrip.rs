@@ -202,4 +202,18 @@ fn reader_never_panics_on_truncated_or_substituted_bytes() {
         rejected > bytes.len() * 8,
         "only {rejected} substitutions rejected"
     );
+
+    // A write to the highest block-aligned address reads as a trace, and
+    // its replay is a typed error naming the address, not an abort on a
+    // page-directory allocation.
+    let write = r#""type":"write","proc":1,"addr":0,"#;
+    let max = text.replacen(
+        write,
+        r#""type":"write","proc":1,"addr":18446744073709551360,"#,
+        1,
+    );
+    assert_ne!(max, text, "the capture has the write");
+    assert!(read(max.as_bytes()));
+    let err = check(&max).expect_err("the machine refuses the max address");
+    assert!(err.contains("address 18446744073709551360"), "{err}");
 }

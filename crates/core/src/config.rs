@@ -1,9 +1,10 @@
 //! System configuration.
 
 use tmc_faults::FaultSpec;
-use tmc_memsys::{BlockSpec, CacheGeometry, MsgSizing};
+use tmc_memsys::{BlockAddr, BlockSpec, CacheGeometry, MsgSizing, WordAddr};
 use tmc_omeganet::SchemeKind;
 
+use crate::error::CoreError;
 use crate::state::Mode;
 
 /// How a block's consistency mode is chosen.
@@ -152,6 +153,21 @@ impl SystemConfig {
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
         self
+    }
+
+    /// The block of `addr` under this machine's block geometry, if the
+    /// machine can hold it: below [`BlockAddr::LIMIT`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadAddress`] for a block at or beyond the limit.
+    pub fn block_of(&self, addr: WordAddr) -> Result<BlockAddr, CoreError> {
+        let block = self.spec.block_of(addr);
+        if block.index() < BlockAddr::LIMIT {
+            Ok(block)
+        } else {
+            Err(CoreError::BadAddress { addr, block })
+        }
     }
 
     /// The cache and block shape a decoded machine may name: a

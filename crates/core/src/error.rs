@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use tmc_faults::FaultError;
+use tmc_memsys::{BlockAddr, WordAddr};
 use tmc_omeganet::NetError;
 
 /// Errors surfaced by [`crate::System`].
@@ -15,6 +16,14 @@ pub enum CoreError {
         proc: usize,
         /// Number of processors in the machine.
         n_procs: usize,
+    },
+    /// A word address whose block is at or beyond [`BlockAddr::LIMIT`],
+    /// which no machine holds.
+    BadAddress {
+        /// The rejected word address.
+        addr: WordAddr,
+        /// The block it falls in.
+        block: BlockAddr,
     },
     /// Configuration rejected at construction.
     BadConfig(String),
@@ -35,6 +44,13 @@ impl fmt::Display for CoreError {
                     "processor {proc} out of range for {n_procs}-processor machine"
                 )
             }
+            CoreError::BadAddress { addr, block } => write!(
+                f,
+                "address {} ({:#x}) is in block {:#x}, beyond the machine's 2^32 blocks",
+                addr.value(),
+                addr.value(),
+                block.index()
+            ),
             CoreError::BadConfig(why) => write!(f, "invalid system configuration: {why}"),
             CoreError::Net(e) => write!(f, "network error: {e}"),
             CoreError::Fault(e) => write!(f, "fault injection error: {e}"),
@@ -92,6 +108,11 @@ mod tests {
             n_procs: 8,
         };
         assert!(e.to_string().contains("processor 9"));
+        let a = CoreError::BadAddress {
+            addr: WordAddr::new(1 << 40),
+            block: BlockAddr::new(1 << 38),
+        };
+        assert!(a.to_string().contains("1099511627776 (0x10000000000)"));
         let n: CoreError = NetError::EmptyDestSet.into();
         assert!(n.source().is_some());
         let fe: CoreError = FaultError::BadSpec("zero horizon".into()).into();

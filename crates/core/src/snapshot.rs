@@ -186,14 +186,6 @@ const PAYLOAD_VERSION: u64 = 2;
 /// Buckets of the reserved, always-empty latency-histogram slot.
 const RESERVED_BUCKETS: u64 = 65;
 
-/// Main memory and the block store are paged tables whose page directory
-/// grows to the highest block touched, so a checkpoint names memory,
-/// block-store and degraded-block entries only below this bound: it keeps
-/// a corrupt block number from driving an absurd allocation on decode. The
-/// encoder refuses a machine beyond it rather than write a payload it
-/// could not read back.
-const BLOCK_LIMIT: u64 = 1 << 32;
-
 /// Line flags byte: validity in the low two bits, then one bit each.
 const FLAG_DW: u8 = 1 << 2;
 const FLAG_MODIFIED: u8 = 1 << 3;
@@ -700,23 +692,23 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
 
     // Main memory: written blocks only, ascending.
     w.varint(sys.memory.dirty_blocks() as u64);
-    // `try_for_each` rather than `for`: the paged iterators are nested
-    // flat-maps, which iterate far faster from the inside.
+    // `for_each` rather than `for`: the paged iterators are nested
+    // flat-maps, which iterate far faster from the inside. A machine holds
+    // blocks only below `BlockAddr::LIMIT` (`System::read` refuses the
+    // rest), the bound the decoder checks.
     let mut next = 0;
-    sys.memory.iter().try_for_each(|(block, words)| {
-        w.delta(block_key(block)?, &mut next);
+    sys.memory.iter().for_each(|(block, words)| {
+        w.delta(block.index(), &mut next);
         w.data(words);
-        Ok(())
-    })?;
+    });
 
     // Block store: (block, owner) entries, ascending.
     w.varint(sys.store.owned_blocks() as u64);
     let mut next = 0;
-    sys.store.iter().try_for_each(|(block, owner)| {
-        w.delta(block_key(block)?, &mut next);
+    sys.store.iter().for_each(|(block, owner)| {
+        w.delta(block.index(), &mut next);
         w.varint(u64::from(owner.0));
-        Ok(())
-    })?;
+    });
 
     // Live fault-injection state (the plan itself is regenerated from the
     // config's FaultSpec on decode).
@@ -728,7 +720,7 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
             w.varint(fs.degraded.len() as u64);
             let mut next = 0;
             for (&block, &(heal, since)) in &fs.degraded {
-                w.delta(block_key(block)?, &mut next);
+                w.delta(block.index(), &mut next);
                 w.varint(heal);
                 w.varint(since);
             }
@@ -745,16 +737,6 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
 
     *out = w.finish();
     Ok(())
-}
-
-/// A block number as the payload stores it: below [`BLOCK_LIMIT`].
-fn block_key(block: BlockAddr) -> Result<u64, SnapshotError> {
-    if block.index() >= BLOCK_LIMIT {
-        return Err(SnapshotError::Unsupported(
-            "a block at or beyond 2^32 is not checkpointable",
-        ));
-    }
-    Ok(block.index())
 }
 
 /// The fields of a line header that come from its slot rather than the
@@ -1026,7 +1008,7 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
     let n_written = r.count(2, "memory block")?;
     let mut next = 0;
     for _ in 0..n_written {
-        let block = r.delta(&mut next, BLOCK_LIMIT, "memory block")?;
+        let block = r.delta(&mut next, BlockAddr::LIMIT, "memory block")?;
         r.data(shape.wpb, &mut words)?;
         sys.memory
             .write_block(BlockAddr::new(block), &BlockData::from_slice(&words));
@@ -1036,7 +1018,7 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
     let n_owned = r.count(2, "store entry")?;
     let mut next = 0;
     for _ in 0..n_owned {
-        let block = r.delta(&mut next, BLOCK_LIMIT, "store block")?;
+        let block = r.delta(&mut next, BlockAddr::LIMIT, "store block")?;
         let owner = r.varint()?;
         if owner >= n_caches as u64 {
             return Err(r.corrupt(format_args!("store owner C{owner} out of range")));
@@ -1055,7 +1037,7 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
             let mut degraded = BTreeMap::new();
             let mut next = 0;
             for _ in 0..n_degraded {
-                let block = r.delta(&mut next, BLOCK_LIMIT, "degraded block")?;
+                let block = r.delta(&mut next, BlockAddr::LIMIT, "degraded block")?;
                 degraded.insert(BlockAddr::new(block), (r.varint()?, r.varint()?));
             }
             let n_quarantined = r.count(3, "quarantined cache")?;

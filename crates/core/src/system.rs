@@ -548,10 +548,11 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
+    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor
+    /// and [`CoreError::BadAddress`] for an address beyond the machine.
     pub fn read(&mut self, proc: usize, addr: WordAddr) -> Result<u64, CoreError> {
         self.check_proc(proc)?;
-        let block = self.cfg.spec.block_of(addr);
+        let block = self.cfg.block_of(addr)?;
         let offset = self.cfg.spec.offset_of(addr);
         self.txn_bits = 0;
         let (value, hit, mode) = if self.faults.is_some() && self.fault_preflight(proc, block) {
@@ -589,10 +590,11 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
+    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor
+    /// and [`CoreError::BadAddress`] for an address beyond the machine.
     pub fn write(&mut self, proc: usize, addr: WordAddr, value: u64) -> Result<(), CoreError> {
         self.check_proc(proc)?;
-        let block = self.cfg.spec.block_of(addr);
+        let block = self.cfg.block_of(addr)?;
         let offset = self.cfg.spec.offset_of(addr);
         self.txn_bits = 0;
         // A two-mode write hit leaves recency alone; a baseline's refreshes
@@ -635,13 +637,14 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor.
+    /// Returns [`CoreError::BadProcessor`] for an out-of-range processor
+    /// and [`CoreError::BadAddress`] for an address beyond the machine.
     pub fn set_mode(&mut self, proc: usize, addr: WordAddr, mode: Mode) -> Result<(), CoreError> {
         self.check_proc(proc)?;
+        let block = self.cfg.block_of(addr)?;
         if self.home.is_some() {
             return Ok(());
         }
-        let block = self.cfg.spec.block_of(addr);
         self.txn_bits = 0;
         if self.faults.is_some() && self.fault_preflight(proc, block) {
             self.uncached(UNCACHED_SET_MODE_RULES, proc, block, 0, 0);

@@ -32,6 +32,13 @@ impl fmt::Display for WordAddr {
 pub struct BlockAddr(u64);
 
 impl BlockAddr {
+    /// The bound on block indices a machine holds: 2³². Main memory and
+    /// the block store are paged tables whose page directory grows to the
+    /// highest block touched, so a block at or beyond this bound is
+    /// refused rather than allowed to drive an absurd allocation; the
+    /// checkpoint codec names blocks only below it.
+    pub const LIMIT: u64 = 1 << 32;
+
     /// Creates a block address from its index.
     pub const fn new(index: u64) -> Self {
         BlockAddr(index)

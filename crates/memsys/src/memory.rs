@@ -1,13 +1,21 @@
 //! Main memory and the paper's block store.
 //!
-//! Both are *paged sparse structure-of-arrays* stores: the block address
-//! space is split into fixed 1024-block pages materialized on first write,
-//! and a block access is two integer divisions plus an indexed load — no
-//! hashing on the simulation hot path, which matters once the machine runs
-//! at N = 1024 caches over millions of blocks. Untouched regions cost
-//! nothing beyond one page-directory slot per 1024 blocks, so resident
-//! memory scales with the *touched* footprint (plus one pointer per page up
-//! to the highest touched block), not the address-space size.
+//! Both are *paged sparse* stores: the block address space is split into
+//! fixed 1024-block pages materialized on first write, and a block's page
+//! and slot are a shift and a mask of its index — no hashing on the
+//! simulation hot path, which matters once the machine runs at N = 1024
+//! caches over millions of blocks. Untouched regions cost nothing beyond
+//! one page-directory slot per 1024 blocks, up to the highest touched
+//! block.
+//!
+//! A main-memory page keeps a written-block bitmap and the words of its
+//! written blocks only: one run per 64-slot bitmap word, packed in slot
+//! order. A block's words sit at its *rank*, the number of written blocks
+//! below its slot in that word (one popcount), so a first write shifts at
+//! most the 63 blocks above it. A block never written reads as zeros
+//! without touching the page's words, so resident memory scales with the
+//! blocks a run wrote, not with the pages it touched. A block-store page
+//! keeps a valid bitmap plus one owner id per slot (structure-of-arrays).
 
 use crate::addr::{BlockAddr, BlockSpec, CacheId};
 use crate::data::BlockData;
@@ -19,20 +27,71 @@ const PAGE_BLOCKS: usize = 1024;
 /// Words in a page's per-block presence bitmap.
 const PAGE_MAP_WORDS: usize = PAGE_BLOCKS / 64;
 
-/// One page of main memory: a presence bitmap plus the page's block words
-/// stored contiguously (`PAGE_BLOCKS × words_per_block`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The set bits of one bitmap word, ascending.
+fn set_bits(word: u64) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let bit = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        Some(bit)
+    })
+}
+
+/// The slots whose bit is set in a page's bitmap, ascending.
+fn set_slots(map: &[u64; PAGE_MAP_WORDS]) -> impl Iterator<Item = usize> + '_ {
+    map.iter()
+        .enumerate()
+        .flat_map(|(wi, &w)| set_bits(w).map(move |bit| wi * 64 + bit))
+}
+
+/// One page of main memory: a written-block bitmap plus the words of the
+/// written blocks. `runs[i]` holds the written blocks of bitmap word `i`'s
+/// 64 slots, packed in slot order (`words_per_block` words each).
+#[derive(Debug, Clone)]
 struct MemPage {
     written: [u64; PAGE_MAP_WORDS],
-    words: Vec<u64>,
+    runs: [Vec<u64>; PAGE_MAP_WORDS],
 }
 
 impl MemPage {
-    fn zeroed(words_per_block: usize) -> Self {
+    fn empty() -> Self {
         MemPage {
             written: [0; PAGE_MAP_WORDS],
-            words: vec![0; PAGE_BLOCKS * words_per_block],
+            runs: Default::default(),
         }
+    }
+
+    /// `slot`'s bitmap word, whether its block was written, and the
+    /// block's rank: the written blocks below it in that word's run.
+    fn locate(&self, slot: usize) -> (usize, bool, usize) {
+        let (wi, bit) = (slot / 64, slot % 64);
+        let word = self.written[wi];
+        let rank = (word & ((1 << bit) - 1)).count_ones() as usize;
+        (wi, word & (1 << bit) != 0, rank)
+    }
+
+    /// The words of the block at `slot`, if it was written.
+    fn block(&self, slot: usize, wpb: usize) -> Option<&[u64]> {
+        let (wi, written, rank) = self.locate(slot);
+        written.then(|| &self.runs[wi][rank * wpb..(rank + 1) * wpb])
+    }
+
+    /// Writes the block at `slot`: in place if it was written, else
+    /// inserted at its rank. Whether this was its first write.
+    fn write(&mut self, slot: usize, words: &[u64]) -> bool {
+        let (wi, written, rank) = self.locate(slot);
+        let at = rank * words.len();
+        let run = &mut self.runs[wi];
+        if written {
+            run[at..at + words.len()].copy_from_slice(words);
+        } else {
+            self.written[wi] |= 1 << (slot % 64);
+            run.splice(at..at, words.iter().copied());
+        }
+        !written
     }
 }
 
@@ -43,8 +102,17 @@ fn page_slot(block: BlockAddr) -> (usize, usize) {
     (index / PAGE_BLOCKS, index % PAGE_BLOCKS)
 }
 
+/// Refuses a block the paged tables cannot hold: growing the page
+/// directory up to it would ask for an absurd allocation.
+fn check_limit(block: BlockAddr) {
+    assert!(
+        block.index() < BlockAddr::LIMIT,
+        "block {block} is beyond the paged tables' limit of 2^32 blocks"
+    );
+}
+
 /// The machine's backing store: every block of the address space,
-/// materialized lazily as zeroed data.
+/// zeros until written.
 ///
 /// Module interleaving is a routing concern ([`crate::addr::ModuleMap`]);
 /// `MainMemory` is the union of all modules' contents.
@@ -89,14 +157,7 @@ impl MainMemory {
     /// Reads a block's words (zeros if never written).
     #[inline]
     pub fn read_block(&self, block: BlockAddr) -> &[u64] {
-        let (pi, slot) = page_slot(block);
-        match self.pages.get(pi) {
-            Some(Some(page)) => {
-                let wpb = self.spec.words_per_block();
-                &page.words[slot * wpb..(slot + 1) * wpb]
-            }
-            _ => &self.zero,
-        }
+        self.written_block(block).unwrap_or(&self.zero)
     }
 
     /// Reads a block into an owned [`BlockData`] — the write-back / fill
@@ -107,14 +168,13 @@ impl MainMemory {
 
     /// A block's words if it was ever written, `None` otherwise. A block
     /// written with zeros is distinct from a never-written block.
+    #[inline]
     pub fn written_block(&self, block: BlockAddr) -> Option<&[u64]> {
         let (pi, slot) = page_slot(block);
-        let page = self.pages.get(pi)?.as_ref()?;
-        if page.written[slot / 64] & (1 << (slot % 64)) == 0 {
-            return None;
-        }
-        let wpb = self.spec.words_per_block();
-        Some(&page.words[slot * wpb..(slot + 1) * wpb])
+        self.pages
+            .get(pi)?
+            .as_deref()?
+            .block(slot, self.spec.words_per_block())
     }
 
     /// Overwrites a block (a write-back). The containing page is
@@ -122,7 +182,8 @@ impl MainMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `data` has the wrong word count for this memory's spec.
+    /// Panics if `data` has the wrong word count for this memory's spec,
+    /// or if `block` is at or beyond [`BlockAddr::LIMIT`].
     pub fn write_block(&mut self, block: BlockAddr, data: &BlockData) {
         assert_eq!(
             data.len(),
@@ -132,18 +193,16 @@ impl MainMemory {
         self.write_words(block, data.words());
     }
 
-    /// [`MainMemory::write_block`] on a raw word slice.
+    /// [`MainMemory::write_block`] on a raw word slice. A first write
+    /// inserts the block's words at its rank; an overwrite is in place.
     fn write_words(&mut self, block: BlockAddr, words: &[u64]) {
+        check_limit(block);
         let (pi, slot) = page_slot(block);
         if pi >= self.pages.len() {
             self.pages.resize_with(pi + 1, || None);
         }
-        let wpb = self.spec.words_per_block();
-        let page = self.pages[pi].get_or_insert_with(|| Box::new(MemPage::zeroed(wpb)));
-        page.words[slot * wpb..(slot + 1) * wpb].copy_from_slice(words);
-        let bit = 1u64 << (slot % 64);
-        if page.written[slot / 64] & bit == 0 {
-            page.written[slot / 64] |= bit;
+        let page = self.pages[pi].get_or_insert_with(|| Box::new(MemPage::empty()));
+        if page.write(slot, words) {
             self.written += 1;
         }
     }
@@ -153,8 +212,8 @@ impl MainMemory {
         self.written
     }
 
-    /// Number of materialized pages — the resident-memory unit of the paged
-    /// layout ([`MainMemory::page_blocks`] blocks each).
+    /// Number of materialized pages: the pages holding a written block
+    /// ([`MainMemory::page_blocks`] blocks each).
     pub fn resident_pages(&self) -> usize {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
@@ -172,21 +231,16 @@ impl MainMemory {
             .enumerate()
             .filter_map(|(pi, p)| p.as_deref().map(|page| (pi, page)))
             .flat_map(move |(pi, page)| {
-                page.written.iter().enumerate().flat_map(move |(wi, &w)| {
-                    let mut rest = w;
-                    std::iter::from_fn(move || {
-                        if rest == 0 {
-                            return None;
-                        }
-                        let bit = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        let slot = wi * 64 + bit;
-                        Some((
-                            BlockAddr::new((pi * PAGE_BLOCKS + slot) as u64),
-                            &page.words[slot * wpb..(slot + 1) * wpb],
-                        ))
-                    })
-                })
+                page.written.iter().zip(&page.runs).enumerate().flat_map(
+                    move |(wi, (&word, run))| {
+                        set_bits(word)
+                            .zip(run.chunks_exact(wpb))
+                            .map(move |(bit, words)| {
+                                let index = pi * PAGE_BLOCKS + wi * 64 + bit;
+                                (BlockAddr::new(index as u64), words)
+                            })
+                    },
+                )
             })
     }
 }
@@ -269,7 +323,12 @@ impl BlockStore {
     }
 
     /// Marks `cache` as the owner of `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is at or beyond [`BlockAddr::LIMIT`].
     pub fn set_owner(&mut self, block: BlockAddr, cache: CacheId) {
+        check_limit(block);
         let (pi, slot) = page_slot(block);
         if pi >= self.pages.len() {
             self.pages.resize_with(pi + 1, || None);
@@ -310,20 +369,11 @@ impl BlockStore {
             .enumerate()
             .filter_map(|(pi, p)| p.as_deref().map(|page| (pi, page)))
             .flat_map(|(pi, page)| {
-                page.valid.iter().enumerate().flat_map(move |(wi, &w)| {
-                    let mut rest = w;
-                    std::iter::from_fn(move || {
-                        if rest == 0 {
-                            return None;
-                        }
-                        let bit = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        let slot = wi * 64 + bit;
-                        Some((
-                            BlockAddr::new((pi * PAGE_BLOCKS + slot) as u64),
-                            CacheId(page.owner[slot]),
-                        ))
-                    })
+                set_slots(&page.valid).map(move |slot| {
+                    (
+                        BlockAddr::new((pi * PAGE_BLOCKS + slot) as u64),
+                        CacheId(page.owner[slot]),
+                    )
                 })
             })
     }

@@ -235,3 +235,87 @@ fn trace_check_tells_a_malformed_header_from_a_divergence() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The highest block-aligned word address: its block is far beyond the
+/// machine's 2^32, so the page directories would have to grow to 2^54
+/// entries to hold it.
+const MAX_ADDR: u64 = 0xFFFF_FFFF_FFFF_FF00;
+
+/// Runs `tmc` on a file holding `text`, named `name` in a fresh temporary
+/// directory that `argv`'s `{dir}` and `{file}` stand for.
+fn on_file(name: &str, text: &str, argv: &[&str]) -> Output {
+    let dir = std::env::temp_dir().join(format!("tmc-cli-addr-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join(name);
+    std::fs::write(&file, text).unwrap();
+    let argv: Vec<String> = argv
+        .iter()
+        .map(|a| {
+            a.replace("{dir}", dir.to_str().unwrap())
+                .replace("{file}", file.to_str().unwrap())
+        })
+        .collect();
+    let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+    let out = tmc(&argv);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// An address beyond the machine is an error naming it, exit 1 — not an
+/// abort on a page-directory allocation.
+fn assert_refuses_max_addr(out: &Output, want: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(want) && stderr.contains("beyond the machine's 2^32 blocks"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn replay_refuses_an_address_beyond_the_machine() {
+    let trace = format!("tmctrace v1 procs=4\n0 W {MAX_ADDR:#X}\n");
+    for protocol in ["all", "adaptive"] {
+        let out = on_file("max.trace", &trace, &["replay", "{file}", protocol]);
+        assert_refuses_max_addr(
+            &out,
+            &format!("reference 0: address {MAX_ADDR} ({MAX_ADDR:#x})"),
+        );
+    }
+}
+
+#[test]
+fn scenario_run_refuses_an_address_beyond_the_machine() {
+    let scenario = format!(
+        "# tmc scenario\n[scenario]\nname = max-addr\n\n[machine]\nn_caches = 4\n\n\
+         [ops]\nop = R 1 0\nop = W 0 {MAX_ADDR} 1\n"
+    );
+    let out = on_file(
+        "max-addr.tmcs",
+        &scenario,
+        &["scenario", "run", "max-addr", "--dir", "{dir}"],
+    );
+    assert_refuses_max_addr(&out, &format!("max-addr: op #1: address {MAX_ADDR}"));
+}
+
+#[test]
+fn trace_check_refuses_an_address_beyond_the_machine() {
+    let capture = format!(
+        concat!(
+            r#"{{"type":"header","version":1,"n_procs":4,"sets":64,"ways":4,"words_log2":2,"#,
+            r#""scheme":"combined","policy":"fixed-dw","owner_bypass":true}}"#,
+            "\n",
+            r#"{{"type":"write","proc":0,"addr":{},"value":1,"hit":false,"cost_bits":0,"#,
+            r#""mode":"dw"}}"#,
+            "\n",
+            r#"{{"type":"trailer","events":1,"fingerprint":0,"total_bits":0,"links":[]}}"#,
+            "\n"
+        ),
+        MAX_ADDR
+    );
+    let out = on_file("max.jsonl", &capture, &["trace", "check", "{file}"]);
+    assert_refuses_max_addr(
+        &out,
+        &format!("error: replay FAILED: event 0: address {MAX_ADDR}"),
+    );
+}

@@ -7,7 +7,7 @@ use std::fs;
 use std::panic::catch_unwind;
 use std::path::Path;
 
-use tmc_scenario::parse;
+use tmc_scenario::{parse, run_scenario};
 
 /// `(fixture, line, col, message substring)`.
 const EXPECTED: &[(&str, usize, usize, &str)] = &[
@@ -225,4 +225,14 @@ fn parser_never_panics_on_truncated_or_substituted_scenarios() {
             "{name}: only {rejected} substitutions rejected"
         );
     }
+
+    // The highest block-aligned address parses, and running it is a typed
+    // error naming it, not an abort on a page-directory allocation.
+    let max = parse(
+        "[scenario]\nname = max-addr\n\n[machine]\nn_caches = 4\n\n\
+         [ops]\nop = W 0 18446744073709551360 1\n",
+    )
+    .expect("the max address parses");
+    let err = run_scenario(&max).expect_err("the machine refuses the max address");
+    assert!(err.contains("address 18446744073709551360"), "{err}");
 }

@@ -187,4 +187,10 @@ fn parse_trace_never_panics_on_truncated_or_substituted_text() {
         rejected > bytes.len() * 3,
         "only {rejected} substitutions rejected"
     );
+
+    // The highest block-aligned address parses exactly: refusing it is the
+    // machine's job (`System::write` answers `CoreError::BadAddress`).
+    let max = parse_trace("tmctrace v1 procs=4\n0 W 0xFFFFFFFFFFFFFF00\n").expect("parses");
+    let r = max.iter().next().expect("one reference");
+    assert_eq!((r.op, r.addr.value()), (Op::Write, 0xFFFF_FFFF_FFFF_FF00));
 }
