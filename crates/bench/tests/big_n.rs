@@ -2,10 +2,15 @@
 //! processors, and an N = 256 capture that replays, over the multi-tenant
 //! Zipfian workload. These configurations put `DestSet` into its
 //! small-list/bitmap layouts and scatter writes across many pages of the
-//! paged `MainMemory`/`BlockStore`.
+//! paged `MainMemory`/`BlockStore`. At N = 1024, the owner table's
+//! occupancy is checked against §5's associative-store arithmetic.
 
+use std::collections::BTreeSet;
+
+use tmc_analytic::state_memory::StateMemoryModel;
 use tmc_bench::script;
-use tmc_core::{Mode, ModePolicy, System, SystemConfig};
+use tmc_core::{Mode, ModePolicy, StateName, System, SystemConfig};
+use tmc_memsys::BlockAddr;
 use tmc_simcore::SimRng;
 use tmc_workload::{MultiTenantZipfWorkload, Trace};
 
@@ -47,4 +52,54 @@ fn capture_replays_at_n_256() {
     let jsonl = tmc_bench::tracecheck::capture(cfg, |sys| script::apply_script(sys, &script))
         .expect("capture");
     tmc_bench::tracecheck::check(&jsonl).expect("replay");
+}
+
+/// §5 keeps the present vector "used only by the owner" in an associative
+/// store; the machine keeps it in one owner table with an entry per owned
+/// block. After a `bigN-zipf`-shaped run (N = 1024, 2048 tenants × 1024
+/// blocks, w = 0.2, adaptive window 64) the table's live entries are
+/// exactly the owned lines, and `state_memory`'s bit count for the
+/// associative store, fed that occupancy, bills `owned × (tag + N)` bits
+/// for it and undercuts the per-line present vectors.
+#[test]
+fn owner_table_is_the_associative_store_at_n_1024() {
+    let n = 1024;
+    let cfg = SystemConfig::new(n).mode_policy(ModePolicy::Adaptive { window: 64 });
+    let geometry = cfg.geometry;
+    let mut sys = System::new(cfg).expect("system");
+    let trace = MultiTenantZipfWorkload::new(n, 1_000_000, 0.2)
+        .tenants(2048)
+        .blocks_per_tenant(1024)
+        .references(40_000)
+        .generate(n, &mut SimRng::seed_from(11));
+    script::apply_script(&mut sys, &script::from_trace(&trace));
+    sys.check_invariants().expect("invariants");
+
+    // Owned lines, counted at each touched block's owner.
+    let spec = sys.config().spec;
+    let blocks: BTreeSet<BlockAddr> = trace.iter().map(|r| spec.block_of(r.addr)).collect();
+    let owned = blocks
+        .iter()
+        .filter(|&&b| {
+            let owner = sys.owner_of(b);
+            let state = owner.and_then(|o| sys.state_name(o.port(), b));
+            state.is_some_and(|s| !matches!(s, StateName::Invalid | StateName::UnOwned))
+        })
+        .count();
+    let live = sys.owner_entries();
+    assert_eq!(live, owned, "one live entry per owned line");
+    assert!(live > 0 && live < n * geometry.capacity_blocks());
+
+    let model = StateMemoryModel::new(
+        n as u64,
+        geometry.capacity_blocks() as u64,
+        BlockAddr::LIMIT,
+    );
+    let per_cache = live.div_ceil(n) as u64;
+    let store_bits =
+        model.distributed_associative_bits(per_cache) - model.distributed_associative_bits(0);
+    let entry_bits = 32 + n as u128;
+    assert!(store_bits >= live as u128 * entry_bits);
+    assert!(store_bits < (live + n) as u128 * entry_bits);
+    assert!(model.distributed_associative_bits(per_cache) < model.distributed_bits());
 }

@@ -216,4 +216,17 @@ fn reader_never_panics_on_truncated_or_substituted_bytes() {
     assert!(read(max.as_bytes()));
     let err = check(&max).expect_err("the machine refuses the max address");
     assert!(err.contains("address 18446744073709551360"), "{err}");
+
+    // A header naming a geometry past the line bound (2^24 sets of 1024
+    // ways, the widest the shape check takes field by field) reads as a
+    // trace, and its check is a typed refusal, not an abort in a cache.
+    let shape = r#""sets":64,"ways":4,"#;
+    let huge = text.replacen(shape, r#""sets":16777216,"ways":1024,"#, 1);
+    assert_ne!(huge, text, "the header names the geometry");
+    assert!(read(huge.as_bytes()));
+    let err = check(&huge).expect_err("no machine holds 2^34 lines per cache");
+    assert!(
+        err.contains("cache geometry 16777216x1024 exceeds"),
+        "{err}"
+    );
 }

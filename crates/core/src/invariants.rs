@@ -6,14 +6,95 @@
 //! state it inspects, not the machine size: one pass over the `R` resident
 //! cache lines and the block-store entries, an `O(R log R)` sort of
 //! `(block, cache)` pairs, and one walk over the groups — an empty cache or
-//! an unwritten region of the address space costs nothing.
+//! an unwritten region of the address space costs nothing. The owner
+//! table adds one mark per entry it has ever handed out, about the peak
+//! number of owned blocks, and no sort.
 
 use tmc_memsys::{BlockAddr, CacheArray};
 
 use crate::error::InvariantViolation;
 use crate::home::{Baseline, Home};
-use crate::state::{CacheLine, Mode, Validity};
+use crate::state::{CacheLine, Mode, OwnerEntry, OwnerState, OwnerTable, Validity};
 use crate::system::System;
+
+/// The owner-table half of the sweep: every owned line names a distinct
+/// live entry, and every live entry is named by an owned line — so live
+/// entries, owned lines and block-store owners are as many. A sweep
+/// claims each block's owner line as it meets it and finishes with the
+/// count.
+struct EntryClaims {
+    /// Per table slot: [`EntryClaims::FREE`], [`EntryClaims::CLAIMED`], or
+    /// 0 for a live entry no owned line has named yet.
+    marks: Vec<u8>,
+    claimed: usize,
+}
+
+impl EntryClaims {
+    const FREE: u8 = 1;
+    const CLAIMED: u8 = 2;
+
+    /// Marks the table's free entries; an entry freed twice is a
+    /// violation.
+    fn new(table: &OwnerTable) -> Result<Self, InvariantViolation> {
+        let mut marks = vec![0; table.slots()];
+        for &e in table.free_list() {
+            match marks.get_mut(e as usize) {
+                Some(mark) if *mark == 0 => *mark = Self::FREE,
+                _ => {
+                    return Err(InvariantViolation {
+                        what: format!(
+                            "owner table: free list names entry {e} twice or past the table"
+                        ),
+                    })
+                }
+            }
+        }
+        Ok(EntryClaims { marks, claimed: 0 })
+    }
+
+    /// Claims the entry `owner`'s line of `block` names and returns the
+    /// owner state it holds.
+    fn claim<'t>(
+        &mut self,
+        table: &'t OwnerTable,
+        block: BlockAddr,
+        owner: usize,
+        entry: OwnerEntry,
+    ) -> Result<&'t OwnerState, InvariantViolation> {
+        let fail = |why: &str| {
+            Err(InvariantViolation {
+                what: format!("{block}: owner C{owner}'s line names entry {entry}, {why}"),
+            })
+        };
+        let (Some(mark), Some(state)) = (self.marks.get_mut(entry as usize), table.get(entry))
+        else {
+            return fail("past the owner table");
+        };
+        match *mark {
+            Self::FREE => fail("which is free"),
+            Self::CLAIMED => fail("which another owned line holds"),
+            _ => {
+                *mark = Self::CLAIMED;
+                self.claimed += 1;
+                Ok(state)
+            }
+        }
+    }
+
+    /// Every live entry was claimed: none leaked.
+    fn finish(self, table: &OwnerTable) -> Result<(), InvariantViolation> {
+        if table.live() == self.claimed {
+            return Ok(());
+        }
+        Err(InvariantViolation {
+            what: format!(
+                "owner table: {} live entries for {} owned lines",
+                table.live(),
+                self.claimed
+            ),
+        })
+    }
+}
 
 impl System {
     /// Verifies the protocol's structural invariants:
@@ -26,7 +107,10 @@ impl System {
     ///    owner's;
     /// 5. global-read mode: no other valid copy exists, and every present
     ///    flag (beyond the owner) points at a cache holding an *invalid*
-    ///    entry for the block.
+    ///    entry for the block;
+    /// 6. each owned line names a distinct live owner-table entry, and the
+    ///    table holds as many live entries as there are owned lines (and
+    ///    so block-store owners).
     ///
     /// A baseline machine ([`System::baseline`]) is checked against its
     /// home directory instead: every line is a plain copy, the home's
@@ -46,6 +130,7 @@ impl System {
 
         let resident = self.resident_lines();
         let mut stored_owners = self.store.iter().peekable();
+        let mut claims = EntryClaims::new(&self.owners)?;
 
         let mut owners: Vec<usize> = Vec::new();
         let mut valid_holders: Vec<usize> = Vec::new();
@@ -57,7 +142,7 @@ impl System {
                 (Some(&(b, ..)), Some(&(s, _))) => b.min(s),
                 (Some(&(b, ..)), None) => b,
                 (None, Some(&(s, _))) => s,
-                (None, None) => return Ok(()),
+                (None, None) => return claims.finish(&self.owners),
             };
             let held = rest.iter().take_while(|&&(b, ..)| b == block).count();
             let (group, tail) = rest.split_at(held);
@@ -116,8 +201,9 @@ impl System {
                 }
                 continue;
             };
+            let state = claims.claim(&self.owners, block, owner, line.entry)?;
 
-            if !line.present.contains(owner) {
+            if !state.present.contains(owner) {
                 return fail(format!(
                     "{block}: owner C{owner}'s own present flag is clear"
                 ));
@@ -125,8 +211,8 @@ impl System {
 
             match line.mode {
                 Mode::DistributedWrite => {
-                    if !line.present.iter().eq(valid_holders.iter().copied()) {
-                        let present: Vec<usize> = line.present.iter().collect();
+                    if !state.present.iter().eq(valid_holders.iter().copied()) {
+                        let present: Vec<usize> = state.present.iter().collect();
                         return fail(format!(
                             "{block} (DW): present vector {present:?} != valid copies {valid_holders:?}"
                         ));
@@ -145,7 +231,7 @@ impl System {
                             "{block} (GR): C{c} holds a valid copy besides owner C{owner}"
                         ));
                     }
-                    for p in line.present.iter().filter(|&p| p != owner) {
+                    for p in state.present.iter().filter(|&p| p != owner) {
                         if !invalid_holders.contains(&p) {
                             return fail(format!(
                                 "{block} (GR): present flag for C{p} but it holds no invalid entry"
@@ -257,6 +343,7 @@ mod tests {
             for cache in &self.caches {
                 blocks.extend(cache.iter().map(|(b, _)| b));
             }
+            let mut claims = EntryClaims::new(&self.owners)?;
 
             for block in blocks {
                 let mut owners: Vec<usize> = Vec::new();
@@ -313,7 +400,8 @@ mod tests {
                 };
 
                 let line = self.caches[owner].peek(block).expect("owner line exists");
-                if !line.present.contains(owner) {
+                let state = claims.claim(&self.owners, block, owner, line.entry)?;
+                if !state.present.contains(owner) {
                     return fail(format!(
                         "{block}: owner C{owner}'s own present flag is clear"
                     ));
@@ -321,7 +409,7 @@ mod tests {
 
                 match line.mode {
                     Mode::DistributedWrite => {
-                        let present: Vec<usize> = line.present.iter().collect();
+                        let present: Vec<usize> = state.present.iter().collect();
                         if present != valid_holders {
                             return fail(format!(
                                 "{block} (DW): present vector {present:?} != valid copies {valid_holders:?}"
@@ -342,7 +430,7 @@ mod tests {
                                 "{block} (GR): C{c} holds a valid copy besides owner C{owner}"
                             ));
                         }
-                        for p in line.present.iter().filter(|&p| p != owner) {
+                        for p in state.present.iter().filter(|&p| p != owner) {
                             if !invalid_holders.contains(&p) {
                                 return fail(format!(
                                     "{block} (GR): present flag for C{p} but it holds no invalid entry"
@@ -352,7 +440,7 @@ mod tests {
                     }
                 }
             }
-            Ok(())
+            claims.finish(&self.owners)
         }
     }
 
@@ -437,10 +525,16 @@ mod tests {
         );
     }
 
+    /// The owner state `c`'s line of `block` names.
+    fn owner_state(sys: &mut System, c: usize, block: BlockAddr) -> &mut OwnerState {
+        let entry = sys.caches[c].peek(block).unwrap().entry;
+        &mut sys.owners[entry]
+    }
+
     #[test]
     fn owner_present_flag_clear() {
         let what = violation(|sys, dw, _| {
-            sys.caches[0].peek_mut(dw).unwrap().present.remove(0);
+            owner_state(sys, 0, dw).present.remove(0);
         });
         assert_eq!(what, "b0x10: owner C0's own present flag is clear");
     }
@@ -448,7 +542,7 @@ mod tests {
     #[test]
     fn dw_present_vector_misses_a_holder() {
         let what = violation(|sys, dw, _| {
-            sys.caches[0].peek_mut(dw).unwrap().present.remove(2);
+            owner_state(sys, 0, dw).present.remove(2);
         });
         assert_eq!(
             what,
@@ -475,12 +569,45 @@ mod tests {
     #[test]
     fn gr_present_flag_without_invalid_entry() {
         let what = violation(|sys, _, gr| {
-            sys.caches[3].peek_mut(gr).unwrap().present.insert(2);
+            owner_state(sys, 3, gr).present.insert(2);
         });
         assert_eq!(
             what,
             "b0x20 (GR): present flag for C2 but it holds no invalid entry"
         );
+    }
+
+    #[test]
+    fn two_owners_share_an_entry() {
+        let what = violation(|sys, dw, gr| {
+            let shared = sys.caches[0].peek(dw).unwrap().entry;
+            sys.caches[3].peek_mut(gr).unwrap().entry = shared;
+        });
+        assert_eq!(
+            what,
+            "b0x20: owner C3's line names entry 0, which another owned line holds"
+        );
+    }
+
+    #[test]
+    fn an_entry_leaked_on_a_handoff() {
+        // A handoff that gave the new owner a copy of the state in a fresh
+        // entry, and never freed the entry it came from.
+        let what = violation(|sys, dw, _| {
+            let state = owner_state(sys, 0, dw).clone();
+            let fresh = sys.owners.take(state);
+            sys.caches[0].peek_mut(dw).unwrap().entry = fresh;
+        });
+        assert_eq!(what, "owner table: 3 live entries for 2 owned lines");
+    }
+
+    #[test]
+    fn an_owner_on_a_freed_entry() {
+        let what = violation(|sys, _, gr| {
+            let entry = sys.caches[3].peek(gr).unwrap().entry;
+            sys.owners.free(entry);
+        });
+        assert_eq!(what, "b0x20: owner C3's line names entry 1, which is free");
     }
 
     #[test]
@@ -540,6 +667,7 @@ mod tests {
         };
         let other = rng.gen_range(0..n);
         let line = sys.caches[c].peek_mut(block).unwrap();
+        let state = line.is_owned().then_some(line.entry);
         match rng.gen_range(0..7u32) {
             0 => {
                 line.validity = match line.validity {
@@ -550,8 +678,12 @@ mod tests {
             }
             1 => line.modified = !line.modified,
             2 => {
-                if !line.present.remove(other) {
-                    line.present.insert(other);
+                // A line that owns nothing has no present vector to flip.
+                if let Some(entry) = state {
+                    let present = &mut sys.owners[entry].present;
+                    if !present.remove(other) {
+                        present.insert(other);
+                    }
                 }
             }
             3 => line.data.set_word(0, line.data.word(0) ^ 1),
@@ -624,7 +756,7 @@ mod tests {
         let what = baseline_violation(dir, |sys| home(sys).table.entry(b1).writer = None);
         assert_eq!(what, "b0x1: C2's copy is stale");
         let what = baseline_violation(upd, |sys| {
-            sys.caches[3].insert(b1, CacheLine::copy(BlockData::zeroed(1), 4));
+            sys.caches[3].insert(b1, CacheLine::copy(BlockData::zeroed(1)));
         });
         assert_eq!(what, "b0x1: home sharers [2] != copies [2, 3]");
         let what = baseline_violation(dir, |sys| sys.store.set_owner(b0, CacheId(0)));

@@ -12,10 +12,11 @@
 //! rule's `run` function resolves at compile time. The few values that
 //! pass from step to step (resolved endpoints, the word read, the mode and
 //! M bit of a migrating owner) live in a [`Txn`] on the stack — plain
-//! words, nothing to drop; blocks and present vectors move from line to
-//! line directly. Rules therefore re-enter cleanly: an install step may
-//! trigger a replacement, whose rule may hand ownership off, each with its
-//! own `Txn`.
+//! words, nothing to drop; blocks move from line to line directly, and a
+//! block's owner state stays in the owner table while its handle moves
+//! from the old owner's line to the new one's. Rules therefore re-enter
+//! cleanly: an install step may trigger a replacement, whose rule may hand
+//! ownership off, each with its own `Txn`.
 //!
 //! A `Txn` also keeps a [`LineRef`] on every line its lookup and guards
 //! found, so each line is probed once per transaction: the steps after
@@ -43,6 +44,7 @@ use crate::ir::{
     select, Ep, FactGroup, Facts, LookupClass, ModeCtx, Rule, SizeClass, Step, VictimCtx,
     HOME_REPLACE_RULES, MODE_RULES, READ_RULES, REPLACE_RULES, SET_MODE_RULES, WRITE_RULES,
 };
+use crate::state::{OwnerEntry, NO_ENTRY};
 use tmc_obs::TraceMode;
 
 /// The working state of one rule firing.
@@ -78,9 +80,10 @@ pub(crate) struct Txn {
     at_hint: Option<LineRef>,
     /// The line of `block` at `cand`, once promoted.
     at_cand: Option<LineRef>,
-    /// Mode and M bit of the old owner's line: with the present vector,
-    /// the state field that travels in an ownership transfer.
-    xfer: (Mode, bool),
+    /// Mode, M bit and owner-table handle of the old owner's line: the
+    /// state field that travels in an ownership transfer. The handle names
+    /// the present vector, which moves with it and is never copied.
+    xfer: (Mode, bool, OwnerEntry),
 }
 
 impl Txn {
@@ -102,7 +105,7 @@ impl Txn {
             at_owner: None,
             at_hint: None,
             at_cand: None,
-            xfer: (Mode::DistributedWrite, false),
+            xfer: (Mode::DistributedWrite, false, NO_ENTRY),
         }
     }
 
@@ -255,9 +258,10 @@ impl System {
     /// `at`.
     fn victim(&self, proc: usize, at: LineRef) -> VictimCtx {
         let line = self.caches[proc].line(at);
+        let me = CacheId(proc as u16);
         VictimCtx {
             owned: line.validity == Validity::Owned,
-            exclusive: line.is_exclusive(CacheId(proc as u16)),
+            exclusive: self.owner_state(line).is_some_and(|o| o.is_exclusive(me)),
             modified: line.modified,
             mode: line.mode,
         }
@@ -346,10 +350,11 @@ impl System {
         adaptive: bool,
     ) {
         let line = self.caches[owner].line(at);
+        let present = &self.owners[line.entry].present;
         let ctx = ModeCtx {
             current: line.mode,
             target,
-            other_copies: line.present.len() > usize::from(line.present.contains(owner)),
+            other_copies: present.len() > usize::from(present.contains(owner)),
         };
         let mut t = Txn::at(owner, block, Some(at));
         let rule = self.decide(MODE_RULES, Facts::switch(ctx), &mut t);
@@ -475,11 +480,12 @@ impl System {
                 let line = self.caches[t.proc].line(t.here());
                 self.memory.write_block(t.block, &line.data);
             }
-            Step::ClearStoreVictim => self.store.clear(t.block),
+            Step::ClearStoreVictim => self.release_victim(t),
             Step::ClearPresenceAtOwner => {
                 let owner = self.ep(t, Ep::Owner);
                 if let Some(at) = t.at_owner {
-                    self.caches[owner].line_mut(at).present.remove(t.proc);
+                    let line = self.caches[owner].line(at);
+                    self.owners[line.entry].present.remove(t.proc);
                 }
             }
             Step::HandoffOffers => self.handoff_offers(t),
@@ -491,7 +497,7 @@ impl System {
             Step::ModeToGr => {
                 let line = self.caches[t.proc].line_mut(t.here());
                 line.mode = Mode::GlobalRead;
-                line.reset_window();
+                self.owners[line.entry].reset_window();
             }
             Step::InvalidateCast => self.invalidate_cast(t),
             Step::ReadOwnerWord => {
@@ -574,16 +580,17 @@ impl System {
     /// in the policy's initial mode.
     fn install_owned_exclusive(&mut self, t: &mut Txn) {
         let (proc, block) = (t.proc, t.block);
+        let me = CacheId(proc as u16);
         let data = self.memory.block_data(block);
         t.value_out = data.word(t.offset);
-        let line = CacheLine::owned_exclusive(
-            data,
-            CacheId(proc as u16),
-            self.cfg.mode_policy.initial_mode(),
-            self.cfg.n_caches,
-        );
+        let line = CacheLine::owned(data, me, self.cfg.mode_policy.initial_mode());
+        // The install first, so an entry its replacement frees is reused.
         self.install_line(t, line);
-        self.store.set_owner(block, CacheId(proc as u16));
+        let entry = self
+            .owners
+            .take(OwnerState::exclusive(me, self.cfg.n_caches));
+        self.caches[proc].line_mut(t.here()).entry = entry;
+        self.store.set_owner(block, me);
     }
 
     /// The serving owner registers the requester and reads the word. In
@@ -594,12 +601,13 @@ impl System {
         t.serve = self.ep(t, ep);
         let at = t.line_at(t.serve);
         let line =
-            self.caches[t.serve].line_mut(at.expect("block store names an owner without a line"));
+            self.caches[t.serve].line(at.expect("block store names an owner without a line"));
         debug_assert!(line.is_owned() && line.mode == mode);
-        line.present.insert(t.proc);
         t.value_out = line.data.word(t.offset);
+        let state = &mut self.owners[line.entry];
+        state.present.insert(t.proc);
         if mode == Mode::GlobalRead {
-            line.window_remote_reads += 1;
+            state.window_remote_reads += 1;
         }
     }
 
@@ -609,7 +617,6 @@ impl System {
         let line = CacheLine::unowned(
             owner.expect("probed above").data.clone(),
             CacheId(t.serve as u16),
-            self.cfg.n_caches,
         );
         self.install_line(t, line);
     }
@@ -622,11 +629,8 @@ impl System {
 
     /// 2(b)ii without one: reserve an invalid entry holding the hint.
     fn install_invalid_hint(&mut self, t: &mut Txn) {
-        let line = CacheLine::invalid_hint(
-            CacheId(t.serve as u16),
-            self.cfg.n_caches,
-            self.cfg.spec.words_per_block(),
-        );
+        let line =
+            CacheLine::invalid_hint(CacheId(t.serve as u16), self.cfg.spec.words_per_block());
         self.install_line(t, line);
     }
 
@@ -635,7 +639,8 @@ impl System {
     // ------------------------------------------------------------------
 
     /// An ownership transfer begins: the old owner registers the requester
-    /// and reads out the mode and M bit that will travel.
+    /// and reads out the mode, M bit and owner-table handle that will
+    /// travel.
     fn xfer_probe(&mut self, t: &mut Txn) {
         let (proc, block) = (t.proc, t.block);
         let old = self.ep(t, Ep::Owner);
@@ -647,31 +652,32 @@ impl System {
             to: proc,
             handoff: false,
         });
-        let line = self.caches[old].line_mut(t.at_owner());
+        let line = self.caches[old].line(t.at_owner());
         debug_assert!(line.is_owned());
-        line.present.insert(proc);
-        t.xfer = (line.mode, line.modified);
+        self.owners[line.entry].present.insert(proc);
+        t.xfer = (line.mode, line.modified, line.entry);
     }
 
     /// The old owner steps down: its copy stays valid as UnOwned
     /// (distributed write) or is invalidated (global read). The M bit —
-    /// the write-back responsibility — travels with ownership; the present
-    /// vector stays behind until `install_xfer` collects it.
+    /// the write-back responsibility — and the owner-table handle travel
+    /// with ownership; `install_xfer` hands the handle to the new owner's
+    /// line, with the window counters restarted.
     fn retire_old_owner(&mut self, t: &mut Txn, validity: Validity) {
         let old = self.ep(t, Ep::Owner);
         let line = self.caches[old].line_mut(t.at_owner());
         line.validity = validity;
         line.modified = false;
         line.owner_hint = Some(CacheId(t.proc as u16));
-        line.reset_window();
+        line.entry = NO_ENTRY;
+        self.owners[t.xfer.2].reset_window();
     }
 
     /// 3(d)ii / 4(b)ii: the old owner distributes the new owner's id to
     /// the invalid-entry holders.
     fn announce_cast(&mut self, t: &mut Txn) {
         let old = self.ep(t, Ep::Owner);
-        let line = self.caches[old].line(t.at_owner());
-        let mut announce = line.present.clone();
+        let mut announce = self.owners[t.xfer.2].present.clone();
         announce.remove(old);
         announce.remove(t.proc);
         self.announce_owner(old, &announce, t.block, t.proc);
@@ -704,32 +710,27 @@ impl System {
         self.recycle_delivered(delivered);
     }
 
-    /// Installs the owned line at the new owner, collecting the present
-    /// vector the old owner still holds. With `send_data` the block crossed
-    /// the network with the state (the old owner's entry still has the
-    /// bytes); without, the requester's own valid copy is promoted.
+    /// Installs the owned line at the new owner with the handle the old
+    /// owner gave up, and with it the present vector. With `send_data` the
+    /// block crossed the network with the state (the old owner's entry
+    /// still has the bytes); without, the requester's own valid copy is
+    /// promoted.
     fn install_xfer(&mut self, t: &mut Txn, send_data: bool) {
         let proc = t.proc;
         let old = self.ep(t, Ep::Owner);
-        let empty = DestSet::empty(self.cfg.n_caches);
-        let old_line = self.caches[old].line_mut(t.at_owner());
-        let present = std::mem::replace(&mut old_line.present, empty);
         let data = if send_data {
-            old_line.data.clone()
+            self.caches[old].line(t.at_owner()).data.clone()
         } else {
             self.caches[proc].line(t.here()).data.clone()
         };
-        let (mode, modified) = t.xfer;
+        let (mode, modified, entry) = t.xfer;
         let line = CacheLine {
             validity: Validity::Owned,
             mode,
             modified,
-            present,
             owner_hint: Some(CacheId(proc as u16)),
+            entry,
             data,
-            window_refs: 0,
-            window_remote_reads: 0,
-            window_writes: 0,
         };
         self.install_line(t, line);
     }
@@ -747,10 +748,11 @@ impl System {
     /// global read, or by an exclusive owner, stays local.
     fn update_cast(&mut self, t: &mut Txn) {
         let line = self.caches[t.proc].line(t.here());
-        if line.mode != Mode::DistributedWrite || line.is_exclusive(CacheId(t.proc as u16)) {
+        let state = &self.owners[line.entry];
+        if line.mode != Mode::DistributedWrite || state.is_exclusive(CacheId(t.proc as u16)) {
             return;
         }
-        let mut others = line.present.clone();
+        let mut others = state.present.clone();
         others.remove(t.proc);
         if others.is_empty() {
             return;
@@ -783,10 +785,10 @@ impl System {
     /// vector, in ascending port order, until one accepts.
     fn handoff_offers(&mut self, t: &mut Txn) {
         let (proc, victim) = (t.proc, t.block);
-        // The vector leaves the line for the walk, which sends as it goes.
+        // The vector leaves the table for the walk, which sends as it goes.
         let empty = DestSet::empty(self.cfg.n_caches);
-        let line = self.caches[proc].line_mut(t.here());
-        let present = std::mem::replace(&mut line.present, empty);
+        let entry = self.caches[proc].line(t.here()).entry;
+        let present = std::mem::replace(&mut self.owners[entry].present, empty);
         let n_candidates = present.len() - usize::from(present.contains(proc));
         debug_assert!(n_candidates > 0, "nonexclusive implies other copies");
         let request = self.size_bits(SizeClass::Request);
@@ -807,7 +809,7 @@ impl System {
             t.cand = cand;
             break;
         }
-        self.caches[proc].line_mut(t.here()).present = present;
+        self.owners[entry].present = present;
         self.tracer.push(ProtocolEvent::OwnershipTransfer {
             block: victim,
             from: proc,
@@ -817,17 +819,18 @@ impl System {
     }
 
     /// The candidate's entry becomes the owner's line and receives the
-    /// victim's state field: a valid copy is promoted in place
-    /// (distributed write), an invalid entry also receives the block
-    /// (global read). The departing cache's own present flag is cleared as
-    /// part of the transferred state.
+    /// victim's state field, owner-table handle included: a valid copy is
+    /// promoted in place (distributed write), an invalid entry also
+    /// receives the block (global read). The departing cache's own present
+    /// flag is cleared as part of the transferred state.
     fn promote_cand(&mut self, t: &mut Txn, mode: Mode) {
         let (proc, victim, cand) = (t.proc, t.block, t.cand);
-        let empty = DestSet::empty(self.cfg.n_caches);
         let vline = self.caches[proc].line_mut(t.here());
-        let mut present = std::mem::replace(&mut vline.present, empty);
-        present.remove(proc);
-        present.insert(cand);
+        let entry = std::mem::replace(&mut vline.entry, NO_ENTRY);
+        let state = &mut self.owners[entry];
+        state.present.remove(proc);
+        state.present.insert(cand);
+        state.reset_window();
         let modified = vline.modified;
         let data = (mode == Mode::GlobalRead).then(|| vline.data.clone());
         let at = self.caches[cand].find(victim);
@@ -844,17 +847,27 @@ impl System {
         if let Some(data) = data {
             cline.data = data;
         }
-        cline.present = present;
+        cline.entry = entry;
         cline.owner_hint = Some(CacheId(cand as u16));
-        cline.reset_window();
     }
 
     /// Announce the promoted candidate to the remaining invalid entries.
     fn announce_cast_handoff(&mut self, t: &mut Txn) {
         let line = self.caches[t.cand].line(t.at_cand.expect("promoted above"));
-        let mut announce = line.present.clone();
+        let mut announce = self.owners[line.entry].present.clone();
         announce.remove(t.cand);
         self.announce_owner(t.proc, &announce, t.block, t.cand);
+    }
+
+    /// Ownership of `t`'s block leaves the caches with the owner's line at
+    /// `t.proc` (an exclusive owner's replacement, a scrub): the block
+    /// store forgets the owner and the owner-table entry is freed. The
+    /// caller drops the line.
+    fn release_victim(&mut self, t: &mut Txn) {
+        self.store.clear(t.block);
+        let line = self.caches[t.proc].line_mut(t.here());
+        self.owners
+            .free(std::mem::replace(&mut line.entry, NO_ENTRY));
     }
 
     // ------------------------------------------------------------------
@@ -868,8 +881,9 @@ impl System {
         fresh.insert(t.proc);
         let line = self.caches[t.proc].line_mut(t.here());
         line.mode = Mode::DistributedWrite;
-        line.present = fresh;
-        line.reset_window();
+        let state = &mut self.owners[line.entry];
+        state.present = fresh;
+        state.reset_window();
     }
 
     /// Case 7 with copies: invalidate them. The present vector is
@@ -878,7 +892,7 @@ impl System {
     fn invalidate_cast(&mut self, t: &mut Txn) {
         let (owner, block) = (t.proc, t.block);
         let line = self.caches[owner].line(t.here());
-        let mut others = line.present.clone();
+        let mut others = self.owners[line.entry].present.clone();
         others.remove(owner);
         debug_assert!(!others.is_empty(), "rule guarded on shared copies");
         self.counters.incr("invalidate_multicast");
@@ -926,7 +940,7 @@ impl System {
             self.memory.block_data(block)
         };
         t.value_out = data.word(t.offset);
-        self.install_line(t, CacheLine::copy(data, self.cfg.n_caches));
+        self.install_line(t, CacheLine::copy(data));
         self.home_mut().table.entry(block).sharers.insert(proc);
     }
 

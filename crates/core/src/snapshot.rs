@@ -99,7 +99,7 @@ use tmc_memsys::{BlockAddr, BlockData, CacheId, MsgSizing};
 use tmc_omeganet::{DestSet, LinkId, SchemeKind};
 
 use crate::config::{ModePolicy, SystemConfig};
-use crate::state::{CacheLine, Mode, Validity};
+use crate::state::{CacheLine, Mode, OwnerState, OwnerTable, Validity, NO_ENTRY};
 use crate::system::{FaultState, System};
 
 /// Magic bytes opening a journal file. The version tail changes whenever
@@ -673,6 +673,13 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
     // Present sets up to this size are never longer as a list than as a
     // bitmap: a port delta takes at most `varint_len(n_caches - 1)` bytes.
     let list_bound = (bitmap_len - 1) / varint_len(n_caches as u64 - 1);
+    // What a line that owns nothing writes: no present flags, no window.
+    let owns_nothing = OwnerState {
+        present: DestSet::empty(n_caches),
+        window_refs: 0,
+        window_remote_reads: 0,
+        window_writes: 0,
+    };
     for cache in &sys.caches {
         let tick = cache.tick();
         w.varint(tick);
@@ -684,7 +691,15 @@ pub fn encode_system_into(sys: &System, out: &mut Vec<u8>) -> Result<(), Snapsho
                 tag_high: tag >> set_bits,
                 age: tick - stamp,
             };
-            let n = put_line(w.room(line_room), &head, line, bitmap_len, list_bound);
+            let owner = sys.owner_state(line).unwrap_or(&owns_nothing);
+            let n = put_line(
+                w.room(line_room),
+                &head,
+                line,
+                owner,
+                bitmap_len,
+                list_bound,
+            );
             w.pos += n;
             next = slot + 1;
         }
@@ -760,25 +775,28 @@ struct LineHead {
 /// code 0 when the line has no hint); `flags` the validity, DW, M, hint,
 /// window and bitmap bits; `present` is a count plus ascending port deltas
 /// or, when strictly shorter, a `bitmap_len`-byte bitmap; `window` the
-/// three adaptive counters, present only when one is nonzero.
+/// three adaptive counters, present only when one is nonzero. Both come
+/// from `owner`, the line's owner state (an empty one for a line that owns
+/// nothing).
 #[inline(always)]
 fn put_line(
     out: &mut [u8],
     head: &LineHead,
     line: &CacheLine,
+    owner: &OwnerState,
     bitmap_len: usize,
     list_bound: usize,
 ) -> usize {
     let hint = line.owner_hint.map(|c| u64::from(c.0));
     let window = [
-        line.window_refs,
-        line.window_remote_reads,
-        line.window_writes,
+        owner.window_refs,
+        owner.window_remote_reads,
+        owner.window_writes,
     ];
     // Only sets between the two size bounds need their list measured.
-    let members = line.present.len();
+    let members = owner.present.len();
     let bitmap = members > list_bound
-        && (members >= bitmap_len || bitmap_len < present_list_len(&line.present));
+        && (members >= bitmap_len || bitmap_len < present_list_len(&owner.present));
     let codes = [
         width_code(head.slot_delta),
         width_code(head.tag_high),
@@ -808,7 +826,7 @@ fn put_line(
     if bitmap {
         let map = &mut out[at..at + bitmap_len];
         map.fill(0);
-        for port in line.present.iter() {
+        for port in owner.present.iter() {
             map[port / 8] |= 1 << (port % 8);
         }
         at += bitmap_len;
@@ -817,7 +835,7 @@ fn put_line(
         if members > 0 {
             // Most present sets are empty; this skips making an iterator.
             let mut next = 0;
-            for port in line.present.iter() {
+            for port in owner.present.iter() {
                 at = put_varint(out, at, (port - next) as u64);
                 next = port + 1;
             }
@@ -998,7 +1016,8 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
         let n_lines = r.count(MIN_LINE, "cache line")?;
         let mut next = 0;
         for _ in 0..n_lines {
-            let (slot, tag, stamp, line) = decode_line(&mut r, &shape, &mut next, &mut words)?;
+            let (slot, tag, stamp, line) =
+                decode_line(&mut r, &shape, &mut next, &mut words, &mut sys.owners)?;
             sys.caches[ci].restore_slot(slot, tag, stamp, line);
         }
         sys.caches[ci].restore_tick(shape.tick);
@@ -1144,12 +1163,15 @@ struct LineShape {
 }
 
 /// Reads one line written by [`put_line`]: its slot (after `*next`, which
-/// moves past it), tag, stamp and the line itself.
+/// moves past it), tag, stamp and the line itself. An owned line's present
+/// set and window go to a new entry of `owners`; a line that owns nothing
+/// must carry an empty present set and no window.
 fn decode_line(
     r: &mut Reader<'_>,
     shape: &LineShape,
     next: &mut u64,
     words: &mut Vec<u64>,
+    owners: &mut OwnerTable,
 ) -> Result<(usize, u64, u64, CacheLine), SnapshotError> {
     let control = r.u8()?;
     let flags = r.u8()?;
@@ -1174,6 +1196,9 @@ fn decode_line(
         return Err(r.corrupt(format_args!("tag {tag_high:#x} overflows 64 bits")));
     }
     let tag = tag_high << shape.set_bits | (slot / shape.ways) as u64;
+    if tag >= BlockAddr::LIMIT {
+        return Err(r.corrupt(format_args!("tag {tag:#x} beyond the machine's blocks")));
+    }
     let age = r.coded(control >> 4 & 3, "stamp age")?;
     if age >= shape.tick {
         return Err(r.corrupt(format_args!(
@@ -1240,6 +1265,18 @@ fn decode_line(
     } else {
         [0; 3]
     };
+    let entry = if validity == Validity::Owned {
+        owners.take(OwnerState {
+            present,
+            window_refs: window[0],
+            window_remote_reads: window[1],
+            window_writes: window[2],
+        })
+    } else if !present.is_empty() || window != [0; 3] {
+        return Err(r.corrupt("owner state on a line that is not owned"));
+    } else {
+        NO_ENTRY
+    };
     let line = CacheLine {
         validity,
         mode: if flags & FLAG_DW != 0 {
@@ -1248,12 +1285,9 @@ fn decode_line(
             Mode::GlobalRead
         },
         modified: flags & FLAG_MODIFIED != 0,
-        present,
         owner_hint,
+        entry,
         data: BlockData::from_slice(words),
-        window_refs: window[0],
-        window_remote_reads: window[1],
-        window_writes: window[2],
     };
     Ok((slot, tag, shape.tick - age, line))
 }
@@ -1510,6 +1544,52 @@ mod tests {
         assert_eq!(back.protocol_fingerprint(), sys.protocol_fingerprint());
         assert_eq!(back.traffic(), sys.traffic());
         assert_eq!(memory_digest(&back), memory_digest(&sys));
+        // The decoder hands out owner-table entries in slot order, the
+        // machine in the order blocks became owned: the lines are equal
+        // all the same, and every owner state reads through its handle.
+        assert!(back.caches == sys.caches);
+        assert_eq!(back.owners.live(), sys.store.owned_blocks());
+        back.check_invariants().unwrap();
+    }
+
+    /// Owner state belongs to owned lines: a payload that gives a present
+    /// set or window counters to a copy or an invalid entry is corrupt.
+    #[test]
+    fn owner_state_off_an_owner_is_corrupt() {
+        let mut sys = System::new(SystemConfig::new(4)).unwrap();
+        sys.write(0, WordAddr::new(0), 1).unwrap();
+        sys.read(1, WordAddr::new(0)).unwrap(); // C1: invalid entry (GR)
+        let payload = encode_system(&sys).unwrap();
+        let mut back = decode_system(&payload).unwrap();
+        // Give C1's invalid entry an owner's state by hand and encode it.
+        let at = back.caches[1].find(BlockAddr::new(0)).unwrap();
+        let mut line = back.caches[1].line(at).clone();
+        line.validity = Validity::Owned;
+        line.entry = back.owners.take(OwnerState::exclusive(CacheId(1), 4));
+        *back.caches[1].line_mut(at) = line;
+        let forged = encode_system(&back).unwrap();
+        // Flip the validity code of C1's line back to Invalid: its flags
+        // byte is the only byte that differs between the two validities.
+        let diff: Vec<usize> = (0..forged.len().min(payload.len()))
+            .filter(|&i| forged[i] != payload[i])
+            .collect();
+        let flags = diff[0];
+        assert_eq!(
+            forged[flags] & 3,
+            2,
+            "C1's flags byte is the first to differ"
+        );
+        let mut damaged = forged.clone();
+        damaged[flags] &= !3;
+        match decode_system(&damaged) {
+            Err(SnapshotError::Corrupt(why)) => {
+                assert!(
+                    why.contains("owner state on a line that is not owned"),
+                    "{why}"
+                )
+            }
+            other => panic!("decoded {:?}", other.map(|_| ())),
+        }
     }
 
     /// The codec writes a cache in slot order, so two machines whose
@@ -1518,7 +1598,7 @@ mod tests {
     /// encode to the same bytes.
     #[test]
     fn snapshot_bytes_ignore_cache_history() {
-        let line = |tag: u64| CacheLine::invalid_hint(CacheId(tag as u16 % 8), 8, 4);
+        let line = |tag: u64| CacheLine::invalid_hint(CacheId(tag as u16 % 8), 4);
         let b = BlockAddr::new;
         let mut plain = System::new(SystemConfig::new(8)).unwrap();
         let mut churned = System::new(SystemConfig::new(8)).unwrap();

@@ -418,6 +418,25 @@ fn payload_decoder_never_panics_on_truncated_or_substituted_bytes() {
             payload.len() * 5
         );
     }
+
+    // A configuration whose caches would pass the line bound: a 4-cache
+    // payload (version, cache count, 64 sets, 4 ways, ...) with the set and
+    // way counts rewritten to 2^24 and 2^10.
+    let payload = encode_system(&System::new(SystemConfig::new(4)).unwrap()).unwrap();
+    assert_eq!(payload[..4], [2, 4, 64, 4]);
+    let mut huge = payload[..2].to_vec();
+    huge.extend_from_slice(&[0x80, 0x80, 0x80, 0x08, 0x80, 0x08]);
+    huge.extend_from_slice(&payload[4..]);
+    assert!(!decode(&huge, "2^24 sets of 2^10 ways"));
+    match decode_system(&huge) {
+        Err(SnapshotError::Corrupt(why)) => {
+            assert!(
+                why.contains("cache geometry 16777216x1024 exceeds"),
+                "{why}"
+            )
+        }
+        other => panic!("decoded {:?}", other.map(|_| ())),
+    }
 }
 
 /// A journal or payload of an earlier format is refused with a typed

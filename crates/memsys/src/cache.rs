@@ -4,12 +4,12 @@
 //! present vector, data, …); this container supplies the geometry: set
 //! indexing by block address, way lookup by tag, and true-LRU replacement.
 //!
-//! The storage has two parts. A flat **slot table** holds one 16-byte
-//! `[tag, place]` pair per `(set, way)` plus a parallel LRU stamp word; a
-//! lookup scans the `ways` contiguous pairs of one set — no pointer
-//! chasing, no per-way struct padding — and the place word beside the
-//! matching tag says both whether the way is occupied and where its line
-//! is, so a probe touches the set's pairs and the line, nothing else. The
+//! The storage has two parts. A flat **slot table** holds one 8-byte
+//! `[tag, place]` pair of `u32`s per `(set, way)` plus a parallel LRU
+//! stamp word; a lookup scans the `ways` contiguous pairs of one set — no
+//! pointer chasing, no per-way struct padding — and the place word beside
+//! the matching tag says both whether the way is occupied and where its
+//! line is, so a probe touches the set's pairs and the line, nothing else. The
 //! lines themselves are stored in **rows** of `ways` lines, one row per set
 //! that has ever held a line, appended in the order sets are first used;
 //! a way keeps its place in its set's row for good.
@@ -24,6 +24,11 @@
 //! that fills reallocates its store three times at most. A cache whose
 //! sets have all been used stops growing. Sweeping a cache
 //! ([`CacheArray::iter`]) walks the rows that exist, not the geometry.
+//!
+//! Both halves of a pair fit 32 bits by construction: a tag is a block
+//! index below [`BlockAddr::LIMIT`], and a place word is one plus a line's
+//! position, at most [`CacheGeometry::MAX_BLOCKS`], beside the occupied
+//! bit.
 
 use crate::addr::BlockAddr;
 
@@ -37,6 +42,12 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// The most blocks one cache may hold: a line's place in the line
+    /// store, plus one, shares a 32-bit slot word with the occupied bit.
+    /// Machines that name a larger geometry are refused before any cache
+    /// is built (`SystemConfig::checked_shape`, `System::new`).
+    pub const MAX_BLOCKS: usize = (1 << 31) - 1;
+
     /// Creates a geometry.
     ///
     /// # Panics
@@ -63,6 +74,13 @@ impl CacheGeometry {
         self.sets * self.ways
     }
 
+    /// Whether a cache of this shape fits [`CacheGeometry::MAX_BLOCKS`].
+    pub fn fits(self) -> bool {
+        self.sets
+            .checked_mul(self.ways)
+            .is_some_and(|blocks| blocks <= Self::MAX_BLOCKS)
+    }
+
     /// The set index for `block`.
     pub fn set_of(self, block: BlockAddr) -> usize {
         (block.index() as usize) & (self.sets - 1)
@@ -70,7 +88,7 @@ impl CacheGeometry {
 }
 
 /// Set in a slot's place word while the way holds a line.
-const OCCUPIED: u64 = 1 << 63;
+const OCCUPIED: u32 = 1 << 31;
 
 /// Rows up to which the line store grows by doubling; past them the next
 /// growth reserves the whole geometry. Four keeps a sparse cache small and
@@ -81,8 +99,15 @@ const DOUBLING_ROWS: usize = 4;
 
 /// Where a place word says the way's line is; the set must have a row.
 #[inline]
-fn position(place: u64) -> usize {
+fn position(place: u32) -> usize {
     (place & !OCCUPIED) as usize - 1
+}
+
+/// The slot-table tag of `block`, if it has one: blocks at or beyond
+/// [`BlockAddr::LIMIT`] are never resident.
+#[inline]
+fn tag_of(block: BlockAddr) -> Option<u32> {
+    u32::try_from(block.index()).ok()
 }
 
 /// A handle on one resident line: its slot and the place of its line in
@@ -100,7 +125,7 @@ pub struct LineRef {
     slot: u32,
     at: u32,
     #[cfg(debug_assertions)]
-    tag: u64,
+    tag: u32,
     #[cfg(debug_assertions)]
     epoch: u64,
 }
@@ -163,10 +188,11 @@ impl Room {
 pub struct CacheArray<L> {
     geometry: CacheGeometry,
     /// Slot `set * ways + way` holds `[tag, place]`: that way's block index
-    /// and its place word — 0 until the way's set is first used, from then
-    /// on one plus the fixed position of the way's line in `lines`, with
-    /// [`OCCUPIED`] set while the way holds a line.
-    slots: Vec<[u64; 2]>,
+    /// (below [`BlockAddr::LIMIT`]) and its place word — 0 until the way's
+    /// set is first used, from then on one plus the fixed position of the
+    /// way's line in `lines`, with [`OCCUPIED`] set while the way holds a
+    /// line.
+    slots: Vec<[u32; 2]>,
     /// Monotone use stamps, meaningful for occupied slots only; among the
     /// ways of a full set the smallest stamp is the least recently used.
     stamps: Vec<u64>,
@@ -201,13 +227,14 @@ impl<L> CacheArray<L> {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than `u32::MAX` blocks.
+    /// Panics if the geometry has more than [`CacheGeometry::MAX_BLOCKS`]
+    /// blocks.
     pub fn new(geometry: CacheGeometry) -> Self {
         let CacheGeometry { sets, ways } = geometry;
         assert!(
-            sets.checked_mul(ways)
-                .is_some_and(|blocks| u32::try_from(blocks).is_ok()),
-            "cache of {sets}x{ways} blocks exceeds the u32 line index"
+            geometry.fits(),
+            "cache of {sets}x{ways} blocks exceeds the {} line bound",
+            CacheGeometry::MAX_BLOCKS
         );
         CacheArray {
             geometry,
@@ -307,7 +334,7 @@ impl<L> CacheArray<L> {
     /// processor's own tag probe does.
     #[inline]
     pub fn find(&self, block: BlockAddr) -> Option<LineRef> {
-        let idx = block.index();
+        let idx = tag_of(block)?;
         let range = self.set_range(block);
         let base = range.start;
         // `get`: a cache that never held a line has no tables yet.
@@ -330,22 +357,23 @@ impl<L> CacheArray<L> {
         /// zeros: every way is compared and the match selected by masking
         /// (at most one occupied way holds a tag).
         #[inline(always)]
-        fn select(set: &[[u64; 2]], idx: u64) -> (u64, usize) {
+        fn select(set: &[[u32; 2]], idx: u32) -> (u32, usize) {
             let (mut place, mut way) = (0, 0);
             for (w, &[tag, p]) in set.iter().enumerate() {
-                let hit = 0u64.wrapping_sub(u64::from((tag == idx) & (p & OCCUPIED != 0)));
+                let hit = 0u32.wrapping_sub(u32::from((tag == idx) & (p & OCCUPIED != 0)));
                 place |= p & hit;
                 way |= w & hit as usize;
             }
             (place, way)
         }
+        let idx = tag_of(block)?;
         let range = self.set_range(block);
         let base = range.start;
         let set = self.slots.get(range)?;
         // Four ways, the default geometry, unroll into straight-line code.
-        let (place, way) = match <&[[u64; 2]; 4]>::try_from(set) {
-            Ok(four) => select(four, block.index()),
-            Err(_) => select(set, block.index()),
+        let (place, way) = match <&[[u32; 2]; 4]>::try_from(set) {
+            Ok(four) => select(four, idx),
+            Err(_) => select(set, idx),
         };
         (place != 0).then(|| self.handle(base + way, position(place)))
     }
@@ -371,7 +399,7 @@ impl<L> CacheArray<L> {
     /// The block whose line `line` names.
     pub fn block(&self, line: LineRef) -> BlockAddr {
         self.check(line);
-        BlockAddr::new(self.slots[line.slot()][0])
+        BlockAddr::new(self.slots[line.slot()][0].into())
     }
 
     /// Refreshes the recency of the line `line` names.
@@ -407,7 +435,12 @@ impl<L> CacheArray<L> {
 
     /// Where a fill of `block` goes, by one scan of its set: the resident
     /// way wins, then the first free way, then the least recently used one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is at or beyond [`BlockAddr::LIMIT`].
     pub fn room(&self, block: BlockAddr) -> Room {
+        let idx = tag_of(block).expect("a cached block is below BlockAddr::LIMIT");
         let range = self.set_range(block);
         let mut room = Room {
             slot: range.start,
@@ -417,7 +450,6 @@ impl<L> CacheArray<L> {
         let Some(set) = self.slots.get(range.clone()) else {
             return room; // no tables yet: the set's first way is free
         };
-        let idx = block.index();
         let mut free: Option<usize> = None;
         let mut lru: Option<usize> = None;
         for (s, &[tag, place]) in range.zip(set) {
@@ -463,14 +495,14 @@ impl<L> CacheArray<L> {
         }
         self.lines.resize_with(row + ways, || None);
         for way in 0..ways {
-            self.slots[set * ways + way][1] = (row + way + 1) as u64;
+            self.slots[set * ways + way][1] = (row + way + 1) as u32;
         }
         self.row_sets.push(set as u32);
     }
 
     /// Fills the free `slot`, adding its set's row on the set's first use,
     /// and returns the position of its line.
-    fn occupy(&mut self, slot: usize, tag: u64, stamp: u64, line: L) -> usize {
+    fn occupy(&mut self, slot: usize, tag: u32, stamp: u64, line: L) -> usize {
         if self.slots[slot][1] == 0 {
             self.add_row(slot / self.geometry.ways);
         }
@@ -486,6 +518,10 @@ impl<L> CacheArray<L> {
 
     /// Installs `line` for `block` (replacing any existing line for the same
     /// block), evicting and returning the LRU way if the set is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is at or beyond [`BlockAddr::LIMIT`].
     pub fn insert(&mut self, block: BlockAddr, line: L) -> Option<(BlockAddr, L)> {
         let room = self.room(block);
         let evicted = room.victim.map(|v| (self.block(v), self.take(v)));
@@ -513,7 +549,7 @@ impl<L> CacheArray<L> {
                     self.slots[room.slot][1] & OCCUPIED == 0,
                     "a fill of a full set must follow taking its victim out"
                 );
-                self.occupy(room.slot, block.index(), stamp, line)
+                self.occupy(room.slot, tag_of(block).expect("room checked"), stamp, line)
             }
         };
         self.moved();
@@ -548,9 +584,9 @@ impl<L> CacheArray<L> {
             .zip(&self.row_sets)
             .flat_map(move |(row, &set)| {
                 let slots = &self.slots[set as usize * ways..][..ways];
-                row.iter()
-                    .zip(slots)
-                    .filter_map(|(line, &[tag, _])| Some((BlockAddr::new(tag), line.as_ref()?)))
+                row.iter().zip(slots).filter_map(|(line, &[tag, _])| {
+                    Some((BlockAddr::new(tag.into()), line.as_ref()?))
+                })
             })
     }
 
@@ -564,9 +600,9 @@ impl<L> CacheArray<L> {
             .zip(&self.row_sets)
             .flat_map(move |(row, &set)| {
                 let slots = &slots[set as usize * ways..][..ways];
-                row.iter_mut()
-                    .zip(slots)
-                    .filter_map(|(line, &[tag, _])| Some((BlockAddr::new(tag), line.as_mut()?)))
+                row.iter_mut().zip(slots).filter_map(|(line, &[tag, _])| {
+                    Some((BlockAddr::new(tag.into()), line.as_mut()?))
+                })
             })
     }
 
@@ -584,7 +620,7 @@ impl<L> CacheArray<L> {
                 let line = self.lines[position(place)].as_ref();
                 (
                     s,
-                    tag,
+                    u64::from(tag),
                     self.stamps[s],
                     line.expect("occupied slot has a line"),
                 )
@@ -603,14 +639,15 @@ impl<L> CacheArray<L> {
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range, already occupied, or `stamp` is 0
-    /// (the clock issues stamps from 1) — a checkpoint codec must validate
-    /// before calling.
+    /// Panics if `slot` is out of range, already occupied, `tag` is at or
+    /// beyond [`BlockAddr::LIMIT`], or `stamp` is 0 (the clock issues
+    /// stamps from 1) — a checkpoint codec must validate before calling.
     pub fn restore_slot(&mut self, slot: usize, tag: u64, stamp: u64, line: L) {
         assert!(
             slot < self.geometry.capacity_blocks(),
             "slot {slot} out of range"
         );
+        let tag = u32::try_from(tag).expect("a cached block is below BlockAddr::LIMIT");
         if self.slots.is_empty() {
             self.allocate();
         }
@@ -864,6 +901,40 @@ mod tests {
         assert_eq!(c.lines.len(), g.capacity_blocks());
         assert_eq!(c.lines.capacity(), g.capacity_blocks());
         assert_eq!(c.row_sets.len(), 64);
+    }
+
+    #[test]
+    fn the_line_bound_is_the_geometry_limit() {
+        assert!(CacheGeometry::new(1 << 21, (1 << 10) - 1).fits());
+        assert!(
+            !CacheGeometry::new(1 << 21, 1 << 10).fits(),
+            "2^31 is one past"
+        );
+        assert!(!CacheGeometry::new(1 << 24, 1 << 10).fits());
+        assert!(
+            !CacheGeometry::new(1 << 62, 8).fits(),
+            "the product overflows"
+        );
+        // A slot pair is two 32-bit words.
+        assert_eq!(std::mem::size_of::<[u32; 2]>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "line bound")]
+    fn an_array_past_the_line_bound_is_refused() {
+        CacheArray::<u8>::new(CacheGeometry::new(1 << 24, 1 << 10));
+    }
+
+    #[test]
+    fn blocks_past_the_tag_range_are_never_resident() {
+        let mut c: CacheArray<u8> = CacheArray::new(CacheGeometry::new(1, 2));
+        let top = b(BlockAddr::LIMIT - 1);
+        c.insert(top, 7);
+        assert_eq!(c.peek(top), Some(&7));
+        assert_eq!(c.slots().next().map(|(_, tag, ..)| tag), Some(top.index()));
+        // The block 2^32 above shares the low 32 bits of the tag.
+        let alias = b(BlockAddr::LIMIT + top.index());
+        assert!(c.find(alias).is_none() && c.find_holder(alias).is_none());
     }
 
     /// Sets of `c` holding a stale tag (its way freed, `OCCUPIED` clear)
